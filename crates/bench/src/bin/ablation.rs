@@ -7,9 +7,9 @@
 //! reset is the throughput mechanism; this harness verifies exactly
 //! that decomposition on our implementation.
 
-use loft::{LoftConfig, LoftNetwork};
-use loft_bench::{parallel_map, print_table, SEED};
-use noc_sim::{FlowId, RunConfig, SimReport, Simulation};
+use loft::LoftConfig;
+use loft_bench::{or_exit, parallel_map, print_table, SEED};
+use noc_sim::{FlowId, RunConfig, SimReport};
 use noc_traffic::Scenario;
 
 #[derive(Clone, Copy)]
@@ -48,17 +48,12 @@ fn run_variant(v: Variant, scenario: &Scenario) -> SimReport {
         local_status_reset: v.reset,
         ..LoftConfig::default()
     };
-    let reservations = scenario.reservations(cfg.frame_size).expect("fits");
-    Simulation::new(
-        LoftNetwork::new(cfg, &reservations),
-        scenario.workload(SEED),
-        RunConfig {
-            warmup: 5_000,
-            measure: 25_000,
-            drain: 15_000,
-        },
-    )
-    .run()
+    let run = RunConfig {
+        warmup: 5_000,
+        measure: 25_000,
+        drain: 15_000,
+    };
+    or_exit(loft_bench::run(scenario, cfg, run, SEED))
 }
 
 fn main() {

@@ -4,7 +4,7 @@
 //! check that observed worst-case latencies respect the LOFT bound.
 
 use loft::LoftConfig;
-use loft_bench::{print_table, run_loft, SEED};
+use loft_bench::{or_exit, print_table, SEED};
 use noc_gsf::GsfConfig;
 use noc_model::delay;
 use noc_sim::{NodeId, RunConfig};
@@ -62,7 +62,7 @@ fn main() {
         measure: 30_000,
         drain: 30_000,
     };
-    let report = run_loft(&scenario, loft_cfg, run, SEED);
+    let report = or_exit(loft_bench::run(&scenario, loft_cfg, run, SEED));
     let worst_path_bound = delay::loft_worst_case_for(&loft_cfg, NodeId::new(0), NodeId::new(63));
     println!(
         "\nSimulated hotspot (saturating): max network latency {} cycles; \

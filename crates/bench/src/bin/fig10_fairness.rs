@@ -14,12 +14,20 @@
 //! for one case or no argument for all three.
 
 use loft::LoftConfig;
-use loft_bench::{print_table, run_gsf_telemetry, run_loft_telemetry, SEED};
+use loft_bench::{or_exit, print_table, simulation, NetSpec, SEED, TELEMETRY_WINDOW};
 use noc_gsf::GsfConfig;
 use noc_sim::stats::RunningStats;
-use noc_sim::telemetry::jain_index;
+use noc_sim::telemetry::{jain_index, LiveProbe, TelemetryReport};
 use noc_sim::RunConfig;
 use noc_traffic::Scenario;
+
+/// Runs `scenario` on `cfg`'s network with a live probe attached and
+/// returns the run's telemetry.
+fn telemetry<C: NetSpec>(scenario: &Scenario, cfg: C, run: RunConfig) -> TelemetryReport {
+    let probe = LiveProbe::new(TELEMETRY_WINDOW);
+    let (_, network, _) = or_exit(simulation(scenario, cfg, probe, run, SEED)).run_full(|| {});
+    C::into_probe(network).finish()
+}
 
 fn run_case(name: &str) {
     // All sources inject far beyond the hotspot's capacity so the
@@ -35,8 +43,8 @@ fn run_case(name: &str) {
         measure: 50_000,
         drain: 20_000,
     };
-    let (_, loft) = run_loft_telemetry(&scenario, LoftConfig::default(), run, SEED, || {});
-    let (_, gsf) = run_gsf_telemetry(&scenario, GsfConfig::default(), run, SEED, || {});
+    let loft = telemetry(&scenario, LoftConfig::default(), run);
+    let gsf = telemetry(&scenario, GsfConfig::default(), run);
 
     for (net, telemetry) in [("LOFT", &loft), ("GSF", &gsf)] {
         let rows: Vec<Vec<String>> = scenario

@@ -12,7 +12,7 @@
 //! Usage: `fig11_performance [uniform|hotspot]` (default: both).
 
 use loft::LoftConfig;
-use loft_bench::{parallel_map, print_table, run_gsf, run_loft, SEED};
+use loft_bench::{or_exit, parallel_map, print_table, SEED};
 use noc_gsf::GsfConfig;
 use noc_sim::{RunConfig, SimReport};
 use noc_traffic::Scenario;
@@ -52,7 +52,7 @@ fn run_pattern(pattern: &str) {
             } else {
                 Scenario::hotspot(rate)
             };
-            run_gsf(&s, GsfConfig::default(), run, SEED)
+            or_exit(loft_bench::run(&s, GsfConfig::default(), run, SEED))
         });
         sweeps.push(Sweep {
             label: "GSF".into(),
@@ -67,7 +67,12 @@ fn run_pattern(pattern: &str) {
             } else {
                 Scenario::hotspot(rate)
             };
-            run_loft(&s, LoftConfig::with_spec_buffer(spec), run, SEED)
+            or_exit(loft_bench::run(
+                &s,
+                LoftConfig::with_spec_buffer(spec),
+                run,
+                SEED,
+            ))
         });
         sweeps.push(Sweep {
             label: format!("LOFT spec={spec}"),

@@ -7,7 +7,7 @@
 //! utilization the paper quotes (<60% for GSF, >90% for LOFT).
 
 use loft::LoftConfig;
-use loft_bench::{parallel_map, print_table, run_gsf, run_loft, SEED};
+use loft_bench::{or_exit, parallel_map, print_table, SEED};
 use noc_gsf::GsfConfig;
 use noc_sim::{FlowId, RunConfig, SimReport};
 use noc_traffic::Scenario;
@@ -69,20 +69,12 @@ fn main() {
         drain: 30_000,
     };
     let gsf = parallel_map(RATES.to_vec(), move |rate| {
-        run_gsf(
-            &Scenario::case_study_1(rate),
-            GsfConfig::default(),
-            run,
-            SEED,
-        )
+        let s = Scenario::case_study_1(rate);
+        or_exit(loft_bench::run(&s, GsfConfig::default(), run, SEED))
     });
     let loft = parallel_map(RATES.to_vec(), move |rate| {
-        run_loft(
-            &Scenario::case_study_1(rate),
-            LoftConfig::default(),
-            run,
-            SEED,
-        )
+        let s = Scenario::case_study_1(rate);
+        or_exit(loft_bench::run(&s, LoftConfig::default(), run, SEED))
     });
     tables("GSF", &gsf);
     tables("LOFT", &loft);

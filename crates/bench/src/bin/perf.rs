@@ -25,17 +25,16 @@
 //! simulations are fully deterministic, so the simulated work is
 //! identical and only the wall clock moves).
 //!
-//! **Forked warmup** (default; `--no-fork-warmup` restores the old
-//! behavior): each point runs its warmup once into a
+//! **Forked warmup**: each point runs its warmup once into a
 //! `noc_sim::checkpoint::Checkpoint` and every timed iteration forks
 //! that checkpoint instead of re-running construction + warmup. The
 //! forked iterations are bit-identical to from-scratch runs, so the
-//! reports don't move — but the timed span now covers only the
-//! measurement + drain phases, and `sim_cycles`/`cycles_per_sec` are
-//! computed over that span. `forked_warmup` in the row records which
-//! basis applies, so rows are never silently compared across bases.
-//! Telemetry rows (`--telemetry`) always run full warmups and report
-//! `forked_warmup: false`.
+//! reports are those of a straight run — but the timed span covers
+//! only the measurement + drain phases, and
+//! `sim_cycles`/`cycles_per_sec` are computed over that span. Every
+//! row, `--telemetry` rows included, is measured this way, and
+//! `forked_warmup` in the row records that basis, so rows are never
+//! silently compared with full-run (warmup-inclusive) rows.
 //!
 //! `--jobs N` measures up to `N` points concurrently on a
 //! work-stealing pool (whole simulations, unchanged results — rows
@@ -61,8 +60,9 @@
 //! `null` when the window produced no completed packets.
 //!
 //! `--telemetry PATH` attaches a live probe (`noc_sim::telemetry`) to
-//! every run — including the timed iterations, so the printed
-//! `cycles_per_sec` genuinely measures the telemetry-on hot loop —
+//! the warmup checkpoint and so to every fork of it — including the
+//! timed iterations, so the printed `cycles_per_sec` genuinely
+//! measures the telemetry-on hot loop —
 //! and writes a JSON array to `PATH` with one entry per measured
 //! point: `{"net","scenario","load","telemetry":<versioned telemetry
 //! document>}`. Combine with `--min-cps` floors at ~0.9× of the
@@ -70,10 +70,11 @@
 //!
 //! `allocs_per_cycle` is the steady-state allocation rate: heap
 //! allocations between the warmup/measurement boundary and the end of
-//! the run, divided by the measurement window. Under forked warmup
-//! the counted span starts after the fork completes (the deep copy is
-//! setup, not steady state) — the span covers exactly the same
-//! simulated phases as the full-run measurement. It requires the
+//! the run, divided by the measurement window. The counted span
+//! starts after the fork completes (the deep copy is setup, not
+//! steady state) and also covers the drain phase, so dividing by the
+//! measurement window alone slightly overestimates the rate —
+//! conservative for a budget gate. It requires the
 //! `alloc-count` feature (which installs a counting global allocator)
 //! and prints `null` without it. With `--alloc-budget X` the process
 //! exits nonzero if any measured point exceeds `X` — the CI gate that
@@ -112,16 +113,12 @@
 //! spans dominate the run and the fast path carries the load.
 
 use loft::LoftConfig;
-use loft_bench::sweep::clamp_jobs;
-use loft_bench::{
-    checkpoint_gsf, checkpoint_loft, checkpoint_wormhole, run_gsf_info, run_gsf_telemetry_info,
-    run_loft_info, run_loft_telemetry_info, run_wormhole_info, run_wormhole_telemetry_info, SEED,
-};
+use loft_bench::sweep::{clamp_jobs, Net};
+use loft_bench::{map_jobs, or_exit, simulation, NetSpec, SEED, TELEMETRY_WINDOW};
 use noc_gsf::GsfConfig;
-use noc_sim::par::{pool_map, WorkerPool};
-use noc_sim::telemetry::TelemetryReport;
-use noc_sim::{Checkpoint, Network, RunConfig, RunInfo, SimReport};
-use noc_traffic::{Scenario, Workload};
+use noc_sim::telemetry::{LiveProbe, NoopProbe, Probe, TelemetryReport};
+use noc_sim::{ConfigError, RunConfig};
+use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
 
 /// Measurement-window sizing: long enough that per-run overhead
@@ -147,7 +144,7 @@ fn run(smoke: bool) -> RunConfig {
 /// One cell of the perf matrix, dispatchable on a worker pool.
 #[derive(Clone, Copy)]
 struct Spec {
-    net: &'static str,
+    net: Net,
     scenario: &'static str,
     load: f64,
 }
@@ -162,7 +159,6 @@ struct Ctx {
     cfg: RunConfig,
     fast_forward: bool,
     with_telemetry: bool,
-    fork_warmup: bool,
 }
 
 /// One measured point: the printed JSON line, the simulated-cycle
@@ -170,26 +166,70 @@ struct Ctx {
 /// `alloc-count` feature), and the telemetry array entry (`None`
 /// without `--telemetry`).
 struct Row {
-    net: &'static str,
+    net: Net,
     line: String,
     cycles_per_sec: f64,
     allocs_per_cycle: Option<f64>,
     telemetry: Option<String>,
 }
 
-/// Formats the JSON line shared by both measurement paths.
-#[allow(clippy::too_many_arguments)]
-fn render_row(
+/// Heap allocations so far (`None` without the `alloc-count` feature).
+fn allocs() -> Option<u64> {
+    #[cfg(feature = "alloc-count")]
+    return Some(loft_bench::alloc_count::total());
+    #[cfg(not(feature = "alloc-count"))]
+    None
+}
+
+/// Measures one point on the architecture configured by `C`: warms up
+/// once into a checkpoint carrying `probe`, then forks it per
+/// iteration, so the timed span covers the measurement + drain phases
+/// only (`sim_cycles` records that basis) and every fork's report is
+/// bit-identical to a from-scratch run's. `finish` turns the first
+/// fork's probe into the point's telemetry document, if any.
+fn measure<C: NetSpec, P: Probe + Clone>(
     spec: Spec,
     ctx: Ctx,
-    forked_warmup: bool,
-    sim_cycles: u64,
-    wall: f64,
-    report: &SimReport,
-    info: &RunInfo,
-    allocs_per_cycle: Option<f64>,
-    telemetry: Option<String>,
-) -> Row {
+    scenario: &Scenario,
+    probe: P,
+    finish: impl Fn(P) -> Option<TelemetryReport>,
+) -> Result<Row, ConfigError> {
+    let net_cfg = C::on(scenario.topo, ctx.threads);
+    let ckpt = simulation(scenario, net_cfg, probe, ctx.cfg, SEED)?
+        .with_fast_forward(ctx.fast_forward)
+        .run_to_checkpoint();
+
+    // One untimed leg, doubling as the allocation measurement. The
+    // fork itself is setup (a deep copy), so the counter is
+    // snapshotted after it.
+    let leg = ckpt.fork();
+    let at_boundary = allocs();
+    let (report, network, info) = leg.resume();
+    let allocs_per_cycle = allocs()
+        .zip(at_boundary)
+        .map(|(after, before)| (after - before) as f64 / ctx.cfg.measure as f64);
+
+    // Serialize the telemetry document outside the counted and timed
+    // spans: the JSON export is one-shot output formatting, not part
+    // of the steady-state loop the allocation budget gates (the
+    // probe's own recording stays inside the span, where it belongs).
+    let telemetry = finish(C::into_probe(network)).map(|t| {
+        let doc = t.to_json();
+        format!(
+            "{{\"net\":\"{}\",\"scenario\":\"{}\",\"load\":{},\"telemetry\":{doc}}}",
+            C::NAME,
+            spec.scenario,
+            spec.load
+        )
+    });
+
+    let start = std::time::Instant::now();
+    for _ in 0..ctx.iters {
+        std::hint::black_box(ckpt.fork().resume());
+    }
+    let wall = start.elapsed().as_secs_f64() / f64::from(ctx.iters);
+    let sim_cycles = ctx.cfg.measure + ctx.cfg.drain;
+
     // Windowed delivery: packets ejected inside the measurement
     // window, regardless of when they were created. The latency mean
     // only covers created-in-window packets; under saturation none of
@@ -217,7 +257,7 @@ fn render_row(
     let allocs = allocs_per_cycle.map_or_else(|| "null".to_string(), |a| format!("{a:.4}"));
     let line = format!(
         "{{\"net\":\"{}\",\"scenario\":\"{}\",\"load\":{},\
-         \"threads\":{},\"jobs\":{},\"forked_warmup\":{forked_warmup},\
+         \"threads\":{},\"jobs\":{},\"forked_warmup\":true,\
          \"sim_cycles\":{sim_cycles},\"skipped_cycles\":{},\
          \"wall_secs\":{wall:.6},\
          \"cycles_per_sec\":{cycles_per_sec:.1},\"packets_delivered\":{packets},\
@@ -225,7 +265,7 @@ fn render_row(
          \"avg_latency\":{avg_latency},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\
          \"saturated\":{saturated},\
          \"allocs_per_cycle\":{allocs}}}",
-        spec.net,
+        C::NAME,
         spec.scenario,
         spec.load,
         ctx.threads,
@@ -234,118 +274,27 @@ fn render_row(
         packets as f64 / wall,
         report.flits_delivered,
     );
-    Row {
+    Ok(Row {
         net: spec.net,
         line,
         cycles_per_sec,
         allocs_per_cycle,
         telemetry,
+    })
+}
+
+/// [`measure`] with the probe `--telemetry` selects.
+fn measure_on<C: NetSpec>(spec: Spec, ctx: Ctx, scenario: &Scenario) -> Result<Row, ConfigError> {
+    if ctx.with_telemetry {
+        let probe = LiveProbe::new(TELEMETRY_WINDOW);
+        measure::<C, _>(spec, ctx, scenario, probe, |p| Some(p.finish()))
+    } else {
+        measure::<C, _>(spec, ctx, scenario, NoopProbe, |_| None)
     }
 }
 
-/// Measures one point with a full run per iteration (construction +
-/// warmup + measurement + drain). `f` receives the `after_warmup`
-/// hook to pass through to the simulation; the untimed first run uses
-/// it to snapshot the allocation counter at the warmup/measurement
-/// boundary.
-fn measure_full(
-    spec: Spec,
-    ctx: Ctx,
-    f: impl Fn(&mut dyn FnMut()) -> (SimReport, Option<TelemetryReport>, RunInfo),
-) -> Row {
-    // One untimed warmup run (doubling as the allocation
-    // measurement), then the mean of `iters` timed runs.
-    #[cfg(feature = "alloc-count")]
-    let ((report, telemetry, info), allocs_per_cycle) = {
-        let mut at_boundary = 0u64;
-        let out = f(&mut || at_boundary = loft_bench::alloc_count::total());
-        let after = loft_bench::alloc_count::total();
-        // The counted span also covers the drain phase, so dividing
-        // by the measurement window alone slightly overestimates the
-        // rate — conservative for a budget gate.
-        let apc = (after - at_boundary) as f64 / ctx.cfg.measure as f64;
-        (out, Some(apc))
-    };
-    #[cfg(not(feature = "alloc-count"))]
-    let ((report, telemetry, info), allocs_per_cycle) = (f(&mut || {}), None::<f64>);
-
-    // Serialize the telemetry document outside the timed span: the
-    // JSON export is one-shot output formatting, not part of the
-    // steady-state loop the allocation budget gates (the probe's own
-    // recording stays inside the span, where it belongs).
-    let telemetry = telemetry.map(|t| {
-        let doc = t.to_json();
-        format!(
-            "{{\"net\":\"{}\",\"scenario\":\"{}\",\"load\":{},\"telemetry\":{doc}}}",
-            spec.net, spec.scenario, spec.load
-        )
-    });
-
-    let start = std::time::Instant::now();
-    for _ in 0..ctx.iters {
-        std::hint::black_box(f(&mut || {}));
-    }
-    let wall = start.elapsed().as_secs_f64() / f64::from(ctx.iters);
-    let sim_cycles = ctx.cfg.warmup + ctx.cfg.measure + ctx.cfg.drain;
-    render_row(
-        spec,
-        ctx,
-        false,
-        sim_cycles,
-        wall,
-        &report,
-        &info,
-        allocs_per_cycle,
-        telemetry,
-    )
-}
-
-/// Measures one point by forking a shared warmup checkpoint per
-/// iteration: the timed span covers the measurement + drain phases
-/// only (`sim_cycles` records that basis), and every fork's report is
-/// bit-identical to a from-scratch run's.
-fn measure_forked<N: Network + Clone>(spec: Spec, ctx: Ctx, ckpt: &Checkpoint<N, Workload>) -> Row {
-    // Allocation measurement on a forked leg: the fork itself is
-    // setup (a deep copy), so the counter is snapshotted after it —
-    // the counted span covers the same boundary-to-end phases as the
-    // full-run hook placement.
-    #[cfg(feature = "alloc-count")]
-    let ((report, info), allocs_per_cycle) = {
-        let leg = ckpt.fork();
-        let at_boundary = loft_bench::alloc_count::total();
-        let (report, _, info) = leg.resume();
-        let after = loft_bench::alloc_count::total();
-        let apc = (after - at_boundary) as f64 / ctx.cfg.measure as f64;
-        ((report, info), Some(apc))
-    };
-    #[cfg(not(feature = "alloc-count"))]
-    let ((report, info), allocs_per_cycle) = {
-        let (report, _, info) = ckpt.fork().resume();
-        ((report, info), None::<f64>)
-    };
-
-    let start = std::time::Instant::now();
-    for _ in 0..ctx.iters {
-        std::hint::black_box(ckpt.fork().resume());
-    }
-    let wall = start.elapsed().as_secs_f64() / f64::from(ctx.iters);
-    let sim_cycles = ctx.cfg.measure + ctx.cfg.drain;
-    render_row(
-        spec,
-        ctx,
-        true,
-        sim_cycles,
-        wall,
-        &report,
-        &info,
-        allocs_per_cycle,
-        None,
-    )
-}
-
-/// Runs one cell of the matrix, choosing the measurement path from
-/// the context (telemetry > forked warmup > full runs).
-fn run_spec(spec: Spec, ctx: Ctx) -> Row {
+/// Runs one cell of the matrix.
+fn run_spec(spec: Spec, ctx: Ctx) -> Result<Row, ConfigError> {
     let scenario = match spec.scenario {
         "uniform" => Scenario::uniform(spec.load),
         "hotspot" => Scenario::hotspot(spec.load),
@@ -353,71 +302,10 @@ fn run_spec(spec: Spec, ctx: Ctx) -> Row {
         "regulated" => Scenario::regulated(spec.load),
         other => unreachable!("unknown scenario {other}"),
     };
-    let (cfg, ff) = (ctx.cfg, ctx.fast_forward);
     match spec.net {
-        "loft" => {
-            let net_cfg = LoftConfig {
-                threads: ctx.threads,
-                ..LoftConfig::default()
-            };
-            if ctx.with_telemetry {
-                measure_full(spec, ctx, |hook| {
-                    let (r, t, i) =
-                        run_loft_telemetry_info(&scenario, net_cfg, cfg, SEED, ff, hook);
-                    (r, Some(t), i)
-                })
-            } else if ctx.fork_warmup {
-                let ckpt = checkpoint_loft(&scenario, net_cfg, cfg, SEED, ff);
-                measure_forked(spec, ctx, &ckpt)
-            } else {
-                measure_full(spec, ctx, |hook| {
-                    let (r, i) = run_loft_info(&scenario, net_cfg, cfg, SEED, ff, hook);
-                    (r, None, i)
-                })
-            }
-        }
-        "gsf" => {
-            let net_cfg = GsfConfig {
-                threads: ctx.threads,
-                ..GsfConfig::default()
-            };
-            if ctx.with_telemetry {
-                measure_full(spec, ctx, |hook| {
-                    let (r, t, i) = run_gsf_telemetry_info(&scenario, net_cfg, cfg, SEED, ff, hook);
-                    (r, Some(t), i)
-                })
-            } else if ctx.fork_warmup {
-                let ckpt = checkpoint_gsf(&scenario, net_cfg, cfg, SEED, ff);
-                measure_forked(spec, ctx, &ckpt)
-            } else {
-                measure_full(spec, ctx, |hook| {
-                    let (r, i) = run_gsf_info(&scenario, net_cfg, cfg, SEED, ff, hook);
-                    (r, None, i)
-                })
-            }
-        }
-        "wormhole" => {
-            let net_cfg = WormholeConfig {
-                threads: ctx.threads,
-                ..WormholeConfig::default()
-            };
-            if ctx.with_telemetry {
-                measure_full(spec, ctx, |hook| {
-                    let (r, t, i) =
-                        run_wormhole_telemetry_info(&scenario, net_cfg, cfg, SEED, ff, hook);
-                    (r, Some(t), i)
-                })
-            } else if ctx.fork_warmup {
-                let ckpt = checkpoint_wormhole(&scenario, net_cfg, cfg, SEED, ff);
-                measure_forked(spec, ctx, &ckpt)
-            } else {
-                measure_full(spec, ctx, |hook| {
-                    let (r, i) = run_wormhole_info(&scenario, net_cfg, cfg, SEED, ff, hook);
-                    (r, None, i)
-                })
-            }
-        }
-        other => unreachable!("unknown network {other}"),
+        Net::Loft => measure_on::<LoftConfig>(spec, ctx, &scenario),
+        Net::Gsf => measure_on::<GsfConfig>(spec, ctx, &scenario),
+        Net::Wormhole => measure_on::<WormholeConfig>(spec, ctx, &scenario),
     }
 }
 
@@ -458,7 +346,6 @@ fn main() {
     });
     let with_telemetry = telemetry_path.is_some();
     let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
-    let fork_warmup = !args.iter().any(|a| a == "--no-fork-warmup");
     let traffic: Option<String> = args.iter().position(|a| a == "--traffic").map(|i| {
         args.get(i + 1)
             .cloned()
@@ -494,7 +381,6 @@ fn main() {
         cfg: run(smoke),
         fast_forward,
         with_telemetry,
-        fork_warmup,
     };
     // Low load: the hot loop is dominated by per-cycle scans over
     // mostly-idle state — exactly what active-set worklists target.
@@ -513,21 +399,14 @@ fn main() {
     let specs: Vec<Spec> = points
         .iter()
         .flat_map(|&(scenario, load)| {
-            ["loft", "gsf", "wormhole"].map(|net| Spec {
+            [Net::Loft, Net::Gsf, Net::Wormhole].map(|net| Spec {
                 net,
                 scenario,
                 load,
             })
         })
         .collect();
-    let rows: Vec<Row> = if jobs > 1 {
-        // The mapping thread participates in the claim loop, so
-        // `jobs`-way parallelism wants `jobs - 1` workers.
-        let mut pool = WorkerPool::new(jobs - 1);
-        pool_map(&mut pool, specs, |spec| run_spec(spec, ctx))
-    } else {
-        specs.into_iter().map(|spec| run_spec(spec, ctx)).collect()
-    };
+    let rows: Vec<Row> = map_jobs(jobs, specs, |spec| or_exit(run_spec(spec, ctx)));
     for row in &rows {
         println!("{}", row.line);
     }
@@ -536,11 +415,7 @@ fn main() {
     // One telemetry document per measured point (--telemetry).
     let mut telemetry_docs: Vec<String> = Vec::new();
     // Slowest measured point per network, for the --min-cps gate.
-    let mut min_cps = [
-        ("loft", f64::INFINITY),
-        ("gsf", f64::INFINITY),
-        ("wormhole", f64::INFINITY),
-    ];
+    let mut min_cps = [Net::Loft, Net::Gsf, Net::Wormhole].map(|net| (net, f64::INFINITY));
     for row in rows {
         worst = row.allocs_per_cycle.iter().fold(worst, |w, &a| w.max(a));
         if let Some(slot) = min_cps.iter_mut().find(|(n, _)| *n == row.net) {
@@ -568,7 +443,7 @@ fn main() {
         }
     }
     for (net, floor) in &floors {
-        match min_cps.iter().find(|(n, _)| n == net) {
+        match min_cps.iter().find(|(n, _)| n.name() == net) {
             Some(&(_, got)) => {
                 if got < *floor {
                     eprintln!("cps floor violated: {net} ran at {got:.0} < floor {floor:.0}");

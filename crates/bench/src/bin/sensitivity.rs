@@ -3,10 +3,10 @@
 //! that trade delay bounds (`F × WF` per hop) against scheduling
 //! granularity. Complements the paper's fixed Table 1 choice.
 
-use loft::{LoftConfig, LoftNetwork};
-use loft_bench::{parallel_map, print_table, SEED};
+use loft::LoftConfig;
+use loft_bench::{or_exit, parallel_map, print_table, SEED};
 use noc_model::delay;
-use noc_sim::{RunConfig, Simulation};
+use noc_sim::RunConfig;
 use noc_traffic::Scenario;
 
 fn run(frame_size: u32, frame_window: u32) -> (f64, f64, f64, u64) {
@@ -17,17 +17,12 @@ fn run(frame_size: u32, frame_window: u32) -> (f64, f64, f64, u64) {
         ..LoftConfig::default()
     };
     let scenario = Scenario::hotspot(0.02);
-    let reservations = scenario.reservations(cfg.frame_size).expect("fits");
-    let report = Simulation::new(
-        LoftNetwork::new(cfg, &reservations),
-        scenario.workload(SEED),
-        RunConfig {
-            warmup: 5_000,
-            measure: 25_000,
-            drain: 15_000,
-        },
-    )
-    .run();
+    let phases = RunConfig {
+        warmup: 5_000,
+        measure: 25_000,
+        drain: 15_000,
+    };
+    let report = or_exit(loft_bench::run(&scenario, cfg, phases, SEED));
     let fair = report.group_throughput(scenario.group("all").expect("group"));
     (
         report.throughput_per_node(),

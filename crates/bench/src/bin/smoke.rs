@@ -3,7 +3,7 @@
 //! paper's experiments. Not part of the figure regeneration set.
 
 use loft::LoftConfig;
-use loft_bench::{f4, print_table, run_gsf, run_loft, SEED};
+use loft_bench::{f4, or_exit, print_table, SEED};
 use noc_gsf::GsfConfig;
 use noc_sim::RunConfig;
 use noc_traffic::Scenario;
@@ -18,7 +18,7 @@ fn main() {
 
     // Fairness: hotspot, equal allocation.
     let s = Scenario::hotspot(0.05);
-    let loft = run_loft(&s, LoftConfig::default(), run, SEED);
+    let loft = or_exit(loft_bench::run(&s, LoftConfig::default(), run, SEED));
     let g = loft.group_throughput(s.group("all").unwrap());
     print_table(
         "LOFT hotspot fairness (rate 0.05)",
@@ -34,8 +34,8 @@ fn main() {
 
     // Case study 2 shape at high rate.
     let s2 = Scenario::case_study_2(0.64);
-    let l2 = run_loft(&s2, LoftConfig::default(), run, SEED);
-    let g2 = run_gsf(&s2, GsfConfig::default(), run, SEED);
+    let l2 = or_exit(loft_bench::run(&s2, LoftConfig::default(), run, SEED));
+    let g2 = or_exit(loft_bench::run(&s2, GsfConfig::default(), run, SEED));
     let row = |name: &str, r: &noc_sim::SimReport| {
         let grey = r.group_throughput(s2.group("grey").unwrap());
         let strip = r.group_throughput(s2.group("stripped").unwrap());
@@ -49,8 +49,8 @@ fn main() {
 
     // Uniform latency/throughput at medium load.
     let s3 = Scenario::uniform(0.3);
-    let l3 = run_loft(&s3, LoftConfig::default(), run, SEED);
-    let g3 = run_gsf(&s3, GsfConfig::default(), run, SEED);
+    let l3 = or_exit(loft_bench::run(&s3, LoftConfig::default(), run, SEED));
+    let g3 = or_exit(loft_bench::run(&s3, GsfConfig::default(), run, SEED));
     print_table(
         "Uniform @0.3 (latency, accepted throughput/node)",
         &["net", "lat", "tput"],

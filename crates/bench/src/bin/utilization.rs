@@ -12,10 +12,10 @@
 //! case2 at 0.64).
 
 use loft::LoftConfig;
-use loft_bench::{run_gsf_telemetry, run_loft_telemetry, SEED};
+use loft_bench::{or_exit, simulation, NetSpec, SEED, TELEMETRY_WINDOW};
 use noc_gsf::GsfConfig;
 use noc_sim::routing::Direction;
-use noc_sim::telemetry::TelemetryReport;
+use noc_sim::telemetry::{LiveProbe, TelemetryReport};
 use noc_sim::RunConfig;
 use noc_traffic::Scenario;
 
@@ -26,6 +26,14 @@ const RUN: RunConfig = RunConfig {
     measure: 30_000,
     drain: 0,
 };
+
+/// Runs `scenario` on `cfg`'s network with a live probe attached and
+/// returns the run's telemetry.
+fn telemetry<C: NetSpec>(scenario: &Scenario, cfg: C) -> TelemetryReport {
+    let probe = LiveProbe::new(TELEMETRY_WINDOW);
+    let (_, network, _) = or_exit(simulation(scenario, cfg, probe, RUN, SEED)).run_full(|| {});
+    C::into_probe(network).finish()
+}
 
 /// Renders one 8×8 grid; each cell shows the busiest outgoing link of
 /// that router as a utilization percentage.
@@ -60,9 +68,6 @@ fn main() {
     };
     println!("workload: {}", scenario.name);
 
-    let (_, loft) = run_loft_telemetry(&scenario, LoftConfig::default(), RUN, SEED, || {});
-    render("LOFT", &loft);
-
-    let (_, gsf) = run_gsf_telemetry(&scenario, GsfConfig::default(), RUN, SEED, || {});
-    render("GSF", &gsf);
+    render("LOFT", &telemetry(&scenario, LoftConfig::default()));
+    render("GSF", &telemetry(&scenario, GsfConfig::default()));
 }

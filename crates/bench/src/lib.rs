@@ -1,9 +1,9 @@
 //! # loft-bench — experiment harness for the LOFT reproduction
 //!
 //! One binary per table/figure of the paper (see `src/bin/`), plus
-//! the shared machinery here: scenario runners for each network
-//! architecture, multi-threaded parameter sweeps, and plain-text
-//! table output.
+//! the shared machinery here: the single generic run path for all
+//! three network architectures, job-parallel parameter sweeps, and
+//! plain-text table output.
 //!
 //! | Paper artifact | Binary |
 //! |----------------|--------|
@@ -15,11 +15,46 @@
 //! | Figure 11 (latency/throughput) | `fig11_performance` |
 //! | Figure 12 (Case Study I, DoS) | `fig12_case1` |
 //! | Figure 13 (Case Study II, pathological) | `fig13_case2` |
+//!
+//! # One run path
+//!
+//! The paper applies one warmup/measure/drain methodology to LOFT,
+//! GSF and the wormhole baseline, and so does the harness: the
+//! network is chosen by the config type ([`NetSpec`] is implemented
+//! for `LoftConfig`, `GsfConfig` and `WormholeConfig`), and
+//! [`simulation`] is the only constructor. Probe, fast-forward,
+//! warmup hook, checkpoint, fork and horizon are the existing
+//! [`Simulation`] / [`noc_sim::Checkpoint`] methods chained onto it;
+//! [`run`] is the probe-less, straight-through shorthand the figure
+//! binaries use.
+//!
+//! ```
+//! use loft::LoftConfig;
+//! use loft_bench::{simulation, NetSpec, SEED, TELEMETRY_WINDOW};
+//! use noc_sim::telemetry::LiveProbe;
+//! use noc_sim::RunConfig;
+//! use noc_traffic::Scenario;
+//!
+//! # fn main() -> Result<(), noc_sim::ConfigError> {
+//! let s = Scenario::hotspot(0.01);
+//! let run = RunConfig { warmup: 200, measure: 500, drain: 500 };
+//! // Warm up once with a live probe attached ...
+//! let ckpt = simulation(&s, LoftConfig::default(), LiveProbe::new(TELEMETRY_WINDOW), run, SEED)?
+//!     .run_to_checkpoint();
+//! // ... then measure as many variants as needed from that state.
+//! let (report, network, _) = ckpt.fork().with_fast_forward(false).resume();
+//! let telemetry = LoftConfig::into_probe(network).finish();
+//! let (doubled, _, _) = ckpt.fork().with_measure(2 * run.measure).resume();
+//! assert!(telemetry.cycles > 0 && doubled.flits_delivered >= report.flits_delivered);
+//! # Ok(())
+//! # }
+//! ```
 
 use loft::{LoftConfig, LoftNetwork};
 use noc_gsf::{GsfConfig, GsfNetwork};
-use noc_sim::telemetry::{LiveProbe, TelemetryReport};
-use noc_sim::{Checkpoint, RunConfig, RunInfo, SimReport, Simulation};
+use noc_sim::par::{pool_map, WorkerPool};
+use noc_sim::telemetry::{NoopProbe, Probe};
+use noc_sim::{ConfigError, Network, RunConfig, SimReport, Simulation, Topology};
 use noc_traffic::{Scenario, Workload};
 use noc_wormhole::{WormholeConfig, WormholeNetwork};
 
@@ -84,440 +119,205 @@ pub mod alloc_count {
     }
 }
 
-/// Runs a scenario on a LOFT network.
-///
-/// # Panics
-///
-/// Panics if the scenario's reservations are infeasible for the
-/// configured frame size.
-pub fn run_loft(scenario: &Scenario, cfg: LoftConfig, run: RunConfig, seed: u64) -> SimReport {
-    run_loft_hooked(scenario, cfg, run, seed, || {})
+/// A network architecture as the harness sees it: a configuration
+/// type that knows how to build its network for a scenario. The
+/// implementors are the three config structs themselves, so a caller
+/// picks the network by the config it passes and everything after
+/// construction — warmup, fast-forward, checkpoints, forks, probes —
+/// is the one generic [`Simulation`] / [`noc_sim::Checkpoint`] API.
+pub trait NetSpec: Sized {
+    /// Row/CLI name of the architecture.
+    const NAME: &'static str;
+
+    /// The network this configuration builds, carrying probe `P`.
+    type Net<P: Probe + Clone>: Network + Clone;
+
+    /// The default configuration on `topo`, stepped with `threads`
+    /// shards.
+    fn on(topo: Topology, threads: usize) -> Self;
+
+    /// Builds the network for `scenario` with `probe` attached.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the scenario's reservations do not fit the configured
+    /// frame (see [`Scenario::reservations`]); a network without
+    /// reservations never fails.
+    fn build<P: Probe + Clone>(
+        self,
+        scenario: &Scenario,
+        probe: P,
+    ) -> Result<Self::Net<P>, ConfigError>;
+
+    /// Hands back the probe threaded through a finished network.
+    fn into_probe<P: Probe + Clone>(net: Self::Net<P>) -> P;
 }
 
-/// [`run_loft`] with an `after_warmup` hook (see
-/// [`Simulation::run_hooked`]); the allocation-counting perf harness
-/// snapshots its counter there.
+impl NetSpec for LoftConfig {
+    const NAME: &'static str = "loft";
+    type Net<P: Probe + Clone> = LoftNetwork<P>;
+
+    fn on(topo: Topology, threads: usize) -> Self {
+        LoftConfig {
+            threads,
+            ..LoftConfig::on(topo)
+        }
+    }
+
+    fn build<P: Probe + Clone>(
+        self,
+        scenario: &Scenario,
+        probe: P,
+    ) -> Result<LoftNetwork<P>, ConfigError> {
+        let reservations = scenario.reservations(self.frame_size)?;
+        Ok(LoftNetwork::with_probe(self, &reservations, probe))
+    }
+
+    fn into_probe<P: Probe + Clone>(net: LoftNetwork<P>) -> P {
+        net.into_probe()
+    }
+}
+
+impl NetSpec for GsfConfig {
+    const NAME: &'static str = "gsf";
+    type Net<P: Probe + Clone> = GsfNetwork<P>;
+
+    fn on(topo: Topology, threads: usize) -> Self {
+        GsfConfig {
+            threads,
+            ..GsfConfig::on(topo)
+        }
+    }
+
+    fn build<P: Probe + Clone>(
+        self,
+        scenario: &Scenario,
+        probe: P,
+    ) -> Result<GsfNetwork<P>, ConfigError> {
+        let reservations = scenario.reservations(self.frame_size)?;
+        Ok(GsfNetwork::with_probe(self, &reservations, probe))
+    }
+
+    fn into_probe<P: Probe + Clone>(net: GsfNetwork<P>) -> P {
+        net.into_probe()
+    }
+}
+
+impl NetSpec for WormholeConfig {
+    const NAME: &'static str = "wormhole";
+    type Net<P: Probe + Clone> = WormholeNetwork<P>;
+
+    fn on(topo: Topology, threads: usize) -> Self {
+        WormholeConfig {
+            threads,
+            ..WormholeConfig::on(topo)
+        }
+    }
+
+    fn build<P: Probe + Clone>(
+        self,
+        _scenario: &Scenario,
+        probe: P,
+    ) -> Result<WormholeNetwork<P>, ConfigError> {
+        Ok(WormholeNetwork::with_probe(self, probe))
+    }
+
+    fn into_probe<P: Probe + Clone>(net: WormholeNetwork<P>) -> P {
+        net.into_probe()
+    }
+}
+
+/// The harness's single entry point (worked example in the crate
+/// docs): builds `cfg`'s network for `scenario` with `probe` attached
+/// and couples it to the scenario's workload. Everything else is a
+/// method on the result.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Same conditions as [`run_loft`].
-pub fn run_loft_hooked(
+/// Fails if the scenario is infeasible for `cfg` (see
+/// [`NetSpec::build`]).
+pub fn simulation<C: NetSpec, P: Probe + Clone>(
     scenario: &Scenario,
-    cfg: LoftConfig,
+    cfg: C,
+    probe: P,
     run: RunConfig,
     seed: u64,
-    after_warmup: impl FnMut(),
-) -> SimReport {
-    run_loft_info(scenario, cfg, run, seed, true, after_warmup).0
+) -> Result<Simulation<C::Net<P>, Workload>, ConfigError> {
+    let network = cfg.build(scenario, probe)?;
+    Ok(Simulation::new(network, scenario.workload(seed), run))
 }
 
-/// [`run_loft_hooked`] with explicit control over quiescence
-/// fast-forward, additionally returning the run's [`RunInfo`]
-/// (skipped-cycle count, drain-termination cycle). Results are
-/// bit-identical for both `fast_forward` settings; only the wall
-/// clock and `RunInfo::skipped_cycles` move.
+/// [`simulation`] without a probe, run to completion: the report of
+/// one warmup + measure + drain run.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Same conditions as [`run_loft`].
-pub fn run_loft_info(
+/// Same conditions as [`simulation`].
+pub fn run<C: NetSpec>(
     scenario: &Scenario,
-    cfg: LoftConfig,
+    cfg: C,
     run: RunConfig,
     seed: u64,
-    fast_forward: bool,
-    after_warmup: impl FnMut(),
-) -> (SimReport, RunInfo) {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the LOFT frame");
-    let network = LoftNetwork::new(cfg, &reservations);
-    let (report, _, info) = Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_full(after_warmup);
-    (report, info)
+) -> Result<SimReport, ConfigError> {
+    Ok(simulation(scenario, cfg, NoopProbe, run, seed)?.run())
 }
 
-/// [`run_loft_hooked`] with a [`LiveProbe`] attached: returns the
-/// usual [`SimReport`] plus the full [`TelemetryReport`] of the run
-/// (sampled on [`TELEMETRY_WINDOW`]).
-///
-/// # Panics
-///
-/// Same conditions as [`run_loft`].
-pub fn run_loft_telemetry(
-    scenario: &Scenario,
-    cfg: LoftConfig,
-    run: RunConfig,
-    seed: u64,
-    after_warmup: impl FnMut(),
-) -> (SimReport, TelemetryReport) {
-    let (report, telemetry, _) =
-        run_loft_telemetry_info(scenario, cfg, run, seed, true, after_warmup);
-    (report, telemetry)
+/// Unwraps a harness result in a binary: an infeasible configuration
+/// is the user's input, so it is printed and the process exits with
+/// status 2 instead of panicking.
+pub fn or_exit<T>(result: Result<T, ConfigError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
-/// [`run_loft_telemetry`] with explicit fast-forward control plus the
-/// run's [`RunInfo`] (see [`run_loft_info`]).
+/// Maps `f` over `items` on `jobs` lanes, preserving input order in
+/// the output; `jobs <= 1` runs inline on the calling thread.
 ///
-/// # Panics
-///
-/// Same conditions as [`run_loft`].
-pub fn run_loft_telemetry_info(
-    scenario: &Scenario,
-    cfg: LoftConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-    after_warmup: impl FnMut(),
-) -> (SimReport, TelemetryReport, RunInfo) {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the LOFT frame");
-    let network = LoftNetwork::with_probe(cfg, &reservations, LiveProbe::new(TELEMETRY_WINDOW));
-    let (report, network, info) = Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_full(after_warmup);
-    (report, network.into_probe().finish(), info)
+/// Items are whole simulations: independent, single-threaded and
+/// uneven in cost, so they are claimed off the shared cursor of a
+/// [`WorkerPool`] that lives for this one call — long items pipeline
+/// with short ones, and a panicking `f` cannot poison a later call.
+pub fn map_jobs<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if jobs <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    // The mapping thread participates in the claim loop, so
+    // `jobs`-way parallelism wants `jobs - 1` workers.
+    let mut pool = WorkerPool::new(jobs - 1);
+    pool_map(&mut pool, items, f)
 }
 
-/// Runs a scenario on a GSF network.
-///
-/// # Panics
-///
-/// Panics if the scenario's reservations are infeasible for the
-/// configured frame size.
-pub fn run_gsf(scenario: &Scenario, cfg: GsfConfig, run: RunConfig, seed: u64) -> SimReport {
-    run_gsf_hooked(scenario, cfg, run, seed, || {})
-}
-
-/// [`run_gsf`] with an `after_warmup` hook (see
-/// [`Simulation::run_hooked`]).
-///
-/// # Panics
-///
-/// Same conditions as [`run_gsf`].
-pub fn run_gsf_hooked(
-    scenario: &Scenario,
-    cfg: GsfConfig,
-    run: RunConfig,
-    seed: u64,
-    after_warmup: impl FnMut(),
-) -> SimReport {
-    run_gsf_info(scenario, cfg, run, seed, true, after_warmup).0
-}
-
-/// [`run_gsf_hooked`] with explicit fast-forward control plus the
-/// run's [`RunInfo`] (see [`run_loft_info`]).
-///
-/// # Panics
-///
-/// Same conditions as [`run_gsf`].
-pub fn run_gsf_info(
-    scenario: &Scenario,
-    cfg: GsfConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-    after_warmup: impl FnMut(),
-) -> (SimReport, RunInfo) {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the GSF frame");
-    let network = GsfNetwork::new(cfg, &reservations);
-    let (report, _, info) = Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_full(after_warmup);
-    (report, info)
-}
-
-/// [`run_gsf_hooked`] with a [`LiveProbe`] attached (see
-/// [`run_loft_telemetry`]).
-///
-/// # Panics
-///
-/// Same conditions as [`run_gsf`].
-pub fn run_gsf_telemetry(
-    scenario: &Scenario,
-    cfg: GsfConfig,
-    run: RunConfig,
-    seed: u64,
-    after_warmup: impl FnMut(),
-) -> (SimReport, TelemetryReport) {
-    let (report, telemetry, _) =
-        run_gsf_telemetry_info(scenario, cfg, run, seed, true, after_warmup);
-    (report, telemetry)
-}
-
-/// [`run_gsf_telemetry`] with explicit fast-forward control plus the
-/// run's [`RunInfo`] (see [`run_loft_info`]).
-///
-/// # Panics
-///
-/// Same conditions as [`run_gsf`].
-pub fn run_gsf_telemetry_info(
-    scenario: &Scenario,
-    cfg: GsfConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-    after_warmup: impl FnMut(),
-) -> (SimReport, TelemetryReport, RunInfo) {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the GSF frame");
-    let network = GsfNetwork::with_probe(cfg, &reservations, LiveProbe::new(TELEMETRY_WINDOW));
-    let (report, network, info) = Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_full(after_warmup);
-    (report, network.into_probe().finish(), info)
-}
-
-/// Runs a scenario on the baseline wormhole network (no QoS).
-pub fn run_wormhole(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-) -> SimReport {
-    run_wormhole_hooked(scenario, cfg, run, seed, || {})
-}
-
-/// [`run_wormhole`] with an `after_warmup` hook (see
-/// [`Simulation::run_hooked`]).
-pub fn run_wormhole_hooked(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-    after_warmup: impl FnMut(),
-) -> SimReport {
-    run_wormhole_info(scenario, cfg, run, seed, true, after_warmup).0
-}
-
-/// [`run_wormhole_hooked`] with explicit fast-forward control plus
-/// the run's [`RunInfo`] (see [`run_loft_info`]).
-pub fn run_wormhole_info(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-    after_warmup: impl FnMut(),
-) -> (SimReport, RunInfo) {
-    let network = WormholeNetwork::new(cfg);
-    let (report, _, info) = Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_full(after_warmup);
-    (report, info)
-}
-
-/// [`run_wormhole_hooked`] with a [`LiveProbe`] attached (see
-/// [`run_loft_telemetry`]).
-pub fn run_wormhole_telemetry(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-    after_warmup: impl FnMut(),
-) -> (SimReport, TelemetryReport) {
-    let (report, telemetry, _) =
-        run_wormhole_telemetry_info(scenario, cfg, run, seed, true, after_warmup);
-    (report, telemetry)
-}
-
-/// [`run_wormhole_telemetry`] with explicit fast-forward control plus
-/// the run's [`RunInfo`] (see [`run_loft_info`]).
-pub fn run_wormhole_telemetry_info(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-    after_warmup: impl FnMut(),
-) -> (SimReport, TelemetryReport, RunInfo) {
-    let network = WormholeNetwork::with_probe(cfg, LiveProbe::new(TELEMETRY_WINDOW));
-    let (report, network, info) = Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_full(after_warmup);
-    (report, network.into_probe().finish(), info)
-}
-
-/// Runs a LOFT scenario's warmup once and freezes it as a
-/// [`Checkpoint`]: fork it for every measurement variant (repeated
-/// timing iterations, fast-forward legs, horizon extensions) instead
-/// of re-running warmup — each fork's results are bit-identical to a
-/// from-scratch [`run_loft_info`] with the same settings.
-///
-/// # Panics
-///
-/// Same conditions as [`run_loft`].
-pub fn checkpoint_loft(
-    scenario: &Scenario,
-    cfg: LoftConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-) -> Checkpoint<LoftNetwork, Workload> {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the LOFT frame");
-    let network = LoftNetwork::new(cfg, &reservations);
-    Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_to_checkpoint()
-}
-
-/// [`checkpoint_loft`] with a [`LiveProbe`] attached (window
-/// [`TELEMETRY_WINDOW`]); extract the probe from the network returned
-/// by `resume` with `into_probe`.
-///
-/// # Panics
-///
-/// Same conditions as [`run_loft`].
-pub fn checkpoint_loft_telemetry(
-    scenario: &Scenario,
-    cfg: LoftConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-) -> Checkpoint<LoftNetwork<LiveProbe>, Workload> {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the LOFT frame");
-    let network = LoftNetwork::with_probe(cfg, &reservations, LiveProbe::new(TELEMETRY_WINDOW));
-    Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_to_checkpoint()
-}
-
-/// Warmup-once checkpoint for a GSF scenario (see
-/// [`checkpoint_loft`]).
-///
-/// # Panics
-///
-/// Same conditions as [`run_gsf`].
-pub fn checkpoint_gsf(
-    scenario: &Scenario,
-    cfg: GsfConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-) -> Checkpoint<GsfNetwork, Workload> {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the GSF frame");
-    let network = GsfNetwork::new(cfg, &reservations);
-    Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_to_checkpoint()
-}
-
-/// [`checkpoint_gsf`] with a [`LiveProbe`] attached.
-///
-/// # Panics
-///
-/// Same conditions as [`run_gsf`].
-pub fn checkpoint_gsf_telemetry(
-    scenario: &Scenario,
-    cfg: GsfConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-) -> Checkpoint<GsfNetwork<LiveProbe>, Workload> {
-    let reservations = scenario
-        .reservations(cfg.frame_size)
-        .expect("scenario reservations must fit the GSF frame");
-    let network = GsfNetwork::with_probe(cfg, &reservations, LiveProbe::new(TELEMETRY_WINDOW));
-    Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_to_checkpoint()
-}
-
-/// Warmup-once checkpoint for a wormhole scenario (see
-/// [`checkpoint_loft`]).
-pub fn checkpoint_wormhole(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-) -> Checkpoint<WormholeNetwork, Workload> {
-    let network = WormholeNetwork::new(cfg);
-    Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_to_checkpoint()
-}
-
-/// [`checkpoint_wormhole`] with a [`LiveProbe`] attached.
-pub fn checkpoint_wormhole_telemetry(
-    scenario: &Scenario,
-    cfg: WormholeConfig,
-    run: RunConfig,
-    seed: u64,
-    fast_forward: bool,
-) -> Checkpoint<WormholeNetwork<LiveProbe>, Workload> {
-    let network = WormholeNetwork::with_probe(cfg, LiveProbe::new(TELEMETRY_WINDOW));
-    Simulation::new(network, scenario.workload(seed), run)
-        .with_fast_forward(fast_forward)
-        .run_to_checkpoint()
-}
-
-/// Maps `f` over `items` on the process-wide sweep worker pool,
-/// preserving input order in the output.
-///
-/// Simulations are single-threaded and independent, so sweeps
-/// parallelize trivially — but a 40-point sweep must not spawn 40 OS
-/// threads on a 4-core box. All sweeps share one persistent
-/// [`noc_sim::par::WorkerPool`] sized to
-/// [`std::thread::available_parallelism`] (spawned on first use, kept
-/// for the life of the process); items are claimed off a shared
-/// cursor, so long points pipeline with short ones instead of
-/// oversubscribing the machine.
+/// [`map_jobs`] on every available core: a 40-point figure sweep
+/// never runs more simulations at once than the machine has cores.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(T) -> R + Send + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    use noc_sim::par::{pool_map, WorkerPool};
-    use std::sync::{Mutex, OnceLock};
-
-    static POOL: OnceLock<Mutex<WorkerPool>> = OnceLock::new();
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let pool = POOL.get_or_init(|| {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        // The mapping thread participates in the claim loop, so a
-        // pool for `threads`-way parallelism wants `threads - 1`
-        // workers.
-        Mutex::new(WorkerPool::new(threads - 1))
-    });
-    let mut pool = pool.lock().expect("sweep pool poisoned");
-    pool_map(&mut pool, items, f)
+    let jobs = std::thread::available_parallelism().map_or(1, |p| p.get());
+    map_jobs(jobs, items, f)
 }
 
-/// Times `f` over `iters` iterations after one untimed warmup call,
-/// returning the mean wall-clock seconds per iteration. The minimal
-/// stand-in for an external benchmarking framework (this workspace
-/// builds offline, dependency-free).
-pub fn time_iterations<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
+/// Runs `f` as a named microbenchmark — one untimed warmup call,
+/// then the mean wall clock of `iters` calls — and prints one aligned
+/// line. The minimal stand-in for an external benchmarking framework
+/// (this workspace builds offline, dependency-free).
+pub fn bench_report<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
     assert!(iters > 0, "need at least one iteration");
     std::hint::black_box(f());
     let start = std::time::Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    start.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Runs `f` as a named microbenchmark and prints one aligned line
-/// with the mean time per iteration.
-pub fn bench_report<R>(name: &str, iters: u32, f: impl FnMut() -> R) {
-    let secs = time_iterations(iters, f);
+    let secs = start.elapsed().as_secs_f64() / f64::from(iters);
     if secs < 1e-3 {
         println!("{name:<48} {:>10.2} µs/iter", secs * 1e6);
     } else {
@@ -568,11 +368,20 @@ pub fn f1(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_sim::telemetry::LiveProbe;
+
+    const RUN: RunConfig = RunConfig {
+        warmup: 500,
+        measure: 2_000,
+        drain: 2_000,
+    };
 
     #[test]
     fn parallel_map_preserves_order() {
         let out = parallel_map(vec![3u64, 1, 2], |x| x * 10);
         assert_eq!(out, vec![30, 10, 20]);
+        assert_eq!(map_jobs(1, vec![3u64, 1, 2], |x| x * 10), out);
+        assert_eq!(map_jobs(3, vec![3u64, 1, 2], |x| x * 10), out);
     }
 
     /// The allocation counter must observe worker-thread allocations
@@ -593,81 +402,91 @@ mod tests {
         );
     }
 
-    #[test]
-    fn runners_produce_traffic() {
-        let s = Scenario::hotspot(0.01);
-        let run = RunConfig {
-            warmup: 500,
-            measure: 2_000,
-            drain: 2_000,
-        };
-        let loft = run_loft(&s, LoftConfig::default(), run, SEED);
-        let gsf = run_gsf(&s, GsfConfig::default(), run, SEED);
-        let worm = run_wormhole(&s, WormholeConfig::default(), run, SEED);
-        assert!(loft.flits_delivered > 0);
-        assert!(gsf.flits_delivered > 0);
-        assert!(worm.flits_delivered > 0);
+    fn default_cfg<C: NetSpec>() -> C {
+        C::on(Scenario::default_topology(), 1)
     }
 
-    /// Fast-forward is a pure wall-clock optimization: the `_info`
-    /// runners must reproduce the plain runners' reports bit-for-bit
-    /// with the fast path on or off, and on a quiescence-heavy
-    /// workload the enabled run actually skips cycles.
+    #[test]
+    fn runners_produce_traffic() {
+        fn check<C: NetSpec>() {
+            let report = run(&Scenario::hotspot(0.01), default_cfg::<C>(), RUN, SEED).unwrap();
+            assert!(report.flits_delivered > 0, "{} delivered nothing", C::NAME);
+        }
+        check::<LoftConfig>();
+        check::<GsfConfig>();
+        check::<WormholeConfig>();
+    }
+
+    /// Fast-forward is a pure wall-clock optimization: the report is
+    /// bit-identical with the fast path on or off, and on a
+    /// quiescence-heavy workload the enabled run actually skips
+    /// cycles.
     #[test]
     fn fast_forward_runners_match_and_skip() {
-        let s = Scenario::regulated(0.05);
-        let run = RunConfig {
-            warmup: 500,
-            measure: 2_000,
-            drain: 2_000,
-        };
-        let (on, info_on) = run_loft_info(&s, LoftConfig::default(), run, SEED, true, || {});
-        let (off, info_off) = run_loft_info(&s, LoftConfig::default(), run, SEED, false, || {});
-        assert_eq!(on, off, "fast-forward changed the LOFT report");
-        assert!(on.flits_delivered > 0);
-        assert!(info_on.skipped_cycles > 0, "regulated gaps never skipped");
-        assert_eq!(info_off.skipped_cycles, 0);
-
-        let (on, info_on) = run_gsf_info(&s, GsfConfig::default(), run, SEED, true, || {});
-        let (off, _) = run_gsf_info(&s, GsfConfig::default(), run, SEED, false, || {});
-        assert_eq!(on, off, "fast-forward changed the GSF report");
-        assert!(info_on.skipped_cycles > 0);
-
-        let (on, info_on) =
-            run_wormhole_info(&s, WormholeConfig::default(), run, SEED, true, || {});
-        let (off, _) = run_wormhole_info(&s, WormholeConfig::default(), run, SEED, false, || {});
-        assert_eq!(on, off, "fast-forward changed the wormhole report");
-        assert!(info_on.skipped_cycles > 0);
+        fn check<C: NetSpec>() {
+            let s = Scenario::regulated(0.05);
+            let leg = |ff| {
+                simulation(&s, default_cfg::<C>(), NoopProbe, RUN, SEED)
+                    .unwrap()
+                    .with_fast_forward(ff)
+                    .run_full(|| {})
+            };
+            let (on, _, info_on) = leg(true);
+            let (off, _, info_off) = leg(false);
+            assert_eq!(on, off, "fast-forward changed the {} report", C::NAME);
+            assert!(on.flits_delivered > 0);
+            assert!(info_on.skipped_cycles > 0, "regulated gaps never skipped");
+            assert_eq!(info_off.skipped_cycles, 0);
+        }
+        check::<LoftConfig>();
+        check::<GsfConfig>();
+        check::<WormholeConfig>();
     }
 
     /// Attaching a probe must not perturb the simulation: the
-    /// telemetry runner's `SimReport` matches the plain runner's,
-    /// and the telemetry document observes the same deliveries.
+    /// telemetry run's `SimReport` matches the plain run's, and the
+    /// telemetry document observes the same deliveries.
     #[test]
     fn telemetry_runners_match_plain_reports() {
-        let s = Scenario::hotspot(0.01);
-        let run = RunConfig {
-            warmup: 500,
-            measure: 2_000,
-            drain: 2_000,
+        fn check<C: NetSpec>() {
+            let s = Scenario::hotspot(0.01);
+            let plain = run(&s, default_cfg::<C>(), RUN, SEED).unwrap();
+            let probe = LiveProbe::new(TELEMETRY_WINDOW);
+            let (report, network, _) = simulation(&s, default_cfg::<C>(), probe, RUN, SEED)
+                .unwrap()
+                .run_full(|| {});
+            let telemetry = C::into_probe(network).finish();
+            assert_eq!(plain, report, "probe perturbed the {} run", C::NAME);
+            assert!(telemetry.latency_histogram.count() > 0);
+            assert!(telemetry.cycles > 0);
+            assert!(telemetry.link_flits.iter().sum::<u64>() > 0);
+        }
+        check::<LoftConfig>();
+        check::<GsfConfig>();
+        check::<WormholeConfig>();
+    }
+
+    /// An infeasible configuration is an error, not a panic: a share
+    /// that rounds to zero slots of a tiny frame fails the two
+    /// frame-based networks and is irrelevant to wormhole.
+    #[test]
+    fn infeasible_reservations_are_errors() {
+        let mut s = Scenario::hotspot(0.01);
+        for flow in &mut s.flows {
+            flow.share = Some(0.01);
+        }
+        let loft = LoftConfig {
+            frame_size: 16,
+            ..LoftConfig::default()
         };
-        let plain = run_loft(&s, LoftConfig::default(), run, SEED);
-        let (report, telemetry) = run_loft_telemetry(&s, LoftConfig::default(), run, SEED, || {});
-        assert_eq!(plain.flits_delivered, report.flits_delivered);
-        assert_eq!(plain.avg_latency(), report.avg_latency());
-        assert!(telemetry.latency_histogram.count() > 0);
-        assert!(telemetry.cycles > 0);
-        assert!(telemetry.link_flits.iter().sum::<u64>() > 0);
-
-        let plain = run_gsf(&s, GsfConfig::default(), run, SEED);
-        let (report, telemetry) = run_gsf_telemetry(&s, GsfConfig::default(), run, SEED, || {});
-        assert_eq!(plain.flits_delivered, report.flits_delivered);
-        assert!(telemetry.latency_histogram.count() > 0);
-
-        let plain = run_wormhole(&s, WormholeConfig::default(), run, SEED);
-        let (report, telemetry) =
-            run_wormhole_telemetry(&s, WormholeConfig::default(), run, SEED, || {});
-        assert_eq!(plain.flits_delivered, report.flits_delivered);
-        assert!(telemetry.latency_histogram.count() > 0);
+        let gsf = GsfConfig {
+            frame_size: 16,
+            ..GsfConfig::default()
+        };
+        let err = simulation(&s, loft, NoopProbe, RUN, SEED).unwrap_err();
+        assert!(err.message().contains("rounds to zero slots"), "{err}");
+        assert!(simulation(&s, gsf, NoopProbe, RUN, SEED).is_err());
+        assert!(run(&s, gsf, RUN, SEED).is_err());
+        assert!(simulation(&s, WormholeConfig::default(), NoopProbe, RUN, SEED).is_ok());
     }
 }

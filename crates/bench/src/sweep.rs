@@ -8,7 +8,7 @@
 //!   on/off pair, and any horizon extensions from adaptive saturation
 //!   probing — differ only *after* the warmup boundary. Each
 //!   [`SweepGroup`] therefore runs warmup once into a
-//!   [`Checkpoint`] and forks it per leg, instead
+//!   [`noc_sim::Checkpoint`] and forks it per leg, instead
 //!   of re-warming from scratch per cell (the `--no-fork` baseline).
 //!   Forked legs are bit-identical to from-scratch runs; see
 //!   `noc_sim::checkpoint` for why.
@@ -16,8 +16,9 @@
 //!   tasks: independent, single-threaded (unless the group itself
 //!   shards), wildly uneven in cost. They are sorted
 //!   longest-expected-first and claimed off the shared cursor of a
-//!   [`WorkerPool`] (`--jobs N`), so a long GSF point pipelines with
-//!   many short wormhole points instead of serializing behind them.
+//!   worker pool ([`map_jobs`], `--jobs N`), so a long GSF point
+//!   pipelines with many short wormhole points instead of serializing
+//!   behind them.
 //!
 //! The warmup checkpoint is always built with quiescence fast-forward
 //! enabled (it never changes results, only wall clock). A consequence:
@@ -29,17 +30,14 @@
 
 use std::time::Instant;
 
-use loft::{LoftConfig, LoftNetwork};
-use noc_gsf::{GsfConfig, GsfNetwork};
-use noc_sim::par::{pool_map, WorkerPool};
-use noc_sim::{Checkpoint, RunConfig, RunInfo, SimReport, Topology};
-use noc_traffic::{DestRule, Scenario, Workload};
-use noc_wormhole::{WormholeConfig, WormholeNetwork};
+use loft::LoftConfig;
+use noc_gsf::GsfConfig;
+use noc_sim::telemetry::NoopProbe;
+use noc_sim::{ConfigError, RunConfig, RunInfo, SimReport, Topology};
+use noc_traffic::Scenario;
+use noc_wormhole::WormholeConfig;
 
-use crate::{
-    checkpoint_gsf, checkpoint_loft, checkpoint_wormhole, run_gsf_info, run_loft_info,
-    run_wormhole_info,
-};
+use crate::{map_jobs, simulation, NetSpec};
 
 /// Version stamp on every JSON row this module emits.
 pub const SWEEP_SCHEMA_VERSION: u32 = 1;
@@ -55,26 +53,40 @@ pub enum Net {
     Wormhole,
 }
 
-impl Net {
-    /// Row/CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Net::Loft => "loft",
-            Net::Gsf => "gsf",
-            Net::Wormhole => "wormhole",
-        }
-    }
-
+/// What the sweep knows about one architecture.
+struct Kind {
+    name: &'static str,
     /// Relative cost per node-cycle, for longest-expected-first
     /// ordering. Rough empirical ratios from the perf harness; only
     /// the ordering matters, not the absolute values.
-    fn weight(self) -> f64 {
-        match self {
-            Net::Loft => 2.5,
-            Net::Gsf => 3.0,
-            Net::Wormhole => 1.5,
+    weight: f64,
+    run_group: fn(&SweepGroup, &SweepOptions) -> Result<Vec<SweepRow>, ConfigError>,
+}
+
+impl Kind {
+    fn of<C: NetSpec>(weight: f64) -> Self {
+        Kind {
+            name: C::NAME,
+            weight,
+            run_group: run_group_on::<C>,
         }
+    }
+}
+
+impl Net {
+    /// The one place a runtime network kind becomes a config type.
+    fn kind(self) -> Kind {
+        match self {
+            Net::Loft => Kind::of::<LoftConfig>(2.5),
+            Net::Gsf => Kind::of::<GsfConfig>(3.0),
+            Net::Wormhole => Kind::of::<WormholeConfig>(1.5),
+        }
+    }
+
+    /// Row/CLI name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        self.kind().name
     }
 }
 
@@ -113,7 +125,7 @@ pub struct SweepGroup {
     pub load: f64,
     /// Shards per simulation (`threads` in the network configs).
     pub threads: usize,
-    /// Phase lengths; [`Checkpoint::with_measure`] may extend
+    /// Phase lengths; [`noc_sim::Checkpoint::with_measure`] may extend
     /// `measure` per leg during saturation probing.
     pub run: RunConfig,
     /// Fast-forward legs to run from the shared warmup (one row each).
@@ -125,21 +137,19 @@ pub struct SweepGroup {
 impl SweepGroup {
     /// Builds the scenario for this group.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for [`TrafficKind::Hotspot`] off the default 8×8 mesh.
-    #[must_use]
-    pub fn scenario(&self) -> Scenario {
+    /// Fails for [`TrafficKind::Hotspot`] off the default 8×8 mesh.
+    pub fn scenario(&self) -> Result<Scenario, ConfigError> {
         match self.traffic {
-            TrafficKind::Uniform => uniform_on(self.topo, self.load),
-            TrafficKind::Hotspot => {
-                assert_eq!(
-                    self.topo,
-                    Scenario::default_topology(),
-                    "hotspot traffic targets node 63 of the default 8x8 mesh"
-                );
-                Scenario::hotspot(self.load)
+            TrafficKind::Uniform => Ok(Scenario::uniform_on(self.topo, self.load)),
+            TrafficKind::Hotspot if self.topo == Scenario::default_topology() => {
+                Ok(Scenario::hotspot(self.load))
             }
+            TrafficKind::Hotspot => Err(ConfigError::new(format!(
+                "hotspot traffic targets node 63 of the default 8x8 mesh, not {}",
+                topo_name(self.topo)
+            ))),
         }
     }
 
@@ -150,31 +160,8 @@ impl SweepGroup {
     pub fn expected_cost(&self) -> f64 {
         let legs = self.ff_legs.len().max(1) as f64;
         let cycles = self.run.warmup as f64 + legs * (self.run.measure + self.run.drain) as f64;
-        self.net.weight() * (0.2 + self.load) * self.topo.num_nodes() as f64 * cycles
+        self.net.kind().weight * (0.2 + self.load) * self.topo.num_nodes() as f64 * cycles
     }
-}
-
-/// [`Scenario::uniform`] retargeted to an arbitrary topology: one
-/// Bernoulli flow per node to uniformly random destinations.
-#[must_use]
-pub fn uniform_on(topo: Topology, rate: f64) -> Scenario {
-    let mut s = Scenario::uniform(rate);
-    let n = topo.num_nodes();
-    assert!(
-        n <= s.flows.len(),
-        "uniform_on only shrinks the default 64-flow scenario"
-    );
-    s.topo = topo;
-    s.flows.truncate(n);
-    for (flow, src) in s.flows.iter_mut().zip(topo.nodes()) {
-        flow.src = src;
-        flow.dest = DestRule::UniformRandom {
-            num_nodes: n as u32,
-        };
-    }
-    s.groups.clear();
-    s.name = format!("uniform(rate={rate})");
-    s
 }
 
 /// Compact topology name for rows and logs (`mesh8x8`, `ring16`, ...).
@@ -184,119 +171,6 @@ pub fn topo_name(topo: Topology) -> String {
         Topology::Mesh { .. } => format!("mesh{}x{}", topo.width(), topo.height()),
         Topology::Torus { .. } => format!("torus{}x{}", topo.width(), topo.height()),
         Topology::Ring { .. } => format!("ring{}", topo.num_nodes()),
-    }
-}
-
-/// A group's warmed-up state, generic over the three network types so
-/// the sweep driver can hold any cell's checkpoint in one place.
-#[derive(Debug, Clone)]
-pub enum GroupCheckpoint {
-    /// LOFT checkpoint.
-    Loft(Checkpoint<LoftNetwork, Workload>),
-    /// GSF checkpoint.
-    Gsf(Checkpoint<GsfNetwork, Workload>),
-    /// Wormhole checkpoint.
-    Wormhole(Checkpoint<WormholeNetwork, Workload>),
-}
-
-impl GroupCheckpoint {
-    /// Runs the group's warmup once (with fast-forward — bit-identical
-    /// and fastest) and freezes it.
-    #[must_use]
-    pub fn build(group: &SweepGroup, scenario: &Scenario) -> Self {
-        let (run, seed) = (group.run, group.seed);
-        match group.net {
-            Net::Loft => {
-                let cfg = LoftConfig {
-                    threads: group.threads,
-                    ..LoftConfig::on(group.topo)
-                };
-                GroupCheckpoint::Loft(checkpoint_loft(scenario, cfg, run, seed, true))
-            }
-            Net::Gsf => {
-                let cfg = GsfConfig {
-                    threads: group.threads,
-                    ..GsfConfig::on(group.topo)
-                };
-                GroupCheckpoint::Gsf(checkpoint_gsf(scenario, cfg, run, seed, true))
-            }
-            Net::Wormhole => {
-                let cfg = WormholeConfig {
-                    threads: group.threads,
-                    ..WormholeConfig::on(group.topo)
-                };
-                GroupCheckpoint::Wormhole(checkpoint_wormhole(scenario, cfg, run, seed, true))
-            }
-        }
-    }
-
-    /// Forks the checkpoint and runs one measurement leg with the
-    /// given fast-forward setting and measurement window.
-    #[must_use]
-    pub fn fork_run(&self, fast_forward: bool, measure: u64) -> (SimReport, RunInfo) {
-        match self {
-            GroupCheckpoint::Loft(c) => {
-                let (report, _, info) = c
-                    .fork()
-                    .with_fast_forward(fast_forward)
-                    .with_measure(measure)
-                    .resume();
-                (report, info)
-            }
-            GroupCheckpoint::Gsf(c) => {
-                let (report, _, info) = c
-                    .fork()
-                    .with_fast_forward(fast_forward)
-                    .with_measure(measure)
-                    .resume();
-                (report, info)
-            }
-            GroupCheckpoint::Wormhole(c) => {
-                let (report, _, info) = c
-                    .fork()
-                    .with_fast_forward(fast_forward)
-                    .with_measure(measure)
-                    .resume();
-                (report, info)
-            }
-        }
-    }
-}
-
-/// Runs one leg from scratch (full warmup) — the `--no-fork` baseline.
-#[must_use]
-pub fn run_scratch(
-    group: &SweepGroup,
-    scenario: &Scenario,
-    fast_forward: bool,
-    measure: u64,
-) -> (SimReport, RunInfo) {
-    let run = RunConfig {
-        measure,
-        ..group.run
-    };
-    match group.net {
-        Net::Loft => {
-            let cfg = LoftConfig {
-                threads: group.threads,
-                ..LoftConfig::on(group.topo)
-            };
-            run_loft_info(scenario, cfg, run, group.seed, fast_forward, || {})
-        }
-        Net::Gsf => {
-            let cfg = GsfConfig {
-                threads: group.threads,
-                ..GsfConfig::on(group.topo)
-            };
-            run_gsf_info(scenario, cfg, run, group.seed, fast_forward, || {})
-        }
-        Net::Wormhole => {
-            let cfg = WormholeConfig {
-                threads: group.threads,
-                ..WormholeConfig::on(group.topo)
-            };
-            run_wormhole_info(scenario, cfg, run, group.seed, fast_forward, || {})
-        }
     }
 }
 
@@ -522,26 +396,57 @@ pub fn clamp_jobs(requested: usize, threads: usize) -> usize {
 
 /// Runs every leg of one group, sharing its warmup when
 /// `opts.fork_warmup` is set.
-#[must_use]
-pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Vec<SweepRow> {
-    let scenario = group.scenario();
-    let mut rows = Vec::with_capacity(group.ff_legs.len());
-    let (ckpt, warmup_secs) = if opts.fork_warmup {
-        let t0 = Instant::now();
-        let ckpt = GroupCheckpoint::build(group, &scenario);
-        (Some(ckpt), t0.elapsed().as_secs_f64())
-    } else {
-        (None, 0.0)
+///
+/// # Errors
+///
+/// Fails if the group's scenario does not exist on its topology or
+/// does not fit the network's frame.
+pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Result<Vec<SweepRow>, ConfigError> {
+    (group.net.kind().run_group)(group, opts)
+}
+
+/// [`run_group`] for the architecture configured by `C`.
+fn run_group_on<C: NetSpec>(
+    group: &SweepGroup,
+    opts: &SweepOptions,
+) -> Result<Vec<SweepRow>, ConfigError> {
+    let scenario = group.scenario()?;
+    let sim = |run: RunConfig| {
+        let cfg = C::on(group.topo, group.threads);
+        simulation(&scenario, cfg, NoopProbe, run, group.seed)
     };
+    // The shared warmup always fast-forwards: bit-identical and
+    // fastest (see the module docs for the skip accounting).
+    let t0 = Instant::now();
+    let ckpt = if opts.fork_warmup {
+        Some(sim(group.run)?.run_to_checkpoint())
+    } else {
+        None
+    };
+    let warmup_secs = ckpt.as_ref().map_or(0.0, |_| t0.elapsed().as_secs_f64());
+    let mut rows = Vec::with_capacity(group.ff_legs.len());
     for &ff in &group.ff_legs {
         let t0 = Instant::now();
         let mut measure = group.run.measure;
         let mut doublings = 0;
-        let run_leg = |measure: u64| match &ckpt {
-            Some(c) => c.fork_run(ff, measure),
-            None => run_scratch(group, &scenario, ff, measure),
+        let run_leg = |measure: u64| -> Result<(SimReport, RunInfo), ConfigError> {
+            let (report, _, info) = match &ckpt {
+                Some(c) => c
+                    .fork()
+                    .with_fast_forward(ff)
+                    .with_measure(measure)
+                    .resume(),
+                // The `--no-fork` baseline: re-warm from scratch.
+                None => sim(RunConfig {
+                    measure,
+                    ..group.run
+                })?
+                .with_fast_forward(ff)
+                .run_full(|| {}),
+            };
+            Ok((report, info))
         };
-        let (mut report, mut info) = run_leg(measure);
+        let (mut report, mut info) = run_leg(measure)?;
         while opts.adaptive
             && doublings < opts.max_doublings
             && report.total_latency.count() == 0
@@ -549,7 +454,7 @@ pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Vec<SweepRow> {
         {
             doublings += 1;
             measure *= 2;
-            (report, info) = run_leg(measure);
+            (report, info) = run_leg(measure)?;
         }
         let wall = t0.elapsed().as_secs_f64();
         rows.push(SweepRow::new(
@@ -564,25 +469,27 @@ pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Vec<SweepRow> {
             &info,
         ));
     }
-    rows
+    Ok(rows)
 }
 
 /// Runs a whole matrix: sorts groups longest-expected-first, schedules
-/// them across a work-stealing [`WorkerPool`] of `opts.jobs` lanes,
-/// and returns the rows grouped per input group in scheduling order.
+/// them across `opts.jobs` work-stealing lanes ([`map_jobs`]), and
+/// returns the rows grouped per input group in scheduling order.
+///
+/// # Panics
+///
+/// Panics if a group is infeasible (see [`run_group`]); the built-in
+/// matrices never are. Check hand-built groups with [`run_group`]
+/// first.
 #[must_use]
 pub fn run_sweep(mut groups: Vec<SweepGroup>, opts: &SweepOptions) -> Vec<SweepRow> {
     groups.sort_by(|a, b| b.expected_cost().total_cmp(&a.expected_cost()));
-    if opts.jobs <= 1 {
-        return groups.iter().flat_map(|g| run_group(g, opts)).collect();
-    }
-    // The mapping thread participates in the claim loop, so `jobs`-way
-    // parallelism wants `jobs - 1` workers.
-    let mut pool = WorkerPool::new(opts.jobs - 1);
-    pool_map(&mut pool, groups, |g| run_group(&g, opts))
-        .into_iter()
-        .flatten()
-        .collect()
+    map_jobs(opts.jobs, groups, |g| {
+        run_group(&g, opts).unwrap_or_else(|e| panic!("infeasible sweep group {g:?}: {e}"))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The full default matrix: every network on mesh/torus/ring uniform
@@ -694,14 +601,15 @@ mod tests {
         for net in [Net::Loft, Net::Gsf, Net::Wormhole] {
             for topo in topos {
                 let group = tiny_group(net, topo);
-                let forked = run_group(&group, &SweepOptions::default());
+                let forked = run_group(&group, &SweepOptions::default()).unwrap();
                 let scratch = run_group(
                     &group,
                     &SweepOptions {
                         fork_warmup: false,
                         ..SweepOptions::default()
                     },
-                );
+                )
+                .unwrap();
                 assert_eq!(forked.len(), scratch.len());
                 for (f, s) in forked.iter().zip(&scratch) {
                     assert!(f.forked_warmup && !s.forked_warmup);
@@ -744,52 +652,14 @@ mod tests {
         assert_eq!(keys(&serial), keys(&parallel));
     }
 
-    /// Manual fork-cost diagnostic (run with `--ignored --nocapture`):
-    /// splits a high-load leg into clone time vs resume time and
-    /// compares against a straight run.
     #[test]
-    #[ignore = "diagnostic: prints fork/resume wall-clock split"]
-    fn fork_cost_diagnostic() {
-        use std::time::Instant;
-        for net in [Net::Gsf, Net::Loft, Net::Wormhole] {
-            let group = SweepGroup {
-                net,
-                topo: Topology::torus(8, 8),
-                traffic: TrafficKind::Uniform,
-                load: 0.60,
-                threads: 1,
-                run: RunConfig {
-                    warmup: 6_000,
-                    measure: 6_000,
-                    drain: 2_000,
-                },
-                ff_legs: vec![true],
-                seed: SEED,
-            };
-            let scenario = group.scenario();
-            let t = Instant::now();
-            let ckpt = GroupCheckpoint::build(&group, &scenario);
-            let warm = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let fork = ckpt.clone();
-            let clone_secs = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let _ = match fork {
-                GroupCheckpoint::Loft(c) => c.resume().2,
-                GroupCheckpoint::Gsf(c) => c.resume().2,
-                GroupCheckpoint::Wormhole(c) => c.resume().2,
-            };
-            let resume_secs = t.elapsed().as_secs_f64();
-            drop(ckpt);
-            let t = Instant::now();
-            let _ = run_scratch(&group, &scenario, true, group.run.measure);
-            let scratch_secs = t.elapsed().as_secs_f64();
-            println!(
-                "{:8} warmup {warm:.3}s clone {clone_secs:.3}s resume {resume_secs:.3}s \
-                 scratch-full {scratch_secs:.3}s",
-                net.name()
-            );
-        }
+    fn hotspot_off_the_default_mesh_is_an_error() {
+        let group = SweepGroup {
+            traffic: TrafficKind::Hotspot,
+            ..tiny_group(Net::Loft, Topology::ring(8))
+        };
+        assert!(group.scenario().is_err());
+        assert!(run_group(&group, &SweepOptions::default()).is_err());
     }
 
     #[test]
@@ -806,7 +676,7 @@ mod tests {
     #[test]
     fn rows_render_versioned_json() {
         let group = tiny_group(Net::Wormhole, Topology::mesh(4, 4));
-        let rows = run_group(&group, &SweepOptions::default());
+        let rows = run_group(&group, &SweepOptions::default()).unwrap();
         assert_eq!(rows.len(), 2);
         let json = rows[0].to_json(3);
         assert!(json.starts_with("{\"schema\": 1, "));

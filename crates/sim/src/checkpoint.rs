@@ -31,8 +31,7 @@
 //!   determinism contract of [`crate::par`].
 //! * The engine loop checks the warmup boundary before doing any
 //!   cycle work, so stopping at `cycle == warmup` and resuming later
-//!   replays the exact instruction sequence of an uninterrupted run
-//!   (the `after_warmup` hook fires on resume, at the same cycle).
+//!   replays the exact instruction sequence of an uninterrupted run.
 
 use std::collections::VecDeque;
 
@@ -154,28 +153,15 @@ impl<N: Network, T: TrafficSource> Checkpoint<N, T> {
         self
     }
 
-    /// Retargets the drain bound of the resumed run.
-    #[must_use]
-    pub fn with_drain(mut self, drain: u64) -> Self {
-        self.state.config.drain = drain;
-        self
-    }
-
     /// Resumes the run to completion: measurement + drain, returning
     /// exactly what [`Simulation::run_full`] would for an
-    /// uninterrupted run with the same settings.
+    /// uninterrupted run with the same settings. The checkpoint sits
+    /// *at* the warmup/measurement boundary, so whatever a
+    /// straight-through run does in its `after_warmup` hook, a caller
+    /// does right before this call.
     #[must_use]
-    pub fn resume(self) -> (SimReport, N, RunInfo) {
-        self.resume_hooked(|| {})
-    }
-
-    /// Like [`Checkpoint::resume`], invoking `after_warmup` once at
-    /// the warmup/measurement boundary — i.e. immediately, at the
-    /// checkpoint's own cycle, before the first measured cycle (the
-    /// hook deliberately does *not* fire during capture, so it fires
-    /// exactly once per resumed run, like in a straight-through run).
-    pub fn resume_hooked(mut self, mut after_warmup: impl FnMut()) -> (SimReport, N, RunInfo) {
-        self.state.drive(u64::MAX, &mut after_warmup);
+    pub fn resume(mut self) -> (SimReport, N, RunInfo) {
+        self.state.drive(u64::MAX, &mut || {});
         self.state.finish()
     }
 }
@@ -299,15 +285,6 @@ mod tests {
         assert_eq!(a.0, b.0);
         assert_eq!(a.0, c.0);
         assert_eq!(a.2, c.2);
-    }
-
-    #[test]
-    fn resume_fires_the_warmup_hook_exactly_once() {
-        let mut fired = 0;
-        let ckpt = sim(RUN, false).run_to_checkpoint();
-        let (report, _, _) = ckpt.resume_hooked(|| fired += 1);
-        assert_eq!(fired, 1);
-        assert_eq!(report.avg_latency(), 10.0);
     }
 
     #[test]

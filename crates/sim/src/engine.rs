@@ -184,36 +184,26 @@ impl<N: Network, T: TrafficSource> Simulation<N, T> {
     /// fall inside the measurement window. The drain phase ends early
     /// once the network is empty.
     pub fn run(self) -> SimReport {
-        self.run_hooked(|| {})
+        self.run_full(|| {}).0
     }
 
-    /// Like [`Simulation::run`], additionally invoking `after_warmup`
-    /// once at the warmup/measurement boundary, before the first
-    /// measured cycle. The allocation-counting perf harness uses this
-    /// to zero its counters after the network's buffers and slabs
-    /// have grown to steady state, so only steady-state allocations
-    /// are attributed to the measurement window.
-    pub fn run_hooked(self, after_warmup: impl FnMut()) -> SimReport {
-        self.run_into_parts(after_warmup).0
-    }
-
-    /// Like [`Simulation::run_hooked`], additionally handing the
-    /// network back alongside the report. Telemetry callers use this
-    /// to extract a probe threaded through the network (via its
-    /// `into_probe`) after the run completes.
+    /// Like [`Simulation::run`], with everything a harness needs
+    /// around the report:
+    ///
+    /// * `after_warmup` is invoked once at the warmup/measurement
+    ///   boundary, before the first measured cycle — where a
+    ///   from-scratch allocation measurement snapshots its counter,
+    ///   after the network's buffers and slabs have grown to steady
+    ///   state;
+    /// * the network is handed back, so telemetry callers can extract
+    ///   the probe threaded through it (via its `into_probe`);
+    /// * a [`RunInfo`] carries the run's execution bookkeeping (cycles
+    ///   skipped by fast-forward, drain-termination cycle).
     ///
     /// The driver feeds packet events to the statistics collector
     /// through the [`PacketProbe`] interface — the same event stream
     /// a network-level telemetry probe sees — so every consumer of
     /// run results observes identical packet lifecycles.
-    pub fn run_into_parts(self, after_warmup: impl FnMut()) -> (SimReport, N) {
-        let (report, network, _) = self.run_full(after_warmup);
-        (report, network)
-    }
-
-    /// Like [`Simulation::run_into_parts`], additionally returning a
-    /// [`RunInfo`] with the run's execution bookkeeping (cycles
-    /// skipped by fast-forward, drain-termination cycle).
     ///
     /// # Quiescence fast-forward
     ///
@@ -514,7 +504,7 @@ mod tests {
                 drain: 100,
             },
         );
-        let report = sim.run_hooked(|| fired += 1);
+        let (report, _, _) = sim.run_full(|| fired += 1);
         assert_eq!(fired, 1, "hook must fire exactly once");
         // The hooked run produces the same report as a plain run.
         assert_eq!(report.avg_latency(), 10.0);

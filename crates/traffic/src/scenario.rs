@@ -188,6 +188,33 @@ impl Scenario {
         }
     }
 
+    /// [`Scenario::uniform`] retargeted to an arbitrary topology of at
+    /// most 64 nodes: one Bernoulli flow per node to uniformly random
+    /// destinations, no flow groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topo` has more nodes than the default 8×8 mesh.
+    #[must_use]
+    pub fn uniform_on(topo: Topology, rate: f64) -> Scenario {
+        let mut s = Scenario::uniform(rate);
+        let n = topo.num_nodes();
+        assert!(
+            n <= s.flows.len(),
+            "uniform_on only shrinks the default 64-flow scenario"
+        );
+        s.topo = topo;
+        s.flows.truncate(n);
+        for (flow, src) in s.flows.iter_mut().zip(topo.nodes()) {
+            flow.src = src;
+            flow.dest = DestRule::UniformRandom {
+                num_nodes: n as u32,
+            };
+        }
+        s.groups.clear();
+        s
+    }
+
     /// **Hotspot** traffic (Figures 10a and 11b): all other 63 nodes
     /// send to node 63 at `rate` flits/cycle with equal weights.
     pub fn hotspot(rate: f64) -> Scenario {

@@ -21,26 +21,12 @@
 //! cloning of the parallel engine's mailboxes and the worker-pool
 //! handle, which a fork must rebuild without perturbing results.
 
+use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
-use loft_bench::{
-    checkpoint_gsf_telemetry, checkpoint_loft_telemetry, checkpoint_wormhole_telemetry,
-    run_gsf_telemetry_info, run_loft_telemetry_info, run_wormhole_telemetry_info, SEED,
-};
 use noc_gsf::GsfConfig;
-use noc_sim::telemetry::TelemetryReport;
-use noc_sim::{RunConfig, SimReport, Topology};
-use noc_traffic::{DestRule, Scenario};
+use noc_sim::RunConfig;
+use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
-
-/// Same shapes as the shard-invariance suites: small enough to stay
-/// fast, large enough for real cross-shard traffic at 4 shards.
-fn topologies() -> [Topology; 3] {
-    [
-        Topology::mesh(4, 4),
-        Topology::torus(4, 4),
-        Topology::ring(12),
-    ]
-}
 
 fn run() -> RunConfig {
     RunConfig {
@@ -50,57 +36,35 @@ fn run() -> RunConfig {
     }
 }
 
-/// [`Scenario::uniform`] rebuilt for an arbitrary topology: moderate
-/// load so every cell delivers traffic in the measurement window.
-fn uniform_on(topo: Topology) -> Scenario {
-    let mut s = Scenario::uniform(0.10);
-    let n = topo.num_nodes();
-    s.topo = topo;
-    s.flows.truncate(n);
-    for (f, src) in s.flows.iter_mut().zip(topo.nodes()) {
-        f.src = src;
-        f.dest = DestRule::UniformRandom {
-            num_nodes: n as u32,
-        };
-    }
-    s.groups.clear();
-    s
-}
-
-/// Everything a cell compares: the full report, the full telemetry,
-/// and the exact cycle the drain terminated at.
-type Outcome = (SimReport, TelemetryReport, u64);
-
-/// Runs the property matrix for one network. `checkpoint` warms up
-/// and freezes; `fork_run` forks it with a measurement horizon;
-/// `scratch` is the from-scratch oracle with the same settings. The
-/// checkpoint type is opaque here — each network instantiates its
-/// own.
-fn check_net<K>(
-    net: &str,
-    checkpoint: impl Fn(&Scenario, Topology, usize) -> K,
-    fork_run: impl Fn(&K, u64) -> Outcome,
-    scratch: impl Fn(&Scenario, Topology, usize, RunConfig) -> Outcome,
-) {
+/// Runs the property matrix for one network: every cell warms up
+/// once, freezes, and compares two forks of that checkpoint against
+/// from-scratch oracles with the same settings. Moderate load, so
+/// every cell delivers traffic in the measurement window.
+fn check_net<C: Small>() {
     for topo in topologies() {
-        let scenario = uniform_on(topo);
+        let scenario = Scenario::uniform_on(topo, 0.10);
         for threads in [1, 2, 4] {
-            let ctx = format!("{net}/{topo:?}/{threads} shards");
-            let ckpt = checkpoint(&scenario, topo, threads);
+            let ctx = format!("{}/{topo:?}/{threads} shards", C::NAME);
+            let scratch = |rc| {
+                let sim = live(&scenario, C::small(topo, threads), rc);
+                outcome::<C>(sim.run_full(|| {}))
+            };
+            let ckpt = live(&scenario, C::small(topo, threads), run()).run_to_checkpoint();
+            let fork_run = |measure| outcome::<C>(ckpt.fork().with_measure(measure).resume());
 
-            let (base_report, base_telemetry, base_end) = scratch(&scenario, topo, threads, run());
+            let (base_report, base_telemetry, base_info) = scratch(run());
             assert!(
                 base_report.flits_delivered > 0,
                 "{ctx}: oracle run delivered nothing — test is vacuous"
             );
-            let (report, telemetry, end) = fork_run(&ckpt, run().measure);
+            let (report, telemetry, info) = fork_run(run().measure);
             assert_eq!(report, base_report, "{ctx}: forked SimReport diverged");
             assert_eq!(
                 telemetry, base_telemetry,
                 "{ctx}: forked TelemetryReport diverged"
             );
             assert_eq!(
-                end, base_end,
+                info.end_cycle, base_info.end_cycle,
                 "{ctx}: forked drain ended at a different cycle"
             );
 
@@ -111,9 +75,8 @@ fn check_net<K>(
                 measure: run().measure * 2,
                 ..run()
             };
-            let (long_report, long_telemetry, long_end) =
-                scratch(&scenario, topo, threads, doubled);
-            let (report, telemetry, end) = fork_run(&ckpt, doubled.measure);
+            let (long_report, long_telemetry, long_info) = scratch(doubled);
+            let (report, telemetry, info) = fork_run(doubled.measure);
             assert_eq!(
                 report, long_report,
                 "{ctx}: doubled-horizon fork SimReport diverged"
@@ -123,86 +86,24 @@ fn check_net<K>(
                 "{ctx}: doubled-horizon fork TelemetryReport diverged"
             );
             assert_eq!(
-                end, long_end,
+                info.end_cycle, long_info.end_cycle,
                 "{ctx}: doubled-horizon fork ended at a different cycle"
             );
         }
     }
 }
 
-fn loft_cfg(topo: Topology, threads: usize) -> LoftConfig {
-    LoftConfig {
-        threads,
-        frame_size: 64,
-        nonspec_buffer: 64,
-        ..LoftConfig::on(topo)
-    }
-}
-
-fn gsf_cfg(topo: Topology, threads: usize) -> GsfConfig {
-    GsfConfig {
-        threads,
-        frame_size: 200,
-        ..GsfConfig::on(topo)
-    }
-}
-
-fn wormhole_cfg(topo: Topology, threads: usize) -> WormholeConfig {
-    WormholeConfig {
-        threads,
-        ..WormholeConfig::on(topo)
-    }
-}
-
 #[test]
 fn loft_forked_runs_match_scratch_runs() {
-    check_net(
-        "loft",
-        |s, topo, threads| checkpoint_loft_telemetry(s, loft_cfg(topo, threads), run(), SEED, true),
-        |c, measure| {
-            let (r, n, i) = c.fork().with_measure(measure).resume();
-            (r, n.into_probe().finish(), i.end_cycle)
-        },
-        |s, topo, threads, rc| {
-            let (r, t, i) =
-                run_loft_telemetry_info(s, loft_cfg(topo, threads), rc, SEED, true, || {});
-            (r, t, i.end_cycle)
-        },
-    );
+    check_net::<LoftConfig>();
 }
 
 #[test]
 fn gsf_forked_runs_match_scratch_runs() {
-    check_net(
-        "gsf",
-        |s, topo, threads| checkpoint_gsf_telemetry(s, gsf_cfg(topo, threads), run(), SEED, true),
-        |c, measure| {
-            let (r, n, i) = c.fork().with_measure(measure).resume();
-            (r, n.into_probe().finish(), i.end_cycle)
-        },
-        |s, topo, threads, rc| {
-            let (r, t, i) =
-                run_gsf_telemetry_info(s, gsf_cfg(topo, threads), rc, SEED, true, || {});
-            (r, t, i.end_cycle)
-        },
-    );
+    check_net::<GsfConfig>();
 }
 
 #[test]
 fn wormhole_forked_runs_match_scratch_runs() {
-    check_net(
-        "wormhole",
-        |s, topo, threads| {
-            checkpoint_wormhole_telemetry(s, wormhole_cfg(topo, threads), run(), SEED, true)
-        },
-        |c, measure| {
-            let (r, n, i) = c.fork().with_measure(measure).resume();
-            (r, n.into_probe().finish(), i.end_cycle)
-        },
-        |s, topo, threads, rc| {
-            let (r, t, i) =
-                run_wormhole_telemetry_info(s, wormhole_cfg(topo, threads), rc, SEED, true, || {});
-            (r, t, i.end_cycle)
-        },
-    );
+    check_net::<WormholeConfig>();
 }

@@ -24,26 +24,12 @@
 //! layout is part of network construction, so a 1-shard checkpoint
 //! cannot be forked into them.
 
+use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
-use loft_bench::{
-    checkpoint_gsf_telemetry, checkpoint_loft_telemetry, checkpoint_wormhole_telemetry,
-    run_gsf_telemetry_info, run_loft_telemetry_info, run_wormhole_telemetry_info, SEED,
-};
 use noc_gsf::GsfConfig;
-use noc_sim::telemetry::TelemetryReport;
-use noc_sim::{RunConfig, SimReport, Topology};
+use noc_sim::{RunConfig, Topology};
 use noc_traffic::{DestRule, InjectionProcess, Scenario};
 use noc_wormhole::WormholeConfig;
-
-/// Same shapes as the shard-invariance suites: small enough to stay
-/// fast, large enough for real cross-shard traffic at 4 shards.
-fn topologies() -> [Topology; 3] {
-    [
-        Topology::mesh(4, 4),
-        Topology::torus(4, 4),
-        Topology::ring(12),
-    ]
-}
 
 fn run() -> RunConfig {
     RunConfig {
@@ -51,23 +37,6 @@ fn run() -> RunConfig {
         measure: 1_000,
         drain: 1_000,
     }
-}
-
-/// [`Scenario::uniform`] rebuilt for an arbitrary topology, at a load
-/// low enough that the network occasionally goes globally idle.
-fn uniform_low_on(topo: Topology) -> Scenario {
-    let mut s = Scenario::uniform(0.02);
-    let n = topo.num_nodes();
-    s.topo = topo;
-    s.flows.truncate(n);
-    for (f, src) in s.flows.iter_mut().zip(topo.nodes()) {
-        f.src = src;
-        f.dest = DestRule::UniformRandom {
-            num_nodes: n as u32,
-        };
-    }
-    s.groups.clear();
-    s
 }
 
 /// Two end-to-end flows with the given process — sparse enough that
@@ -115,47 +84,48 @@ fn regulated_on(topo: Topology) -> Scenario {
 #[allow(clippy::type_complexity)]
 fn traffics() -> [(&'static str, fn(Topology) -> Scenario, bool); 3] {
     [
-        ("uniform-low", uniform_low_on, false),
+        // A load low enough that the network occasionally goes
+        // globally idle.
+        (
+            "uniform-low",
+            |topo| Scenario::uniform_on(topo, 0.02),
+            false,
+        ),
         ("bursty", bursty_on, true),
         ("regulated", regulated_on, true),
     ]
 }
 
-/// What every leg reports: the full [`SimReport`], the full
-/// [`TelemetryReport`], the drain's end cycle, and the cycles the
-/// fast path skipped.
-type Outcome = (SimReport, TelemetryReport, u64, u64);
-
-/// Runs the equivalence matrix for one network. `checkpoint` warms a
-/// single-shard cell up once (fast-forward off) and freezes it;
-/// `fork_leg` forks it with fast-forward on or off; `scratch` runs a
-/// multi-shard ff-on leg from scratch. The checkpoint type is opaque
-/// here — each network instantiates its own.
-fn check_equivalence<K>(
-    net: &str,
-    checkpoint: impl Fn(&Scenario, Topology) -> K,
-    fork_leg: impl Fn(&K, bool) -> Outcome,
-    scratch: impl Fn(&Scenario, Topology, usize) -> Outcome,
-) {
+/// Runs the equivalence matrix for one network. Each cell warms a
+/// single-shard network up once (fast-forward off) and freezes it;
+/// the oracle and the single-shard ff-on leg fork that checkpoint,
+/// the multi-shard ff-on legs run from scratch.
+fn check_equivalence<C: Small>() {
     for topo in topologies() {
         for (traffic, build, must_skip) in traffics() {
             let scenario = build(topo);
-            let ctx = format!("{net}/{topo:?}/{traffic}");
-            let ckpt = checkpoint(&scenario, topo);
-            let (base_report, base_telemetry, base_end, base_skipped) = fork_leg(&ckpt, false);
+            let ctx = format!("{}/{topo:?}/{traffic}", C::NAME);
+            let ckpt = live(&scenario, C::small(topo, 1), run())
+                .with_fast_forward(false)
+                .run_to_checkpoint();
+            let fork_leg = |ff| outcome::<C>(ckpt.fork().with_fast_forward(ff).resume());
+            let (base_report, base_telemetry, base_info) = fork_leg(false);
             assert!(
                 base_report.flits_delivered > 0,
                 "{ctx}: oracle run delivered nothing — test is vacuous"
             );
             assert_eq!(
-                base_skipped, 0,
+                base_info.skipped_cycles, 0,
                 "{ctx}: fast-forward-off run skipped cycles"
             );
-            let check = |report: SimReport,
-                         telemetry: TelemetryReport,
-                         end: u64,
-                         skipped: u64,
-                         threads: usize| {
+            // The single-shard ff-on leg forks the oracle's warmup.
+            for threads in [1, 2, 4] {
+                let (report, telemetry, info) = if threads == 1 {
+                    fork_leg(true)
+                } else {
+                    let sim = live(&scenario, C::small(topo, threads), run());
+                    outcome::<C>(sim.run_full(|| {}))
+                };
                 assert_eq!(
                     report, base_report,
                     "{ctx}: SimReport diverged at {threads} shards with fast-forward on"
@@ -165,105 +135,32 @@ fn check_equivalence<K>(
                     "{ctx}: TelemetryReport diverged at {threads} shards with fast-forward on"
                 );
                 assert_eq!(
-                    end, base_end,
+                    info.end_cycle, base_info.end_cycle,
                     "{ctx}: drain terminated at a different cycle at {threads} shards"
                 );
                 if must_skip {
                     assert!(
-                        skipped > 0,
+                        info.skipped_cycles > 0,
                         "{ctx}: fast path never engaged at {threads} shards — \
                          quiescence-heavy workload should jump"
                     );
                 }
-            };
-            // The single-shard ff-on leg forks the oracle's warmup.
-            let (report, telemetry, end, skipped) = fork_leg(&ckpt, true);
-            check(report, telemetry, end, skipped, 1);
-            for threads in [2, 4] {
-                let (report, telemetry, end, skipped) = scratch(&scenario, topo, threads);
-                check(report, telemetry, end, skipped, threads);
             }
         }
     }
 }
 
-fn loft_cfg(topo: Topology, threads: usize) -> LoftConfig {
-    LoftConfig {
-        threads,
-        frame_size: 64,
-        nonspec_buffer: 64,
-        ..LoftConfig::on(topo)
-    }
-}
-
-fn gsf_cfg(topo: Topology, threads: usize) -> GsfConfig {
-    GsfConfig {
-        threads,
-        frame_size: 200,
-        ..GsfConfig::on(topo)
-    }
-}
-
-fn wormhole_cfg(topo: Topology, threads: usize) -> WormholeConfig {
-    WormholeConfig {
-        threads,
-        ..WormholeConfig::on(topo)
-    }
-}
-
 #[test]
 fn loft_fast_forward_is_equivalent() {
-    check_equivalence(
-        "loft",
-        |s, topo| checkpoint_loft_telemetry(s, loft_cfg(topo, 1), run(), SEED, false),
-        |c, ff| {
-            let (r, n, i) = c.fork().with_fast_forward(ff).resume();
-            (r, n.into_probe().finish(), i.end_cycle, i.skipped_cycles)
-        },
-        |s, topo, threads| {
-            let (r, t, i) =
-                run_loft_telemetry_info(s, loft_cfg(topo, threads), run(), SEED, true, || {});
-            (r, t, i.end_cycle, i.skipped_cycles)
-        },
-    );
+    check_equivalence::<LoftConfig>();
 }
 
 #[test]
 fn gsf_fast_forward_is_equivalent() {
-    check_equivalence(
-        "gsf",
-        |s, topo| checkpoint_gsf_telemetry(s, gsf_cfg(topo, 1), run(), SEED, false),
-        |c, ff| {
-            let (r, n, i) = c.fork().with_fast_forward(ff).resume();
-            (r, n.into_probe().finish(), i.end_cycle, i.skipped_cycles)
-        },
-        |s, topo, threads| {
-            let (r, t, i) =
-                run_gsf_telemetry_info(s, gsf_cfg(topo, threads), run(), SEED, true, || {});
-            (r, t, i.end_cycle, i.skipped_cycles)
-        },
-    );
+    check_equivalence::<GsfConfig>();
 }
 
 #[test]
 fn wormhole_fast_forward_is_equivalent() {
-    check_equivalence(
-        "wormhole",
-        |s, topo| checkpoint_wormhole_telemetry(s, wormhole_cfg(topo, 1), run(), SEED, false),
-        |c, ff| {
-            let (r, n, i) = c.fork().with_fast_forward(ff).resume();
-            (r, n.into_probe().finish(), i.end_cycle, i.skipped_cycles)
-        },
-        |s, topo, threads| {
-            let (r, t, i) = run_wormhole_telemetry_info(
-                s,
-                wormhole_cfg(topo, threads),
-                run(),
-                SEED,
-                true,
-                || {},
-            );
-            (r, t, i.end_cycle, i.skipped_cycles)
-        },
-    );
+    check_equivalence::<WormholeConfig>();
 }

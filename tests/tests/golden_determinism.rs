@@ -13,11 +13,11 @@
 //! sharded parallel stepping must be bit-for-bit identical to the
 //! single-threaded engine, so the same pins are the oracle for the
 //! parallel path (see `noc_sim::par`). Each pin additionally runs
-//! once with quiescence fast-forward disabled — the default runners
-//! use the fast path, so the pair certifies that closed-form idle
+//! once with quiescence fast-forward disabled — a default run
+//! uses the fast path, so the pair certifies that closed-form idle
 //! jumps and per-cycle stepping are observably the same simulation.
 //!
-//! The plain runners used here build networks with the default
+//! The probe-less runs used here build networks with the default
 //! telemetry probe (`noc_sim::telemetry::NoopProbe`), so these pins
 //! also certify that the telemetry-off configuration is bit-identical
 //! to a tree without the probe plumbing — the zero-cost half of the
@@ -34,10 +34,9 @@
 //! construction, so a 1-shard checkpoint cannot be forked into them).
 
 use loft::LoftConfig;
-use loft_bench::{
-    checkpoint_gsf, checkpoint_loft, checkpoint_wormhole, run_gsf, run_loft, run_wormhole, SEED,
-};
+use loft_bench::{simulation, NetSpec, SEED};
 use noc_gsf::GsfConfig;
+use noc_sim::telemetry::NoopProbe;
 use noc_sim::RunConfig;
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
@@ -59,59 +58,21 @@ fn check(report: &noc_sim::SimReport, flits: u64, latency_bits: u64) {
     );
 }
 
-fn check_loft(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
+/// Checks one pin on the network configured by `C` (its default
+/// configuration on the scenario's topology) at every shard count.
+fn check_pin<C: NetSpec>(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
     for threads in SCRATCH_THREADS {
-        let cfg = LoftConfig {
-            threads,
-            ..LoftConfig::default()
-        };
-        let r = run_loft(scenario, cfg, run, SEED);
+        let cfg = C::on(scenario.topo, threads);
+        let r = loft_bench::run(scenario, cfg, run, SEED).expect("paper scenarios fit");
         check(&r, flits, latency_bits);
     }
     // Single-shard legs: one warmup, forked for both the plain
     // per-cycle leg and the quiescence-fast-forward leg — the fast
     // path and a forked resume must both land on the pinned bits.
-    let ckpt = checkpoint_loft(scenario, LoftConfig::default(), run, SEED, false);
-    let (r, _, info) = ckpt.fork().resume();
-    check(&r, flits, latency_bits);
-    assert_eq!(
-        info.skipped_cycles, 0,
-        "fast-forward-off leg skipped cycles"
-    );
-    let (r, _, _) = ckpt.fork().with_fast_forward(true).resume();
-    check(&r, flits, latency_bits);
-}
-
-fn check_gsf(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
-    for threads in SCRATCH_THREADS {
-        let cfg = GsfConfig {
-            threads,
-            ..GsfConfig::default()
-        };
-        let r = run_gsf(scenario, cfg, run, SEED);
-        check(&r, flits, latency_bits);
-    }
-    let ckpt = checkpoint_gsf(scenario, GsfConfig::default(), run, SEED, false);
-    let (r, _, info) = ckpt.fork().resume();
-    check(&r, flits, latency_bits);
-    assert_eq!(
-        info.skipped_cycles, 0,
-        "fast-forward-off leg skipped cycles"
-    );
-    let (r, _, _) = ckpt.fork().with_fast_forward(true).resume();
-    check(&r, flits, latency_bits);
-}
-
-fn check_wormhole(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
-    for threads in SCRATCH_THREADS {
-        let cfg = WormholeConfig {
-            threads,
-            ..WormholeConfig::default()
-        };
-        let r = run_wormhole(scenario, cfg, run, SEED);
-        check(&r, flits, latency_bits);
-    }
-    let ckpt = checkpoint_wormhole(scenario, WormholeConfig::default(), run, SEED, false);
+    let ckpt = simulation(scenario, C::on(scenario.topo, 1), NoopProbe, run, SEED)
+        .expect("paper scenarios fit")
+        .with_fast_forward(false)
+        .run_to_checkpoint();
     let (r, _, info) = ckpt.fork().resume();
     check(&r, flits, latency_bits);
     assert_eq!(
@@ -125,7 +86,7 @@ fn check_wormhole(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits:
 #[test]
 fn loft_uniform_low_load_is_pinned() {
     // avg_latency = 33.78215667311398
-    check_loft(
+    check_pin::<LoftConfig>(
         &Scenario::uniform(0.05),
         RunConfig::short(),
         16_588,
@@ -136,7 +97,7 @@ fn loft_uniform_low_load_is_pinned() {
 #[test]
 fn gsf_uniform_low_load_is_pinned() {
     // avg_latency = 19.932543520309448
-    check_gsf(
+    check_pin::<GsfConfig>(
         &Scenario::uniform(0.05),
         RunConfig::short(),
         16_576,
@@ -147,7 +108,7 @@ fn gsf_uniform_low_load_is_pinned() {
 #[test]
 fn wormhole_uniform_low_load_is_pinned() {
     // avg_latency = 20.0631044487428
-    check_wormhole(
+    check_pin::<WormholeConfig>(
         &Scenario::uniform(0.05),
         RunConfig::short(),
         16_576,
@@ -169,7 +130,7 @@ fn high_load_run() -> RunConfig {
 #[test]
 fn loft_uniform_high_load_is_pinned() {
     // avg_latency = 928.110465612984
-    check_loft(
+    check_pin::<LoftConfig>(
         &Scenario::uniform(0.60),
         high_load_run(),
         34_320,
@@ -180,7 +141,7 @@ fn loft_uniform_high_load_is_pinned() {
 #[test]
 fn gsf_uniform_high_load_is_pinned() {
     // avg_latency = 405.18584669860394
-    check_gsf(
+    check_pin::<GsfConfig>(
         &Scenario::uniform(0.60),
         high_load_run(),
         58_728,
@@ -191,7 +152,7 @@ fn gsf_uniform_high_load_is_pinned() {
 #[test]
 fn wormhole_uniform_high_load_is_pinned() {
     // avg_latency = 454.3367451967068
-    check_wormhole(
+    check_pin::<WormholeConfig>(
         &Scenario::uniform(0.60),
         high_load_run(),
         56_360,
@@ -202,7 +163,7 @@ fn wormhole_uniform_high_load_is_pinned() {
 #[test]
 fn loft_hotspot_is_pinned() {
     // avg_latency = 1175.2189239332115
-    check_loft(
+    check_pin::<LoftConfig>(
         &Scenario::hotspot(0.02),
         RunConfig::short(),
         4_992,
@@ -213,7 +174,7 @@ fn loft_hotspot_is_pinned() {
 #[test]
 fn gsf_hotspot_is_pinned() {
     // avg_latency = 1182.5690402476785
-    check_gsf(
+    check_pin::<GsfConfig>(
         &Scenario::hotspot(0.02),
         RunConfig::short(),
         5_004,

@@ -9,40 +9,13 @@
 //! latency mean is order-sensitive in its low bits, so `SimReport`
 //! equality pins the exact delivery order, not just the totals.
 
+use integration::{topologies, Small};
 use loft::LoftConfig;
-use loft_bench::{run_gsf, run_loft, run_wormhole, SEED};
+use loft_bench::SEED;
 use noc_gsf::GsfConfig;
 use noc_sim::{RunConfig, SimReport, Topology};
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
-
-/// The three topology shapes under test, sized small enough that the
-/// full matrix stays fast but large enough for real cross-shard
-/// traffic at 4 shards.
-fn topologies() -> [Topology; 3] {
-    [
-        Topology::mesh(4, 4),
-        Topology::torus(4, 4),
-        Topology::ring(12),
-    ]
-}
-
-/// [`Scenario::uniform`] rebuilt for an arbitrary topology (the
-/// ready-made scenarios are fixed to the paper's 8×8 mesh).
-fn uniform_on(topo: Topology, rate: f64) -> Scenario {
-    let mut s = Scenario::uniform(rate);
-    let n = topo.num_nodes();
-    s.topo = topo;
-    s.flows.truncate(n);
-    for (f, src) in s.flows.iter_mut().zip(topo.nodes()) {
-        f.src = src;
-        f.dest = noc_traffic::DestRule::UniformRandom {
-            num_nodes: n as u32,
-        };
-    }
-    s.groups.clear();
-    s
-}
 
 fn run() -> RunConfig {
     RunConfig {
@@ -52,69 +25,43 @@ fn run() -> RunConfig {
     }
 }
 
-fn assert_invariant(name: &str, reports: &[(usize, SimReport)]) {
-    let (_, base) = &reports[0];
-    assert!(
-        base.flits_delivered > 0,
-        "{name}: baseline run delivered nothing — test is vacuous"
-    );
-    for (threads, r) in &reports[1..] {
-        assert_eq!(
-            r, base,
-            "{name}: report at {threads} shards diverged from 1 shard"
+fn report_at<C: Small>(topo: Topology, threads: usize) -> SimReport {
+    let scenario = Scenario::uniform_on(topo, 0.30);
+    loft_bench::run(&scenario, C::small(topo, threads), run(), SEED).expect("fits")
+}
+
+fn check_invariant<C: Small>() {
+    for topo in topologies() {
+        let base = report_at::<C>(topo, 1);
+        assert!(
+            base.flits_delivered > 0,
+            "{}: baseline run delivered nothing — test is vacuous",
+            C::NAME
         );
+        for threads in [2, 4] {
+            assert_eq!(
+                report_at::<C>(topo, threads),
+                base,
+                "{}: report at {threads} shards diverged from 1 shard",
+                C::NAME
+            );
+        }
     }
-}
-
-fn wormhole_at(topo: Topology, threads: usize) -> SimReport {
-    let cfg = WormholeConfig {
-        threads,
-        ..WormholeConfig::on(topo)
-    };
-    run_wormhole(&uniform_on(topo, 0.30), cfg, run(), SEED)
-}
-
-fn gsf_at(topo: Topology, threads: usize) -> SimReport {
-    let cfg = GsfConfig {
-        threads,
-        frame_size: 200,
-        ..GsfConfig::on(topo)
-    };
-    run_gsf(&uniform_on(topo, 0.30), cfg, run(), SEED)
-}
-
-fn loft_at(topo: Topology, threads: usize) -> SimReport {
-    let cfg = LoftConfig {
-        threads,
-        frame_size: 64,
-        nonspec_buffer: 64,
-        ..LoftConfig::on(topo)
-    };
-    run_loft(&uniform_on(topo, 0.30), cfg, run(), SEED)
 }
 
 #[test]
 fn wormhole_reports_invariant_under_sharding() {
-    for topo in topologies() {
-        let reports: Vec<_> = [1, 2, 4].map(|t| (t, wormhole_at(topo, t))).into();
-        assert_invariant("wormhole", &reports);
-    }
+    check_invariant::<WormholeConfig>();
 }
 
 #[test]
 fn gsf_reports_invariant_under_sharding() {
-    for topo in topologies() {
-        let reports: Vec<_> = [1, 2, 4].map(|t| (t, gsf_at(topo, t))).into();
-        assert_invariant("gsf", &reports);
-    }
+    check_invariant::<GsfConfig>();
 }
 
 #[test]
 fn loft_reports_invariant_under_sharding() {
-    for topo in topologies() {
-        let reports: Vec<_> = [1, 2, 4].map(|t| (t, loft_at(topo, t))).into();
-        assert_invariant("loft", &reports);
-    }
+    check_invariant::<LoftConfig>();
 }
 
 /// Randomized stress: arbitrary shard counts (including more shards
@@ -131,21 +78,27 @@ fn randomized_shard_counts_match_single_shard() {
         state
     };
     let topo = Topology::mesh(4, 4);
-    let worm_base = wormhole_at(topo, 1);
-    let gsf_base = gsf_at(topo, 1);
+    let worm_base = report_at::<WormholeConfig>(topo, 1);
+    let gsf_base = report_at::<GsfConfig>(topo, 1);
+    let loft_base = report_at::<LoftConfig>(topo, 1);
     for _ in 0..6 {
         // 2..=24: covers odd counts, non-divisors of 16, and counts
         // past the node count.
         let threads = 2 + (rng() % 23) as usize;
         assert_eq!(
-            wormhole_at(topo, threads),
+            report_at::<WormholeConfig>(topo, threads),
             worm_base,
             "wormhole diverged at {threads} shards"
         );
         assert_eq!(
-            gsf_at(topo, threads),
+            report_at::<GsfConfig>(topo, threads),
             gsf_base,
             "gsf diverged at {threads} shards"
+        );
+        assert_eq!(
+            report_at::<LoftConfig>(topo, threads),
+            loft_base,
+            "loft diverged at {threads} shards"
         );
     }
 }

@@ -10,40 +10,13 @@
 //! derives `PartialEq` over all of it (including the Welford
 //! accumulators, whose low bits pin the exact merge order).
 
+use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
-use loft_bench::{run_gsf_telemetry, run_loft_telemetry, run_wormhole_telemetry, SEED};
 use noc_gsf::GsfConfig;
 use noc_sim::telemetry::TelemetryReport;
 use noc_sim::{RunConfig, Topology};
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
-
-/// Same shapes as the `SimReport` invariance suite: small enough to
-/// stay fast, large enough for real cross-shard traffic at 4 shards.
-fn topologies() -> [Topology; 3] {
-    [
-        Topology::mesh(4, 4),
-        Topology::torus(4, 4),
-        Topology::ring(12),
-    ]
-}
-
-/// [`Scenario::uniform`] rebuilt for an arbitrary topology (the
-/// ready-made scenarios are fixed to the paper's 8×8 mesh).
-fn uniform_on(topo: Topology, rate: f64) -> Scenario {
-    let mut s = Scenario::uniform(rate);
-    let n = topo.num_nodes();
-    s.topo = topo;
-    s.flows.truncate(n);
-    for (f, src) in s.flows.iter_mut().zip(topo.nodes()) {
-        f.src = src;
-        f.dest = noc_traffic::DestRule::UniformRandom {
-            num_nodes: n as u32,
-        };
-    }
-    s.groups.clear();
-    s
-}
 
 fn run() -> RunConfig {
     RunConfig {
@@ -53,73 +26,49 @@ fn run() -> RunConfig {
     }
 }
 
-fn assert_invariant(name: &str, reports: &[(usize, TelemetryReport)]) {
-    let (_, base) = &reports[0];
-    assert!(
-        base.link_flits.iter().sum::<u64>() > 0,
-        "{name}: baseline run moved nothing — test is vacuous"
-    );
-    assert!(
-        base.latency_histogram.count() > 0,
-        "{name}: baseline run delivered nothing — test is vacuous"
-    );
-    for (threads, r) in &reports[1..] {
-        assert_eq!(
-            r, base,
-            "{name}: telemetry at {threads} shards diverged from 1 shard"
+fn telemetry_at<C: Small>(topo: Topology, threads: usize) -> TelemetryReport {
+    let scenario = Scenario::uniform_on(topo, 0.30);
+    let sim = live(&scenario, C::small(topo, threads), run());
+    outcome::<C>(sim.run_full(|| {})).1
+}
+
+fn check_invariant<C: Small>() {
+    for topo in topologies() {
+        let base = telemetry_at::<C>(topo, 1);
+        assert!(
+            base.link_flits.iter().sum::<u64>() > 0,
+            "{}: baseline run moved nothing — test is vacuous",
+            C::NAME
         );
+        assert!(
+            base.latency_histogram.count() > 0,
+            "{}: baseline run delivered nothing — test is vacuous",
+            C::NAME
+        );
+        for threads in [2, 4] {
+            assert_eq!(
+                telemetry_at::<C>(topo, threads),
+                base,
+                "{}: telemetry at {threads} shards diverged from 1 shard",
+                C::NAME
+            );
+        }
     }
-}
-
-fn wormhole_at(topo: Topology, threads: usize) -> TelemetryReport {
-    let cfg = WormholeConfig {
-        threads,
-        ..WormholeConfig::on(topo)
-    };
-    run_wormhole_telemetry(&uniform_on(topo, 0.30), cfg, run(), SEED, || {}).1
-}
-
-fn gsf_at(topo: Topology, threads: usize) -> TelemetryReport {
-    let cfg = GsfConfig {
-        threads,
-        frame_size: 200,
-        ..GsfConfig::on(topo)
-    };
-    run_gsf_telemetry(&uniform_on(topo, 0.30), cfg, run(), SEED, || {}).1
-}
-
-fn loft_at(topo: Topology, threads: usize) -> TelemetryReport {
-    let cfg = LoftConfig {
-        threads,
-        frame_size: 64,
-        nonspec_buffer: 64,
-        ..LoftConfig::on(topo)
-    };
-    run_loft_telemetry(&uniform_on(topo, 0.30), cfg, run(), SEED, || {}).1
 }
 
 #[test]
 fn wormhole_telemetry_invariant_under_sharding() {
-    for topo in topologies() {
-        let reports: Vec<_> = [1, 2, 4].map(|t| (t, wormhole_at(topo, t))).into();
-        assert_invariant("wormhole", &reports);
-    }
+    check_invariant::<WormholeConfig>();
 }
 
 #[test]
 fn gsf_telemetry_invariant_under_sharding() {
-    for topo in topologies() {
-        let reports: Vec<_> = [1, 2, 4].map(|t| (t, gsf_at(topo, t))).into();
-        assert_invariant("gsf", &reports);
-    }
+    check_invariant::<GsfConfig>();
 }
 
 #[test]
 fn loft_telemetry_invariant_under_sharding() {
-    for topo in topologies() {
-        let reports: Vec<_> = [1, 2, 4].map(|t| (t, loft_at(topo, t))).into();
-        assert_invariant("loft", &reports);
-    }
+    check_invariant::<LoftConfig>();
 }
 
 /// The JSON export is a pure function of the report, so it is also
@@ -127,8 +76,8 @@ fn loft_telemetry_invariant_under_sharding() {
 #[test]
 fn telemetry_json_invariant_under_sharding() {
     let topo = Topology::mesh(4, 4);
-    let base = loft_at(topo, 1).to_json();
+    let base = telemetry_at::<LoftConfig>(topo, 1).to_json();
     assert!(base.starts_with("{\"telemetry_version\":"));
     assert!(base.ends_with("]}"));
-    assert_eq!(base, loft_at(topo, 4).to_json());
+    assert_eq!(base, telemetry_at::<LoftConfig>(topo, 4).to_json());
 }
