@@ -46,11 +46,28 @@ fn lsf_schedule() {
         }
         booked
     });
+    // What the network does per slot on a link in use (booked, so no
+    // longer pristine) …
     bench_report("lsf/advance_slot_x1024", 200, || {
         let mut s = LinkScheduler::new(params, &reservations);
+        let flow = FlowId::new(0);
+        let entry = PendingQuantum {
+            flow,
+            qid: 0,
+            in_port: 0,
+            res_idx: 0,
+        };
+        let slot = s.schedule(flow, 1, entry).expect("empty table books");
+        s.complete(slot);
         for _ in 0..1024 {
             s.advance_slot();
         }
+        s.current_slot()
+    });
+    // … and once, at its next booking, on a link left idle meanwhile.
+    bench_report("lsf/catch_up_1024", 200, || {
+        let mut s = LinkScheduler::new(params, &reservations);
+        s.catch_up(1024);
         s.current_slot()
     });
 }

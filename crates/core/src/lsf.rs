@@ -28,6 +28,16 @@
 //! slot `s` decrements the suffix `credit(s..)`; the downstream
 //! scheduler returning a departure at slot `d` increments
 //! `credit(d..)`.
+//!
+//! # Idle schedulers are a function of time
+//!
+//! A scheduler nobody has touched since power-up or its last local
+//! reset is *pristine*: every table is in its reset state and
+//! [`LinkScheduler::advance_slot`] would only move pointers. The
+//! owner may therefore stop ticking it and call
+//! [`LinkScheduler::catch_up`] right before the next
+//! [`LinkScheduler::schedule`] or [`LinkScheduler::return_credit`];
+//! from then on it must be advanced every slot until the next reset.
 
 use noc_sim::flit::FlowId;
 
@@ -104,14 +114,12 @@ pub struct LinkScheduler {
     /// Ring of credit differences: `cdelta[ring(s)]` is
     /// `credit(s) − credit(s−1)`. The entry for `ring(cp)` is always
     /// zero (the base slot's value lives in `cbase`).
-    cdelta: Vec<i64>,
-    /// Fenwick tree over `cdelta` (same ring indexing) for
-    /// O(log window) prefix sums when reading a single slot's credit.
-    ctree: Vec<i64>,
-    /// Sum of all entries of `cdelta` (used for wrapped prefix sums).
-    ctotal: i64,
-    /// Ring of busy flags.
-    busy: Vec<bool>,
+    /// Narrow on purpose — a slot sees a handful of bookings and
+    /// returns, and reset, construction and every checkpoint fork
+    /// touch the whole ring; updates are overflow-checked.
+    cdelta: Vec<i16>,
+    /// Ring of busy flags, one bit per slot.
+    busy: Vec<u64>,
     /// Busy slots per frame, index `frame % WF` — lets the Algorithm 2
     /// slot search (`try_find`) bail out in O(1) when a frame is fully
     /// booked (the common case at saturation).
@@ -121,7 +129,7 @@ pub struct LinkScheduler {
     /// slots of absolute frame `f`. Condition (1) only ever reads the
     /// credit at a frame boundary, which is `cbase` plus whole-frame
     /// sums — so the per-retry hot path of a stalled look-ahead flit
-    /// costs O(WF) adds instead of O(log window) Fenwick walks. The
+    /// costs O(WF) adds instead of a walk over the window. The
     /// ring is one longer than `WF` because the window spans partial
     /// head and tail frames that share `frame % WF`.
     frame_delta: Vec<i64>,
@@ -157,6 +165,13 @@ pub struct LinkScheduler {
     /// `true` while the scheduler is in its power-up/reset state —
     /// resetting again would be a no-op.
     fresh: bool,
+    /// `true` while nothing at all has touched the scheduler since
+    /// power-up/reset: stricter than `fresh`, which survives a failed
+    /// [`LinkScheduler::schedule`] (that bumps `skipped` and flow
+    /// frames) and a late [`LinkScheduler::return_credit`] (that
+    /// moves `cbase`/`cdelta`). Only a pristine scheduler advances in
+    /// closed form.
+    pristine: bool,
     resets: u64,
 }
 
@@ -176,9 +191,7 @@ impl LinkScheduler {
             cp: 0,
             cbase: params.buffer_quanta as i64,
             cdelta: vec![0; window],
-            ctree: vec![0; window],
-            ctotal: 0,
-            busy: vec![false; window],
+            busy: vec![0; window.div_ceil(64)],
             frame_busy: vec![0; params.frame_window as usize],
             frame_delta: vec![0; params.frame_window as usize + 1],
             cp_ring: 0,
@@ -200,6 +213,7 @@ impl LinkScheduler {
             dirty: true,
             reset_epoch: 0,
             fresh: true,
+            pristine: true,
             resets: 0,
             params,
         }
@@ -246,57 +260,43 @@ impl LinkScheduler {
         }
     }
 
-    /// Adds `v` to `cdelta[i]`'s mirror in the Fenwick tree.
     #[inline]
-    fn ctree_add(&mut self, i: usize, v: i64) {
-        self.ctotal += v;
-        let mut i = i + 1;
-        while i <= self.ctree.len() {
-            self.ctree[i - 1] += v;
-            i += i & i.wrapping_neg();
-        }
+    fn is_busy(&self, idx: usize) -> bool {
+        self.busy[idx / 64] >> (idx % 64) & 1 != 0
     }
 
-    /// Prefix sum `cdelta[0..=i]` from the Fenwick tree.
     #[inline]
-    fn ctree_prefix(&self, i: usize) -> i64 {
-        let mut sum = 0;
-        let mut i = i + 1;
-        while i > 0 {
-            sum += self.ctree[i - 1];
-            i -= i & i.wrapping_neg();
-        }
-        sum
+    fn set_busy(&mut self, idx: usize) {
+        self.busy[idx / 64] |= 1 << (idx % 64);
     }
 
-    /// Reconstructs the credit of an absolute slot in
-    /// `[cp, cp + window)` from the difference representation:
-    /// `cbase` plus the deltas of `(cp, slot]`, which in ring space is
-    /// either a contiguous span or a wrapped pair of spans.
     #[inline]
-    fn credit_value(&self, slot: u64) -> i64 {
-        if slot == self.cp {
-            return self.cbase;
-        }
-        let c = self.ring(self.cp);
-        let i = self.ring(slot);
-        if i > c {
-            self.cbase + self.ctree_prefix(i) - self.ctree_prefix(c)
-        } else {
-            self.cbase + self.ctotal - self.ctree_prefix(c) + self.ctree_prefix(i)
-        }
+    fn clear_busy(&mut self, idx: usize) {
+        self.busy[idx / 64] &= !(1 << (idx % 64));
     }
 
-    /// Virtual credit of an absolute slot inside the window.
+    /// Virtual credit of an absolute slot inside the window:
+    /// `cbase` plus the deltas of `(cp, slot]`. A plain walk — the
+    /// scheduling paths read credits through `frame_delta` anchors
+    /// and only cross-check against this in debug builds.
     pub fn credit_at(&self, slot: u64) -> i64 {
         debug_assert!(slot >= self.cp && slot < self.cp + self.params.window_quanta());
-        self.credit_value(slot)
+        let mut credit = self.cbase;
+        let mut idx = self.cp_ring;
+        for _ in self.cp..slot {
+            idx += 1;
+            if idx == self.cdelta.len() {
+                idx = 0;
+            }
+            credit += self.cdelta[idx] as i64;
+        }
+        credit
     }
 
     /// Busy flag of an absolute slot inside the window.
     pub fn busy_at(&self, slot: u64) -> bool {
         debug_assert!(slot >= self.cp && slot < self.cp + self.params.window_quanta());
-        self.busy[self.ring(slot)]
+        self.is_busy(self.ring(slot))
     }
 
     /// The earliest scheduled-and-unforwarded quantum, if any.
@@ -322,8 +322,8 @@ impl LinkScheduler {
         // inherits the credit of the youngest slot (delta 0 — the
         // entry is already 0 by the `cdelta[ring(cp)] == 0`
         // invariant) and is not busy.
-        if self.busy[idx] {
-            self.busy[idx] = false;
+        if self.is_busy(idx) {
+            self.clear_busy(idx);
             self.frame_busy[self.head_ring] -= 1;
         }
         self.cp += 1;
@@ -336,9 +336,8 @@ impl LinkScheduler {
         let nb = self.cp_ring;
         let d = self.cdelta[nb];
         if d != 0 {
-            self.cbase += d;
+            self.cbase += d as i64;
             self.cdelta[nb] = 0;
-            self.ctree_add(nb, -d);
             // The folded slot is the new `cp`: frame `head`, unless
             // this advance crosses into the next frame.
             let nf = if self.frame_pos + 1 == self.params.frame_quanta {
@@ -347,7 +346,7 @@ impl LinkScheduler {
                 self.head
             };
             let m = self.frame_delta.len() as u64;
-            self.frame_delta[(nf % m) as usize] -= d;
+            self.frame_delta[(nf % m) as usize] -= d as i64;
         }
         self.frame_pos += 1;
         if self.frame_pos == self.params.frame_quanta {
@@ -374,26 +373,23 @@ impl LinkScheduler {
         }
     }
 
-    /// Closed-form equivalent of `k` [`LinkScheduler::advance_slot`]
-    /// calls for a scheduler in its power-up/reset state: with no
-    /// booking since the last reset every busy flag, credit delta, and
-    /// `skipped` counter is already zero, so advancing is pure pointer
-    /// arithmetic — `cp`, its ring index, the head frame, and the
-    /// frame-crossing `dirty` mark. Flow entries stay untouched (they
-    /// catch up lazily in `normalize_flow`, exactly as under stepped
-    /// advances).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if the scheduler is not fresh
-    /// ([`LinkScheduler::is_fresh`]).
-    pub fn fast_forward_slots(&mut self, k: u64) {
-        debug_assert!(self.fresh, "fast-forward on a booked scheduler");
-        debug_assert!(self.pending.is_empty(), "fast-forward with pending quanta");
-        debug_assert_eq!(self.ctotal, 0, "fresh scheduler has credit deltas");
-        if k == 0 {
-            return;
-        }
+    /// Whether every table is in its reset state, so that advancing
+    /// only moves pointers (naive scan; debug checks only).
+    fn tables_clean(&self) -> bool {
+        self.pending.is_empty()
+            && self.busy.iter().all(|&w| w == 0)
+            && self.cdelta.iter().all(|&d| d == 0)
+            && self.frame_delta.iter().all(|&d| d == 0)
+            && self.skipped.iter().all(|&s| s == 0)
+    }
+
+    /// `k` [`LinkScheduler::advance_slot`] calls over clean tables
+    /// as pure pointer arithmetic — `cp`, its ring index, the head
+    /// frame, and the frame-crossing `dirty` mark. Flow entries stay
+    /// untouched (they catch up lazily in `normalize_flow`, exactly as
+    /// under stepped advances).
+    fn jump(&mut self, k: u64) {
+        debug_assert!(self.tables_clean(), "pointer jump over live tables");
         let window = self.cdelta.len() as u64;
         self.cp += k;
         self.cp_ring = ((self.cp_ring as u64 + k) % window) as usize;
@@ -406,6 +402,43 @@ impl LinkScheduler {
             self.head_ring =
                 ((self.head_ring as u64 + crossed) % self.params.frame_window as u64) as usize;
             self.dirty = true;
+        }
+    }
+
+    /// Brings a pristine scheduler ([`LinkScheduler::is_pristine`])
+    /// that was not ticked since its reset to `slot`, in closed form:
+    /// the exact result of `slot − current_slot()` stepped advances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheduler is not pristine or `slot` is behind it.
+    pub fn catch_up(&mut self, slot: u64) {
+        assert!(self.pristine, "closed-form advance of a used scheduler");
+        assert!(slot >= self.cp, "catching up backwards");
+        self.jump(slot - self.cp);
+    }
+
+    /// Exact equivalent of `k` [`LinkScheduler::advance_slot`] calls
+    /// on a scheduler with no pending booking, in O(window) at most:
+    /// a pristine scheduler jumps outright; any other is stepped for
+    /// one window — by then every credit delta is folded into `cbase`
+    /// and every `skipped` entry cleared — and jumps the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if quanta are pending.
+    pub fn fast_forward_slots(&mut self, k: u64) {
+        assert!(self.pending.is_empty(), "fast-forward with pending quanta");
+        let stepped = if self.pristine {
+            0
+        } else {
+            k.min(self.params.window_quanta())
+        };
+        for _ in 0..stepped {
+            self.advance_slot();
+        }
+        if k > stepped {
+            self.jump(k - stepped);
         }
     }
 
@@ -446,7 +479,7 @@ impl LinkScheduler {
         }
         // `Prior` is the last slot of frame `frame − 1`, so its credit
         // is `cbase` plus the whole-frame delta sums of every earlier
-        // in-window frame — no Fenwick walk.
+        // in-window frame — no walk over the slots.
         let m = self.frame_delta.len();
         let mut credit = self.cbase;
         let mut gi = (head % m as u64) as usize;
@@ -463,8 +496,8 @@ impl LinkScheduler {
             debug_assert!(prior >= self.cp);
             debug_assert_eq!(
                 credit,
-                self.credit_value(prior),
-                "frame_delta sums diverged from the Fenwick credit"
+                self.credit_at(prior),
+                "frame_delta sums diverged from the per-slot deltas"
             );
         }
         let skipped = self.skipped[(frame % self.params.frame_window as u64) as usize];
@@ -499,7 +532,7 @@ impl LinkScheduler {
         // cheap anchor — `cbase` plus whole-frame `frame_delta` sums
         // up to the frame boundary, then a short `cdelta` walk to the
         // candidate (usually a handful of slots past `cp` or the
-        // frame start) — instead of an O(log window) Fenwick descent.
+        // frame start).
         let base = if frame == head { self.cp } else { frame * fq };
         let mut idx = self.ring(base);
         let mut credit = 0;
@@ -516,7 +549,7 @@ impl LinkScheduler {
             }
             // `cdelta[ring(cp)]` is zero by invariant, so starting
             // the inclusive walk at `base` is exact for both anchors.
-            credit += self.cdelta[idx];
+            credit += self.cdelta[idx] as i64;
             let mut s = base;
             while s < candidate {
                 s += 1;
@@ -524,18 +557,18 @@ impl LinkScheduler {
                 if idx == w {
                     idx = 0;
                 }
-                credit += self.cdelta[idx];
+                credit += self.cdelta[idx] as i64;
             }
             debug_assert_eq!(
                 credit,
-                self.credit_value(candidate),
-                "incremental credit walk diverged from the Fenwick credit"
+                self.credit_at(candidate),
+                "anchored credit walk diverged from the per-slot deltas"
             );
         } else {
             idx = self.ring(candidate);
         }
         loop {
-            if !self.busy[idx] && (self.params.sink || credit > 0) {
+            if !self.is_busy(idx) && (self.params.sink || credit > 0) {
                 return Some(candidate);
             }
             candidate += 1;
@@ -547,7 +580,7 @@ impl LinkScheduler {
                 idx = 0;
             }
             if !self.params.sink {
-                credit += self.cdelta[idx];
+                credit += self.cdelta[idx] as i64;
             }
         }
     }
@@ -569,6 +602,8 @@ impl LinkScheduler {
         let head = self.head_frame();
         let window = self.params.frame_window as u64;
         let q = self.params.flits_per_quantum;
+        // Even a failed attempt leaves marks (`skipped`, flow frames).
+        self.pristine = false;
         // Lazy catch-up for flows that slept through recycles or a
         // local reset.
         self.normalize_flow(flow);
@@ -580,7 +615,7 @@ impl LinkScheduler {
             if st.c_flits > 0 && self.condition1(st.frame) {
                 if let Some(slot) = self.try_find(st.frame, earliest) {
                     let idx = self.ring(slot);
-                    self.busy[idx] = true;
+                    self.set_busy(idx);
                     self.frame_busy[(st.frame % window) as usize] += 1;
                     if !self.params.sink {
                         self.consume_credit(slot, st.frame);
@@ -624,12 +659,19 @@ impl LinkScheduler {
         if slot == self.cp {
             self.cbase -= 1;
         } else {
-            let idx = self.ring(slot);
-            self.cdelta[idx] -= 1;
-            self.ctree_add(idx, -1);
-            let m = self.frame_delta.len() as u64;
-            self.frame_delta[(frame % m) as usize] -= 1;
+            self.add_delta(slot, frame, -1);
         }
+    }
+
+    /// Point update of the difference ring at in-window `slot > cp`
+    /// of absolute frame `frame`, mirrored in the per-frame sums.
+    fn add_delta(&mut self, slot: u64, frame: u64, v: i16) {
+        let idx = self.ring(slot);
+        self.cdelta[idx] = self.cdelta[idx]
+            .checked_add(v)
+            .expect("credit delta overflows its ring entry");
+        let m = self.frame_delta.len() as u64;
+        self.frame_delta[(frame % m) as usize] += v as i64;
     }
 
     /// Returns one unit of virtual credit from `slot` onward: the
@@ -639,16 +681,12 @@ impl LinkScheduler {
         if self.params.sink {
             return;
         }
+        self.pristine = false;
         let start = slot.max(self.cp);
         if start == self.cp {
             self.cbase += 1;
         } else if start < self.cp + self.params.window_quanta() {
-            let idx = self.ring(start);
-            self.cdelta[idx] += 1;
-            self.ctree_add(idx, 1);
-            let frame = start / self.params.frame_quanta as u64;
-            let m = self.frame_delta.len() as u64;
-            self.frame_delta[(frame % m) as usize] += 1;
+            self.add_delta(start, start / self.params.frame_quanta as u64, 1);
         }
         // A return beyond the window is dropped, exactly like the
         // paper's bounded table: the slot is not representable yet.
@@ -671,8 +709,8 @@ impl LinkScheduler {
         let (_, entry) = self.pending.remove(at);
         if slot >= self.cp && slot < self.cp + self.params.window_quanta() {
             let idx = self.ring(slot);
-            if self.busy[idx] {
-                self.busy[idx] = false;
+            if self.is_busy(idx) {
+                self.clear_busy(idx);
                 let fq = self.params.frame_quanta as u64;
                 let wf = self.params.frame_window as u64;
                 self.frame_busy[((slot / fq) % wf) as usize] -= 1;
@@ -701,22 +739,17 @@ impl LinkScheduler {
         debug_assert!(self.can_reset(), "reset with scheduled quanta pending");
         self.cbase = self.params.buffer_quanta as i64;
         self.cdelta.fill(0);
-        self.ctree.fill(0);
-        self.ctotal = 0;
-        for b in self.busy.iter_mut() {
-            *b = false;
-        }
+        self.busy.fill(0);
         self.frame_busy.fill(0);
         self.frame_delta.fill(0);
-        for s in self.skipped.iter_mut() {
-            *s = 0;
-        }
+        self.skipped.fill(0);
         // Flow entries refresh lazily: bumping the epoch invalidates
         // all of them at once (see `normalize_flow`).
         self.reset_epoch += 1;
         self.resets += 1;
         self.dirty = true;
         self.fresh = true;
+        self.pristine = true;
     }
 
     /// Whether the scheduler is already in its power-up/reset state
@@ -724,6 +757,14 @@ impl LinkScheduler {
     /// reset a no-op.
     pub fn is_fresh(&self) -> bool {
         self.fresh
+    }
+
+    /// Whether nothing has touched the scheduler since power-up or
+    /// its last reset — no [`LinkScheduler::schedule`] attempt and no
+    /// credit return — so it may lag behind the clock and
+    /// [`LinkScheduler::catch_up`] later (see the module docs).
+    pub fn is_pristine(&self) -> bool {
+        self.pristine
     }
 
     /// Remaining reservation (flits) of a flow in its current
@@ -754,7 +795,7 @@ impl LinkScheduler {
         let mut value = self.cbase;
         let mut min = value;
         for s in self.cp + 1..self.cp + self.params.window_quanta() {
-            value += self.cdelta[self.ring(s)];
+            value += self.cdelta[self.ring(s)] as i64;
             min = min.min(value);
         }
         min
@@ -976,34 +1017,66 @@ mod tests {
         assert!(s.schedule(FlowId::new(0), 0, entry(0, scheduled)).is_some());
     }
 
-    /// A fresh scheduler jumped `k` slots must be indistinguishable
-    /// from one advanced `k` times — same clock, same head frame, same
-    /// dirty flag, and the same slot granted to the next booking.
+    /// A scheduler with nothing pending jumped `k` slots must be
+    /// indistinguishable from one advanced `k` times — same clock,
+    /// head frame, `skipped` counters, credits and dirty flag, and the
+    /// same slot granted to the next booking. All three starting
+    /// states are `fresh`; only the first is pristine.
     #[test]
     fn fresh_fast_forward_matches_stepped_advance() {
-        for pre in [0u64, 1, 3, 5] {
-            for k in [1u64, 2, 4, 7, 16, 100, 1_003] {
-                let mut stepped = LinkScheduler::new(paper_params(), &[2, 2]);
-                for _ in 0..pre {
-                    stepped.advance_slot();
+        let preps: [fn(&mut LinkScheduler); 3] = [
+            |_| {},
+            // A failed booking whose `earliest` lies beyond the
+            // window yields every frame's reservation into `skipped`.
+            |s| {
+                let beyond = s.current_slot() + 1_000;
+                assert_eq!(s.schedule(FlowId::new(0), beyond, entry(0, 9)), None);
+            },
+            // A credit return that reaches the scheduler after its
+            // reset (the quantum sat in the speculative buffer).
+            |s| {
+                let slot = s.schedule(FlowId::new(1), 0, entry(1, 9)).unwrap();
+                s.complete(slot);
+                s.local_reset();
+                s.return_credit(slot + 3);
+            },
+        ];
+        for (case, prep) in preps.iter().enumerate() {
+            for pre in [0u64, 1, 3, 5] {
+                for k in [1u64, 2, 4, 7, 16, 100, 1_003] {
+                    let at = format!("case={case} pre={pre} k={k}");
+                    let mut stepped = LinkScheduler::new(paper_params(), &[2, 2]);
+                    for _ in 0..pre {
+                        stepped.advance_slot();
+                    }
+                    prep(&mut stepped);
+                    assert!(stepped.is_fresh(), "{at}");
+                    assert_eq!(stepped.is_pristine(), case == 0, "{at}");
+                    let mut jumped = vec![stepped.clone()];
+                    jumped[0].fast_forward_slots(k);
+                    if case == 0 {
+                        jumped.push(stepped.clone());
+                        jumped[1].catch_up(stepped.current_slot() + k);
+                    }
+                    for _ in 0..k {
+                        stepped.advance_slot();
+                    }
+                    for mut jumped in jumped {
+                        let mut stepped = stepped.clone();
+                        assert_eq!(stepped.current_slot(), jumped.current_slot(), "{at}");
+                        assert_eq!(stepped.head_frame(), jumped.head_frame(), "{at}");
+                        assert_eq!(stepped.skipped, jumped.skipped, "{at}");
+                        assert_eq!(stepped.min_credit(), jumped.min_credit(), "{at}");
+                        assert_eq!(stepped.take_dirty(), jumped.take_dirty(), "{at}");
+                        for flow in [0, 1] {
+                            assert_eq!(
+                                stepped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
+                                jumped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
+                                "{at} flow={flow}"
+                            );
+                        }
+                    }
                 }
-                let mut jumped = stepped.clone();
-                for _ in 0..k {
-                    stepped.advance_slot();
-                }
-                jumped.fast_forward_slots(k);
-                assert_eq!(
-                    stepped.current_slot(),
-                    jumped.current_slot(),
-                    "pre={pre} k={k}"
-                );
-                assert_eq!(stepped.head_frame(), jumped.head_frame(), "pre={pre} k={k}");
-                assert_eq!(stepped.take_dirty(), jumped.take_dirty(), "pre={pre} k={k}");
-                assert_eq!(
-                    stepped.schedule(FlowId::new(0), 0, entry(0, 0)),
-                    jumped.schedule(FlowId::new(0), 0, entry(0, 0)),
-                    "pre={pre} k={k}"
-                );
             }
         }
     }

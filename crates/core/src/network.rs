@@ -56,10 +56,10 @@
 //! With [`LoftConfig::threads`] > 1 the node range is partitioned
 //! into contiguous shards (see `noc_sim::par`) and the phases of a
 //! cycle that only touch node-local state run on all shards
-//! concurrently: slot advancement of the link schedulers, data
-//! quantum delivery, NIC data injection (with `injected_at` stamps
-//! deferred to the barrier), and look-ahead delivery into the channel
-//! queues. The phases that read or write *other* routers' state in
+//! concurrently: slot advancement of the ticking link schedulers,
+//! data quantum delivery, NIC data injection (with `injected_at`
+//! stamps deferred to the barrier), and look-ahead delivery into the
+//! channel queues. The phases that read or write *other* routers' state in
 //! the same cycle — data movement (downstream buffer credits),
 //! look-ahead scheduling (upstream virtual-credit returns), local
 //! status resets — stay serial, iterating shards in ascending order
@@ -201,8 +201,6 @@ struct LoftShard<Pr: Probe> {
     /// queue, and all pushes to a queue come from its node's shard in
     /// preserved relative order, so per-shard counters are exact.
     la_queues: LookaheadQueues<LaFlit>,
-    /// Nodes of this shard with `node_data_work > 0`.
-    data_node_work: ActiveSet,
     /// Nodes of this shard with staged quanta awaiting injection.
     stage_work: ActiveSet,
     /// Packets whose first data quantum injected this slot; their
@@ -218,7 +216,6 @@ impl<Pr: Probe> LoftShard<Pr> {
             data_wires: DelayedWires::with_capacity(n * PORTS, cfg.dep_offset() as usize + 1),
             la_wires: DelayedWires::with_capacity(n * PORTS, cfg.la_hop_latency as usize + 1),
             la_queues: LookaheadQueues::new(n * PORTS, num_flows),
-            data_node_work: ActiveSet::new(n),
             stage_work: ActiveSet::new(n),
             stamps: Vec::with_capacity(n),
         }
@@ -228,9 +225,9 @@ impl<Pr: Probe> LoftShard<Pr> {
 /// Which parallel phase [`LoftNetwork::run_phase`] dispatches.
 #[derive(Debug, Clone, Copy)]
 enum LoftPhase {
-    /// Slot-boundary data-plane work: advance every link scheduler
-    /// (for `slot > 0`), deliver arrived data quanta, inject staged
-    /// quanta from the NICs.
+    /// Slot-boundary data-plane work: advance every ticking link
+    /// scheduler (for `slot > 0`), deliver arrived data quanta, inject
+    /// staged quanta from the NICs.
     Data { slot: u64 },
     /// Deliver arriving look-ahead flits into the channel queues.
     Lookahead { now: u64 },
@@ -249,8 +246,9 @@ struct LoftShardCtx<'a, Pr: Probe> {
     data_ports: &'a mut [DataPort],
     /// This shard's source NICs (node range).
     nics: &'a mut [SourceNic],
-    /// This shard's per-node data-work counters (node range).
-    node_data_work: &'a mut [u32],
+    /// The network's ticking links (global link indices); shared
+    /// read-only during parallel phases.
+    ticking: &'a ActiveSet,
     aux: &'a mut LoftShard<Pr>,
     /// Shared read-only during parallel phases; only the serial
     /// barrier mutates packets (deferred `injected_at` stamps).
@@ -268,34 +266,38 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
     }
 
     /// The shard-local slice of the slot-boundary data-plane work:
-    /// advance the link schedulers, then deliver arrived quanta
+    /// advance the ticking link schedulers (pristine ones catch up
+    /// when next touched), then deliver arrived quanta
     /// ([`LoftNetwork`]'s former `data_deliver`), then stream staged
     /// quanta into the routers (former `inject_data`). None of these
     /// read another shard's state, so running them shard-interleaved
     /// is indistinguishable from the serial all-links-then-all-nodes
     /// order.
     fn data_phase(&mut self, slot: u64) {
+        let base = self.range.lo * PORTS;
         if slot > 0 {
-            for s in self.link_sched.iter_mut() {
-                s.advance_slot();
+            let mut cursor = base;
+            while let Some(lidx) = self.ticking.first_from(cursor) {
+                if lidx >= self.range.hi * PORTS {
+                    break;
+                }
+                cursor = lidx + 1;
+                self.link_sched[lidx - base].advance_slot();
             }
         }
         let LoftShardCtx {
             range,
             data_ports,
             nics,
-            node_data_work,
             aux,
             tracker,
             cfg,
             ..
         } = self;
         let range = *range;
-        let base = range.lo * PORTS;
         let LoftShard {
             probe,
             data_wires,
-            data_node_work,
             stage_work,
             stamps,
             ..
@@ -303,8 +305,6 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
         data_wires.drain_due(slot, |widx, w| {
             let key = (w.flow.index() as u32, w.qid);
             data_ports[widx - base].record_arrival(key, w.spec, w.pref);
-            node_data_work[widx / PORTS - range.lo] += 1;
-            data_node_work.insert(widx / PORTS);
         });
         let mut cursor = range.lo;
         while let Some(node) = stage_work.first_from(cursor) {
@@ -410,9 +410,16 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// Total local status resets across all links (diagnostics).
     total_resets: u64,
     // ---- active-set worklists (see `noc_sim::worklist`) ----------
-    /// Per node: pending bookings on its output links plus arrived
-    /// quanta in its input buffers (the data-plane work predicate).
-    node_data_work: Vec<u32>,
+    /// Links whose scheduler is not pristine
+    /// (`!LinkScheduler::is_pristine`) — a superset of `stale_links`:
+    /// exactly these are advanced every slot and sit at the network
+    /// slot; a pristine scheduler lags and catches up in
+    /// [`Self::wake`] before anything touches it.
+    ticking: ActiveSet,
+    /// Links with a pending booking (`pending_len() > 0`): a quantum
+    /// can only forward on the link where it is booked, so these are
+    /// the only links the data plane visits.
+    pending_links: ActiveSet,
     /// Nodes with queued source quanta awaiting look-ahead launch.
     launch_work: ActiveSet,
     /// Links whose scheduler is not in its power-up state
@@ -519,7 +526,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             la_outstanding: vec![0; reservations_flits.len()],
             forwarded: vec![0; n * PORTS],
             total_resets: 0,
-            node_data_work: vec![0; n],
+            ticking: ActiveSet::new(n * PORTS),
+            pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
             stale_links: ActiveSet::new(n * PORTS),
             reset_check: ActiveSet::new(n * PORTS),
@@ -609,9 +617,26 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 .raw_len(lidx),
             sched.resets(),
             self.forwarded[lidx],
-            sched.head_frame(),
+            // Not `sched.head_frame()`: a pristine scheduler lags.
+            self.slot() / self.cfg.frame_quanta() as u64,
             downstream
         )
+    }
+
+    /// The slot every ticking link scheduler is at between steps:
+    /// the last stepped cycle's.
+    fn slot(&self) -> u64 {
+        self.cycle.saturating_sub(1) / self.cfg.flits_per_quantum as u64
+    }
+
+    /// Brings link `lidx`'s scheduler to `slot` and starts ticking it
+    /// if it was pristine. Call before any `schedule` or
+    /// `return_credit` on it — those end the pristine state.
+    fn wake(&mut self, lidx: usize, slot: u64) {
+        if !self.ticking.contains(lidx) {
+            self.ticking.insert(lidx);
+            self.link_sched[lidx].catch_up(slot);
+        }
     }
 
     fn quanta_per_packet(&self, len_flits: u16) -> u64 {
@@ -691,11 +716,16 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     fn la_schedule(&mut self, now: u64) {
         let la_hop = self.cfg.la_hop_latency;
         let dep_off = self.cfg.dep_offset();
+        let now_slot = now / self.cfg.flits_per_quantum as u64;
         for sh in 0..self.shards.len() {
             let mut cursor = self.ranges[sh].lo * PORTS;
             while let Some(qidx) = self.shards[sh].la_queues.first_from(cursor) {
                 cursor = qidx + 1;
                 let (node, out_port) = (qidx / PORTS, qidx % PORTS);
+                // A pristine scheduler is always dirty (its reset set
+                // the flag and only this pass clears it), so the
+                // booking attempt below follows and ends that state.
+                self.wake(qidx, now_slot);
                 let dirty = self.link_sched[qidx].take_dirty();
                 if self.shards[sh].la_queues.is_blocked(qidx) && !dirty {
                     self.probe.on_sched_deny(qidx);
@@ -727,8 +757,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // pending quantum: feed the reset watchlist and the
                 // data-plane worklist.
                 self.stale_links.insert(qidx);
-                self.node_data_work[node] += 1;
-                self.shards[sh].data_node_work.insert(node);
+                self.pending_links.insert(qidx);
                 let key = (la.flow.index() as u32, la.qid);
                 // Input reservation table: record the booked slot.
                 let pidx = node * PORTS + la.in_port as usize;
@@ -739,6 +768,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // actual-space flow control instead of a scheduler.
                 if la.in_port as usize != LOCAL {
                     let (up, up_port) = self.link.upstream(node, la.in_port as usize);
+                    // The upstream link may have reset since it sent
+                    // the quantum (it sat in the speculative buffer).
+                    self.wake(up * PORTS + up_port, now_slot);
                     self.link_sched[up * PORTS + up_port].return_credit(slot);
                 }
                 // Ejection booked: the look-ahead flit is consumed
@@ -781,7 +813,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             link_sched,
             data_ports,
             nics,
-            node_data_work,
+            ticking,
             tracker,
             cfg,
             link,
@@ -794,7 +826,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 link_sched: &mut link_sched[range.lo * PORTS..range.hi * PORTS],
                 data_ports: &mut data_ports[range.lo * PORTS..range.hi * PORTS],
                 nics: &mut nics[range.lo..range.hi],
-                node_data_work: &mut node_data_work[range.lo..range.hi],
+                ticking,
                 aux,
                 tracker,
                 cfg: *cfg,
@@ -808,9 +840,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let link_sched = SendPtr::new(self.link_sched.as_mut_ptr());
         let data_ports = SendPtr::new(self.data_ports.as_mut_ptr());
         let nics = SendPtr::new(self.nics.as_mut_ptr());
-        let node_data_work = SendPtr::new(self.node_data_work.as_mut_ptr());
         let shards = SendPtr::new(self.shards.as_mut_ptr());
         let ranges: &[ShardRange] = &self.ranges;
+        let ticking: &ActiveSet = &self.ticking;
         let tracker: &EjectTracker = &self.tracker;
         let cfg = self.cfg;
         let link = self.link;
@@ -837,10 +869,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                         len * PORTS,
                     ),
                     nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
-                    node_data_work: std::slice::from_raw_parts_mut(
-                        node_data_work.get().add(lo),
-                        len,
-                    ),
+                    ticking,
                     aux: &mut *shards.get().add(s),
                     tracker,
                     cfg,
@@ -871,22 +900,19 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
     }
 
-    /// One slot of data movement on every link with work: a node is
-    /// on the worklist while any of its output links has a pending
-    /// booking or any of its input buffers holds an arrived quantum —
-    /// precisely the states in which [`Self::move_on_link`] can act.
+    /// One slot of data movement on every link with a pending
+    /// booking, in ascending (node, port) order. Both the emergent
+    /// and the speculative candidate of a link are quanta booked on
+    /// it (`DataPort`'s `ready[out]` only holds booked entries), so
+    /// [`Self::move_on_link`] cannot act anywhere else.
     ///
     /// Serial: forwarding consumes *downstream* buffer credit and
     /// pushes onto the receiving shard's wires in the same cycle.
     fn data_move(&mut self, slot: u64, out: &mut Vec<Packet>) {
-        for sh in 0..self.shards.len() {
-            let mut cursor = self.ranges[sh].lo;
-            while let Some(node) = self.shards[sh].data_node_work.first_from(cursor) {
-                cursor = node + 1;
-                for port in 0..PORTS {
-                    self.move_on_link(node, port, slot, out);
-                }
-            }
+        let mut cursor = 0;
+        while let Some(lidx) = self.pending_links.first_from(cursor) {
+            cursor = lidx + 1;
+            self.move_on_link(lidx / PORTS, lidx % PORTS, slot, out);
         }
     }
 
@@ -979,17 +1005,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
         self.probe.on_link_flits(lidx, self.cfg.flits_per_quantum);
         // Commit: clear the booking and remove the quantum from its
-        // holding place. One pending booking and one arrived quantum
-        // leave this node's data plane.
+        // holding place.
         self.link_sched[lidx].complete(dep);
         if self.link_sched[lidx].can_reset() {
+            self.pending_links.remove(lidx);
             self.reset_check.insert(lidx);
-        }
-        self.node_data_work[node] -= 2;
-        if self.node_data_work[node] == 0 {
-            self.shards[self.shard_of[node] as usize]
-                .data_node_work
-                .remove(node);
         }
         let pidx = node * PORTS + in_port as usize;
         let port = &mut self.data_ports[pidx];
@@ -1066,10 +1086,33 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             }
         }
         for i in 0..self.link_sched.len() {
+            let sched = &self.link_sched[i];
             debug_assert_eq!(
                 self.stale_links.contains(i),
-                !self.link_sched[i].is_fresh(),
+                !sched.is_fresh(),
                 "stale_links out of sync at link {i}"
+            );
+            debug_assert_eq!(
+                self.ticking.contains(i),
+                !sched.is_pristine(),
+                "ticking out of sync at link {i}"
+            );
+            if sched.is_pristine() {
+                debug_assert!(
+                    sched.current_slot() <= self.slot(),
+                    "pristine link {i} ahead of the clock"
+                );
+            } else {
+                debug_assert_eq!(
+                    sched.current_slot(),
+                    self.slot(),
+                    "ticking link {i} missed a slot"
+                );
+            }
+            debug_assert_eq!(
+                self.pending_links.contains(i),
+                sched.pending_len() > 0,
+                "pending_links out of sync at link {i}"
             );
             // No reset may be missed: a stale link that could reset
             // right now must have a queued check.
@@ -1082,8 +1125,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     }
                     None => true,
                 };
-            if !self.link_sched[i].is_fresh() && self.link_sched[i].can_reset() && downstream_empty
-            {
+            if !sched.is_fresh() && sched.can_reset() && downstream_empty {
                 debug_assert!(
                     self.reset_check.contains(i),
                     "eligible reset not queued for link {i}"
@@ -1091,28 +1133,19 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             }
         }
         for node in 0..self.nics.len() {
-            let pending: usize = (0..PORTS)
-                .map(|p| self.link_sched[node * PORTS + p].pending_len())
-                .sum();
-            let arrived: usize = (0..PORTS)
-                .map(|p| {
-                    let port = &self.data_ports[node * PORTS + p];
-                    port.debug_verify();
-                    port.arrived_len()
-                })
-                .sum();
-            debug_assert_eq!(
-                self.node_data_work[node] as usize,
-                pending + arrived,
-                "node_data_work miscounts node {node}"
-            );
-            debug_assert_eq!(
-                self.shards[self.shard_of[node] as usize]
-                    .data_node_work
-                    .contains(node),
-                pending + arrived > 0,
-                "data_node_work out of sync at node {node}"
-            );
+            for in_port in 0..PORTS {
+                let port = &self.data_ports[node * PORTS + in_port];
+                port.debug_verify();
+                // What the link-granular `data_move` rests on: a
+                // quantum is ready only towards a link it is booked on.
+                for out in 0..PORTS {
+                    debug_assert!(
+                        port.ready_min(out).is_none()
+                            || self.link_sched[node * PORTS + out].pending_len() > 0,
+                        "ready quantum at n{node}.{in_port} for unbooked output {out}"
+                    );
+                }
+            }
             let nic = &self.nics[node];
             debug_assert_eq!(
                 nic.queued,
@@ -1194,6 +1227,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             if downstream_empty {
                 self.link_sched[lidx].local_reset();
                 self.stale_links.remove(lidx);
+                self.ticking.remove(lidx);
                 self.total_resets += 1;
                 self.probe.on_link_reset(lidx);
             }
@@ -1272,12 +1306,13 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
     /// fully quiescent: no packet in the slab, every link scheduler in
     /// its power-up state (`stale_links` empty), and no reset check
     /// pending. A quiescent LOFT cycle then does exactly three things
-    /// — advance every link scheduler at slot boundaries, sample
-    /// occupancy when the telemetry window is due, and tick the cycle
-    /// counter — all replicated here in closed form: one
-    /// [`LinkScheduler::fast_forward_slots`] call per link regardless
-    /// of the jump length, all-zero occupancy samples in the exact
-    /// `sample_occupancy` order, and
+    /// — advance the ticking link schedulers at slot boundaries,
+    /// sample occupancy when the telemetry window is due, and tick the
+    /// cycle counter — all replicated here: one
+    /// [`LinkScheduler::fast_forward_slots`] call per ticking link
+    /// (a fresh link a failed booking or late credit return left
+    /// non-pristine; usually there is none), all-zero occupancy
+    /// samples in the exact `sample_occupancy` order, and
     /// [`Probe::tick_many`].
     ///
     /// With [`LoftConfig::local_status_reset`] disabled, schedulers
@@ -1301,13 +1336,12 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
                     shard.la_queues.first_from(0).is_none(),
                     "queued look-aheads"
                 );
-                debug_assert!(shard.data_node_work.is_empty(), "data work mid-jump");
                 debug_assert!(shard.stage_work.is_empty(), "staged quanta mid-jump");
                 debug_assert!(shard.stamps.is_empty(), "unapplied stamps mid-jump");
             }
             debug_assert!(self.launch_work.is_empty(), "queued source quanta");
             debug_assert!(self.la_outstanding.iter().all(|&c| c == 0));
-            debug_assert!(self.node_data_work.iter().all(|&c| c == 0));
+            debug_assert!(self.pending_links.is_empty(), "data work mid-jump");
             for nic in &self.nics {
                 debug_assert!(nic.staged.is_empty() && nic.queued == 0, "NIC not idle");
             }
@@ -1326,15 +1360,15 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         }
         let now = self.cycle;
         let q = self.cfg.flits_per_quantum as u64;
-        // Stepping advances all schedulers at cycles `m` with
+        // Stepping advances the ticking schedulers at cycles `m` with
         // `m % q == 0 && m / q > 0`: count those in `[now, now + k)`.
         let i0 = now.div_ceil(q).max(1);
         let i1 = (now + cycles).div_ceil(q).max(1);
         let advances = i1 - i0;
-        if advances > 0 {
-            for s in self.link_sched.iter_mut() {
-                s.fast_forward_slots(advances);
-            }
+        let mut cursor = 0;
+        while let Some(lidx) = self.ticking.first_from(cursor) {
+            cursor = lidx + 1;
+            self.link_sched[lidx].fast_forward_slots(advances);
         }
         if Pr::ENABLED {
             for c in now..now + cycles {

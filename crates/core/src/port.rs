@@ -77,8 +77,6 @@ pub(crate) struct DataPort {
     /// Entries whose data arrived before the look-ahead
     /// (`!expected`); unsorted, empty in practice.
     orphans: Vec<(QKey, ResIdx)>,
-    /// Quanta physically present in the buffers (`pref.is_some()`).
-    arrived_count: u32,
     /// Arrived quanta with a booked departure, per output port.
     ready: [ReadySet; PORTS],
 }
@@ -153,7 +151,6 @@ impl Clone for DataPort {
             free: noc_sim::checkpoint::clone_vec(&self.free),
             pending_arrival: noc_sim::checkpoint::clone_vec(&self.pending_arrival),
             orphans: noc_sim::checkpoint::clone_vec(&self.orphans),
-            arrived_count: self.arrived_count,
             ready: self.ready.clone(),
         }
     }
@@ -190,7 +187,6 @@ impl DataPort {
             free,
             pending_arrival: Vec::with_capacity(cap.min(64)),
             orphans: Vec::new(),
-            arrived_count: 0,
             ready: std::array::from_fn(|_| ReadySet {
                 mask: vec![0u64; words],
                 min: None,
@@ -271,7 +267,6 @@ impl DataPort {
     /// Records a physical arrival for `key` and indexes the quantum
     /// as ready if its onward slot is already booked.
     pub fn record_arrival(&mut self, key: QKey, spec: bool, pref: PacketRef) {
-        self.arrived_count += 1;
         match self.pending_arrival.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(i) => {
                 let (_, slot) = self.pending_arrival.remove(i);
@@ -309,12 +304,6 @@ impl DataPort {
         e.pref.is_some()
     }
 
-    /// Quanta physically present in the buffers.
-    #[cfg(debug_assertions)]
-    pub fn arrived_len(&self) -> usize {
-        self.arrived_count as usize
-    }
-
     /// The ready quantum with the earliest booked slot for `out`, as
     /// `(dep_slot, flow, qid, store slot)` — ties broken by
     /// `(flow, qid)`; ranks are unique, so the minimum is
@@ -340,7 +329,6 @@ impl DataPort {
         let pref = e.pref.expect("forwarded quantum present");
         assert!(e.expected, "forwarded quantum expected");
         self.ready[e.out_port as usize].remove(idx, &self.entries);
-        self.arrived_count -= 1;
         self.entries[idx as usize].pref = None;
         self.free[idx as usize / 64] |= 1 << (idx as usize % 64);
         (e.spec, pref)
@@ -348,20 +336,16 @@ impl DataPort {
 
     /// Full cross-check of the store's redundant structures (debug
     /// builds): the sorted arrival index, the orphan list, the ready
-    /// masks, their cached minima, and the occupancy/arrival counts
-    /// must all agree with a naive scan over the entries.
+    /// masks and their cached minima must all agree with a naive scan
+    /// over the entries.
     #[cfg(debug_assertions)]
     pub fn debug_verify(&self) {
-        let mut arrived = 0u32;
         let mut ready = vec![Vec::new(); PORTS];
         for (slot, e) in self.entries.iter().enumerate() {
             let free = self.free[slot / 64] & (1 << (slot % 64)) != 0;
             let live = e.pref.is_some() || (e.expected && !free);
             if free {
                 continue;
-            }
-            if e.pref.is_some() {
-                arrived += 1;
             }
             debug_assert!(live, "occupied slot {slot} holds no live entry");
             if e.expected && e.pref.is_none() {
@@ -386,7 +370,6 @@ impl DataPort {
                 }
             }
         }
-        debug_assert_eq!(self.arrived_count, arrived, "arrived_count drifted");
         debug_assert!(
             self.pending_arrival.windows(2).all(|w| w[0].0 < w[1].0),
             "arrival index unsorted"

@@ -37,8 +37,33 @@ fn random_action(rng: &mut Xoshiro256) -> Action {
     }
 }
 
+/// A scheduler that was left unticked while pristine must, once
+/// caught up, be indistinguishable from the one ticked every slot.
+fn assert_lazy_agrees(eager: &LinkScheduler, lazy: &LinkScheduler, flows: usize) {
+    let mut lazy = lazy.clone();
+    assert_eq!(eager.is_pristine(), lazy.is_pristine());
+    if lazy.is_pristine() {
+        lazy.catch_up(eager.current_slot());
+    }
+    assert_eq!(eager.current_slot(), lazy.current_slot());
+    assert_eq!(eager.head_frame(), lazy.head_frame());
+    assert_eq!(eager.first_pending(), lazy.first_pending());
+    assert_eq!(eager.min_credit(), lazy.min_credit());
+    assert_eq!(eager.is_fresh(), lazy.is_fresh());
+    for f in 0..flows as u32 {
+        let flow = FlowId::new(f);
+        assert_eq!(
+            eager.remaining_reservation(flow),
+            lazy.remaining_reservation(flow)
+        );
+        assert_eq!(eager.injection_frame(flow), lazy.injection_frame(flow));
+    }
+}
+
 /// Theorem I under arbitrary interleavings, plus structural
-/// invariants: booked slots are unique and inside the window.
+/// invariants: booked slots are unique and inside the window — and
+/// the lazy-advance differential: a second scheduler takes the same
+/// actions but is only ticked while it is not pristine.
 #[test]
 fn theorem1_and_structural_invariants() {
     let mut rng = Xoshiro256::seed_from(0x15F_0001);
@@ -67,22 +92,26 @@ fn theorem1_and_structural_invariants() {
         }
         let steps = 1 + rng.next_below(399) as usize;
         let mut s = LinkScheduler::new(params, &reservations);
+        let mut lazy = s.clone();
         let mut outstanding: Vec<u64> = Vec::new();
         let mut qid = 0u64;
         for _ in 0..steps {
-            match random_action(&mut rng) {
+            let action = random_action(&mut rng);
+            if lazy.is_pristine() && !matches!(action, Action::Advance) {
+                lazy.catch_up(s.current_slot());
+            }
+            match action {
                 Action::Schedule(i) => {
                     let flow = FlowId::new(i as u32 % reservations.len() as u32);
-                    if let Some(slot) = s.schedule(
+                    let entry = PendingQuantum {
                         flow,
-                        s.current_slot() + 1,
-                        PendingQuantum {
-                            flow,
-                            qid,
-                            in_port: 0,
-                            res_idx: 0,
-                        },
-                    ) {
+                        qid,
+                        in_port: 0,
+                        res_idx: 0,
+                    };
+                    let booked = s.schedule(flow, s.current_slot() + 1, entry);
+                    assert_eq!(booked, lazy.schedule(flow, lazy.current_slot() + 1, entry));
+                    if let Some(slot) = booked {
                         qid += 1;
                         assert!(slot > s.current_slot());
                         assert!(slot < s.current_slot() + params.window_quanta());
@@ -93,12 +122,18 @@ fn theorem1_and_structural_invariants() {
                     if !outstanding.is_empty() {
                         let arr = outstanding.remove(0);
                         s.return_credit(arr + 1 + extra as u64);
+                        lazy.return_credit(arr + 1 + extra as u64);
                     }
                 }
-                Action::Advance => s.advance_slot(),
+                Action::Advance => {
+                    s.advance_slot();
+                    if !lazy.is_pristine() {
+                        lazy.advance_slot();
+                    }
+                }
                 Action::CompleteFirst => {
                     if let Some((slot, _)) = s.first_pending() {
-                        s.complete(slot);
+                        assert_eq!(s.complete(slot), lazy.complete(slot));
                     }
                 }
                 Action::TryReset => {
@@ -106,11 +141,13 @@ fn theorem1_and_structural_invariants() {
                         // A reset wipes the outstanding bookkeeping;
                         // pending is empty so nothing is lost.
                         s.local_reset();
+                        lazy.local_reset();
                         outstanding.clear();
                     }
                 }
             }
             assert!(s.min_credit() >= 0, "Theorem I violated");
+            assert_lazy_agrees(&s, &lazy, reservations.len());
         }
     }
 }
