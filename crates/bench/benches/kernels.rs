@@ -8,10 +8,12 @@
 use loft::lsf::{LinkScheduler, LsfParams, PendingQuantum};
 use loft::{LoftConfig, LoftNetwork};
 use loft_bench::bench_report;
+use noc_gsf::{GsfConfig, GsfNetwork};
 use noc_sim::flit::FlowId;
 use noc_sim::TrafficSource;
 use noc_sim::{Network, NodeId, Routing, Topology};
 use noc_traffic::Scenario;
+use noc_wormhole::{WormholeConfig, WormholeNetwork};
 
 fn lsf_schedule() {
     let params = LsfParams {
@@ -72,13 +74,12 @@ fn lsf_schedule() {
     });
 }
 
-fn network_step() {
-    bench_report("network_step/loft_64node_1k_cycles_uniform_0.3", 20, || {
-        let s = Scenario::uniform(0.3);
-        let cfg = LoftConfig::default();
-        let r = s.reservations(cfg.frame_size).expect("fits");
-        let mut net = LoftNetwork::new(cfg, &r);
-        let mut traffic = s.workload(1);
+/// Times 1000 cycles of `scenario` on a freshly built network: the
+/// engine's generate → enqueue → step loop without its bookkeeping.
+fn step_1k<N: Network>(name: &str, scenario: &Scenario, build: impl Fn() -> N) {
+    bench_report(name, 20, || {
+        let mut net = build();
+        let mut traffic = scenario.workload(1);
         let mut fresh = Vec::new();
         let mut out = Vec::new();
         for cycle in 0..1_000 {
@@ -91,6 +92,28 @@ fn network_step() {
         }
         out.len()
     });
+}
+
+fn network_step() {
+    let s = Scenario::uniform(0.3);
+    let cfg = LoftConfig::default();
+    let r = s.reservations(cfg.frame_size).expect("fits");
+    step_1k("network_step/loft_64node_1k_cycles_uniform_0.3", &s, || {
+        LoftNetwork::new(cfg, &r)
+    });
+    // The blocked fabric: a saturated tree where most routers hold
+    // flits that cannot move.
+    let s = Scenario::hotspot(0.6);
+    let cfg = GsfConfig::default();
+    let r = s.reservations(cfg.frame_size).expect("fits");
+    step_1k("network_step/gsf_64node_1k_cycles_hotspot_0.6", &s, || {
+        GsfNetwork::new(cfg, &r)
+    });
+    step_1k(
+        "network_step/wormhole_64node_1k_cycles_hotspot_0.6",
+        &s,
+        || WormholeNetwork::new(WormholeConfig::default()),
+    );
 }
 
 fn routing() {

@@ -80,6 +80,15 @@
 //! exits nonzero if any measured point exceeds `X` — the CI gate that
 //! keeps the steady state allocation-free.
 //!
+//! `--profile` attaches the in-program phase profiler
+//! (`noc_sim::telemetry::PhaseProbe`) instead and appends two objects
+//! to each row: `"phase_ns_per_cycle":{..}` — mean host nanoseconds
+//! per stepped cycle in each phase of the network's cycle, warmup
+//! included — and `"phase_share":{..}`, each phase's share of their
+//! sum. The timed iterations carry the clock reads too (one per phase
+//! boundary), so a profiled row's `cycles_per_sec` is not comparable
+//! with an unprofiled one; it does not combine with `--telemetry`.
+//!
 //! `--smoke` runs tiny windows with one timed iteration — a
 //! seconds-long CI check that the harness and all three hot loops
 //! still run end to end (the numbers it prints are not comparable
@@ -116,7 +125,7 @@ use loft::LoftConfig;
 use loft_bench::sweep::{clamp_jobs, Net};
 use loft_bench::{map_jobs, or_exit, simulation, NetSpec, SEED, TELEMETRY_WINDOW};
 use noc_gsf::GsfConfig;
-use noc_sim::telemetry::{LiveProbe, NoopProbe, Probe, TelemetryReport};
+use noc_sim::telemetry::{LiveProbe, NoopProbe, PhaseProbe, Probe, TelemetryReport};
 use noc_sim::{ConfigError, RunConfig};
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
@@ -159,6 +168,7 @@ struct Ctx {
     cfg: RunConfig,
     fast_forward: bool,
     with_telemetry: bool,
+    profile: bool,
 }
 
 /// One measured point: the printed JSON line, the simulated-cycle
@@ -186,13 +196,14 @@ fn allocs() -> Option<u64> {
 /// iteration, so the timed span covers the measurement + drain phases
 /// only (`sim_cycles` records that basis) and every fork's report is
 /// bit-identical to a from-scratch run's. `finish` turns the first
-/// fork's probe into the point's telemetry document, if any.
+/// fork's probe into the point's telemetry document, if any, and the
+/// extra row fields it contributes (empty, or starting with a comma).
 fn measure<C: NetSpec, P: Probe + Clone>(
     spec: Spec,
     ctx: Ctx,
     scenario: &Scenario,
     probe: P,
-    finish: impl Fn(P) -> Option<TelemetryReport>,
+    finish: impl Fn(P) -> (Option<TelemetryReport>, String),
 ) -> Result<Row, ConfigError> {
     let net_cfg = C::on(scenario.topo, ctx.threads);
     let ckpt = simulation(scenario, net_cfg, probe, ctx.cfg, SEED)?
@@ -213,7 +224,8 @@ fn measure<C: NetSpec, P: Probe + Clone>(
     // spans: the JSON export is one-shot output formatting, not part
     // of the steady-state loop the allocation budget gates (the
     // probe's own recording stays inside the span, where it belongs).
-    let telemetry = finish(C::into_probe(network)).map(|t| {
+    let (telemetry, probe_fields) = finish(C::into_probe(network));
+    let telemetry = telemetry.map(|t| {
         let doc = t.to_json();
         format!(
             "{{\"net\":\"{}\",\"scenario\":\"{}\",\"load\":{},\"telemetry\":{doc}}}",
@@ -264,7 +276,7 @@ fn measure<C: NetSpec, P: Probe + Clone>(
          \"packets_per_sec\":{:.1},\"flits_delivered\":{},\
          \"avg_latency\":{avg_latency},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\
          \"saturated\":{saturated},\
-         \"allocs_per_cycle\":{allocs}}}",
+         \"allocs_per_cycle\":{allocs}{probe_fields}}}",
         C::NAME,
         spec.scenario,
         spec.load,
@@ -283,13 +295,19 @@ fn measure<C: NetSpec, P: Probe + Clone>(
     })
 }
 
-/// [`measure`] with the probe `--telemetry` selects.
+/// [`measure`] with the probe `--telemetry` / `--profile` selects.
 fn measure_on<C: NetSpec>(spec: Spec, ctx: Ctx, scenario: &Scenario) -> Result<Row, ConfigError> {
     if ctx.with_telemetry {
         let probe = LiveProbe::new(TELEMETRY_WINDOW);
-        measure::<C, _>(spec, ctx, scenario, probe, |p| Some(p.finish()))
+        measure::<C, _>(spec, ctx, scenario, probe, |p| {
+            (Some(p.finish()), String::new())
+        })
+    } else if ctx.profile {
+        measure::<C, _>(spec, ctx, scenario, PhaseProbe::default(), |p| {
+            (None, format!(",{}", p.to_json_fields(C::PHASES)))
+        })
     } else {
-        measure::<C, _>(spec, ctx, scenario, NoopProbe, |_| None)
+        measure::<C, _>(spec, ctx, scenario, NoopProbe, |_| (None, String::new()))
     }
 }
 
@@ -345,6 +363,11 @@ fn main() {
             .expect("--telemetry takes an output path")
     });
     let with_telemetry = telemetry_path.is_some();
+    let profile = args.iter().any(|a| a == "--profile");
+    if profile && with_telemetry {
+        eprintln!("--profile and --telemetry each attach their own probe; pick one");
+        std::process::exit(1);
+    }
     let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
     let traffic: Option<String> = args.iter().position(|a| a == "--traffic").map(|i| {
         args.get(i + 1)
@@ -381,6 +404,7 @@ fn main() {
         cfg: run(smoke),
         fast_forward,
         with_telemetry,
+        profile,
     };
     // Low load: the hot loop is dominated by per-cycle scans over
     // mostly-idle state — exactly what active-set worklists target.

@@ -53,7 +53,7 @@
 use loft::{LoftConfig, LoftNetwork};
 use noc_gsf::{GsfConfig, GsfNetwork};
 use noc_sim::par::{pool_map, WorkerPool};
-use noc_sim::telemetry::{NoopProbe, Probe};
+use noc_sim::telemetry::{NoopProbe, Phase, Probe};
 use noc_sim::{ConfigError, Network, RunConfig, SimReport, Simulation, Topology};
 use noc_traffic::{Scenario, Workload};
 use noc_wormhole::{WormholeConfig, WormholeNetwork};
@@ -129,6 +129,10 @@ pub trait NetSpec: Sized {
     /// Row/CLI name of the architecture.
     const NAME: &'static str;
 
+    /// The phases of the network's cycle that a profiling probe
+    /// (`Probe::PROFILE`) is told about, in order.
+    const PHASES: &'static [Phase];
+
     /// The network this configuration builds, carrying probe `P`.
     type Net<P: Probe + Clone>: Network + Clone;
 
@@ -140,9 +144,9 @@ pub trait NetSpec: Sized {
     ///
     /// # Errors
     ///
-    /// Fails if the scenario's reservations do not fit the configured
-    /// frame (see [`Scenario::reservations`]); a network without
-    /// reservations never fails.
+    /// Fails if the configuration cannot run (a VC network's
+    /// `validate`), or if the scenario's reservations do not fit the
+    /// configured frame (see [`Scenario::reservations`]).
     fn build<P: Probe + Clone>(
         self,
         scenario: &Scenario,
@@ -155,6 +159,7 @@ pub trait NetSpec: Sized {
 
 impl NetSpec for LoftConfig {
     const NAME: &'static str = "loft";
+    const PHASES: &'static [Phase] = &Phase::LOFT;
     type Net<P: Probe + Clone> = LoftNetwork<P>;
 
     fn on(topo: Topology, threads: usize) -> Self {
@@ -180,6 +185,7 @@ impl NetSpec for LoftConfig {
 
 impl NetSpec for GsfConfig {
     const NAME: &'static str = "gsf";
+    const PHASES: &'static [Phase] = &Phase::VC;
     type Net<P: Probe + Clone> = GsfNetwork<P>;
 
     fn on(topo: Topology, threads: usize) -> Self {
@@ -194,6 +200,7 @@ impl NetSpec for GsfConfig {
         scenario: &Scenario,
         probe: P,
     ) -> Result<GsfNetwork<P>, ConfigError> {
+        self.validate()?;
         let reservations = scenario.reservations(self.frame_size)?;
         Ok(GsfNetwork::with_probe(self, &reservations, probe))
     }
@@ -205,6 +212,7 @@ impl NetSpec for GsfConfig {
 
 impl NetSpec for WormholeConfig {
     const NAME: &'static str = "wormhole";
+    const PHASES: &'static [Phase] = &Phase::VC;
     type Net<P: Probe + Clone> = WormholeNetwork<P>;
 
     fn on(topo: Topology, threads: usize) -> Self {
@@ -219,6 +227,7 @@ impl NetSpec for WormholeConfig {
         _scenario: &Scenario,
         probe: P,
     ) -> Result<WormholeNetwork<P>, ConfigError> {
+        self.validate()?;
         Ok(WormholeNetwork::with_probe(self, probe))
     }
 
@@ -368,7 +377,7 @@ pub fn f1(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::telemetry::LiveProbe;
+    use noc_sim::telemetry::{LiveProbe, PhaseProbe};
 
     const RUN: RunConfig = RunConfig {
         warmup: 500,
@@ -466,6 +475,40 @@ mod tests {
         check::<WormholeConfig>();
     }
 
+    /// Profiling only adds clock reads: a `PhaseProbe` run reports what
+    /// the plain run reports, and every phase of the network's cycle
+    /// was timed.
+    #[test]
+    fn phase_profile_matches_plain_run_and_covers_every_phase() {
+        fn check<C: NetSpec>() {
+            let s = Scenario::hotspot(0.01);
+            let (plain, _, plain_info) = simulation(&s, default_cfg::<C>(), NoopProbe, RUN, SEED)
+                .unwrap()
+                .run_full(|| {});
+            let probe = PhaseProbe::default();
+            let (report, network, info) = simulation(&s, default_cfg::<C>(), probe, RUN, SEED)
+                .unwrap()
+                .run_full(|| {});
+            assert_eq!(plain, report, "profiling perturbed the {} run", C::NAME);
+            assert_eq!(plain_info, info);
+            let profile = C::into_probe(network);
+            assert_eq!(profile.cycles, info.end_cycle - info.skipped_cycles);
+            for phase in C::PHASES {
+                assert!(
+                    profile.calls[phase.index()] > 0,
+                    "{} never timed {}",
+                    C::NAME,
+                    phase.name()
+                );
+            }
+            let timed = profile.calls.iter().filter(|&&c| c > 0).count();
+            assert_eq!(timed, C::PHASES.len(), "{} timed a foreign phase", C::NAME);
+        }
+        check::<LoftConfig>();
+        check::<GsfConfig>();
+        check::<WormholeConfig>();
+    }
+
     /// An infeasible configuration is an error, not a panic: a share
     /// that rounds to zero slots of a tiny frame fails the two
     /// frame-based networks and is irrelevant to wormhole.
@@ -488,5 +531,33 @@ mod tests {
         assert!(simulation(&s, gsf, NoopProbe, RUN, SEED).is_err());
         assert!(run(&s, gsf, RUN, SEED).is_err());
         assert!(simulation(&s, WormholeConfig::default(), NoopProbe, RUN, SEED).is_ok());
+    }
+
+    /// A VC configuration the datapath cannot run is an error too: no
+    /// VC, more input slots than an arbitration mask has bits, or
+    /// buffers that never hold a credit.
+    #[test]
+    fn bad_vc_parameters_are_errors() {
+        let s = Scenario::uniform(0.05);
+        for (num_vcs, vc_capacity, what) in [
+            (0, 4, "at least one virtual channel"),
+            (13, 4, "do not fit a 64-bit arbitration mask"),
+            (4, 0, "at least one flit"),
+        ] {
+            let gsf = GsfConfig {
+                num_vcs,
+                vc_capacity,
+                ..GsfConfig::default()
+            };
+            let wormhole = WormholeConfig {
+                num_vcs,
+                vc_capacity,
+                ..WormholeConfig::default()
+            };
+            for err in [run(&s, gsf, RUN, SEED), run(&s, wormhole, RUN, SEED)] {
+                let err = err.expect_err("bad VC parameters accepted");
+                assert!(err.message().contains(what), "{err}");
+            }
+        }
     }
 }

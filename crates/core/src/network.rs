@@ -76,7 +76,7 @@ use noc_sim::flit::{FlowId, NodeId, Packet};
 use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
 use noc_sim::routing::Direction;
 use noc_sim::slab::PacketRef;
-use noc_sim::telemetry::{BufKind, NoopProbe, Probe};
+use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
 
 use crate::config::LoftConfig;
@@ -1278,25 +1278,32 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let delivered_before = out.len();
         let now = self.cycle;
         self.sample_occupancy(now);
+        let mut clock = PhaseClock::start::<Pr>();
         let q = self.cfg.flits_per_quantum as u64;
         if now.is_multiple_of(q) {
             let slot = now / q;
             self.run_phase(LoftPhase::Data { slot });
             self.apply_stamps(slot);
+            clock.lap(&mut self.probe, Phase::DataPhase);
             self.data_move(slot, out);
+            clock.lap(&mut self.probe, Phase::DataMove);
         }
         // Reset checks run every cycle: an idle instant between two
         // slots is enough for a link to recycle its window.
         if self.cfg.local_status_reset {
             self.reset_idle_links();
+            clock.lap(&mut self.probe, Phase::ResetIdleLinks);
         }
         // Look-ahead delivery is shard-local; skip the whole pass
         // (and the pool dispatch) when no look-ahead is in flight.
         if self.shards.iter().any(|sh| sh.la_wires.any_active()) {
             self.run_phase(LoftPhase::Lookahead { now });
+            clock.lap(&mut self.probe, Phase::LaDeliver);
         }
         self.la_schedule(now);
+        clock.lap(&mut self.probe, Phase::LaSchedule);
         self.la_launch(now);
+        clock.lap(&mut self.probe, Phase::LaLaunch);
         self.probe.on_cycle(now);
         self.cycle = now + 1;
         debug_assert_delivered_once(out, delivered_before);

@@ -1,7 +1,9 @@
 //! Configuration of the GSF network.
 
+use noc_sim::fabric::VcParams;
 use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
+use noc_sim::ConfigError;
 
 /// Parameters of a [`crate::GsfNetwork`].
 ///
@@ -47,6 +49,30 @@ impl GsfConfig {
             topo,
             ..Self::default()
         }
+    }
+
+    /// The VC-datapath share of this configuration.
+    pub(crate) fn vc_params(&self) -> VcParams {
+        VcParams {
+            topo: self.topo,
+            routing: self.routing,
+            num_vcs: self.num_vcs,
+            vc_capacity: self.vc_capacity,
+            hop_latency: self.hop_latency,
+            credit_delay: self.credit_delay,
+            threads: self.threads,
+        }
+    }
+
+    /// Checks the parameters [`crate::GsfNetwork::with_probe`] would
+    /// panic on.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the VC datapath cannot run with them (see
+    /// [`VcParams::validate`]).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.vc_params().validate()
     }
 
     /// A scaled-down configuration for fast tests: small frames and

@@ -26,9 +26,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use noc_sim::fabric::{
-    PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcParams, VcRouter, LOCAL, PORTS,
-};
+use noc_sim::fabric::{MaskIter, PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcRouter};
 use noc_sim::flit::{NodeId, Packet};
 use noc_sim::routing::Direction;
 use noc_sim::slab::PacketRef;
@@ -49,8 +47,6 @@ type TaggedHeap = BinaryHeap<Reverse<(u64, u64, PacketRef)>>;
 struct GsfScratch {
     /// Per-output VC-allocation requests: (frame, input slot).
     req: Vec<(u64, usize)>,
-    /// Free downstream VCs for one output.
-    free: Vec<usize>,
 }
 
 /// The GSF scheduling policy: frame-tagged source queues drained
@@ -160,60 +156,46 @@ impl RouterPolicy for GsfPolicy {
         source.is_empty()
     }
 
-    /// VC allocation with frame priority: per output port, requests
-    /// are served oldest frame first.
-    fn vc_allocate(scratch: &mut GsfScratch, router: &mut VcRouter<u64>, num_vcs: usize) {
-        for out in 0..PORTS {
-            // The request mask enumerates pending heads routed here
-            // in ascending slot order — the order the old full scan
-            // collected them in.
-            if router.va_req[out] == 0 {
-                continue;
-            }
-            scratch.req.clear();
-            for slot in router.va_requests(out) {
-                scratch
-                    .req
-                    .push((router.inputs[slot].head_tag().expect("nonempty"), slot));
-            }
-            scratch.req.sort_unstable();
-            let base = out * num_vcs;
-            scratch.free.clear();
+    /// VC allocation with frame priority: requests are served oldest
+    /// frame first.
+    fn vc_allocate(
+        scratch: &mut GsfScratch,
+        router: &mut VcRouter<u64>,
+        out: usize,
+        num_vcs: usize,
+    ) {
+        // The request mask enumerates the heads waiting for a VC here
+        // in ascending slot order.
+        scratch.req.clear();
+        for slot in router.va_requests(out) {
             scratch
-                .free
-                .extend((0..num_vcs).filter(|&v| !router.out_owner[base + v]));
-            for i in 0..scratch.req.len().min(scratch.free.len()) {
-                let (_, slot) = scratch.req[i];
-                router.grant_vc(slot, out, scratch.free[i], num_vcs);
-            }
+                .req
+                .push((router.inputs[slot].head_tag().expect("nonempty"), slot));
+        }
+        scratch.req.sort_unstable();
+        // Oldest request takes the lowest free VC, and so on.
+        let free = MaskIter::rotated(router.out_free[out], 0);
+        for (&(_, slot), vc) in scratch.req.iter().zip(free) {
+            router.grant_vc(slot, out, vc, num_vcs);
         }
     }
 
     /// Switch allocation with frame priority: the oldest-frame
     /// candidate wins, round-robin order breaking ties.
-    fn pick_winner(router: &VcRouter<u64>, out_port: usize, num_vcs: usize) -> Option<SwitchGrant> {
-        // The ready mask is scanned in rotating-priority order from
-        // the round-robin pointer, so the strict `<` keeps the first
-        // oldest-frame candidate in that order — the same winner the
-        // old full rotating scan picked.
-        let mut winner: Option<(u64, usize, usize)> = None;
-        for slot in router.sa_candidates(out_port, router.rr_sa[out_port]) {
-            let buf = &router.inputs[slot];
-            let ov = buf.out_vc.expect("ready slot has a VC");
-            if out_port != LOCAL && router.credits[out_port * num_vcs + ov] == 0 {
-                continue;
-            }
-            let frame = buf.head_tag().expect("nonempty");
-            if winner.is_none_or(|(wf, _, _)| frame < wf) {
-                winner = Some((frame, slot, ov));
-            }
-        }
-        winner.map(|(_, slot, ov)| SwitchGrant {
+    fn pick_winner(router: &VcRouter<u64>, out_port: usize, num_vcs: usize) -> SwitchGrant {
+        // The candidates come in rotating-priority order from the
+        // round-robin pointer, and `min_by_key` keeps the first of
+        // equal minima: the first oldest-frame candidate in that order.
+        let slot = router
+            .sa_candidates(out_port, router.rr_sa[out_port])
+            .min_by_key(|&slot| router.inputs[slot].head_tag().expect("nonempty"))
+            .expect("called with a candidate");
+        SwitchGrant {
             in_port: slot / num_vcs,
             in_vc: slot % num_vcs,
-            out_vc: ov,
+            out_vc: router.inputs[slot].out_vc.expect("candidate has a VC"),
             slot,
-        })
+        }
     }
 
     fn on_eject_flit(&mut self, flit: &noc_sim::fabric::VcFlit<u64>) {
@@ -252,7 +234,8 @@ impl GsfNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if any reservation is zero or exceeds the frame size.
+    /// Panics if any reservation is zero or exceeds the frame size, or
+    /// if `cfg` fails [`GsfConfig::validate`].
     pub fn new(cfg: GsfConfig, reservations: &[u32]) -> Self {
         Self::with_probe(cfg, reservations, NoopProbe)
     }
@@ -262,17 +245,12 @@ impl<Pr: Probe> GsfNetwork<Pr> {
     /// Like [`GsfNetwork::new`], additionally reporting telemetry
     /// events to `probe`; retrieve the merged probe with
     /// [`GsfNetwork::into_probe`] after the run.
+    ///
+    /// # Panics
+    ///
+    /// As [`GsfNetwork::new`].
     pub fn with_probe(cfg: GsfConfig, reservations: &[u32], probe: Pr) -> Self {
         let n = cfg.topo.num_nodes();
-        let params = VcParams {
-            topo: cfg.topo,
-            routing: cfg.routing,
-            num_vcs: cfg.num_vcs,
-            vc_capacity: cfg.vc_capacity,
-            hop_latency: cfg.hop_latency,
-            credit_delay: cfg.credit_delay,
-            threads: cfg.threads,
-        };
         let policy = GsfPolicy {
             framing: Framing::new(
                 reservations,
@@ -285,7 +263,7 @@ impl<Pr: Probe> GsfNetwork<Pr> {
         };
         GsfNetwork {
             cfg,
-            fabric: VcFabric::with_probe(params, policy, probe),
+            fabric: VcFabric::with_probe(cfg.vc_params(), policy, probe),
         }
     }
 

@@ -48,10 +48,15 @@
 //!   per-flow fair bypass, tombstone extraction, and epoch-stamped
 //!   failed-flow skipping.
 //! * [`VcFabric`] is the complete credit-based virtual-channel
-//!   datapath (link arrivals, credits, NIC streaming, route compute,
-//!   and switch traversal), parameterized by a [`RouterPolicy`] that
-//!   supplies VC allocation, switch-allocation winner selection,
-//!   source queueing, and reuse semantics.
+//!   datapath (link arrivals, credits, NIC streaming with routing at
+//!   arrival, and switch traversal), parameterized by a
+//!   [`RouterPolicy`] that supplies VC allocation, switch-allocation
+//!   winner selection, source queueing, and reuse semantics. Each
+//!   [`VcRouter`] keeps four masks per output port — VC requests,
+//!   switch-ready slots, slots with downstream credit, free
+//!   downstream VCs — exact at every event, so the policies arbitrate
+//!   over pre-filtered candidates and a port where nothing can be
+//!   granted costs a load and a compare.
 //!
 //! # Determinism contract
 //!

@@ -94,9 +94,9 @@ pub trait RouterPolicy {
     type Source: std::fmt::Debug + Send + Clone;
 
     /// Per-shard scratch reused across cycles by
-    /// [`RouterPolicy::vc_allocate`] (e.g. GSF's request/free-VC
-    /// vectors). `()` when the allocator needs none. `Clone` for the
-    /// same snapshot reason as [`RouterPolicy::Source`].
+    /// [`RouterPolicy::vc_allocate`] (e.g. GSF's request vector).
+    /// `()` when the allocator needs none. `Clone` for the same
+    /// snapshot reason as [`RouterPolicy::Source`].
     type Scratch: Default + std::fmt::Debug + Send + Clone;
 
     /// Reuse semantics for downstream VCs. `false`: the tail flit
@@ -138,21 +138,27 @@ pub trait RouterPolicy {
     /// fabric tracks itself). Per-shard.
     fn source_idle(source: &Self::Source) -> bool;
 
-    /// Virtual-channel allocation for one router: assign free
-    /// downstream VCs (`router.out_owner`) to head flits waiting for
-    /// one (`buf.out_vc == None`). Per-shard.
-    fn vc_allocate(scratch: &mut Self::Scratch, router: &mut VcRouter<Self::Tag>, num_vcs: usize);
+    /// Virtual-channel allocation for one output port: hand free
+    /// downstream VCs (`router.out_free[out]`) to head flits waiting
+    /// for one there ([`VcRouter::va_requests`]), every grant through
+    /// [`VcRouter::grant_vc`]. The fabric calls this only for an
+    /// output with at least one request and one free VC, so there is
+    /// always a grant to make. Per-shard.
+    fn vc_allocate(
+        scratch: &mut Self::Scratch,
+        router: &mut VcRouter<Self::Tag>,
+        out: usize,
+        num_vcs: usize,
+    );
 
     /// Switch allocation for one output port: pick the input VC that
-    /// forwards this cycle. Candidates need a flit routed to
-    /// `out_port`, an allocated `out_vc`, and (except for ejection)
-    /// downstream credit — the policy chooses among them. The fabric
-    /// only calls this when `router.routed[out_port] > 0`. Per-shard.
-    fn pick_winner(
-        router: &VcRouter<Self::Tag>,
-        out_port: usize,
-        num_vcs: usize,
-    ) -> Option<SwitchGrant>;
+    /// forwards this cycle among [`VcRouter::sa_candidates`] — the
+    /// slots with a flit buffered for `out_port`, a downstream VC
+    /// allocated and (except for ejection) credit to spend on it. The
+    /// candidates arrive credit-filtered, so the policy only orders
+    /// them; the fabric calls this only when there is at least one,
+    /// and the return is the grant. Per-shard.
+    fn pick_winner(router: &VcRouter<Self::Tag>, out_port: usize, num_vcs: usize) -> SwitchGrant;
 
     /// A flit was ejected at its destination. Serial (ejections are
     /// deferred to the cycle barrier and applied in ascending node

@@ -3,11 +3,12 @@
 use std::collections::VecDeque;
 
 use crate::engine::Network;
+use crate::error::ConfigError;
 use crate::flit::{FlitKind, NodeId, Packet};
 use crate::par::{partition, shard_map, Mailbox, SendPtr, ShardRange, WorkerPool};
 use crate::routing::{Direction, Routing};
 use crate::slab::PacketRef;
-use crate::telemetry::{BufKind, NoopProbe, Probe};
+use crate::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use crate::topology::Topology;
 use crate::worklist::ActiveSet;
 
@@ -77,64 +78,86 @@ impl<T: Copy> VcBuf<T> {
     }
 }
 
+/// Marks an output VC that no input slot currently holds.
+const NO_HOLDER: u8 = u8::MAX;
+
+/// A mask with one bit per VC of a port, all set (`num_vcs <= 12`).
+#[inline]
+fn all_vcs(num_vcs: usize) -> u64 {
+    (1u64 << num_vcs) - 1
+}
+
 /// Per-router VC state: input buffers, downstream VC ownership,
 /// credits, and arbitration pointers.
 ///
 /// This is the superset the policies need — wormhole uses `rr_va` and
-/// ignores `out_draining`; GSF is the reverse. Policies index these
-/// fields directly in their allocation hooks.
+/// ignores `out_draining`; GSF is the reverse. Policies read these
+/// fields directly in their allocation hooks and change them only
+/// through [`VcRouter::grant_vc`].
 ///
 /// All per-(port, vc) state is stored flat with stride `num_vcs`: the
 /// *slot* of input VC `(port, vc)` is `port * num_vcs + vc`, and the
-/// same flat index addresses `out_owner`/`out_draining`/`credits` for
-/// output `(port, vc)`. Arbitration scans walk slots directly, so the
-/// per-candidate div/mod of a nested layout disappears from the hot
-/// loops.
+/// same flat index addresses `credits`/`holder` for output
+/// `(port, vc)`. What arbitration asks every cycle — who requests,
+/// who could win, which VC is free — is kept as one `u64` mask per
+/// output port, maintained at the events that change it, so a port
+/// where nothing can be granted costs a load and a compare.
 #[derive(Debug, Clone)]
 pub struct VcRouter<T> {
     /// Input VC buffers; slot `port * num_vcs + vc`.
     pub inputs: Vec<VcBuf<T>>,
-    /// Whether the downstream VC reached through output slot
-    /// `port * num_vcs + vc` is currently owned by a packet.
-    /// (`false` = free for allocation.)
-    pub out_owner: Vec<bool>,
-    /// Tail already forwarded, VC still draining: not yet reusable
-    /// (only meaningful under [`RouterPolicy::DRAIN_BEFORE_REUSE`]).
-    pub out_draining: Vec<bool>,
+    /// Per-output bitmask over downstream VCs free for allocation:
+    /// bit `vc` is set iff no packet owns the VC reached through
+    /// output slot `port * num_vcs + vc`.
+    pub out_free: [u64; PORTS],
+    /// Per-output bitmask over downstream VCs whose tail was already
+    /// forwarded but which are still draining: owned (not in
+    /// `out_free`) until their credits have fully returned. Only ever
+    /// non-zero under [`RouterPolicy::DRAIN_BEFORE_REUSE`].
+    pub out_draining: [u64; PORTS],
     /// Free flit slots in the downstream VC at output slot
     /// `port * num_vcs + vc`.
     pub credits: Vec<u32>,
+    /// The input slot holding the downstream VC at output slot
+    /// `port * num_vcs + vc` — from its grant to its tail flit — or
+    /// `NO_HOLDER`. Lets a returning credit find the `sa_credit` bit
+    /// it re-enables.
+    holder: Vec<u8>,
     /// Per-output round-robin pointer for VC allocation.
     pub rr_va: [usize; PORTS],
     /// Per-output round-robin pointer for switch allocation.
     pub rr_sa: [usize; PORTS],
-    /// Input VCs currently routed to each output port (maintained by
-    /// the fabric). `routed[out] == 0` means no input VC can possibly
-    /// request `out`, so allocation scans for it are skipped.
-    pub routed: [u32; PORTS],
     /// Per-output bitmask over input slots awaiting VC allocation:
     /// bit `slot` is set iff `inputs[slot].route == Some(out)` and
     /// `inputs[slot].out_vc.is_none()`. The head flit that produced
     /// the route is still at the front of such a slot (it cannot move
     /// without a downstream VC), so every set bit is a live request.
     pub va_req: [u64; PORTS],
-    /// Per-output bitmask over input slots able to request the switch:
+    /// Per-output bitmask over input slots with a flit to forward:
     /// bit `slot` is set iff `inputs[slot].route == Some(out)`,
     /// `inputs[slot].out_vc.is_some()`, and the buffer is non-empty.
-    /// Credit availability is *not* folded in — it changes outside the
-    /// slot's own lifecycle — so arbiters still check credits per
-    /// candidate.
     pub sa_ready: [u64; PORTS],
+    /// Per-output bitmask over input slots whose downstream VC can
+    /// take a flit: bit `slot` is set iff `inputs[slot].route ==
+    /// Some(out)`, `inputs[slot].out_vc == Some(vc)`, and `out` is the
+    /// ejection port or `credits[out * num_vcs + vc] > 0`. The switch
+    /// candidates of `out` are exactly `sa_ready[out] & sa_credit[out]`.
+    pub sa_credit: [u64; PORTS],
 }
 
 impl<T> VcRouter<T> {
     /// An idle router with `num_vcs` VCs per port, each `vc_capacity`
     /// flits deep. Public so arbitration equivalence tests can build
     /// routers directly; networks get theirs from [`VcFabric::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= num_vcs` and `PORTS * num_vcs <= 64` (see
+    /// [`VcParams::validate`]).
     #[must_use]
     pub fn new(num_vcs: usize, vc_capacity: usize) -> Self {
         assert!(
-            PORTS * num_vcs <= 64,
+            num_vcs >= 1 && PORTS * num_vcs <= 64,
             "arbitration masks hold one bit per input slot: \
              {PORTS} ports * {num_vcs} VCs must fit in a u64"
         );
@@ -142,21 +165,23 @@ impl<T> VcRouter<T> {
             inputs: (0..PORTS * num_vcs)
                 .map(|_| VcBuf::with_capacity(vc_capacity))
                 .collect(),
-            out_owner: vec![false; PORTS * num_vcs],
-            out_draining: vec![false; PORTS * num_vcs],
+            out_free: [all_vcs(num_vcs); PORTS],
+            out_draining: [0; PORTS],
             credits: vec![vc_capacity as u32; PORTS * num_vcs],
+            holder: vec![NO_HOLDER; PORTS * num_vcs],
             rr_va: [0; PORTS],
             rr_sa: [0; PORTS],
-            routed: [0; PORTS],
             va_req: [0; PORTS],
             sa_ready: [0; PORTS],
+            sa_credit: [0; PORTS],
         }
     }
 
     /// Grants downstream VC `vc` at output `out` to the packet at
-    /// input slot `slot`: marks the output VC owned, records the
-    /// allocation on the input, and moves the slot's mask bit from
-    /// the VC-allocation request mask to the switch-ready mask.
+    /// input slot `slot`: marks the output VC owned and held by
+    /// `slot`, records the allocation on the input, and moves the
+    /// slot's mask bit from the VC-allocation request mask to the
+    /// switch masks.
     ///
     /// The policies' VC allocators must route every grant through
     /// here so the masks stay exact.
@@ -164,7 +189,7 @@ impl<T> VcRouter<T> {
     pub fn grant_vc(&mut self, slot: usize, out: usize, vc: usize, num_vcs: usize) {
         debug_assert_eq!(self.inputs[slot].route, Some(out), "grant without route");
         debug_assert!(self.inputs[slot].out_vc.is_none(), "double VC grant");
-        debug_assert!(!self.out_owner[out * num_vcs + vc], "granted an owned VC");
+        debug_assert!(self.out_free[out] & (1 << vc) != 0, "granted an owned VC");
         debug_assert!(
             self.inputs[slot]
                 .q
@@ -172,13 +197,57 @@ impl<T> VcRouter<T> {
                 .is_some_and(|f| f.kind.is_head()),
             "VC granted to a slot whose front is not a head flit"
         );
-        self.out_owner[out * num_vcs + vc] = true;
+        let oslot = out * num_vcs + vc;
+        self.out_free[out] &= !(1 << vc);
+        self.holder[oslot] = slot as u8;
         self.inputs[slot].out_vc = Some(vc);
         let bit = 1u64 << slot;
         self.va_req[out] &= !bit;
         // The head that requested the VC is still at the front, so
         // the slot can request the switch immediately.
         self.sa_ready[out] |= bit;
+        if out == LOCAL || self.credits[oslot] > 0 {
+            self.sa_credit[out] |= bit;
+        }
+    }
+
+    /// Buffers `flit` in input slot `slot` of the router at `node`.
+    ///
+    /// A slot without a route is empty (a packet's route is cleared
+    /// by its tail, and whatever queued behind that tail gets its own
+    /// on the spot), so a flit landing in one is the head of a new
+    /// packet at the buffer's front: its route is computed here and
+    /// now. A flit
+    /// landing in a slot that holds its downstream VC makes the slot
+    /// switch-ready (again, if it had drained empty mid-packet).
+    #[inline]
+    fn accept(&mut self, slot: usize, flit: VcFlit<T>, node: usize, link: &LinkMap) {
+        let dst = flit.dst;
+        let buf = &mut self.inputs[slot];
+        buf.q.push_back(flit);
+        match (buf.route, buf.out_vc) {
+            (None, _) => {
+                debug_assert_eq!(buf.q.len(), 1, "slot without a route was not empty");
+                self.route_front(slot, link.route(node, dst));
+            }
+            (Some(out), Some(_)) => self.sa_ready[out] |= 1u64 << slot,
+            (Some(_), None) => {}
+        }
+    }
+
+    /// Records `out` as the route of the head flit at the front of
+    /// input slot `slot`, which has none yet: the slot now requests a
+    /// downstream VC there.
+    #[inline]
+    fn route_front(&mut self, slot: usize, out: usize) {
+        let buf = &mut self.inputs[slot];
+        debug_assert!(buf.route.is_none(), "slot already has a route");
+        debug_assert!(
+            buf.q.front().is_some_and(|f| f.kind.is_head()),
+            "a slot without a route must start with a head flit"
+        );
+        buf.route = Some(out);
+        self.va_req[out] |= 1u64 << slot;
     }
 
     /// The slots requesting a VC at output `out`, in ascending slot
@@ -192,13 +261,15 @@ impl<T> VcRouter<T> {
         }
     }
 
-    /// The slots able to request the switch at output `out`, in
-    /// rotating-priority order starting from slot `start`: slots
-    /// `>= start` ascending, then slots `< start` ascending.
+    /// The slots that can forward a flit through output `out` this
+    /// cycle (one buffered, downstream VC allocated and not out of
+    /// credit), in rotating-priority order starting from slot
+    /// `start`: slots `>= start` ascending, then slots `< start`
+    /// ascending.
     #[inline]
     #[must_use]
     pub fn sa_candidates(&self, out: usize, start: usize) -> MaskIter {
-        MaskIter::rotated(self.sa_ready[out], start)
+        MaskIter::rotated(self.sa_ready[out] & self.sa_credit[out], start)
     }
 }
 
@@ -264,11 +335,13 @@ pub struct VcNic<T> {
     current: Option<Streaming<T>>,
     /// Free slots in each local input VC of the attached router.
     credits: Vec<u32>,
-    /// Local VCs currently owned by an in-progress NIC packet.
-    owned: Vec<bool>,
-    /// Local VCs whose packet finished but whose credits have not
-    /// fully returned (only under `DRAIN_BEFORE_REUSE`).
-    draining: Vec<bool>,
+    /// Bitmask over local VCs no NIC packet owns (free to stream a
+    /// new packet into).
+    free: u64,
+    /// Bitmask over local VCs whose packet finished but whose credits
+    /// have not fully returned: still owned (only under
+    /// `DRAIN_BEFORE_REUSE`).
+    draining: u64,
     rr: usize,
 }
 
@@ -277,8 +350,8 @@ impl<T> VcNic<T> {
         VcNic {
             current: None,
             credits: vec![vc_capacity as u32; num_vcs],
-            owned: vec![false; num_vcs],
-            draining: vec![false; num_vcs],
+            free: all_vcs(num_vcs),
+            draining: 0,
             rr: 0,
         }
     }
@@ -303,6 +376,36 @@ pub struct VcParams {
     /// clamped to the node count). Results are bit-identical at every
     /// value — see [`crate::par`].
     pub threads: usize,
+}
+
+impl VcParams {
+    /// Checks the parameters the datapath cannot run without.
+    ///
+    /// # Errors
+    ///
+    /// Fails unless there is at least one VC per port, every input
+    /// slot of a router fits one bit of a `u64` arbitration mask
+    /// (`PORTS * num_vcs <= 64`), VC buffers hold at least one flit
+    /// (an empty buffer never has a credit to spend, so nothing would
+    /// ever move), and a hop takes at least one cycle.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.num_vcs == 0 {
+            return Err(ConfigError::new("need at least one virtual channel"));
+        }
+        if PORTS * self.num_vcs > 64 {
+            return Err(ConfigError::new(format!(
+                "{PORTS} ports * {} virtual channels do not fit a 64-bit arbitration mask",
+                self.num_vcs
+            )));
+        }
+        if self.vc_capacity == 0 {
+            return Err(ConfigError::new("VC buffers must hold at least one flit"));
+        }
+        if self.hop_latency == 0 {
+            return Err(ConfigError::new("hops take at least one cycle"));
+        }
+        Ok(())
+    }
 }
 
 /// A cross-shard flit push awaiting the barrier merge:
@@ -389,17 +492,22 @@ struct ShardCtx<'a, P: RouterPolicy, Pr: Probe> {
 }
 
 impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
-    /// Phases 1–7 of the cycle for this shard's nodes. Every write
+    /// The per-shard phases of the cycle for this shard's nodes. Every write
     /// lands in shard-owned state; cross-shard effects go to the
     /// outboxes/deferred-event lists for the barrier.
     fn run_cycle(&mut self, now: u64) {
         self.sample_occupancy(now);
+        let mut clock = PhaseClock::start::<Pr>();
         self.deliver_arrivals(now);
+        clock.lap(&mut self.aux.probe, Phase::DeliverArrivals);
         self.apply_credits(now);
+        clock.lap(&mut self.aux.probe, Phase::ApplyCredits);
         self.nic_inject();
-        self.route_compute();
+        clock.lap(&mut self.aux.probe, Phase::NicInject);
         self.vc_allocate();
+        clock.lap(&mut self.aux.probe, Phase::VcAllocate);
         self.switch_traverse(now);
+        clock.lap(&mut self.aux.probe, Phase::SwitchTraverse);
     }
 
     /// Emits one occupancy sample per input VC buffer when the probe's
@@ -430,6 +538,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
             buffered,
             range,
             params,
+            link,
             ..
         } = self;
         let cap = params.vc_capacity;
@@ -441,24 +550,15 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
             let port = widx % PORTS;
             let router = &mut routers[node - lo];
             let slot = port * num_vcs + vc;
-            let buf: &mut VcBuf<P::Tag> = &mut router.inputs[slot];
             debug_assert!(
-                buf.q.len() < cap,
+                router.inputs[slot].q.len() < cap,
                 "credit protocol violated: buffer overflow"
             );
             debug_assert!(
-                !P::DRAIN_BEFORE_REUSE || buf.q.iter().all(|f| f.pref == flit.pref),
+                !P::DRAIN_BEFORE_REUSE || router.inputs[slot].q.iter().all(|f| f.pref == flit.pref),
                 "strict VC separation forbids mixing packets in one VC"
             );
-            buf.q.push_back(flit);
-            let (route, allocated) = (buf.route, buf.out_vc.is_some());
-            // An allocated slot that had drained empty becomes
-            // switch-ready again (idempotent when already set).
-            if allocated {
-                if let Some(r) = route {
-                    router.sa_ready[r] |= 1u64 << slot;
-                }
-            }
+            router.accept(slot, flit, node, link);
             buffered[node - lo] += 1;
             router_work.insert(node);
         });
@@ -469,20 +569,28 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
         let num_vcs = self.params.num_vcs;
         let lo = self.range.lo;
         while let Some((node, port, vc)) = self.aux.credits_in_flight.pop_due(now) {
+            let vbit = 1u64 << vc;
             if port == LOCAL {
                 let nic = &mut self.nics[node - lo];
                 nic.credits[vc] += 1;
-                if P::DRAIN_BEFORE_REUSE && nic.draining[vc] && nic.credits[vc] == cap {
-                    nic.draining[vc] = false;
-                    nic.owned[vc] = false;
+                if P::DRAIN_BEFORE_REUSE && nic.draining & vbit != 0 && nic.credits[vc] == cap {
+                    nic.draining &= !vbit;
+                    nic.free |= vbit;
                 }
             } else {
                 let r = &mut self.routers[node - lo];
-                let slot = port * num_vcs + vc;
-                r.credits[slot] += 1;
-                if P::DRAIN_BEFORE_REUSE && r.out_draining[slot] && r.credits[slot] == cap {
-                    r.out_draining[slot] = false;
-                    r.out_owner[slot] = false;
+                let oslot = port * num_vcs + vc;
+                r.credits[oslot] += 1;
+                if r.credits[oslot] == 1 && r.holder[oslot] != NO_HOLDER {
+                    // The holder's flits can move again.
+                    r.sa_credit[port] |= 1u64 << r.holder[oslot];
+                }
+                if P::DRAIN_BEFORE_REUSE
+                    && r.out_draining[port] & vbit != 0
+                    && r.credits[oslot] == cap
+                {
+                    r.out_draining[port] &= !vbit;
+                    r.out_free[port] |= vbit;
                 }
             }
         }
@@ -495,22 +603,18 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
         while let Some(node) = self.aux.nic_work.first_from(cursor) {
             cursor = node + 1;
             let l = node - lo;
-            if self.nics[l].current.is_none() && P::peek_source(&self.sources[l]).is_some() {
+            let nic = &mut self.nics[l];
+            if nic.current.is_none() && P::peek_source(&self.sources[l]).is_some() {
                 // Allocate a free local VC, round-robin; only then
                 // commit the packet.
-                let nic = &self.nics[l];
-                let free = (0..num_vcs)
-                    .map(|k| (nic.rr + k) % num_vcs)
-                    .find(|&v| !nic.owned[v]);
-                if let Some(vc) = free {
+                if let Some(vc) = MaskIter::rotated(nic.free, nic.rr).next() {
                     let (pref, tag) = P::pop_source(&mut self.sources[l]);
                     let (dst, len) = {
                         let p = self.tracker.packet(pref);
                         (p.dst, p.len_flits)
                     };
-                    let nic = &mut self.nics[l];
-                    nic.owned[vc] = true;
-                    nic.rr = (vc + 1) % num_vcs;
+                    nic.free &= !(1u64 << vc);
+                    nic.rr = if vc + 1 == num_vcs { 0 } else { vc + 1 };
                     nic.current = Some(Streaming {
                         pref,
                         dst,
@@ -521,7 +625,6 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     });
                 }
             }
-            let nic = &mut self.nics[l];
             if let Some(cur) = &mut nic.current {
                 if nic.credits[cur.vc] > 0 {
                     let kind = FlitKind::for_position(cur.pos, cur.len);
@@ -542,22 +645,13 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     let done = cur.pos == cur.len;
                     if done {
                         if P::DRAIN_BEFORE_REUSE {
-                            nic.draining[vc] = true;
+                            nic.draining |= 1u64 << vc;
                         } else {
-                            nic.owned[vc] = false;
+                            nic.free |= 1u64 << vc;
                         }
                         nic.current = None;
                     }
-                    let router = &mut self.routers[l];
-                    let slot = LOCAL * num_vcs + vc;
-                    let buf = &mut router.inputs[slot];
-                    buf.q.push_back(flit);
-                    let (route, allocated) = (buf.route, buf.out_vc.is_some());
-                    if allocated {
-                        if let Some(r) = route {
-                            router.sa_ready[r] |= 1u64 << slot;
-                        }
-                    }
+                    self.routers[l].accept(LOCAL * num_vcs + vc, flit, node, &self.link);
                     self.buffered[l] += 1;
                     self.aux.router_work.insert(node);
                 } else {
@@ -566,33 +660,8 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     self.aux.probe.on_nic_stall(node);
                 }
             }
-            if self.nics[l].current.is_none() && P::source_idle(&self.sources[l]) {
+            if nic.current.is_none() && P::source_idle(&self.sources[l]) {
                 self.aux.nic_work.remove(node);
-            }
-        }
-    }
-
-    fn route_compute(&mut self) {
-        let link = self.link;
-        let lo = self.range.lo;
-        let mut cursor = 0;
-        while let Some(node) = self.aux.router_work.first_from(cursor) {
-            cursor = node + 1;
-            let router = &mut self.routers[node - lo];
-            for slot in 0..router.inputs.len() {
-                let buf = &router.inputs[slot];
-                if buf.route.is_some() {
-                    continue;
-                }
-                let Some(front) = buf.q.front() else { continue };
-                if !front.kind.is_head() {
-                    continue;
-                }
-                let out = link.route(node, front.dst);
-                router.inputs[slot].route = Some(out);
-                router.routed[out] += 1;
-                // A freshly routed head has no downstream VC yet.
-                router.va_req[out] |= 1u64 << slot;
             }
         }
     }
@@ -603,7 +672,20 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
         let mut cursor = 0;
         while let Some(node) = self.aux.router_work.first_from(cursor) {
             cursor = node + 1;
-            P::vc_allocate(&mut self.aux.scratch, &mut self.routers[node - lo], num_vcs);
+            let router = &mut self.routers[node - lo];
+            // Allocation needs a request and a free VC. Gathering the
+            // outputs that have both without branching makes a router
+            // where nothing can be granted — every router of a
+            // saturated tree, most cycles — one predictable skip.
+            let mut open = 0u32;
+            for out in 0..PORTS {
+                open |= u32::from(router.va_req[out] != 0 && router.out_free[out] != 0) << out;
+            }
+            while open != 0 {
+                let out = open.trailing_zeros() as usize;
+                open &= open - 1;
+                P::vc_allocate(&mut self.aux.scratch, router, out, num_vcs);
+            }
         }
     }
 
@@ -616,29 +698,27 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
             cursor = node + 1;
             let l = node - lo;
             for out_port in 0..PORTS {
-                // No input VC can request this output: nothing to
-                // arbitrate. (An empty ready mask is exactly the
-                // condition under which every policy's winner scan
-                // comes up empty.)
-                if self.routers[l].sa_ready[out_port] == 0 {
+                let router = &mut self.routers[l];
+                // No input VC has a flit for this output: nothing to
+                // arbitrate.
+                if router.sa_ready[out_port] == 0 {
                     continue;
                 }
-                let Some(SwitchGrant {
+                if router.sa_ready[out_port] & router.sa_credit[out_port] == 0 {
+                    // Flits are waiting for this output but every one
+                    // of their downstream VCs is out of credit: the
+                    // link idles under load.
+                    self.aux.probe.on_link_stall(node * PORTS + out_port);
+                    continue;
+                }
+                let SwitchGrant {
+                    in_port,
                     in_vc: v,
                     out_vc: ov,
                     slot,
-                    ..
-                }) = P::pick_winner(&self.routers[l], out_port, num_vcs)
-                else {
-                    // Input VCs were switch-ready for this output but
-                    // no candidate could win (typically no downstream
-                    // credit): the link idles under load.
-                    self.aux.probe.on_link_stall(node * PORTS + out_port);
-                    continue;
-                };
+                } = P::pick_winner(router, out_port, num_vcs);
                 self.forwarded[l * PORTS + out_port] += 1;
                 self.aux.probe.on_link_flits(node * PORTS + out_port, 1);
-                let router = &mut self.routers[l];
                 router.rr_sa[out_port] = if slot + 1 == total { 0 } else { slot + 1 };
                 let flit = router.inputs[slot]
                     .q
@@ -648,32 +728,43 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 if self.buffered[l] == 0 {
                     self.aux.router_work.remove(node);
                 }
+                let bit = 1u64 << slot;
+                let oslot = out_port * num_vcs + ov;
+                if out_port != LOCAL {
+                    router.credits[oslot] -= 1;
+                    if router.credits[oslot] == 0 {
+                        router.sa_credit[out_port] &= !bit;
+                    }
+                }
                 if flit.kind.is_tail() {
-                    let oslot = out_port * num_vcs + ov;
                     if P::DRAIN_BEFORE_REUSE && out_port != LOCAL {
                         // The downstream VC stays owned until drained
                         // (credits fully returned). Ejected flits
                         // leave no downstream buffer to drain.
-                        router.out_draining[oslot] = true;
+                        router.out_draining[out_port] |= 1u64 << ov;
                     } else {
-                        router.out_owner[oslot] = false;
+                        router.out_free[out_port] |= 1u64 << ov;
                     }
-                    router.inputs[slot].route = None;
-                    router.inputs[slot].out_vc = None;
-                    router.routed[out_port] -= 1;
-                    router.sa_ready[out_port] &= !(1u64 << slot);
+                    router.holder[oslot] = NO_HOLDER;
+                    router.sa_ready[out_port] &= !bit;
+                    router.sa_credit[out_port] &= !bit;
+                    let buf = &mut router.inputs[slot];
+                    buf.route = None;
+                    buf.out_vc = None;
+                    // Whatever is queued behind the tail is the head
+                    // of the next packet, now at the front.
+                    if let Some(next) = buf.q.front() {
+                        let out = self.link.route(node, next.dst);
+                        router.route_front(slot, out);
+                    }
                 } else if router.inputs[slot].q.is_empty() {
                     // Mid-packet with nothing buffered: the slot keeps
                     // its route and VC but cannot request the switch
                     // until the next flit arrives.
-                    router.sa_ready[out_port] &= !(1u64 << slot);
-                }
-                if out_port != LOCAL {
-                    router.credits[out_port * num_vcs + ov] -= 1;
+                    router.sa_ready[out_port] &= !bit;
                 }
                 // Return the freed input-slot credit upstream.
                 let due = now + self.params.credit_delay;
-                let in_port = slot / num_vcs;
                 if in_port == LOCAL {
                     self.aux.credits_in_flight.push(due, (node, LOCAL, v));
                 } else {
@@ -723,15 +814,27 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
 ///    3. NICs stream source-queue packets into their router's local
 ///       input port (one flit/cycle, one VC per packet; packet order
 ///       from the policy),
-///    4. route computation for new head flits,
-///    5. VC allocation (policy),
-///    6. switch allocation (policy) + traversal: each output port
+///    4. VC allocation (policy),
+///    5. switch allocation (policy) + traversal: each output port
 ///       forwards at most one flit, consuming a credit; the freed
 ///       input slot's credit travels upstream with a configurable
 ///       delay,
 /// 3. the cycle barrier merges cross-shard flits/credits in ascending
 ///    global link index order and applies deferred injection stamps
 ///    and ejections in ascending node order.
+///
+/// There is no route-computation phase: a head flit gets its route at
+/// the moment it becomes the front of an input slot that has none —
+/// when it arrives in an empty one (steps 2.1 and 2.3), or when the
+/// tail ahead of it is forwarded (step 2.5). The route is a pure function of the
+/// router and the destination and is first read by the next VC
+/// allocation, which both sites precede.
+///
+/// Host time follows grants, not occupancy: every question arbitration
+/// asks is a per-output mask on [`VcRouter`] kept exact at the events
+/// that change it, so an output with no request, no free VC or no
+/// credit costs a load and a compare however many flits wait behind
+/// it.
 ///
 /// All iteration is in ascending node/link index order with live
 /// worklist semantics, bit-identical to the full scans it replaced —
@@ -787,7 +890,15 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
     /// reporting telemetry events to `probe` (each shard gets a
     /// [`Probe::fork`]; retrieve the merged result with
     /// [`VcFabric::into_probe`] after the run).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`VcParams::validate`] if `params`
+    /// fail it.
     pub fn with_probe(params: VcParams, policy: P, probe: Pr) -> Self {
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         let n = params.topo.num_nodes();
         let ranges = partition(n, params.threads);
         let k = ranges.len();
@@ -1012,12 +1123,19 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         }
     }
 
-    /// Full-scan cross-check of every worklist invariant (debug
-    /// builds only): the active sets must contain exactly the indices
-    /// a naive scan would find work at, and all barrier buffers must
-    /// be empty between cycles.
+    /// Full-scan cross-check of every worklist and mask invariant
+    /// (debug builds only): the active sets must contain exactly the
+    /// indices a naive scan would find work at, every arbitration mask
+    /// must equal what a scan of the raw router state (`inputs`,
+    /// `credits`, VC ownership) yields — so the policies arbitrate
+    /// over exactly the requests, candidates and free VCs an
+    /// all-slots, all-VCs scan with per-candidate credit tests would
+    /// hand them — and all barrier buffers must be empty between
+    /// cycles.
     #[cfg(debug_assertions)]
     fn debug_verify_worklists(&self) {
+        let num_vcs = self.params.num_vcs;
+        let cap = self.params.vc_capacity as u32;
         for (s, shard) in self.shards.iter().enumerate() {
             shard.wires.debug_verify();
             debug_assert!(shard.wire_out.is_clear(), "wire outbox not drained");
@@ -1029,26 +1147,105 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 let nic = &self.nics[n];
                 let active = nic.current.is_some() || !P::source_idle(&self.sources[n]);
                 debug_assert_eq!(shard.nic_work.contains(n), active, "nic_work[{n}]");
+                // A local VC is owned while a packet streams into it
+                // and, under drain-before-reuse, until the credits of
+                // the last packet streamed into it are all back.
+                debug_assert_eq!(nic.free & nic.draining, 0, "nic[{n}] free and draining");
+                debug_assert_eq!(
+                    (nic.free | nic.draining) >> num_vcs,
+                    0,
+                    "nic[{n}] mask width"
+                );
+                for vc in 0..num_vcs {
+                    let streaming = nic.current.as_ref().is_some_and(|cur| cur.vc == vc);
+                    let draining = nic.draining & (1 << vc) != 0;
+                    debug_assert!(
+                        !(streaming && draining),
+                        "nic[{n}] vc {vc} reused undrained"
+                    );
+                    debug_assert_eq!(
+                        nic.free & (1 << vc) != 0,
+                        !streaming && !draining,
+                        "nic[{n}].free vc {vc}"
+                    );
+                    debug_assert!(
+                        !draining || (P::DRAIN_BEFORE_REUSE && nic.credits[vc] < cap),
+                        "nic[{n}] vc {vc} draining with all credits back"
+                    );
+                }
+
                 let router = &self.routers[n];
                 let count: u32 = router.inputs.iter().map(|buf| buf.q.len() as u32).sum();
                 debug_assert_eq!(self.buffered[n], count, "buffered[{n}]");
                 debug_assert_eq!(shard.router_work.contains(n), count > 0, "router_work[{n}]");
-                let mut routed = [0u32; PORTS];
                 let mut va_req = [0u64; PORTS];
                 let mut sa_ready = [0u64; PORTS];
+                let mut sa_credit = [0u64; PORTS];
+                let mut candidates = [0u64; PORTS];
+                let mut held = [0u64; PORTS];
+                let mut holder = [NO_HOLDER; 64];
                 for (slot, buf) in router.inputs.iter().enumerate() {
-                    if let Some(out) = buf.route {
-                        routed[out] += 1;
-                        if buf.out_vc.is_none() {
-                            va_req[out] |= 1u64 << slot;
-                        } else if !buf.q.is_empty() {
-                            sa_ready[out] |= 1u64 << slot;
+                    let bit = 1u64 << slot;
+                    // What event-driven routing rests on: a flit at a
+                    // slot's front is never left without a route.
+                    debug_assert!(
+                        buf.route.is_some() || buf.q.is_empty(),
+                        "router {n} slot {slot}: flit at the front without a route"
+                    );
+                    debug_assert!(
+                        buf.route.is_some() || buf.out_vc.is_none(),
+                        "router {n} slot {slot}: VC without a route"
+                    );
+                    let Some(out) = buf.route else { continue };
+                    let Some(vc) = buf.out_vc else {
+                        va_req[out] |= bit;
+                        continue;
+                    };
+                    let oslot = out * num_vcs + vc;
+                    debug_assert_eq!(holder[oslot], NO_HOLDER, "router {n}: VC held twice");
+                    holder[oslot] = slot as u8;
+                    held[out] |= 1 << vc;
+                    // The parent's per-candidate test, verbatim.
+                    let has_credit = out == LOCAL || router.credits[oslot] > 0;
+                    if has_credit {
+                        sa_credit[out] |= bit;
+                    }
+                    if !buf.q.is_empty() {
+                        sa_ready[out] |= bit;
+                        if has_credit {
+                            candidates[out] |= bit;
                         }
                     }
                 }
-                debug_assert_eq!(router.routed, routed, "routed[{n}]");
                 debug_assert_eq!(router.va_req, va_req, "va_req[{n}]");
                 debug_assert_eq!(router.sa_ready, sa_ready, "sa_ready[{n}]");
+                debug_assert_eq!(router.sa_credit, sa_credit, "sa_credit[{n}]");
+                debug_assert_eq!(router.holder[..], holder[..PORTS * num_vcs], "holder[{n}]");
+                for out in 0..PORTS {
+                    debug_assert_eq!(
+                        router.sa_ready[out] & router.sa_credit[out],
+                        candidates[out],
+                        "switch candidates of router {n} output {out}"
+                    );
+                    // A downstream VC is owned while an input slot
+                    // holds it or while it drains, and free otherwise.
+                    let draining = router.out_draining[out];
+                    debug_assert_eq!(held[out] & draining, 0, "router {n}: held VC draining");
+                    debug_assert_eq!(
+                        router.out_free[out],
+                        all_vcs(num_vcs) & !held[out] & !draining,
+                        "out_free[{n}][{out}]"
+                    );
+                    for vc in 0..num_vcs {
+                        debug_assert!(
+                            draining & (1 << vc) == 0
+                                || (P::DRAIN_BEFORE_REUSE
+                                    && out != LOCAL
+                                    && router.credits[out * num_vcs + vc] < cap),
+                            "router {n} output {out} vc {vc} draining with all credits back"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1093,6 +1290,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         self.debug_verify_worklists();
         let delivered_before = out.len();
         let now = self.cycle;
+        let mut clock = PhaseClock::start::<Pr>();
         {
             let Self {
                 policy,
@@ -1111,12 +1309,17 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
             );
         }
         self.apply_woken();
+        clock.lap(&mut self.probe, Phase::PreInject);
         if self.pool.is_some() {
             self.step_shards_parallel(now);
         } else {
             self.step_shards_serial(now);
         }
+        // The shards timed their own phases; restart the lap so the
+        // barrier is not charged for them.
+        let mut clock = PhaseClock::start::<Pr>();
         self.barrier(now, out);
+        clock.lap(&mut self.probe, Phase::Barrier);
         self.probe.on_cycle(now);
         self.cycle = now + 1;
         debug_assert_delivered_once(out, delivered_before);

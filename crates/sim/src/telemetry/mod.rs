@@ -31,12 +31,21 @@
 //! events (packet generation, ejection, end-of-cycle) go straight to
 //! the main probe.
 //!
+//! # Profiling
+//!
+//! Host time per network phase goes through the same trait: a probe
+//! with [`Probe::PROFILE`] set ([`PhaseProbe`], behind `perf
+//! --profile`) receives one [`Probe::on_phase`] lap per phase per
+//! cycle; every other probe compiles the clock reads away.
+//!
 //! [`VcFabric`]: crate::fabric::VcFabric
 
 mod live;
+mod phase;
 mod report;
 
 pub use live::LiveProbe;
+pub use phase::{Phase, PhaseClock, PhaseProbe};
 pub use report::{
     jain_index, FlowTelemetry, TelemetryReport, WindowPoint, TELEMETRY_SCHEMA_VERSION,
 };
@@ -124,6 +133,11 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
     /// fabric skip telemetry-only work at compile time.
     const ENABLED: bool;
 
+    /// Whether the networks should time their phases for this probe
+    /// (see [`PhaseClock`]). `false` keeps every clock read out of the
+    /// stepping code at compile time.
+    const PROFILE: bool = false;
+
     /// Creates the per-shard instance handed to a parallel shard.
     /// Forks start empty but share configuration (e.g. the sampling
     /// window) with their parent.
@@ -191,6 +205,12 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
     /// see [`BufKind`]).
     fn on_occupancy(&mut self, kind: BufKind, index: usize, occupied: u32) {
         let _ = (kind, index, occupied);
+    }
+
+    /// One call of `phase` took `nanos` host nanoseconds. Only
+    /// reported when [`Probe::PROFILE`] is set.
+    fn on_phase(&mut self, phase: Phase, nanos: u64) {
+        let _ = (phase, nanos);
     }
 
     /// Cycle `cycle` finished. Lets the probe track elapsed time for

@@ -1,7 +1,9 @@
 //! Configuration of the baseline wormhole network.
 
+use noc_sim::fabric::VcParams;
 use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
+use noc_sim::ConfigError;
 
 /// Parameters of a [`crate::WormholeNetwork`].
 ///
@@ -29,14 +31,35 @@ pub struct WormholeConfig {
 }
 
 impl WormholeConfig {
+    /// The VC-datapath share of this configuration (all of it).
+    pub(crate) fn vc_params(&self) -> VcParams {
+        VcParams {
+            topo: self.topo,
+            routing: self.routing,
+            num_vcs: self.num_vcs,
+            vc_capacity: self.vc_capacity,
+            hop_latency: self.hop_latency,
+            credit_delay: self.credit_delay,
+            threads: self.threads,
+        }
+    }
+
+    /// Checks the parameters [`crate::WormholeNetwork::with_probe`]
+    /// would panic on.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the VC datapath cannot run with them (see
+    /// [`VcParams::validate`]).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.vc_params().validate()
+    }
+
     /// Validates invariants shared by all constructors.
     fn validated(self) -> Self {
-        assert!(self.num_vcs > 0, "need at least one virtual channel");
-        assert!(
-            self.vc_capacity > 0,
-            "VC buffers must hold at least one flit"
-        );
-        assert!(self.hop_latency >= 1, "hops take at least one cycle");
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         self
     }
 

@@ -16,9 +16,7 @@
 
 use std::collections::VecDeque;
 
-use noc_sim::fabric::{
-    PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcParams, VcRouter, LOCAL, PORTS,
-};
+use noc_sim::fabric::{MaskIter, PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcRouter};
 use noc_sim::flit::{NodeId, Packet};
 use noc_sim::routing::Direction;
 use noc_sim::slab::PacketRef;
@@ -64,53 +62,30 @@ impl RouterPolicy for WormholePolicy {
         source.is_empty()
     }
 
-    fn vc_allocate((): &mut (), router: &mut VcRouter<()>, num_vcs: usize) {
-        // The request masks partition pending heads by output port.
-        // Grants at different outputs touch disjoint state (each
-        // output's owner flags and round-robin pointer), so walking
-        // requests grouped by output — ascending slot order within
-        // each — makes exactly the decisions of the old flat slot
-        // scan.
-        for out in 0..PORTS {
-            for slot in router.va_requests(out) {
-                let start = router.rr_va[out];
-                let base = out * num_vcs;
-                let free = (0..num_vcs)
-                    .map(|k| {
-                        let v = start + k;
-                        if v >= num_vcs {
-                            v - num_vcs
-                        } else {
-                            v
-                        }
-                    })
-                    .find(|&v| !router.out_owner[base + v]);
-                if let Some(v) = free {
-                    router.grant_vc(slot, out, v, num_vcs);
-                    router.rr_va[out] = if v + 1 == num_vcs { 0 } else { v + 1 };
-                }
-            }
+    fn vc_allocate((): &mut (), router: &mut VcRouter<()>, out: usize, num_vcs: usize) {
+        // Requests in ascending slot order; each takes the first free
+        // VC at or after the round-robin pointer, until none is left.
+        for slot in router.va_requests(out) {
+            let Some(v) = MaskIter::rotated(router.out_free[out], router.rr_va[out]).next() else {
+                break;
+            };
+            router.grant_vc(slot, out, v, num_vcs);
+            router.rr_va[out] = if v + 1 == num_vcs { 0 } else { v + 1 };
         }
     }
 
-    fn pick_winner(router: &VcRouter<()>, out_port: usize, num_vcs: usize) -> Option<SwitchGrant> {
-        // First candidate in round-robin order: an input VC routed
-        // here with a flit ready and downstream credit (ejection
-        // needs none). The ready mask pre-filters routed+allocated
-        // non-empty slots; only credits are checked per candidate.
-        for slot in router.sa_candidates(out_port, router.rr_sa[out_port]) {
-            let ov = router.inputs[slot].out_vc.expect("ready slot has a VC");
-            if out_port != LOCAL && router.credits[out_port * num_vcs + ov] == 0 {
-                continue;
-            }
-            return Some(SwitchGrant {
-                in_port: slot / num_vcs,
-                in_vc: slot % num_vcs,
-                out_vc: ov,
-                slot,
-            });
+    fn pick_winner(router: &VcRouter<()>, out_port: usize, num_vcs: usize) -> SwitchGrant {
+        // First candidate in round-robin order.
+        let slot = router
+            .sa_candidates(out_port, router.rr_sa[out_port])
+            .next()
+            .expect("called with a candidate");
+        SwitchGrant {
+            in_port: slot / num_vcs,
+            in_vc: slot % num_vcs,
+            out_vc: router.inputs[slot].out_vc.expect("candidate has a VC"),
+            slot,
         }
-        None
     }
 }
 
@@ -136,19 +111,14 @@ impl<Pr: Probe> WormholeNetwork<Pr> {
     /// Builds the network reporting telemetry events to `probe`;
     /// retrieve the merged probe with
     /// [`WormholeNetwork::into_probe`] after the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`WormholeConfig::validate`].
     pub fn with_probe(cfg: WormholeConfig, probe: Pr) -> Self {
-        let params = VcParams {
-            topo: cfg.topo,
-            routing: cfg.routing,
-            num_vcs: cfg.num_vcs,
-            vc_capacity: cfg.vc_capacity,
-            hop_latency: cfg.hop_latency,
-            credit_delay: cfg.credit_delay,
-            threads: cfg.threads,
-        };
         WormholeNetwork {
             cfg,
-            fabric: VcFabric::with_probe(params, WormholePolicy, probe),
+            fabric: VcFabric::with_probe(cfg.vc_params(), WormholePolicy, probe),
         }
     }
 
