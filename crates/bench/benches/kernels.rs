@@ -48,9 +48,9 @@ fn lsf_schedule() {
         }
         booked
     });
-    // What the network does per slot on a link in use (booked, so no
-    // longer pristine) …
-    bench_report("lsf/advance_slot_x1024", 200, || {
+    // A link in use (booked, so no longer pristine), stepped slot by
+    // slot: the reference `advance_to` must match …
+    let used = || {
         let mut s = LinkScheduler::new(params, &reservations);
         let flow = FlowId::new(0);
         let entry = PendingQuantum {
@@ -61,15 +61,26 @@ fn lsf_schedule() {
         };
         let slot = s.schedule(flow, 1, entry).expect("empty table books");
         s.complete(slot);
+        s
+    };
+    bench_report("lsf/advance_slot_x1024", 200, || {
+        let mut s = used();
         for _ in 0..1024 {
             s.advance_slot();
         }
         s.current_slot()
     });
-    // … and once, at its next booking, on a link left idle meanwhile.
-    bench_report("lsf/catch_up_1024", 200, || {
+    // … and what the network pays on the next access to a link left
+    // idle meanwhile: a pointer jump when pristine, at most one
+    // window (256 slots here) of steps otherwise.
+    bench_report("lsf/advance_to_1024", 200, || {
         let mut s = LinkScheduler::new(params, &reservations);
-        s.catch_up(1024);
+        s.advance_to(1024);
+        s.current_slot()
+    });
+    bench_report("lsf/advance_to_1024_used", 200, || {
+        let mut s = used();
+        s.advance_to(1024);
         s.current_slot()
     });
 }

@@ -144,9 +144,9 @@ pub trait NetSpec: Sized {
     ///
     /// # Errors
     ///
-    /// Fails if the configuration cannot run (a VC network's
-    /// `validate`), or if the scenario's reservations do not fit the
-    /// configured frame (see [`Scenario::reservations`]).
+    /// Fails if the configuration cannot run (its `validate`), or if
+    /// the scenario's reservations do not fit the configured frame
+    /// (see [`Scenario::reservations`]).
     fn build<P: Probe + Clone>(
         self,
         scenario: &Scenario,
@@ -174,6 +174,7 @@ impl NetSpec for LoftConfig {
         scenario: &Scenario,
         probe: P,
     ) -> Result<LoftNetwork<P>, ConfigError> {
+        self.validate()?;
         let reservations = scenario.reservations(self.frame_size)?;
         Ok(LoftNetwork::with_probe(self, &reservations, probe))
     }
@@ -533,12 +534,36 @@ mod tests {
         assert!(simulation(&s, WormholeConfig::default(), NoopProbe, RUN, SEED).is_ok());
     }
 
-    /// A VC configuration the datapath cannot run is an error too: no
+    /// A configuration the datapath cannot run is an error too: no
     /// VC, more input slots than an arbitration mask has bits, or
-    /// buffers that never hold a credit.
+    /// buffers that never hold a credit — and LOFT's frame, buffer,
+    /// latency and look-ahead window constraints.
     #[test]
     fn bad_vc_parameters_are_errors() {
         let s = Scenario::uniform(0.05);
+        let broken = |edit: fn(&mut LoftConfig)| {
+            let mut cfg = LoftConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        for (loft, what) in [
+            (
+                broken(|c| c.flits_per_quantum = 0),
+                "quantum must hold flits",
+            ),
+            (
+                broken(|c| c.frame_size = 255),
+                "positive multiple of the quantum",
+            ),
+            (broken(|c| c.frame_window = 0), "frame window"),
+            (broken(|c| c.nonspec_buffer = 128), "Theorem I"),
+            (broken(|c| c.spec_buffer = 13), "speculative buffer"),
+            (broken(|c| c.hop_latency = 0), "at least one cycle"),
+            (broken(|c| c.la_flow_window = 0), "look-ahead flow window"),
+        ] {
+            let err = run(&s, loft, RUN, SEED).expect_err("bad LOFT parameters accepted");
+            assert!(err.message().contains(what), "{err}");
+        }
         for (num_vcs, vc_capacity, what) in [
             (0, 4, "at least one virtual channel"),
             (13, 4, "do not fit a 64-bit arbitration mask"),

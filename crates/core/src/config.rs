@@ -2,6 +2,7 @@
 
 use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
+use noc_sim::ConfigError;
 
 /// Parameters of a [`crate::LoftNetwork`].
 ///
@@ -126,28 +127,44 @@ impl LoftConfig {
 
     /// Checks internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the frame size is not a positive multiple of the
-    /// quantum size, the window is empty, or the non-speculative
-    /// buffer is smaller than a frame (which would reintroduce the
-    /// output scheduling anomaly).
-    pub fn validate(&self) {
-        assert!(self.flits_per_quantum > 0, "quantum must hold flits");
-        assert!(
-            self.frame_size > 0 && self.frame_size.is_multiple_of(self.flits_per_quantum),
-            "frame size must be a positive multiple of the quantum size"
-        );
-        assert!(self.frame_window > 0, "frame window must be positive");
-        assert!(
-            self.nonspec_buffer >= self.frame_size,
-            "non-speculative buffer must cover a full frame (Theorem I)"
-        );
-        assert!(
-            self.spec_buffer.is_multiple_of(self.flits_per_quantum),
-            "speculative buffer must be a multiple of the quantum size"
-        );
-        assert!(self.hop_latency >= 1 && self.la_hop_latency >= 1);
+    /// Fails unless the frame size is a positive multiple of a
+    /// non-empty quantum, the window is non-empty, the
+    /// non-speculative buffer covers a full frame (a smaller one would
+    /// reintroduce the output scheduling anomaly), the speculative
+    /// buffer is a whole number of quanta, hops on both planes take at
+    /// least one cycle, and a flow may have a look-ahead in flight
+    /// (with a zero window nothing would ever launch).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let checks = [
+            (self.flits_per_quantum > 0, "quantum must hold flits"),
+            (
+                self.frame_size > 0 && self.frame_size.is_multiple_of(self.flits_per_quantum),
+                "frame size must be a positive multiple of the quantum size",
+            ),
+            (self.frame_window > 0, "frame window must be positive"),
+            (
+                self.nonspec_buffer >= self.frame_size,
+                "non-speculative buffer must cover a full frame (Theorem I)",
+            ),
+            (
+                self.spec_buffer.is_multiple_of(self.flits_per_quantum),
+                "speculative buffer must be a multiple of the quantum size",
+            ),
+            (
+                self.hop_latency >= 1 && self.la_hop_latency >= 1,
+                "hops take at least one cycle",
+            ),
+            (
+                self.la_flow_window >= 1,
+                "look-ahead flow window must be positive",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err(ConfigError::new(*msg)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -179,7 +196,7 @@ mod tests {
     #[test]
     fn default_matches_table1() {
         let c = LoftConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.frame_size, 256);
         assert_eq!(c.frame_window, 2);
         assert_eq!(c.frame_quanta(), 128);
@@ -191,7 +208,7 @@ mod tests {
     #[test]
     fn spec_zero_disables_optimizations() {
         let c = LoftConfig::with_spec_buffer(0);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert!(!c.speculative_switching);
         assert!(!c.local_status_reset);
         let c = LoftConfig::with_spec_buffer(8);
@@ -211,12 +228,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Theorem I")]
     fn small_nonspec_buffer_rejected() {
-        LoftConfig {
+        let err = LoftConfig {
             nonspec_buffer: 128,
             ..LoftConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.message().contains("Theorem I"), "{err}");
     }
 }

@@ -10,7 +10,7 @@
 //! * **Algorithm 2** (`try_schedule`) searching a frame for a valid
 //!   slot,
 //! * **Algorithm 3** (head-frame/current-pointer advance) driven by
-//!   [`LinkScheduler::advance_slot`],
+//!   [`LinkScheduler::advance_to`],
 //! * the **`skipped` counters and Condition (1)** of Section 4.2 that
 //!   eliminate the *output scheduling anomaly* (Theorem I), and
 //! * **local status reset** (Section 4.3.2).
@@ -31,13 +31,16 @@
 //!
 //! # Idle schedulers are a function of time
 //!
-//! A scheduler nobody has touched since power-up or its last local
-//! reset is *pristine*: every table is in its reset state and
-//! [`LinkScheduler::advance_slot`] would only move pointers. The
-//! owner may therefore stop ticking it and call
-//! [`LinkScheduler::catch_up`] right before the next
-//! [`LinkScheduler::schedule`] or [`LinkScheduler::return_credit`];
-//! from then on it must be advanced every slot until the next reset.
+//! LSF is locally synchronized: only the scheduler's own link reads
+//! its clock. So the owner need not tick it every slot; it calls
+//! [`LinkScheduler::advance_to`] with the current slot right before
+//! each access. Without pending quanta, `k` missed slots cost at most
+//! one window of stepped advances: by then every credit delta is
+//! folded and every `skipped` counter cleared, and the rest is a
+//! pointer jump. A scheduler nobody has touched since power-up or
+//! its last reset (*pristine*) jumps outright. The one rule is that a
+//! scheduler with pending quanta must not fall more than a window
+//! behind; the network keeps those exactly at the clock.
 
 use noc_sim::flit::FlowId;
 
@@ -310,8 +313,9 @@ impl LinkScheduler {
         self.pending.len()
     }
 
-    /// Advances the current slot pointer by one (call every
-    /// `flits_per_quantum` cycles). Implements Algorithm 3: when the
+    /// Advances the current slot pointer by one: the stepped reference
+    /// that [`LinkScheduler::advance_to`] is defined against (callers
+    /// use `advance_to`). Implements Algorithm 3: when the
     /// pointer crosses a frame boundary the head frame recycles —
     /// flows stuck at the old head move up with refreshed
     /// reservations and the incoming fresh frame's `skipped` counter
@@ -405,30 +409,20 @@ impl LinkScheduler {
         }
     }
 
-    /// Brings a pristine scheduler ([`LinkScheduler::is_pristine`])
-    /// that was not ticked since its reset to `slot`, in closed form:
-    /// the exact result of `slot − current_slot()` stepped advances.
+    /// Brings the scheduler to `slot`: the exact result of
+    /// `slot − current_slot()` [`LinkScheduler::advance_slot`] calls,
+    /// in O(window) at most (see the module docs). Nothing happens at
+    /// the current slot; a pristine scheduler jumps; any other is
+    /// stepped for up to one window and jumps the rest.
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler is not pristine or `slot` is behind it.
-    pub fn catch_up(&mut self, slot: u64) {
-        assert!(self.pristine, "closed-form advance of a used scheduler");
-        assert!(slot >= self.cp, "catching up backwards");
-        self.jump(slot - self.cp);
-    }
-
-    /// Exact equivalent of `k` [`LinkScheduler::advance_slot`] calls
-    /// on a scheduler with no pending booking, in O(window) at most:
-    /// a pristine scheduler jumps outright; any other is stepped for
-    /// one window — by then every credit delta is folded into `cbase`
-    /// and every `skipped` entry cleared — and jumps the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if quanta are pending.
-    pub fn fast_forward_slots(&mut self, k: u64) {
-        assert!(self.pending.is_empty(), "fast-forward with pending quanta");
+    /// Panics if `slot` is behind the scheduler. Debug builds also
+    /// panic if the jump would cross live tables, i.e. a scheduler
+    /// with pending quanta fell more than a window behind.
+    pub fn advance_to(&mut self, slot: u64) {
+        assert!(slot >= self.cp, "advancing backwards");
+        let k = slot - self.cp;
         let stepped = if self.pristine {
             0
         } else {
@@ -761,8 +755,8 @@ impl LinkScheduler {
 
     /// Whether nothing has touched the scheduler since power-up or
     /// its last reset — no [`LinkScheduler::schedule`] attempt and no
-    /// credit return — so it may lag behind the clock and
-    /// [`LinkScheduler::catch_up`] later (see the module docs).
+    /// credit return — so [`LinkScheduler::advance_to`] jumps it in
+    /// closed form (see the module docs).
     pub fn is_pristine(&self) -> bool {
         self.pristine
     }
@@ -1017,14 +1011,15 @@ mod tests {
         assert!(s.schedule(FlowId::new(0), 0, entry(0, scheduled)).is_some());
     }
 
-    /// A scheduler with nothing pending jumped `k` slots must be
-    /// indistinguishable from one advanced `k` times — same clock,
-    /// head frame, `skipped` counters, credits and dirty flag, and the
-    /// same slot granted to the next booking. All three starting
-    /// states are `fresh`; only the first is pristine.
+    /// A scheduler with nothing pending brought `k` slots ahead by
+    /// `advance_to` must be indistinguishable from one advanced `k`
+    /// times — same clock, head frame, `skipped` counters, credits and
+    /// dirty flag, and the same slot granted to the next booking. Only
+    /// the first starting state is pristine, only the last is not
+    /// fresh.
     #[test]
-    fn fresh_fast_forward_matches_stepped_advance() {
-        let preps: [fn(&mut LinkScheduler); 3] = [
+    fn advance_to_matches_stepped_advance() {
+        let preps: [fn(&mut LinkScheduler); 4] = [
             |_| {},
             // A failed booking whose `earliest` lies beyond the
             // window yields every frame's reservation into `skipped`.
@@ -1040,41 +1035,40 @@ mod tests {
                 s.local_reset();
                 s.return_credit(slot + 3);
             },
+            // A booking forwarded and never reset (resets off): its
+            // consumed credit and busy frame are still in the tables.
+            |s| {
+                let slot = s.schedule(FlowId::new(1), 0, entry(1, 9)).unwrap();
+                s.complete(slot);
+            },
         ];
         for (case, prep) in preps.iter().enumerate() {
             for pre in [0u64, 1, 3, 5] {
-                for k in [1u64, 2, 4, 7, 16, 100, 1_003] {
+                for k in [0u64, 1, 2, 4, 7, 16, 100, 1_003] {
                     let at = format!("case={case} pre={pre} k={k}");
                     let mut stepped = LinkScheduler::new(paper_params(), &[2, 2]);
                     for _ in 0..pre {
                         stepped.advance_slot();
                     }
                     prep(&mut stepped);
-                    assert!(stepped.is_fresh(), "{at}");
+                    assert_eq!(stepped.is_fresh(), case < 3, "{at}");
                     assert_eq!(stepped.is_pristine(), case == 0, "{at}");
-                    let mut jumped = vec![stepped.clone()];
-                    jumped[0].fast_forward_slots(k);
-                    if case == 0 {
-                        jumped.push(stepped.clone());
-                        jumped[1].catch_up(stepped.current_slot() + k);
-                    }
+                    let mut jumped = stepped.clone();
+                    jumped.advance_to(stepped.current_slot() + k);
                     for _ in 0..k {
                         stepped.advance_slot();
                     }
-                    for mut jumped in jumped {
-                        let mut stepped = stepped.clone();
-                        assert_eq!(stepped.current_slot(), jumped.current_slot(), "{at}");
-                        assert_eq!(stepped.head_frame(), jumped.head_frame(), "{at}");
-                        assert_eq!(stepped.skipped, jumped.skipped, "{at}");
-                        assert_eq!(stepped.min_credit(), jumped.min_credit(), "{at}");
-                        assert_eq!(stepped.take_dirty(), jumped.take_dirty(), "{at}");
-                        for flow in [0, 1] {
-                            assert_eq!(
-                                stepped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
-                                jumped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
-                                "{at} flow={flow}"
-                            );
-                        }
+                    assert_eq!(stepped.current_slot(), jumped.current_slot(), "{at}");
+                    assert_eq!(stepped.head_frame(), jumped.head_frame(), "{at}");
+                    assert_eq!(stepped.skipped, jumped.skipped, "{at}");
+                    assert_eq!(stepped.min_credit(), jumped.min_credit(), "{at}");
+                    assert_eq!(stepped.take_dirty(), jumped.take_dirty(), "{at}");
+                    for flow in [0, 1] {
+                        assert_eq!(
+                            stepped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
+                            jumped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
+                            "{at} flow={flow}"
+                        );
                     }
                 }
             }

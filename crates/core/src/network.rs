@@ -51,15 +51,21 @@
 //! returns are applied the cycle they are produced (the one-cycle
 //! wire is folded into the scheduling pipeline).
 //!
+//! Link schedulers are not ticked: every access goes through
+//! `LoftNetwork::sched`, which first brings the scheduler to the
+//! current slot ([`LinkScheduler::advance_to`]). Links with a pending
+//! booking are touched by the data plane every slot, so they never
+//! lag; any other link catches up in at most one window of work.
+//!
 //! # Parallel stepping
 //!
 //! With [`LoftConfig::threads`] > 1 the node range is partitioned
 //! into contiguous shards (see `noc_sim::par`) and the phases of a
 //! cycle that only touch node-local state run on all shards
-//! concurrently: slot advancement of the ticking link schedulers,
-//! data quantum delivery, NIC data injection (with `injected_at`
-//! stamps deferred to the barrier), and look-ahead delivery into the
-//! channel queues. The phases that read or write *other* routers' state in
+//! concurrently: data quantum delivery, NIC data injection (with
+//! `injected_at` stamps deferred to the barrier), and look-ahead
+//! delivery into the channel queues. None of them touches a link
+//! scheduler. The phases that read or write *other* routers' state in
 //! the same cycle — data movement (downstream buffer credits),
 //! look-ahead scheduling (upstream virtual-credit returns), local
 //! status resets — stay serial, iterating shards in ascending order
@@ -67,8 +73,7 @@
 //! LOFT therefore parallelizes only part of each cycle; the VC-based
 //! networks (`VcFabric`) parallelize the whole datapath.
 
-use std::collections::VecDeque;
-
+use noc_sim::checkpoint::CapDeque;
 use noc_sim::fabric::{
     debug_assert_delivered_once, DelayedWires, EjectTracker, LinkMap, LookaheadQueues, LOCAL, PORTS,
 };
@@ -125,12 +130,15 @@ struct SrcQuantum {
 /// scheduler. The NIC launches one look-ahead flit per cycle and
 /// streams the corresponding data quanta into the router's local
 /// input port, one per slot, as buffer space permits.
-#[derive(Debug)]
+///
+/// The queues reach their high-water capacity during warmup, which
+/// forks keep ([`CapDeque`]).
+#[derive(Debug, Clone)]
 struct SourceNic {
     /// Quanta awaiting look-ahead launch, per flow sourced here,
     /// parallel to `rr_flows` — the launch scan indexes both by
     /// round-robin position, so no keyed lookup is needed.
-    flow_q: Vec<VecDeque<SrcQuantum>>,
+    flow_q: Vec<CapDeque<SrcQuantum>>,
     /// Total quanta across all of `flow_q` (the launch worklist's
     /// activity predicate).
     queued: usize,
@@ -141,26 +149,7 @@ struct SourceNic {
     /// Quanta whose look-ahead has launched, awaiting their data
     /// transfer into the router (FIFO, one per slot), with the owning
     /// packet's handle.
-    staged: VecDeque<(QKey, PacketRef)>,
-}
-
-impl Clone for SourceNic {
-    /// Capacity-preserving (see [`noc_sim::checkpoint::clone_deque`]):
-    /// per-flow queues and the staging FIFO reach their high-water
-    /// capacity during warmup, and forked runs must inherit it.
-    fn clone(&self) -> Self {
-        SourceNic {
-            flow_q: self
-                .flow_q
-                .iter()
-                .map(noc_sim::checkpoint::clone_deque)
-                .collect(),
-            queued: self.queued,
-            rr_flows: self.rr_flows.clone(),
-            rr: self.rr,
-            staged: noc_sim::checkpoint::clone_deque(&self.staged),
-        }
-    }
+    staged: CapDeque<(QKey, PacketRef)>,
 }
 
 impl SourceNic {
@@ -170,7 +159,7 @@ impl SourceNic {
             queued: 0,
             rr_flows: Vec::new(),
             rr: 0,
-            staged: VecDeque::new(),
+            staged: CapDeque::default(),
         }
     }
 }
@@ -210,12 +199,12 @@ struct LoftShard<Pr: Probe> {
 }
 
 impl<Pr: Probe> LoftShard<Pr> {
-    fn new(n: usize, cfg: &LoftConfig, num_flows: usize, probe: Pr) -> Self {
+    fn new(n: usize, cfg: &LoftConfig, probe: Pr) -> Self {
         LoftShard {
             probe,
             data_wires: DelayedWires::with_capacity(n * PORTS, cfg.dep_offset() as usize + 1),
             la_wires: DelayedWires::with_capacity(n * PORTS, cfg.la_hop_latency as usize + 1),
-            la_queues: LookaheadQueues::new(n * PORTS, num_flows),
+            la_queues: LookaheadQueues::new(n * PORTS),
             stage_work: ActiveSet::new(n),
             stamps: Vec::with_capacity(n),
         }
@@ -225,9 +214,8 @@ impl<Pr: Probe> LoftShard<Pr> {
 /// Which parallel phase [`LoftNetwork::run_phase`] dispatches.
 #[derive(Debug, Clone, Copy)]
 enum LoftPhase {
-    /// Slot-boundary data-plane work: advance every ticking link
-    /// scheduler (for `slot > 0`), deliver arrived data quanta, inject
-    /// staged quanta from the NICs.
+    /// Slot-boundary data-plane work: deliver arrived data quanta,
+    /// inject staged quanta from the NICs.
     Data { slot: u64 },
     /// Deliver arriving look-ahead flits into the channel queues.
     Lookahead { now: u64 },
@@ -240,15 +228,10 @@ enum LoftPhase {
 #[derive(Debug)]
 struct LoftShardCtx<'a, Pr: Probe> {
     range: ShardRange,
-    /// This shard's link schedulers (link range).
-    link_sched: &'a mut [LinkScheduler],
     /// This shard's data-plane input ports (link range).
     data_ports: &'a mut [DataPort],
     /// This shard's source NICs (node range).
     nics: &'a mut [SourceNic],
-    /// The network's ticking links (global link indices); shared
-    /// read-only during parallel phases.
-    ticking: &'a ActiveSet,
     aux: &'a mut LoftShard<Pr>,
     /// Shared read-only during parallel phases; only the serial
     /// barrier mutates packets (deferred `injected_at` stamps).
@@ -266,25 +249,11 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
     }
 
     /// The shard-local slice of the slot-boundary data-plane work:
-    /// advance the ticking link schedulers (pristine ones catch up
-    /// when next touched), then deliver arrived quanta
-    /// ([`LoftNetwork`]'s former `data_deliver`), then stream staged
-    /// quanta into the routers (former `inject_data`). None of these
-    /// read another shard's state, so running them shard-interleaved
-    /// is indistinguishable from the serial all-links-then-all-nodes
-    /// order.
+    /// deliver arrived quanta, then stream staged quanta into the
+    /// routers. Neither reads another shard's state, so running them
+    /// shard-interleaved is indistinguishable from the serial
+    /// all-links-then-all-nodes order.
     fn data_phase(&mut self, slot: u64) {
-        let base = self.range.lo * PORTS;
-        if slot > 0 {
-            let mut cursor = base;
-            while let Some(lidx) = self.ticking.first_from(cursor) {
-                if lidx >= self.range.hi * PORTS {
-                    break;
-                }
-                cursor = lidx + 1;
-                self.link_sched[lidx - base].advance_slot();
-            }
-        }
         let LoftShardCtx {
             range,
             data_ports,
@@ -295,6 +264,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
             ..
         } = self;
         let range = *range;
+        let base = range.lo * PORTS;
         let LoftShard {
             probe,
             data_wires,
@@ -410,26 +380,19 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// Total local status resets across all links (diagnostics).
     total_resets: u64,
     // ---- active-set worklists (see `noc_sim::worklist`) ----------
-    /// Links whose scheduler is not pristine
-    /// (`!LinkScheduler::is_pristine`) — a superset of `stale_links`:
-    /// exactly these are advanced every slot and sit at the network
-    /// slot; a pristine scheduler lags and catches up in
-    /// [`Self::wake`] before anything touches it.
-    ticking: ActiveSet,
     /// Links with a pending booking (`pending_len() > 0`): a quantum
     /// can only forward on the link where it is booked, so these are
-    /// the only links the data plane visits.
+    /// the only links the data plane visits — every slot, which keeps
+    /// their schedulers at the clock.
     pending_links: ActiveSet,
     /// Nodes with queued source quanta awaiting look-ahead launch.
     launch_work: ActiveSet,
-    /// Links whose scheduler is not in its power-up state
-    /// (`!is_fresh()`): the only candidates for a local status reset.
-    stale_links: ActiveSet,
     /// Links to re-examine for a local status reset: a reset becomes
     /// possible only when a link's last pending quantum forwards or
     /// its downstream non-speculative buffer drains back to capacity,
     /// so only those events queue a check — idle and saturated links
-    /// alike cost nothing per cycle.
+    /// alike cost nothing per cycle. Always empty with
+    /// [`LoftConfig::local_status_reset`] off.
     reset_check: ActiveSet,
     // ---- sharded parallel stepping (see the module docs) ----------
     /// Contiguous node ranges, one per shard.
@@ -450,8 +413,8 @@ impl LoftNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent
-    /// ([`LoftConfig::validate`]) or any reservation is zero.
+    /// Panics with the message of [`LoftConfig::validate`] if `cfg`
+    /// fails it, or if any reservation is zero.
     pub fn new(cfg: LoftConfig, reservations_flits: &[u32]) -> Self {
         Self::with_probe(cfg, reservations_flits, NoopProbe)
     }
@@ -463,10 +426,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent
-    /// ([`LoftConfig::validate`]) or any reservation is zero.
+    /// Same conditions as [`LoftNetwork::new`].
     pub fn with_probe(cfg: LoftConfig, reservations_flits: &[u32], probe: Pr) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         assert!(
             reservations_flits.iter().all(|&r| r > 0),
             "reservations must be positive"
@@ -506,7 +470,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         // (wires pre-sized to the traversal delay: one quantum resp.
         // look-ahead flit enters a link per slot resp. cycle).
         let shards = (0..k)
-            .map(|_| LoftShard::new(n, &cfg, reservations_flits.len(), probe.fork()))
+            .map(|_| LoftShard::new(n, &cfg, probe.fork()))
             .collect();
         LoftNetwork {
             probe,
@@ -526,10 +490,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             la_outstanding: vec![0; reservations_flits.len()],
             forwarded: vec![0; n * PORTS],
             total_resets: 0,
-            ticking: ActiveSet::new(n * PORTS),
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
-            stale_links: ActiveSet::new(n * PORTS),
             reset_check: ActiveSet::new(n * PORTS),
             pool: (k > 1).then(|| WorkerPool::new(k - 1)),
             ranges,
@@ -572,7 +534,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// debugging and tests).
     pub fn debug_injection(&self, node: usize) -> String {
         let nic = &self.nics[node];
-        let queued: usize = nic.flow_q.iter().map(VecDeque::len).sum();
+        let queued: usize = nic.flow_q.iter().map(|q| q.len()).sum();
         let ridx = node * PORTS + LOCAL;
         format!(
             "inj n{node}: queued={} staged={} local_nonspec_free={} outstanding={:?}",
@@ -617,26 +579,26 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 .raw_len(lidx),
             sched.resets(),
             self.forwarded[lidx],
-            // Not `sched.head_frame()`: a pristine scheduler lags.
+            // Not `sched.head_frame()`: a scheduler without a pending
+            // booking may lag until its next access.
             self.slot() / self.cfg.frame_quanta() as u64,
             downstream
         )
     }
 
-    /// The slot every ticking link scheduler is at between steps:
-    /// the last stepped cycle's.
+    /// The slot of the last stepped cycle: the clock no scheduler is
+    /// ahead of between steps.
     fn slot(&self) -> u64 {
         self.cycle.saturating_sub(1) / self.cfg.flits_per_quantum as u64
     }
 
-    /// Brings link `lidx`'s scheduler to `slot` and starts ticking it
-    /// if it was pristine. Call before any `schedule` or
-    /// `return_credit` on it — those end the pristine state.
-    fn wake(&mut self, lidx: usize, slot: u64) {
-        if !self.ticking.contains(lidx) {
-            self.ticking.insert(lidx);
-            self.link_sched[lidx].catch_up(slot);
-        }
+    /// Link `lidx`'s scheduler, brought to the current cycle's slot:
+    /// the one way to reach a scheduler's clock-dependent state.
+    fn sched(&mut self, lidx: usize) -> &mut LinkScheduler {
+        let slot = self.cycle / self.cfg.flits_per_quantum as u64;
+        let sched = &mut self.link_sched[lidx];
+        sched.advance_to(slot);
+        sched
     }
 
     fn quanta_per_packet(&self, len_flits: u16) -> u64 {
@@ -716,17 +678,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     fn la_schedule(&mut self, now: u64) {
         let la_hop = self.cfg.la_hop_latency;
         let dep_off = self.cfg.dep_offset();
-        let now_slot = now / self.cfg.flits_per_quantum as u64;
         for sh in 0..self.shards.len() {
             let mut cursor = self.ranges[sh].lo * PORTS;
             while let Some(qidx) = self.shards[sh].la_queues.first_from(cursor) {
                 cursor = qidx + 1;
                 let (node, out_port) = (qidx / PORTS, qidx % PORTS);
-                // A pristine scheduler is always dirty (its reset set
-                // the flag and only this pass clears it), so the
-                // booking attempt below follows and ends that state.
-                self.wake(qidx, now_slot);
-                let dirty = self.link_sched[qidx].take_dirty();
+                let dirty = self.sched(qidx).take_dirty();
                 if self.shards[sh].la_queues.is_blocked(qidx) && !dirty {
                     self.probe.on_sched_deny(qidx);
                     continue;
@@ -735,6 +692,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     let Self {
                         shards, link_sched, ..
                     } = self;
+                    // Already at the clock: `take_dirty` went through
+                    // `sched` this cycle.
                     shards[sh].la_queues.book_first(qidx, |la| {
                         link_sched[qidx].schedule(
                             la.flow,
@@ -753,10 +712,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     continue;
                 };
                 self.probe.on_sched_book(qidx);
-                // The booking un-freshens the scheduler and adds a
-                // pending quantum: feed the reset watchlist and the
+                // The booking adds a pending quantum: feed the
                 // data-plane worklist.
-                self.stale_links.insert(qidx);
                 self.pending_links.insert(qidx);
                 let key = (la.flow.index() as u32, la.qid);
                 // Input reservation table: record the booked slot.
@@ -768,10 +725,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // actual-space flow control instead of a scheduler.
                 if la.in_port as usize != LOCAL {
                     let (up, up_port) = self.link.upstream(node, la.in_port as usize);
-                    // The upstream link may have reset since it sent
-                    // the quantum (it sat in the speculative buffer).
-                    self.wake(up * PORTS + up_port, now_slot);
-                    self.link_sched[up * PORTS + up_port].return_credit(slot);
+                    self.sched(up * PORTS + up_port).return_credit(slot);
                 }
                 // Ejection booked: the look-ahead flit is consumed
                 // and the flow's look-ahead window slot frees up.
@@ -810,10 +764,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let Self {
             shards,
             ranges,
-            link_sched,
             data_ports,
             nics,
-            ticking,
             tracker,
             cfg,
             link,
@@ -823,10 +775,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             let range = ranges[s];
             let mut ctx = LoftShardCtx {
                 range,
-                link_sched: &mut link_sched[range.lo * PORTS..range.hi * PORTS],
                 data_ports: &mut data_ports[range.lo * PORTS..range.hi * PORTS],
                 nics: &mut nics[range.lo..range.hi],
-                ticking,
                 aux,
                 tracker,
                 cfg: *cfg,
@@ -837,12 +787,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     }
 
     fn run_phase_parallel(&mut self, phase: LoftPhase) {
-        let link_sched = SendPtr::new(self.link_sched.as_mut_ptr());
         let data_ports = SendPtr::new(self.data_ports.as_mut_ptr());
         let nics = SendPtr::new(self.nics.as_mut_ptr());
         let shards = SendPtr::new(self.shards.as_mut_ptr());
         let ranges: &[ShardRange] = &self.ranges;
-        let ticking: &ActiveSet = &self.ticking;
         let tracker: &EjectTracker = &self.tracker;
         let cfg = self.cfg;
         let link = self.link;
@@ -860,16 +808,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             let mut ctx = unsafe {
                 LoftShardCtx {
                     range,
-                    link_sched: std::slice::from_raw_parts_mut(
-                        link_sched.get().add(lo * PORTS),
-                        len * PORTS,
-                    ),
                     data_ports: std::slice::from_raw_parts_mut(
                         data_ports.get().add(lo * PORTS),
                         len * PORTS,
                     ),
                     nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
-                    ticking,
                     aux: &mut *shards.get().add(s),
                     tracker,
                     cfg,
@@ -917,7 +860,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     }
 
     fn move_on_link(&mut self, node: usize, out_port: usize, slot: u64, out: &mut Vec<Packet>) {
-        let sched = &self.link_sched[node * PORTS + out_port];
+        // `data_move` gets here every slot while the link holds a
+        // booking: this access is what keeps such a scheduler current.
+        let sched = self.sched(node * PORTS + out_port);
         // Emergent quantum: booked for this slot (or earlier — a
         // booking can run late when its buffer was transiently full).
         let emergent = sched
@@ -1006,10 +951,14 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         self.probe.on_link_flits(lidx, self.cfg.flits_per_quantum);
         // Commit: clear the booking and remove the quantum from its
         // holding place.
-        self.link_sched[lidx].complete(dep);
-        if self.link_sched[lidx].can_reset() {
+        let reset = self.cfg.local_status_reset;
+        let sched = self.sched(lidx);
+        sched.complete(dep);
+        if sched.can_reset() {
             self.pending_links.remove(lidx);
-            self.reset_check.insert(lidx);
+            if reset {
+                self.reset_check.insert(lidx);
+            }
         }
         let pidx = node * PORTS + in_port as usize;
         let port = &mut self.data_ports[pidx];
@@ -1020,7 +969,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             port.nonspec_free += 1;
             // The buffer the upstream scheduler's reset waits on just
             // gained a slot: if it is full again, queue the check.
-            if port.nonspec_free == self.cfg.nonspec_quanta() as i64 && in_port as usize != LOCAL {
+            if reset
+                && port.nonspec_free == self.cfg.nonspec_quanta() as i64
+                && in_port as usize != LOCAL
+            {
                 let (up, up_port) = self.link.upstream(node, in_port as usize);
                 self.reset_check.insert(up * PORTS + up_port);
             }
@@ -1087,26 +1039,15 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
         for i in 0..self.link_sched.len() {
             let sched = &self.link_sched[i];
-            debug_assert_eq!(
-                self.stale_links.contains(i),
-                !sched.is_fresh(),
-                "stale_links out of sync at link {i}"
+            debug_assert!(
+                sched.current_slot() <= self.slot(),
+                "link {i} ahead of the clock"
             );
-            debug_assert_eq!(
-                self.ticking.contains(i),
-                !sched.is_pristine(),
-                "ticking out of sync at link {i}"
-            );
-            if sched.is_pristine() {
-                debug_assert!(
-                    sched.current_slot() <= self.slot(),
-                    "pristine link {i} ahead of the clock"
-                );
-            } else {
+            if sched.pending_len() > 0 {
                 debug_assert_eq!(
                     sched.current_slot(),
                     self.slot(),
-                    "ticking link {i} missed a slot"
+                    "link {i} with a pending booking missed a slot"
                 );
             }
             debug_assert_eq!(
@@ -1125,7 +1066,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     }
                     None => true,
                 };
-            if !sched.is_fresh() && sched.can_reset() && downstream_empty {
+            if self.cfg.local_status_reset
+                && !sched.is_fresh()
+                && sched.can_reset()
+                && downstream_empty
+            {
                 debug_assert!(
                     self.reset_check.contains(i),
                     "eligible reset not queued for link {i}"
@@ -1149,7 +1094,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             let nic = &self.nics[node];
             debug_assert_eq!(
                 nic.queued,
-                nic.flow_q.iter().map(VecDeque::len).sum::<usize>(),
+                nic.flow_q.iter().map(|q| q.len()).sum::<usize>(),
                 "queued miscounts NIC {node}"
             );
             debug_assert_eq!(
@@ -1203,7 +1148,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// (last pending quantum forwarded, or downstream buffer drained
     /// to capacity), so processing that event set each cycle resets
     /// every link on the first cycle it qualifies — identical
-    /// behaviour to scanning all of `stale_links`, without the scan.
+    /// behaviour to scanning every non-fresh link, without the scan.
     fn reset_idle_links(&mut self) {
         let nonspec_cap = self.cfg.nonspec_quanta() as i64;
         let mut cursor = 0;
@@ -1225,9 +1170,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 }
             };
             if downstream_empty {
-                self.link_sched[lidx].local_reset();
-                self.stale_links.remove(lidx);
-                self.ticking.remove(lidx);
+                self.sched(lidx).local_reset();
                 self.total_resets += 1;
                 self.probe.on_link_reset(lidx);
             }
@@ -1259,7 +1202,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             Some(i) => i,
             None => {
                 nic.rr_flows.push(fid);
-                nic.flow_q.push(VecDeque::new());
+                nic.flow_q.push(CapDeque::default());
                 nic.rr_flows.len() - 1
             }
         };
@@ -1310,32 +1253,28 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
     }
 
     /// Jumps `cycles` forward without stepping when the network is
-    /// fully quiescent: no packet in the slab, every link scheduler in
-    /// its power-up state (`stale_links` empty), and no reset check
-    /// pending. A quiescent LOFT cycle then does exactly three things
-    /// — advance the ticking link schedulers at slot boundaries,
+    /// quiescent — no packet in the slab — and no reset decision is
+    /// due. A quiescent LOFT cycle then does exactly two things —
     /// sample occupancy when the telemetry window is due, and tick the
-    /// cycle counter — all replicated here: one
-    /// [`LinkScheduler::fast_forward_slots`] call per ticking link
-    /// (a fresh link a failed booking or late credit return left
-    /// non-pristine; usually there is none), all-zero occupancy
+    /// cycle counter — both replicated here: all-zero occupancy
     /// samples in the exact `sample_occupancy` order, and
-    /// [`Probe::tick_many`].
+    /// [`Probe::tick_many`]. Link schedulers are untouched: nothing is
+    /// pending on them, so each catches up on its next access.
     ///
-    /// With [`LoftConfig::local_status_reset`] disabled, schedulers
-    /// never return to their power-up state once booked, so the jump
-    /// permanently declines after the first packet — the engine simply
-    /// keeps stepping, unchanged.
+    /// With [`LoftConfig::local_status_reset`] on, every scheduler is
+    /// back in its power-up state by then; with it off, schedulers keep
+    /// their used tables, which `advance_to` steps exactly.
     fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0
-            || !self.tracker.is_empty()
-            || !self.stale_links.is_empty()
-            || !self.reset_check.is_empty()
-        {
+        if cycles == 0 || !self.tracker.is_empty() || !self.reset_check.is_empty() {
             return 0;
         }
         #[cfg(debug_assertions)]
         {
+            if self.cfg.local_status_reset {
+                for (i, sched) in self.link_sched.iter().enumerate() {
+                    debug_assert!(sched.is_fresh(), "quiescent link {i} missed its reset");
+                }
+            }
             for shard in &self.shards {
                 debug_assert!(!shard.data_wires.any_active(), "data quanta in flight");
                 debug_assert!(!shard.la_wires.any_active(), "look-aheads in flight");
@@ -1366,17 +1305,6 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             }
         }
         let now = self.cycle;
-        let q = self.cfg.flits_per_quantum as u64;
-        // Stepping advances the ticking schedulers at cycles `m` with
-        // `m % q == 0 && m / q > 0`: count those in `[now, now + k)`.
-        let i0 = now.div_ceil(q).max(1);
-        let i1 = (now + cycles).div_ceil(q).max(1);
-        let advances = i1 - i0;
-        let mut cursor = 0;
-        while let Some(lidx) = self.ticking.first_from(cursor) {
-            cursor = lidx + 1;
-            self.link_sched[lidx].fast_forward_slots(advances);
-        }
         if Pr::ENABLED {
             for c in now..now + cycles {
                 if !self.probe.sample_due(c) {
@@ -1719,45 +1647,48 @@ mod tests {
 
     /// A quiescent jump must be indistinguishable from stepping the
     /// idle cycles — same clock, and identical behaviour for traffic
-    /// injected after the gap.
+    /// injected after the gap — with local resets on and off (`spec=0`
+    /// leaves every used scheduler's tables in place).
     #[test]
     fn fast_forward_matches_idle_stepping() {
-        let build = || {
-            let mut net = LoftNetwork::new(LoftConfig::default(), &[16]);
-            for seq in 0..5 {
-                net.enqueue(packet(0, seq, 0, 9, 0));
-            }
-            net
-        };
-        let (mut stepped, mut jumped) = (build(), build());
-        let (mut out_s, mut out_j) = (Vec::new(), Vec::new());
-        while stepped.in_flight() > 0 {
-            stepped.step(&mut out_s);
-        }
-        while jumped.in_flight() > 0 {
-            jumped.step(&mut out_j);
-        }
-        // Let the trailing reset checks land so both are quiescent.
-        for _ in 0..32 {
-            stepped.step(&mut out_s);
-            jumped.step(&mut out_j);
-        }
-        assert_eq!(out_s, out_j);
-        for k in [1u64, 5, 63, 64, 1_000] {
-            for _ in 0..k {
+        for cfg in [LoftConfig::default(), LoftConfig::with_spec_buffer(0)] {
+            let build = || {
+                let mut net = LoftNetwork::new(cfg, &[16]);
+                for seq in 0..5 {
+                    net.enqueue(packet(0, seq, 0, 9, 0));
+                }
+                net
+            };
+            let (mut stepped, mut jumped) = (build(), build());
+            let (mut out_s, mut out_j) = (Vec::new(), Vec::new());
+            while stepped.in_flight() > 0 {
                 stepped.step(&mut out_s);
             }
-            assert_eq!(jumped.fast_forward(k), k, "jump declined at k={k}");
-            assert_eq!(jumped.cycle(), stepped.cycle());
+            while jumped.in_flight() > 0 {
+                jumped.step(&mut out_j);
+            }
+            // Let the trailing reset checks land so both are quiescent.
+            for _ in 0..32 {
+                stepped.step(&mut out_s);
+                jumped.step(&mut out_j);
+            }
+            assert_eq!(out_s, out_j);
+            for k in [1u64, 5, 63, 64, 1_000] {
+                for _ in 0..k {
+                    stepped.step(&mut out_s);
+                }
+                assert_eq!(jumped.fast_forward(k), k, "jump declined at k={k}");
+                assert_eq!(jumped.cycle(), stepped.cycle());
+            }
+            assert_eq!(stepped.total_resets(), jumped.total_resets());
+            // Traffic after the gap behaves identically in both worlds.
+            stepped.enqueue(packet(0, 100, 0, 9, 0));
+            jumped.enqueue(packet(0, 100, 0, 9, 0));
+            let a = drain(&mut stepped, 10_000);
+            let b = drain(&mut jumped, 10_000);
+            assert_eq!(a.len(), 1);
+            assert_eq!(a, b);
         }
-        assert_eq!(stepped.total_resets(), jumped.total_resets());
-        // Traffic after the gap behaves identically in both worlds.
-        stepped.enqueue(packet(0, 100, 0, 9, 0));
-        jumped.enqueue(packet(0, 100, 0, 9, 0));
-        let a = drain(&mut stepped, 10_000);
-        let b = drain(&mut jumped, 10_000);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a, b);
     }
 
     #[test]

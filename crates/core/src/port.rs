@@ -29,6 +29,7 @@
 //! arbiter reads its earliest candidate in O(1) and pays a mask rescan
 //! only when the cached minimum itself forwards.
 
+use noc_sim::checkpoint::{Cap, CapVec};
 use noc_sim::fabric::PORTS;
 use noc_sim::slab::PacketRef;
 
@@ -60,23 +61,24 @@ struct ResEntry {
 }
 
 /// Input-port state of a data router: buffers + input reservation
-/// table.
-#[derive(Debug)]
+/// table. The slot store and its indexes churn every cycle at their
+/// warmup high-water size, which forks keep ([`CapVec`]).
+#[derive(Debug, Clone)]
 pub(crate) struct DataPort {
     /// Free slots in the non-speculative buffer.
     pub nonspec_free: i64,
     /// Free slots in the speculative buffer.
     pub spec_free: i64,
     /// The slot store. Entries are reused; `free` tracks vacancy.
-    entries: Vec<ResEntry>,
+    entries: CapVec<ResEntry>,
     /// Bitmask over `entries`: bit set = slot free.
-    free: Vec<u64>,
+    free: CapVec<u64>,
     /// Sorted `(key, slot)` index over entries awaiting their data
     /// arrival (`expected && pref.is_none()`).
-    pending_arrival: Vec<(QKey, ResIdx)>,
+    pending_arrival: CapVec<(QKey, ResIdx)>,
     /// Entries whose data arrived before the look-ahead
     /// (`!expected`); unsorted, empty in practice.
-    orphans: Vec<(QKey, ResIdx)>,
+    orphans: CapVec<(QKey, ResIdx)>,
     /// Arrived quanta with a booked departure, per output port.
     ready: [ReadySet; PORTS],
 }
@@ -138,24 +140,6 @@ impl ReadySet {
     }
 }
 
-impl Clone for DataPort {
-    /// Capacity-preserving (see [`noc_sim::checkpoint::clone_vec`]):
-    /// the slot store and its indexes churn every cycle at their
-    /// warmup high-water size, and forked runs must inherit that
-    /// capacity rather than re-pay the growth.
-    fn clone(&self) -> Self {
-        DataPort {
-            nonspec_free: self.nonspec_free,
-            spec_free: self.spec_free,
-            entries: noc_sim::checkpoint::clone_vec(&self.entries),
-            free: noc_sim::checkpoint::clone_vec(&self.free),
-            pending_arrival: noc_sim::checkpoint::clone_vec(&self.pending_arrival),
-            orphans: noc_sim::checkpoint::clone_vec(&self.orphans),
-            ready: self.ready.clone(),
-        }
-    }
-}
-
 impl DataPort {
     /// A port with the given buffer depths whose slot store starts at
     /// `capacity` entries. The store grows (amortized, rare) if the
@@ -173,7 +157,7 @@ impl DataPort {
         DataPort {
             nonspec_free: nonspec,
             spec_free: spec,
-            entries: vec![
+            entries: Cap(vec![
                 ResEntry {
                     key: (0, 0),
                     out_port: 0,
@@ -183,10 +167,10 @@ impl DataPort {
                     pref: None,
                 };
                 cap
-            ],
-            free,
-            pending_arrival: Vec::with_capacity(cap.min(64)),
-            orphans: Vec::new(),
+            ]),
+            free: Cap(free),
+            pending_arrival: Cap(Vec::with_capacity(cap.min(64))),
+            orphans: CapVec::default(),
             ready: std::array::from_fn(|_| ReadySet {
                 mask: vec![0u64; words],
                 min: None,

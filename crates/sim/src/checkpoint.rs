@@ -34,35 +34,65 @@
 //!   replays the exact instruction sequence of an uninterrupted run.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::engine::{EngineState, Network, RunConfig, RunInfo, Simulation, TrafficSource};
 use crate::stats::SimReport;
 
-/// Clones a vector preserving its allocated *capacity*, not just its
-/// contents.
+/// A buffer whose `Clone` preserves the allocated *capacity*, not
+/// just the contents; it derefs to the buffer for everything else.
 ///
 /// `Vec::clone` allocates exactly `len` elements, so a derived clone
 /// of a buffer that construction pre-sized (wire FIFOs, VC buffers,
 /// slot stores) silently re-pays its growth allocations the next time
 /// it fills — which for a forked simulation means the resumed
-/// steady state allocates where a from-scratch run would not. Every
-/// hand-written `Clone` on the hot buffer types uses this (or
-/// [`clone_deque`]) so forks inherit the original's high-water
-/// capacity and the `allocs_per_cycle` gate holds on forked runs.
-#[must_use]
-#[allow(clippy::ptr_arg)] // &Vec, not &[_]: the capacity is the point
-pub fn clone_vec<T: Clone>(src: &Vec<T>) -> Vec<T> {
-    let mut out = Vec::with_capacity(src.capacity());
-    out.extend(src.iter().cloned());
-    out
+/// steady state allocates where a from-scratch run would not. Hot
+/// buffers are typed [`CapVec`] or [`CapDeque`], so a derived `Clone`
+/// on the owning struct inherits the original's high-water capacity
+/// and the `allocs_per_cycle` gate holds on forked runs.
+#[derive(Default)]
+pub struct Cap<B>(pub B);
+
+/// A `Vec` with a capacity-preserving `Clone` (see [`Cap`]).
+pub type CapVec<T> = Cap<Vec<T>>;
+
+/// A `VecDeque` with a capacity-preserving `Clone` (see [`Cap`]).
+pub type CapDeque<T> = Cap<VecDeque<T>>;
+
+impl<T: Clone> Clone for CapVec<T> {
+    fn clone(&self) -> Self {
+        let mut out = Vec::with_capacity(self.capacity());
+        out.extend_from_slice(self);
+        Cap(out)
+    }
 }
 
-/// [`clone_vec`] for `VecDeque` buffers.
-#[must_use]
-pub fn clone_deque<T: Clone>(src: &VecDeque<T>) -> VecDeque<T> {
-    let mut out = VecDeque::with_capacity(src.capacity());
-    out.extend(src.iter().cloned());
-    out
+impl<T: Clone> Clone for CapDeque<T> {
+    fn clone(&self) -> Self {
+        let mut out = VecDeque::with_capacity(self.capacity());
+        out.extend(self.iter().cloned());
+        Cap(out)
+    }
+}
+
+impl<B> Deref for Cap<B> {
+    type Target = B;
+    fn deref(&self) -> &B {
+        &self.0
+    }
+}
+
+impl<B> DerefMut for Cap<B> {
+    fn deref_mut(&mut self) -> &mut B {
+        &mut self.0
+    }
+}
+
+impl<B: fmt::Debug> fmt::Debug for Cap<B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 /// A simulation frozen at the warmup/measurement boundary.
@@ -70,17 +100,9 @@ pub fn clone_deque<T: Clone>(src: &VecDeque<T>) -> VecDeque<T> {
 /// Created by [`Simulation::run_to_checkpoint`]; resumed (consumed)
 /// by [`Checkpoint::resume`]. [`Checkpoint::fork`] clones the whole
 /// state so one warmup can feed many measurement runs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint<N, T> {
     state: EngineState<N, T>,
-}
-
-impl<N: Clone, T: Clone> Clone for Checkpoint<N, T> {
-    fn clone(&self) -> Self {
-        Checkpoint {
-            state: self.state.clone(),
-        }
-    }
 }
 
 impl<N: Network, T: TrafficSource> Checkpoint<N, T> {
@@ -257,6 +279,13 @@ mod tests {
         measure: 1_000,
         drain: 100,
     };
+
+    #[test]
+    fn cap_buffers_clone_their_capacity() {
+        let v: CapVec<u8> = Cap(Vec::with_capacity(64));
+        let d: CapDeque<u8> = Cap(VecDeque::with_capacity(64));
+        assert!(v.clone().capacity() >= 64 && d.clone().capacity() >= 64);
+    }
 
     #[test]
     fn checkpoint_sits_at_the_warmup_boundary() {

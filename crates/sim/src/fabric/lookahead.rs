@@ -20,48 +20,25 @@
 //! the "try each distinct flow once, in queue order" discipline of a
 //! single FIFO with fair bypass.
 
-use std::collections::VecDeque;
-
+use crate::checkpoint::{Cap, CapDeque, CapVec};
 use crate::worklist::ActiveSet;
 use crate::FxHashMap;
 
 /// The queued flits of one flow *behind* its front entry (which lives
 /// in the scan order). Kept in the map after draining so the
-/// `VecDeque` capacity is reused.
-#[derive(Debug)]
+/// `VecDeque` capacity is reused (by forks too).
+#[derive(Debug, Clone)]
 struct Tail<T> {
     /// Entries behind the front, oldest first, with arrival stamps.
-    q: VecDeque<(u64, T)>,
+    q: CapDeque<(u64, T)>,
     /// Whether the flow currently has a front entry in the scan order.
     present: bool,
-}
-
-impl<T: Clone> Clone for Tail<T> {
-    /// Capacity-preserving (see [`crate::checkpoint::clone_deque`]):
-    /// drained tails deliberately keep their capacity for reuse, and
-    /// forked runs must inherit it.
-    fn clone(&self) -> Self {
-        Tail {
-            q: crate::checkpoint::clone_deque(&self.q),
-            present: self.present,
-        }
-    }
-}
-
-impl<T: Clone> Clone for LaQueue<T> {
-    /// Capacity-preserving (see [`crate::checkpoint::clone_vec`]).
-    fn clone(&self) -> Self {
-        LaQueue {
-            order: crate::checkpoint::clone_vec(&self.order),
-            rest: self.rest.clone(),
-        }
-    }
 }
 
 impl<T> Default for Tail<T> {
     fn default() -> Self {
         Tail {
-            q: VecDeque::new(),
+            q: CapDeque::default(),
             present: false,
         }
     }
@@ -69,13 +46,13 @@ impl<T> Default for Tail<T> {
 
 /// One output port's look-ahead queue: the scan order holding each
 /// present flow's front flit inline, plus per-flow tail FIFOs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LaQueue<T> {
     /// `(front entry stamp, flow, front flit)` for every flow with
     /// entries, sorted ascending by stamp. New flows append (stamps
     /// are monotonic); a flow whose front was booked re-inserts its
     /// next entry at that entry's stamp.
-    order: Vec<(u64, usize, T)>,
+    order: CapVec<(u64, usize, T)>,
     /// Entries behind each flow's front.
     rest: FxHashMap<usize, Tail<T>>,
 }
@@ -99,16 +76,13 @@ pub struct LookaheadQueues<T> {
 }
 
 impl<T: Copy> LookaheadQueues<T> {
-    /// Empty queues for `num_queues` output ports. (`num_flows` is
-    /// unused but kept so constructors read naturally alongside the
-    /// per-flow reservation tables.)
+    /// Empty queues for `num_queues` output ports.
     #[must_use]
-    pub fn new(num_queues: usize, num_flows: usize) -> Self {
-        let _ = num_flows;
+    pub fn new(num_queues: usize) -> Self {
         LookaheadQueues {
             queues: (0..num_queues)
                 .map(|_| LaQueue {
-                    order: Vec::new(),
+                    order: Cap(Vec::new()),
                     rest: FxHashMap::default(),
                 })
                 .collect(),
@@ -230,7 +204,7 @@ impl<T: Copy> LookaheadQueues<T> {
                 q.rest.values().filter(|t| t.present).count(),
                 "presence marks disagree with scan order in queue {i}"
             );
-            for &(stamp, flow, _) in &q.order {
+            for &(stamp, flow, _) in q.order.iter() {
                 let tail = &q.rest[&flow];
                 debug_assert!(tail.present, "ordered flow {flow} unmarked in queue {i}");
                 debug_assert!(
@@ -251,7 +225,7 @@ mod tests {
 
     #[test]
     fn books_front_when_possible() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 4);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2);
         q.push(0, 1, (1, 10));
         q.push(0, 2, (2, 20));
         let (item, slot) = q.book_first(0, |f| Some(f.1 * 2)).expect("front books");
@@ -263,7 +237,7 @@ mod tests {
 
     #[test]
     fn blocked_flow_is_bypassed_by_other_flows_only() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 4);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1);
         q.push(0, 1, (1, 10)); // flow 1: cannot book
         q.push(0, 1, (1, 11)); // flow 1 again: must not even be tried
         q.push(0, 2, (2, 20)); // flow 2: books
@@ -283,7 +257,7 @@ mod tests {
 
     #[test]
     fn booked_flow_rejoins_scan_at_next_entry_stamp() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 4);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1);
         q.push(0, 1, (1, 10)); // stamp 0
         q.push(0, 2, (2, 20)); // stamp 1
         q.push(0, 1, (1, 11)); // stamp 2
@@ -302,7 +276,7 @@ mod tests {
 
     #[test]
     fn total_failure_blocks_until_push() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 2);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1);
         q.push(0, 0, (0, 1));
         assert!(q.book_first(0, |_| None::<()>).is_none());
         assert!(q.is_blocked(0));
@@ -313,7 +287,7 @@ mod tests {
 
     #[test]
     fn draining_empties_the_worklist() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(3, 2);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(3);
         q.push(2, 0, (0, 1));
         assert_eq!(q.first_from(0), Some(2));
         let _ = q.book_first(2, |_| Some(()));

@@ -45,8 +45,9 @@
 //!   delivered exactly once.
 //! * [`LookaheadQueues`] is the *optional look-ahead channel* used by
 //!   flit-reservation (FRS) policies: per-output-port queues with
-//!   per-flow fair bypass, tombstone extraction, and epoch-stamped
-//!   failed-flow skipping.
+//!   per-flow fair bypass — per-flow tails whose fronts sit inline in
+//!   a stamp-ordered scan — plus a per-queue *blocked* mark that skips
+//!   a queue until something could let it book.
 //! * [`VcFabric`] is the complete credit-based virtual-channel
 //!   datapath (link arrivals, credits, NIC streaming with routing at
 //!   arrival, and switch traversal), parameterized by a

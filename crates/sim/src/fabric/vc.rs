@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use crate::checkpoint::{Cap, CapDeque};
 use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::flit::{FlitKind, NodeId, Packet};
@@ -36,33 +37,21 @@ pub struct VcFlit<T> {
 }
 
 /// One input virtual-channel buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VcBuf<T> {
-    /// Buffered flits, FIFO.
-    pub q: VecDeque<VcFlit<T>>,
+    /// Buffered flits, FIFO; pre-sized at construction, and forks
+    /// keep that capacity.
+    pub q: CapDeque<VcFlit<T>>,
     /// Output port computed for the packet at the front, if any.
     pub route: Option<usize>,
     /// Downstream VC allocated to that packet, if any.
     pub out_vc: Option<usize>,
 }
 
-impl<T: Clone> Clone for VcBuf<T> {
-    /// Capacity-preserving (see [`crate::checkpoint::clone_deque`]):
-    /// VC buffers are pre-sized at construction, and forked runs must
-    /// not re-pay that growth in their steady state.
-    fn clone(&self) -> Self {
-        VcBuf {
-            q: crate::checkpoint::clone_deque(&self.q),
-            route: self.route,
-            out_vc: self.out_vc,
-        }
-    }
-}
-
 impl<T> VcBuf<T> {
     fn with_capacity(cap: usize) -> Self {
         VcBuf {
-            q: VecDeque::with_capacity(cap),
+            q: Cap(VecDeque::with_capacity(cap)),
             route: None,
             out_vc: None,
         }

@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 
+use crate::checkpoint::{Cap, CapDeque};
 use crate::worklist::ActiveSet;
 
 /// Per-link FIFO queues of in-flight items, each stamped with the
@@ -14,26 +15,11 @@ use crate::worklist::ActiveSet;
 /// never touch the bitset directly. Drains visit links in ascending
 /// index order with live worklist semantics — bit-identical to a full
 /// `0..n` scan (see [`crate::worklist`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DelayedWires<T> {
-    wires: Vec<VecDeque<(u64, T)>>,
+    /// Pre-sized to the link-delay bound; forks keep that capacity.
+    wires: Vec<CapDeque<(u64, T)>>,
     work: ActiveSet,
-}
-
-impl<T: Clone> Clone for DelayedWires<T> {
-    /// Capacity-preserving (see [`crate::checkpoint::clone_deque`]):
-    /// wires are pre-sized to their link-delay bound, and forked runs
-    /// must not re-pay that growth in their steady state.
-    fn clone(&self) -> Self {
-        DelayedWires {
-            wires: self
-                .wires
-                .iter()
-                .map(crate::checkpoint::clone_deque)
-                .collect(),
-            work: self.work.clone(),
-        }
-    }
 }
 
 impl<T> DelayedWires<T> {
@@ -50,7 +36,7 @@ impl<T> DelayedWires<T> {
     pub fn with_capacity(num_links: usize, per_link: usize) -> Self {
         DelayedWires {
             wires: (0..num_links)
-                .map(|_| VecDeque::with_capacity(per_link))
+                .map(|_| Cap(VecDeque::with_capacity(per_link)))
                 .collect(),
             work: ActiveSet::new(num_links),
         }

@@ -36,6 +36,8 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::checkpoint::CapVec;
+
 /// A contiguous range of node indices owned by one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRange {
@@ -102,24 +104,12 @@ pub fn shard_map(ranges: &[ShardRange]) -> Vec<u32> {
 /// pushes into the *fill* bank; at the cycle barrier the coordinator
 /// [`Mailbox::flip`]s every mailbox and drains the *drain* bank, so
 /// the bank being merged is never the bank being written. Lanes keep
-/// their capacity across cycles — the steady state allocates nothing.
-#[derive(Debug)]
+/// their capacity across cycles (forks included) — the steady state
+/// allocates nothing.
+#[derive(Debug, Clone)]
 pub struct Mailbox<T> {
-    fill: Vec<Vec<T>>,
-    drain: Vec<Vec<T>>,
-}
-
-impl<T: Clone> Clone for Mailbox<T> {
-    /// Capacity-preserving (see [`crate::checkpoint::clone_vec`]):
-    /// lanes keep their capacity across cycles by design, and forked
-    /// runs must inherit it rather than re-pay the growth.
-    fn clone(&self) -> Self {
-        let lanes = |bank: &Vec<Vec<T>>| bank.iter().map(crate::checkpoint::clone_vec).collect();
-        Mailbox {
-            fill: lanes(&self.fill),
-            drain: lanes(&self.drain),
-        }
-    }
+    fill: Vec<CapVec<T>>,
+    drain: Vec<CapVec<T>>,
 }
 
 impl<T> Mailbox<T> {
@@ -127,8 +117,8 @@ impl<T> Mailbox<T> {
     #[must_use]
     pub fn new(lanes: usize) -> Self {
         Mailbox {
-            fill: (0..lanes).map(|_| Vec::new()).collect(),
-            drain: (0..lanes).map(|_| Vec::new()).collect(),
+            fill: (0..lanes).map(|_| CapVec::default()).collect(),
+            drain: (0..lanes).map(|_| CapVec::default()).collect(),
         }
     }
 
@@ -142,7 +132,7 @@ impl<T> Mailbox<T> {
     /// [`Mailbox::lane_mut`] exposes what the parallel phase pushed.
     pub fn flip(&mut self) {
         debug_assert!(
-            self.drain.iter().all(Vec::is_empty),
+            self.drain.iter().all(|l| l.is_empty()),
             "mailbox drain bank not emptied at the previous barrier"
         );
         std::mem::swap(&mut self.fill, &mut self.drain);
@@ -158,7 +148,7 @@ impl<T> Mailbox<T> {
     /// tests).
     #[must_use]
     pub fn is_clear(&self) -> bool {
-        self.fill.iter().all(Vec::is_empty) && self.drain.iter().all(Vec::is_empty)
+        self.fill.iter().all(|l| l.is_empty()) && self.drain.iter().all(|l| l.is_empty())
     }
 }
 

@@ -10,8 +10,10 @@
 //! shard count must reproduce it exactly (the fast-forward decision
 //! is shard-global, so sharding must not change where jumps land).
 //! On the quiescence-heavy workloads the suite also asserts the fast
-//! path actually engaged — an equivalence test that never jumps is
-//! vacuous.
+//! path engaged after the first packet — an equivalence test that
+//! only skips the initial idle span is nearly vacuous. LOFT runs a
+//! second time with local status resets off, where used schedulers
+//! never return to their power-up state.
 //!
 //! The single-shard cells share one warmup: the cell warms up once
 //! into a [`noc_sim::Checkpoint`] (fast-forward off, so the oracle
@@ -26,8 +28,9 @@
 
 use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
+use loft_bench::SEED;
 use noc_gsf::GsfConfig;
-use noc_sim::{RunConfig, Topology};
+use noc_sim::{RunConfig, Topology, TrafficSource};
 use noc_traffic::{DestRule, InjectionProcess, Scenario};
 use noc_wormhole::WormholeConfig;
 
@@ -96,16 +99,18 @@ fn traffics() -> [(&'static str, fn(Topology) -> Scenario, bool); 3] {
     ]
 }
 
-/// Runs the equivalence matrix for one network. Each cell warms a
-/// single-shard network up once (fast-forward off) and freezes it;
+/// Runs the equivalence matrix for `cfg`'s network. Each cell warms
+/// a single-shard network up once (fast-forward off) and freezes it;
 /// the oracle and the single-shard ff-on leg fork that checkpoint,
 /// the multi-shard ff-on legs run from scratch.
-fn check_equivalence<C: Small>() {
+fn check_equivalence<C: Small>(cfg: fn(Topology, usize) -> C) {
     for topo in topologies() {
         for (traffic, build, must_skip) in traffics() {
             let scenario = build(topo);
             let ctx = format!("{}/{topo:?}/{traffic}", C::NAME);
-            let ckpt = live(&scenario, C::small(topo, 1), run())
+            let horizon = run().warmup + run().measure;
+            let first_packet = scenario.workload(SEED).next_active_cycle(0, horizon);
+            let ckpt = live(&scenario, cfg(topo, 1), run())
                 .with_fast_forward(false)
                 .run_to_checkpoint();
             let fork_leg = |ff| outcome::<C>(ckpt.fork().with_fast_forward(ff).resume());
@@ -123,7 +128,7 @@ fn check_equivalence<C: Small>() {
                 let (report, telemetry, info) = if threads == 1 {
                     fork_leg(true)
                 } else {
-                    let sim = live(&scenario, C::small(topo, threads), run());
+                    let sim = live(&scenario, cfg(topo, threads), run());
                     outcome::<C>(sim.run_full(|| {}))
                 };
                 assert_eq!(
@@ -140,8 +145,9 @@ fn check_equivalence<C: Small>() {
                 );
                 if must_skip {
                     assert!(
-                        info.skipped_cycles > 0,
-                        "{ctx}: fast path never engaged at {threads} shards — \
+                        info.skipped_cycles > first_packet,
+                        "{ctx}: fast path never engaged after the first packet \
+                         (cycle {first_packet}) at {threads} shards — \
                          quiescence-heavy workload should jump"
                     );
                 }
@@ -152,15 +158,23 @@ fn check_equivalence<C: Small>() {
 
 #[test]
 fn loft_fast_forward_is_equivalent() {
-    check_equivalence::<LoftConfig>();
+    check_equivalence::<LoftConfig>(Small::small);
+}
+
+#[test]
+fn loft_without_resets_fast_forward_is_equivalent() {
+    check_equivalence(|topo, threads| LoftConfig {
+        local_status_reset: false,
+        ..Small::small(topo, threads)
+    });
 }
 
 #[test]
 fn gsf_fast_forward_is_equivalent() {
-    check_equivalence::<GsfConfig>();
+    check_equivalence::<GsfConfig>(Small::small);
 }
 
 #[test]
 fn wormhole_fast_forward_is_equivalent() {
-    check_equivalence::<WormholeConfig>();
+    check_equivalence::<WormholeConfig>(Small::small);
 }
