@@ -1,20 +1,24 @@
 //! # loft-bench — experiment harness for the LOFT reproduction
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! the shared machinery here: the single generic run path for all
-//! three network architectures, job-parallel parameter sweeps, and
-//! plain-text table output.
+//! One `paper` binary regenerates every table and figure of the paper
+//! (`paper ARTIFACT`, or plain `paper` for all of them), on the shared
+//! machinery here: the single generic run path for all three network
+//! architectures, job-parallel parameter sweeps, and plain-text table
+//! output.
 //!
-//! | Paper artifact | Binary |
-//! |----------------|--------|
-//! | Table 1 (setup) | `table1_setup` |
-//! | Table 2 (storage) + area/power | `table2_storage` |
-//! | §5.3.1 delay bounds | `delay_bounds` |
-//! | Figure 6 (flow-control timeline) | `fig6_flowcontrol` |
-//! | Figure 10 (fairness) | `fig10_fairness` |
-//! | Figure 11 (latency/throughput) | `fig11_performance` |
-//! | Figure 12 (Case Study I, DoS) | `fig12_case1` |
-//! | Figure 13 (Case Study II, pathological) | `fig13_case2` |
+//! | Paper artifact | Command (default: every case) |
+//! |----------------|---------|
+//! | Table 1 (setup) | `paper table1` |
+//! | Table 2 (storage) + area/power | `paper table2` |
+//! | §5.3.1 delay bounds | `paper delay-bounds` |
+//! | Figure 6 (flow-control timeline) | `paper fig6` |
+//! | Figure 10 (fairness) | `paper fig10 [equal\|diff4\|diff2]` |
+//! | Figure 11 (latency/throughput) | `paper fig11 [uniform\|hotspot]` |
+//! | Figure 12 (Case Study I, DoS) | `paper fig12` |
+//! | Figure 13 (Case Study II, pathological) | `paper fig13` |
+//! | §4.3 optimizations decomposed (extension) | `paper ablation` |
+//! | Frame size / window sweep (extension) | `paper sensitivity` |
+//! | Per-link utilization heatmaps (extension) | `paper utilization [uniform\|hotspot\|case2 [RATE]]` (default: `case2 0.64`) |
 //!
 //! # One run path
 //!
@@ -25,8 +29,8 @@
 //! [`simulation`] is the only constructor. Probe, fast-forward,
 //! warmup hook, checkpoint, fork and horizon are the existing
 //! [`Simulation`] / [`noc_sim::Checkpoint`] methods chained onto it;
-//! [`run`] is the probe-less, straight-through shorthand the figure
-//! binaries use.
+//! [`run`] is the probe-less, straight-through shorthand the `paper`
+//! artifacts use.
 //!
 //! ```
 //! use loft::LoftConfig;
@@ -273,9 +277,9 @@ pub fn run<C: NetSpec>(
 }
 
 /// Unwraps a harness result in a binary: an infeasible configuration
-/// is the user's input, so it is printed and the process exits with
-/// status 2 instead of panicking.
-pub fn or_exit<T>(result: Result<T, ConfigError>) -> T {
+/// or a bad command line is the user's input, so it is printed and the
+/// process exits with status 2 instead of panicking.
+pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
@@ -341,10 +345,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
     let fmt_row = |cells: Vec<&str>| {
@@ -363,16 +365,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", fmt_row(row.iter().map(|s| s.as_str()).collect()));
     }
-}
-
-/// Formats a float with 4 significant decimals.
-pub fn f4(x: f64) -> String {
-    format!("{x:.4}")
-}
-
-/// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the paper's QoS requirements
 //! (Section 2.1) checked end-to-end on the real networks.
 
-use loft::{LoftConfig, LoftNetwork};
+use loft::LoftConfig;
 use noc_gsf::{GsfConfig, GsfNetwork};
-use noc_sim::{FlowId, RunConfig, SimReport, Simulation};
+use noc_sim::{FlowId, RunConfig, SimReport};
 use noc_traffic::Scenario;
 
 fn short() -> RunConfig {
@@ -15,15 +15,11 @@ fn short() -> RunConfig {
 }
 
 fn loft(scenario: &Scenario, seed: u64) -> SimReport {
-    let cfg = LoftConfig::default();
-    let r = scenario.reservations(cfg.frame_size).expect("fits");
-    Simulation::new(LoftNetwork::new(cfg, &r), scenario.workload(seed), short()).run()
+    loft_bench::run(scenario, LoftConfig::default(), short(), seed).expect("fits")
 }
 
 fn gsf(scenario: &Scenario, seed: u64) -> SimReport {
-    let cfg = GsfConfig::default();
-    let r = scenario.reservations(cfg.frame_size).expect("fits");
-    Simulation::new(GsfNetwork::new(cfg, &r), scenario.workload(seed), short()).run()
+    loft_bench::run(scenario, GsfConfig::default(), short(), seed).expect("fits")
 }
 
 /// Requirement (a): guaranteed minimum throughput. Every hotspot flow
