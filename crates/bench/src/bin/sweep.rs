@@ -1,4 +1,5 @@
-//! Parallel experiment-matrix sweep runner.
+//! Parallel experiment-matrix sweep runner, and the CI gates on its
+//! rows.
 //!
 //! Enumerates `{loft, gsf, wormhole} × {mesh, torus, ring} × traffic
 //! × load × ff-legs`, runs warmup once per base point and forks it
@@ -7,112 +8,236 @@
 //! per cell to stdout. Usage:
 //!
 //! ```text
-//! sweep [--jobs N] [--threads N] [--seed N]
-//!       [--smoke] [--no-fork] [--no-adaptive] [--selfcheck]
+//! sweep [--jobs N] [--threads N] [--seed N] [--smoke] [--no-fork]
+//!       [--selfcheck] [--alloc-budget X] [--min-cps NET=FLOOR[,...]]
+//!       [--telemetry PATH | --profile]
 //! ```
 //!
 //! * `--jobs N` — concurrent simulations (clamped so `jobs × threads`
 //!   never oversubscribes the machine).
 //! * `--threads N` — shards per simulation.
-//! * `--smoke` — the CI 2×2 sub-matrix with tiny phase windows.
+//! * `--seed N` — workload seed.
+//! * `--smoke` — the CI matrix: every network on the default mesh at
+//!   uniform 0.05 and 0.60 in short windows, plus bursty low-duty
+//!   traffic in long ones.
 //! * `--no-fork` — re-warm every leg from scratch (the baseline the
 //!   forked path is measured against).
-//! * `--no-adaptive` — disable saturation horizon doubling.
 //! * `--selfcheck` — run the matrix both forked and re-warmed and
 //!   fail unless every row pair is bit-identical (modulo wall clock
-//!   and warmup-skip accounting).
+//!   and warmup-skip accounting), and unless the `ff=true` and
+//!   `ff=false` legs of every group agree on everything but `ff`.
+//! * `--alloc-budget X` — fail if any leg's `allocs_per_cycle` exceeds
+//!   `X`: the gate that keeps the steady state allocation-free. Needs
+//!   the `alloc-count` feature and `--jobs 1` (the counter is
+//!   process-global).
+//! * `--min-cps NET=FLOOR[,...]` — fail if any leg of a named network
+//!   ran below `FLOOR` simulated cycles per second. Floors for CI sit
+//!   far below typical hardware: they catch order-of-magnitude
+//!   hot-loop regressions, not percent-level drift.
+//! * `--telemetry PATH` — carry a live probe in every warmup
+//!   checkpoint, so the legs' `cycles_per_sec` measures the
+//!   telemetry-on loop, and write a JSON array with one
+//!   `{"row": .., "telemetry": ..}` entry per leg to `PATH`.
+//! * `--profile` — carry the phase profiler instead: every row gains
+//!   `phase_ns_per_cycle` and `phase_share`, warmup included.
+//!
+//! A bad command line exits 2 before any simulation starts; a failed
+//! gate or selfcheck exits 1.
 
+use std::str::FromStr;
 use std::time::Instant;
 
-use loft_bench::sweep::{clamp_jobs, full_matrix, run_sweep, smoke_matrix, SweepOptions, SweepRow};
-use loft_bench::SEED;
+use loft_bench::sweep::{
+    clamp_jobs, full_matrix, run_sweep, smoke_matrix, Instrument, Net, SweepGroup, SweepOptions,
+    SweepRow,
+};
+use loft_bench::{or_exit, SEED};
 
-fn parse_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+const FLAGS: &str = "--jobs N, --threads N, --seed N, --smoke, --no-fork, --selfcheck, \
+                     --alloc-budget X, --min-cps NET=FLOOR[,NET=FLOOR...], --telemetry PATH, \
+                     --profile";
+
+/// The command line, checked.
+struct Cli {
+    opts: SweepOptions,
+    threads: usize,
+    seed: u64,
+    smoke: bool,
+    selfcheck: bool,
+    alloc_budget: Option<f64>,
+    floors: Vec<(Net, f64)>,
+    telemetry: Option<String>,
 }
 
-fn parse_value<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a number, not {value:?}"))
 }
 
-fn print_rows(rows: &[SweepRow], jobs: usize) {
-    for row in rows {
-        println!("{}", row.to_json(jobs));
+/// One `--min-cps` entry, `NET=FLOOR`.
+fn floor(entry: &str) -> Result<(Net, f64), String> {
+    let (name, cps) = entry.split_once('=').ok_or(format!(
+        "--min-cps entries look like NET=FLOOR, not {entry:?}"
+    ))?;
+    let net = Net::ALL
+        .into_iter()
+        .find(|n| n.name() == name)
+        .ok_or(format!("--min-cps names unknown network {name:?}"))?;
+    Ok((net, number("--min-cps", cps)?))
+}
+
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        opts: SweepOptions::default(),
+        threads: 1,
+        seed: SEED,
+        smoke: false,
+        selfcheck: false,
+        alloc_budget: None,
+        floors: Vec::new(),
+        telemetry: None,
+    };
+    let mut profile = false;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or(format!("{flag} takes a value"));
+        match flag.as_str() {
+            "--jobs" => cli.opts.jobs = number(flag, value()?)?,
+            "--threads" => cli.threads = number::<usize>(flag, value()?)?.max(1),
+            "--seed" => cli.seed = number(flag, value()?)?,
+            "--alloc-budget" => cli.alloc_budget = Some(number(flag, value()?)?),
+            "--min-cps" => cli.floors = value()?.split(',').map(floor).collect::<Result<_, _>>()?,
+            "--telemetry" => cli.telemetry = Some(value()?.clone()),
+            "--profile" => profile = true,
+            "--smoke" => cli.smoke = true,
+            "--no-fork" => cli.opts.fork_warmup = false,
+            "--selfcheck" => cli.selfcheck = true,
+            _ => return Err(format!("unknown flag {flag:?}")),
+        }
     }
+    cli.opts.instrument = match (&cli.telemetry, profile) {
+        (Some(_), true) => return Err("--telemetry and --profile each attach a probe".into()),
+        (Some(_), false) => Instrument::Telemetry,
+        (None, true) => Instrument::Profile,
+        (None, false) => Instrument::Off,
+    };
+    if cli.alloc_budget.is_some() {
+        if !cfg!(feature = "alloc-count") {
+            return Err("--alloc-budget needs --features alloc-count".into());
+        }
+        if cli.opts.jobs > 1 {
+            return Err("--alloc-budget needs --jobs 1: the allocation counter is \
+                        process-global, so concurrent legs would pollute each other's counts"
+                .into());
+        }
+    }
+    Ok(cli)
+}
+
+/// Prints one gate's verdict; returns whether it failed.
+fn gate(ok: bool, what: &str) -> bool {
+    eprintln!("sweep: {} {what}", if ok { "ok:" } else { "FAILED:" });
+    !ok
+}
+
+/// Re-runs the matrix the other way (forked ↔ re-warmed) and demands
+/// bit-identical results for every cell; then demands that the two
+/// fast-forward legs of every group agree on everything but `ff`.
+/// Returns whether either check failed.
+fn selfcheck(rows: &[SweepRow], matrix: Vec<SweepGroup>, opts: &SweepOptions) -> bool {
+    let fork_warmup = !opts.fork_warmup;
+    let other = run_sweep(
+        matrix,
+        &SweepOptions {
+            fork_warmup,
+            ..opts.clone()
+        },
+    );
+    let mut mismatches = 0;
+    let mut check = |a: String, b: String| {
+        if a != b {
+            mismatches += 1;
+            eprintln!("sweep: MISMATCH\n  {a}\n  {b}");
+        }
+    };
+    check(rows.len().to_string(), other.len().to_string());
+    for (a, b) in rows.iter().zip(&other) {
+        check(a.equivalence_key(), b.equivalence_key());
+    }
+    // Every built-in group runs an ff=true and an ff=false leg, so
+    // its two rows are adjacent.
+    for legs in rows.chunks_exact(2) {
+        check(legs[0].ff_blind_key(), legs[1].ff_blind_key());
+    }
+    let what = format!("selfcheck against fork_warmup={fork_warmup}: {mismatches} mismatches");
+    gate(mismatches == 0, &what)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = parse_flag(&args, "--smoke");
-    let selfcheck = parse_flag(&args, "--selfcheck");
-    let threads = parse_value(&args, "--threads", 1_usize).max(1);
-    let seed = parse_value(&args, "--seed", SEED);
-    let jobs = clamp_jobs(parse_value(&args, "--jobs", 1_usize), threads);
-    let opts = SweepOptions {
-        jobs,
-        fork_warmup: !parse_flag(&args, "--no-fork"),
-        adaptive: !parse_flag(&args, "--no-adaptive"),
-        ..SweepOptions::default()
-    };
-
-    let matrix = if smoke {
-        smoke_matrix(threads, seed)
+    let mut cli = or_exit(parse(&args).map_err(|e| format!("{e} (accepted: {FLAGS})")));
+    cli.opts.jobs = clamp_jobs(cli.opts.jobs, cli.threads);
+    let (jobs, threads) = (cli.opts.jobs, cli.threads);
+    let matrix = if cli.smoke {
+        smoke_matrix(threads, cli.seed)
     } else {
-        full_matrix(threads, seed)
+        full_matrix(threads, cli.seed)
     };
-    let cells: usize = matrix.iter().map(|g| g.ff_legs.len()).sum();
+    let fork = cli.opts.fork_warmup;
     eprintln!(
-        "sweep: {} groups / {} cells, jobs={jobs}, threads={threads}, \
-         forked_warmup={}, smoke={smoke}",
-        matrix.len(),
-        cells,
-        opts.fork_warmup,
+        "sweep: {} groups, jobs={jobs}, threads={threads}, forked_warmup={fork}",
+        matrix.len()
     );
 
     let t0 = Instant::now();
-    let rows = run_sweep(matrix.clone(), &opts);
+    let rows = run_sweep(matrix.clone(), &cli.opts);
     let wall = t0.elapsed().as_secs_f64();
-    print_rows(&rows, jobs);
+    for row in &rows {
+        println!("{}", row.to_json(jobs));
+    }
     eprintln!("sweep: {} rows in {wall:.2}s", rows.len());
 
-    if selfcheck {
-        // Re-run the whole matrix the other way (forked ↔ re-warm)
-        // and demand bit-identical results for every cell.
-        let flipped = SweepOptions {
-            fork_warmup: !opts.fork_warmup,
-            ..opts.clone()
-        };
-        let t1 = Instant::now();
-        let other = run_sweep(matrix, &flipped);
-        eprintln!(
-            "sweep: selfcheck leg ({}) took {:.2}s",
-            if flipped.fork_warmup {
-                "forked"
-            } else {
-                "re-warm"
-            },
-            t1.elapsed().as_secs_f64()
+    if let Some(path) = &cli.telemetry {
+        let docs: Vec<String> = rows
+            .iter()
+            .filter_map(|r| {
+                let doc = r.telemetry.as_ref()?;
+                Some(format!(
+                    "{{\"row\": {}, \"telemetry\": {doc}}}",
+                    r.to_json(jobs)
+                ))
+            })
+            .collect();
+        let written = std::fs::write(path, format!("[{}]", docs.join(",")));
+        or_exit(written.map_err(|e| format!("writing {path}: {e}")));
+        eprintln!("sweep: telemetry written: {path} ({} legs)", docs.len());
+    }
+    let mut failed = false;
+    if let Some(budget) = cli.alloc_budget {
+        let worst = rows
+            .iter()
+            .filter_map(|r| r.allocs_per_cycle)
+            .fold(0.0, f64::max);
+        let what = format!("worst allocs_per_cycle {worst:.4}, budget {budget}");
+        failed |= gate(worst <= budget, &what);
+    }
+    for &(net, floor) in &cli.floors {
+        let slowest = rows
+            .iter()
+            .filter(|r| r.net == net)
+            .map(|r| r.cycles_per_sec)
+            .fold(f64::INFINITY, f64::min);
+        let what = format!(
+            "{} ran at {slowest:.0} cycles/s, floor {floor:.0}",
+            net.name()
         );
-        assert_eq!(rows.len(), other.len(), "selfcheck lost rows");
-        let mut mismatches = 0;
-        for (a, b) in rows.iter().zip(&other) {
-            if a.equivalence_key() != b.equivalence_key() {
-                mismatches += 1;
-                eprintln!(
-                    "sweep: MISMATCH\n  {}\n  {}",
-                    a.equivalence_key(),
-                    b.equivalence_key()
-                );
-            }
-        }
-        if mismatches > 0 {
-            eprintln!("sweep: selfcheck FAILED ({mismatches} mismatched cells)");
-            std::process::exit(1);
-        }
-        eprintln!("sweep: selfcheck OK ({} cells bit-identical)", rows.len());
+        failed |= gate(slowest >= floor, &what);
+    }
+    if cli.selfcheck {
+        failed |= selfcheck(&rows, matrix, &cli.opts);
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,10 +1,11 @@
 //! # loft-bench — experiment harness for the LOFT reproduction
 //!
 //! One `paper` binary regenerates every table and figure of the paper
-//! (`paper ARTIFACT`, or plain `paper` for all of them), on the shared
-//! machinery here: the single generic run path for all three network
-//! architectures, job-parallel parameter sweeps, and plain-text table
-//! output.
+//! (`paper ARTIFACT`, or plain `paper` for all of them), and one
+//! `sweep` binary runs the experiment matrix ([`sweep`]) and CI's
+//! performance gates, on the shared machinery here: the single
+//! generic run path for all three network architectures, job-parallel
+//! parameter sweeps, and plain-text table output.
 //!
 //! | Paper artifact | Command (default: every case) |
 //! |----------------|---------|
@@ -75,9 +76,9 @@ pub const TELEMETRY_WINDOW: u64 = 1_000;
 
 /// Allocation counting for the zero-allocation steady-state gate
 /// (`alloc-count` feature): wraps the system allocator, counting
-/// every `alloc`/`realloc` so the `perf` binary can report
-/// `allocs_per_cycle` and CI can fail when the steady state regresses
-/// into per-cycle heap traffic.
+/// every `alloc`/`realloc` so sweep rows can report
+/// `allocs_per_cycle` and `sweep --alloc-budget` can fail CI when the
+/// steady state regresses into per-cycle heap traffic.
 ///
 /// The counter is **thread-aware**: a `#[global_allocator]` serves
 /// every thread in the process, so allocations made by `noc_sim::par`

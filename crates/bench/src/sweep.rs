@@ -27,20 +27,31 @@
 //! from-scratch `ff=false` run reports zero. That field (and wall
 //! clock) is excluded from [`SweepRow::equivalence_key`], which is
 //! what `--selfcheck` compares between the forked and re-warm paths.
+//!
+//! Every leg also records what CI gates on: simulated cycles per
+//! second and heap allocations per cycle (`alloc-count` feature) of
+//! its run after the fork, and — when [`SweepOptions::instrument`]
+//! picks a probe — what that probe, carried in the warmup checkpoint,
+//! recorded.
 
 use std::time::Instant;
 
 use loft::LoftConfig;
 use noc_gsf::GsfConfig;
-use noc_sim::telemetry::NoopProbe;
-use noc_sim::{ConfigError, RunConfig, RunInfo, SimReport, Topology};
+use noc_sim::telemetry::{LiveProbe, NoopProbe, PhaseProbe, Probe};
+use noc_sim::{ConfigError, RunConfig, Topology};
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
 
-use crate::{map_jobs, simulation, NetSpec};
+use crate::{map_jobs, simulation, NetSpec, TELEMETRY_WINDOW};
 
 /// Version stamp on every JSON row this module emits.
-pub const SWEEP_SCHEMA_VERSION: u32 = 1;
+pub const SWEEP_SCHEMA_VERSION: u32 = 2;
+
+/// Cap on a leg's horizon doublings. A leg that comes back saturated
+/// is re-forked with a doubled measurement window, to tell true
+/// saturation from a window too short for any packet to finish.
+const MAX_DOUBLINGS: u32 = 2;
 
 /// Network architecture of a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +68,8 @@ pub enum Net {
 struct Kind {
     name: &'static str,
     /// Relative cost per node-cycle, for longest-expected-first
-    /// ordering. Rough empirical ratios from the perf harness; only
-    /// the ordering matters, not the absolute values.
+    /// ordering. Rough empirical throughput ratios; only the ordering
+    /// matters, not the absolute values.
     weight: f64,
     run_group: fn(&SweepGroup, &SweepOptions) -> Result<Vec<SweepRow>, ConfigError>,
 }
@@ -74,6 +85,9 @@ impl Kind {
 }
 
 impl Net {
+    /// Every architecture, in row order.
+    pub const ALL: [Net; 3] = [Net::Loft, Net::Gsf, Net::Wormhole];
+
     /// The one place a runtime network kind becomes a config type.
     fn kind(self) -> Kind {
         match self {
@@ -98,6 +112,10 @@ pub enum TrafficKind {
     /// All nodes to one hotspot corner (Figure 11b); only defined on
     /// the paper's default 8×8 mesh.
     Hotspot,
+    /// Rare bursts between the mesh corners
+    /// (`Scenario::bursty_low_duty`), the workload fast-forward
+    /// carries; only defined on the default 8×8 mesh.
+    Bursty,
 }
 
 impl TrafficKind {
@@ -107,6 +125,7 @@ impl TrafficKind {
         match self {
             TrafficKind::Uniform => "uniform",
             TrafficKind::Hotspot => "hotspot",
+            TrafficKind::Bursty => "bursty",
         }
     }
 }
@@ -139,17 +158,18 @@ impl SweepGroup {
     ///
     /// # Errors
     ///
-    /// Fails for [`TrafficKind::Hotspot`] off the default 8×8 mesh.
+    /// Fails for [`TrafficKind::Hotspot`] and [`TrafficKind::Bursty`]
+    /// off the default 8×8 mesh.
     pub fn scenario(&self) -> Result<Scenario, ConfigError> {
         match self.traffic {
             TrafficKind::Uniform => Ok(Scenario::uniform_on(self.topo, self.load)),
-            TrafficKind::Hotspot if self.topo == Scenario::default_topology() => {
-                Ok(Scenario::hotspot(self.load))
-            }
-            TrafficKind::Hotspot => Err(ConfigError::new(format!(
-                "hotspot traffic targets node 63 of the default 8x8 mesh, not {}",
+            _ if self.topo != Scenario::default_topology() => Err(ConfigError::new(format!(
+                "{} traffic is laid out on the default 8x8 mesh, not {}",
+                self.traffic.name(),
                 topo_name(self.topo)
             ))),
+            TrafficKind::Hotspot => Ok(Scenario::hotspot(self.load)),
+            TrafficKind::Bursty => Ok(Scenario::bursty_low_duty(self.load)),
         }
     }
 
@@ -225,54 +245,23 @@ pub struct SweepRow {
     pub saturated: bool,
     /// Measurement-window doublings spent probing saturation.
     pub horizon_doublings: u32,
+    /// Simulated cycles per wall-clock second of the leg's final run:
+    /// `end_cycle - warmup` over the resume after its fork (a
+    /// re-warmed leg's run also covers its warmup).
+    pub cycles_per_sec: f64,
+    /// Heap allocations across the same run, per cycle of the final
+    /// measurement window (`None` without the `alloc-count` feature).
+    pub allocs_per_cycle: Option<f64>,
+    /// The leg's telemetry document ([`Instrument::Telemetry`]).
+    pub telemetry: Option<String>,
+    /// The leg's `phase_ns_per_cycle` and `phase_share` row fields
+    /// ([`Instrument::Profile`]).
+    pub phases: Option<String>,
 }
 
 impl SweepRow {
-    // One private call site; a params struct would restate the row.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        group: &SweepGroup,
-        ff: bool,
-        forked_warmup: bool,
-        warmup_secs: f64,
-        wall_secs: f64,
-        measure: u64,
-        horizon_doublings: u32,
-        report: &SimReport,
-        info: &RunInfo,
-    ) -> Self {
-        let packets: u64 = report.flows.iter().map(|f| f.packets_delivered).sum();
-        let measured = report.total_latency.count() > 0;
-        let q = |q: f64| measured.then(|| report.latency_histogram.quantile_upper_bound(q));
-        SweepRow {
-            net: group.net,
-            topo: topo_name(group.topo),
-            traffic: group.traffic,
-            load: group.load,
-            threads: group.threads,
-            ff,
-            forked_warmup,
-            seed: group.seed,
-            warmup: group.run.warmup,
-            measure,
-            drain: group.run.drain,
-            end_cycle: info.end_cycle,
-            skipped_cycles: info.skipped_cycles,
-            wall_secs,
-            warmup_secs,
-            packets,
-            flits: report.flits_delivered,
-            avg_latency: measured.then(|| report.avg_latency()),
-            p50: q(0.50),
-            p95: q(0.95),
-            p99: q(0.99),
-            saturated: !measured && packets > 0,
-            horizon_doublings,
-        }
-    }
-
     /// The row as one JSON object (the sweep's streamed output
-    /// format, `"schema": 1`).
+    /// format, `"schema": 2`), ending in the phase fields if any.
     #[must_use]
     pub fn to_json(&self, jobs: usize) -> String {
         let opt_f = |x: Option<f64>| x.map_or("null".to_string(), |v| format!("{v:.3}"));
@@ -285,7 +274,8 @@ impl SweepRow {
                 "\"drain\": {}, \"end_cycle\": {}, \"skipped_cycles\": {}, ",
                 "\"wall_secs\": {:.4}, \"warmup_secs\": {:.4}, \"packets_delivered\": {}, ",
                 "\"flits_delivered\": {}, \"avg_latency\": {}, \"p50\": {}, \"p95\": {}, ",
-                "\"p99\": {}, \"saturated\": {}, \"horizon_doublings\": {}}}"
+                "\"p99\": {}, \"saturated\": {}, \"horizon_doublings\": {}, ",
+                "\"cycles_per_sec\": {:.1}, \"allocs_per_cycle\": {}{}}}"
             ),
             SWEEP_SCHEMA_VERSION,
             self.net.name(),
@@ -312,6 +302,12 @@ impl SweepRow {
             opt_u(self.p99),
             self.saturated,
             self.horizon_doublings,
+            self.cycles_per_sec,
+            self.allocs_per_cycle
+                .map_or("null".to_string(), |a| format!("{a:.4}")),
+            self.phases
+                .as_ref()
+                .map_or(String::new(), |p| format!(", {p}")),
         )
     }
 
@@ -346,6 +342,30 @@ impl SweepRow {
             self.horizon_doublings,
         )
     }
+
+    /// [`SweepRow::equivalence_key`] with `ff` blanked out:
+    /// fast-forward is exact, so the legs of one group agree on it.
+    #[must_use]
+    pub fn ff_blind_key(&self) -> String {
+        SweepRow {
+            ff: true,
+            ..self.clone()
+        }
+        .equivalence_key()
+    }
+}
+
+/// The probe every group's warmup checkpoint carries into its legs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Instrument {
+    /// No probe (`NoopProbe`).
+    Off,
+    /// A `LiveProbe`: rows carry [`SweepRow::telemetry`].
+    Telemetry,
+    /// A `PhaseProbe`: rows carry [`SweepRow::phases`]. Its clock
+    /// reads slow the legs, so profiled rows' `cycles_per_sec` is not
+    /// comparable with unprofiled ones.
+    Profile,
 }
 
 /// Sweep execution options.
@@ -357,12 +377,8 @@ pub struct SweepOptions {
     /// every leg from scratch; the baseline the fork path is measured
     /// against).
     pub fork_warmup: bool,
-    /// Adaptive horizon: when a leg comes back saturated, re-fork with
-    /// a doubled measurement window (up to [`SweepOptions::max_doublings`])
-    /// to distinguish true saturation from a too-short window.
-    pub adaptive: bool,
-    /// Cap on horizon doublings per leg.
-    pub max_doublings: u32,
+    /// The probe every leg carries.
+    pub instrument: Instrument,
 }
 
 impl Default for SweepOptions {
@@ -370,8 +386,7 @@ impl Default for SweepOptions {
         SweepOptions {
             jobs: 1,
             fork_warmup: true,
-            adaptive: true,
-            max_doublings: 2,
+            instrument: Instrument::Off,
         }
     }
 }
@@ -410,10 +425,44 @@ fn run_group_on<C: NetSpec>(
     group: &SweepGroup,
     opts: &SweepOptions,
 ) -> Result<Vec<SweepRow>, ConfigError> {
+    match opts.instrument {
+        Instrument::Off => run_legs::<C, _>(group, opts, NoopProbe, |_| (None, None)),
+        Instrument::Telemetry => {
+            let probe = LiveProbe::new(TELEMETRY_WINDOW);
+            run_legs::<C, _>(group, opts, probe, |p| (Some(p.finish().to_json()), None))
+        }
+        Instrument::Profile => run_legs::<C, _>(group, opts, PhaseProbe::default(), |p| {
+            (None, Some(p.to_json_fields(C::PHASES)))
+        }),
+    }
+}
+
+/// Runs `f`, and returns what it returned with the wall seconds it
+/// took and the heap allocations it made (`None` without the
+/// `alloc-count` feature).
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64, Option<u64>) {
+    #[cfg(feature = "alloc-count")]
+    let allocs = || Some(crate::alloc_count::total());
+    #[cfg(not(feature = "alloc-count"))]
+    let allocs = || None::<u64>;
+    let (t, before) = (Instant::now(), allocs());
+    let out = f();
+    let secs = t.elapsed().as_secs_f64();
+    (out, secs, allocs().zip(before).map(|(after, b)| after - b))
+}
+
+/// [`run_group_on`] with `probe` attached; `finish` turns a leg's
+/// probe into its row's `telemetry` and `phases`.
+fn run_legs<C: NetSpec, P: Probe + Clone>(
+    group: &SweepGroup,
+    opts: &SweepOptions,
+    probe: P,
+    finish: impl Fn(P) -> (Option<String>, Option<String>),
+) -> Result<Vec<SweepRow>, ConfigError> {
     let scenario = group.scenario()?;
     let sim = |run: RunConfig| {
         let cfg = C::on(group.topo, group.threads);
-        simulation(&scenario, cfg, NoopProbe, run, group.seed)
+        simulation(&scenario, cfg, probe.clone(), run, group.seed)
     };
     // The shared warmup always fast-forwards: bit-identical and
     // fastest (see the module docs for the skip accounting).
@@ -427,47 +476,70 @@ fn run_group_on<C: NetSpec>(
     let mut rows = Vec::with_capacity(group.ff_legs.len());
     for &ff in &group.ff_legs {
         let t0 = Instant::now();
-        let mut measure = group.run.measure;
-        let mut doublings = 0;
-        let run_leg = |measure: u64| -> Result<(SimReport, RunInfo), ConfigError> {
-            let (report, _, info) = match &ckpt {
-                Some(c) => c
-                    .fork()
-                    .with_fast_forward(ff)
-                    .with_measure(measure)
-                    .resume(),
+        let run_leg = |measure: u64| -> Result<_, ConfigError> {
+            Ok(match &ckpt {
+                // Neither the clock nor the allocation count covers the
+                // fork: it is setup (a deep copy), not steady state.
+                Some(c) => {
+                    let leg = c.fork().with_fast_forward(ff).with_measure(measure);
+                    timed(|| leg.resume())
+                }
                 // The `--no-fork` baseline: re-warm from scratch.
-                None => sim(RunConfig {
-                    measure,
-                    ..group.run
-                })?
-                .with_fast_forward(ff)
-                .run_full(|| {}),
-            };
-            Ok((report, info))
+                None => {
+                    let sim = sim(RunConfig {
+                        measure,
+                        ..group.run
+                    })?;
+                    timed(|| sim.with_fast_forward(ff).run_full(|| {}))
+                }
+            })
         };
-        let (mut report, mut info) = run_leg(measure)?;
-        while opts.adaptive
-            && doublings < opts.max_doublings
-            && report.total_latency.count() == 0
-            && report.flits_delivered > 0
-        {
+        let (mut measure, mut doublings) = (group.run.measure, 0);
+        let ((report, network, info), secs, allocs) = loop {
+            let (leg, secs, allocs) = run_leg(measure)?;
+            let saturated = leg.0.total_latency.count() == 0 && leg.0.flits_delivered > 0;
+            if !saturated || doublings == MAX_DOUBLINGS {
+                break (leg, secs, allocs);
+            }
             doublings += 1;
             measure *= 2;
-            (report, info) = run_leg(measure)?;
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        rows.push(SweepRow::new(
-            group,
+        };
+        let wall_secs = t0.elapsed().as_secs_f64();
+        // Serialized outside every timed and counted span: the export
+        // is one-shot output formatting, not the steady-state loop.
+        let (telemetry, phases) = finish(C::into_probe(network));
+        let packets: u64 = report.flows.iter().map(|f| f.packets_delivered).sum();
+        let measured = report.total_latency.count() > 0;
+        let q = |q: f64| measured.then(|| report.latency_histogram.quantile_upper_bound(q));
+        rows.push(SweepRow {
+            net: group.net,
+            topo: topo_name(group.topo),
+            traffic: group.traffic,
+            load: group.load,
+            threads: group.threads,
             ff,
-            ckpt.is_some(),
-            warmup_secs,
-            wall,
+            forked_warmup: ckpt.is_some(),
+            seed: group.seed,
+            warmup: group.run.warmup,
             measure,
-            doublings,
-            &report,
-            &info,
-        ));
+            drain: group.run.drain,
+            end_cycle: info.end_cycle,
+            skipped_cycles: info.skipped_cycles,
+            wall_secs,
+            warmup_secs,
+            packets,
+            flits: report.flits_delivered,
+            avg_latency: measured.then(|| report.avg_latency()),
+            p50: q(0.50),
+            p95: q(0.95),
+            p99: q(0.99),
+            saturated: !measured && packets > 0,
+            horizon_doublings: doublings,
+            cycles_per_sec: (info.end_cycle - group.run.warmup) as f64 / secs,
+            allocs_per_cycle: allocs.map(|a| a as f64 / measure as f64),
+            telemetry,
+            phases,
+        });
     }
     Ok(rows)
 }
@@ -492,6 +564,32 @@ pub fn run_sweep(mut groups: Vec<SweepGroup>, opts: &SweepOptions) -> Vec<SweepR
     .collect()
 }
 
+/// One group per network and `(topology, traffic, load, phases)`
+/// point, each with both fast-forward legs.
+fn matrix(
+    points: &[(Topology, TrafficKind, f64, RunConfig)],
+    threads: usize,
+    seed: u64,
+) -> Vec<SweepGroup> {
+    Net::ALL
+        .into_iter()
+        .flat_map(|net| {
+            points
+                .iter()
+                .map(move |&(topo, traffic, load, run)| SweepGroup {
+                    net,
+                    topo,
+                    traffic,
+                    load,
+                    threads,
+                    run,
+                    ff_legs: vec![true, false],
+                    seed,
+                })
+        })
+        .collect()
+}
+
 /// The full default matrix: every network on mesh/torus/ring uniform
 /// traffic at three loads, plus the hotspot pattern on the default
 /// mesh — two fast-forward legs each. Warmup-heavy phases so the
@@ -508,62 +606,43 @@ pub fn full_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
         Topology::torus(8, 8),
         Topology::ring(16),
     ];
-    let loads = [0.05, 0.30, 0.60];
-    let mut groups = Vec::new();
-    for net in [Net::Loft, Net::Gsf, Net::Wormhole] {
-        for topo in topos {
-            for load in loads {
-                groups.push(SweepGroup {
-                    net,
-                    topo,
-                    traffic: TrafficKind::Uniform,
-                    load,
-                    threads,
-                    run,
-                    ff_legs: vec![true, false],
-                    seed,
-                });
-            }
-        }
-        groups.push(SweepGroup {
-            net,
-            topo: Scenario::default_topology(),
-            traffic: TrafficKind::Hotspot,
-            load: 0.30,
-            threads,
-            run,
-            ff_legs: vec![true, false],
-            seed,
-        });
-    }
-    groups
+    let mut points: Vec<_> = topos
+        .into_iter()
+        .flat_map(|topo| [0.05, 0.30, 0.60].map(|load| (topo, TrafficKind::Uniform, load, run)))
+        .collect();
+    points.push((
+        Scenario::default_topology(),
+        TrafficKind::Hotspot,
+        0.30,
+        run,
+    ));
+    matrix(&points, threads, seed)
 }
 
-/// The CI smoke matrix: a 2×2 sub-matrix ({loft, wormhole} × {low,
-/// high} load) on the default mesh with tiny phase windows.
+/// The CI smoke matrix on the default mesh: every network at uniform
+/// 0.05 and 0.60 in short windows, plus the bursty low-duty workload
+/// in long ones — its bursts are thousands of cycles apart, so a short
+/// window would deliver nothing, and fast-forward skips most of a long
+/// one.
 #[must_use]
 pub fn smoke_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
-    let run = RunConfig {
-        warmup: 400,
-        measure: 400,
-        drain: 200,
+    let short = RunConfig {
+        warmup: 200,
+        measure: 2_000,
+        drain: 1_000,
     };
-    let mut groups = Vec::new();
-    for net in [Net::Loft, Net::Wormhole] {
-        for load in [0.05, 0.60] {
-            groups.push(SweepGroup {
-                net,
-                topo: Scenario::default_topology(),
-                traffic: TrafficKind::Uniform,
-                load,
-                threads,
-                run,
-                ff_legs: vec![true, false],
-                seed,
-            });
-        }
-    }
-    groups
+    let long = RunConfig {
+        warmup: 1_000,
+        measure: 20_000,
+        drain: 3_000,
+    };
+    let mesh = Scenario::default_topology();
+    let points = [
+        (mesh, TrafficKind::Uniform, 0.05, short),
+        (mesh, TrafficKind::Uniform, 0.60, short),
+        (mesh, TrafficKind::Bursty, 0.60, long),
+    ];
+    matrix(&points, threads, seed)
 }
 
 #[cfg(test)]
@@ -590,7 +669,8 @@ mod tests {
 
     /// The heart of the sweep's correctness claim: a forked leg must
     /// be bit-identical (modulo warmup skip accounting) to the same
-    /// leg run from scratch, for every network on every topology.
+    /// leg run from scratch, for every network on every topology —
+    /// and, fast-forward being exact, to the group's other ff leg.
     #[test]
     fn forked_rows_match_scratch_rows() {
         let topos = [
@@ -598,7 +678,7 @@ mod tests {
             Topology::torus(4, 4),
             Topology::ring(8),
         ];
-        for net in [Net::Loft, Net::Gsf, Net::Wormhole] {
+        for net in Net::ALL {
             for topo in topos {
                 let group = tiny_group(net, topo);
                 let forked = run_group(&group, &SweepOptions::default()).unwrap();
@@ -623,6 +703,7 @@ mod tests {
                     );
                     assert!(f.flits > 0, "leg delivered nothing");
                 }
+                assert_eq!(forked[0].ff_blind_key(), forked[1].ff_blind_key());
             }
         }
     }
@@ -632,7 +713,7 @@ mod tests {
     /// both follow the longest-expected-first schedule).
     #[test]
     fn parallel_sweep_matches_serial() {
-        let groups: Vec<SweepGroup> = [Net::Loft, Net::Gsf, Net::Wormhole]
+        let groups: Vec<SweepGroup> = Net::ALL
             .into_iter()
             .map(|net| tiny_group(net, Topology::mesh(4, 4)))
             .collect();
@@ -652,14 +733,18 @@ mod tests {
         assert_eq!(keys(&serial), keys(&parallel));
     }
 
+    /// Hotspot and bursty traffic are laid out on the default mesh
+    /// only; elsewhere they are errors, not panics.
     #[test]
     fn hotspot_off_the_default_mesh_is_an_error() {
-        let group = SweepGroup {
-            traffic: TrafficKind::Hotspot,
-            ..tiny_group(Net::Loft, Topology::ring(8))
-        };
-        assert!(group.scenario().is_err());
-        assert!(run_group(&group, &SweepOptions::default()).is_err());
+        for traffic in [TrafficKind::Hotspot, TrafficKind::Bursty] {
+            let group = SweepGroup {
+                traffic,
+                ..tiny_group(Net::Loft, Topology::ring(8))
+            };
+            assert!(group.scenario().is_err());
+            assert!(run_group(&group, &SweepOptions::default()).is_err());
+        }
     }
 
     #[test]
@@ -679,7 +764,7 @@ mod tests {
         let rows = run_group(&group, &SweepOptions::default()).unwrap();
         assert_eq!(rows.len(), 2);
         let json = rows[0].to_json(3);
-        assert!(json.starts_with("{\"schema\": 1, "));
+        assert!(json.starts_with("{\"schema\": 2, "));
         assert!(json.contains("\"jobs\": 3"));
         assert!(json.contains("\"forked_warmup\": true"));
         assert!(json.ends_with("}"));

@@ -17,7 +17,7 @@
 //! (fast-forward on/off legs, horizon extensions for saturation
 //! probing via [`Checkpoint::with_measure`], repeated timing
 //! iterations). The golden-determinism and equivalence suites and the
-//! sweep/perf harnesses in `loft-bench` are all built on this.
+//! `sweep` runner in `loft-bench` are all built on this.
 //!
 //! # Why forks are bit-identical
 //!

@@ -34,7 +34,7 @@
 //! # Profiling
 //!
 //! Host time per network phase goes through the same trait: a probe
-//! with [`Probe::PROFILE`] set ([`PhaseProbe`], behind `perf
+//! with [`Probe::PROFILE`] set ([`PhaseProbe`], behind `sweep
 //! --profile`) receives one [`Probe::on_phase`] lap per phase per
 //! cycle; every other probe compiles the clock reads away.
 //!

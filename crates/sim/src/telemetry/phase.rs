@@ -73,7 +73,7 @@ impl Phase {
         self as usize
     }
 
-    /// Snake-case phase name used in `perf --profile` rows.
+    /// Snake-case phase name used in `sweep --profile` rows.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -136,7 +136,7 @@ pub struct PhaseProbe {
 }
 
 impl PhaseProbe {
-    /// Renders `phases` as the two `perf --profile` row fields:
+    /// Renders `phases` as the two `sweep --profile` row fields:
     /// `"phase_ns_per_cycle":{..},"phase_share":{..}` — mean host
     /// nanoseconds per stepped cycle, and each phase's share of the
     /// listed phases' total.

@@ -161,26 +161,13 @@ impl Scenario {
         Topology::mesh(8, 8)
     }
 
-    /// **Uniform** traffic (Figure 11a): every node is one flow
-    /// sending `rate` flits/cycle to uniformly random destinations,
-    /// with equal QoS weights.
-    pub fn uniform(rate: f64) -> Scenario {
-        let topo = Self::default_topology();
-        let n = topo.num_nodes() as u32;
-        let flows: Vec<ScenarioFlow> = topo
-            .nodes()
-            .map(|src| ScenarioFlow {
-                src,
-                dest: DestRule::UniformRandom { num_nodes: n },
-                process: InjectionProcess::Bernoulli { rate },
-                weight: 1.0,
-                share: None,
-            })
-            .collect();
+    /// A scenario on the default mesh: XY routing, 4-flit packets and
+    /// every flow in one `"all"` group.
+    fn on_default_mesh(name: String, flows: Vec<ScenarioFlow>) -> Scenario {
         let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
         Scenario {
-            name: format!("uniform(rate={rate})"),
-            topo,
+            name,
+            topo: Self::default_topology(),
             routing: Routing::XY,
             packet_len: 4,
             flows,
@@ -188,31 +175,37 @@ impl Scenario {
         }
     }
 
-    /// [`Scenario::uniform`] retargeted to an arbitrary topology of at
-    /// most 64 nodes: one Bernoulli flow per node to uniformly random
-    /// destinations, no flow groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` has more nodes than the default 8×8 mesh.
+    /// **Uniform** traffic (Figure 11a): every node is one flow
+    /// sending `rate` flits/cycle to uniformly random destinations,
+    /// with equal QoS weights.
+    pub fn uniform(rate: f64) -> Scenario {
+        let s = Self::uniform_on(Self::default_topology(), rate);
+        Self::on_default_mesh(s.name, s.flows)
+    }
+
+    /// [`Scenario::uniform`] on any topology: one Bernoulli flow per
+    /// node to uniformly random destinations, no flow groups.
     #[must_use]
     pub fn uniform_on(topo: Topology, rate: f64) -> Scenario {
-        let mut s = Scenario::uniform(rate);
-        let n = topo.num_nodes();
-        assert!(
-            n <= s.flows.len(),
-            "uniform_on only shrinks the default 64-flow scenario"
-        );
-        s.topo = topo;
-        s.flows.truncate(n);
-        for (flow, src) in s.flows.iter_mut().zip(topo.nodes()) {
-            flow.src = src;
-            flow.dest = DestRule::UniformRandom {
-                num_nodes: n as u32,
-            };
+        let num_nodes = topo.num_nodes() as u32;
+        let flows = topo
+            .nodes()
+            .map(|src| ScenarioFlow {
+                src,
+                dest: DestRule::UniformRandom { num_nodes },
+                process: InjectionProcess::Bernoulli { rate },
+                weight: 1.0,
+                share: None,
+            })
+            .collect();
+        Scenario {
+            name: format!("uniform(rate={rate})"),
+            topo,
+            routing: Routing::XY,
+            packet_len: 4,
+            flows,
+            groups: Vec::new(),
         }
-        s.groups.clear();
-        s
     }
 
     /// **Hotspot** traffic (Figures 10a and 11b): all other 63 nodes
@@ -223,30 +216,19 @@ impl Scenario {
 
     /// Hotspot with per-source weights derived from the node id.
     fn hotspot_weighted(rate: f64, weight_of: impl Fn(NodeId) -> f64, name: &str) -> Scenario {
-        let topo = Self::default_topology();
         let hotspot = NodeId::new(63);
-        let mut flows = Vec::new();
-        for src in topo.nodes() {
-            if src == hotspot {
-                continue;
-            }
-            flows.push(ScenarioFlow {
+        let flows = Self::default_topology()
+            .nodes()
+            .filter(|&src| src != hotspot)
+            .map(|src| ScenarioFlow {
                 src,
                 dest: DestRule::Fixed(hotspot),
                 process: InjectionProcess::Bernoulli { rate },
                 weight: weight_of(src),
                 share: None,
-            });
-        }
-        let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
-        Scenario {
-            name: format!("{name}(rate={rate})"),
-            topo,
-            routing: Routing::XY,
-            packet_len: 4,
-            flows,
-            groups: vec![("all".to_string(), all)],
-        }
+            })
+            .collect();
+        Self::on_default_mesh(format!("{name}(rate={rate})"), flows)
     }
 
     /// **Differentiated allocation #1** (Figure 10b): the mesh is
@@ -430,7 +412,7 @@ impl Scenario {
             ((0, 7), (7, 0)),
             ((7, 0), (0, 7)),
         ];
-        let flows: Vec<ScenarioFlow> = pairs
+        let flows = pairs
             .iter()
             .map(|&((sx, sy), (dx, dy))| ScenarioFlow {
                 src: topo.node(sx, sy),
@@ -440,15 +422,7 @@ impl Scenario {
                 share: None,
             })
             .collect();
-        let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
-        Scenario {
-            name: format!("bursty-low-duty(on={rate_on})"),
-            topo,
-            routing: Routing::XY,
-            packet_len: 4,
-            flows,
-            groups: vec![("all".to_string(), all)],
-        }
+        Self::on_default_mesh(format!("bursty-low-duty(on={rate_on})"), flows)
     }
 
     /// **Sparse regulated** traffic: one flow per row, (0, y) → (7, y),
@@ -459,7 +433,7 @@ impl Scenario {
     /// a periodic, deterministic quiescence workload.
     pub fn regulated(rate: f64) -> Scenario {
         let topo = Self::default_topology();
-        let flows: Vec<ScenarioFlow> = (0..8)
+        let flows = (0..8)
             .map(|y| ScenarioFlow {
                 src: topo.node(0, y),
                 dest: DestRule::Fixed(topo.node(7, y)),
@@ -468,15 +442,7 @@ impl Scenario {
                 share: None,
             })
             .collect();
-        let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
-        Scenario {
-            name: format!("regulated(rate={rate})"),
-            topo,
-            routing: Routing::XY,
-            packet_len: 4,
-            flows,
-            groups: vec![("all".to_string(), all)],
-        }
+        Self::on_default_mesh(format!("regulated(rate={rate})"), flows)
     }
 
     // ----- classic extra patterns -------------------------------------
@@ -485,82 +451,57 @@ impl Scenario {
     /// diagonal stay silent.
     pub fn transpose(rate: f64) -> Scenario {
         let topo = Self::default_topology();
-        let mut flows = Vec::new();
-        for src in topo.nodes() {
-            let (x, y) = topo.coords(src);
-            if x == y {
-                continue;
-            }
-            flows.push(ScenarioFlow {
-                src,
-                dest: DestRule::Fixed(topo.node(y, x)),
-                process: InjectionProcess::Bernoulli { rate },
-                weight: 1.0,
-                share: None,
-            });
-        }
-        let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
-        Scenario {
-            name: format!("transpose(rate={rate})"),
-            topo,
-            routing: Routing::XY,
-            packet_len: 4,
-            flows,
-            groups: vec![("all".to_string(), all)],
-        }
+        let flows = topo
+            .nodes()
+            .filter_map(|src| {
+                let (x, y) = topo.coords(src);
+                (x != y).then(|| ScenarioFlow {
+                    src,
+                    dest: DestRule::Fixed(topo.node(y, x)),
+                    process: InjectionProcess::Bernoulli { rate },
+                    weight: 1.0,
+                    share: None,
+                })
+            })
+            .collect();
+        Self::on_default_mesh(format!("transpose(rate={rate})"), flows)
     }
 
     /// Bit-complement traffic: node `i` sends to `!i & 63`.
     pub fn bit_complement(rate: f64) -> Scenario {
         let topo = Self::default_topology();
         let n = topo.num_nodes() as u32;
-        let mut flows = Vec::new();
-        for src in topo.nodes() {
-            let dst = NodeId::new(!(src.index() as u32) & (n - 1));
-            flows.push(ScenarioFlow {
+        let flows = topo
+            .nodes()
+            .map(|src| ScenarioFlow {
                 src,
-                dest: DestRule::Fixed(dst),
+                dest: DestRule::Fixed(NodeId::new(!(src.index() as u32) & (n - 1))),
                 process: InjectionProcess::Bernoulli { rate },
                 weight: 1.0,
                 share: None,
-            });
-        }
-        let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
-        Scenario {
-            name: format!("bit-complement(rate={rate})"),
-            topo,
-            routing: Routing::XY,
-            packet_len: 4,
-            flows,
-            groups: vec![("all".to_string(), all)],
-        }
+            })
+            .collect();
+        Self::on_default_mesh(format!("bit-complement(rate={rate})"), flows)
     }
 
     /// Nearest-neighbor traffic: every node sends East (wrapping to
     /// the row start), the lightest-possible permutation.
     pub fn nearest_neighbor(rate: f64) -> Scenario {
         let topo = Self::default_topology();
-        let mut flows = Vec::new();
-        for src in topo.nodes() {
-            let (x, y) = topo.coords(src);
-            let dst = topo.node((x + 1) % 8, y);
-            flows.push(ScenarioFlow {
-                src,
-                dest: DestRule::Fixed(dst),
-                process: InjectionProcess::Bernoulli { rate },
-                weight: 1.0,
-                share: None,
-            });
-        }
-        let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
-        Scenario {
-            name: format!("nearest-neighbor(rate={rate})"),
-            topo,
-            routing: Routing::XY,
-            packet_len: 4,
-            flows,
-            groups: vec![("all".to_string(), all)],
-        }
+        let flows = topo
+            .nodes()
+            .map(|src| {
+                let (x, y) = topo.coords(src);
+                ScenarioFlow {
+                    src,
+                    dest: DestRule::Fixed(topo.node((x + 1) % 8, y)),
+                    process: InjectionProcess::Bernoulli { rate },
+                    weight: 1.0,
+                    share: None,
+                }
+            })
+            .collect();
+        Self::on_default_mesh(format!("nearest-neighbor(rate={rate})"), flows)
     }
 }
 
@@ -575,6 +516,16 @@ mod tests {
         let r = s.reservations(256).unwrap();
         assert!(r.iter().all(|&x| x == 4)); // 256 / 64
         assert!(s.flow_set().is_none());
+    }
+
+    #[test]
+    fn uniform_on_has_one_flow_per_node_of_any_topology() {
+        let s = Scenario::uniform_on(Topology::mesh(16, 16), 0.1);
+        assert_eq!(s.num_flows(), 256);
+        for (f, src) in s.flows.iter().zip(s.topo.nodes()) {
+            assert_eq!(f.src, src);
+            assert_eq!(f.dest, DestRule::UniformRandom { num_nodes: 256 });
+        }
     }
 
     #[test]
