@@ -27,21 +27,15 @@ fn lsf_schedule() {
     bench_report("lsf/schedule_until_exhausted", 200, || {
         let mut s = LinkScheduler::new(params, &reservations);
         let mut booked = 0u32;
-        let mut qid = 0;
         'outer: for f in 0..64u32 {
             let flow = FlowId::new(f);
             loop {
                 let entry = PendingQuantum {
-                    flow,
-                    qid,
                     in_port: 0,
                     res_idx: 0,
                 };
                 match s.schedule(flow, 1, entry) {
-                    Some(_) => {
-                        booked += 1;
-                        qid += 1;
-                    }
+                    Some(_) => booked += 1,
                     None => continue 'outer,
                 }
             }
@@ -54,8 +48,6 @@ fn lsf_schedule() {
         let mut s = LinkScheduler::new(params, &reservations);
         let flow = FlowId::new(0);
         let entry = PendingQuantum {
-            flow,
-            qid: 0,
             in_port: 0,
             res_idx: 0,
         };

@@ -530,7 +530,8 @@ mod tests {
     /// A configuration the datapath cannot run is an error too: no
     /// VC, more input slots than an arbitration mask has bits, or
     /// buffers that never hold a credit — and LOFT's frame, buffer,
-    /// latency and look-ahead window constraints.
+    /// latency and look-ahead window constraints, including windows
+    /// whose reservation store would outgrow its entry index.
     #[test]
     fn bad_vc_parameters_are_errors() {
         let s = Scenario::uniform(0.05);
@@ -553,6 +554,8 @@ mod tests {
             (broken(|c| c.spec_buffer = 13), "speculative buffer"),
             (broken(|c| c.hop_latency = 0), "at least one cycle"),
             (broken(|c| c.la_flow_window = 0), "look-ahead flow window"),
+            (broken(|c| c.frame_window = 600), "reservation store"),
+            (broken(|c| c.la_flow_window = 1 << 16), "reservation store"),
         ] {
             let err = run(&s, loft, RUN, SEED).expect_err("bad LOFT parameters accepted");
             assert!(err.message().contains(what), "{err}");

@@ -4,6 +4,8 @@ use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
+use crate::port::ResIdx;
+
 /// Parameters of a [`crate::LoftNetwork`].
 ///
 /// Defaults follow Table 1 of the paper:
@@ -121,8 +123,28 @@ impl LoftConfig {
     /// Slots between a quantum's departure at one router and the
     /// earliest slot it can depart the next router.
     pub fn dep_offset(&self) -> u64 {
-        let q = self.flits_per_quantum as u64;
-        (self.hop_latency + q) / q
+        self.hop_latency / self.flits_per_quantum as u64 + 1
+    }
+
+    /// Initial size of every input port's reservation store. An entry
+    /// lives from the send of its look-ahead flit to the forward of
+    /// its data quantum, so a port holds at most the upstream link's
+    /// in-window bookings, look-ahead flits and data quanta in flight
+    /// to it, its buffered quanta, and (for the local port) the staged
+    /// backlog — plus slack. Saturates instead of overflowing, so
+    /// [`LoftConfig::validate`] can reject absurd values.
+    pub(crate) fn reservation_store_capacity(&self) -> u64 {
+        [
+            u64::from(self.frame_quanta()) * u64::from(self.frame_window),
+            self.dep_offset(),
+            1,
+            u64::from(self.nonspec_quanta()),
+            u64::from(self.spec_quanta()),
+            u64::from(self.la_flow_window),
+            self.la_hop_latency,
+        ]
+        .into_iter()
+        .fold(0, u64::saturating_add)
     }
 
     /// Checks internal consistency.
@@ -134,8 +156,9 @@ impl LoftConfig {
     /// non-speculative buffer covers a full frame (a smaller one would
     /// reintroduce the output scheduling anomaly), the speculative
     /// buffer is a whole number of quanta, hops on both planes take at
-    /// least one cycle, and a flow may have a look-ahead in flight
-    /// (with a zero window nothing would ever launch).
+    /// least one cycle, a flow may have a look-ahead in flight
+    /// (with a zero window nothing would ever launch), and the
+    /// reservation store bound fits its 16-bit entry index.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let checks = [
             (self.flits_per_quantum > 0, "quantum must hold flits"),
@@ -163,6 +186,10 @@ impl LoftConfig {
         ];
         match checks.iter().find(|(ok, _)| !ok) {
             Some((_, msg)) => Err(ConfigError::new(*msg)),
+            // Checked last: the bound divides by the quantum size.
+            None if self.reservation_store_capacity() > u64::from(ResIdx::MAX) => Err(
+                ConfigError::new("reservation store outgrows its 16-bit entry index"),
+            ),
             None => Ok(()),
         }
     }

@@ -88,10 +88,6 @@ struct FlowLsf {
 /// A quantum scheduled on the link, waiting for its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingQuantum {
-    /// The flow the quantum belongs to.
-    pub flow: FlowId,
-    /// Quantum sequence number within the flow.
-    pub qid: u64,
     /// Input port of the router holding the quantum.
     pub in_port: u8,
     /// Slot of the quantum's entry in that input port's reservation
@@ -812,12 +808,10 @@ mod tests {
         }
     }
 
-    fn entry(flow: u32, qid: u64) -> PendingQuantum {
+    fn entry(res_idx: u16) -> PendingQuantum {
         PendingQuantum {
-            flow: FlowId::new(flow),
-            qid,
             in_port: 0,
-            res_idx: 0,
+            res_idx,
         }
     }
 
@@ -826,11 +820,11 @@ mod tests {
         let mut s = LinkScheduler::new(paper_params(), &[2, 2]);
         // First two quanta of flow 0 land in frame 0 (slots 1, 2 —
         // candidate starts at CP+1).
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 0)), Some(1));
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 1)), Some(2));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0)), Some(1));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(1)), Some(2));
         assert_eq!(s.remaining_reservation(FlowId::new(0)), 0);
         // Flow 1 still fits in frame 0 (slot 3).
-        assert_eq!(s.schedule(FlowId::new(1), 0, entry(1, 0)), Some(3));
+        assert_eq!(s.schedule(FlowId::new(1), 0, entry(0)), Some(3));
     }
 
     #[test]
@@ -840,36 +834,36 @@ mod tests {
         // returned; it must skip to frame 2, and flow mn can still
         // use the imminent slot without buffer underflow.
         let mut s = LinkScheduler::new(paper_params(), &[2, 2]);
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 0)), Some(1));
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 1)), Some(2));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0)), Some(1));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(1)), Some(2));
         // No credits returned yet: credit(slot ≥ 2) = 2.
         // Flow ij's next quantum: frame 0 exhausted (C = 0); frame 1
         // fails Condition (1): F − skipped(1) = 4 > credit(3) = 2.
         // Frame 2 also fails: credit(7) = 2. Frame 3: credit(11) = 2.
         // All frames blocked → None, and the skipped counters
         // recorded the yielded reservations.
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 2)), None);
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(2)), None);
         // Now the downstream returns the two credits (it scheduled
         // departures at slots 3 and 4).
         s.return_credit(3);
         s.return_credit(4);
         // Flow ij already yielded frames 1–2 (skipped = 2 each) and
         // sits at frame 3, which now satisfies Condition (1).
-        let slot = s.schedule(FlowId::new(0), 0, entry(0, 2)).unwrap();
+        let slot = s.schedule(FlowId::new(0), 0, entry(2)).unwrap();
         assert!(slot >= 12, "slot {slot} should be in frame 3");
         // Flow mn can still take the imminent slot 3 in frame 0 —
         // and the credit there never went negative.
-        assert_eq!(s.schedule(FlowId::new(1), 0, entry(1, 0)), Some(3));
+        assert_eq!(s.schedule(FlowId::new(1), 0, entry(0)), Some(3));
         assert!(s.min_credit() >= 0, "Theorem I violated");
     }
 
     #[test]
     fn skipped_counter_accumulates_yielded_reservations() {
         let mut s = LinkScheduler::new(paper_params(), &[2, 2]);
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 0)), Some(1));
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 1)), Some(2));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0)), Some(1));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(1)), Some(2));
         // Exhausts everything; frames 1, 2 each get skipped += 2.
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 2)), None);
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(2)), None);
         assert_eq!(s.skipped[1], 2);
         assert_eq!(s.skipped[2], 2);
     }
@@ -886,7 +880,7 @@ mod tests {
         let mut s = LinkScheduler::new(params, &[3]);
         let mut frame0 = 0;
         for qid in 0..6 {
-            if let Some(slot) = s.schedule(FlowId::new(0), 0, entry(0, qid)) {
+            if let Some(slot) = s.schedule(FlowId::new(0), 0, entry(qid)) {
                 if slot < 8 {
                     frame0 += 1;
                 }
@@ -900,8 +894,8 @@ mod tests {
     fn head_frame_advance_refreshes_quota() {
         let params = paper_params();
         let mut s = LinkScheduler::new(params, &[2]);
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 0)), Some(1));
-        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0, 1)), Some(2));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(0)), Some(1));
+        assert_eq!(s.schedule(FlowId::new(0), 0, entry(1)), Some(2));
         assert_eq!(s.remaining_reservation(FlowId::new(0)), 0);
         // Cross a frame boundary: 4 slots.
         for _ in 0..4 {
@@ -917,7 +911,7 @@ mod tests {
     #[test]
     fn earliest_constraint_respected() {
         let mut s = LinkScheduler::new(paper_params(), &[4]);
-        let slot = s.schedule(FlowId::new(0), 6, entry(0, 0)).unwrap();
+        let slot = s.schedule(FlowId::new(0), 6, entry(0)).unwrap();
         assert!(slot >= 6);
         // Slot 6 is in frame 1; frame 0's quota was spent advancing.
         assert_eq!(s.injection_frame(FlowId::new(0)), 1);
@@ -926,35 +920,35 @@ mod tests {
     #[test]
     fn busy_slots_are_skipped() {
         let mut s = LinkScheduler::new(paper_params(), &[2, 2]);
-        assert_eq!(s.schedule(FlowId::new(0), 1, entry(0, 0)), Some(1));
-        assert_eq!(s.schedule(FlowId::new(1), 1, entry(1, 0)), Some(2));
-        assert_eq!(s.schedule(FlowId::new(0), 1, entry(0, 1)), Some(3));
+        assert_eq!(s.schedule(FlowId::new(0), 1, entry(0)), Some(1));
+        assert_eq!(s.schedule(FlowId::new(1), 1, entry(0)), Some(2));
+        assert_eq!(s.schedule(FlowId::new(0), 1, entry(1)), Some(3));
     }
 
     #[test]
     fn complete_clears_busy_and_pending() {
         let mut s = LinkScheduler::new(paper_params(), &[2, 2]);
-        let slot = s.schedule(FlowId::new(0), 0, entry(0, 0)).unwrap();
+        let slot = s.schedule(FlowId::new(0), 0, entry(0)).unwrap();
         assert!(s.busy_at(slot));
         assert_eq!(s.first_pending().unwrap().0, slot);
         let e = s.complete(slot);
-        assert_eq!(e.qid, 0);
+        assert_eq!(e.res_idx, 0);
         assert!(!s.busy_at(slot));
         assert!(s.can_reset());
         // The freed slot can be re-booked by another flow (bandwidth
         // reclamation); the same flow must book a later slot to keep
         // its quanta in order.
-        assert_eq!(s.schedule(FlowId::new(1), 0, entry(1, 0)), Some(slot));
-        let next = s.schedule(FlowId::new(0), 0, entry(0, 1)).unwrap();
+        assert_eq!(s.schedule(FlowId::new(1), 0, entry(0)), Some(slot));
+        let next = s.schedule(FlowId::new(0), 0, entry(1)).unwrap();
         assert!(next > slot);
     }
 
     #[test]
     fn local_reset_restores_everything() {
         let mut s = LinkScheduler::new(paper_params(), &[2]);
-        let slot = s.schedule(FlowId::new(0), 0, entry(0, 0)).unwrap();
+        let slot = s.schedule(FlowId::new(0), 0, entry(0)).unwrap();
         s.complete(slot);
-        let slot2 = s.schedule(FlowId::new(0), 0, entry(0, 1)).unwrap();
+        let slot2 = s.schedule(FlowId::new(0), 0, entry(1)).unwrap();
         assert!(slot2 > slot, "same-flow bookings stay ordered");
         s.complete(slot2);
         assert_eq!(s.remaining_reservation(FlowId::new(0)), 0);
@@ -974,7 +968,7 @@ mod tests {
         let mut s = LinkScheduler::new(params, &[4]);
         // Far more quanta than the (never consulted) credits.
         for qid in 0..4 {
-            assert!(s.schedule(FlowId::new(0), 0, entry(0, qid)).is_some());
+            assert!(s.schedule(FlowId::new(0), 0, entry(qid)).is_some());
         }
     }
 
@@ -987,7 +981,7 @@ mod tests {
             s.advance_slot();
         }
         let cp = s.current_slot();
-        let slot = s.schedule(FlowId::new(0), 0, entry(0, 0)).unwrap();
+        let slot = s.schedule(FlowId::new(0), 0, entry(0)).unwrap();
         assert!(slot > cp && slot < cp + 16);
         assert!(s.busy_at(slot));
     }
@@ -995,11 +989,11 @@ mod tests {
     #[test]
     fn credit_return_unclogs_stalled_flow_dirty_flag() {
         let mut s = LinkScheduler::new(paper_params(), &[1]);
-        assert!(s.schedule(FlowId::new(0), 0, entry(0, 0)).is_some());
+        assert!(s.schedule(FlowId::new(0), 0, entry(0)).is_some());
         // The un-returned credit makes Condition (1) fail for every
         // later frame, so the flow stalls after one quantum.
         let mut scheduled = 1;
-        while s.schedule(FlowId::new(0), 0, entry(0, scheduled)).is_some() {
+        while s.schedule(FlowId::new(0), 0, entry(scheduled)).is_some() {
             scheduled += 1;
             assert!(scheduled < 64, "runaway scheduling");
         }
@@ -1008,7 +1002,7 @@ mod tests {
         // scheduler turns dirty, and the retry succeeds.
         s.return_credit(2);
         assert!(s.take_dirty());
-        assert!(s.schedule(FlowId::new(0), 0, entry(0, scheduled)).is_some());
+        assert!(s.schedule(FlowId::new(0), 0, entry(scheduled)).is_some());
     }
 
     /// A scheduler with nothing pending brought `k` slots ahead by
@@ -1025,12 +1019,12 @@ mod tests {
             // window yields every frame's reservation into `skipped`.
             |s| {
                 let beyond = s.current_slot() + 1_000;
-                assert_eq!(s.schedule(FlowId::new(0), beyond, entry(0, 9)), None);
+                assert_eq!(s.schedule(FlowId::new(0), beyond, entry(9)), None);
             },
             // A credit return that reaches the scheduler after its
             // reset (the quantum sat in the speculative buffer).
             |s| {
-                let slot = s.schedule(FlowId::new(1), 0, entry(1, 9)).unwrap();
+                let slot = s.schedule(FlowId::new(1), 0, entry(9)).unwrap();
                 s.complete(slot);
                 s.local_reset();
                 s.return_credit(slot + 3);
@@ -1038,7 +1032,7 @@ mod tests {
             // A booking forwarded and never reset (resets off): its
             // consumed credit and busy frame are still in the tables.
             |s| {
-                let slot = s.schedule(FlowId::new(1), 0, entry(1, 9)).unwrap();
+                let slot = s.schedule(FlowId::new(1), 0, entry(9)).unwrap();
                 s.complete(slot);
             },
         ];
@@ -1065,8 +1059,8 @@ mod tests {
                     assert_eq!(stepped.take_dirty(), jumped.take_dirty(), "{at}");
                     for flow in [0, 1] {
                         assert_eq!(
-                            stepped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
-                            jumped.schedule(FlowId::new(flow), 0, entry(flow, 0)),
+                            stepped.schedule(FlowId::new(flow), 0, entry(0)),
+                            jumped.schedule(FlowId::new(flow), 0, entry(0)),
                             "{at} flow={flow}"
                         );
                     }
@@ -1092,7 +1086,6 @@ mod tests {
         let mut s = LinkScheduler::new(params, &[3, 3, 2]);
         // Arrival slots whose credits have not been returned yet.
         let mut outstanding: Vec<u64> = Vec::new();
-        let mut qid = 0;
         for _ in 0..20_000 {
             // Random action mix: schedule, return a credit, advance.
             match rng.next_below(4) {
@@ -1102,15 +1095,12 @@ mod tests {
                         flow,
                         s.current_slot() + 1,
                         PendingQuantum {
-                            flow,
-                            qid,
                             in_port: 0,
                             res_idx: 0,
                         },
                     ) {
                         outstanding.push(slot);
                         s.complete(slot);
-                        qid += 1;
                     }
                 }
                 2 => {

@@ -10,12 +10,12 @@
 //! * the **look-ahead network** moves one-word look-ahead flits, one
 //!   per data quantum. A look-ahead flit visits the scheduler of each
 //!   link on its path in order, books a departure slot
-//!   (Algorithms 1–2), writes the expectation into the downstream
-//!   input reservation table, and returns a virtual credit to the
-//!   upstream link. A look-ahead flit that cannot book (its flow's
-//!   window is exhausted) stalls in the router's output queue,
-//!   back-pressuring the look-ahead network — this is how LSF
-//!   throttles flows to their reservations.
+//!   (Algorithms 1–2), records it in the input reservation table it
+//!   came through, and returns a virtual credit to the upstream link.
+//!   A look-ahead flit that cannot book (its flow's window is
+//!   exhausted) stalls in the router's output queue, back-pressuring
+//!   the look-ahead network — this is how LSF throttles flows to their
+//!   reservations.
 //! * the **data network** moves 2-flit quanta. At every slot each
 //!   output link forwards the *emergent* quantum (the one booked for
 //!   this slot) if present; otherwise, with speculative switching
@@ -65,8 +65,11 @@
 //! concurrently: data quantum delivery, NIC data injection (with
 //! `injected_at` stamps deferred to the barrier), and look-ahead
 //! delivery into the channel queues. None of them touches a link
-//! scheduler. The phases that read or write *other* routers' state in
-//! the same cycle — data movement (downstream buffer credits),
+//! scheduler, and look-ahead delivery touches no input port either:
+//! the serial phase that sends a look-ahead flit also allocates its
+//! reservation entry at the receiving port (see `crate::port`). The
+//! phases that read or write *other* routers' state in the same
+//! cycle — data movement (downstream buffer credits),
 //! look-ahead scheduling (upstream virtual-credit returns), local
 //! status resets — stay serial, iterating shards in ascending order
 //! so the visit order is bit-identical to the single-threaded engine.
@@ -79,36 +82,37 @@ use noc_sim::fabric::{
 };
 use noc_sim::flit::{FlowId, NodeId, Packet};
 use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
-use noc_sim::routing::Direction;
 use noc_sim::slab::PacketRef;
 use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
 
 use crate::config::LoftConfig;
 use crate::lsf::{LinkScheduler, LsfParams, PendingQuantum};
-use crate::port::{DataPort, QKey, ResIdx};
+use crate::port::{DataPort, ResIdx};
+
+/// A quantum chosen to forward on a link: its booked slot there, the
+/// input port holding it, and its reservation entry at that port.
+type Choice = (u64, u8, ResIdx);
 
 #[derive(Debug, Clone, Copy)]
 struct LaFlit {
     flow: FlowId,
-    qid: u64,
     dst: NodeId,
     /// Departure slot booked at the previous link.
     dep_slot: u64,
-    /// Input port at the router currently holding the flit.
+    /// Input port at the router the flit is bound for or held at.
     in_port: u8,
-    /// Slot of the quantum's entry in that port's reservation store,
-    /// assigned when the flit arrives and writes its expectation
-    /// (stale while the flit is in flight to the next router).
-    res_idx: u16,
+    /// The quantum's entry in that port's reservation store, allocated
+    /// by the sender together with the flit.
+    res_idx: ResIdx,
 }
 
 /// A data quantum in flight on a link (availability time lives in the
 /// wire's due field).
 #[derive(Debug, Clone, Copy)]
 struct DataQuantum {
-    flow: FlowId,
-    qid: u64,
+    /// The quantum's entry in the receiving port's reservation store.
+    res_idx: ResIdx,
     /// Destination buffer at the receiver: speculative or not.
     spec: bool,
     /// Handle of the owning packet.
@@ -147,9 +151,9 @@ struct SourceNic {
     rr_flows: Vec<u32>,
     rr: usize,
     /// Quanta whose look-ahead has launched, awaiting their data
-    /// transfer into the router (FIFO, one per slot), with the owning
-    /// packet's handle.
-    staged: CapDeque<(QKey, PacketRef)>,
+    /// transfer into the router (FIFO, one per slot): the entry in the
+    /// local port's reservation store and the owning packet's handle.
+    staged: CapDeque<(ResIdx, PacketRef)>,
 }
 
 impl SourceNic {
@@ -273,8 +277,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
             ..
         } = &mut **aux;
         data_wires.drain_due(slot, |widx, w| {
-            let key = (w.flow.index() as u32, w.qid);
-            data_ports[widx - base].record_arrival(key, w.spec, w.pref);
+            data_ports[widx - base].record_arrival(w.res_idx, w.spec, w.pref);
         });
         let mut cursor = range.lo;
         while let Some(node) = stage_work.first_from(cursor) {
@@ -285,7 +288,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
                 continue;
             }
             let nic = &mut nics[node - range.lo];
-            let (key, pref) = *nic.staged.front().expect("stage_work implies staged");
+            let (res_idx, pref) = *nic.staged.front().expect("stage_work implies staged");
             nic.staged.pop_front();
             if nic.staged.is_empty() {
                 stage_work.remove(node);
@@ -298,8 +301,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
                 node * PORTS + LOCAL,
                 slot + cfg.dep_offset(),
                 DataQuantum {
-                    flow: FlowId::new(key.0),
-                    qid: key.1,
+                    res_idx,
                     spec: false,
                     pref,
                 },
@@ -307,43 +309,27 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
         }
     }
 
-    /// Delivers arriving look-ahead flits into the look-ahead channel
-    /// queues, writing the input reservation tables (expectations).
+    /// Moves arriving look-ahead flits into the look-ahead channel
+    /// queue of their next output port. The sender already allocated
+    /// each flit's reservation entry here, so no input port is
+    /// touched.
     ///
     /// The channel queues are per-flow fair (see
     /// `LoftNetwork::la_schedule`), so delivery is not
     /// capacity-limited: the per-flow look-ahead window
     /// (`la_flow_window`) already bounds how many flits any one flow
-    /// can pile up here. Every write lands at the receiving node, so
+    /// can pile up here. Every push lands at the receiving node, so
     /// the pass is shard-local.
     fn la_deliver(&mut self, now: u64) {
-        let LoftShardCtx {
-            range,
-            data_ports,
-            aux,
-            link,
-            ..
-        } = self;
-        let base = range.lo * PORTS;
+        let LoftShardCtx { aux, link, .. } = self;
         let LoftShard {
             la_wires,
             la_queues,
             ..
         } = &mut **aux;
         la_wires.drain_due(now, |widx, la| {
-            let (node, in_port) = (widx / PORTS, widx % PORTS);
-            let out_port = link.route(node, la.dst);
-            let res_idx =
-                data_ports[widx - base].la_arrive((la.flow.index() as u32, la.qid), out_port as u8);
-            la_queues.push(
-                node * PORTS + out_port,
-                la.flow.index(),
-                LaFlit {
-                    in_port: in_port as u8,
-                    res_idx,
-                    ..la
-                },
-            );
+            let node = widx / PORTS;
+            la_queues.push(node * PORTS + link.route(node, la.dst), la.flow.index(), la);
         });
     }
 }
@@ -375,10 +361,6 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// Look-ahead flits currently in the look-ahead plane, per flow
     /// (capped by `la_flow_window`).
     la_outstanding: Vec<u32>,
-    /// Quanta forwarded per link (diagnostics), index `node*5+port`.
-    forwarded: Vec<u64>,
-    /// Total local status resets across all links (diagnostics).
-    total_resets: u64,
     // ---- active-set worklists (see `noc_sim::worklist`) ----------
     /// Links with a pending booking (`pending_len() > 0`): a quantum
     /// can only forward on the link where it is booked, so these are
@@ -452,17 +434,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 LinkScheduler::new(p, reservations_flits)
             })
             .collect();
-        // Reservation entries live from look-ahead arrival to data
-        // forward: at most the upstream link's in-window bookings,
-        // quanta in flight on the wire, buffered quanta, and (for the
-        // local port) the staged backlog — plus slack. The store
-        // grows if a configuration escapes the bound.
-        let res_cap = (params.window_quanta()
-            + cfg.dep_offset()
-            + 1
-            + cfg.nonspec_quanta() as u64
-            + cfg.spec_quanta() as u64
-            + cfg.la_flow_window as u64) as usize;
+        let res_cap = cfg.reservation_store_capacity() as usize;
         let ranges = partition(n, cfg.threads);
         let shard_of = shard_map(&ranges);
         let k = ranges.len();
@@ -488,8 +460,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             nics: (0..n).map(|_| SourceNic::new()).collect(),
             tracker: EjectTracker::new(),
             la_outstanding: vec![0; reservations_flits.len()],
-            forwarded: vec![0; n * PORTS],
-            total_resets: 0,
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
             reset_check: ActiveSet::new(n * PORTS),
@@ -517,17 +487,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             probe.absorb(shard.probe);
         }
         probe
-    }
-
-    /// Total local status resets performed so far, network-wide.
-    pub fn total_resets(&self) -> u64 {
-        self.total_resets
-    }
-
-    /// Flits forwarded so far on the output link `(node, dir)` —
-    /// divide by elapsed cycles for the link utilization.
-    pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
-        self.forwarded[node.index() * PORTS + dir.index()] * self.cfg.flits_per_quantum as u64
     }
 
     /// One-line diagnostic snapshot of a node's injection side (for
@@ -572,13 +531,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             }
         };
         format!(
-            "link n{node}.{port}: pending={} la_queue={} resets={} fwd={} head={} {}",
+            "link n{node}.{port}: pending={} la_queue={} resets={} head={} {}",
             sched.pending_len(),
             self.shards[self.shard_of[node] as usize]
                 .la_queues
                 .raw_len(lidx),
             sched.resets(),
-            self.forwarded[lidx],
             // Not `sched.head_frame()`: a scheduler without a pending
             // booking may lag until its next access.
             self.slot() / self.cfg.frame_quanta() as u64,
@@ -638,7 +596,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // staged predecessor from now; the look-ahead carries
                 // that planned slot as its upstream departure time.
                 let plan = now / q + 1 + nic.staged.len() as u64;
-                nic.staged.push_back(((fid, qid), pref));
+                let out_port = self.link.route(node, dst) as u8;
+                let res_idx = self.data_ports[node * PORTS + LOCAL].reserve((fid, qid), out_port);
+                nic.staged.push_back((res_idx, pref));
                 if self.nics[node].queued == 0 {
                     self.launch_work.remove(node);
                 }
@@ -650,12 +610,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     now + la_hop,
                     LaFlit {
                         flow: FlowId::new(fid),
-                        qid,
                         dst,
                         dep_slot: plan,
                         in_port: LOCAL as u8,
-                        // Assigned on arrival at the local port.
-                        res_idx: 0,
+                        res_idx,
                     },
                 );
                 break;
@@ -699,8 +657,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                             la.flow,
                             la.dep_slot + dep_off,
                             PendingQuantum {
-                                flow: la.flow,
-                                qid: la.qid,
                                 in_port: la.in_port,
                                 res_idx: la.res_idx,
                             },
@@ -715,10 +671,19 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // The booking adds a pending quantum: feed the
                 // data-plane worklist.
                 self.pending_links.insert(qidx);
-                let key = (la.flow.index() as u32, la.qid);
-                // Input reservation table: record the booked slot.
+                // Booked onward: allocate the quantum's entry at the
+                // next router's input port, which the look-ahead is
+                // sent to now. Ejection needs none.
                 let pidx = node * PORTS + la.in_port as usize;
-                self.data_ports[pidx].record_booking(la.res_idx, key, slot);
+                let onward = (out_port != LOCAL).then(|| {
+                    let (next, in_port) = self.link.downstream(node, out_port);
+                    let key = self.data_ports[pidx].key(la.res_idx);
+                    let next_out = self.link.route(next, la.dst) as u8;
+                    let idx = self.data_ports[next * PORTS + in_port].reserve(key, next_out);
+                    (next, in_port, idx)
+                });
+                // Input reservation table: record the booked slot.
+                self.data_ports[pidx].record_booking(la.res_idx, slot, onward.map_or(0, |o| o.2));
                 // Return the virtual credit upstream: the upstream
                 // link now knows when its consumed buffer frees. The
                 // local input port is fed by the NIC, which uses
@@ -729,16 +694,17 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 }
                 // Ejection booked: the look-ahead flit is consumed
                 // and the flow's look-ahead window slot frees up.
-                if out_port == LOCAL {
+                let Some((next, in_port, res_idx)) = onward else {
                     self.la_outstanding[la.flow.index()] -= 1;
                     continue;
-                }
-                let (next, in_port) = self.link.downstream(node, out_port);
+                };
                 self.shards[self.shard_of[next] as usize].la_wires.push(
                     next * PORTS + in_port,
                     now + la_hop,
                     LaFlit {
                         dep_slot: slot,
+                        in_port: in_port as u8,
+                        res_idx,
                         ..la
                     },
                 );
@@ -868,62 +834,44 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let emergent = sched
             .first_pending()
             .filter(|&(s, _)| s <= slot)
-            .map(|(s, p)| (s, p.flow, p.qid, p.in_port, p.res_idx));
-        let present = emergent.filter(|&(_, flow, qid, in_port, res_idx)| {
-            self.data_ports[node * PORTS + in_port as usize]
-                .arrived_at(res_idx, (flow.index() as u32, qid))
+            .map(|(s, p)| (s, p.in_port, p.res_idx));
+        let present = emergent.filter(|&(_, in_port, res_idx)| {
+            self.data_ports[node * PORTS + in_port as usize].arrived_at(res_idx)
         });
         let choice = match present {
             Some(c) => Some(c),
             None if self.cfg.speculative_switching => self.pick_speculative(node, out_port),
             None => None,
         };
-        let Some((dep, flow, qid, in_port, res_idx)) = choice else {
-            return;
-        };
-        self.forwarded[node * PORTS + out_port] += 1;
-        self.forward(node, out_port, slot, dep, flow, qid, in_port, res_idx, out);
+        if let Some(choice) = choice {
+            self.forward(node, out_port, slot, choice, out);
+        }
     }
 
     /// Picks the speculative candidate: per input port the arrived
     /// quantum with the earliest booked slot, then round-robin across
     /// ports.
-    fn pick_speculative(
-        &mut self,
-        node: usize,
-        out_port: usize,
-    ) -> Option<(u64, FlowId, u64, u8, ResIdx)> {
+    fn pick_speculative(&mut self, node: usize, out_port: usize) -> Option<Choice> {
         let lidx = node * PORTS + out_port;
         let start = self.rr_spec[lidx];
-        let mut best: Option<(u64, FlowId, u64, u8, ResIdx)> = None;
-        for k in 0..PORTS {
-            let p = (start + k) % PORTS;
-            let pidx = node * PORTS + p;
-            if let Some((dep, f, q, idx)) = self.data_ports[pidx].ready_min(out_port) {
-                best = Some((dep, FlowId::new(f), q, p as u8, idx));
-                break;
-            }
-        }
+        let best = (0..PORTS).map(|k| (start + k) % PORTS).find_map(|p| {
+            let (dep, idx) = self.data_ports[node * PORTS + p].ready_min(out_port)?;
+            Some((dep, p as u8, idx))
+        });
         if best.is_some() {
             self.rr_spec[lidx] = (start + 1) % PORTS;
         }
         best
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn forward(
         &mut self,
         node: usize,
         out_port: usize,
         slot: u64,
-        dep: u64,
-        flow: FlowId,
-        qid: u64,
-        in_port: u8,
-        res_idx: ResIdx,
+        (dep, in_port, res_idx): Choice,
         out: &mut Vec<Packet>,
     ) {
-        let key = (flow.index() as u32, qid);
         let lidx = node * PORTS + out_port;
         let is_first = self.link_sched[lidx]
             .first_pending()
@@ -962,7 +910,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
         let pidx = node * PORTS + in_port as usize;
         let port = &mut self.data_ports[pidx];
-        let (arr_spec, arr_pref) = port.release(res_idx, key, dep);
+        let (arr_spec, arr_pref, next_idx) = port.release(res_idx, dep);
         if arr_spec {
             port.spec_free += 1;
         } else {
@@ -991,8 +939,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                         ridx,
                         slot + self.cfg.dep_offset(),
                         DataQuantum {
-                            flow,
-                            qid,
+                            res_idx: next_idx,
                             spec,
                             pref: arr_pref,
                         },
@@ -1171,7 +1118,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             };
             if downstream_empty {
                 self.sched(lidx).local_reset();
-                self.total_resets += 1;
                 self.probe.on_link_reset(lidx);
             }
         }
@@ -1333,6 +1279,8 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
 mod tests {
     use super::*;
     use noc_sim::flit::PacketId;
+    use noc_sim::routing::Direction;
+    use noc_sim::telemetry::LiveProbe;
     use noc_sim::topology::Topology;
 
     fn packet(flow: u32, seq: u64, src: u32, dst: u32, at: u64) -> Packet {
@@ -1346,6 +1294,16 @@ mod tests {
             4,
             at,
         )
+    }
+
+    /// A network recording into a [`LiveProbe`].
+    fn probed(cfg: LoftConfig, reservations: &[u32]) -> LoftNetwork<LiveProbe> {
+        LoftNetwork::with_probe(cfg, reservations, LiveProbe::new(16))
+    }
+
+    /// Local status resets so far, network-wide.
+    fn resets(net: &LoftNetwork<LiveProbe>) -> u64 {
+        net.clone().into_probe().finish().link_resets.iter().sum()
     }
 
     fn drain<Pr: Probe>(net: &mut LoftNetwork<Pr>, limit: u64) -> Vec<Packet> {
@@ -1451,10 +1409,10 @@ mod tests {
 
     #[test]
     fn spec_zero_disables_resets() {
-        let mut net = LoftNetwork::new(LoftConfig::with_spec_buffer(0), &[64]);
+        let mut net = probed(LoftConfig::with_spec_buffer(0), &[64]);
         net.enqueue(packet(0, 0, 0, 63, 0));
         let _ = drain(&mut net, 10_000);
-        assert_eq!(net.total_resets(), 0);
+        assert_eq!(resets(&net), 0);
     }
 
     #[test]
@@ -1558,7 +1516,7 @@ mod tests {
 
     #[test]
     fn idle_links_reset_under_demand_gaps() {
-        let mut net = LoftNetwork::new(LoftConfig::default(), &[16]);
+        let mut net = probed(LoftConfig::default(), &[16]);
         // Two bursts with a long idle gap between them.
         for seq in 0..10 {
             net.enqueue(packet(0, seq, 0, 1, 0));
@@ -1567,7 +1525,7 @@ mod tests {
         for _ in 0..2_000 {
             net.step(&mut out);
         }
-        assert!(net.total_resets() > 0, "no resets during idle gaps");
+        assert!(resets(&net) > 0, "no resets during idle gaps");
         assert_eq!(out.len(), 10);
     }
 
@@ -1605,34 +1563,16 @@ mod tests {
 
     #[test]
     fn link_flits_probe_counts_traffic() {
-        use noc_sim::routing::Direction;
-        let mut net = LoftNetwork::new(LoftConfig::default(), &[64]);
+        let mut net = probed(LoftConfig::default(), &[64]);
         net.enqueue(packet(0, 0, 0, 2, 0)); // 0 → 1 → 2, eastbound
         let _ = drain(&mut net, 5_000);
-        assert_eq!(net.link_flits(NodeId::new(0), Direction::East), 4);
-        assert_eq!(net.link_flits(NodeId::new(1), Direction::East), 4);
-        assert_eq!(net.link_flits(NodeId::new(2), Direction::Local), 4);
-        assert_eq!(net.link_flits(NodeId::new(3), Direction::East), 0);
-    }
-
-    #[test]
-    fn live_probe_matches_legacy_link_counter() {
-        use noc_sim::telemetry::LiveProbe;
-        let mut net = LoftNetwork::with_probe(LoftConfig::default(), &[64], LiveProbe::new(16));
-        net.enqueue(packet(0, 0, 0, 2, 0)); // 0 → 1 → 2, eastbound
-        let _ = drain(&mut net, 5_000);
-        let east = Direction::East.index();
-        let local = Direction::Local.index();
-        let legacy: Vec<u64> = [(0, east), (1, east), (2, local), (3, east)]
-            .iter()
-            .map(|&(n, d)| net.link_flits(NodeId::new(n as u32), Direction::ALL[d]))
-            .collect();
+        let (east, local) = (Direction::East.index(), Direction::Local.index());
         let report = net.into_probe().finish();
-        let probed = |lidx: usize| report.link_flits.get(lidx).copied().unwrap_or(0);
-        assert_eq!(probed(east), legacy[0]);
-        assert_eq!(probed(PORTS + east), legacy[1]);
-        assert_eq!(probed(2 * PORTS + local), legacy[2]);
-        assert_eq!(probed(3 * PORTS + east), legacy[3]);
+        let flits = |lidx: usize| report.link_flits.get(lidx).copied().unwrap_or(0);
+        assert_eq!(flits(east), 4);
+        assert_eq!(flits(PORTS + east), 4);
+        assert_eq!(flits(2 * PORTS + local), 4);
+        assert_eq!(flits(3 * PORTS + east), 0);
         assert_eq!(report.flows.len(), 1);
         assert_eq!(report.flows[0].packets, 1);
         assert!(report.cycles > 0);
@@ -1653,7 +1593,7 @@ mod tests {
     fn fast_forward_matches_idle_stepping() {
         for cfg in [LoftConfig::default(), LoftConfig::with_spec_buffer(0)] {
             let build = || {
-                let mut net = LoftNetwork::new(cfg, &[16]);
+                let mut net = probed(cfg, &[16]);
                 for seq in 0..5 {
                     net.enqueue(packet(0, seq, 0, 9, 0));
                 }
@@ -1680,7 +1620,7 @@ mod tests {
                 assert_eq!(jumped.fast_forward(k), k, "jump declined at k={k}");
                 assert_eq!(jumped.cycle(), stepped.cycle());
             }
-            assert_eq!(stepped.total_resets(), jumped.total_resets());
+            assert_eq!(resets(&stepped), resets(&jumped));
             // Traffic after the gap behaves identically in both worlds.
             stepped.enqueue(packet(0, 100, 0, 9, 0));
             jumped.enqueue(packet(0, 100, 0, 9, 0));

@@ -4,24 +4,29 @@
 //! Each router input port holds a **non-speculative** buffer (space
 //! guaranteed by the virtual-credit discipline of [`crate::lsf`]), a
 //! small **speculative** buffer for early out-of-order quanta, and the
-//! reservation table a look-ahead flit writes on arrival: which output
-//! port its data quantum will take and — once booked — in which slot.
+//! reservation table a look-ahead flit writes: which output port its
+//! data quantum will take and — once booked — in which slot.
 //!
 //! # Dense slot store
 //!
-//! The table is a *slot-indexed store*, not a hash map: a look-ahead
-//! arrival allocates the lowest free slot in a fixed entry array and
-//! hands the slot index ([`ResIdx`]) back to the caller, who threads
-//! it through the look-ahead flit and the link scheduler's pending
-//! entry. Every hot operation — recording a booking, the emergent
-//! present-check, and the forward/release path — is then a direct
-//! array index. The only keyed lookup left is matching a *data*
-//! arrival to its reservation (the quantum and its look-ahead travel
-//! different wires, so the arrival carries no slot index); those
-//! entries sit in a small sorted `(key, slot)` index with binary
-//! search. A data quantum that outruns its look-ahead (possible under
-//! extreme timing configurations) parks in an `orphans` side list that
-//! is empty in practice.
+//! The table is a *slot-indexed store*, not a hash map. A quantum's
+//! entry is allocated (the lowest free slot of a fixed entry array)
+//! when its look-ahead flit is *sent* towards the port: by the NIC for
+//! the local port, and by the upstream output scheduler, right after
+//! it books the quantum onward, for a router port. The slot index
+//! ([`ResIdx`]) then rides the records that travel anyway — the
+//! look-ahead flit, the link scheduler's pending entry, the upstream
+//! entry (`next`) and the data quantum on the wire — so every
+//! operation is a direct array index: recording a booking, recording
+//! a data arrival, the emergent present-check, and the forward/release
+//! path. The look-ahead and its data quantum may reach the port in
+//! either order; whichever comes second completes the entry.
+//!
+//! Allocating at the sender is simulator bookkeeping: what an entry
+//! holds, and when anything reads it, are as in Section 3.2. The
+//! output port and booked slot are only read once the look-ahead has
+//! been scheduled here, and a quantum whose data lands first just
+//! waits in its buffer for that booking.
 //!
 //! A quantum becomes *ready* when it has physically arrived and its
 //! onward slot is booked; ready quanta are indexed per output port as
@@ -39,25 +44,32 @@ pub(crate) type QKey = (u32, u64);
 /// Index of a reservation entry inside one port's slot store.
 pub(crate) type ResIdx = u16;
 
-/// One reservation-store entry: the union of the old reservation
-/// table (`out_port`, `dep_slot`) and arrival (`spec`, `pref`) state.
+/// One reservation-store entry: the reservation table's `out_port`
+/// and `dep_slot` plus the quantum's arrival state.
 #[derive(Debug, Clone, Copy)]
 struct ResEntry {
     /// The quantum this entry belongs to.
     key: QKey,
-    /// Output port the quantum will depart through (valid iff
-    /// `expected`).
+    /// Output port the quantum will depart through.
     out_port: u8,
-    /// Whether a look-ahead flit wrote this entry (the normal case;
-    /// false only for orphaned early data arrivals).
-    expected: bool,
     /// Whether the quantum occupies the speculative buffer.
     spec: bool,
     /// Departure slot, once the look-ahead has booked one here.
     dep_slot: Option<u64>,
+    /// The quantum's entry at the receiving input port, allocated with
+    /// the booking (unused when the booking is an ejection).
+    next: ResIdx,
     /// Handle of the owning packet; `Some` iff the quantum has
     /// physically arrived.
     pref: Option<PacketRef>,
+}
+
+impl ResEntry {
+    /// Ready-set rank: `(dep_slot, flow, qid)`, unique per quantum.
+    fn rank(&self) -> (u64, u32, u64) {
+        let dep = self.dep_slot.expect("ready entries are booked");
+        (dep, self.key.0, self.key.1)
+    }
 }
 
 /// Input-port state of a data router: buffers + input reservation
@@ -73,12 +85,6 @@ pub(crate) struct DataPort {
     entries: CapVec<ResEntry>,
     /// Bitmask over `entries`: bit set = slot free.
     free: CapVec<u64>,
-    /// Sorted `(key, slot)` index over entries awaiting their data
-    /// arrival (`expected && pref.is_none()`).
-    pending_arrival: CapVec<(QKey, ResIdx)>,
-    /// Entries whose data arrived before the look-ahead
-    /// (`!expected`); unsorted, empty in practice.
-    orphans: CapVec<(QKey, ResIdx)>,
     /// Arrived quanta with a booked departure, per output port.
     ready: [ReadySet; PORTS],
 }
@@ -125,12 +131,7 @@ impl ReadySet {
             while m != 0 {
                 let slot = (w * 64 + m.trailing_zeros() as usize) as ResIdx;
                 m &= m - 1;
-                let e = &entries[slot as usize];
-                let rank = (
-                    e.dep_slot.expect("ready entries are booked"),
-                    e.key.0,
-                    e.key.1,
-                );
+                let rank = entries[slot as usize].rank();
                 if best.is_none_or(|(b, _)| rank < b) {
                     best = Some((rank, slot));
                 }
@@ -161,16 +162,14 @@ impl DataPort {
                 ResEntry {
                     key: (0, 0),
                     out_port: 0,
-                    expected: false,
                     spec: false,
                     dep_slot: None,
+                    next: 0,
                     pref: None,
                 };
                 cap
             ]),
             free: Cap(free),
-            pending_arrival: Cap(Vec::with_capacity(cap.min(64))),
-            orphans: CapVec::default(),
             ready: std::array::from_fn(|_| ReadySet {
                 mask: vec![0u64; words],
                 min: None,
@@ -178,8 +177,19 @@ impl DataPort {
         }
     }
 
-    /// Allocates the lowest free slot, growing the store if full.
-    fn alloc(&mut self, entry: ResEntry) -> ResIdx {
+    /// Allocates the reservation entry of quantum `key`, departing
+    /// through `out_port`, in the lowest free slot (growing the store
+    /// if full) and returns the slot. Called by whoever sends the
+    /// quantum's look-ahead flit towards this port.
+    pub fn reserve(&mut self, key: QKey, out_port: u8) -> ResIdx {
+        let entry = ResEntry {
+            key,
+            out_port,
+            spec: false,
+            dep_slot: None,
+            next: 0,
+            pref: None,
+        };
         for (w, word) in self.free.iter_mut().enumerate() {
             if *word != 0 {
                 let b = word.trailing_zeros() as usize;
@@ -202,162 +212,83 @@ impl DataPort {
         slot as ResIdx
     }
 
-    /// Records a look-ahead arrival: writes the reservation entry for
-    /// `key` departing through `out_port` and returns its slot index,
-    /// which the caller threads through the look-ahead flit and the
-    /// scheduler's pending entry for O(1) access later.
-    pub fn la_arrive(&mut self, key: QKey, out_port: u8) -> ResIdx {
-        // A data quantum that outran its look-ahead already holds a
-        // slot; adopt it instead of allocating a duplicate.
-        if !self.orphans.is_empty() {
-            if let Some(i) = self.orphans.iter().position(|&(k, _)| k == key) {
-                let (_, slot) = self.orphans.swap_remove(i);
-                let e = &mut self.entries[slot as usize];
-                e.out_port = out_port;
-                e.expected = true;
-                return slot;
-            }
-        }
-        let slot = self.alloc(ResEntry {
-            key,
-            out_port,
-            expected: true,
-            spec: false,
-            dep_slot: None,
-            pref: None,
-        });
-        let at = self
-            .pending_arrival
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .expect_err("look-ahead delivered twice for one quantum");
-        self.pending_arrival.insert(at, (key, slot));
-        slot
+    /// The quantum behind reservation entry `idx`.
+    #[inline]
+    pub fn key(&self, idx: ResIdx) -> QKey {
+        self.entries[idx as usize].key
     }
 
-    /// Records a booked departure slot on reservation entry `idx` and
+    /// Records a booked departure slot on reservation entry `idx`,
+    /// with `next` the quantum's entry at the receiving port, and
     /// indexes the quantum as ready if it has already arrived.
-    pub fn record_booking(&mut self, idx: ResIdx, key: QKey, slot: u64) {
+    pub fn record_booking(&mut self, idx: ResIdx, slot: u64, next: ResIdx) {
         let e = &mut self.entries[idx as usize];
-        debug_assert_eq!(e.key, key, "booking handle points at a foreign entry");
-        debug_assert!(e.expected, "booking without a reservation");
         debug_assert!(e.dep_slot.is_none(), "double booking");
         e.dep_slot = Some(slot);
-        if e.pref.is_some() {
-            let out = e.out_port as usize;
-            self.ready[out].insert(idx, (slot, key.0, key.1));
-        }
+        e.next = next;
+        self.index_if_ready(idx);
     }
 
-    /// Records a physical arrival for `key` and indexes the quantum
-    /// as ready if its onward slot is already booked.
-    pub fn record_arrival(&mut self, key: QKey, spec: bool, pref: PacketRef) {
-        match self.pending_arrival.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => {
-                let (_, slot) = self.pending_arrival.remove(i);
-                let e = &mut self.entries[slot as usize];
-                debug_assert!(e.pref.is_none(), "quantum delivered twice");
-                e.spec = spec;
-                e.pref = Some(pref);
-                if let Some(dep) = e.dep_slot {
-                    let out = e.out_port as usize;
-                    self.ready[out].insert(slot, (dep, key.0, key.1));
-                }
-            }
-            Err(_) => {
-                // Data outran the look-ahead: park the arrival until
-                // the reservation is written.
-                let slot = self.alloc(ResEntry {
-                    key,
-                    out_port: 0,
-                    expected: false,
-                    spec,
-                    dep_slot: None,
-                    pref: Some(pref),
-                });
-                self.orphans.push((key, slot));
-            }
+    /// Records the physical arrival of the quantum behind entry `idx`
+    /// and indexes it as ready if its onward slot is already booked.
+    pub fn record_arrival(&mut self, idx: ResIdx, spec: bool, pref: PacketRef) {
+        let e = &mut self.entries[idx as usize];
+        debug_assert!(e.pref.is_none(), "quantum delivered twice");
+        e.spec = spec;
+        e.pref = Some(pref);
+        self.index_if_ready(idx);
+    }
+
+    fn index_if_ready(&mut self, idx: ResIdx) {
+        let e = &self.entries[idx as usize];
+        if e.dep_slot.is_some() && e.pref.is_some() {
+            self.ready[e.out_port as usize].insert(idx, e.rank());
         }
     }
 
     /// Whether the quantum behind reservation entry `idx` has
     /// physically arrived (the emergent present-check).
     #[inline]
-    pub fn arrived_at(&self, idx: ResIdx, key: QKey) -> bool {
-        let e = &self.entries[idx as usize];
-        debug_assert_eq!(e.key, key, "pending handle points at a foreign entry");
-        e.pref.is_some()
+    pub fn arrived_at(&self, idx: ResIdx) -> bool {
+        self.entries[idx as usize].pref.is_some()
     }
 
     /// The ready quantum with the earliest booked slot for `out`, as
-    /// `(dep_slot, flow, qid, store slot)` — ties broken by
-    /// `(flow, qid)`; ranks are unique, so the minimum is
-    /// storage-order independent.
+    /// `(dep_slot, store slot)` — ties broken by `(flow, qid)`; ranks
+    /// are unique, so the minimum is storage-order independent.
     #[inline]
-    pub fn ready_min(&self, out: usize) -> Option<(u64, u32, u64, ResIdx)> {
-        self.ready[out]
-            .min
-            .map(|((dep, f, q), slot)| (dep, f, q, slot))
+    pub fn ready_min(&self, out: usize) -> Option<(u64, ResIdx)> {
+        self.ready[out].min.map(|((dep, _, _), slot)| (dep, slot))
     }
 
     /// Releases reservation entry `idx` on forward/ejection: removes
     /// it from its output's ready set and frees the slot. Returns
-    /// `(spec, pref)` of the arrived quantum.
+    /// `(spec, pref, next)` of the arrived quantum.
     ///
     /// # Panics
     ///
-    /// Panics if the entry is not an arrived, booked quantum.
-    pub fn release(&mut self, idx: ResIdx, key: QKey, dep: u64) -> (bool, PacketRef) {
+    /// Panics if the entry is not an arrived quantum.
+    pub fn release(&mut self, idx: ResIdx, dep: u64) -> (bool, PacketRef, ResIdx) {
         let e = self.entries[idx as usize];
-        debug_assert_eq!(e.key, key, "release handle points at a foreign entry");
         debug_assert_eq!(e.dep_slot, Some(dep), "release with a stale booking");
         let pref = e.pref.expect("forwarded quantum present");
-        assert!(e.expected, "forwarded quantum expected");
         self.ready[e.out_port as usize].remove(idx, &self.entries);
         self.entries[idx as usize].pref = None;
         self.free[idx as usize / 64] |= 1 << (idx as usize % 64);
-        (e.spec, pref)
+        (e.spec, pref, e.next)
     }
 
-    /// Full cross-check of the store's redundant structures (debug
-    /// builds): the sorted arrival index, the orphan list, the ready
-    /// masks and their cached minima must all agree with a naive scan
-    /// over the entries.
+    /// Full cross-check of the ready masks and their cached minima
+    /// against a naive scan over the occupied entries (debug builds).
     #[cfg(debug_assertions)]
     pub fn debug_verify(&self) {
         let mut ready = vec![Vec::new(); PORTS];
         for (slot, e) in self.entries.iter().enumerate() {
             let free = self.free[slot / 64] & (1 << (slot % 64)) != 0;
-            let live = e.pref.is_some() || (e.expected && !free);
-            if free {
-                continue;
-            }
-            debug_assert!(live, "occupied slot {slot} holds no live entry");
-            if e.expected && e.pref.is_none() {
-                debug_assert!(
-                    self.pending_arrival
-                        .binary_search_by_key(&e.key, |&(k, _)| k)
-                        .is_ok_and(|i| self.pending_arrival[i].1 as usize == slot),
-                    "awaiting-arrival entry {slot} missing from the index"
-                );
-            }
-            if !e.expected {
-                debug_assert!(
-                    self.orphans
-                        .iter()
-                        .any(|&(k, s)| k == e.key && s as usize == slot),
-                    "orphan entry {slot} missing from the orphan list"
-                );
-            }
-            if e.expected && e.pref.is_some() {
-                if let Some(dep) = e.dep_slot {
-                    ready[e.out_port as usize].push(((dep, e.key.0, e.key.1), slot as ResIdx));
-                }
+            if !free && e.dep_slot.is_some() && e.pref.is_some() {
+                ready[e.out_port as usize].push((e.rank(), slot as ResIdx));
             }
         }
-        debug_assert!(
-            self.pending_arrival.windows(2).all(|w| w[0].0 < w[1].0),
-            "arrival index unsorted"
-        );
         for (out, want) in ready.iter().enumerate() {
             let got = self.ready[out].rescan(&self.entries);
             debug_assert_eq!(
@@ -402,13 +333,12 @@ mod tests {
     #[test]
     fn ready_requires_arrival_and_booking() {
         let mut p = DataPort::new(4, 2, 8);
-        let key: QKey = (0, 7);
-        let idx = p.la_arrive(key, 1);
-        p.record_arrival(key, false, some_pref());
+        let idx = p.reserve((0, 7), 1);
+        p.record_arrival(idx, false, some_pref());
         assert!(p.ready_min(1).is_none(), "arrived but not booked");
-        p.record_booking(idx, key, 9);
-        assert_eq!(p.ready_min(1), Some((9, 0, 7, idx)));
-        let (spec, _) = p.release(idx, key, 9);
+        p.record_booking(idx, 9, 0);
+        assert_eq!(p.ready_min(1), Some((9, idx)));
+        let (spec, _, _) = p.release(idx, 9);
         assert!(!spec);
         assert!(p.ready_min(1).is_none());
         p.debug_verify();
@@ -417,13 +347,12 @@ mod tests {
     #[test]
     fn booking_before_arrival_defers_readiness() {
         let mut p = DataPort::new(4, 2, 8);
-        let key: QKey = (3, 1);
-        let idx = p.la_arrive(key, 4);
-        p.record_booking(idx, key, 12);
+        let idx = p.reserve((3, 1), 4);
+        p.record_booking(idx, 12, 0);
         assert!(p.ready_min(4).is_none(), "booked but not arrived");
-        p.record_arrival(key, true, some_pref());
-        assert!(p.arrived_at(idx, key));
-        assert_eq!(p.ready_min(4), Some((12, 3, 1, idx)));
+        p.record_arrival(idx, true, some_pref());
+        assert!(p.arrived_at(idx));
+        assert_eq!(p.ready_min(4), Some((12, idx)));
         p.debug_verify();
     }
 
@@ -432,45 +361,50 @@ mod tests {
         let mut p = DataPort::new(8, 2, 8);
         let mut idxs = Vec::new();
         for (dep, qid) in [(9u64, 1u64), (3, 2), (7, 3)] {
-            let key: QKey = (0, qid);
-            let idx = p.la_arrive(key, 2);
-            p.record_booking(idx, key, dep);
-            p.record_arrival(key, false, some_pref());
-            idxs.push((key, idx, dep));
+            let idx = p.reserve((0, qid), 2);
+            p.record_booking(idx, dep, 0);
+            p.record_arrival(idx, false, some_pref());
+            idxs.push((idx, dep));
         }
-        let (key, idx, dep) = idxs[1];
-        assert_eq!(p.ready_min(2), Some((3, 0, 2, idx)));
-        let _ = p.release(idx, key, dep);
-        assert_eq!(p.ready_min(2), Some((7, 0, 3, idxs[2].1)));
+        let (idx, dep) = idxs[1];
+        assert_eq!(p.ready_min(2), Some((3, idx)));
+        let _ = p.release(idx, dep);
+        assert_eq!(p.ready_min(2), Some((7, idxs[2].0)));
         p.debug_verify();
     }
 
+    /// Data that outruns its look-ahead lands in the entry its sender
+    /// allocated and waits there, arrived but unranked, until the
+    /// booking comes; the booking's onward handle survives the wait.
     #[test]
-    fn early_data_parks_until_lookahead_arrives() {
+    fn data_arrives_before_its_lookahead_is_booked() {
         let mut p = DataPort::new(4, 2, 8);
-        let key: QKey = (5, 0);
-        p.record_arrival(key, true, some_pref());
+        let idx = p.reserve((5, 0), 3);
+        p.record_arrival(idx, true, some_pref());
+        assert!(p.arrived_at(idx));
+        assert!(p.ready_min(3).is_none(), "ranked before its booking");
         p.debug_verify();
-        let idx = p.la_arrive(key, 3);
-        assert!(p.arrived_at(idx, key), "orphan adopted on look-ahead");
-        p.record_booking(idx, key, 4);
-        assert_eq!(p.ready_min(3), Some((4, 5, 0, idx)));
+        p.record_booking(idx, 4, 6);
+        assert_eq!(p.ready_min(3), Some((4, idx)));
+        let (spec, _, next) = p.release(idx, 4);
+        assert!(spec, "speculative arrival lost its buffer");
+        assert_eq!(next, 6);
         p.debug_verify();
     }
 
     /// Seeded random op-sequence equivalence against a naive list
     /// model: `ready_min` and `arrived_at` must agree with a full
-    /// scan after every operation, across orphan adoption, store
-    /// growth, and slot reuse.
+    /// scan after every operation, with arrivals before and after
+    /// bookings, store growth, and slot reuse.
     #[test]
     fn slot_store_matches_naive_reference_under_random_ops() {
         #[derive(Clone)]
         struct Ref {
             key: QKey,
-            idx: Option<ResIdx>,
+            idx: ResIdx,
             out_port: u8,
-            expected: bool,
-            dep: Option<u64>,
+            /// `(dep, next)` once booked.
+            booking: Option<(u64, ResIdx)>,
             /// `Some(spec)` once the data quantum arrived.
             arrived: Option<bool>,
         }
@@ -487,83 +421,49 @@ mod tests {
         let mut next_qid = 0u64;
         let mut next_dep = 0u64;
         for step in 0..4_000u32 {
+            let pick = (rng() % 4) as usize;
             match rng() % 6 {
-                // Look-ahead arrival: adopt an orphan or open a fresh
-                // reservation.
+                // A look-ahead sent here: open a fresh reservation.
                 0 | 1 => {
                     let out = (rng() % PORTS as u64) as u8;
-                    let orphan = model.iter().position(|r| !r.expected);
-                    if let Some(i) = orphan.filter(|_| rng() % 2 == 0) {
-                        let key = model[i].key;
-                        model[i].idx = Some(p.la_arrive(key, out));
-                        model[i].out_port = out;
-                        model[i].expected = true;
-                    } else {
-                        let key: QKey = ((rng() % 3) as u32, next_qid);
-                        next_qid += 1;
-                        model.push(Ref {
-                            key,
-                            idx: Some(p.la_arrive(key, out)),
-                            out_port: out,
-                            expected: true,
-                            dep: None,
-                            arrived: None,
-                        });
-                    }
+                    let key: QKey = ((rng() % 3) as u32, next_qid);
+                    next_qid += 1;
+                    model.push(Ref {
+                        key,
+                        idx: p.reserve(key, out),
+                        out_port: out,
+                        booking: None,
+                        arrived: None,
+                    });
                 }
-                // Booking on a random unbooked reservation.
+                // Booking on a random unbooked reservation, arrived
+                // or not.
                 2 => {
-                    let pick = (rng() % 4) as usize;
-                    if let Some(r) = model
-                        .iter_mut()
-                        .filter(|r| r.expected && r.dep.is_none())
-                        .nth(pick)
-                    {
-                        let dep = next_dep;
+                    if let Some(r) = model.iter_mut().filter(|r| r.booking.is_none()).nth(pick) {
+                        let booking = (next_dep, (rng() % 64) as ResIdx);
                         next_dep += 1;
-                        p.record_booking(r.idx.unwrap(), r.key, dep);
-                        r.dep = Some(dep);
+                        p.record_booking(r.idx, booking.0, booking.1);
+                        r.booking = Some(booking);
                     }
                 }
-                // Data arrival: for a pending reservation, or early
-                // (an orphan with a brand-new key).
+                // Data arrival on a random reservation, booked or not.
                 3 => {
                     let spec = rng() % 2 == 0;
-                    if rng() % 4 == 0 {
-                        let key: QKey = ((rng() % 3) as u32, next_qid);
-                        next_qid += 1;
-                        p.record_arrival(key, spec, some_pref());
-                        model.push(Ref {
-                            key,
-                            idx: None,
-                            out_port: 0,
-                            expected: false,
-                            dep: None,
-                            arrived: Some(spec),
-                        });
-                    } else {
-                        let pick = (rng() % 4) as usize;
-                        if let Some(r) = model
-                            .iter_mut()
-                            .filter(|r| r.expected && r.arrived.is_none())
-                            .nth(pick)
-                        {
-                            p.record_arrival(r.key, spec, some_pref());
-                            r.arrived = Some(spec);
-                        }
+                    if let Some(r) = model.iter_mut().filter(|r| r.arrived.is_none()).nth(pick) {
+                        p.record_arrival(r.idx, spec, some_pref());
+                        r.arrived = Some(spec);
                     }
                 }
                 // Forward/eject a random ready quantum.
                 _ => {
-                    let pick = (rng() % 4) as usize;
-                    let ready = (0..model.len()).filter(|&i| {
-                        let r = &model[i];
-                        r.expected && r.dep.is_some() && r.arrived.is_some()
-                    });
+                    let ready = (0..model.len())
+                        .filter(|&i| model[i].booking.is_some() && model[i].arrived.is_some());
                     if let Some(i) = ready.clone().nth(pick.min(ready.count().saturating_sub(1))) {
                         let r = model.swap_remove(i);
-                        let (spec, _) = p.release(r.idx.unwrap(), r.key, r.dep.unwrap());
+                        let (dep, next) = r.booking.unwrap();
+                        let (spec, _, got_next) = p.release(r.idx, dep);
                         assert_eq!(spec, r.arrived.unwrap(), "spec flag corrupted");
+                        assert_eq!(got_next, next, "onward handle corrupted");
                     }
                 }
             }
@@ -571,20 +471,15 @@ mod tests {
             for out in 0..PORTS {
                 let want = model
                     .iter()
-                    .filter(|r| {
-                        r.expected
-                            && r.out_port as usize == out
-                            && r.dep.is_some()
-                            && r.arrived.is_some()
-                    })
-                    .map(|r| (r.dep.unwrap(), r.key.0, r.key.1, r.idx.unwrap()))
-                    .min();
+                    .filter(|r| r.out_port as usize == out && r.arrived.is_some())
+                    .filter_map(|r| r.booking.map(|(dep, _)| ((dep, r.key), r.idx)))
+                    .min()
+                    .map(|((dep, _), idx)| (dep, idx));
                 assert_eq!(p.ready_min(out), want, "ready_min diverged at step {step}");
             }
             for r in &model {
-                if let Some(idx) = r.idx {
-                    assert_eq!(p.arrived_at(idx, r.key), r.arrived.is_some());
-                }
+                assert_eq!(p.key(r.idx), r.key);
+                assert_eq!(p.arrived_at(r.idx), r.arrived.is_some());
             }
             if step % 64 == 0 {
                 p.debug_verify();
@@ -599,23 +494,21 @@ mod tests {
         // Fill past the initial capacity; every entry stays reachable.
         let mut idxs = Vec::new();
         for qid in 0..70u64 {
-            let key: QKey = (1, qid);
-            let idx = p.la_arrive(key, 0);
-            p.record_booking(idx, key, qid);
-            p.record_arrival(key, false, some_pref());
+            let idx = p.reserve((1, qid), 0);
+            p.record_booking(idx, qid, 0);
+            p.record_arrival(idx, false, some_pref());
             idxs.push(idx);
         }
         p.debug_verify();
-        assert_eq!(p.ready_min(0), Some((0, 1, 0, idxs[0])));
+        assert_eq!(p.ready_min(0), Some((0, idxs[0])));
         for qid in 0..70u64 {
-            let got = p.ready_min(0).expect("entries remain");
-            assert_eq!(got.0, qid, "minima leave in booked order");
-            let _ = p.release(got.3, (got.1, got.2), got.0);
+            let (dep, idx) = p.ready_min(0).expect("entries remain");
+            assert_eq!(dep, qid, "minima leave in booked order");
+            let _ = p.release(idx, dep);
         }
         assert!(p.ready_min(0).is_none());
         // Freed slots are allocated again, lowest first.
-        let idx = p.la_arrive((2, 0), 0);
-        assert_eq!(idx, 0);
+        assert_eq!(p.reserve((2, 0), 0), 0);
         p.debug_verify();
     }
 }

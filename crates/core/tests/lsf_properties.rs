@@ -95,7 +95,7 @@ fn theorem1_and_structural_invariants() {
         let mut s = LinkScheduler::new(params, &reservations);
         let mut lazy = s.clone();
         let mut outstanding: Vec<u64> = Vec::new();
-        let mut qid = 0u64;
+        let mut tag = 0u16;
         for _ in 0..steps {
             let action = random_action(&mut rng);
             if !matches!(action, Action::Advance) {
@@ -105,15 +105,13 @@ fn theorem1_and_structural_invariants() {
                 Action::Schedule(i) => {
                     let flow = FlowId::new(i as u32 % reservations.len() as u32);
                     let entry = PendingQuantum {
-                        flow,
-                        qid,
                         in_port: 0,
-                        res_idx: 0,
+                        res_idx: tag,
                     };
                     let booked = s.schedule(flow, s.current_slot() + 1, entry);
                     assert_eq!(booked, lazy.schedule(flow, lazy.current_slot() + 1, entry));
                     if let Some(slot) = booked {
-                        qid += 1;
+                        tag += 1;
                         assert!(slot > s.current_slot());
                         assert!(slot < s.current_slot() + params.window_quanta());
                         outstanding.push(slot);
@@ -171,13 +169,11 @@ fn quota_respected_per_frame() {
         let mut s = LinkScheduler::new(params, &[r]);
         let flow = FlowId::new(0);
         let mut per_frame = std::collections::HashMap::new();
-        for qid in 0..requests as u64 {
+        for _ in 0..requests {
             if let Some(slot) = s.schedule(
                 flow,
                 0,
                 PendingQuantum {
-                    flow,
-                    qid,
                     in_port: 0,
                     res_idx: 0,
                 },
@@ -208,13 +204,11 @@ fn sink_books_every_window_slot() {
         let mut s = LinkScheduler::new(params, &[r]);
         let flow = FlowId::new(0);
         let mut slots = std::collections::HashSet::new();
-        for qid in 0..64u64 {
+        for _ in 0..64 {
             if let Some(slot) = s.schedule(
                 flow,
                 0,
                 PendingQuantum {
-                    flow,
-                    qid,
                     in_port: 0,
                     res_idx: 0,
                 },

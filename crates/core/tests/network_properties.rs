@@ -1,7 +1,8 @@
 //! End-to-end randomized tests of the LOFT network: every injected
 //! packet is delivered exactly once to the right node, under random
 //! workloads and configurations (cases drawn from the workspace's
-//! deterministic RNG).
+//! deterministic RNG). Hop latencies on both planes are drawn too, so
+//! data quanta regularly reach a router before their look-ahead flit.
 
 use loft::{LoftConfig, LoftNetwork};
 use noc_sim::flit::{FlowId, NodeId, Packet, PacketId};
@@ -18,6 +19,8 @@ fn every_packet_delivered_once_to_its_destination() {
             topo: Topology::mesh(4, 4),
             frame_size: 64,
             nonspec_buffer: 64,
+            hop_latency: 1 + rng.next_below(4),
+            la_hop_latency: 1 + rng.next_below(8),
             ..LoftConfig::with_spec_buffer(spec)
         };
         // One flow per (src, dst) pair present in the batch; sequence
@@ -96,6 +99,8 @@ fn per_flow_delivery_is_in_order() {
             topo: Topology::mesh(4, 4),
             frame_size: 64,
             nonspec_buffer: 64,
+            hop_latency: 1 + rng.next_below(4),
+            la_hop_latency: 1 + rng.next_below(8),
             ..LoftConfig::default()
         };
         let mut net = LoftNetwork::new(cfg, &[16]);

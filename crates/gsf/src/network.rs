@@ -27,8 +27,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use noc_sim::fabric::{MaskIter, PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcRouter};
-use noc_sim::flit::{NodeId, Packet};
-use noc_sim::routing::Direction;
+use noc_sim::flit::Packet;
 use noc_sim::slab::PacketRef;
 use noc_sim::telemetry::{NoopProbe, Probe};
 use noc_sim::Network;
@@ -288,12 +287,6 @@ impl<Pr: Probe> GsfNetwork<Pr> {
     pub fn recycles(&self) -> u64 {
         self.fabric.policy().framing.recycles()
     }
-
-    /// Flits forwarded so far on the output link `(node, dir)` —
-    /// divide by elapsed cycles for the link utilization.
-    pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
-        self.fabric.link_flits(node, dir)
-    }
 }
 
 impl<Pr: Probe> Network for GsfNetwork<Pr> {
@@ -325,7 +318,8 @@ impl<Pr: Probe> Network for GsfNetwork<Pr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::flit::{FlowId, PacketId};
+    use noc_sim::flit::{FlowId, NodeId, PacketId};
+    use noc_sim::routing::Direction;
 
     fn packet(flow: u32, seq: u64, src: u32, dst: u32, at: u64) -> Packet {
         Packet::new(
@@ -340,7 +334,7 @@ mod tests {
         )
     }
 
-    fn drain(net: &mut GsfNetwork, limit: u64) -> Vec<Packet> {
+    fn drain<Pr: Probe>(net: &mut GsfNetwork<Pr>, limit: u64) -> Vec<Packet> {
         let mut out = Vec::new();
         let mut guard = 0;
         while net.in_flight() > 0 {
@@ -501,13 +495,19 @@ mod tests {
 
     #[test]
     fn link_flits_probe_counts_traffic() {
-        use noc_sim::routing::Direction;
-        let mut net = GsfNetwork::new(GsfConfig::default(), &[100]);
+        use noc_sim::fabric::PORTS;
+        use noc_sim::telemetry::LiveProbe;
+        let mut net = GsfNetwork::with_probe(GsfConfig::default(), &[100], LiveProbe::new(16));
         net.enqueue(packet(0, 0, 0, 2, 0));
         let _ = drain(&mut net, 10_000);
-        assert_eq!(net.link_flits(NodeId::new(0), Direction::East), 4);
-        assert_eq!(net.link_flits(NodeId::new(2), Direction::Local), 4);
-        assert_eq!(net.link_flits(NodeId::new(5), Direction::East), 0);
+        let report = net.into_probe().finish();
+        let flits = |node: usize, dir: Direction| {
+            let lidx = node * PORTS + dir.index();
+            report.link_flits.get(lidx).copied().unwrap_or(0)
+        };
+        assert_eq!(flits(0, Direction::East), 4);
+        assert_eq!(flits(2, Direction::Local), 4);
+        assert_eq!(flits(5, Direction::East), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::flit::{FlitKind, NodeId, Packet};
 use crate::par::{partition, shard_map, Mailbox, SendPtr, ShardRange, WorkerPool};
-use crate::routing::{Direction, Routing};
+use crate::routing::Routing;
 use crate::slab::PacketRef;
 use crate::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use crate::topology::Topology;
@@ -465,14 +465,13 @@ impl<P: RouterPolicy, Pr: Probe> ShardState<P, Pr> {
 /// One shard's mutable view of the fabric for a single cycle: the
 /// node-range slices of the global per-node arrays plus the shard's
 /// own [`ShardState`]. All slices cover exactly `range` (local index
-/// `node - range.lo`); `forwarded` covers the matching link range.
+/// `node - range.lo`).
 struct ShardCtx<'a, P: RouterPolicy, Pr: Probe> {
     range: ShardRange,
     routers: &'a mut [VcRouter<P::Tag>],
     nics: &'a mut [VcNic<P::Tag>],
     sources: &'a mut [P::Source],
     buffered: &'a mut [u32],
-    forwarded: &'a mut [u64],
     aux: &'a mut ShardState<P, Pr>,
     tracker: &'a EjectTracker,
     link: LinkMap,
@@ -706,7 +705,6 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     out_vc: ov,
                     slot,
                 } = P::pick_winner(router, out_port, num_vcs);
-                self.forwarded[l * PORTS + out_port] += 1;
                 self.aux.probe.on_link_flits(node * PORTS + out_port, 1);
                 router.rr_sa[out_port] = if slot + 1 == total { 0 } else { slot + 1 };
                 let flit = router.inputs[slot]
@@ -843,8 +841,6 @@ pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
     /// Per-node source queues (policy-defined order).
     sources: Vec<P::Source>,
     tracker: EjectTracker,
-    /// Flits forwarded per output link, index `node * PORTS + port`.
-    forwarded: Vec<u64>,
     /// Buffered input flits per router (maintains the shards'
     /// `router_work`).
     buffered: Vec<u32>,
@@ -901,7 +897,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 .collect(),
             sources: (0..n).map(|_| policy.new_source()).collect(),
             tracker: EjectTracker::new(),
-            forwarded: vec![0; n * PORTS],
             buffered: vec![0; n],
             shard_of: shard_map(&ranges),
             shards: (0..k)
@@ -937,13 +932,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         &self.policy
     }
 
-    /// Flits forwarded so far on the output link `(node, dir)` —
-    /// divide by elapsed cycles for the link utilization.
-    #[must_use]
-    pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
-        self.forwarded[node.index() * PORTS + dir.index()]
-    }
-
     /// Inserts every node the last policy hook woke into its shard's
     /// NIC worklist.
     fn apply_woken(&mut self) {
@@ -969,7 +957,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 nics,
                 sources,
                 buffered,
-                forwarded,
                 shards,
                 tracker,
                 link,
@@ -983,7 +970,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 nics: &mut nics[range.lo..range.hi],
                 sources: &mut sources[range.lo..range.hi],
                 buffered: &mut buffered[range.lo..range.hi],
-                forwarded: &mut forwarded[range.lo * PORTS..range.hi * PORTS],
                 aux: &mut shards[s],
                 tracker,
                 link: *link,
@@ -1000,7 +986,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let nics = SendPtr::new(self.nics.as_mut_ptr());
         let sources = SendPtr::new(self.sources.as_mut_ptr());
         let buffered = SendPtr::new(self.buffered.as_mut_ptr());
-        let forwarded = SendPtr::new(self.forwarded.as_mut_ptr());
         let shards = SendPtr::new(self.shards.as_mut_ptr());
         let ranges: &[ShardRange] = &self.ranges;
         let shard_of: &[u32] = &self.shard_of;
@@ -1028,10 +1013,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
                     sources: std::slice::from_raw_parts_mut(sources.get().add(lo), len),
                     buffered: std::slice::from_raw_parts_mut(buffered.get().add(lo), len),
-                    forwarded: std::slice::from_raw_parts_mut(
-                        forwarded.get().add(lo * PORTS),
-                        len * PORTS,
-                    ),
                     aux: &mut *shards.get().add(s),
                     tracker,
                     link,

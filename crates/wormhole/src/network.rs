@@ -17,8 +17,7 @@
 use std::collections::VecDeque;
 
 use noc_sim::fabric::{MaskIter, PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcRouter};
-use noc_sim::flit::{NodeId, Packet};
-use noc_sim::routing::Direction;
+use noc_sim::flit::Packet;
 use noc_sim::slab::PacketRef;
 use noc_sim::telemetry::{NoopProbe, Probe};
 use noc_sim::Network;
@@ -127,12 +126,6 @@ impl<Pr: Probe> WormholeNetwork<Pr> {
         &self.cfg
     }
 
-    /// Flits forwarded so far on the output link `(node, dir)` —
-    /// divide by elapsed cycles for the link utilization.
-    pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
-        self.fabric.link_flits(node, dir)
-    }
-
     /// Consumes the network, returning the telemetry probe with every
     /// shard fork merged in deterministic order.
     #[must_use]
@@ -170,7 +163,8 @@ impl<Pr: Probe> Network for WormholeNetwork<Pr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::flit::{FlowId, PacketId};
+    use noc_sim::flit::{FlowId, NodeId, PacketId};
+    use noc_sim::routing::Direction;
     use noc_sim::topology::Topology;
 
     fn packet(flow: u32, seq: u64, src: u32, dst: u32, at: u64) -> Packet {
@@ -186,7 +180,7 @@ mod tests {
         )
     }
 
-    fn run_until_empty(net: &mut WormholeNetwork, limit: u64) -> Vec<Packet> {
+    fn run_until_empty<Pr: Probe>(net: &mut WormholeNetwork<Pr>, limit: u64) -> Vec<Packet> {
         let mut out = Vec::new();
         let mut guard = 0;
         while net.in_flight() > 0 {
@@ -314,12 +308,19 @@ mod tests {
 
     #[test]
     fn link_flits_probe_counts_traffic() {
-        let mut net = WormholeNetwork::new(WormholeConfig::default());
+        use noc_sim::fabric::PORTS;
+        use noc_sim::telemetry::LiveProbe;
+        let mut net = WormholeNetwork::with_probe(WormholeConfig::default(), LiveProbe::new(16));
         net.enqueue(packet(0, 0, 0, 1, 0));
         let _ = run_until_empty(&mut net, 1_000);
-        assert_eq!(net.link_flits(NodeId::new(0), Direction::East), 4);
-        assert_eq!(net.link_flits(NodeId::new(1), Direction::Local), 4);
-        assert_eq!(net.link_flits(NodeId::new(1), Direction::East), 0);
+        let report = net.into_probe().finish();
+        let flits = |node: usize, dir: Direction| {
+            let lidx = node * PORTS + dir.index();
+            report.link_flits.get(lidx).copied().unwrap_or(0)
+        };
+        assert_eq!(flits(0, Direction::East), 4);
+        assert_eq!(flits(1, Direction::Local), 4);
+        assert_eq!(flits(1, Direction::East), 0);
     }
 
     #[test]

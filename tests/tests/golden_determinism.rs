@@ -61,15 +61,31 @@ fn check(report: &noc_sim::SimReport, flits: u64, latency_bits: u64) {
 /// Checks one pin on the network configured by `C` (its default
 /// configuration on the scenario's topology) at every shard count.
 fn check_pin<C: NetSpec>(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
+    check_pin_with(
+        scenario,
+        run,
+        |threads| C::on(scenario.topo, threads),
+        flits,
+        latency_bits,
+    );
+}
+
+/// [`check_pin`] on the configuration `cfg(threads)` builds.
+fn check_pin_with<C: NetSpec>(
+    scenario: &Scenario,
+    run: RunConfig,
+    cfg: impl Fn(usize) -> C,
+    flits: u64,
+    latency_bits: u64,
+) {
     for threads in SCRATCH_THREADS {
-        let cfg = C::on(scenario.topo, threads);
-        let r = loft_bench::run(scenario, cfg, run, SEED).expect("paper scenarios fit");
+        let r = loft_bench::run(scenario, cfg(threads), run, SEED).expect("paper scenarios fit");
         check(&r, flits, latency_bits);
     }
     // Single-shard legs: one warmup, forked for both the plain
     // per-cycle leg and the quiescence-fast-forward leg — the fast
     // path and a forked resume must both land on the pinned bits.
-    let ckpt = simulation(scenario, C::on(scenario.topo, 1), NoopProbe, run, SEED)
+    let ckpt = simulation(scenario, cfg(1), NoopProbe, run, SEED)
         .expect("paper scenarios fit")
         .with_fast_forward(false)
         .run_to_checkpoint();
@@ -157,6 +173,26 @@ fn wormhole_uniform_high_load_is_pinned() {
         high_load_run(),
         56_360,
         0x407C_6563_4EEE_6F0D,
+    );
+}
+
+/// One-cycle data hops under eight-cycle look-ahead hops: data quanta
+/// routinely reach a router before their look-ahead flit does, the
+/// timing the default latencies never produce.
+#[test]
+fn loft_data_outrunning_lookahead_is_pinned() {
+    // avg_latency = 1260.7868783247459
+    check_pin_with(
+        &Scenario::uniform(0.30),
+        RunConfig::short(),
+        |threads| LoftConfig {
+            hop_latency: 1,
+            la_hop_latency: 8,
+            threads,
+            ..LoftConfig::default()
+        },
+        74_920,
+        0x4093_B325_C36E_7ADC,
     );
 }
 
