@@ -11,7 +11,7 @@ use loft_bench::bench_report;
 use noc_gsf::{GsfConfig, GsfNetwork};
 use noc_sim::flit::FlowId;
 use noc_sim::TrafficSource;
-use noc_sim::{Network, NodeId, Routing, Topology};
+use noc_sim::{Network, NodeId, Topology};
 use noc_traffic::Scenario;
 use noc_wormhole::{WormholeConfig, WormholeNetwork};
 
@@ -126,9 +126,7 @@ fn routing() {
         for a in 0..64u32 {
             for d in 0..64u32 {
                 if a != d {
-                    hops += Routing::XY
-                        .port_path(&topo, NodeId::new(a), NodeId::new(d))
-                        .len();
+                    hops += topo.port_path(NodeId::new(a), NodeId::new(d)).len();
                 }
             }
         }

@@ -132,7 +132,7 @@ fn table1(args: &[String]) -> Result<(), String> {
     no_args(args)?;
     let l = LoftConfig::default();
     let g = GsfConfig::default();
-    let (nodes, routing) = (l.topo.num_nodes(), l.routing);
+    let nodes = l.topo.num_nodes();
     let parameters = |title: &str, rows: &[(&str, String)]| {
         let rows: Vec<Vec<String>> = rows
             .iter()
@@ -145,7 +145,7 @@ fn table1(args: &[String]) -> Result<(), String> {
         "Table 1 — Common specification",
         &[
             ("Size & topology", format!("{nodes}-node 2D mesh")),
-            ("Routing algorithm", format!("{routing:?} dimension-order")),
+            ("Routing algorithm", "XY dimension-order".into()),
             ("Maximum flows", "64".into()),
             ("Packet size", "4 flits".into()),
         ],
@@ -283,7 +283,7 @@ fn delay_bounds(args: &[String]) -> Result<(), String> {
         let (a_id, b_id) = (NodeId::new(a), NodeId::new(b));
         vec![
             format!("{name} ({a}→{b})"),
-            delay::bound_hops(&loft_cfg.topo, loft_cfg.routing, a_id, b_id).to_string(),
+            delay::bound_hops(&loft_cfg.topo, a_id, b_id).to_string(),
             delay::loft_worst_case_for(&loft_cfg, a_id, b_id).to_string(),
             delay::gsf_worst_case(&gsf_cfg).to_string(),
         ]

@@ -1,7 +1,7 @@
 //! Parallel experiment-matrix sweep runner, and the CI gates on its
 //! rows.
 //!
-//! Enumerates `{loft, gsf, wormhole} × {mesh, torus, ring} × traffic
+//! Enumerates `{loft, gsf, wormhole} × {mesh, torus, line} × traffic
 //! × load × ff-legs`, runs warmup once per base point and forks it
 //! per leg (see `noc_sim::checkpoint`), schedules whole simulations
 //! across a work-stealing pool, and streams one versioned JSON row

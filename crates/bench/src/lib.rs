@@ -101,15 +101,21 @@ pub mod alloc_count {
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: the caller's `alloc` contract is passed on
+            // unchanged to `System`.
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` (every allocation here
+            // is `System`'s), with this `layout`, per the caller.
             unsafe { System.dealloc(ptr, layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: as for `dealloc`; the caller's `realloc`
+            // contract is passed on unchanged to `System`.
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -149,9 +155,10 @@ pub trait NetSpec: Sized {
     ///
     /// # Errors
     ///
-    /// Fails if the configuration cannot run (its `validate`), or if
-    /// the scenario's reservations do not fit the configured frame
-    /// (see [`Scenario::reservations`]).
+    /// Fails if the configuration cannot run (its `validate`), if the
+    /// scenario was built for another topology, or if the scenario's
+    /// reservations do not fit the configured frame (see
+    /// [`Scenario::reservations`]).
     fn build<P: Probe + Clone>(
         self,
         scenario: &Scenario,
@@ -160,6 +167,18 @@ pub trait NetSpec: Sized {
 
     /// Hands back the probe threaded through a finished network.
     fn into_probe<P: Probe + Clone>(net: Self::Net<P>) -> P;
+}
+
+/// Fails unless `scenario` was built for `topo`: its node ids and the
+/// paths its reservations were sized on hold on that topology only.
+fn same_topology(scenario: &Scenario, topo: Topology) -> Result<(), ConfigError> {
+    if scenario.topo == topo {
+        return Ok(());
+    }
+    Err(ConfigError::new(format!(
+        "scenario {} is built for {:?}, the network for {topo:?}",
+        scenario.name, scenario.topo
+    )))
 }
 
 impl NetSpec for LoftConfig {
@@ -180,6 +199,7 @@ impl NetSpec for LoftConfig {
         probe: P,
     ) -> Result<LoftNetwork<P>, ConfigError> {
         self.validate()?;
+        same_topology(scenario, self.topo)?;
         let reservations = scenario.reservations(self.frame_size)?;
         Ok(LoftNetwork::with_probe(self, &reservations, probe))
     }
@@ -207,6 +227,7 @@ impl NetSpec for GsfConfig {
         probe: P,
     ) -> Result<GsfNetwork<P>, ConfigError> {
         self.validate()?;
+        same_topology(scenario, self.topo)?;
         let reservations = scenario.reservations(self.frame_size)?;
         Ok(GsfNetwork::with_probe(self, &reservations, probe))
     }
@@ -230,10 +251,11 @@ impl NetSpec for WormholeConfig {
 
     fn build<P: Probe + Clone>(
         self,
-        _scenario: &Scenario,
+        scenario: &Scenario,
         probe: P,
     ) -> Result<WormholeNetwork<P>, ConfigError> {
         self.validate()?;
+        same_topology(scenario, self.topo)?;
         Ok(WormholeNetwork::with_probe(self, probe))
     }
 
@@ -525,6 +547,24 @@ mod tests {
         assert!(simulation(&s, gsf, NoopProbe, RUN, SEED).is_err());
         assert!(run(&s, gsf, RUN, SEED).is_err());
         assert!(simulation(&s, WormholeConfig::default(), NoopProbe, RUN, SEED).is_ok());
+    }
+
+    /// A scenario built for another topology is an error: its node
+    /// ids may not exist on the network, and its reservations were
+    /// sized on other paths.
+    #[test]
+    fn topology_mismatch_is_an_error() {
+        let mesh8 = Scenario::hotspot(0.05);
+        let mesh4 = Scenario::uniform_on(Topology::mesh(4, 4), 0.05);
+        for err in [
+            run(&mesh8, LoftConfig::on(Topology::mesh(4, 4)), RUN, SEED),
+            run(&mesh4, LoftConfig::default(), RUN, SEED),
+            run(&mesh8, GsfConfig::on(Topology::torus(8, 8)), RUN, SEED),
+            run(&mesh4, WormholeConfig::default(), RUN, SEED),
+        ] {
+            let err = err.expect_err("mismatched topology accepted");
+            assert!(err.message().contains("is built for"), "{err}");
+        }
     }
 
     /// A configuration the datapath cannot run is an error too: no

@@ -1,6 +1,6 @@
 //! Work-stealing parallel sweep over the experiment matrix.
 //!
-//! A sweep enumerates `{loft, gsf, wormhole} × {mesh, torus, ring} ×
+//! A sweep enumerates `{loft, gsf, wormhole} × topology ×
 //! traffic × load × fast-forward legs` and runs every cell, streaming
 //! one versioned JSON row per cell. Two things make it fast:
 //!
@@ -184,13 +184,12 @@ impl SweepGroup {
     }
 }
 
-/// Compact topology name for rows and logs (`mesh8x8`, `ring16`, ...).
+/// Compact topology name for rows and logs (`mesh8x8`, `torus8x8`, ...).
 #[must_use]
 pub fn topo_name(topo: Topology) -> String {
     match topo {
         Topology::Mesh { .. } => format!("mesh{}x{}", topo.width(), topo.height()),
         Topology::Torus { .. } => format!("torus{}x{}", topo.width(), topo.height()),
-        Topology::Ring { .. } => format!("ring{}", topo.num_nodes()),
     }
 }
 
@@ -590,9 +589,10 @@ fn matrix(
         .collect()
 }
 
-/// The full default matrix: every network on mesh/torus/ring uniform
-/// traffic at three loads, plus the hotspot pattern on the default
-/// mesh — two fast-forward legs each. Warmup-heavy phases so the
+/// The full default matrix: every network on uniform traffic at three
+/// loads on the 8×8 mesh, the 8×8 torus and a 16-node line (the mesh
+/// 16×1), plus the hotspot pattern on the default mesh — two
+/// fast-forward legs each. Warmup-heavy phases so the
 /// shared-warmup fork pays even at `--jobs 1`.
 #[must_use]
 pub fn full_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
@@ -604,7 +604,7 @@ pub fn full_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
     let topos = [
         Topology::mesh(8, 8),
         Topology::torus(8, 8),
-        Topology::ring(16),
+        Topology::mesh(16, 1),
     ];
     let mut points: Vec<_> = topos
         .into_iter()
@@ -676,7 +676,7 @@ mod tests {
         let topos = [
             Topology::mesh(4, 4),
             Topology::torus(4, 4),
-            Topology::ring(8),
+            Topology::mesh(8, 1),
         ];
         for net in Net::ALL {
             for topo in topos {
@@ -740,7 +740,7 @@ mod tests {
         for traffic in [TrafficKind::Hotspot, TrafficKind::Bursty] {
             let group = SweepGroup {
                 traffic,
-                ..tiny_group(Net::Loft, Topology::ring(8))
+                ..tiny_group(Net::Loft, Topology::mesh(8, 1))
             };
             assert!(group.scenario().is_err());
             assert!(run_group(&group, &SweepOptions::default()).is_err());

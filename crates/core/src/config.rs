@@ -1,6 +1,5 @@
 //! Configuration of the LOFT network.
 
-use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
@@ -21,10 +20,8 @@ use crate::port::ResIdx;
 /// * both the look-ahead and the data routers have 3 pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoftConfig {
-    /// Topology to build.
+    /// Topology to build; fixes the routing (dimension-order XY).
     pub topo: Topology,
-    /// Routing algorithm.
-    pub routing: Routing,
     /// Frame size `F` in flits.
     pub frame_size: u32,
     /// Frame window `WF` (number of frames in flight per link).
@@ -199,7 +196,6 @@ impl Default for LoftConfig {
     fn default() -> Self {
         LoftConfig {
             topo: Topology::mesh(8, 8),
-            routing: Routing::XY,
             frame_size: 256,
             frame_window: 2,
             flits_per_quantum: 2,

@@ -40,8 +40,9 @@
 //! directly on the fabric substrate: [`DelayedWires`] carry both
 //! planes' in-flight traffic, [`LookaheadQueues`] is the look-ahead
 //! channel (per-flow fair bypass at every output port),
-//! [`EjectTracker`] owns in-flight packets and ejection accounting,
-//! and [`LinkMap`] resolves the link index space on any topology.
+//! [`PacketStore`] owns in-flight packets and ejection accounting,
+//! and the [`Topology`](noc_sim::Topology) routes and resolves the
+//! link index space.
 //!
 //! # Timing model
 //!
@@ -77,12 +78,10 @@
 //! networks (`VcFabric`) parallelize the whole datapath.
 
 use noc_sim::checkpoint::CapDeque;
-use noc_sim::fabric::{
-    debug_assert_delivered_once, DelayedWires, EjectTracker, LinkMap, LookaheadQueues, LOCAL, PORTS,
-};
+use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LookaheadQueues, LOCAL, PORTS};
 use noc_sim::flit::{FlowId, NodeId, Packet};
 use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
-use noc_sim::slab::PacketRef;
+use noc_sim::slab::{PacketRef, PacketStore};
 use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
 
@@ -198,7 +197,7 @@ struct LoftShard<Pr: Probe> {
     stage_work: ActiveSet,
     /// Packets whose first data quantum injected this slot; their
     /// `injected_at` stamp is applied serially at the barrier (the
-    /// tracker is shared read-only during the parallel phase).
+    /// slab is shared read-only during the parallel phase).
     stamps: Vec<PacketRef>,
 }
 
@@ -239,9 +238,8 @@ struct LoftShardCtx<'a, Pr: Probe> {
     aux: &'a mut LoftShard<Pr>,
     /// Shared read-only during parallel phases; only the serial
     /// barrier mutates packets (deferred `injected_at` stamps).
-    tracker: &'a EjectTracker,
+    packets: &'a PacketStore,
     cfg: LoftConfig,
-    link: LinkMap,
 }
 
 impl<Pr: Probe> LoftShardCtx<'_, Pr> {
@@ -263,7 +261,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
             data_ports,
             nics,
             aux,
-            tracker,
+            packets,
             cfg,
             ..
         } = self;
@@ -294,7 +292,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
                 stage_work.remove(node);
             }
             data_ports[pidx].nonspec_free -= 1;
-            if tracker.packet(pref).injected_at.is_none() {
+            if packets.get(pref).injected_at.is_none() {
                 stamps.push(pref);
             }
             data_wires.push(
@@ -321,7 +319,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
     /// can pile up here. Every push lands at the receiving node, so
     /// the pass is shard-local.
     fn la_deliver(&mut self, now: u64) {
-        let LoftShardCtx { aux, link, .. } = self;
+        let LoftShardCtx { aux, cfg, .. } = self;
         let LoftShard {
             la_wires,
             la_queues,
@@ -329,7 +327,8 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
         } = &mut **aux;
         la_wires.drain_due(now, |widx, la| {
             let node = widx / PORTS;
-            la_queues.push(node * PORTS + link.route(node, la.dst), la.flow.index(), la);
+            let out = cfg.topo.route(node, la.dst);
+            la_queues.push(node * PORTS + out, la.flow.index(), la);
         });
     }
 }
@@ -346,7 +345,6 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// absorbed per-shard forks on [`LoftNetwork::into_probe`].
     probe: Pr,
     cycle: u64,
-    link: LinkMap,
     /// Router link schedulers, index `node * 5 + port`.
     link_sched: Vec<LinkScheduler>,
     /// Data-plane input ports, index `node * 5 + port`.
@@ -357,7 +355,7 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// In-flight packets (slab-owned) + ejection progress. Quanta
     /// carry their packet's [`PacketRef`] through the data plane, so
     /// ejection accounting needs no side map.
-    tracker: EjectTracker,
+    packets: PacketStore,
     /// Look-ahead flits currently in the look-ahead plane, per flow
     /// (capped by `la_flow_window`).
     la_outstanding: Vec<u32>,
@@ -446,7 +444,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             .collect();
         LoftNetwork {
             probe,
-            link: LinkMap::new(cfg.topo, cfg.routing),
             data_ports: (0..n * PORTS)
                 .map(|_| {
                     DataPort::new(
@@ -458,7 +455,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 .collect(),
             rr_spec: vec![0; n * PORTS],
             nics: (0..n).map(|_| SourceNic::new()).collect(),
-            tracker: EjectTracker::new(),
+            packets: PacketStore::new(),
             la_outstanding: vec![0; reservations_flits.len()],
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
@@ -516,7 +513,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let downstream = if port == LOCAL {
             "PE".to_string()
         } else {
-            match self.link.try_downstream(node, port) {
+            match self.cfg.topo.try_downstream(node, port) {
                 Some((next, in_port)) => {
                     let p = &self.data_ports[next * PORTS + in_port];
                     format!(
@@ -596,7 +593,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // staged predecessor from now; the look-ahead carries
                 // that planned slot as its upstream departure time.
                 let plan = now / q + 1 + nic.staged.len() as u64;
-                let out_port = self.link.route(node, dst) as u8;
+                let out_port = self.cfg.topo.route(node, dst) as u8;
                 let res_idx = self.data_ports[node * PORTS + LOCAL].reserve((fid, qid), out_port);
                 nic.staged.push_back((res_idx, pref));
                 if self.nics[node].queued == 0 {
@@ -676,9 +673,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // sent to now. Ejection needs none.
                 let pidx = node * PORTS + la.in_port as usize;
                 let onward = (out_port != LOCAL).then(|| {
-                    let (next, in_port) = self.link.downstream(node, out_port);
+                    let (next, in_port) = self.cfg.topo.downstream(node, out_port);
                     let key = self.data_ports[pidx].key(la.res_idx);
-                    let next_out = self.link.route(next, la.dst) as u8;
+                    let next_out = self.cfg.topo.route(next, la.dst) as u8;
                     let idx = self.data_ports[next * PORTS + in_port].reserve(key, next_out);
                     (next, in_port, idx)
                 });
@@ -689,7 +686,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // local input port is fed by the NIC, which uses
                 // actual-space flow control instead of a scheduler.
                 if la.in_port as usize != LOCAL {
-                    let (up, up_port) = self.link.upstream(node, la.in_port as usize);
+                    let (up, up_port) = self.cfg.topo.upstream(node, la.in_port as usize);
                     self.sched(up * PORTS + up_port).return_credit(slot);
                 }
                 // Ejection booked: the look-ahead flit is consumed
@@ -732,9 +729,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             ranges,
             data_ports,
             nics,
-            tracker,
+            packets,
             cfg,
-            link,
             ..
         } = self;
         for (s, aux) in shards.iter_mut().enumerate() {
@@ -744,9 +740,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 data_ports: &mut data_ports[range.lo * PORTS..range.hi * PORTS],
                 nics: &mut nics[range.lo..range.hi],
                 aux,
-                tracker,
+                packets,
                 cfg: *cfg,
-                link: *link,
             };
             ctx.run(phase);
         }
@@ -757,9 +752,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let nics = SendPtr::new(self.nics.as_mut_ptr());
         let shards = SendPtr::new(self.shards.as_mut_ptr());
         let ranges: &[ShardRange] = &self.ranges;
-        let tracker: &EjectTracker = &self.tracker;
+        let packets: &PacketStore = &self.packets;
         let cfg = self.cfg;
-        let link = self.link;
         let k = ranges.len();
         let pool = self.pool.as_mut().expect("parallel phase without a pool");
         pool.run(k, &|s| {
@@ -780,9 +774,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     ),
                     nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
                     aux: &mut *shards.get().add(s),
-                    tracker,
+                    packets,
                     cfg,
-                    link,
                 }
             };
             ctx.run(phase);
@@ -798,11 +791,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     fn apply_stamps(&mut self, slot: u64) {
         let at = slot * self.cfg.flits_per_quantum as u64;
         let Self {
-            shards, tracker, ..
+            shards, packets, ..
         } = self;
         for shard in shards.iter_mut() {
             for pref in shard.stamps.drain(..) {
-                let packet = tracker.packet_mut(pref);
+                let packet = packets.get_mut(pref);
                 debug_assert!(packet.injected_at.is_none(), "packet stamped twice");
                 packet.injected_at = Some(at);
             }
@@ -881,7 +874,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let target = if out_port == LOCAL {
             None // ejection: the PE absorbs at link rate
         } else {
-            let (next, down_port) = self.link.downstream(node, out_port);
+            let (next, down_port) = self.cfg.topo.downstream(node, out_port);
             Some((next * PORTS + down_port, !is_first))
         };
         if let Some((ridx, spec)) = target {
@@ -921,7 +914,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 && port.nonspec_free == self.cfg.nonspec_quanta() as i64
                 && in_port as usize != LOCAL
             {
-                let (up, up_port) = self.link.upstream(node, in_port as usize);
+                let (up, up_port) = self.cfg.topo.upstream(node, in_port as usize);
                 self.reset_check.insert(up * PORTS + up_port);
             }
         }
@@ -949,10 +942,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     }
 
     fn eject(&mut self, node: usize, pref: PacketRef, slot: u64, out: &mut Vec<Packet>) {
-        let total = self.quanta_per_packet(self.tracker.packet(pref).len_flits) as u16;
+        let total = self.quanta_per_packet(self.packets.get(pref).len_flits) as u16;
         let q = self.cfg.flits_per_quantum as u64;
         let ejected_at = slot * q + self.cfg.hop_latency + q - 1;
-        if let Some(packet) = self.tracker.on_piece(node, pref, total, ejected_at) {
+        if let Some(packet) = self.packets.on_piece(node, pref, total, ejected_at) {
             self.probe.on_delivered(&packet);
             out.push(packet);
         }
@@ -1006,7 +999,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             // right now must have a queued check.
             let (node, port) = (i / PORTS, i % PORTS);
             let downstream_empty = port == LOCAL
-                || match self.link.try_downstream(node, port) {
+                || match self.cfg.topo.try_downstream(node, port) {
                     Some((next, in_port)) => {
                         self.data_ports[next * PORTS + in_port].nonspec_free
                             == self.cfg.nonspec_quanta() as i64
@@ -1109,7 +1102,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             let downstream_empty = if port == LOCAL {
                 true // the PE sink drains at link rate
             } else {
-                match self.link.try_downstream(node, port) {
+                match self.cfg.topo.try_downstream(node, port) {
                     Some((next, in_port)) => {
                         self.data_ports[next * PORTS + in_port].nonspec_free == nonspec_cap
                     }
@@ -1140,7 +1133,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let quanta = self.quanta_per_packet(packet.len_flits);
         let dst = packet.dst;
         let (fid, seq) = (packet.id.flow.index() as u32, packet.id.seq);
-        let pref = self.tracker.admit(packet);
+        let pref = self.packets.insert(packet);
         let nic = &mut self.nics[node];
         // Linear scan over the node's own flows: enqueue runs once
         // per packet, and a node sources only a handful of flows.
@@ -1211,7 +1204,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
     /// back in its power-up state by then; with it off, schedulers keep
     /// their used tables, which `advance_to` steps exactly.
     fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0 || !self.tracker.is_empty() || !self.reset_check.is_empty() {
+        if cycles == 0 || !self.packets.is_empty() || !self.reset_check.is_empty() {
             return 0;
         }
         #[cfg(debug_assertions)]
@@ -1271,7 +1264,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
     }
 
     fn in_flight(&self) -> usize {
-        self.tracker.len()
+        self.packets.len()
     }
 }
 

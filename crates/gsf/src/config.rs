@@ -1,7 +1,6 @@
 //! Configuration of the GSF network.
 
 use noc_sim::fabric::VcParams;
-use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
@@ -13,10 +12,8 @@ use noc_sim::ConfigError;
 /// a 2000-flit source queue per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GsfConfig {
-    /// Topology to build.
+    /// Topology to build; fixes the routing (dimension-order XY).
     pub topo: Topology,
-    /// Routing algorithm.
-    pub routing: Routing,
     /// Virtual channels per input port.
     pub num_vcs: usize,
     /// Buffer depth of each virtual channel, in flits.
@@ -55,7 +52,6 @@ impl GsfConfig {
     pub(crate) fn vc_params(&self) -> VcParams {
         VcParams {
             topo: self.topo,
-            routing: self.routing,
             num_vcs: self.num_vcs,
             vc_capacity: self.vc_capacity,
             hop_latency: self.hop_latency,
@@ -90,7 +86,6 @@ impl Default for GsfConfig {
     fn default() -> Self {
         GsfConfig {
             topo: Topology::mesh(8, 8),
-            routing: Routing::XY,
             num_vcs: 6,
             vc_capacity: 5,
             frame_size: 2000,

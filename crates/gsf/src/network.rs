@@ -74,7 +74,7 @@ impl GsfPolicy {
     /// reservation and registering its flits as alive in that frame.
     fn tag_packet(&mut self, pref: PacketRef, ctx: &mut PolicyCtx<'_, TaggedHeap>) -> bool {
         let (flow, len, node) = {
-            let p = ctx.packets.packet(pref);
+            let p = ctx.packets.get(pref);
             (p.id.flow, p.len_flits, p.src.index())
         };
         let Some(frame) = self.framing.claim(flow, len) else {
@@ -121,7 +121,7 @@ impl RouterPolicy for GsfPolicy {
     }
 
     fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, TaggedHeap>) {
-        let flow = ctx.packets.packet(pref).id.flow;
+        let flow = ctx.packets.get(pref).id.flow;
         assert!(
             flow.index() < self.framing.num_flows(),
             "packet flow id outside configured reservations"

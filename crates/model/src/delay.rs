@@ -12,7 +12,7 @@
 
 use loft::LoftConfig;
 use noc_gsf::GsfConfig;
-use noc_sim::{NodeId, Routing, Topology};
+use noc_sim::{NodeId, Topology};
 
 /// GSF's flow-control overhead factor (`k` in the paper).
 pub const GSF_FLOW_CONTROL_FACTOR: u64 = 2;
@@ -36,13 +36,13 @@ pub fn loft_per_hop(cfg: &LoftConfig) -> u64 {
 
 /// Hop count used in the bounds: router-to-router hops plus the
 /// injection and ejection links.
-pub fn bound_hops(topo: &Topology, routing: Routing, src: NodeId, dst: NodeId) -> u32 {
-    routing.port_path(topo, src, dst).len() as u32 + 1
+pub fn bound_hops(topo: &Topology, src: NodeId, dst: NodeId) -> u32 {
+    topo.port_path(src, dst).len() as u32 + 1
 }
 
 /// LOFT's worst-case latency for a specific source/destination pair.
 pub fn loft_worst_case_for(cfg: &LoftConfig, src: NodeId, dst: NodeId) -> u64 {
-    loft_worst_case(cfg, bound_hops(&cfg.topo, cfg.routing, src, dst))
+    loft_worst_case(cfg, bound_hops(&cfg.topo, src, dst))
 }
 
 #[cfg(test)]

@@ -24,13 +24,13 @@
 //!                    └───────┬─────────┘  └──────────┬──────────┘
 //!                            │      fabric substrate │
 //!                    ┌───────┴───────────────────────┴──────────┐
-//!                    │ LinkMap · DelayedWires · TimedFifo ·     │
-//!                    │ EjectTracker · ActiveSet worklists       │
+//!                    │ Topology · DelayedWires · TimedFifo ·    │
+//!                    │ PacketStore · ActiveSet worklists        │
 //!                    └──────────────────────────────────────────┘
 //! ```
 //!
-//! * [`LinkMap`] wires a [`Topology`](crate::topology::Topology) and a
-//!   routing function into the flat `node × port` link index space
+//! * [`Topology`](crate::topology::Topology) fixes the routing
+//!   (dimension-order XY) and the flat `node × port` link index space
 //!   every per-link array uses, and resolves upstream/downstream
 //!   neighbors for credit returns and link traversal.
 //! * [`DelayedWires`] models in-flight traversal on every link: items
@@ -38,11 +38,11 @@
 //!   order once due, with worklist registration built in.
 //! * [`TimedFifo`] is the global in-order event queue used for credit
 //!   returns.
-//! * [`EjectTracker`] owns every in-flight packet in a generational
-//!   slab ([`crate::slab::PacketStore`]) — the datapaths move
+//! * [`PacketStore`](crate::slab::PacketStore) owns every in-flight
+//!   packet in a generational slab — the datapaths move
 //!   [`crate::slab::PacketRef`] handles, not packet structs — and
-//!   enforces the fabric-level invariant that every packet is
-//!   delivered exactly once.
+//!   counts each packet's ejected pieces, handing it back exactly once
+//!   ([`PacketStore::on_piece`](crate::slab::PacketStore::on_piece)).
 //! * [`LookaheadQueues`] is the *optional look-ahead channel* used by
 //!   flit-reservation (FRS) policies: per-output-port queues with
 //!   per-flow fair bypass — per-flow tails whose fronts sit inline in
@@ -70,15 +70,11 @@
 use crate::flit::Packet;
 use crate::routing::Direction;
 
-mod eject;
-mod link;
 mod lookahead;
 mod policy;
 mod vc;
 mod wires;
 
-pub use eject::EjectTracker;
-pub use link::LinkMap;
 pub use lookahead::LookaheadQueues;
 pub use policy::{PolicyCtx, RouterPolicy, SwitchGrant};
 pub use vc::{MaskIter, Streaming, VcBuf, VcFabric, VcFlit, VcNic, VcParams, VcRouter};

@@ -1,9 +1,8 @@
 //! The policy interface of the shared VC datapath.
 
 use crate::flit::PacketId;
-use crate::slab::PacketRef;
+use crate::slab::{PacketRef, PacketStore};
 
-use super::eject::EjectTracker;
 use super::vc::{VcFlit, VcRouter};
 
 /// A switch-allocation grant: which input VC forwards through an
@@ -31,7 +30,7 @@ pub struct SwitchGrant {
 #[derive(Debug)]
 pub struct PolicyCtx<'a, S> {
     /// Read access to every in-flight packet (lengths, destinations).
-    pub packets: &'a EjectTracker,
+    pub packets: &'a PacketStore,
     /// Per-node source queues, indexed by node.
     pub sources: &'a mut [S],
     /// Nodes whose source NIC gained streamable work during this hook:

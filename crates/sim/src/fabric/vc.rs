@@ -7,14 +7,11 @@ use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::flit::{FlitKind, NodeId, Packet};
 use crate::par::{partition, shard_map, Mailbox, SendPtr, ShardRange, WorkerPool};
-use crate::routing::Routing;
-use crate::slab::PacketRef;
+use crate::slab::{PacketRef, PacketStore};
 use crate::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use crate::topology::Topology;
 use crate::worklist::ActiveSet;
 
-use super::eject::EjectTracker;
-use super::link::LinkMap;
 use super::policy::{PolicyCtx, RouterPolicy, SwitchGrant};
 use super::wires::{DelayedWires, TimedFifo};
 use super::{debug_assert_delivered_once, LOCAL, PORTS};
@@ -22,7 +19,7 @@ use super::{debug_assert_delivered_once, LOCAL, PORTS};
 /// A flit inside the VC datapath, carrying the policy's per-flit tag.
 ///
 /// Flits move a [`PacketRef`] handle, not the packet itself — the
-/// packet lives in the fabric's [`EjectTracker`] slab from admission
+/// packet lives in the fabric's [`PacketStore`] slab from admission
 /// to delivery.
 #[derive(Debug, Clone, Copy)]
 pub struct VcFlit<T> {
@@ -210,14 +207,14 @@ impl<T> VcRouter<T> {
     /// landing in a slot that holds its downstream VC makes the slot
     /// switch-ready (again, if it had drained empty mid-packet).
     #[inline]
-    fn accept(&mut self, slot: usize, flit: VcFlit<T>, node: usize, link: &LinkMap) {
+    fn accept(&mut self, slot: usize, flit: VcFlit<T>, node: usize, topo: &Topology) {
         let dst = flit.dst;
         let buf = &mut self.inputs[slot];
         buf.q.push_back(flit);
         match (buf.route, buf.out_vc) {
             (None, _) => {
                 debug_assert_eq!(buf.q.len(), 1, "slot without a route was not empty");
-                self.route_front(slot, link.route(node, dst));
+                self.route_front(slot, topo.route(node, dst));
             }
             (Some(out), Some(_)) => self.sa_ready[out] |= 1u64 << slot,
             (Some(_), None) => {}
@@ -349,10 +346,8 @@ impl<T> VcNic<T> {
 /// Physical parameters of the VC datapath, shared by every policy.
 #[derive(Debug, Clone, Copy)]
 pub struct VcParams {
-    /// Network topology (mesh, torus, or ring).
+    /// Network topology (mesh or torus); fixes the routing.
     pub topo: Topology,
-    /// Routing algorithm.
-    pub routing: Routing,
     /// Virtual channels per port.
     pub num_vcs: usize,
     /// Flit slots per VC buffer.
@@ -473,8 +468,7 @@ struct ShardCtx<'a, P: RouterPolicy, Pr: Probe> {
     sources: &'a mut [P::Source],
     buffered: &'a mut [u32],
     aux: &'a mut ShardState<P, Pr>,
-    tracker: &'a EjectTracker,
-    link: LinkMap,
+    packets: &'a PacketStore,
     params: VcParams,
     shard_of: &'a [u32],
 }
@@ -526,7 +520,6 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
             buffered,
             range,
             params,
-            link,
             ..
         } = self;
         let cap = params.vc_capacity;
@@ -546,7 +539,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 !P::DRAIN_BEFORE_REUSE || router.inputs[slot].q.iter().all(|f| f.pref == flit.pref),
                 "strict VC separation forbids mixing packets in one VC"
             );
-            router.accept(slot, flit, node, link);
+            router.accept(slot, flit, node, &params.topo);
             buffered[node - lo] += 1;
             router_work.insert(node);
         });
@@ -598,7 +591,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 if let Some(vc) = MaskIter::rotated(nic.free, nic.rr).next() {
                     let (pref, tag) = P::pop_source(&mut self.sources[l]);
                     let (dst, len) = {
-                        let p = self.tracker.packet(pref);
+                        let p = self.packets.get(pref);
                         (p.dst, p.len_flits)
                     };
                     nic.free &= !(1u64 << vc);
@@ -639,7 +632,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                         }
                         nic.current = None;
                     }
-                    self.routers[l].accept(LOCAL * num_vcs + vc, flit, node, &self.link);
+                    self.routers[l].accept(LOCAL * num_vcs + vc, flit, node, &self.params.topo);
                     self.buffered[l] += 1;
                     self.aux.router_work.insert(node);
                 } else {
@@ -741,7 +734,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     // Whatever is queued behind the tail is the head
                     // of the next packet, now at the front.
                     if let Some(next) = buf.q.front() {
-                        let out = self.link.route(node, next.dst);
+                        let out = self.params.topo.route(node, next.dst);
                         router.route_front(slot, out);
                     }
                 } else if router.inputs[slot].q.is_empty() {
@@ -755,7 +748,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 if in_port == LOCAL {
                     self.aux.credits_in_flight.push(due, (node, LOCAL, v));
                 } else {
-                    let (up, up_port) = self.link.upstream(node, in_port);
+                    let (up, up_port) = self.params.topo.upstream(node, in_port);
                     if self.range.contains(up) {
                         self.aux.credits_in_flight.push(due, (up, up_port, v));
                     } else {
@@ -770,7 +763,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     // pushes here are in ascending node order.
                     self.aux.ejects.push(flit);
                 } else {
-                    let (next, in_port) = self.link.downstream(node, out_port);
+                    let (next, in_port) = self.params.topo.downstream(node, out_port);
                     let widx = next * PORTS + in_port;
                     if self.range.contains(next) {
                         self.aux
@@ -834,13 +827,13 @@ pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
     /// land in each shard's fork and merge in [`VcFabric::into_probe`].
     probe: Pr,
     params: VcParams,
-    link: LinkMap,
     cycle: u64,
     routers: Vec<VcRouter<P::Tag>>,
     nics: Vec<VcNic<P::Tag>>,
     /// Per-node source queues (policy-defined order).
     sources: Vec<P::Source>,
-    tracker: EjectTracker,
+    /// Every in-flight packet, from admission to its last ejected flit.
+    packets: PacketStore,
     /// Buffered input flits per router (maintains the shards'
     /// `router_work`).
     buffered: Vec<u32>,
@@ -888,7 +881,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let ranges = partition(n, params.threads);
         let k = ranges.len();
         VcFabric {
-            link: LinkMap::new(params.topo, params.routing),
             routers: (0..n)
                 .map(|_| VcRouter::new(params.num_vcs, params.vc_capacity))
                 .collect(),
@@ -896,7 +888,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 .map(|_| VcNic::new(params.num_vcs, params.vc_capacity))
                 .collect(),
             sources: (0..n).map(|_| policy.new_source()).collect(),
-            tracker: EjectTracker::new(),
+            packets: PacketStore::new(),
             buffered: vec![0; n],
             shard_of: shard_map(&ranges),
             shards: (0..k)
@@ -958,8 +950,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 sources,
                 buffered,
                 shards,
-                tracker,
-                link,
+                packets,
                 params,
                 shard_of,
                 ..
@@ -971,8 +962,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 sources: &mut sources[range.lo..range.hi],
                 buffered: &mut buffered[range.lo..range.hi],
                 aux: &mut shards[s],
-                tracker,
-                link: *link,
+                packets,
                 params: *params,
                 shard_of,
             }
@@ -989,8 +979,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let shards = SendPtr::new(self.shards.as_mut_ptr());
         let ranges: &[ShardRange] = &self.ranges;
         let shard_of: &[u32] = &self.shard_of;
-        let tracker: &EjectTracker = &self.tracker;
-        let link = self.link;
+        let packets: &PacketStore = &self.packets;
         let params = self.params;
         let k = ranges.len();
         let pool = self.pool.as_mut().expect("parallel step without a pool");
@@ -1014,8 +1003,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     sources: std::slice::from_raw_parts_mut(sources.get().add(lo), len),
                     buffered: std::slice::from_raw_parts_mut(buffered.get().add(lo), len),
                     aux: &mut *shards.get().add(s),
-                    tracker,
-                    link,
+                    packets,
                     params,
                     shard_of,
                 }
@@ -1067,11 +1055,11 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             // Injection stamps before ejections: a source-equals-
             // destination packet can inject and eject in one cycle.
             let Self {
-                shards, tracker, ..
+                shards, packets, ..
             } = self;
             for shard in shards.iter_mut() {
                 for pref in shard.stamps.drain(..) {
-                    tracker.packet_mut(pref).injected_at = Some(now);
+                    packets.get_mut(pref).injected_at = Some(now);
                 }
             }
         }
@@ -1079,9 +1067,9 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             for i in 0..self.shards[s].ejects.len() {
                 let flit = self.shards[s].ejects[i];
                 self.policy.on_eject_flit(&flit);
-                let total = self.tracker.packet(flit.pref).len_flits;
+                let total = self.packets.get(flit.pref).len_flits;
                 if let Some(packet) = self
-                    .tracker
+                    .packets
                     .on_piece(flit.dst.index(), flit.pref, total, now)
                 {
                     self.policy.on_eject_packet(packet.id);
@@ -1236,17 +1224,17 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         {
             let Self {
                 policy,
-                tracker,
+                packets,
                 sources,
                 woken,
                 ..
             } = self;
-            let pref = tracker.admit(packet);
+            let pref = packets.insert(packet);
             policy.on_enqueue(
                 node,
                 pref,
                 &mut PolicyCtx {
-                    packets: tracker,
+                    packets,
                     sources,
                     woken,
                 },
@@ -1264,7 +1252,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         {
             let Self {
                 policy,
-                tracker,
+                packets,
                 sources,
                 woken,
                 ..
@@ -1272,7 +1260,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
             policy.pre_inject(
                 now,
                 &mut PolicyCtx {
-                    packets: tracker,
+                    packets,
                     sources,
                     woken,
                 },
@@ -1311,7 +1299,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     /// (`Pr::ENABLED == false`) the sample loop is statically removed
     /// and the jump is O(1).
     fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0 || !self.tracker.is_empty() {
+        if cycles == 0 || !self.packets.is_empty() {
             return 0;
         }
         for shard in &self.shards {
@@ -1360,6 +1348,6 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     }
 
     fn in_flight(&self) -> usize {
-        self.tracker.len()
+        self.packets.len()
     }
 }

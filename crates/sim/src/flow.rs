@@ -12,7 +12,7 @@
 
 use crate::error::ConfigError;
 use crate::flit::{FlowId, NodeId};
-use crate::routing::{Direction, Routing};
+use crate::routing::Direction;
 use crate::topology::Topology;
 
 /// A scheduling point a flow's traffic passes through.
@@ -42,18 +42,18 @@ pub struct FlowSpec {
     pub weight: f64,
 }
 
-/// An immutable collection of flows over one topology + routing,
+/// An immutable collection of flows over one topology (which fixes
+/// their dimension-order paths),
 /// with helpers to compute paths, link loads, and reservations.
 ///
 /// # Example
 ///
 /// ```
 /// use noc_sim::topology::Topology;
-/// use noc_sim::routing::Routing;
 /// use noc_sim::flow::FlowSet;
 ///
 /// let mesh = Topology::mesh(8, 8);
-/// let mut flows = FlowSet::new(mesh, Routing::XY);
+/// let mut flows = FlowSet::new(mesh);
 /// // All other nodes send to node 63 (hotspot traffic).
 /// for n in mesh.nodes().filter(|n| n.index() != 63) {
 ///     flows.add(n, mesh.node(7, 7), 1.0);
@@ -66,16 +66,14 @@ pub struct FlowSpec {
 #[derive(Debug, Clone)]
 pub struct FlowSet {
     topo: Topology,
-    routing: Routing,
     flows: Vec<FlowSpec>,
 }
 
 impl FlowSet {
-    /// Creates an empty flow set for the given topology and routing.
-    pub fn new(topo: Topology, routing: Routing) -> Self {
+    /// Creates an empty flow set on the given topology.
+    pub fn new(topo: Topology) -> Self {
         FlowSet {
             topo,
-            routing,
             flows: Vec::new(),
         }
     }
@@ -108,11 +106,6 @@ impl FlowSet {
         &self.topo
     }
 
-    /// The routing algorithm used for all paths.
-    pub fn routing(&self) -> Routing {
-        self.routing
-    }
-
     /// Number of flows.
     pub fn len(&self) -> usize {
         self.flows.len()
@@ -143,7 +136,7 @@ impl FlowSet {
     pub fn links(&self, id: FlowId) -> Vec<Link> {
         let f = self.flow(id);
         let mut links = vec![Link::Injection(f.src)];
-        for (node, dir) in self.routing.port_path(&self.topo, f.src, f.dst) {
+        for (node, dir) in self.topo.port_path(f.src, f.dst) {
             links.push(Link::Output(node, dir));
         }
         links
@@ -274,7 +267,7 @@ mod tests {
     #[test]
     fn links_include_injection_and_ejection() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         let id = fs.add(m.node(0, 0), m.node(1, 0), 1.0);
         let links = fs.links(id);
         assert_eq!(
@@ -291,7 +284,7 @@ mod tests {
     fn hotspot_equal_allocation_matches_paper() {
         // 63 flows to node 63 over a 128-quantum frame: R = 2 each.
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         for n in m.nodes() {
             if n.index() != 63 {
                 fs.add(n, NodeId::new(63), 1.0);
@@ -306,7 +299,7 @@ mod tests {
     #[test]
     fn weighted_allocation_is_proportional() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         // Two flows sharing the same ejection link with 3:1 weights.
         fs.add(NodeId::new(0), NodeId::new(63), 3.0);
         fs.add(NodeId::new(56), NodeId::new(63), 1.0);
@@ -317,7 +310,7 @@ mod tests {
     #[test]
     fn zero_reservation_rejected() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         fs.add(NodeId::new(0), NodeId::new(63), 1.0);
         fs.add(NodeId::new(56), NodeId::new(63), 1e-9);
         let err = fs.assign_reservations(128).unwrap_err();
@@ -327,7 +320,7 @@ mod tests {
     #[test]
     fn oversubscription_detected() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         fs.add(NodeId::new(0), NodeId::new(63), 1.0);
         fs.add(NodeId::new(56), NodeId::new(63), 1.0);
         let err = fs.check_reservations(&[100, 100], 128).unwrap_err();
@@ -338,7 +331,7 @@ mod tests {
     #[test]
     fn disjoint_flows_each_get_full_frame() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         fs.add(m.node(0, 0), m.node(1, 0), 1.0);
         fs.add(m.node(0, 7), m.node(1, 7), 1.0);
         let r = fs.assign_reservations(128).unwrap();
@@ -348,7 +341,7 @@ mod tests {
     #[test]
     fn link_loads_accumulate() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         fs.add(m.node(0, 0), m.node(2, 0), 1.0);
         fs.add(m.node(1, 0), m.node(2, 0), 2.0);
         let loads = fs.link_loads();
@@ -364,13 +357,13 @@ mod tests {
     #[should_panic(expected = "distinct nodes")]
     fn self_flow_rejected() {
         let m = mesh8();
-        let mut fs = FlowSet::new(m, Routing::XY);
+        let mut fs = FlowSet::new(m);
         fs.add(NodeId::new(5), NodeId::new(5), 1.0);
     }
 
     #[test]
     fn empty_set_errors() {
-        let fs = FlowSet::new(mesh8(), Routing::XY);
+        let fs = FlowSet::new(mesh8());
         assert!(fs.assign_reservations(128).is_err());
         assert!(fs.is_empty());
     }

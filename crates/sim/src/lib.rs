@@ -5,9 +5,10 @@
 //! simulator needs and that every network model in this workspace
 //! (wormhole baseline, GSF, LOFT) shares:
 //!
-//! * [`topology`] — mesh / torus / ring topologies with a fixed
+//! * [`topology`] — mesh and torus topologies with a fixed
 //!   five-port router model (N/E/S/W/Local),
-//! * [`routing`] — deterministic dimension-order routing,
+//! * [`routing`] — deterministic dimension-order (XY) routing, a
+//!   property of the topology,
 //! * [`flit`] — packets, flits, flow identifiers,
 //! * [`flow`] — QoS flow specifications and frame-reservation
 //!   assignment (the `R_ij` of the paper),
@@ -37,12 +38,11 @@
 //!
 //! ```
 //! use noc_sim::topology::Topology;
-//! use noc_sim::routing::{Routing, Direction};
+//! use noc_sim::routing::Direction;
 //!
 //! let mesh = Topology::mesh(8, 8);
-//! let route = Routing::XY;
 //! // Node 0 is (0,0); node 63 is (7,7): XY routing goes East first.
-//! let dir = route.next_hop(&mesh, mesh.node(0, 0), mesh.node(7, 7));
+//! let dir = mesh.next_hop(mesh.node(0, 0), mesh.node(7, 7));
 //! assert_eq!(dir, Direction::East);
 //! ```
 
@@ -71,7 +71,7 @@ pub use error::ConfigError;
 pub use flit::{FlowId, NodeId, Packet, PacketId};
 pub use flow::{FlowSet, FlowSpec};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use routing::{Direction, Routing};
+pub use routing::Direction;
 pub use slab::{PacketRef, PacketStore};
 pub use stats::SimReport;
 pub use telemetry::{LiveProbe, NoopProbe, PacketProbe, Probe, TelemetryReport};

@@ -203,6 +203,8 @@ impl<T> std::fmt::Debug for SendPtr<T> {
 // `T: Send` bound preserves the compiler's check that the pointee may
 // be accessed from another thread.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: a shared `SendPtr` only hands out copies of the pointer
+// value; every dereference carries the obligations above.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// A type-erased job: `call(data, i)` runs task `i` of the closure
@@ -501,6 +503,8 @@ where
             .take()
             .expect("item claimed twice");
         let result = f(item);
+        // SAFETY: as above, task `i` is the only writer of slot `i`,
+        // and nothing reads the outputs before `pool.run` returns.
         unsafe { *outputs[i].0.get() = Some(result) };
     });
     outputs

@@ -1,14 +1,13 @@
-//! Deterministic routing algorithms.
+//! Deterministic dimension-order routing.
 //!
 //! The paper evaluates LOFT with dimension-order (XY) routing on an
-//! 8×8 mesh. We also provide YX order; both are deadlock-free on
-//! meshes. Routing is *deterministic*: the paper relies on every flow
-//! using the same path for all its traffic so that per-link frame
-//! reservations are meaningful.
+//! 8×8 mesh, and XY is the only routing here: it is a property of the
+//! [`Topology`], not a knob. Routing is *deterministic*: the paper
+//! relies on every flow using the same path for all its traffic so
+//! that per-link frame reservations are meaningful.
 
 use crate::flit::NodeId;
 use crate::topology::Topology;
-
 /// One of a router's five ports.
 ///
 /// `Local` is the port facing the processing element (injection on the
@@ -98,81 +97,55 @@ impl std::fmt::Display for Direction {
     }
 }
 
-/// A deterministic routing algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Routing {
-    /// Dimension-order routing, x dimension first (the paper's choice).
-    #[default]
-    XY,
-    /// Dimension-order routing, y dimension first.
-    YX,
+/// Whether dimension-order routing moves towards increasing
+/// coordinates along a dimension of `len` nodes, from `from` to `to`
+/// (`from != to`). With wrap links the shorter way round is taken,
+/// ties towards increasing coordinates.
+fn ascending(wrap: bool, len: u16, from: u16, to: u16) -> bool {
+    if wrap {
+        let len = i32::from(len);
+        let ahead = (i32::from(to) - i32::from(from)).rem_euclid(len);
+        ahead <= len - ahead
+    } else {
+        to > from
+    }
 }
 
-impl Routing {
+impl Topology {
     /// Returns the output port taken at the router of `current` for a
-    /// packet headed to `dst`.
+    /// packet headed to `dst`: x dimension first, then y.
     ///
     /// Returns [`Direction::Local`] when `current == dst` (the packet
     /// ejects). On tori the shorter wrap direction is chosen, ties
     /// resolved towards East/South.
-    pub fn next_hop(self, topo: &Topology, current: NodeId, dst: NodeId) -> Direction {
-        let (cx, cy) = topo.coords(current);
-        let (dx, dy) = topo.coords(dst);
-        match self {
-            Routing::XY => {
-                if cx != dx {
-                    Self::x_step(topo, cx, dx)
-                } else if cy != dy {
-                    Self::y_step(topo, cy, dy)
-                } else {
-                    Direction::Local
-                }
-            }
-            Routing::YX => {
-                if cy != dy {
-                    Self::y_step(topo, cy, dy)
-                } else if cx != dx {
-                    Self::x_step(topo, cx, dx)
-                } else {
-                    Direction::Local
-                }
-            }
-        }
-    }
-
-    fn x_step(topo: &Topology, cx: u16, dx: u16) -> Direction {
-        let w = topo.width() as i32;
-        let diff = dx as i32 - cx as i32;
-        if matches!(topo, Topology::Torus { .. }) {
-            // Choose the shorter wrap direction; ties go East.
-            let east = diff.rem_euclid(w);
-            if east <= w - east {
+    pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Direction {
+        let (cx, cy) = self.coords(current);
+        let (dx, dy) = self.coords(dst);
+        let wrap = matches!(self, Topology::Torus { .. });
+        if cx != dx {
+            if ascending(wrap, self.width(), cx, dx) {
                 Direction::East
             } else {
                 Direction::West
             }
-        } else if diff > 0 {
-            Direction::East
-        } else {
-            Direction::West
-        }
-    }
-
-    fn y_step(topo: &Topology, cy: u16, dy: u16) -> Direction {
-        let h = topo.height() as i32;
-        let diff = dy as i32 - cy as i32;
-        if matches!(topo, Topology::Torus { .. }) {
-            let south = diff.rem_euclid(h);
-            if south <= h - south {
+        } else if cy != dy {
+            if ascending(wrap, self.height(), cy, dy) {
                 Direction::South
             } else {
                 Direction::North
             }
-        } else if diff > 0 {
-            Direction::South
         } else {
-            Direction::North
+            Direction::Local
         }
+    }
+
+    /// Output port index taken at `node` for a packet headed to `dst`
+    /// (the local port when `node == dst`): [`Topology::next_hop`] in
+    /// the flat `node × port` link index space.
+    #[inline]
+    #[must_use]
+    pub fn route(&self, node: usize, dst: NodeId) -> usize {
+        self.next_hop(NodeId::new(node as u32), dst).index()
     }
 
     /// Returns the full path of a packet as the list of nodes visited,
@@ -182,39 +155,37 @@ impl Routing {
     ///
     /// ```
     /// use noc_sim::topology::Topology;
-    /// use noc_sim::routing::Routing;
     ///
     /// let m = Topology::mesh(8, 8);
-    /// let path = Routing::XY.path(&m, m.node(0, 0), m.node(2, 1));
+    /// let path = m.path(m.node(0, 0), m.node(2, 1));
     /// let ids: Vec<u32> = path.iter().map(|n| n.index() as u32).collect();
     /// assert_eq!(ids, vec![0, 1, 2, 10]);
     /// ```
-    pub fn path(self, topo: &Topology, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+    pub fn path(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
         let mut nodes = vec![src];
         let mut cur = src;
         while cur != dst {
-            let dir = self.next_hop(topo, cur, dst);
-            cur = topo
-                .neighbor(cur, dir)
+            cur = self
+                .neighbor(cur, self.next_hop(cur, dst))
                 .expect("routing stepped off the topology");
             nodes.push(cur);
-            assert!(nodes.len() <= topo.num_nodes() + 1, "routing loop detected");
+            assert!(nodes.len() <= self.num_nodes() + 1, "routing loop detected");
         }
         nodes
     }
 
     /// Returns the sequence of (router, output direction) pairs a
     /// packet traverses, ending with the ejection `(dst, Local)` hop.
-    pub fn port_path(self, topo: &Topology, src: NodeId, dst: NodeId) -> Vec<(NodeId, Direction)> {
+    pub fn port_path(&self, src: NodeId, dst: NodeId) -> Vec<(NodeId, Direction)> {
         let mut hops = Vec::new();
         let mut cur = src;
         loop {
-            let dir = self.next_hop(topo, cur, dst);
+            let dir = self.next_hop(cur, dst);
             hops.push((cur, dir));
             if dir == Direction::Local {
                 return hops;
             }
-            cur = topo
+            cur = self
                 .neighbor(cur, dir)
                 .expect("routing stepped off the topology");
         }
@@ -248,18 +219,10 @@ mod tests {
     #[test]
     fn xy_goes_x_first() {
         let m = Topology::mesh(8, 8);
-        let path = Routing::XY.path(&m, m.node(0, 0), m.node(3, 2));
+        let path = m.path(m.node(0, 0), m.node(3, 2));
         // x sweep then y sweep.
         let coords: Vec<(u16, u16)> = path.iter().map(|&n| m.coords(n)).collect();
         assert_eq!(coords, vec![(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn yx_goes_y_first() {
-        let m = Topology::mesh(8, 8);
-        let path = Routing::YX.path(&m, m.node(0, 0), m.node(2, 2));
-        let coords: Vec<(u16, u16)> = path.iter().map(|&n| m.coords(n)).collect();
-        assert_eq!(coords, vec![(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]);
     }
 
     #[test]
@@ -268,8 +231,7 @@ mod tests {
         for a in [0u32, 5, 17, 63] {
             for b in [0u32, 9, 42, 63] {
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
-                let path = Routing::XY.path(&m, a, b);
-                assert_eq!(path.len() as u32 - 1, m.hop_distance(a, b));
+                assert_eq!(m.path(a, b).len() as u32 - 1, m.hop_distance(a, b));
             }
         }
     }
@@ -277,7 +239,7 @@ mod tests {
     #[test]
     fn port_path_ends_at_local() {
         let m = Topology::mesh(4, 4);
-        let hops = Routing::XY.port_path(&m, m.node(0, 0), m.node(3, 3));
+        let hops = m.port_path(m.node(0, 0), m.node(3, 3));
         assert_eq!(hops.last(), Some(&(m.node(3, 3), Direction::Local)));
         assert_eq!(hops.len(), 7); // 6 link hops + ejection
     }
@@ -286,24 +248,25 @@ mod tests {
     fn self_route_is_immediate_ejection() {
         let m = Topology::mesh(4, 4);
         let n = m.node(2, 2);
-        assert_eq!(Routing::XY.next_hop(&m, n, n), Direction::Local);
-        assert_eq!(Routing::XY.path(&m, n, n), vec![n]);
+        assert_eq!(m.next_hop(n, n), Direction::Local);
+        assert_eq!(m.path(n, n), vec![n]);
+    }
+
+    #[test]
+    fn route_reaches_local_at_destination() {
+        let m = Topology::mesh(4, 4);
+        assert_eq!(m.route(5, NodeId::new(5)), Direction::Local.index());
+        assert_eq!(m.route(0, NodeId::new(3)), Direction::East.index());
     }
 
     #[test]
     fn torus_prefers_shorter_wrap() {
         let t = Topology::torus(8, 8);
         // 0 -> 7 on a ring of 8 is 1 hop West via wrap.
-        assert_eq!(
-            Routing::XY.next_hop(&t, t.node(0, 0), t.node(7, 0)),
-            Direction::West
-        );
+        assert_eq!(t.next_hop(t.node(0, 0), t.node(7, 0)), Direction::West);
         // 0 -> 3 is 3 hops East.
-        assert_eq!(
-            Routing::XY.next_hop(&t, t.node(0, 0), t.node(3, 0)),
-            Direction::East
-        );
-        let path = Routing::XY.path(&t, t.node(0, 0), t.node(7, 7));
+        assert_eq!(t.next_hop(t.node(0, 0), t.node(3, 0)), Direction::East);
+        let path = t.path(t.node(0, 0), t.node(7, 7));
         assert_eq!(path.len(), 3); // wrap west + wrap north
     }
 }

@@ -173,18 +173,34 @@ impl PacketStore {
         packet
     }
 
-    /// Increments the per-packet ejected-piece counter and returns the
-    /// new count (see [`crate::fabric::EjectTracker`]).
+    /// Records one ejected piece (flit or quantum) of `r` at `node`.
+    /// On the piece that completes the packet (`total` pieces seen),
+    /// removes it (recycling its slot), stamps `ejected_at`, and
+    /// returns it — exactly once per packet. A packet ejects at
+    /// exactly one node, its destination (cross-checked by a debug
+    /// assertion), so the counter in its slot is all the reassembly
+    /// state ejection needs.
     ///
     /// # Panics
     ///
     /// Same conditions as [`PacketStore::get`].
-    #[inline]
-    pub fn bump_pieces(&mut self, r: PacketRef) -> u16 {
+    pub fn on_piece(
+        &mut self,
+        node: usize,
+        r: PacketRef,
+        total: u16,
+        ejected_at: u64,
+    ) -> Option<Packet> {
         let slot = self.slot_mut(r);
         debug_assert!(slot.packet.is_some(), "counting pieces of a vacant slot");
         slot.pieces += 1;
-        slot.pieces
+        if slot.pieces != total {
+            return None;
+        }
+        let mut packet = self.remove(r);
+        packet.ejected_at = Some(ejected_at);
+        debug_assert_eq!(packet.dst.index(), node, "packet ejected at wrong node");
+        Some(packet)
     }
 
     /// Number of packets currently stored. O(1): a maintained counter,
@@ -248,15 +264,39 @@ mod tests {
     }
 
     #[test]
+    fn completes_exactly_once_after_all_pieces() {
+        let mut s = PacketStore::new();
+        let r = s.insert(packet(0));
+        for t in 10..13 {
+            assert!(s.on_piece(1, r, 4, t).is_none());
+        }
+        let done = s.on_piece(1, r, 4, 13).expect("fourth piece completes");
+        assert_eq!(done.ejected_at, Some(13));
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn progress_is_per_packet() {
+        let mut s = PacketStore::new();
+        let a = s.insert(packet(0));
+        let b = s.insert(packet(1));
+        assert!(s.on_piece(1, a, 2, 5).is_none());
+        assert!(s.on_piece(1, b, 2, 5).is_none());
+        assert!(s.on_piece(1, a, 2, 6).is_some());
+        assert!(s.on_piece(1, b, 2, 6).is_some());
+    }
+
+    #[test]
     fn pieces_reset_on_recycle() {
         let mut s = PacketStore::new();
         let a = s.insert(packet(0));
-        assert_eq!(s.bump_pieces(a), 1);
-        assert_eq!(s.bump_pieces(a), 2);
+        assert!(s.on_piece(1, a, 3, 0).is_none());
+        assert!(s.on_piece(1, a, 3, 0).is_none());
         s.remove(a);
         let b = s.insert(packet(1));
         assert_eq!(b.slot(), a.slot());
-        assert_eq!(s.bump_pieces(b), 1, "piece counter must reset");
+        assert!(s.on_piece(1, b, 2, 0).is_none(), "piece counter must reset");
+        assert!(s.on_piece(1, b, 2, 0).is_some());
     }
 
     #[test]
@@ -290,6 +330,28 @@ mod tests {
         s.get_mut(r).injected_at = Some(7);
         assert_eq!(s.get(r).injected_at, Some(7));
         assert_eq!(s.remove(r).injected_at, Some(7));
+    }
+
+    #[test]
+    fn timestamps_reach_the_delivered_packet() {
+        let mut s = PacketStore::new();
+        let r = s.insert(packet(0));
+        s.get_mut(r).injected_at = Some(3);
+        let done = s.on_piece(1, r, 1, 9).unwrap();
+        assert_eq!(done.ejected_at, Some(9));
+        assert_eq!(done.network_latency(), Some(6));
+    }
+
+    #[test]
+    fn slots_recycle_across_deliveries() {
+        let mut s = PacketStore::new();
+        for seq in 0..50 {
+            let r = s.insert(packet(seq));
+            assert!(s.on_piece(1, r, 2, 0).is_none());
+            assert!(s.on_piece(1, r, 2, 1).is_some());
+        }
+        assert!(s.is_empty());
+        assert_eq!(s.capacity(), 1, "each delivery frees its slot");
     }
 
     #[cfg(debug_assertions)]

@@ -2,8 +2,12 @@
 //!
 //! All networks in this workspace use routers with at most five ports:
 //! the four cardinal directions plus a local (processing-element) port.
-//! Meshes, tori, and rings all fit this model; a ring is treated as a
-//! `n × 1` arrangement using only East/West links.
+//! Meshes and tori both fit this model; a line of `n` nodes is the
+//! mesh `n × 1` and a ring of `n` nodes the torus `n × 1`. The topology
+//! also fixes the routing (dimension-order XY, see [`crate::routing`])
+//! and resolves the flat `node × port` link index space every per-link
+//! array of the fabric uses: [`Topology::route`],
+//! [`Topology::downstream`] and [`Topology::upstream`].
 //!
 //! Coordinates follow the paper's convention: node `id = x + y * width`
 //! for an `8 × 8` mesh, so node 0 is the north-west corner and node 63
@@ -42,11 +46,6 @@ pub enum Topology {
         /// Number of rows (y extent).
         height: u16,
     },
-    /// A 1-D bidirectional ring of `n` nodes (East/West links only).
-    Ring {
-        /// Number of nodes on the ring.
-        n: u16,
-    },
 }
 
 impl Topology {
@@ -70,21 +69,10 @@ impl Topology {
         Topology::Torus { width, height }
     }
 
-    /// Creates a ring of `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn ring(n: u16) -> Self {
-        assert!(n > 0, "ring must have at least one node");
-        Topology::Ring { n }
-    }
-
     /// Returns the x extent (columns).
     pub fn width(&self) -> u16 {
         match *self {
             Topology::Mesh { width, .. } | Topology::Torus { width, .. } => width,
-            Topology::Ring { n } => n,
         }
     }
 
@@ -92,7 +80,6 @@ impl Topology {
     pub fn height(&self) -> u16 {
         match *self {
             Topology::Mesh { height, .. } | Topology::Torus { height, .. } => height,
-            Topology::Ring { .. } => 1,
         }
     }
 
@@ -122,7 +109,7 @@ impl Topology {
     }
 
     /// Returns the neighbor of `node` in direction `dir`, or `None` if
-    /// there is no link that way (mesh edge, or N/S on a ring).
+    /// there is no link that way (a mesh edge).
     ///
     /// `Direction::Local` always returns `None`: the local port leads
     /// to the processing element, not to another router.
@@ -173,6 +160,43 @@ impl Topology {
         Some(self.node(nx, ny))
     }
 
+    /// The node reached through output port `out_port` of `node`, and
+    /// the input port the traffic arrives on there.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the port leads off the topology edge (a route never
+    /// does) or when `out_port` is the local port.
+    #[inline]
+    #[must_use]
+    pub fn downstream(&self, node: usize, out_port: usize) -> (usize, usize) {
+        self.try_downstream(node, out_port)
+            .expect("route leads to a neighbor")
+    }
+
+    /// [`Topology::downstream`], returning `None` at a topology edge.
+    #[inline]
+    #[must_use]
+    pub fn try_downstream(&self, node: usize, out_port: usize) -> Option<(usize, usize)> {
+        let dir = Direction::from_index(out_port);
+        self.neighbor(NodeId::new(node as u32), dir)
+            .map(|next| (next.index(), dir.opposite().index()))
+    }
+
+    /// The node feeding input port `in_port` of `node`, and the output
+    /// port it sends through (where its credits/virtual credits go).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the port faces a topology edge (an occupied input
+    /// port never does) or when `in_port` is the local port.
+    #[inline]
+    #[must_use]
+    pub fn upstream(&self, node: usize, in_port: usize) -> (usize, usize) {
+        self.try_downstream(node, in_port)
+            .expect("input port implies a neighbor")
+    }
+
     /// Iterates over all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes() as u32).map(NodeId::new)
@@ -188,7 +212,7 @@ impl Topology {
         let dx = (ax as i32 - bx as i32).unsigned_abs();
         let dy = (ay as i32 - by as i32).unsigned_abs();
         match *self {
-            Topology::Mesh { .. } | Topology::Ring { .. } => dx + dy,
+            Topology::Mesh { .. } => dx + dy,
             Topology::Torus { width, height } => {
                 dx.min(width as u32 - dx) + dy.min(height as u32 - dy)
             }
@@ -246,8 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_one_dimensional() {
-        let r = Topology::ring(5);
+    fn line_is_one_dimensional() {
+        let r = Topology::mesh(5, 1);
         assert_eq!(r.num_nodes(), 5);
         assert_eq!(r.height(), 1);
         assert_eq!(r.neighbor(r.node(2, 0), Direction::North), None);
@@ -256,8 +280,48 @@ mod tests {
             r.neighbor(r.node(2, 0), Direction::East),
             Some(r.node(3, 0))
         );
-        // A plain ring (non-torus) has mesh-like edges.
+        // A line has no wrap link: its ends are mesh edges.
         assert_eq!(r.neighbor(r.node(4, 0), Direction::East), None);
+    }
+
+    #[test]
+    fn one_row_torus_is_a_ring() {
+        let r = Topology::torus(5, 1);
+        assert_eq!(r.num_nodes(), 5);
+        assert_eq!(
+            r.neighbor(r.node(4, 0), Direction::East),
+            Some(r.node(0, 0))
+        );
+        assert_eq!(
+            r.neighbor(r.node(0, 0), Direction::West),
+            Some(r.node(4, 0))
+        );
+        // One row: no self-loop through the y wrap.
+        assert_eq!(r.neighbor(r.node(2, 0), Direction::North), None);
+        assert_eq!(r.neighbor(r.node(2, 0), Direction::South), None);
+        assert_eq!(r.hop_distance(r.node(0, 0), r.node(4, 0)), 1);
+    }
+
+    #[test]
+    fn downstream_and_upstream_are_inverse() {
+        let m = Topology::mesh(4, 4);
+        // Node 5's East output feeds node 6's West input.
+        let east = Direction::East.index();
+        let west = Direction::West.index();
+        assert_eq!(m.downstream(5, east), (6, west));
+        assert_eq!(m.upstream(6, west), (5, east));
+    }
+
+    #[test]
+    fn edges_have_no_downstream_on_mesh_but_wrap_on_torus() {
+        let mesh = Topology::mesh(4, 4);
+        let torus = Topology::torus(4, 4);
+        let west = Direction::West.index();
+        assert_eq!(mesh.try_downstream(0, west), None);
+        assert_eq!(
+            torus.try_downstream(0, west),
+            Some((3, Direction::East.index()))
+        );
     }
 
     #[test]

@@ -8,31 +8,34 @@
 use noc_sim::flit::NodeId;
 use noc_sim::flow::FlowSet;
 use noc_sim::rng::Xoshiro256;
-use noc_sim::routing::{Direction, Routing};
+use noc_sim::routing::Direction;
 use noc_sim::stats::RunningStats;
 use noc_sim::topology::Topology;
 
-/// Routing always terminates at the destination with exactly the
-/// Manhattan number of hops, for both dimension orders.
+/// On every mesh and torus of 1..=9 nodes per side (lines included),
+/// routing takes every pair from source to destination in exactly the
+/// minimal number of hops, and every link's downstream end leads back
+/// to it upstream.
 #[test]
 fn routing_reaches_destination() {
-    let mut rng = Xoshiro256::seed_from(0x5EED_0001);
-    for _ in 0..256 {
-        let w = 1 + rng.next_below(9) as u16;
-        let h = 1 + rng.next_below(9) as u16;
-        let topo = Topology::mesh(w, h);
-        let n = topo.num_nodes() as u64;
-        let src = NodeId::new(rng.next_below(n) as u32);
-        let dst = NodeId::new(rng.next_below(n) as u32);
-        let routing = if rng.bernoulli(0.5) {
-            Routing::YX
-        } else {
-            Routing::XY
-        };
-        let path = routing.path(&topo, src, dst);
-        assert_eq!(*path.first().unwrap(), src);
-        assert_eq!(*path.last().unwrap(), dst);
-        assert_eq!(path.len() as u32 - 1, topo.hop_distance(src, dst));
+    for w in 1..=9 {
+        for h in 1..=9 {
+            for topo in [Topology::mesh(w, h), Topology::torus(w, h)] {
+                for src in topo.nodes() {
+                    for dst in topo.nodes() {
+                        let path = topo.path(src, dst);
+                        assert_eq!((path[0], path[path.len() - 1]), (src, dst));
+                        let hops = topo.hop_distance(src, dst);
+                        assert_eq!(path.len() as u32, hops + 1, "{topo:?}: {src} -> {dst}");
+                    }
+                    for port in Direction::CARDINALS.map(Direction::index) {
+                        if let Some((next, in_port)) = topo.try_downstream(src.index(), port) {
+                            assert_eq!(topo.upstream(next, in_port), (src.index(), port));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -48,8 +51,8 @@ fn torus_routing_never_longer_than_mesh() {
         let n = torus.num_nodes() as u64;
         let src = NodeId::new(rng.next_below(n) as u32);
         let dst = NodeId::new(rng.next_below(n) as u32);
-        let tp = Routing::XY.path(&torus, src, dst);
-        let mp = Routing::XY.path(&mesh, src, dst);
+        let tp = torus.path(src, dst);
+        let mp = mesh.path(src, dst);
         assert!(tp.len() <= mp.len());
         assert_eq!(*tp.last().unwrap(), dst);
     }
@@ -84,7 +87,7 @@ fn reservations_feasible() {
     let mut rng = Xoshiro256::seed_from(0x5EED_0004);
     for _ in 0..128 {
         let topo = Topology::mesh(8, 8);
-        let mut fs = FlowSet::new(topo, Routing::XY);
+        let mut fs = FlowSet::new(topo);
         let pairs = 1 + rng.next_below(19) as usize;
         let mut any = false;
         for _ in 0..pairs {

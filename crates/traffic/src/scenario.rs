@@ -12,7 +12,6 @@ use crate::process::InjectionProcess;
 use crate::workload::{DestRule, Workload};
 use noc_sim::flit::{FlowId, NodeId};
 use noc_sim::flow::FlowSet;
-use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
@@ -39,10 +38,9 @@ pub struct ScenarioFlow {
 pub struct Scenario {
     /// Human-readable name (used by the harness output).
     pub name: String,
-    /// Topology the scenario runs on.
+    /// Topology the scenario runs on; it fixes every flow's
+    /// dimension-order (XY) path, as in the paper.
     pub topo: Topology,
-    /// Routing algorithm (the paper uses XY everywhere).
-    pub routing: Routing,
     /// Packet length in flits.
     pub packet_len: u16,
     /// The flows, id order.
@@ -71,7 +69,9 @@ impl Scenario {
     /// `frame_capacity` slots.
     ///
     /// * Flows with an explicit [`ScenarioFlow::share`] get
-    ///   `floor(share × capacity)`.
+    ///   `floor(share × capacity)`; when every destination is fixed,
+    ///   the per-link sums must then fit the frame
+    ///   ([`FlowSet::check_reservations`]).
     /// * Otherwise, if every flow has a fixed destination, weights are
     ///   scaled so the most contended link is exactly filled
     ///   ([`FlowSet::assign_reservations`]).
@@ -82,7 +82,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns an error if any flow would end up with a zero
-    /// reservation at this capacity.
+    /// reservation at this capacity, or if explicit shares
+    /// oversubscribe a link.
     pub fn reservations(&self, frame_capacity: u32) -> Result<Vec<u32>, ConfigError> {
         if self.flows.is_empty() {
             return Err(ConfigError::new("scenario has no flows"));
@@ -103,6 +104,9 @@ impl Scenario {
                     )));
                 }
                 out.push(r);
+            }
+            if let Some(fs) = self.flow_set() {
+                fs.check_reservations(&out, frame_capacity)?;
             }
             return Ok(out);
         }
@@ -134,7 +138,7 @@ impl Scenario {
     /// The [`FlowSet`] of this scenario, if every flow has a fixed
     /// destination (needed for path-based reservation math).
     pub fn flow_set(&self) -> Option<FlowSet> {
-        let mut fs = FlowSet::new(self.topo, self.routing);
+        let mut fs = FlowSet::new(self.topo);
         for f in &self.flows {
             match f.dest {
                 DestRule::Fixed(d) => {
@@ -161,14 +165,13 @@ impl Scenario {
         Topology::mesh(8, 8)
     }
 
-    /// A scenario on the default mesh: XY routing, 4-flit packets and
+    /// A scenario on the default mesh: 4-flit packets and
     /// every flow in one `"all"` group.
     fn on_default_mesh(name: String, flows: Vec<ScenarioFlow>) -> Scenario {
         let all: Vec<FlowId> = (0..flows.len() as u32).map(FlowId::new).collect();
         Scenario {
             name,
             topo: Self::default_topology(),
-            routing: Routing::XY,
             packet_len: 4,
             flows,
             groups: vec![("all".to_string(), all)],
@@ -201,7 +204,6 @@ impl Scenario {
         Scenario {
             name: format!("uniform(rate={rate})"),
             topo,
-            routing: Routing::XY,
             packet_len: 4,
             flows,
             groups: Vec::new(),
@@ -319,7 +321,6 @@ impl Scenario {
         Scenario {
             name: format!("case-study-1(aggr={aggressor_rate})"),
             topo,
-            routing: Routing::XY,
             packet_len: 4,
             flows,
             groups: vec![
@@ -364,7 +365,6 @@ impl Scenario {
         Scenario {
             name: format!("case-study-2(rate={rate})"),
             topo,
-            routing: Routing::XY,
             packet_len: 4,
             flows,
             groups: vec![
@@ -631,6 +631,22 @@ mod tests {
             (got - expect).abs() / expect < 0.05,
             "got {got}, expect {expect}"
         );
+    }
+
+    #[test]
+    fn oversubscribing_shares_rejected() {
+        // Paper shares fit every frame the harnesses use.
+        for cap in [128, 256, 1000, 2000] {
+            assert!(Scenario::case_study_1(0.5).reservations(cap).is_ok());
+            assert!(Scenario::case_study_2(0.5).reservations(cap).is_ok());
+        }
+        // Flows 0 and 48 share Output(55, South): 2 × 76 > 128.
+        let mut s = Scenario::case_study_1(0.5);
+        for f in &mut s.flows {
+            f.share = Some(0.6);
+        }
+        let err = s.reservations(128).unwrap_err().to_string();
+        assert!(err.contains("oversubscribed"), "{err}");
     }
 
     #[test]

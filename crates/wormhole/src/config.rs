@@ -1,7 +1,6 @@
 //! Configuration of the baseline wormhole network.
 
 use noc_sim::fabric::VcParams;
-use noc_sim::routing::Routing;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
@@ -12,10 +11,8 @@ use noc_sim::ConfigError;
 /// combined per-hop latency of 3 cycles (router pipeline + link).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WormholeConfig {
-    /// Topology to build.
+    /// Topology to build; fixes the routing (dimension-order XY).
     pub topo: Topology,
-    /// Routing algorithm.
-    pub routing: Routing,
     /// Virtual channels per input port.
     pub num_vcs: usize,
     /// Buffer depth of each virtual channel, in flits.
@@ -35,7 +32,6 @@ impl WormholeConfig {
     pub(crate) fn vc_params(&self) -> VcParams {
         VcParams {
             topo: self.topo,
-            routing: self.routing,
             num_vcs: self.num_vcs,
             vc_capacity: self.vc_capacity,
             hop_latency: self.hop_latency,
@@ -77,7 +73,6 @@ impl Default for WormholeConfig {
     fn default() -> Self {
         WormholeConfig {
             topo: Topology::mesh(8, 8),
-            routing: Routing::XY,
             num_vcs: 4,
             vc_capacity: 4,
             hop_latency: 3,

@@ -281,19 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn yx_routing_delivers() {
-        use noc_sim::routing::Routing;
-        let mut net = WormholeNetwork::new(WormholeConfig {
-            routing: Routing::YX,
-            ..WormholeConfig::default()
-        });
-        net.enqueue(packet(0, 0, 0, 63, 0));
-        net.enqueue(packet(1, 0, 63, 0, 0));
-        let out = run_until_empty(&mut net, 2_000);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
     fn torus_wrap_links_shorten_paths() {
         use noc_sim::topology::Topology;
         let lat_on = |topo| {

@@ -53,7 +53,6 @@ fn main() {
     let scenario = Scenario {
         name: "qos-partitioning".into(),
         topo,
-        routing: noc_sim::Routing::XY,
         packet_len: 4,
         flows,
         groups: vec![

@@ -17,7 +17,7 @@ pub fn topologies() -> [Topology; 3] {
     [
         Topology::mesh(4, 4),
         Topology::torus(4, 4),
-        Topology::ring(12),
+        Topology::mesh(12, 1),
     ]
 }
 

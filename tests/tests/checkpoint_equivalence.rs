@@ -3,7 +3,7 @@
 //! a forked resume must reproduce a from-scratch run bit-for-bit in
 //! the full [`SimReport`] (per-flow stats, Welford accumulators,
 //! histogram), the full [`TelemetryReport`], and the drain's exact
-//! termination cycle, for every network × {mesh, torus, ring} ×
+//! termination cycle, for every network × {mesh, torus, line} ×
 //! {1, 2, 4} shards.
 //!
 //! Two properties per cell, both against from-scratch oracles:

@@ -207,11 +207,12 @@ fn all_networks_deliver_on_torus() {
     }
 }
 
-/// Every network delivers every packet on an 8-node ring (1-D line:
-/// only East/West ports ever carry traffic).
+/// Every network delivers every packet on an 8-node line, the mesh
+/// 8×1 (a ring without its wrap link: only East/West ports ever carry
+/// traffic).
 #[test]
 fn all_networks_deliver_on_ring() {
-    let topo = Topology::ring(8);
+    let topo = Topology::mesh(8, 1);
     for done in [
         drain_pattern(WormholeNetwork::new(WormholeConfig::on(topo))),
         drain_pattern(gsf_on(topo)),
@@ -221,12 +222,12 @@ fn all_networks_deliver_on_ring() {
     }
 }
 
-/// Identical runs on torus and ring produce identical per-packet
-/// ejection times for all three networks (determinism beyond the
-/// mesh goldens).
+/// Identical runs on the torus and the 8-node line produce identical
+/// per-packet ejection times for all three networks (determinism
+/// beyond the mesh goldens).
 #[test]
 fn torus_and_ring_runs_are_deterministic() {
-    for topo in [Topology::torus(4, 4), Topology::ring(8)] {
+    for topo in [Topology::torus(4, 4), Topology::mesh(8, 1)] {
         assert_eq!(
             drain_pattern(WormholeNetwork::new(WormholeConfig::on(topo))),
             drain_pattern(WormholeNetwork::new(WormholeConfig::on(topo)))

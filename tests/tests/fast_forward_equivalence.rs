@@ -3,7 +3,7 @@
 //! [`SimReport`] (per-flow stats, Welford latency accumulators,
 //! histogram) *and* the full [`TelemetryReport`] (counters, occupancy
 //! accumulators, per-flow series) must be bit-identical with the fast
-//! path on or off, for every network × {mesh, torus, ring} ×
+//! path on or off, for every network × {mesh, torus, line} ×
 //! {uniform-low, bursty, regulated} × {1, 2, 4} shards.
 //!
 //! The ff-off single-shard run is the oracle; each ff-on run at every

@@ -1,7 +1,7 @@
 //! Shard-count invariance: sharded parallel stepping must be
 //! bit-for-bit identical to the single-threaded engine.
 //!
-//! For every network × {mesh, torus, ring}, the full [`SimReport`]
+//! For every network × {mesh, torus, line}, the full [`SimReport`]
 //! (per-flow stats, Welford latency accumulators, histogram — all of
 //! it) must be identical at 1, 2, and 4 shards; a randomized
 //! shard-count stress run extends that over arbitrary counts,

@@ -1,6 +1,6 @@
 //! Telemetry shard invariance: the merged [`TelemetryReport`] must be
 //! identical — exact floating point, not approximate — at 1, 2, and 4
-//! shards, for every network × {mesh, torus, ring}.
+//! shards, for every network × {mesh, torus, line}.
 //!
 //! This is the telemetry counterpart of `shard_invariance.rs`: shards
 //! record events for disjoint node ranges into forked probes and the
