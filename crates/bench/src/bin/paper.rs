@@ -172,7 +172,7 @@ fn table1(args: &[String]) -> Result<(), String> {
             ("Look-ahead router stages", l.la_hop_latency.to_string()),
             (
                 "Look-ahead queue capacity",
-                format!("{} flits (3 VCs × 4)", l.la_queue_capacity),
+                format!("{} flits (3 VCs × 4)", storage::LA_QUEUE_FLITS),
             ),
         ],
     );
@@ -785,7 +785,9 @@ fn utilization(args: &[String]) -> Result<(), String> {
     let pattern = pick(&[pattern.to_string()], &patterns)?[0].1;
     let rate: f64 = rate
         .parse()
-        .map_err(|_| format!("bad rate {rate:?} (accepted: a number)"))?;
+        .ok()
+        .filter(|r| *r > 0.0 && *r <= 1.0)
+        .ok_or_else(|| format!("bad rate {rate:?} (accepted: a number in (0, 1])"))?;
     let scenario = pattern(rate);
     println!("workload: {}", scenario.name);
 

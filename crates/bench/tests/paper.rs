@@ -44,6 +44,9 @@ fn bad_arguments_exit_2_without_panicking() {
         &["fig11", "sideways"],
         &["utilization", "case2", "abc"],
         &["utilization", "mesh"],
+        &["utilization", "uniform", "-0.5"],
+        &["utilization", "uniform", "NaN"],
+        &["utilization", "uniform", "inf"],
     ] {
         let out = paper(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -52,6 +55,19 @@ fn bad_arguments_exit_2_without_panicking() {
         assert!(
             out.stdout.is_empty(),
             "paper {args:?} printed before failing"
+        );
+    }
+}
+
+#[test]
+fn utilization_rate_error_names_the_accepted_range() {
+    for rate in ["0", "-0.5", "NaN", "inf", "1.5"] {
+        let out = paper(&["utilization", "uniform", rate]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rate {rate}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad rate {rate:?}")) && stderr.contains("(0, 1]"),
+            "rate {rate}: {stderr}"
         );
     }
 }

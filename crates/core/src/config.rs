@@ -41,12 +41,6 @@ pub struct LoftConfig {
     pub hop_latency: u64,
     /// Cycles per hop on the look-ahead network (3-stage router).
     pub la_hop_latency: u64,
-    /// Hardware capacity of each look-ahead router output port, in
-    /// look-ahead flits (3 VCs × 4 flits in Table 1). Used by the
-    /// storage model and Table 1 reporting; the simulator models the
-    /// equivalent per-flow virtual-channel windows via
-    /// [`LoftConfig::la_flow_window`] instead.
-    pub la_queue_capacity: usize,
     /// Maximum look-ahead flits a single flow may have in flight in
     /// the look-ahead network (its virtual-channel window). Bounds
     /// per-flow pile-up at contended schedulers and provides source
@@ -203,7 +197,6 @@ impl Default for LoftConfig {
             spec_buffer: 12,
             hop_latency: 3,
             la_hop_latency: 3,
-            la_queue_capacity: 12,
             la_flow_window: 16,
             speculative_switching: true,
             local_status_reset: true,

@@ -42,6 +42,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod lookahead;
 pub mod lsf;
 pub mod network;
 mod port;

@@ -38,11 +38,11 @@
 //! LOFT is a flit-reservation router, not a VC router, so it does not
 //! implement [`noc_sim::fabric::RouterPolicy`]; instead it builds
 //! directly on the fabric substrate: [`DelayedWires`] carry both
-//! planes' in-flight traffic, [`LookaheadQueues`] is the look-ahead
-//! channel (per-flow fair bypass at every output port),
-//! [`PacketStore`] owns in-flight packets and ejection accounting,
-//! and the [`Topology`](noc_sim::Topology) routes and resolves the
-//! link index space.
+//! planes' in-flight traffic, [`PacketStore`] owns in-flight packets
+//! and ejection accounting, and the [`Topology`](noc_sim::Topology)
+//! routes and resolves the link index space. The look-ahead channel
+//! is LOFT's own: `crate::lookahead::LookaheadQueues`, one
+//! arrival-ordered FIFO per output port with per-flow fair bypass.
 //!
 //! # Timing model
 //!
@@ -78,7 +78,7 @@
 //! networks (`VcFabric`) parallelize the whole datapath.
 
 use noc_sim::checkpoint::CapDeque;
-use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LookaheadQueues, LOCAL, PORTS};
+use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LOCAL, PORTS};
 use noc_sim::flit::{FlowId, NodeId, Packet};
 use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
 use noc_sim::slab::{PacketRef, PacketStore};
@@ -86,6 +86,7 @@ use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
 
 use crate::config::LoftConfig;
+use crate::lookahead::LookaheadQueues;
 use crate::lsf::{LinkScheduler, LsfParams, PendingQuantum};
 use crate::port::{DataPort, ResIdx};
 
@@ -188,10 +189,8 @@ struct LoftShard<Pr: Probe> {
     data_wires: DelayedWires<DataQuantum>,
     /// Look-ahead flits in flight to this shard's input ports.
     la_wires: DelayedWires<LaFlit>,
-    /// The look-ahead channel queues of this shard's output ports.
-    /// Per-instance arrival stamps only order entries *within* one
-    /// queue, and all pushes to a queue come from its node's shard in
-    /// preserved relative order, so per-shard counters are exact.
+    /// The look-ahead channel queues of this shard's output ports
+    /// (every other queue stays empty).
     la_queues: LookaheadQueues<LaFlit>,
     /// Nodes of this shard with staged quanta awaiting injection.
     stage_work: ActiveSet,
@@ -202,12 +201,12 @@ struct LoftShard<Pr: Probe> {
 }
 
 impl<Pr: Probe> LoftShard<Pr> {
-    fn new(n: usize, cfg: &LoftConfig, probe: Pr) -> Self {
+    fn new(n: usize, num_flows: usize, cfg: &LoftConfig, probe: Pr) -> Self {
         LoftShard {
             probe,
             data_wires: DelayedWires::with_capacity(n * PORTS, cfg.dep_offset() as usize + 1),
             la_wires: DelayedWires::with_capacity(n * PORTS, cfg.la_hop_latency as usize + 1),
-            la_queues: LookaheadQueues::new(n * PORTS),
+            la_queues: LookaheadQueues::new(n * PORTS, num_flows),
             stage_work: ActiveSet::new(n),
             stamps: Vec::with_capacity(n),
         }
@@ -440,7 +439,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         // (wires pre-sized to the traversal delay: one quantum resp.
         // look-ahead flit enters a link per slot resp. cycle).
         let shards = (0..k)
-            .map(|_| LoftShard::new(n, &cfg, probe.fork()))
+            .map(|_| LoftShard::new(n, reservations_flits.len(), &cfg, probe.fork()))
             .collect();
         LoftNetwork {
             probe,
@@ -623,8 +622,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// moves on. A flit whose flow has exhausted its window does not
     /// block the queue — later flits of *other* flows may bypass it
     /// (the virtual channels of the paper's look-ahead router), while
-    /// per-flow order is preserved; [`LookaheadQueues`] implements
-    /// that fair-bypass scan.
+    /// per-flow order is preserved: [`LookaheadQueues::book_first`]
+    /// offers each flow's oldest flit once, oldest first.
     ///
     /// Serial: a booking returns a virtual credit to the *upstream*
     /// link scheduler in the same cycle, which may live in another

@@ -280,7 +280,7 @@ impl DataPort {
 
     /// Full cross-check of the ready masks and their cached minima
     /// against a naive scan over the occupied entries (debug builds).
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     pub fn debug_verify(&self) {
         let mut ready = vec![Vec::new(); PORTS];
         for (slot, e) in self.entries.iter().enumerate() {

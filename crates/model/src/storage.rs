@@ -20,6 +20,9 @@ pub const DATA_FLIT_BITS: u64 = 128;
 pub const LA_FLIT_BITS: u64 = 64;
 /// Network ports counted per router (N/E/S/W).
 pub const NET_PORTS: u64 = 4;
+/// Look-ahead flits buffered per look-ahead router output port
+/// (Table 1: 3 VCs × 4 flits).
+pub const LA_QUEUE_FLITS: u64 = 3 * 4;
 
 /// Bits needed to count `0..=n`.
 pub fn bits_for(n: u64) -> u64 {
@@ -111,10 +114,10 @@ pub fn loft_router_bits_with_spec(cfg: &LoftConfig, spec_flits_counted: u64) -> 
         + cfg.frame_window as u64 * bits_for(cfg.frame_quanta() as u64);
     let flow_state = NET_PORTS * per_port;
     // Look-ahead network: Table 1's 3 VCs × 4 flits of 64-bit
-    // look-ahead flits per port. The paper's total (1536) counts two
-    // ports' worth; we count all four network ports and note the
-    // difference in EXPERIMENTS.md.
-    let lookahead = NET_PORTS * 3 * 4 * LA_FLIT_BITS;
+    // look-ahead flits per port (`LA_QUEUE_FLITS`). The paper's total
+    // (1536) counts two ports' worth; we count all four network ports
+    // and note the difference in EXPERIMENTS.md.
+    let lookahead = NET_PORTS * LA_QUEUE_FLITS * LA_FLIT_BITS;
     LoftStorage {
         input_buffers,
         reservation_tables,
@@ -181,5 +184,15 @@ mod tests {
         let small = loft_router_bits_with_spec(&cfg, 0).total();
         assert!(small < big);
         assert_eq!(big - small, NET_PORTS * 16 * DATA_FLIT_BITS);
+    }
+
+    #[test]
+    fn lookahead_buffers_are_table1_queues_on_every_network_port() {
+        // Table 1: 3 VCs × 4 look-ahead flits per port.
+        assert_eq!(LA_QUEUE_FLITS, 12);
+        let s = loft_router_bits(&LoftConfig::default());
+        assert_eq!(s.lookahead, NET_PORTS * LA_QUEUE_FLITS * LA_FLIT_BITS);
+        // The paper's 1536 bits count two ports' worth.
+        assert_eq!(s.lookahead, 2 * 1536);
     }
 }

@@ -15,17 +15,18 @@
 //!                    │ wormhole │  GSF  │  LOFT   │
 //!                    │  policy  │ policy│ policy  │
 //!                    └────┬─────┴───┬───┴────┬────┘
-//!        RouterPolicy ────┘         │        │ LSF schedulers +
-//!        (VC datapath hooks)        │        │ reservation tables
-//!                    ┌──────────────┴──┐  ┌──┴──────────────────┐
-//!                    │  VcFabric<P>    │  │  look-ahead channel │
-//!                    │  credit-based   │  │  (LookaheadQueues)  │
-//!                    │  VC datapath    │  │  + quantum wires    │
-//!                    └───────┬─────────┘  └──────────┬──────────┘
-//!                            │      fabric substrate │
-//!                    ┌───────┴───────────────────────┴──────────┐
-//!                    │ Topology · DelayedWires · TimedFifo ·    │
-//!                    │ PacketStore · ActiveSet worklists        │
+//!        RouterPolicy ────┘         │        │ LSF schedulers,
+//!        (VC datapath hooks)        │        │ reservation tables,
+//!                    ┌──────────────┴──┐     │ look-ahead FIFOs
+//!                    │  VcFabric<P>    │     │
+//!                    │  credit-based   │     │
+//!                    │  VC datapath    │     │
+//!                    └───────┬─────────┘     │
+//!                            │               │
+//!                    ┌───────┴───────────────┴──────────────────┐
+//!                    │ fabric substrate: Topology ·             │
+//!                    │ DelayedWires · TimedFifo · PacketStore · │
+//!                    │ ActiveSet worklists                      │
 //!                    └──────────────────────────────────────────┘
 //! ```
 //!
@@ -43,11 +44,6 @@
 //!   [`crate::slab::PacketRef`] handles, not packet structs — and
 //!   counts each packet's ejected pieces, handing it back exactly once
 //!   ([`PacketStore::on_piece`](crate::slab::PacketStore::on_piece)).
-//! * [`LookaheadQueues`] is the *optional look-ahead channel* used by
-//!   flit-reservation (FRS) policies: per-output-port queues with
-//!   per-flow fair bypass — per-flow tails whose fronts sit inline in
-//!   a stamp-ordered scan — plus a per-queue *blocked* mark that skips
-//!   a queue until something could let it book.
 //! * [`VcFabric`] is the complete credit-based virtual-channel
 //!   datapath (link arrivals, credits, NIC streaming with routing at
 //!   arrival, and switch traversal), parameterized by a
@@ -70,12 +66,10 @@
 use crate::flit::Packet;
 use crate::routing::Direction;
 
-mod lookahead;
 mod policy;
 mod vc;
 mod wires;
 
-pub use lookahead::LookaheadQueues;
 pub use policy::{PolicyCtx, RouterPolicy, SwitchGrant};
 pub use vc::{MaskIter, Streaming, VcBuf, VcFabric, VcFlit, VcNic, VcParams, VcRouter};
 pub use wires::{DelayedWires, TimedFifo};
@@ -96,12 +90,12 @@ pub const LOCAL: usize = Direction::Local as usize;
 /// hard failure (release builds compile it away).
 #[cfg(debug_assertions)]
 pub fn debug_assert_delivered_once(out: &[Packet], start: usize) {
-    let mut seen = crate::fxhash::FxHashSet::default();
-    for p in &out[start..] {
-        assert!(
-            seen.insert(p.id),
+    let mut ids: Vec<_> = out[start..].iter().map(|p| p.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        panic!(
             "packet {} appended to the delivery list twice in one step",
-            p.id
+            w[0]
         );
     }
 }
@@ -109,3 +103,33 @@ pub fn debug_assert_delivered_once(out: &[Packet], start: usize) {
 /// Release-build stub of [`debug_assert_delivered_once`].
 #[cfg(not(debug_assertions))]
 pub fn debug_assert_delivered_once(_out: &[Packet], _start: usize) {}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+    use crate::flit::{FlowId, NodeId, PacketId};
+
+    fn packet(flow: u32, seq: u64) -> Packet {
+        let id = PacketId {
+            flow: FlowId::new(flow),
+            seq,
+        };
+        Packet::new(id, NodeId::new(0), NodeId::new(1), 1, 0)
+    }
+
+    #[test]
+    fn delivered_once_accepts_distinct_ids_and_ignores_earlier_steps() {
+        // Packet 0#0 was delivered in an earlier step (before `start`)
+        // and again in this one: only this step's slice is checked.
+        let out = [packet(0, 0), packet(0, 0), packet(0, 1), packet(1, 0)];
+        debug_assert_delivered_once(&out, 1);
+        debug_assert_delivered_once(&out, out.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "packet f1#2 appended to the delivery list twice")]
+    fn delivered_once_rejects_a_packet_appended_twice_in_one_step() {
+        let out = [packet(1, 2), packet(0, 0), packet(2, 5), packet(1, 2)];
+        debug_assert_delivered_once(&out, 0);
+    }
+}

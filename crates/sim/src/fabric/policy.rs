@@ -77,9 +77,9 @@ pub struct PolicyCtx<'a, S> {
 ///   handed — state a shard owns exclusively. This is what makes
 ///   parallel stepping race-free by construction.
 ///
-/// Flit-reservation policies that need a look-ahead channel build on
-/// [`super::LookaheadQueues`] instead of this trait — see the module
-/// docs for where each network sits.
+/// Flit-reservation networks (LOFT) replace VC flow control and
+/// build on the fabric substrate directly instead of this trait — see
+/// the module docs for where each network sits.
 pub trait RouterPolicy {
     /// Per-flit policy payload carried through the network (`()` for
     /// plain wormhole, the frame number for GSF).

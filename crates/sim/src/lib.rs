@@ -18,8 +18,8 @@
 //!   the fabric, free when disabled ([`telemetry::NoopProbe`]) and
 //!   shard-mergeable when live ([`telemetry::LiveProbe`]),
 //! * [`rng`] — small deterministic RNGs so every run is reproducible,
-//! * [`fxhash`] / [`worklist`] — allocation-light primitives for the
-//!   per-cycle hot loops (fast integer hashing, active-index bitsets),
+//! * [`worklist`] — active-index bitsets that keep the per-cycle hot
+//!   loops proportional to activity,
 //! * [`engine`] — the [`engine::Network`] trait every network model
 //!   implements plus the [`engine::Simulation`] driver that ties a
 //!   traffic source, a network, and statistics together,
@@ -28,8 +28,7 @@
 //!   bit-identical measurement runs from it,
 //! * [`fabric`] — the shared router fabric: one cycle-accurate
 //!   datapath (links, credits, NICs, ejection, worklists) with
-//!   pluggable [`fabric::RouterPolicy`] scheduling and an optional
-//!   look-ahead channel for flit-reservation policies,
+//!   pluggable [`fabric::RouterPolicy`] scheduling,
 //! * [`slab`] — the generational [`slab::PacketStore`] that owns every
 //!   in-flight packet; the datapaths move `Copy`-able
 //!   [`slab::PacketRef`] handles instead of structs.
@@ -55,7 +54,6 @@ pub mod error;
 pub mod fabric;
 pub mod flit;
 pub mod flow;
-pub mod fxhash;
 pub mod par;
 pub mod rng;
 pub mod routing;
@@ -70,7 +68,6 @@ pub use engine::{Network, RunConfig, RunInfo, Simulation, TrafficSource};
 pub use error::ConfigError;
 pub use flit::{FlowId, NodeId, Packet, PacketId};
 pub use flow::{FlowSet, FlowSpec};
-pub use fxhash::{FxHashMap, FxHashSet};
 pub use routing::Direction;
 pub use slab::{PacketRef, PacketStore};
 pub use stats::SimReport;
