@@ -37,12 +37,16 @@
 //!
 //! LOFT is a flit-reservation router, not a VC router, so it does not
 //! implement [`noc_sim::fabric::RouterPolicy`]; instead it builds
-//! directly on the fabric substrate: [`DelayedWires`] carry both
-//! planes' in-flight traffic, [`PacketStore`] owns in-flight packets
-//! and ejection accounting, and the [`Topology`](noc_sim::Topology)
-//! routes and resolves the link index space. The look-ahead channel
-//! is LOFT's own: `crate::lookahead::LookaheadQueues`, one
-//! arrival-ordered FIFO per output port with per-flow fair bypass.
+//! directly on the fabric substrate: [`DelayedWires`] due-time wheels
+//! carry both planes' in-flight traffic, [`PacketStore`] owns
+//! in-flight packets and ejection accounting, the
+//! [`Topology`](noc_sim::Topology) routes and fixes the link index
+//! space, and a [`LinkTable`] answers where each link leads, for link
+//! traversal and virtual-credit returns alike. A look-ahead flit
+//! carries the output port its sender routed it to, so arrival does
+//! not route again. The look-ahead channel is LOFT's own:
+//! `crate::lookahead::LookaheadQueues`, one arrival-ordered FIFO per
+//! output port with per-flow fair bypass.
 //!
 //! # Timing model
 //!
@@ -78,7 +82,7 @@
 //! networks (`VcFabric`) parallelize the whole datapath.
 
 use noc_sim::checkpoint::CapDeque;
-use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LOCAL, PORTS};
+use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LinkTable, LOCAL, PORTS};
 use noc_sim::flit::{FlowId, NodeId, Packet};
 use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
 use noc_sim::slab::{PacketRef, PacketStore};
@@ -102,6 +106,9 @@ struct LaFlit {
     dep_slot: u64,
     /// Input port at the router the flit is bound for or held at.
     in_port: u8,
+    /// Output port the flit leaves that router through: the port its
+    /// reservation entry there was allocated for.
+    out_port: u8,
     /// The quantum's entry in that port's reservation store, allocated
     /// by the sender together with the flit.
     res_idx: ResIdx,
@@ -204,8 +211,8 @@ impl<Pr: Probe> LoftShard<Pr> {
     fn new(n: usize, num_flows: usize, cfg: &LoftConfig, probe: Pr) -> Self {
         LoftShard {
             probe,
-            data_wires: DelayedWires::with_capacity(n * PORTS, cfg.dep_offset() as usize + 1),
-            la_wires: DelayedWires::with_capacity(n * PORTS, cfg.la_hop_latency as usize + 1),
+            data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
+            la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
             la_queues: LookaheadQueues::new(n * PORTS, num_flows),
             stage_work: ActiveSet::new(n),
             stamps: Vec::with_capacity(n),
@@ -318,16 +325,14 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
     /// can pile up here. Every push lands at the receiving node, so
     /// the pass is shard-local.
     fn la_deliver(&mut self, now: u64) {
-        let LoftShardCtx { aux, cfg, .. } = self;
         let LoftShard {
             la_wires,
             la_queues,
             ..
-        } = &mut **aux;
+        } = &mut *self.aux;
         la_wires.drain_due(now, |widx, la| {
             let node = widx / PORTS;
-            let out = cfg.topo.route(node, la.dst);
-            la_queues.push(node * PORTS + out, la.flow.index(), la);
+            la_queues.push(node * PORTS + la.out_port as usize, la.flow.index(), la);
         });
     }
 }
@@ -339,6 +344,8 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
 #[derive(Debug, Clone)]
 pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     cfg: LoftConfig,
+    /// The other end of every link.
+    links: LinkTable,
     /// The main telemetry probe: receives all serial-phase events
     /// (scheduling, data movement, resets, packet lifecycle) plus the
     /// absorbed per-shard forks on [`LoftNetwork::into_probe`].
@@ -435,9 +442,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let ranges = partition(n, cfg.threads);
         let shard_of = shard_map(&ranges);
         let k = ranges.len();
-        // Each shard owns the in-flight state for its node range
-        // (wires pre-sized to the traversal delay: one quantum resp.
-        // look-ahead flit enters a link per slot resp. cycle).
+        // Each shard owns the in-flight state for its node range.
         let shards = (0..k)
             .map(|_| LoftShard::new(n, reservations_flits.len(), &cfg, probe.fork()))
             .collect();
@@ -464,6 +469,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             shard_of,
             shards,
             link_sched,
+            links: LinkTable::new(&cfg.topo),
             cycle: 0,
             cfg,
         }
@@ -512,9 +518,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let downstream = if port == LOCAL {
             "PE".to_string()
         } else {
-            match self.cfg.topo.try_downstream(node, port) {
-                Some((next, in_port)) => {
-                    let p = &self.data_ports[next * PORTS + in_port];
+            match self.links.peer(lidx) {
+                Some(ridx) => {
+                    let p = &self.data_ports[ridx];
                     format!(
                         "nonspec_free={}/{} spec_free={}/{}",
                         p.nonspec_free,
@@ -609,6 +615,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                         dst,
                         dep_slot: plan,
                         in_port: LOCAL as u8,
+                        out_port,
                         res_idx,
                     },
                 );
@@ -636,7 +643,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             let mut cursor = self.ranges[sh].lo * PORTS;
             while let Some(qidx) = self.shards[sh].la_queues.first_from(cursor) {
                 cursor = qidx + 1;
-                let (node, out_port) = (qidx / PORTS, qidx % PORTS);
+                let node = qidx / PORTS;
                 let dirty = self.sched(qidx).take_dirty();
                 if self.shards[sh].la_queues.is_blocked(qidx) && !dirty {
                     self.probe.on_sched_deny(qidx);
@@ -671,12 +678,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // next router's input port, which the look-ahead is
                 // sent to now. Ejection needs none.
                 let pidx = node * PORTS + la.in_port as usize;
-                let onward = (out_port != LOCAL).then(|| {
-                    let (next, in_port) = self.cfg.topo.downstream(node, out_port);
+                let onward = (la.out_port as usize != LOCAL).then(|| {
+                    let ridx = self.links.linked(qidx);
                     let key = self.data_ports[pidx].key(la.res_idx);
-                    let next_out = self.cfg.topo.route(next, la.dst) as u8;
-                    let idx = self.data_ports[next * PORTS + in_port].reserve(key, next_out);
-                    (next, in_port, idx)
+                    let next_out = self.cfg.topo.route(ridx / PORTS, la.dst) as u8;
+                    let idx = self.data_ports[ridx].reserve(key, next_out);
+                    (ridx, next_out, idx)
                 });
                 // Input reservation table: record the booked slot.
                 self.data_ports[pidx].record_booking(la.res_idx, slot, onward.map_or(0, |o| o.2));
@@ -685,21 +692,23 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // local input port is fed by the NIC, which uses
                 // actual-space flow control instead of a scheduler.
                 if la.in_port as usize != LOCAL {
-                    let (up, up_port) = self.cfg.topo.upstream(node, la.in_port as usize);
-                    self.sched(up * PORTS + up_port).return_credit(slot);
+                    let up = self.links.linked(pidx);
+                    self.sched(up).return_credit(slot);
                 }
                 // Ejection booked: the look-ahead flit is consumed
                 // and the flow's look-ahead window slot frees up.
-                let Some((next, in_port, res_idx)) = onward else {
+                let Some((ridx, next_out, res_idx)) = onward else {
                     self.la_outstanding[la.flow.index()] -= 1;
                     continue;
                 };
-                self.shards[self.shard_of[next] as usize].la_wires.push(
-                    next * PORTS + in_port,
+                let shard = self.shard_of[ridx / PORTS] as usize;
+                self.shards[shard].la_wires.push(
+                    ridx,
                     now + la_hop,
                     LaFlit {
                         dep_slot: slot,
-                        in_port: in_port as u8,
+                        in_port: (ridx % PORTS) as u8,
+                        out_port: next_out,
                         res_idx,
                         ..la
                     },
@@ -873,8 +882,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let target = if out_port == LOCAL {
             None // ejection: the PE absorbs at link rate
         } else {
-            let (next, down_port) = self.cfg.topo.downstream(node, out_port);
-            Some((next * PORTS + down_port, !is_first))
+            Some((self.links.linked(lidx), !is_first))
         };
         if let Some((ridx, spec)) = target {
             let port = &self.data_ports[ridx];
@@ -913,8 +921,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 && port.nonspec_free == self.cfg.nonspec_quanta() as i64
                 && in_port as usize != LOCAL
             {
-                let (up, up_port) = self.cfg.topo.upstream(node, in_port as usize);
-                self.reset_check.insert(up * PORTS + up_port);
+                self.reset_check.insert(self.links.linked(pidx));
             }
         }
         match target {
@@ -996,15 +1003,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             );
             // No reset may be missed: a stale link that could reset
             // right now must have a queued check.
-            let (node, port) = (i / PORTS, i % PORTS);
-            let downstream_empty = port == LOCAL
-                || match self.cfg.topo.try_downstream(node, port) {
-                    Some((next, in_port)) => {
-                        self.data_ports[next * PORTS + in_port].nonspec_free
-                            == self.cfg.nonspec_quanta() as i64
-                    }
-                    None => true,
-                };
+            // The local port and edge ports have no downstream buffer.
+            let downstream_empty = self.links.peer(i).is_none_or(|ridx| {
+                self.data_ports[ridx].nonspec_free == self.cfg.nonspec_quanta() as i64
+            });
             if self.cfg.local_status_reset
                 && !sched.is_fresh()
                 && sched.can_reset()
@@ -1094,20 +1096,15 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         while let Some(lidx) = self.reset_check.first_from(cursor) {
             cursor = lidx + 1;
             self.reset_check.remove(lidx);
-            let (node, port) = (lidx / PORTS, lidx % PORTS);
             if self.link_sched[lidx].is_fresh() || !self.link_sched[lidx].can_reset() {
                 continue;
             }
-            let downstream_empty = if port == LOCAL {
-                true // the PE sink drains at link rate
-            } else {
-                match self.cfg.topo.try_downstream(node, port) {
-                    Some((next, in_port)) => {
-                        self.data_ports[next * PORTS + in_port].nonspec_free == nonspec_cap
-                    }
-                    None => true, // edge port: never used anyway
-                }
-            };
+            // The PE sink (the local port, which has no peer) drains at
+            // link rate; edge ports are never used anyway.
+            let downstream_empty = self
+                .links
+                .peer(lidx)
+                .is_none_or(|ridx| self.data_ports[ridx].nonspec_free == nonspec_cap);
             if downstream_empty {
                 self.sched(lidx).local_reset();
                 self.probe.on_link_reset(lidx);

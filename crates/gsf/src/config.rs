@@ -115,6 +115,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_credit_delay_is_rejected() {
+        let c = GsfConfig {
+            credit_delay: 0,
+            ..GsfConfig::small()
+        };
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("credit returns take at least one"), "{err}");
+        assert!(GsfConfig::small().validate().is_ok());
+    }
+
+    #[test]
     fn small_shrinks_mesh_and_frames() {
         let c = GsfConfig::small();
         assert_eq!(c.topo.num_nodes(), 16);

@@ -48,7 +48,7 @@ fn every_packet_delivered_exactly_once() {
             topo,
             num_vcs: 1 + rng.next_below(4) as usize,
             vc_capacity: 1 + rng.next_below(5) as usize,
-            credit_delay: rng.next_below(4),
+            credit_delay: 1 + rng.next_below(4),
             hop_latency: 1 + rng.next_below(3),
             ..small_cfg()
         };

@@ -44,10 +44,10 @@ use crate::stats::SimReport;
 /// just the contents; it derefs to the buffer for everything else.
 ///
 /// `Vec::clone` allocates exactly `len` elements, so a derived clone
-/// of a buffer that construction pre-sized (wire FIFOs, VC buffers,
-/// slot stores) silently re-pays its growth allocations the next time
-/// it fills — which for a forked simulation means the resumed
-/// steady state allocates where a from-scratch run would not. Hot
+/// of a buffer that construction pre-sized (VC buffers, slot stores)
+/// silently re-pays its growth allocations the next time it fills —
+/// which for a forked simulation means the resumed steady state
+/// allocates where a from-scratch run would not. Hot
 /// buffers are typed [`CapVec`] or [`CapDeque`], so a derived `Clone`
 /// on the owning struct inherits the original's high-water capacity
 /// and the `allocs_per_cycle` gate holds on forked runs.

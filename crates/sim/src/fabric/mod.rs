@@ -24,7 +24,7 @@
 //!                    └───────┬─────────┘     │
 //!                            │               │
 //!                    ┌───────┴───────────────┴──────────────────┐
-//!                    │ fabric substrate: Topology ·             │
+//!                    │ fabric substrate: Topology · LinkTable · │
 //!                    │ DelayedWires · TimedFifo · PacketStore · │
 //!                    │ ActiveSet worklists                      │
 //!                    └──────────────────────────────────────────┘
@@ -32,11 +32,20 @@
 //!
 //! * [`Topology`](crate::topology::Topology) fixes the routing
 //!   (dimension-order XY) and the flat `node × port` link index space
-//!   every per-link array uses, and resolves upstream/downstream
-//!   neighbors for credit returns and link traversal.
-//! * [`DelayedWires`] models in-flight traversal on every link: items
-//!   pushed with a due time, drained in deterministic ascending link
-//!   order once due, with worklist registration built in.
+//!   every per-link array uses, and defines each port's neighbor
+//!   ([`Topology::try_downstream`](crate::topology::Topology::try_downstream)).
+//! * [`LinkTable`] precomputes that neighbor once per network: for
+//!   each `node * PORTS + port` the link end at the other side, or
+//!   none for the local port and mesh edges. One table serves both
+//!   directions — where an output leads for link traversal, which
+//!   output feeds an input for credit returns — because the upstream
+//!   and downstream ends of a port coincide in that index space.
+//! * [`DelayedWires`] models in-flight traversal on every link as a
+//!   due-time wheel: hops have a fixed latency and a link carries at
+//!   most one item per time unit, so `max_delay + 1` buckets, each a
+//!   bitmask over links plus one item slot per link, hold everything
+//!   in flight. A drain touches only the bucket that fell due and
+//!   walks its set bits in deterministic ascending link order.
 //! * [`TimedFifo`] is the global in-order event queue used for credit
 //!   returns.
 //! * [`PacketStore`](crate::slab::PacketStore) owns every in-flight
@@ -66,10 +75,12 @@
 use crate::flit::Packet;
 use crate::routing::Direction;
 
+mod links;
 mod policy;
 mod vc;
 mod wires;
 
+pub use links::LinkTable;
 pub use policy::{PolicyCtx, RouterPolicy, SwitchGrant};
 pub use vc::{MaskIter, Streaming, VcBuf, VcFabric, VcFlit, VcNic, VcParams, VcRouter};
 pub use wires::{DelayedWires, TimedFifo};

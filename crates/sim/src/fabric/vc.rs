@@ -12,6 +12,7 @@ use crate::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use crate::topology::Topology;
 use crate::worklist::ActiveSet;
 
+use super::links::LinkTable;
 use super::policy::{PolicyCtx, RouterPolicy, SwitchGrant};
 use super::wires::{DelayedWires, TimedFifo};
 use super::{debug_assert_delivered_once, LOCAL, PORTS};
@@ -354,7 +355,9 @@ pub struct VcParams {
     pub vc_capacity: usize,
     /// Router pipeline + link traversal, in cycles.
     pub hop_latency: u64,
-    /// Upstream credit return delay, in cycles.
+    /// Upstream credit return delay, in cycles (at least 1: a credit
+    /// freed in one cycle's switch traversal is applied by the next
+    /// cycle's credit phase at the earliest).
     pub credit_delay: u64,
     /// Shards stepped concurrently each cycle (1 = single-threaded;
     /// clamped to the node count). Results are bit-identical at every
@@ -371,7 +374,8 @@ impl VcParams {
     /// slot of a router fits one bit of a `u64` arbitration mask
     /// (`PORTS * num_vcs <= 64`), VC buffers hold at least one flit
     /// (an empty buffer never has a credit to spend, so nothing would
-    /// ever move), and a hop takes at least one cycle.
+    /// ever move), and a hop and a credit return each take at least
+    /// one cycle (a zero credit delay would silently run as one).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_vcs == 0 {
             return Err(ConfigError::new("need at least one virtual channel"));
@@ -387,6 +391,9 @@ impl VcParams {
         }
         if self.hop_latency == 0 {
             return Err(ConfigError::new("hops take at least one cycle"));
+        }
+        if self.credit_delay == 0 {
+            return Err(ConfigError::new("credit returns take at least one cycle"));
         }
         Ok(())
     }
@@ -436,15 +443,14 @@ struct ShardState<P: RouterPolicy, Pr: Probe> {
 
 impl<P: RouterPolicy, Pr: Probe> ShardState<P, Pr> {
     fn new(n: usize, shards: usize, params: &VcParams, probe: Pr) -> Self {
-        // At most one flit enters a link per cycle, so a link never
-        // carries more than `hop_latency` flits at once; credits obey
-        // the same bound per (port, vc). Pre-sizing to those bounds
-        // means warmup never reallocates.
-        let per_link = params.hop_latency as usize + 1;
+        // At most one flit enters a link per cycle, `hop_latency`
+        // cycles ahead: the wires are a wheel of that horizon. Credits
+        // obey the same bound per (port, vc); pre-sizing their queue
+        // to it means warmup never reallocates.
         let credit_cap = n * PORTS * (params.credit_delay as usize + 1);
         ShardState {
             probe,
-            wires: DelayedWires::with_capacity(n * PORTS, per_link),
+            wires: DelayedWires::new(n * PORTS, params.hop_latency),
             credits_in_flight: TimedFifo::with_capacity(credit_cap),
             nic_work: ActiveSet::new(n),
             router_work: ActiveSet::new(n),
@@ -470,6 +476,7 @@ struct ShardCtx<'a, P: RouterPolicy, Pr: Probe> {
     aux: &'a mut ShardState<P, Pr>,
     packets: &'a PacketStore,
     params: VcParams,
+    links: &'a LinkTable,
     shard_of: &'a [u32],
 }
 
@@ -748,7 +755,8 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 if in_port == LOCAL {
                     self.aux.credits_in_flight.push(due, (node, LOCAL, v));
                 } else {
-                    let (up, up_port) = self.params.topo.upstream(node, in_port);
+                    let up_link = self.links.linked(node * PORTS + in_port);
+                    let (up, up_port) = (up_link / PORTS, up_link % PORTS);
                     if self.range.contains(up) {
                         self.aux.credits_in_flight.push(due, (up, up_port, v));
                     } else {
@@ -763,8 +771,8 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     // pushes here are in ascending node order.
                     self.aux.ejects.push(flit);
                 } else {
-                    let (next, in_port) = self.params.topo.downstream(node, out_port);
-                    let widx = next * PORTS + in_port;
+                    let widx = self.links.linked(node * PORTS + out_port);
+                    let next = widx / PORTS;
                     if self.range.contains(next) {
                         self.aux
                             .wires
@@ -827,6 +835,8 @@ pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
     /// land in each shard's fork and merge in [`VcFabric::into_probe`].
     probe: Pr,
     params: VcParams,
+    /// The other end of every link.
+    links: LinkTable,
     cycle: u64,
     routers: Vec<VcRouter<P::Tag>>,
     nics: Vec<VcNic<P::Tag>>,
@@ -899,6 +909,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             woken: Vec::new(),
             wire_scratch: Vec::new(),
             credit_scratch: Vec::new(),
+            links: LinkTable::new(&params.topo),
             cycle: 0,
             policy,
             probe,
@@ -952,6 +963,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 shards,
                 packets,
                 params,
+                links,
                 shard_of,
                 ..
             } = self;
@@ -964,6 +976,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 aux: &mut shards[s],
                 packets,
                 params: *params,
+                links,
                 shard_of,
             }
             .run_cycle(now);
@@ -981,6 +994,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let shard_of: &[u32] = &self.shard_of;
         let packets: &PacketStore = &self.packets;
         let params = self.params;
+        let links: &LinkTable = &self.links;
         let k = ranges.len();
         let pool = self.pool.as_mut().expect("parallel step without a pool");
         pool.run(k, &|s| {
@@ -1005,6 +1019,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     aux: &mut *shards.get().add(s),
                     packets,
                     params,
+                    links,
                     shard_of,
                 }
             };

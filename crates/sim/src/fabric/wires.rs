@@ -1,104 +1,194 @@
-//! In-flight item queues: per-link delayed wires and the global
-//! timed event FIFO.
+//! In-flight items: the per-link due-time wheel and the global timed
+//! event FIFO.
 
 use std::collections::VecDeque;
 
-use crate::checkpoint::{Cap, CapDeque};
-use crate::worklist::ActiveSet;
-
-/// Per-link FIFO queues of in-flight items, each stamped with the
-/// cycle (or slot) at which it becomes available downstream.
+/// In-flight items on every link, on a due-time wheel.
 ///
-/// `DelayedWires` owns the worklist tracking which links have items
-/// in flight: [`DelayedWires::push`] registers the link and
-/// [`DelayedWires::drain_due`] deregisters it once empty, so callers
-/// never touch the bitset directly. Drains visit links in ascending
-/// index order with live worklist semantics — bit-identical to a full
-/// `0..n` scan (see [`crate::worklist`]).
+/// Every producer puts an item in flight `1..=max_delay` cycles (or
+/// slots) after the current one, and a link carries at most one item
+/// per time unit, so the in-flight state is exactly a timing wheel of
+/// `max_delay + 1` buckets, one per due time in the horizon. A bucket
+/// is a bitmask over links plus one item slot per link. A drain
+/// touches only the buckets that fell due and walks their set bits in
+/// ascending link order.
+///
+/// Two preconditions, debug-asserted at [`DelayedWires::push`]:
+/// at most one item per `(link, due)`, and `due` within the horizon
+/// `drained + 1 ..= drained + max_delay + 1`, where `drained` is the
+/// `now` of the latest drain. A push into an *empty* wheel outside
+/// that range restarts the horizon at its `due` (there is no order to
+/// keep), so a producer with one constant delay — every fabric
+/// producer — may skip drains while nothing is in flight.
 #[derive(Debug, Clone)]
 pub struct DelayedWires<T> {
-    /// Pre-sized to the link-delay bound; forks keep that capacity.
-    wires: Vec<CapDeque<(u64, T)>>,
-    work: ActiveSet,
+    /// Item slots per bucket: one per link.
+    links: usize,
+    /// `u64` mask words per bucket.
+    words: usize,
+    /// Number of buckets: `max_delay + 1`.
+    buckets: usize,
+    /// Bucket masks, bucket-major: link `l` of bucket `b` is bit
+    /// `l % 64` of word `b * words + l / 64`.
+    mask: Vec<u64>,
+    /// Item slots, bucket-major: link `l` of bucket `b` is slot
+    /// `b * links + l`. `Some` exactly where the mask bit is set.
+    slots: Vec<Option<T>>,
+    /// Items in flight.
+    len: usize,
+    /// Every item due at or before `drained` has been delivered.
+    drained: u64,
+    /// The bucket of due time `drained + 1`; later due times follow
+    /// it cyclically.
+    head: usize,
 }
 
 impl<T> DelayedWires<T> {
-    /// Empty wires for `num_links` links.
+    /// Empty wires for `num_links` links whose items are due at most
+    /// `max_delay` time units after they are pushed.
     #[must_use]
-    pub fn new(num_links: usize) -> Self {
-        DelayedWires::with_capacity(num_links, 0)
+    pub fn new(num_links: usize, max_delay: u64) -> Self {
+        let buckets = max_delay as usize + 1;
+        let words = num_links.div_ceil(64);
+        DelayedWires {
+            links: num_links,
+            words,
+            buckets,
+            mask: vec![0; buckets * words],
+            slots: (0..buckets * num_links).map(|_| None).collect(),
+            len: 0,
+            drained: 0,
+            head: 0,
+        }
     }
 
-    /// Empty wires for `num_links` links, each pre-sized for
-    /// `per_link` in-flight items (one flit per cycle for a link
-    /// delay of `per_link - 1` cycles) so warmup never reallocates.
-    #[must_use]
-    pub fn with_capacity(num_links: usize, per_link: usize) -> Self {
-        DelayedWires {
-            wires: (0..num_links)
-                .map(|_| Cap(VecDeque::with_capacity(per_link)))
-                .collect(),
-            work: ActiveSet::new(num_links),
+    /// The bucket `k` due times after the head (`k < buckets`).
+    #[inline]
+    fn bucket(&self, k: usize) -> usize {
+        let b = self.head + k;
+        if b >= self.buckets {
+            b - self.buckets
+        } else {
+            b
         }
     }
 
     /// Puts `item` in flight on link `idx`, available at `due`.
-    ///
-    /// Items on one link must be pushed in non-decreasing `due` order
-    /// (automatic when every push uses `now + constant_delay`), so the
-    /// FIFO front is always the earliest.
     #[inline]
     pub fn push(&mut self, idx: usize, due: u64, item: T) {
-        self.wires[idx].push_back((due, item));
-        self.work.insert(idx);
+        let horizon = self.buckets as u64;
+        let in_horizon = |drained: u64| drained < due && due <= drained + horizon;
+        if self.len == 0 && !in_horizon(self.drained) {
+            self.drained = due.saturating_sub(1);
+        }
+        debug_assert!(
+            in_horizon(self.drained),
+            "item due at {due} lies outside the wheel's horizon {}..={}",
+            self.drained + 1,
+            self.drained + horizon
+        );
+        let b = self.bucket((due - self.drained - 1) as usize);
+        let (word, bit) = (b * self.words + idx / 64, 1u64 << (idx % 64));
+        debug_assert!(
+            self.mask[word] & bit == 0,
+            "two items on link {idx} due at {due}"
+        );
+        self.mask[word] |= bit;
+        self.slots[b * self.links + idx] = Some(item);
+        self.len += 1;
     }
 
     /// Delivers every item due at or before `now`: ascending link
-    /// order, FIFO order within a link, calling `sink(idx, item)` for
-    /// each. Links left empty are removed from the worklist.
+    /// order, due order within a link, calling `sink(idx, item)` for
+    /// each.
+    ///
+    /// A drain one time unit after the previous one empties a single
+    /// bucket. A late drain merges every bucket that fell due.
     ///
     /// The sink must not push back onto these wires mid-drain (no
     /// fabric stage does — arrivals land in buffers, not wires).
     pub fn drain_due(&mut self, now: u64, mut sink: impl FnMut(usize, T)) {
-        let mut cursor = 0;
-        while let Some(idx) = self.work.first_from(cursor) {
-            cursor = idx + 1;
-            let wire = &mut self.wires[idx];
-            while wire.front().is_some_and(|e| e.0 <= now) {
-                let (_, item) = wire.pop_front().expect("checked front");
-                sink(idx, item);
+        if now <= self.drained {
+            return;
+        }
+        let gap = now - self.drained;
+        self.drained = now;
+        if self.len == 0 {
+            return;
+        }
+        let (links, words) = (self.links, self.words);
+        if gap == 1 {
+            let b = self.head;
+            self.head = self.bucket(1);
+            for w in 0..words {
+                let mut m = std::mem::take(&mut self.mask[b * words + w]);
+                while m != 0 {
+                    let idx = w * 64 + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let item = self.slots[b * links + idx].take();
+                    self.len -= 1;
+                    sink(idx, item.expect("masked slot holds an item"));
+                }
             }
-            if wire.is_empty() {
-                self.work.remove(idx);
+            return;
+        }
+        let due = gap.min(self.buckets as u64) as usize;
+        for w in 0..words {
+            let mut any = 0;
+            for k in 0..due {
+                any |= self.mask[self.bucket(k) * words + w];
+            }
+            while any != 0 {
+                let idx = w * 64 + any.trailing_zeros() as usize;
+                let bit = any & any.wrapping_neg();
+                any &= any - 1;
+                for k in 0..due {
+                    let b = self.bucket(k);
+                    if self.mask[b * words + w] & bit != 0 {
+                        self.mask[b * words + w] &= !bit;
+                        let item = self.slots[b * links + idx].take();
+                        self.len -= 1;
+                        sink(idx, item.expect("masked slot holds an item"));
+                    }
+                }
             }
         }
+        self.head = self.bucket((gap % self.buckets as u64) as usize);
     }
 
     /// Whether link `idx` has items in flight.
     #[must_use]
     pub fn is_active(&self, idx: usize) -> bool {
-        !self.wires[idx].is_empty()
+        (0..self.buckets).any(|b| self.slots[b * self.links + idx].is_some())
     }
 
-    /// Whether any link has items in flight (a cheap bitset check;
-    /// lets callers skip a whole drain pass — or a pool dispatch —
-    /// when the wires are globally empty).
+    /// Whether any link has items in flight (a counter check; lets
+    /// callers skip a whole drain pass — or a pool dispatch — when the
+    /// wires are globally empty).
     #[must_use]
     pub fn any_active(&self) -> bool {
-        !self.work.is_empty()
+        self.len != 0
     }
 
-    /// Full-scan cross-check (debug builds): the worklist contains
-    /// exactly the links with items in flight. Call under
+    /// Full-scan cross-check (debug builds): the masks mark exactly
+    /// the occupied item slots, and the item count matches. Call under
     /// `#[cfg(debug_assertions)]`.
     pub fn debug_verify(&self) {
-        for (i, wire) in self.wires.iter().enumerate() {
-            debug_assert_eq!(
-                self.work.contains(i),
-                !wire.is_empty(),
-                "wire worklist out of sync at link {i}"
-            );
+        for b in 0..self.buckets {
+            for idx in 0..self.links {
+                let bit = self.mask[b * self.words + idx / 64] >> (idx % 64) & 1 != 0;
+                debug_assert_eq!(
+                    bit,
+                    self.slots[b * self.links + idx].is_some(),
+                    "wheel mask out of sync at bucket {b}, link {idx}"
+                );
+            }
         }
+        debug_assert_eq!(
+            self.len,
+            self.slots.iter().filter(|s| s.is_some()).count(),
+            "wheel item count out of sync"
+        );
     }
 }
 
@@ -170,7 +260,7 @@ mod tests {
 
     #[test]
     fn wires_deliver_in_link_then_fifo_order() {
-        let mut w: DelayedWires<u32> = DelayedWires::new(4);
+        let mut w: DelayedWires<u32> = DelayedWires::new(4, 2);
         w.push(2, 10, 20);
         w.push(0, 10, 1);
         w.push(0, 11, 2);
@@ -188,7 +278,7 @@ mod tests {
 
     #[test]
     fn wires_hold_items_until_due() {
-        let mut w: DelayedWires<&str> = DelayedWires::new(1);
+        let mut w: DelayedWires<&str> = DelayedWires::new(1, 1);
         w.push(0, 5, "x");
         let mut count = 0;
         w.drain_due(4, |_, _| count += 1);
@@ -196,6 +286,75 @@ mod tests {
         assert!(w.is_active(0));
         w.drain_due(5, |_, _| count += 1);
         assert_eq!(count, 1);
+    }
+
+    /// Random push/drain sequences, late drains included, against a
+    /// naive per-link list of `(due, item)`: every drain delivers
+    /// exactly the items due at or before `now`, in ascending link
+    /// order and due order within a link. Pushes keep the documented
+    /// preconditions: delays of `1..=max_delay` from the current
+    /// cycle, at most one item per `(link, due)`, and nothing due
+    /// past `max_delay + 1` cycles after the latest drain.
+    #[test]
+    fn wires_match_a_per_link_model() {
+        let mut rng = crate::rng::Xoshiro256::seed_from(0x5EED_3301);
+        for _case in 0..200 {
+            let links = 1 + rng.next_below(140) as usize;
+            let max_delay = 1 + rng.next_below(4);
+            let mut w: DelayedWires<u64> = DelayedWires::new(links, max_delay);
+            let mut model: Vec<Vec<(u64, u64)>> = vec![Vec::new(); links];
+            let mut last_due = vec![0u64; links];
+            let mut drained = 0u64;
+            let mut next_item = 0u64;
+            for now in 1..300u64 {
+                // Skipping a cycle's drain makes the next one late.
+                if rng.bernoulli(0.7) {
+                    let mut seen = Vec::new();
+                    w.drain_due(now, |idx, v| seen.push((idx, v)));
+                    let mut want = Vec::new();
+                    for (idx, wire) in model.iter_mut().enumerate() {
+                        want.extend(wire.iter().filter(|e| e.0 <= now).map(|e| (idx, e.1)));
+                        wire.retain(|e| e.0 > now);
+                    }
+                    assert_eq!(seen, want, "drain at {now}");
+                    drained = now;
+                }
+                for _ in 0..rng.next_below(links as u64 + 1) {
+                    let idx = rng.next_below(links as u64) as usize;
+                    let due = now + 1 + rng.next_below(max_delay);
+                    if due <= last_due[idx] || due > drained + max_delay + 1 {
+                        continue;
+                    }
+                    last_due[idx] = due;
+                    w.push(idx, due, next_item);
+                    model[idx].push((due, next_item));
+                    next_item += 1;
+                }
+                for (idx, wire) in model.iter().enumerate() {
+                    assert_eq!(w.is_active(idx), !wire.is_empty(), "link {idx} at {now}");
+                }
+                assert_eq!(w.any_active(), model.iter().any(|wire| !wire.is_empty()));
+                w.debug_verify();
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two items on link 1 due at 3")]
+    fn wires_reject_two_items_on_one_link_due_at_once() {
+        let mut w: DelayedWires<u32> = DelayedWires::new(2, 2);
+        w.push(1, 3, 0);
+        w.push(1, 3, 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "item due at 6 lies outside the wheel's horizon 1..=3")]
+    fn wires_reject_an_item_beyond_the_horizon() {
+        let mut w: DelayedWires<u32> = DelayedWires::new(2, 2);
+        w.push(0, 2, 0);
+        w.push(1, 6, 1);
     }
 
     #[test]

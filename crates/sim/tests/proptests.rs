@@ -5,6 +5,7 @@
 //! test suite has no external dependencies and every failure is
 //! reproducible from the fixed seed.
 
+use noc_sim::fabric::{LinkTable, PORTS};
 use noc_sim::flit::NodeId;
 use noc_sim::flow::FlowSet;
 use noc_sim::rng::Xoshiro256;
@@ -15,12 +16,15 @@ use noc_sim::topology::Topology;
 /// On every mesh and torus of 1..=9 nodes per side (lines included),
 /// routing takes every pair from source to destination in exactly the
 /// minimal number of hops, and every link's downstream end leads back
-/// to it upstream.
+/// to it upstream. The precomputed [`LinkTable`] agrees: it is its own
+/// inverse on every linked port, and empty exactly where the topology
+/// has no link (every local port and every mesh edge).
 #[test]
 fn routing_reaches_destination() {
     for w in 1..=9 {
         for h in 1..=9 {
             for topo in [Topology::mesh(w, h), Topology::torus(w, h)] {
+                let links = LinkTable::new(&topo);
                 for src in topo.nodes() {
                     for dst in topo.nodes() {
                         let path = topo.path(src, dst);
@@ -28,9 +32,16 @@ fn routing_reaches_destination() {
                         let hops = topo.hop_distance(src, dst);
                         assert_eq!(path.len() as u32, hops + 1, "{topo:?}: {src} -> {dst}");
                     }
-                    for port in Direction::CARDINALS.map(Direction::index) {
-                        if let Some((next, in_port)) = topo.try_downstream(src.index(), port) {
-                            assert_eq!(topo.upstream(next, in_port), (src.index(), port));
+                    for port in 0..PORTS {
+                        let lidx = src.index() * PORTS + port;
+                        match topo.try_downstream(src.index(), port) {
+                            Some((next, in_port)) => {
+                                assert_eq!(topo.upstream(next, in_port), (src.index(), port));
+                                let peer = links.peer(lidx);
+                                assert_eq!(peer, Some(next * PORTS + in_port), "{topo:?}: {lidx}");
+                                assert_eq!(links.peer(next * PORTS + in_port), Some(lidx));
+                            }
+                            None => assert_eq!(links.peer(lidx), None, "{topo:?}: {lidx}"),
                         }
                     }
                 }

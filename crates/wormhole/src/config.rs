@@ -94,6 +94,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_credit_delay_is_rejected() {
+        let c = WormholeConfig {
+            credit_delay: 0,
+            ..WormholeConfig::default()
+        };
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("credit returns take at least one"), "{err}");
+        assert!(WormholeConfig::default().validate().is_ok());
+    }
+
+    #[test]
     fn on_changes_topology_only() {
         let c = WormholeConfig::on(Topology::mesh(4, 4));
         assert_eq!(c.topo.num_nodes(), 16);
