@@ -50,9 +50,10 @@ pub struct LoftConfig {
     pub speculative_switching: bool,
     /// Enable local status reset (Section 4.3.2).
     pub local_status_reset: bool,
-    /// Shards stepped concurrently in the parallelizable phases of a
-    /// cycle (1 = single-threaded). Results are bit-identical at
-    /// every value; see `noc_sim::par`.
+    /// Shards that deliver arriving data quanta concurrently, LOFT's
+    /// one parallel phase (1 = single-threaded); every other phase
+    /// is serial. Results are bit-identical at every value; see
+    /// `noc_sim::par`.
     pub threads: usize,
 }
 

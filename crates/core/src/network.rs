@@ -65,21 +65,18 @@
 //! # Parallel stepping
 //!
 //! With [`LoftConfig::threads`] > 1 the node range is partitioned
-//! into contiguous shards (see `noc_sim::par`) and the phases of a
-//! cycle that only touch node-local state run on all shards
-//! concurrently: data quantum delivery, NIC data injection (with
-//! `injected_at` stamps deferred to the barrier), and look-ahead
-//! delivery into the channel queues. None of them touches a link
-//! scheduler, and look-ahead delivery touches no input port either:
-//! the serial phase that sends a look-ahead flit also allocates its
-//! reservation entry at the receiving port (see `crate::port`). The
-//! phases that read or write *other* routers' state in the same
-//! cycle — data movement (downstream buffer credits),
-//! look-ahead scheduling (upstream virtual-credit returns), local
-//! status resets — stay serial, iterating shards in ascending order
-//! so the visit order is bit-identical to the single-threaded engine.
-//! LOFT therefore parallelizes only part of each cycle; the VC-based
-//! networks (`VcFabric`) parallelize the whole datapath.
+//! into contiguous shards (see `noc_sim::par`), each with its own
+//! data-quantum wheel, and one phase runs on all shards concurrently:
+//! data-quantum arrival (`deliver_data`), which writes only the
+//! receiving shard's input ports. Everything else is serial. In
+//! flit-reservation flow control a look-ahead flit books its slot and
+//! returns a virtual credit to the *upstream* link scheduler in the
+//! same cycle, and forwarding a quantum consumes *downstream* buffer
+//! credit, so look-ahead scheduling, data movement and local status
+//! resets reach other routers' state. NIC injection touches no other
+//! router, but it writes `injected_at` into the shared packet slab.
+//! LOFT therefore parallelizes a small part of each cycle; the
+//! VC-based networks (`VcFabric`) parallelize the whole datapath.
 
 use noc_sim::checkpoint::CapDeque;
 use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LinkTable, LOCAL, PORTS};
@@ -175,168 +172,6 @@ impl SourceNic {
     }
 }
 
-/// One shard's slice of the in-flight state: the wires, channel
-/// queues, and worklists that the parallel phases touch for nodes the
-/// shard owns.
-///
-/// Each structure spans the *global* index space but only the shard's
-/// own range is ever populated — serial phases route pushes to the
-/// owning shard (`shard_of`), so the parallel phases drain without
-/// any cross-shard access. Iterating shards in ascending order drains
-/// the same global ascending index sequence as a single structure
-/// would (shard ranges are contiguous), which is what keeps every
-/// arbitration decision bit-identical to the single-threaded engine.
-#[derive(Debug, Clone)]
-struct LoftShard<Pr: Probe> {
-    /// This shard's telemetry probe (a [`Probe::fork`] of the main
-    /// probe); records only the parallel-phase events of this shard's
-    /// node range, and is absorbed back in ascending shard order.
-    probe: Pr,
-    /// Data quanta in flight to this shard's input ports.
-    data_wires: DelayedWires<DataQuantum>,
-    /// Look-ahead flits in flight to this shard's input ports.
-    la_wires: DelayedWires<LaFlit>,
-    /// The look-ahead channel queues of this shard's output ports
-    /// (every other queue stays empty).
-    la_queues: LookaheadQueues<LaFlit>,
-    /// Nodes of this shard with staged quanta awaiting injection.
-    stage_work: ActiveSet,
-    /// Packets whose first data quantum injected this slot; their
-    /// `injected_at` stamp is applied serially at the barrier (the
-    /// slab is shared read-only during the parallel phase).
-    stamps: Vec<PacketRef>,
-}
-
-impl<Pr: Probe> LoftShard<Pr> {
-    fn new(n: usize, num_flows: usize, cfg: &LoftConfig, probe: Pr) -> Self {
-        LoftShard {
-            probe,
-            data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
-            la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
-            la_queues: LookaheadQueues::new(n * PORTS, num_flows),
-            stage_work: ActiveSet::new(n),
-            stamps: Vec::with_capacity(n),
-        }
-    }
-}
-
-/// Which parallel phase [`LoftNetwork::run_phase`] dispatches.
-#[derive(Debug, Clone, Copy)]
-enum LoftPhase {
-    /// Slot-boundary data-plane work: deliver arrived data quanta,
-    /// inject staged quanta from the NICs.
-    Data { slot: u64 },
-    /// Deliver arriving look-ahead flits into the channel queues.
-    Lookahead { now: u64 },
-}
-
-/// One shard's working view for a parallel phase: the shard's slices
-/// of the global per-node/per-link arrays plus its [`LoftShard`].
-/// Node-indexed slices are indexed `node - range.lo`; link-indexed
-/// slices `lidx - range.lo * PORTS`.
-#[derive(Debug)]
-struct LoftShardCtx<'a, Pr: Probe> {
-    range: ShardRange,
-    /// This shard's data-plane input ports (link range).
-    data_ports: &'a mut [DataPort],
-    /// This shard's source NICs (node range).
-    nics: &'a mut [SourceNic],
-    aux: &'a mut LoftShard<Pr>,
-    /// Shared read-only during parallel phases; only the serial
-    /// barrier mutates packets (deferred `injected_at` stamps).
-    packets: &'a PacketStore,
-    cfg: LoftConfig,
-}
-
-impl<Pr: Probe> LoftShardCtx<'_, Pr> {
-    fn run(&mut self, phase: LoftPhase) {
-        match phase {
-            LoftPhase::Data { slot } => self.data_phase(slot),
-            LoftPhase::Lookahead { now } => self.la_deliver(now),
-        }
-    }
-
-    /// The shard-local slice of the slot-boundary data-plane work:
-    /// deliver arrived quanta, then stream staged quanta into the
-    /// routers. Neither reads another shard's state, so running them
-    /// shard-interleaved is indistinguishable from the serial
-    /// all-links-then-all-nodes order.
-    fn data_phase(&mut self, slot: u64) {
-        let LoftShardCtx {
-            range,
-            data_ports,
-            nics,
-            aux,
-            packets,
-            cfg,
-            ..
-        } = self;
-        let range = *range;
-        let base = range.lo * PORTS;
-        let LoftShard {
-            probe,
-            data_wires,
-            stage_work,
-            stamps,
-            ..
-        } = &mut **aux;
-        data_wires.drain_due(slot, |widx, w| {
-            data_ports[widx - base].record_arrival(w.res_idx, w.spec, w.pref);
-        });
-        let mut cursor = range.lo;
-        while let Some(node) = stage_work.first_from(cursor) {
-            cursor = node + 1;
-            let pidx = node * PORTS + LOCAL - base;
-            if data_ports[pidx].nonspec_free == 0 {
-                probe.on_nic_stall(node);
-                continue;
-            }
-            let nic = &mut nics[node - range.lo];
-            let (res_idx, pref) = *nic.staged.front().expect("stage_work implies staged");
-            nic.staged.pop_front();
-            if nic.staged.is_empty() {
-                stage_work.remove(node);
-            }
-            data_ports[pidx].nonspec_free -= 1;
-            if packets.get(pref).injected_at.is_none() {
-                stamps.push(pref);
-            }
-            data_wires.push(
-                node * PORTS + LOCAL,
-                slot + cfg.dep_offset(),
-                DataQuantum {
-                    res_idx,
-                    spec: false,
-                    pref,
-                },
-            );
-        }
-    }
-
-    /// Moves arriving look-ahead flits into the look-ahead channel
-    /// queue of their next output port. The sender already allocated
-    /// each flit's reservation entry here, so no input port is
-    /// touched.
-    ///
-    /// The channel queues are per-flow fair (see
-    /// `LoftNetwork::la_schedule`), so delivery is not
-    /// capacity-limited: the per-flow look-ahead window
-    /// (`la_flow_window`) already bounds how many flits any one flow
-    /// can pile up here. Every push lands at the receiving node, so
-    /// the pass is shard-local.
-    fn la_deliver(&mut self, now: u64) {
-        let LoftShard {
-            la_wires,
-            la_queues,
-            ..
-        } = &mut *self.aux;
-        la_wires.drain_due(now, |widx, la| {
-            let node = widx / PORTS;
-            la_queues.push(node * PORTS + la.out_port as usize, la.flow.index(), la);
-        });
-    }
-}
-
 /// The LOFT network (LSF + FRS). See the crate and module docs.
 ///
 /// Generic over a telemetry [`Probe`]; the default [`NoopProbe`]
@@ -346,9 +181,7 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     cfg: LoftConfig,
     /// The other end of every link.
     links: LinkTable,
-    /// The main telemetry probe: receives all serial-phase events
-    /// (scheduling, data movement, resets, packet lifecycle) plus the
-    /// absorbed per-shard forks on [`LoftNetwork::into_probe`].
+    /// The telemetry probe: every event, from every phase.
     probe: Pr,
     cycle: u64,
     /// Router link schedulers, index `node * 5 + port`.
@@ -365,6 +198,10 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// Look-ahead flits currently in the look-ahead plane, per flow
     /// (capped by `la_flow_window`).
     la_outstanding: Vec<u32>,
+    /// Look-ahead flits in flight to their next input port.
+    la_wires: DelayedWires<LaFlit>,
+    /// The look-ahead channel queue of every output port.
+    la_queues: LookaheadQueues<LaFlit>,
     // ---- active-set worklists (see `noc_sim::worklist`) ----------
     /// Links with a pending booking (`pending_len() > 0`): a quantum
     /// can only forward on the link where it is booked, so these are
@@ -373,6 +210,8 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     pending_links: ActiveSet,
     /// Nodes with queued source quanta awaiting look-ahead launch.
     launch_work: ActiveSet,
+    /// Nodes with staged quanta awaiting injection.
+    stage_work: ActiveSet,
     /// Links to re-examine for a local status reset: a reset becomes
     /// possible only when a link's last pending quantum forwards or
     /// its downstream non-speculative buffer drains back to capacity,
@@ -380,13 +219,14 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// alike cost nothing per cycle. Always empty with
     /// [`LoftConfig::local_status_reset`] off.
     reset_check: ActiveSet,
-    // ---- sharded parallel stepping (see the module docs) ----------
+    // ---- sharded data-quantum arrival (see the module docs) -------
     /// Contiguous node ranges, one per shard.
     ranges: Vec<ShardRange>,
     /// Node index → owning shard index.
     shard_of: Vec<u32>,
-    /// Per-shard in-flight state and worklists.
-    shards: Vec<LoftShard<Pr>>,
+    /// Data quanta in flight, one wheel per shard: shard `s`'s wheel
+    /// holds only quanta bound for its own input ports.
+    data_wires: Vec<DelayedWires<DataQuantum>>,
     /// Persistent worker pool; present iff more than one shard.
     pool: Option<WorkerPool>,
 }
@@ -442,10 +282,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let ranges = partition(n, cfg.threads);
         let shard_of = shard_map(&ranges);
         let k = ranges.len();
-        // Each shard owns the in-flight state for its node range.
-        let shards = (0..k)
-            .map(|_| LoftShard::new(n, reservations_flits.len(), &cfg, probe.fork()))
-            .collect();
         LoftNetwork {
             probe,
             data_ports: (0..n * PORTS)
@@ -461,13 +297,18 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             nics: (0..n).map(|_| SourceNic::new()).collect(),
             packets: PacketStore::new(),
             la_outstanding: vec![0; reservations_flits.len()],
+            la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
+            la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len()),
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
+            stage_work: ActiveSet::new(n),
             reset_check: ActiveSet::new(n * PORTS),
             pool: (k > 1).then(|| WorkerPool::new(k - 1)),
             ranges,
             shard_of,
-            shards,
+            data_wires: (0..k)
+                .map(|_| DelayedWires::new(n * PORTS, cfg.dep_offset()))
+                .collect(),
             link_sched,
             links: LinkTable::new(&cfg.topo),
             cycle: 0,
@@ -480,15 +321,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         &self.cfg
     }
 
-    /// Consumes the network, merging every shard's probe fork into
-    /// the main probe (in ascending shard order, keeping the result
-    /// shard-count invariant) and returning it.
+    /// Consumes the network, returning its telemetry probe.
     pub fn into_probe(self) -> Pr {
-        let mut probe = self.probe;
-        for shard in self.shards {
-            probe.absorb(shard.probe);
-        }
-        probe
+        self.probe
     }
 
     /// One-line diagnostic snapshot of a node's injection side (for
@@ -535,9 +370,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         format!(
             "link n{node}.{port}: pending={} la_queue={} resets={} head={} {}",
             sched.pending_len(),
-            self.shards[self.shard_of[node] as usize]
-                .la_queues
-                .raw_len(lidx),
+            self.la_queues.raw_len(lidx),
             sched.resets(),
             // Not `sched.head_frame()`: a scheduler without a pending
             // booking may lag until its next access.
@@ -605,9 +438,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     self.launch_work.remove(node);
                 }
                 self.la_outstanding[fid as usize] += 1;
-                let shard = &mut self.shards[self.shard_of[node] as usize];
-                shard.stage_work.insert(node);
-                shard.la_wires.push(
+                self.stage_work.insert(node);
+                self.la_wires.push(
                     node * PORTS + LOCAL,
                     now + la_hop,
                     LaFlit {
@@ -624,6 +456,27 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
     }
 
+    /// Moves arriving look-ahead flits into the look-ahead channel
+    /// queue of their next output port. The sender already allocated
+    /// each flit's reservation entry here, so no input port is
+    /// touched.
+    ///
+    /// The channel queues are per-flow fair (see
+    /// [`Self::la_schedule`]), so delivery is not capacity-limited:
+    /// the per-flow look-ahead window (`la_flow_window`) already
+    /// bounds how many flits any one flow can pile up here.
+    fn la_deliver(&mut self, now: u64) {
+        let Self {
+            la_wires,
+            la_queues,
+            ..
+        } = self;
+        la_wires.drain_due(now, |widx, la| {
+            let node = widx / PORTS;
+            la_queues.push(node * PORTS + la.out_port as usize, la.flow.index(), la);
+        });
+    }
+
     /// Runs output scheduling on every look-ahead channel queue: at
     /// most one look-ahead flit per port per cycle books a slot and
     /// moves on. A flit whose flow has exhausted its window does not
@@ -631,182 +484,159 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// (the virtual channels of the paper's look-ahead router), while
     /// per-flow order is preserved: [`LookaheadQueues::book_first`]
     /// offers each flow's oldest flit once, oldest first.
-    ///
-    /// Serial: a booking returns a virtual credit to the *upstream*
-    /// link scheduler in the same cycle, which may live in another
-    /// shard. Iterating shards in ascending order visits queues in
-    /// the same global ascending order as a single instance.
     fn la_schedule(&mut self, now: u64) {
         let la_hop = self.cfg.la_hop_latency;
         let dep_off = self.cfg.dep_offset();
-        for sh in 0..self.shards.len() {
-            let mut cursor = self.ranges[sh].lo * PORTS;
-            while let Some(qidx) = self.shards[sh].la_queues.first_from(cursor) {
-                cursor = qidx + 1;
-                let node = qidx / PORTS;
-                let dirty = self.sched(qidx).take_dirty();
-                if self.shards[sh].la_queues.is_blocked(qidx) && !dirty {
-                    self.probe.on_sched_deny(qidx);
-                    continue;
-                }
-                let booked = {
-                    let Self {
-                        shards, link_sched, ..
-                    } = self;
-                    // Already at the clock: `take_dirty` went through
-                    // `sched` this cycle.
-                    shards[sh].la_queues.book_first(qidx, |la| {
-                        link_sched[qidx].schedule(
-                            la.flow,
-                            la.dep_slot + dep_off,
-                            PendingQuantum {
-                                in_port: la.in_port,
-                                res_idx: la.res_idx,
-                            },
-                        )
-                    })
-                };
-                let Some((la, slot)) = booked else {
-                    self.probe.on_sched_deny(qidx);
-                    continue;
-                };
-                self.probe.on_sched_book(qidx);
-                // The booking adds a pending quantum: feed the
-                // data-plane worklist.
-                self.pending_links.insert(qidx);
-                // Booked onward: allocate the quantum's entry at the
-                // next router's input port, which the look-ahead is
-                // sent to now. Ejection needs none.
-                let pidx = node * PORTS + la.in_port as usize;
-                let onward = (la.out_port as usize != LOCAL).then(|| {
-                    let ridx = self.links.linked(qidx);
-                    let key = self.data_ports[pidx].key(la.res_idx);
-                    let next_out = self.cfg.topo.route(ridx / PORTS, la.dst) as u8;
-                    let idx = self.data_ports[ridx].reserve(key, next_out);
-                    (ridx, next_out, idx)
-                });
-                // Input reservation table: record the booked slot.
-                self.data_ports[pidx].record_booking(la.res_idx, slot, onward.map_or(0, |o| o.2));
-                // Return the virtual credit upstream: the upstream
-                // link now knows when its consumed buffer frees. The
-                // local input port is fed by the NIC, which uses
-                // actual-space flow control instead of a scheduler.
-                if la.in_port as usize != LOCAL {
-                    let up = self.links.linked(pidx);
-                    self.sched(up).return_credit(slot);
-                }
-                // Ejection booked: the look-ahead flit is consumed
-                // and the flow's look-ahead window slot frees up.
-                let Some((ridx, next_out, res_idx)) = onward else {
-                    self.la_outstanding[la.flow.index()] -= 1;
-                    continue;
-                };
-                let shard = self.shard_of[ridx / PORTS] as usize;
-                self.shards[shard].la_wires.push(
-                    ridx,
-                    now + la_hop,
-                    LaFlit {
-                        dep_slot: slot,
-                        in_port: (ridx % PORTS) as u8,
-                        out_port: next_out,
-                        res_idx,
-                        ..la
-                    },
-                );
+        let mut cursor = 0;
+        while let Some(qidx) = self.la_queues.first_from(cursor) {
+            cursor = qidx + 1;
+            let node = qidx / PORTS;
+            let dirty = self.sched(qidx).take_dirty();
+            if self.la_queues.is_blocked(qidx) && !dirty {
+                self.probe.on_sched_deny(qidx);
+                continue;
             }
+            let booked = {
+                let Self {
+                    la_queues,
+                    link_sched,
+                    ..
+                } = self;
+                // Already at the clock: `take_dirty` went through
+                // `sched` this cycle.
+                la_queues.book_first(qidx, |la| {
+                    link_sched[qidx].schedule(
+                        la.flow,
+                        la.dep_slot + dep_off,
+                        PendingQuantum {
+                            in_port: la.in_port,
+                            res_idx: la.res_idx,
+                        },
+                    )
+                })
+            };
+            let Some((la, slot)) = booked else {
+                self.probe.on_sched_deny(qidx);
+                continue;
+            };
+            self.probe.on_sched_book(qidx);
+            // The booking adds a pending quantum: feed the
+            // data-plane worklist.
+            self.pending_links.insert(qidx);
+            // Booked onward: allocate the quantum's entry at the
+            // next router's input port, which the look-ahead is
+            // sent to now. Ejection needs none.
+            let pidx = node * PORTS + la.in_port as usize;
+            let onward = (la.out_port as usize != LOCAL).then(|| {
+                let ridx = self.links.linked(qidx);
+                let key = self.data_ports[pidx].key(la.res_idx);
+                let next_out = self.cfg.topo.route(ridx / PORTS, la.dst) as u8;
+                let idx = self.data_ports[ridx].reserve(key, next_out);
+                (ridx, next_out, idx)
+            });
+            // Input reservation table: record the booked slot.
+            self.data_ports[pidx].record_booking(la.res_idx, slot, onward.map_or(0, |o| o.2));
+            // Return the virtual credit upstream: the upstream
+            // link now knows when its consumed buffer frees. The
+            // local input port is fed by the NIC, which uses
+            // actual-space flow control instead of a scheduler.
+            if la.in_port as usize != LOCAL {
+                let up = self.links.linked(pidx);
+                self.sched(up).return_credit(slot);
+            }
+            // Ejection booked: the look-ahead flit is consumed
+            // and the flow's look-ahead window slot frees up.
+            let Some((ridx, next_out, res_idx)) = onward else {
+                self.la_outstanding[la.flow.index()] -= 1;
+                continue;
+            };
+            self.la_wires.push(
+                ridx,
+                now + la_hop,
+                LaFlit {
+                    dep_slot: slot,
+                    in_port: (ridx % PORTS) as u8,
+                    out_port: next_out,
+                    res_idx,
+                    ..la
+                },
+            );
         }
     }
 
     // ---------------- data plane ------------------------------------
 
-    /// Runs one parallel phase on every shard: on the pool when one
-    /// exists (more than one shard), inline otherwise. Either way the
-    /// per-shard work is identical — the serial path is the parallel
-    /// path with one shard per iteration.
-    fn run_phase(&mut self, phase: LoftPhase) {
-        if self.pool.is_some() {
-            self.run_phase_parallel(phase);
-        } else {
-            self.run_phase_serial(phase);
+    /// Delivers every data quantum due at `slot` into its input
+    /// port: LOFT's one parallel phase. Each shard drains its own
+    /// wheel into its own input ports, on the pool when there are
+    /// several shards and inline when there is one.
+    fn deliver_data(&mut self, slot: u64) {
+        /// Drains one shard's wheel; `ports[0]` is input port `base`.
+        fn drain(
+            wires: &mut DelayedWires<DataQuantum>,
+            ports: &mut [DataPort],
+            base: usize,
+            slot: u64,
+        ) {
+            wires.drain_due(slot, |widx, w| {
+                ports[widx - base].record_arrival(w.res_idx, w.spec, w.pref);
+            });
         }
-    }
-
-    fn run_phase_serial(&mut self, phase: LoftPhase) {
-        let Self {
-            shards,
-            ranges,
-            data_ports,
-            nics,
-            packets,
-            cfg,
-            ..
-        } = self;
-        for (s, aux) in shards.iter_mut().enumerate() {
-            let range = ranges[s];
-            let mut ctx = LoftShardCtx {
-                range,
-                data_ports: &mut data_ports[range.lo * PORTS..range.hi * PORTS],
-                nics: &mut nics[range.lo..range.hi],
-                aux,
-                packets,
-                cfg: *cfg,
-            };
-            ctx.run(phase);
-        }
-    }
-
-    fn run_phase_parallel(&mut self, phase: LoftPhase) {
-        let data_ports = SendPtr::new(self.data_ports.as_mut_ptr());
-        let nics = SendPtr::new(self.nics.as_mut_ptr());
-        let shards = SendPtr::new(self.shards.as_mut_ptr());
+        let Some(pool) = self.pool.as_mut() else {
+            drain(&mut self.data_wires[0], &mut self.data_ports, 0, slot);
+            return;
+        };
+        let wires = SendPtr::new(self.data_wires.as_mut_ptr());
+        let ports = SendPtr::new(self.data_ports.as_mut_ptr());
         let ranges: &[ShardRange] = &self.ranges;
-        let packets: &PacketStore = &self.packets;
-        let cfg = self.cfg;
-        let k = ranges.len();
-        let pool = self.pool.as_mut().expect("parallel phase without a pool");
-        pool.run(k, &|s| {
-            let range = ranges[s];
-            let (lo, len) = (range.lo, range.len());
+        pool.run(ranges.len(), &|s| {
+            let (base, len) = (ranges[s].lo * PORTS, ranges[s].len() * PORTS);
             // SAFETY: shard ranges are disjoint and cover `0..n`, and
             // the pool hands each shard index to exactly one task, so
-            // the slices below never overlap across concurrent tasks;
-            // `pool.run` returns only after every task (and worker)
-            // has left the job, so no access outlives the borrows the
-            // pointers were created from.
-            let mut ctx = unsafe {
-                LoftShardCtx {
-                    range,
-                    data_ports: std::slice::from_raw_parts_mut(
-                        data_ports.get().add(lo * PORTS),
-                        len * PORTS,
-                    ),
-                    nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
-                    aux: &mut *shards.get().add(s),
-                    packets,
-                    cfg,
-                }
+            // no two concurrent tasks share a wheel or a port; `pool.run`
+            // returns only after every task (and worker) has left the
+            // job, so no access outlives the borrows the pointers were
+            // created from.
+            let (wires, ports) = unsafe {
+                (
+                    &mut *wires.get().add(s),
+                    std::slice::from_raw_parts_mut(ports.get().add(base), len),
+                )
             };
-            ctx.run(phase);
+            drain(wires, ports, base, slot);
         });
     }
 
-    /// Applies the `injected_at` stamps the parallel injection phase
-    /// deferred, in ascending shard (= node) order. A packet cannot
-    /// eject in the slot its first quantum injects (the quantum is in
-    /// flight for at least one slot), so stamping here — after the
-    /// phase barrier, before data movement — is indistinguishable
-    /// from stamping inline.
-    fn apply_stamps(&mut self, slot: u64) {
+    /// Streams each NIC's oldest staged quantum into its router's
+    /// local input port when that port has non-speculative space,
+    /// stamping `injected_at` on a packet's first quantum.
+    fn nic_inject(&mut self, slot: u64) {
         let at = slot * self.cfg.flits_per_quantum as u64;
-        let Self {
-            shards, packets, ..
-        } = self;
-        for shard in shards.iter_mut() {
-            for pref in shard.stamps.drain(..) {
-                let packet = packets.get_mut(pref);
-                debug_assert!(packet.injected_at.is_none(), "packet stamped twice");
-                packet.injected_at = Some(at);
+        let due = slot + self.cfg.dep_offset();
+        let mut cursor = 0;
+        while let Some(node) = self.stage_work.first_from(cursor) {
+            cursor = node + 1;
+            let pidx = node * PORTS + LOCAL;
+            if self.data_ports[pidx].nonspec_free == 0 {
+                self.probe.on_nic_stall(node);
+                continue;
             }
+            let nic = &mut self.nics[node];
+            let (res_idx, pref) = nic.staged.pop_front().expect("stage_work implies staged");
+            if nic.staged.is_empty() {
+                self.stage_work.remove(node);
+            }
+            self.data_ports[pidx].nonspec_free -= 1;
+            self.packets.get_mut(pref).injected_at.get_or_insert(at);
+            self.data_wires[self.shard_of[node] as usize].push(
+                pidx,
+                due,
+                DataQuantum {
+                    res_idx,
+                    spec: false,
+                    pref,
+                },
+            );
         }
     }
 
@@ -815,9 +645,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// and the speculative candidate of a link are quanta booked on
     /// it (`DataPort`'s `ready[out]` only holds booked entries), so
     /// [`Self::move_on_link`] cannot act anywhere else.
-    ///
-    /// Serial: forwarding consumes *downstream* buffer credit and
-    /// pushes onto the receiving shard's wires in the same cycle.
     fn data_move(&mut self, slot: u64, out: &mut Vec<Packet>) {
         let mut cursor = 0;
         while let Some(lidx) = self.pending_links.first_from(cursor) {
@@ -932,17 +759,15 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 } else {
                     self.data_ports[ridx].nonspec_free -= 1;
                 }
-                self.shards[self.shard_of[ridx / PORTS] as usize]
-                    .data_wires
-                    .push(
-                        ridx,
-                        slot + self.cfg.dep_offset(),
-                        DataQuantum {
-                            res_idx: next_idx,
-                            spec,
-                            pref: arr_pref,
-                        },
-                    );
+                self.data_wires[self.shard_of[ridx / PORTS] as usize].push(
+                    ridx,
+                    slot + self.cfg.dep_offset(),
+                    DataQuantum {
+                        res_idx: next_idx,
+                        spec,
+                        pref: arr_pref,
+                    },
+                );
             }
         }
     }
@@ -963,23 +788,17 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// per cycle from [`Network::step`] under `debug_assertions`.
     #[cfg(debug_assertions)]
     fn debug_verify_worklists(&self) {
-        for (sh, shard) in self.shards.iter().enumerate() {
-            shard.la_wires.debug_verify();
-            shard.data_wires.debug_verify();
-            shard.la_queues.debug_verify();
-            debug_assert!(
-                shard.stamps.is_empty(),
-                "shard {sh} left injection stamps unapplied"
-            );
-            // Shard-locality: no in-flight item or queued look-ahead
-            // outside the shard's own link range.
+        self.la_wires.debug_verify();
+        self.la_queues.debug_verify();
+        for (sh, wires) in self.data_wires.iter().enumerate() {
+            wires.debug_verify();
+            // Shard-locality: no quantum in flight to another shard's
+            // input port.
             let links = self.ranges[sh].lo * PORTS..self.ranges[sh].hi * PORTS;
             for i in (0..self.link_sched.len()).filter(|i| !links.contains(i)) {
                 debug_assert!(
-                    !shard.la_wires.is_active(i)
-                        && !shard.data_wires.is_active(i)
-                        && shard.la_queues.raw_len(i) == 0,
-                    "shard {sh} holds state outside its range at link {i}"
+                    !wires.is_active(i),
+                    "shard {sh} holds a quantum outside its range at link {i}"
                 );
             }
         }
@@ -1044,9 +863,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 "launch_work out of sync at node {node}"
             );
             debug_assert_eq!(
-                self.shards[self.shard_of[node] as usize]
-                    .stage_work
-                    .contains(node),
+                self.stage_work.contains(node),
                 !nic.staged.is_empty(),
                 "stage_work out of sync at node {node}"
             );
@@ -1160,8 +977,8 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let q = self.cfg.flits_per_quantum as u64;
         if now.is_multiple_of(q) {
             let slot = now / q;
-            self.run_phase(LoftPhase::Data { slot });
-            self.apply_stamps(slot);
+            self.deliver_data(slot);
+            self.nic_inject(slot);
             clock.lap(&mut self.probe, Phase::DataPhase);
             self.data_move(slot, out);
             clock.lap(&mut self.probe, Phase::DataMove);
@@ -1172,10 +989,9 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             self.reset_idle_links();
             clock.lap(&mut self.probe, Phase::ResetIdleLinks);
         }
-        // Look-ahead delivery is shard-local; skip the whole pass
-        // (and the pool dispatch) when no look-ahead is in flight.
-        if self.shards.iter().any(|sh| sh.la_wires.any_active()) {
-            self.run_phase(LoftPhase::Lookahead { now });
+        // Skip the pass while no look-ahead is in flight.
+        if self.la_wires.any_active() {
+            self.la_deliver(now);
             clock.lap(&mut self.probe, Phase::LaDeliver);
         }
         self.la_schedule(now);
@@ -1210,16 +1026,12 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
                     debug_assert!(sched.is_fresh(), "quiescent link {i} missed its reset");
                 }
             }
-            for shard in &self.shards {
-                debug_assert!(!shard.data_wires.any_active(), "data quanta in flight");
-                debug_assert!(!shard.la_wires.any_active(), "look-aheads in flight");
-                debug_assert!(
-                    shard.la_queues.first_from(0).is_none(),
-                    "queued look-aheads"
-                );
-                debug_assert!(shard.stage_work.is_empty(), "staged quanta mid-jump");
-                debug_assert!(shard.stamps.is_empty(), "unapplied stamps mid-jump");
+            for wires in &self.data_wires {
+                debug_assert!(!wires.any_active(), "data quanta in flight");
             }
+            debug_assert!(!self.la_wires.any_active(), "look-aheads in flight");
+            debug_assert!(self.la_queues.first_from(0).is_none(), "queued look-aheads");
+            debug_assert!(self.stage_work.is_empty(), "staged quanta mid-jump");
             debug_assert!(self.launch_work.is_empty(), "queued source quanta");
             debug_assert!(self.la_outstanding.iter().all(|&c| c == 0));
             debug_assert!(self.pending_links.is_empty(), "data work mid-jump");

@@ -255,12 +255,6 @@ impl<N: Network, T: TrafficSource> Simulation<N, T> {
             skipped_cycles: 0,
         }
     }
-
-    /// Consumes the simulation, returning the network (for
-    /// inspection in tests).
-    pub fn into_network(self) -> N {
-        self.network
-    }
 }
 
 /// The mid-run state of a simulation: everything [`Simulation::run_full`]'s

@@ -235,16 +235,6 @@ impl FlowSet {
         }
         Ok(())
     }
-
-    /// Ideal throughput share of each flow on its most contended link,
-    /// in slots per slot-time (`R_ij / F` of the paper's model), given
-    /// explicit reservations.
-    pub fn ideal_share(&self, reservations: &[u32], frame_capacity: u32) -> Vec<f64> {
-        self.flows
-            .iter()
-            .map(|f| reservations[f.id.index()] as f64 / frame_capacity as f64)
-            .collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a FlowSet {

@@ -241,14 +241,6 @@ impl SimReport {
         self.flits_delivered as f64 / self.measured_cycles as f64 / self.num_nodes as f64
     }
 
-    /// Network-wide accepted throughput in flits/cycle.
-    pub fn throughput_total(&self) -> f64 {
-        if self.measured_cycles == 0 {
-            return 0.0;
-        }
-        self.flits_delivered as f64 / self.measured_cycles as f64
-    }
-
     /// Mean total packet latency in cycles.
     pub fn avg_latency(&self) -> f64 {
         self.total_latency.mean()

@@ -22,14 +22,15 @@
 //!
 //! # Sharding
 //!
-//! Probes compose with `--threads N` the same way the fabric does:
-//! each shard owns a [`Probe::fork`] of the main probe and only
-//! records events for its own node range, and the owner merges the
-//! forks back with [`Probe::absorb`] in ascending shard order — a
-//! fixed order, so floating-point accumulators merge deterministically
-//! and every counter is invariant across shard counts. Serial-phase
-//! events (packet generation, ejection, end-of-cycle) go straight to
-//! the main probe.
+//! Only [`VcFabric`] forks probes: with `--threads N` each of its
+//! shards owns a [`Probe::fork`] of the main probe and only records
+//! events for its own node range, and the owner merges the forks back
+//! with [`Probe::absorb`] in ascending shard order — a fixed order,
+//! so floating-point accumulators merge deterministically and every
+//! counter is invariant across shard counts. Serial-phase events
+//! (packet generation, ejection, end-of-cycle) go straight to the
+//! main probe. LOFT's one parallel phase records no events, so LOFT
+//! keeps a single probe.
 //!
 //! # Profiling
 //!

@@ -28,7 +28,8 @@ pub enum Phase {
     SwitchTraverse,
     /// VC fabric: cross-shard merge, injection stamps, ejections.
     Barrier,
-    /// LOFT: staging and slot advance at a slot boundary.
+    /// LOFT: data-quantum arrivals and NIC injection at a slot
+    /// boundary.
     DataPhase,
     /// LOFT: data quanta forwarded over booked links.
     DataMove,

@@ -105,15 +105,6 @@ impl Workload {
     pub fn packet_len(&self) -> u16 {
         self.packet_len
     }
-
-    /// Source node of flow `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn flow_src(&self, id: FlowId) -> NodeId {
-        self.flows[id.index()].src
-    }
 }
 
 impl TrafficSource for Workload {

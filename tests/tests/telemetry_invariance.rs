@@ -2,16 +2,18 @@
 //! identical — exact floating point, not approximate — at 1, 2, and 4
 //! shards, for every network × {mesh, torus, line}.
 //!
-//! This is the telemetry counterpart of `shard_invariance.rs`: shards
-//! record events for disjoint node ranges into forked probes and the
-//! owner absorbs them back in ascending shard order, so every
-//! counter, occupancy accumulator, and per-flow series must land
-//! bit-identically regardless of the shard count. `TelemetryReport`
-//! derives `PartialEq` over all of it (including the Welford
-//! accumulators, whose low bits pin the exact merge order).
+//! This is the telemetry counterpart of `shard_invariance.rs`: the VC
+//! fabric's shards record events for disjoint node ranges into forked
+//! probes and the owner absorbs them back in ascending shard order,
+//! and LOFT records every event into its one probe from serial
+//! phases, so every counter, occupancy accumulator, and per-flow
+//! series must land bit-identically regardless of the shard count.
+//! `TelemetryReport` derives `PartialEq` over all of it (including the
+//! Welford accumulators, whose low bits pin the exact merge order).
 
 use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
+use loft_bench::NetSpec;
 use noc_gsf::GsfConfig;
 use noc_sim::telemetry::TelemetryReport;
 use noc_sim::{RunConfig, Topology};
@@ -26,10 +28,12 @@ fn run() -> RunConfig {
     }
 }
 
+fn telemetry<C: NetSpec>(scenario: &Scenario, cfg: C) -> TelemetryReport {
+    outcome::<C>(live(scenario, cfg, run()).run_full(|| {})).1
+}
+
 fn telemetry_at<C: Small>(topo: Topology, threads: usize) -> TelemetryReport {
-    let scenario = Scenario::uniform_on(topo, 0.30);
-    let sim = live(&scenario, C::small(topo, threads), run());
-    outcome::<C>(sim.run_full(|| {})).1
+    telemetry(&Scenario::uniform_on(topo, 0.30), C::small(topo, threads))
 }
 
 fn check_invariant<C: Small>() {
@@ -69,6 +73,33 @@ fn gsf_telemetry_invariant_under_sharding() {
 #[test]
 fn loft_telemetry_invariant_under_sharding() {
     check_invariant::<LoftConfig>();
+}
+
+/// NIC stalls, which no cell above reaches: a 64-deep look-ahead
+/// window at uniform 0.60 stages quanta faster than the local input
+/// ports drain, so the NICs stall on a full port.
+#[test]
+fn loft_nic_stalls_invariant_under_sharding() {
+    let topo = Topology::mesh(4, 4);
+    let at = |threads| {
+        let cfg = LoftConfig {
+            la_flow_window: 64,
+            ..<LoftConfig as Small>::small(topo, threads)
+        };
+        telemetry(&Scenario::uniform_on(topo, 0.60), cfg)
+    };
+    let base = at(1);
+    assert!(
+        base.nic_stalls.iter().sum::<u64>() > 0,
+        "no NIC stalled — test is vacuous"
+    );
+    for threads in [2, 4] {
+        assert_eq!(
+            at(threads),
+            base,
+            "LOFT NIC-stall telemetry at {threads} shards diverged from 1 shard"
+        );
+    }
 }
 
 /// The JSON export is a pure function of the report, so it is also
