@@ -493,7 +493,8 @@ mod tests {
 
     /// Profiling only adds clock reads: a `PhaseProbe` run reports what
     /// the plain run reports, and every phase of the network's cycle
-    /// was timed.
+    /// was timed, at most once per cycle (every cycle, for the VC
+    /// fabric) — at two shards too.
     #[test]
     fn phase_profile_matches_plain_run_and_covers_every_phase() {
         fn check<C: NetSpec>() {
@@ -501,24 +502,34 @@ mod tests {
             let (plain, _, plain_info) = simulation(&s, default_cfg::<C>(), NoopProbe, RUN, SEED)
                 .unwrap()
                 .run_full(|| {});
-            let probe = PhaseProbe::default();
-            let (report, network, info) = simulation(&s, default_cfg::<C>(), probe, RUN, SEED)
-                .unwrap()
-                .run_full(|| {});
-            assert_eq!(plain, report, "profiling perturbed the {} run", C::NAME);
-            assert_eq!(plain_info, info);
-            let profile = C::into_probe(network);
-            assert_eq!(profile.cycles, info.end_cycle - info.skipped_cycles);
-            for phase in C::PHASES {
-                assert!(
-                    profile.calls[phase.index()] > 0,
-                    "{} never timed {}",
-                    C::NAME,
-                    phase.name()
-                );
+            for threads in [1, 2] {
+                let cfg = C::on(Scenario::default_topology(), threads);
+                let probe = PhaseProbe::default();
+                let (report, network, info) = simulation(&s, cfg, probe, RUN, SEED)
+                    .unwrap()
+                    .run_full(|| {});
+                assert_eq!(plain, report, "profiling perturbed the {} run", C::NAME);
+                assert_eq!(plain_info, info);
+                let profile = C::into_probe(network);
+                assert_eq!(profile.cycles, info.end_cycle - info.skipped_cycles);
+                for phase in C::PHASES {
+                    let calls = profile.calls[phase.index()];
+                    assert!(calls > 0, "{} never timed {}", C::NAME, phase.name());
+                    assert!(
+                        calls <= profile.cycles,
+                        "{} at {threads} shards timed {} {calls} times in {} cycles",
+                        C::NAME,
+                        phase.name(),
+                        profile.cycles
+                    );
+                    // The VC fabric times every phase every cycle.
+                    if C::PHASES == Phase::VC {
+                        assert_eq!(calls, profile.cycles, "{} {}", C::NAME, phase.name());
+                    }
+                }
+                let timed = profile.calls.iter().filter(|&&c| c > 0).count();
+                assert_eq!(timed, C::PHASES.len(), "{} timed a foreign phase", C::NAME);
             }
-            let timed = profile.calls.iter().filter(|&&c| c > 0).count();
-            assert_eq!(timed, C::PHASES.len(), "{} timed a foreign phase", C::NAME);
         }
         check::<LoftConfig>();
         check::<GsfConfig>();

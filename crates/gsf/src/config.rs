@@ -34,8 +34,8 @@ pub struct GsfConfig {
     /// as a frame). Only used by the storage model; the simulator
     /// queues are unbounded so overload shows up as latency.
     pub source_queue_flits: u32,
-    /// Shards stepped concurrently each cycle (1 = single-threaded).
-    /// Results are bit-identical at every value; see `noc_sim::par`.
+    /// Accepted and ignored: the network steps on one thread; see
+    /// `noc_sim::fabric::VcParams::threads`.
     pub threads: usize,
 }
 

@@ -41,7 +41,7 @@ use crate::framing::Framing;
 /// takes part in an ordering decision.
 type TaggedHeap = BinaryHeap<Reverse<(u64, u64, PacketRef)>>;
 
-/// Per-shard VC-allocation scratch, reused every cycle.
+/// VC-allocation scratch, reused every cycle.
 #[derive(Debug, Default, Clone)]
 struct GsfScratch {
     /// Per-output VC-allocation requests: (frame, input slot).
@@ -83,7 +83,7 @@ impl GsfPolicy {
         let seq = self.tag_seq;
         self.tag_seq += 1;
         ctx.sources[node].push(Reverse((frame, seq, pref)));
-        ctx.woken.push(node);
+        ctx.nic_work.insert(node);
         true
     }
 
@@ -266,8 +266,7 @@ impl<Pr: Probe> GsfNetwork<Pr> {
         }
     }
 
-    /// Consumes the network, returning the telemetry probe with every
-    /// shard fork merged in deterministic order.
+    /// Consumes the network, returning its telemetry probe.
     #[must_use]
     pub fn into_probe(self) -> Pr {
         self.fabric.into_probe()
@@ -433,6 +432,33 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// With 8-flit reservations the framing window throttles every
+    /// source, so parked packets reach the NICs only through
+    /// `PolicyCtx::nic_work` wakes as frames recycle. Flits still leave
+    /// through the local port in ascending node order, one per node per
+    /// cycle: all-to-all traffic drains, ordered by (cycle,
+    /// destination).
+    #[test]
+    fn throttled_all_to_all_drains_in_node_order_within_a_cycle() {
+        let mut net = GsfNetwork::new(GsfConfig::small(), &[8; 16]);
+        let mut seq = 0;
+        for src in 0..16u32 {
+            for dst in (0..16u32).filter(|&dst| dst != src) {
+                net.enqueue(packet(src, seq, src, dst, 0));
+                seq += 1;
+            }
+        }
+        let out = drain(&mut net, 100_000);
+        assert_eq!(out.len(), 240);
+        let key = |p: &Packet| (p.ejected_at.unwrap(), p.dst.index());
+        for pair in out.windows(2) {
+            assert!(key(&pair[0]) < key(&pair[1]), "{pair:?}");
+        }
+        for p in &out {
+            assert!(p.injected_at.unwrap() < p.ejected_at.unwrap(), "{p:?}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::flit::PacketId;
 use crate::slab::{PacketRef, PacketStore};
+use crate::worklist::ActiveSet;
 
 use super::vc::{VcFlit, VcRouter};
 
@@ -22,7 +23,7 @@ pub struct SwitchGrant {
     pub slot: usize,
 }
 
-/// Fabric state a *serial* policy hook may touch
+/// Fabric state handed to the policy hooks that queue packets
 /// ([`RouterPolicy::pre_inject`], [`RouterPolicy::on_enqueue`]).
 ///
 /// `S` is the policy's [`RouterPolicy::Source`] type; the fabric owns
@@ -33,11 +34,9 @@ pub struct PolicyCtx<'a, S> {
     pub packets: &'a PacketStore,
     /// Per-node source queues, indexed by node.
     pub sources: &'a mut [S],
-    /// Nodes whose source NIC gained streamable work during this hook:
-    /// push the node index here and the fabric marks the right shard's
-    /// NIC worklist. (A relay rather than the worklist itself, because
-    /// under sharded stepping each shard owns its own worklist.)
-    pub woken: &'a mut Vec<usize>,
+    /// The NIC worklist: insert every node whose source gained
+    /// streamable work during this hook.
+    pub nic_work: &'a mut ActiveSet,
 }
 
 /// A scheduling/flow-control policy over the shared VC datapath
@@ -60,22 +59,18 @@ pub struct PolicyCtx<'a, S> {
 /// the datapath; resolve one through [`PolicyCtx::packets`] when flow
 /// or length information is needed.
 ///
-/// # Serial vs. per-shard hooks
+/// # Hooks with and without `self`
 ///
-/// The fabric steps shards of nodes concurrently (see [`crate::par`]),
-/// so the hooks split into two groups:
-///
-/// * **Serial hooks** take `&mut self` and run on the coordinator
-///   between cycles or at the cycle barrier: [`RouterPolicy::pre_inject`],
+/// * Hooks that take `&mut self` — [`RouterPolicy::pre_inject`],
 ///   [`RouterPolicy::on_enqueue`], [`RouterPolicy::on_eject_flit`],
-///   [`RouterPolicy::on_eject_packet`]. Globally shared policy state
-///   (GSF's framing window, untagged backlog, tag counter) lives in
-///   `self` and is only touched here.
-/// * **Per-shard hooks** are associated functions with *no* `self`:
+///   [`RouterPolicy::on_eject_packet`] — own the globally shared
+///   policy state (GSF's framing window, untagged backlog, tag
+///   counter).
+/// * The per-router hooks are associated functions with *no* `self`:
 ///   they may only touch the per-node [`RouterPolicy::Source`], the
-///   per-shard [`RouterPolicy::Scratch`], and the router they are
-///   handed — state a shard owns exclusively. This is what makes
-///   parallel stepping race-free by construction.
+///   fabric's [`RouterPolicy::Scratch`], and the router they are
+///   handed. So ejecting a flit in the middle of switch traversal
+///   cannot change a later switch grant.
 ///
 /// Flit-reservation networks (LOFT) replace VC flow control and
 /// build on the fabric substrate directly instead of this trait — see
@@ -83,20 +78,19 @@ pub struct PolicyCtx<'a, S> {
 pub trait RouterPolicy {
     /// Per-flit policy payload carried through the network (`()` for
     /// plain wormhole, the frame number for GSF).
-    type Tag: Copy + std::fmt::Debug + Send;
+    type Tag: Copy + std::fmt::Debug;
 
     /// Per-node source-queue state: what waits to stream at a node,
     /// in the policy's order (a FIFO for wormhole, a frame-ordered
-    /// heap for GSF). Owned by the node's shard during stepping.
-    /// `Clone` so a fabric can be snapshotted for checkpoint/fork
-    /// (see `noc_sim::checkpoint`).
-    type Source: std::fmt::Debug + Send + Clone;
+    /// heap for GSF). `Clone` so a fabric can be snapshotted for
+    /// checkpoint/fork (see `noc_sim::checkpoint`).
+    type Source: std::fmt::Debug + Clone;
 
-    /// Per-shard scratch reused across cycles by
+    /// Scratch reused across cycles by
     /// [`RouterPolicy::vc_allocate`] (e.g. GSF's request vector).
     /// `()` when the allocator needs none. `Clone` for the same
     /// snapshot reason as [`RouterPolicy::Source`].
-    type Scratch: Default + std::fmt::Debug + Send + Clone;
+    type Scratch: Default + std::fmt::Debug + Clone;
 
     /// Reuse semantics for downstream VCs. `false`: the tail flit
     /// frees the VC immediately (wormhole). `true`: the VC stays
@@ -107,34 +101,29 @@ pub trait RouterPolicy {
     /// An empty source queue for one node.
     fn new_source(&self) -> Self::Source;
 
-    /// Runs once per cycle, serially, before the shards step (GSF
-    /// recycles frames here). Default: nothing.
-    ///
-    /// This hook must not depend on the *current* cycle's link
-    /// arrivals or credit returns — under sharded stepping those are
-    /// processed after it (they only touch router/NIC state, which
-    /// this hook cannot reach anyway).
+    /// Runs once per cycle, first, before this cycle's link arrivals
+    /// and credit returns are applied (GSF recycles frames here).
+    /// Default: nothing.
     fn pre_inject(&mut self, now: u64, ctx: &mut PolicyCtx<'_, Self::Source>) {
         let _ = (now, ctx);
     }
 
     /// A packet entered the network at `node`: queue it at the source
-    /// (and push `node` into `ctx.woken` if it is ready to stream).
-    /// Serial.
+    /// (and insert `node` into `ctx.nic_work` if it is ready to
+    /// stream).
     fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, Self::Source>);
 
     /// The packet that would stream next from this source queue, if
     /// any. The fabric only commits (via [`RouterPolicy::pop_source`])
-    /// once a free VC is found. Per-shard.
+    /// once a free VC is found.
     fn peek_source(source: &Self::Source) -> Option<PacketRef>;
 
     /// Removes and returns the packet just peeked, with its tag.
-    /// Per-shard.
     fn pop_source(source: &mut Self::Source) -> (PacketRef, Self::Tag);
 
     /// Whether this source queue holds nothing ready to stream (the
     /// NIC worklist predicate, together with the streaming state the
-    /// fabric tracks itself). Per-shard.
+    /// fabric tracks itself).
     fn source_idle(source: &Self::Source) -> bool;
 
     /// Virtual-channel allocation for one output port: hand free
@@ -142,7 +131,7 @@ pub trait RouterPolicy {
     /// for one there ([`VcRouter::va_requests`]), every grant through
     /// [`VcRouter::grant_vc`]. The fabric calls this only for an
     /// output with at least one request and one free VC, so there is
-    /// always a grant to make. Per-shard.
+    /// always a grant to make.
     fn vc_allocate(
         scratch: &mut Self::Scratch,
         router: &mut VcRouter<Self::Tag>,
@@ -156,12 +145,11 @@ pub trait RouterPolicy {
     /// allocated and (except for ejection) credit to spend on it. The
     /// candidates arrive credit-filtered, so the policy only orders
     /// them; the fabric calls this only when there is at least one,
-    /// and the return is the grant. Per-shard.
+    /// and the return is the grant.
     fn pick_winner(router: &VcRouter<Self::Tag>, out_port: usize, num_vcs: usize) -> SwitchGrant;
 
-    /// A flit was ejected at its destination. Serial (ejections are
-    /// deferred to the cycle barrier and applied in ascending node
-    /// order). Default: nothing.
+    /// A flit was ejected at its destination, during switch traversal
+    /// and in ascending node order. Default: nothing.
     fn on_eject_flit(&mut self, flit: &VcFlit<Self::Tag>) {
         let _ = flit;
     }
@@ -176,8 +164,8 @@ pub trait RouterPolicy {
     /// `now` (see `VcFabric::fast_forward`): advance any
     /// purely time-dependent policy state in closed form, exactly as
     /// `cycles` idle [`RouterPolicy::pre_inject`] calls would have.
-    /// Serial. Default: nothing (stateless policies like wormhole
-    /// have no clock of their own).
+    /// Default: nothing (stateless policies like wormhole have no
+    /// clock of their own).
     fn fast_forward(&mut self, now: u64, cycles: u64) {
         let _ = (now, cycles);
     }

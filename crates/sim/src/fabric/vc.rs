@@ -6,7 +6,6 @@ use crate::checkpoint::{Cap, CapDeque};
 use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::flit::{FlitKind, NodeId, Packet};
-use crate::par::{partition, shard_map, Mailbox, SendPtr, ShardRange, WorkerPool};
 use crate::slab::{PacketRef, PacketStore};
 use crate::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use crate::topology::Topology;
@@ -359,9 +358,9 @@ pub struct VcParams {
     /// freed in one cycle's switch traversal is applied by the next
     /// cycle's credit phase at the earliest).
     pub credit_delay: u64,
-    /// Shards stepped concurrently each cycle (1 = single-threaded;
-    /// clamped to the node count). Results are bit-identical at every
-    /// value — see [`crate::par`].
+    /// Accepted and ignored: the VC fabric steps on one thread. Kept
+    /// only so configs that set it still compile; ROADMAP item 2
+    /// deletes it with every other `threads` field.
     pub threads: usize,
 }
 
@@ -399,104 +398,132 @@ impl VcParams {
     }
 }
 
-/// A cross-shard flit push awaiting the barrier merge:
-/// `(widx, (vc, flit))` for [`DelayedWires::push`] on the
-/// destination shard.
-type WirePush<T> = (usize, (usize, VcFlit<T>));
-
-/// State owned exclusively by one shard of nodes: its wires, credit
-/// returns, worklists, policy scratch, and the outboxes/deferred
-/// events the cycle barrier merges.
+/// The complete credit-based VC datapath, parameterized by a
+/// [`RouterPolicy`].
+///
+/// Cycle processing order:
+///
+/// 1. the policy's [`RouterPolicy::pre_inject`] hook runs,
+/// 2. occupancy is sampled when the probe's window is due,
+/// 3. link arrivals are written into input VC buffers,
+/// 4. returned credits are applied (releasing drained VCs under
+///    [`RouterPolicy::DRAIN_BEFORE_REUSE`]),
+/// 5. NICs stream source-queue packets into their router's local
+///    input port (one flit/cycle, one VC per packet; packet order from
+///    the policy), stamping `injected_at` on a packet's first flit,
+/// 6. VC allocation (policy),
+/// 7. switch allocation (policy) + traversal: each output port
+///    forwards at most one flit, consuming a credit; the freed input
+///    slot's credit travels upstream with a configurable delay, and a
+///    flit leaving through the local port is ejected on the spot.
+///
+/// There is no route-computation phase: a head flit gets its route at
+/// the moment it becomes the front of an input slot that has none —
+/// when it arrives in an empty one (steps 3 and 5), or when the tail
+/// ahead of it is forwarded (step 7). The route is a pure function of
+/// the router and the destination and is first read by the next VC
+/// allocation, which both sites precede.
+///
+/// Host time follows grants, not occupancy: every question arbitration
+/// asks is a per-output mask on [`VcRouter`] kept exact at the events
+/// that change it, so an output with no request, no free VC or no
+/// credit costs a load and a compare however many flits wait behind
+/// it.
+///
+/// All iteration is in ascending node/link index order with live
+/// worklist semantics, bit-identical to the full scans it replaced.
 #[derive(Debug, Clone)]
-struct ShardState<P: RouterPolicy, Pr: Probe> {
-    /// This shard's telemetry probe (a [`Probe::fork`] of the
-    /// fabric's). Only events for this shard's node range land here;
-    /// [`VcFabric::into_probe`] absorbs the forks in shard order.
+pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
+    policy: P,
+    /// The telemetry probe; every event of the cycle lands here.
     probe: Pr,
-    /// In-flight flits per (node, input port), as `(vc, flit)`.
-    /// Globally indexed `node * PORTS + port`; only links of nodes in
-    /// this shard's range are ever populated.
+    params: VcParams,
+    /// The other end of every link.
+    links: LinkTable,
+    cycle: u64,
+    routers: Vec<VcRouter<P::Tag>>,
+    nics: Vec<VcNic<P::Tag>>,
+    /// Per-node source queues (policy-defined order).
+    sources: Vec<P::Source>,
+    /// Every in-flight packet, from admission to its last ejected flit.
+    packets: PacketStore,
+    /// Buffered input flits per router (maintains `router_work`).
+    buffered: Vec<u32>,
+    /// In-flight flits per (node, input port), as `(vc, flit)`,
+    /// indexed `node * PORTS + port`.
     wires: DelayedWires<(usize, VcFlit<P::Tag>)>,
-    /// Credit returns for this shard's nodes: `(node, port, vc)`;
-    /// `port == LOCAL` means the NIC credit pool of `node`.
+    /// Credit returns `(node, port, vc)`; `port == LOCAL` means the
+    /// NIC credit pool of `node`.
     credits_in_flight: TimedFifo<(usize, usize, usize)>,
-    /// This shard's NICs with a packet streaming or queued.
+    /// NICs with a packet streaming or queued.
     nic_work: ActiveSet,
-    /// This shard's routers with at least one buffered input flit.
+    /// Routers with at least one buffered input flit.
     router_work: ActiveSet,
-    /// Per-shard policy allocation scratch.
+    /// Policy VC-allocation scratch, reused every cycle.
     scratch: P::Scratch,
-    /// Cross-shard flit pushes `(widx, (vc, flit))`, one lane per
-    /// destination shard.
-    wire_out: Mailbox<WirePush<P::Tag>>,
-    /// Cross-shard credit returns `(node, port, vc)`, one lane per
-    /// destination shard.
-    credit_out: Mailbox<(usize, usize, usize)>,
-    /// Flits ejected by this shard's routers this cycle, in ascending
-    /// node order; applied serially at the barrier.
-    ejects: Vec<VcFlit<P::Tag>>,
-    /// Packets whose first flit entered the network this cycle;
-    /// `injected_at` is stamped at the barrier (the slab is read-only
-    /// during the parallel phase).
-    stamps: Vec<PacketRef>,
 }
 
-impl<P: RouterPolicy, Pr: Probe> ShardState<P, Pr> {
-    fn new(n: usize, shards: usize, params: &VcParams, probe: Pr) -> Self {
+impl<P: RouterPolicy> VcFabric<P> {
+    /// Builds the datapath for `params`, scheduled by `policy`, with
+    /// telemetry disabled ([`NoopProbe`] — zero cost, bit-identical
+    /// to a build without probe plumbing).
+    pub fn new(params: VcParams, policy: P) -> Self {
+        Self::with_probe(params, policy, NoopProbe)
+    }
+}
+
+impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
+    /// Builds the datapath for `params`, scheduled by `policy`,
+    /// reporting telemetry events to `probe` (retrieve it with
+    /// [`VcFabric::into_probe`] after the run).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`VcParams::validate`] if `params`
+    /// fail it.
+    pub fn with_probe(params: VcParams, policy: P, probe: Pr) -> Self {
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
+        let n = params.topo.num_nodes();
         // At most one flit enters a link per cycle, `hop_latency`
         // cycles ahead: the wires are a wheel of that horizon. Credits
         // obey the same bound per (port, vc); pre-sizing their queue
         // to it means warmup never reallocates.
         let credit_cap = n * PORTS * (params.credit_delay as usize + 1);
-        ShardState {
-            probe,
+        VcFabric {
+            routers: (0..n)
+                .map(|_| VcRouter::new(params.num_vcs, params.vc_capacity))
+                .collect(),
+            nics: (0..n)
+                .map(|_| VcNic::new(params.num_vcs, params.vc_capacity))
+                .collect(),
+            sources: (0..n).map(|_| policy.new_source()).collect(),
+            packets: PacketStore::new(),
+            buffered: vec![0; n],
             wires: DelayedWires::new(n * PORTS, params.hop_latency),
             credits_in_flight: TimedFifo::with_capacity(credit_cap),
             nic_work: ActiveSet::new(n),
             router_work: ActiveSet::new(n),
             scratch: P::Scratch::default(),
-            wire_out: Mailbox::new(shards),
-            credit_out: Mailbox::new(shards),
-            ejects: Vec::new(),
-            stamps: Vec::new(),
+            links: LinkTable::new(&params.topo),
+            cycle: 0,
+            policy,
+            probe,
+            params,
         }
     }
-}
 
-/// One shard's mutable view of the fabric for a single cycle: the
-/// node-range slices of the global per-node arrays plus the shard's
-/// own [`ShardState`]. All slices cover exactly `range` (local index
-/// `node - range.lo`).
-struct ShardCtx<'a, P: RouterPolicy, Pr: Probe> {
-    range: ShardRange,
-    routers: &'a mut [VcRouter<P::Tag>],
-    nics: &'a mut [VcNic<P::Tag>],
-    sources: &'a mut [P::Source],
-    buffered: &'a mut [u32],
-    aux: &'a mut ShardState<P, Pr>,
-    packets: &'a PacketStore,
-    params: VcParams,
-    links: &'a LinkTable,
-    shard_of: &'a [u32],
-}
+    /// Consumes the fabric, returning its probe.
+    #[must_use]
+    pub fn into_probe(self) -> Pr {
+        self.probe
+    }
 
-impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
-    /// The per-shard phases of the cycle for this shard's nodes. Every write
-    /// lands in shard-owned state; cross-shard effects go to the
-    /// outboxes/deferred-event lists for the barrier.
-    fn run_cycle(&mut self, now: u64) {
-        self.sample_occupancy(now);
-        let mut clock = PhaseClock::start::<Pr>();
-        self.deliver_arrivals(now);
-        clock.lap(&mut self.aux.probe, Phase::DeliverArrivals);
-        self.apply_credits(now);
-        clock.lap(&mut self.aux.probe, Phase::ApplyCredits);
-        self.nic_inject();
-        clock.lap(&mut self.aux.probe, Phase::NicInject);
-        self.vc_allocate();
-        clock.lap(&mut self.aux.probe, Phase::VcAllocate);
-        self.switch_traverse(now);
-        clock.lap(&mut self.aux.probe, Phase::SwitchTraverse);
+    /// The scheduling policy.
+    #[must_use]
+    pub fn policy(&self) -> &P {
+        &self.policy
     }
 
     /// Emits one occupancy sample per input VC buffer when the probe's
@@ -504,39 +531,34 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
     /// for [`NoopProbe`] builds (`Pr::ENABLED` is `false`), so the
     /// telemetry-off hot loop does not even test the cycle counter.
     fn sample_occupancy(&mut self, now: u64) {
-        if !Pr::ENABLED || !self.aux.probe.sample_due(now) {
+        if !Pr::ENABLED || !self.probe.sample_due(now) {
             return;
         }
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
-        for (l, router) in self.routers.iter().enumerate() {
-            let base = (lo + l) * PORTS;
+        for (node, router) in self.routers.iter().enumerate() {
             for (slot, buf) in router.inputs.iter().enumerate() {
                 let port = slot / num_vcs;
-                self.aux
-                    .probe
-                    .on_occupancy(BufKind::Vc, base + port, buf.q.len() as u32);
+                self.probe
+                    .on_occupancy(BufKind::Vc, node * PORTS + port, buf.q.len() as u32);
             }
         }
     }
 
     fn deliver_arrivals(&mut self, now: u64) {
         let Self {
-            aux,
+            wires,
             routers,
             buffered,
-            range,
+            router_work,
             params,
             ..
         } = self;
         let cap = params.vc_capacity;
         let num_vcs = params.num_vcs;
-        let lo = range.lo;
-        let router_work = &mut aux.router_work;
-        aux.wires.drain_due(now, |widx, (vc, flit)| {
+        wires.drain_due(now, |widx, (vc, flit)| {
             let node = widx / PORTS;
             let port = widx % PORTS;
-            let router = &mut routers[node - lo];
+            let router = &mut routers[node];
             let slot = port * num_vcs + vc;
             debug_assert!(
                 router.inputs[slot].q.len() < cap,
@@ -547,7 +569,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 "strict VC separation forbids mixing packets in one VC"
             );
             router.accept(slot, flit, node, &params.topo);
-            buffered[node - lo] += 1;
+            buffered[node] += 1;
             router_work.insert(node);
         });
     }
@@ -555,18 +577,17 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
     fn apply_credits(&mut self, now: u64) {
         let cap = self.params.vc_capacity as u32;
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
-        while let Some((node, port, vc)) = self.aux.credits_in_flight.pop_due(now) {
+        while let Some((node, port, vc)) = self.credits_in_flight.pop_due(now) {
             let vbit = 1u64 << vc;
             if port == LOCAL {
-                let nic = &mut self.nics[node - lo];
+                let nic = &mut self.nics[node];
                 nic.credits[vc] += 1;
                 if P::DRAIN_BEFORE_REUSE && nic.draining & vbit != 0 && nic.credits[vc] == cap {
                     nic.draining &= !vbit;
                     nic.free |= vbit;
                 }
             } else {
-                let r = &mut self.routers[node - lo];
+                let r = &mut self.routers[node];
                 let oslot = port * num_vcs + vc;
                 r.credits[oslot] += 1;
                 if r.credits[oslot] == 1 && r.holder[oslot] != NO_HOLDER {
@@ -584,19 +605,17 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
         }
     }
 
-    fn nic_inject(&mut self) {
+    fn nic_inject(&mut self, now: u64) {
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.nic_work.first_from(cursor) {
+        while let Some(node) = self.nic_work.first_from(cursor) {
             cursor = node + 1;
-            let l = node - lo;
-            let nic = &mut self.nics[l];
-            if nic.current.is_none() && P::peek_source(&self.sources[l]).is_some() {
+            let nic = &mut self.nics[node];
+            if nic.current.is_none() && P::peek_source(&self.sources[node]).is_some() {
                 // Allocate a free local VC, round-robin; only then
                 // commit the packet.
                 if let Some(vc) = MaskIter::rotated(nic.free, nic.rr).next() {
-                    let (pref, tag) = P::pop_source(&mut self.sources[l]);
+                    let (pref, tag) = P::pop_source(&mut self.sources[node]);
                     let (dst, len) = {
                         let p = self.packets.get(pref);
                         (p.dst, p.len_flits)
@@ -624,9 +643,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     };
                     nic.credits[cur.vc] -= 1;
                     if cur.pos == 0 {
-                        // The slab is shared read-only across shards;
-                        // the barrier applies the stamp.
-                        self.aux.stamps.push(cur.pref);
+                        self.packets.get_mut(cur.pref).injected_at = Some(now);
                     }
                     cur.pos += 1;
                     let vc = cur.vc;
@@ -639,28 +656,29 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                         }
                         nic.current = None;
                     }
-                    self.routers[l].accept(LOCAL * num_vcs + vc, flit, node, &self.params.topo);
-                    self.buffered[l] += 1;
-                    self.aux.router_work.insert(node);
+                    self.routers[node].accept(LOCAL * num_vcs + vc, flit, node, &self.params.topo);
+                    self.buffered[node] += 1;
+                    self.router_work.insert(node);
                 } else {
                     // A packet is mid-stream but the local VC has no
                     // credit: the source is head-of-line blocked.
-                    self.aux.probe.on_nic_stall(node);
+                    self.probe.on_nic_stall(node);
                 }
             }
-            if nic.current.is_none() && P::source_idle(&self.sources[l]) {
-                self.aux.nic_work.remove(node);
+            if nic.current.is_none() && P::source_idle(&self.sources[node]) {
+                self.nic_work.remove(node);
             }
         }
     }
 
+    /// VC allocation at every router with buffered flits, in
+    /// ascending node order.
     fn vc_allocate(&mut self) {
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.router_work.first_from(cursor) {
+        while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
-            let router = &mut self.routers[node - lo];
+            let router = &mut self.routers[node];
             // Allocation needs a request and a free VC. Gathering the
             // outputs that have both without branching makes a router
             // where nothing can be granted — every router of a
@@ -672,21 +690,19 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
             while open != 0 {
                 let out = open.trailing_zeros() as usize;
                 open &= open - 1;
-                P::vc_allocate(&mut self.aux.scratch, router, out, num_vcs);
+                P::vc_allocate(&mut self.scratch, router, out, num_vcs);
             }
         }
     }
 
-    fn switch_traverse(&mut self, now: u64) {
+    fn switch_traverse(&mut self, now: u64, out: &mut Vec<Packet>) {
         let num_vcs = self.params.num_vcs;
         let total = PORTS * num_vcs;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.router_work.first_from(cursor) {
+        while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
-            let l = node - lo;
             for out_port in 0..PORTS {
-                let router = &mut self.routers[l];
+                let router = &mut self.routers[node];
                 // No input VC has a flit for this output: nothing to
                 // arbitrate.
                 if router.sa_ready[out_port] == 0 {
@@ -696,7 +712,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     // Flits are waiting for this output but every one
                     // of their downstream VCs is out of credit: the
                     // link idles under load.
-                    self.aux.probe.on_link_stall(node * PORTS + out_port);
+                    self.probe.on_link_stall(node * PORTS + out_port);
                     continue;
                 }
                 let SwitchGrant {
@@ -705,15 +721,15 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     out_vc: ov,
                     slot,
                 } = P::pick_winner(router, out_port, num_vcs);
-                self.aux.probe.on_link_flits(node * PORTS + out_port, 1);
+                self.probe.on_link_flits(node * PORTS + out_port, 1);
                 router.rr_sa[out_port] = if slot + 1 == total { 0 } else { slot + 1 };
                 let flit = router.inputs[slot]
                     .q
                     .pop_front()
                     .expect("winner has a flit");
-                self.buffered[l] -= 1;
-                if self.buffered[l] == 0 {
-                    self.aux.router_work.remove(node);
+                self.buffered[node] -= 1;
+                if self.buffered[node] == 0 {
+                    self.router_work.remove(node);
                 }
                 let bit = 1u64 << slot;
                 let oslot = out_port * num_vcs + ov;
@@ -751,348 +767,37 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     router.sa_ready[out_port] &= !bit;
                 }
                 // Return the freed input-slot credit upstream.
-                let due = now + self.params.credit_delay;
-                if in_port == LOCAL {
-                    self.aux.credits_in_flight.push(due, (node, LOCAL, v));
+                let (up, up_port) = if in_port == LOCAL {
+                    (node, LOCAL)
                 } else {
                     let up_link = self.links.linked(node * PORTS + in_port);
-                    let (up, up_port) = (up_link / PORTS, up_link % PORTS);
-                    if self.range.contains(up) {
-                        self.aux.credits_in_flight.push(due, (up, up_port, v));
-                    } else {
-                        self.aux
-                            .credit_out
-                            .push(self.shard_of[up] as usize, (up, up_port, v));
-                    }
-                }
+                    (up_link / PORTS, up_link % PORTS)
+                };
+                self.credits_in_flight
+                    .push(now + self.params.credit_delay, (up, up_port, v));
                 if out_port == LOCAL {
-                    // Ejection accounting (slab removal, policy hooks,
-                    // the delivery list) is serialized at the barrier;
-                    // pushes here are in ascending node order.
-                    self.aux.ejects.push(flit);
+                    self.eject(&flit, now, out);
                 } else {
                     let widx = self.links.linked(node * PORTS + out_port);
-                    let next = widx / PORTS;
-                    if self.range.contains(next) {
-                        self.aux
-                            .wires
-                            .push(widx, now + self.params.hop_latency, (ov, flit));
-                    } else {
-                        self.aux
-                            .wire_out
-                            .push(self.shard_of[next] as usize, (widx, (ov, flit)));
-                    }
+                    self.wires
+                        .push(widx, now + self.params.hop_latency, (ov, flit));
                 }
             }
         }
     }
-}
 
-/// The complete credit-based VC datapath, parameterized by a
-/// [`RouterPolicy`].
-///
-/// Cycle processing order:
-///
-/// 1. the policy's serial [`RouterPolicy::pre_inject`] hook runs,
-/// 2. every shard (all nodes, [`VcParams::threads`] shards stepped
-///    concurrently) then runs, per router:
-///    1. link arrivals are written into input VC buffers,
-///    2. returned credits are applied (releasing drained VCs under
-///       [`RouterPolicy::DRAIN_BEFORE_REUSE`]),
-///    3. NICs stream source-queue packets into their router's local
-///       input port (one flit/cycle, one VC per packet; packet order
-///       from the policy),
-///    4. VC allocation (policy),
-///    5. switch allocation (policy) + traversal: each output port
-///       forwards at most one flit, consuming a credit; the freed
-///       input slot's credit travels upstream with a configurable
-///       delay,
-/// 3. the cycle barrier merges cross-shard flits/credits in ascending
-///    global link index order and applies deferred injection stamps
-///    and ejections in ascending node order.
-///
-/// There is no route-computation phase: a head flit gets its route at
-/// the moment it becomes the front of an input slot that has none —
-/// when it arrives in an empty one (steps 2.1 and 2.3), or when the
-/// tail ahead of it is forwarded (step 2.5). The route is a pure function of the
-/// router and the destination and is first read by the next VC
-/// allocation, which both sites precede.
-///
-/// Host time follows grants, not occupancy: every question arbitration
-/// asks is a per-output mask on [`VcRouter`] kept exact at the events
-/// that change it, so an output with no request, no free VC or no
-/// credit costs a load and a compare however many flits wait behind
-/// it.
-///
-/// All iteration is in ascending node/link index order with live
-/// worklist semantics, bit-identical to the full scans it replaced —
-/// at any shard count (see [`crate::par`] for the argument).
-#[derive(Debug, Clone)]
-pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
-    policy: P,
-    /// The fabric-level telemetry probe. Serial-phase events (packet
-    /// admission, ejection, end-of-cycle) land here; per-shard events
-    /// land in each shard's fork and merge in [`VcFabric::into_probe`].
-    probe: Pr,
-    params: VcParams,
-    /// The other end of every link.
-    links: LinkTable,
-    cycle: u64,
-    routers: Vec<VcRouter<P::Tag>>,
-    nics: Vec<VcNic<P::Tag>>,
-    /// Per-node source queues (policy-defined order).
-    sources: Vec<P::Source>,
-    /// Every in-flight packet, from admission to its last ejected flit.
-    packets: PacketStore,
-    /// Buffered input flits per router (maintains the shards'
-    /// `router_work`).
-    buffered: Vec<u32>,
-    /// Contiguous node ranges, one per shard.
-    ranges: Vec<ShardRange>,
-    /// Node → shard index.
-    shard_of: Vec<u32>,
-    /// Shard-owned stepping state (always at least one shard; the
-    /// single-threaded path is the one-shard case with no pool).
-    shards: Vec<ShardState<P, Pr>>,
-    /// Worker pool, present only when `threads > 1`.
-    pool: Option<WorkerPool>,
-    /// Relay for policy wake-ups (see [`PolicyCtx::woken`]).
-    woken: Vec<usize>,
-    /// Barrier merge scratch for cross-shard flits.
-    wire_scratch: Vec<WirePush<P::Tag>>,
-    /// Barrier merge scratch for cross-shard credits.
-    credit_scratch: Vec<(usize, usize, usize)>,
-}
-
-impl<P: RouterPolicy> VcFabric<P> {
-    /// Builds the datapath for `params`, scheduled by `policy`, with
-    /// telemetry disabled ([`NoopProbe`] — zero cost, bit-identical
-    /// to a build without probe plumbing).
-    pub fn new(params: VcParams, policy: P) -> Self {
-        Self::with_probe(params, policy, NoopProbe)
-    }
-}
-
-impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
-    /// Builds the datapath for `params`, scheduled by `policy`,
-    /// reporting telemetry events to `probe` (each shard gets a
-    /// [`Probe::fork`]; retrieve the merged result with
-    /// [`VcFabric::into_probe`] after the run).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the message of [`VcParams::validate`] if `params`
-    /// fail it.
-    pub fn with_probe(params: VcParams, policy: P, probe: Pr) -> Self {
-        if let Err(e) = params.validate() {
-            panic!("{e}");
-        }
-        let n = params.topo.num_nodes();
-        let ranges = partition(n, params.threads);
-        let k = ranges.len();
-        VcFabric {
-            routers: (0..n)
-                .map(|_| VcRouter::new(params.num_vcs, params.vc_capacity))
-                .collect(),
-            nics: (0..n)
-                .map(|_| VcNic::new(params.num_vcs, params.vc_capacity))
-                .collect(),
-            sources: (0..n).map(|_| policy.new_source()).collect(),
-            packets: PacketStore::new(),
-            buffered: vec![0; n],
-            shard_of: shard_map(&ranges),
-            shards: (0..k)
-                .map(|_| ShardState::new(n, k, &params, probe.fork()))
-                .collect(),
-            pool: (k > 1).then(|| WorkerPool::new(k - 1)),
-            ranges,
-            woken: Vec::new(),
-            wire_scratch: Vec::new(),
-            credit_scratch: Vec::new(),
-            links: LinkTable::new(&params.topo),
-            cycle: 0,
-            policy,
-            probe,
-            params,
-        }
-    }
-
-    /// Consumes the fabric, merging every shard's probe fork into the
-    /// main probe (ascending shard order — the deterministic merge
-    /// order telemetry shard-invariance relies on) and returning it.
-    #[must_use]
-    pub fn into_probe(self) -> Pr {
-        let mut probe = self.probe;
-        for shard in self.shards {
-            probe.absorb(shard.probe);
-        }
-        probe
-    }
-
-    /// The scheduling policy.
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    /// Inserts every node the last policy hook woke into its shard's
-    /// NIC worklist.
-    fn apply_woken(&mut self) {
-        let Self {
-            woken,
-            shards,
-            shard_of,
-            ..
-        } = self;
-        for node in woken.drain(..) {
-            shards[shard_of[node] as usize].nic_work.insert(node);
-        }
-    }
-
-    /// Steps every shard sequentially on the calling thread (the
-    /// `threads == 1` path — same phase code as the parallel path,
-    /// no pool, no unsafe).
-    fn step_shards_serial(&mut self, now: u64) {
-        for s in 0..self.shards.len() {
-            let range = self.ranges[s];
-            let Self {
-                routers,
-                nics,
-                sources,
-                buffered,
-                shards,
-                packets,
-                params,
-                links,
-                shard_of,
-                ..
-            } = self;
-            ShardCtx::<P, Pr> {
-                range,
-                routers: &mut routers[range.lo..range.hi],
-                nics: &mut nics[range.lo..range.hi],
-                sources: &mut sources[range.lo..range.hi],
-                buffered: &mut buffered[range.lo..range.hi],
-                aux: &mut shards[s],
-                packets,
-                params: *params,
-                links,
-                shard_of,
-            }
-            .run_cycle(now);
-        }
-    }
-
-    /// Steps all shards concurrently on the worker pool.
-    fn step_shards_parallel(&mut self, now: u64) {
-        let routers = SendPtr::new(self.routers.as_mut_ptr());
-        let nics = SendPtr::new(self.nics.as_mut_ptr());
-        let sources = SendPtr::new(self.sources.as_mut_ptr());
-        let buffered = SendPtr::new(self.buffered.as_mut_ptr());
-        let shards = SendPtr::new(self.shards.as_mut_ptr());
-        let ranges: &[ShardRange] = &self.ranges;
-        let shard_of: &[u32] = &self.shard_of;
-        let packets: &PacketStore = &self.packets;
-        let params = self.params;
-        let links: &LinkTable = &self.links;
-        let k = ranges.len();
-        let pool = self.pool.as_mut().expect("parallel step without a pool");
-        pool.run(k, &|s| {
-            let range = ranges[s];
-            let lo = range.lo;
-            let len = range.len();
-            // SAFETY: shard ranges are disjoint and cover `0..n`, and
-            // the pool hands each shard index to exactly one task, so
-            // the slices below never overlap across concurrent tasks;
-            // `pool.run` returns only after every task (and worker)
-            // has left the job, so no access outlives the borrows the
-            // pointers were created from. `SendPtr` requires the
-            // pointee to be `Send`, which the `RouterPolicy`
-            // associated-type bounds guarantee.
-            let mut ctx = unsafe {
-                ShardCtx::<P, Pr> {
-                    range,
-                    routers: std::slice::from_raw_parts_mut(routers.get().add(lo), len),
-                    nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
-                    sources: std::slice::from_raw_parts_mut(sources.get().add(lo), len),
-                    buffered: std::slice::from_raw_parts_mut(buffered.get().add(lo), len),
-                    aux: &mut *shards.get().add(s),
-                    packets,
-                    params,
-                    links,
-                    shard_of,
-                }
-            };
-            ctx.run_cycle(now);
-        });
-    }
-
-    /// The cycle barrier: merge cross-shard traffic (ascending global
-    /// link index order), then apply deferred injection stamps and
-    /// ejections in ascending node order — reproducing exactly the
-    /// single-threaded event order.
-    fn barrier(&mut self, now: u64, out: &mut Vec<Packet>) {
-        let k = self.shards.len();
-        if k > 1 {
-            let hop_due = now + self.params.hop_latency;
-            let credit_due = now + self.params.credit_delay;
-            for shard in &mut self.shards {
-                shard.wire_out.flip();
-                shard.credit_out.flip();
-            }
-            for dst in 0..k {
-                debug_assert!(self.wire_scratch.is_empty() && self.credit_scratch.is_empty());
-                for src in 0..k {
-                    if src != dst {
-                        self.wire_scratch
-                            .append(self.shards[src].wire_out.lane_mut(dst));
-                        self.credit_scratch
-                            .append(self.shards[src].credit_out.lane_mut(dst));
-                    }
-                }
-                // At most one flit enters a given wire per cycle (each
-                // wire has a single upstream producer), so link
-                // indices are unique and this order is total. The same
-                // holds for credits per (node, port, vc) — and credit
-                // application is commutative besides.
-                self.wire_scratch.sort_unstable_by_key(|&(widx, _)| widx);
-                self.credit_scratch.sort_unstable();
-                let shard = &mut self.shards[dst];
-                for (widx, item) in self.wire_scratch.drain(..) {
-                    shard.wires.push(widx, hop_due, item);
-                }
-                for c in self.credit_scratch.drain(..) {
-                    shard.credits_in_flight.push(credit_due, c);
-                }
-            }
-        }
+    /// Hands a flit leaving through a local port to the policy and,
+    /// when it is its packet's last, the packet to the probe and `out`.
+    fn eject(&mut self, flit: &VcFlit<P::Tag>, now: u64, out: &mut Vec<Packet>) {
+        self.policy.on_eject_flit(flit);
+        let total = self.packets.get(flit.pref).len_flits;
+        if let Some(packet) = self
+            .packets
+            .on_piece(flit.dst.index(), flit.pref, total, now)
         {
-            // Injection stamps before ejections: a source-equals-
-            // destination packet can inject and eject in one cycle.
-            let Self {
-                shards, packets, ..
-            } = self;
-            for shard in shards.iter_mut() {
-                for pref in shard.stamps.drain(..) {
-                    packets.get_mut(pref).injected_at = Some(now);
-                }
-            }
-        }
-        for s in 0..k {
-            for i in 0..self.shards[s].ejects.len() {
-                let flit = self.shards[s].ejects[i];
-                self.policy.on_eject_flit(&flit);
-                let total = self.packets.get(flit.pref).len_flits;
-                if let Some(packet) = self
-                    .packets
-                    .on_piece(flit.dst.index(), flit.pref, total, now)
-                {
-                    self.policy.on_eject_packet(packet.id);
-                    self.probe.on_delivered(&packet);
-                    out.push(packet);
-                }
-            }
-            self.shards[s].ejects.clear();
+            self.policy.on_eject_packet(packet.id);
+            self.probe.on_delivered(&packet);
+            out.push(packet);
         }
     }
 
@@ -1103,121 +808,113 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
     /// `credits`, VC ownership) yields — so the policies arbitrate
     /// over exactly the requests, candidates and free VCs an
     /// all-slots, all-VCs scan with per-candidate credit tests would
-    /// hand them — and all barrier buffers must be empty between
-    /// cycles.
+    /// hand them.
     #[cfg(debug_assertions)]
     fn debug_verify_worklists(&self) {
         let num_vcs = self.params.num_vcs;
         let cap = self.params.vc_capacity as u32;
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.wires.debug_verify();
-            debug_assert!(shard.wire_out.is_clear(), "wire outbox not drained");
-            debug_assert!(shard.credit_out.is_clear(), "credit outbox not drained");
-            debug_assert!(shard.ejects.is_empty(), "ejects not applied");
-            debug_assert!(shard.stamps.is_empty(), "stamps not applied");
-            let range = self.ranges[s];
-            for n in range.lo..range.hi {
-                let nic = &self.nics[n];
-                let active = nic.current.is_some() || !P::source_idle(&self.sources[n]);
-                debug_assert_eq!(shard.nic_work.contains(n), active, "nic_work[{n}]");
-                // A local VC is owned while a packet streams into it
-                // and, under drain-before-reuse, until the credits of
-                // the last packet streamed into it are all back.
-                debug_assert_eq!(nic.free & nic.draining, 0, "nic[{n}] free and draining");
+        self.wires.debug_verify();
+        for n in 0..self.routers.len() {
+            let nic = &self.nics[n];
+            let active = nic.current.is_some() || !P::source_idle(&self.sources[n]);
+            debug_assert_eq!(self.nic_work.contains(n), active, "nic_work[{n}]");
+            // A local VC is owned while a packet streams into it
+            // and, under drain-before-reuse, until the credits of
+            // the last packet streamed into it are all back.
+            debug_assert_eq!(nic.free & nic.draining, 0, "nic[{n}] free and draining");
+            debug_assert_eq!(
+                (nic.free | nic.draining) >> num_vcs,
+                0,
+                "nic[{n}] mask width"
+            );
+            for vc in 0..num_vcs {
+                let streaming = nic.current.as_ref().is_some_and(|cur| cur.vc == vc);
+                let draining = nic.draining & (1 << vc) != 0;
+                debug_assert!(
+                    !(streaming && draining),
+                    "nic[{n}] vc {vc} reused undrained"
+                );
                 debug_assert_eq!(
-                    (nic.free | nic.draining) >> num_vcs,
-                    0,
-                    "nic[{n}] mask width"
+                    nic.free & (1 << vc) != 0,
+                    !streaming && !draining,
+                    "nic[{n}].free vc {vc}"
+                );
+                debug_assert!(
+                    !draining || (P::DRAIN_BEFORE_REUSE && nic.credits[vc] < cap),
+                    "nic[{n}] vc {vc} draining with all credits back"
+                );
+            }
+
+            let router = &self.routers[n];
+            let count: u32 = router.inputs.iter().map(|buf| buf.q.len() as u32).sum();
+            debug_assert_eq!(self.buffered[n], count, "buffered[{n}]");
+            debug_assert_eq!(self.router_work.contains(n), count > 0, "router_work[{n}]");
+            let mut va_req = [0u64; PORTS];
+            let mut sa_ready = [0u64; PORTS];
+            let mut sa_credit = [0u64; PORTS];
+            let mut candidates = [0u64; PORTS];
+            let mut held = [0u64; PORTS];
+            let mut holder = [NO_HOLDER; 64];
+            for (slot, buf) in router.inputs.iter().enumerate() {
+                let bit = 1u64 << slot;
+                // What event-driven routing rests on: a flit at a
+                // slot's front is never left without a route.
+                debug_assert!(
+                    buf.route.is_some() || buf.q.is_empty(),
+                    "router {n} slot {slot}: flit at the front without a route"
+                );
+                debug_assert!(
+                    buf.route.is_some() || buf.out_vc.is_none(),
+                    "router {n} slot {slot}: VC without a route"
+                );
+                let Some(out) = buf.route else { continue };
+                let Some(vc) = buf.out_vc else {
+                    va_req[out] |= bit;
+                    continue;
+                };
+                let oslot = out * num_vcs + vc;
+                debug_assert_eq!(holder[oslot], NO_HOLDER, "router {n}: VC held twice");
+                holder[oslot] = slot as u8;
+                held[out] |= 1 << vc;
+                // The parent's per-candidate test, verbatim.
+                let has_credit = out == LOCAL || router.credits[oslot] > 0;
+                if has_credit {
+                    sa_credit[out] |= bit;
+                }
+                if !buf.q.is_empty() {
+                    sa_ready[out] |= bit;
+                    if has_credit {
+                        candidates[out] |= bit;
+                    }
+                }
+            }
+            debug_assert_eq!(router.va_req, va_req, "va_req[{n}]");
+            debug_assert_eq!(router.sa_ready, sa_ready, "sa_ready[{n}]");
+            debug_assert_eq!(router.sa_credit, sa_credit, "sa_credit[{n}]");
+            debug_assert_eq!(router.holder[..], holder[..PORTS * num_vcs], "holder[{n}]");
+            for out in 0..PORTS {
+                debug_assert_eq!(
+                    router.sa_ready[out] & router.sa_credit[out],
+                    candidates[out],
+                    "switch candidates of router {n} output {out}"
+                );
+                // A downstream VC is owned while an input slot
+                // holds it or while it drains, and free otherwise.
+                let draining = router.out_draining[out];
+                debug_assert_eq!(held[out] & draining, 0, "router {n}: held VC draining");
+                debug_assert_eq!(
+                    router.out_free[out],
+                    all_vcs(num_vcs) & !held[out] & !draining,
+                    "out_free[{n}][{out}]"
                 );
                 for vc in 0..num_vcs {
-                    let streaming = nic.current.as_ref().is_some_and(|cur| cur.vc == vc);
-                    let draining = nic.draining & (1 << vc) != 0;
                     debug_assert!(
-                        !(streaming && draining),
-                        "nic[{n}] vc {vc} reused undrained"
+                        draining & (1 << vc) == 0
+                            || (P::DRAIN_BEFORE_REUSE
+                                && out != LOCAL
+                                && router.credits[out * num_vcs + vc] < cap),
+                        "router {n} output {out} vc {vc} draining with all credits back"
                     );
-                    debug_assert_eq!(
-                        nic.free & (1 << vc) != 0,
-                        !streaming && !draining,
-                        "nic[{n}].free vc {vc}"
-                    );
-                    debug_assert!(
-                        !draining || (P::DRAIN_BEFORE_REUSE && nic.credits[vc] < cap),
-                        "nic[{n}] vc {vc} draining with all credits back"
-                    );
-                }
-
-                let router = &self.routers[n];
-                let count: u32 = router.inputs.iter().map(|buf| buf.q.len() as u32).sum();
-                debug_assert_eq!(self.buffered[n], count, "buffered[{n}]");
-                debug_assert_eq!(shard.router_work.contains(n), count > 0, "router_work[{n}]");
-                let mut va_req = [0u64; PORTS];
-                let mut sa_ready = [0u64; PORTS];
-                let mut sa_credit = [0u64; PORTS];
-                let mut candidates = [0u64; PORTS];
-                let mut held = [0u64; PORTS];
-                let mut holder = [NO_HOLDER; 64];
-                for (slot, buf) in router.inputs.iter().enumerate() {
-                    let bit = 1u64 << slot;
-                    // What event-driven routing rests on: a flit at a
-                    // slot's front is never left without a route.
-                    debug_assert!(
-                        buf.route.is_some() || buf.q.is_empty(),
-                        "router {n} slot {slot}: flit at the front without a route"
-                    );
-                    debug_assert!(
-                        buf.route.is_some() || buf.out_vc.is_none(),
-                        "router {n} slot {slot}: VC without a route"
-                    );
-                    let Some(out) = buf.route else { continue };
-                    let Some(vc) = buf.out_vc else {
-                        va_req[out] |= bit;
-                        continue;
-                    };
-                    let oslot = out * num_vcs + vc;
-                    debug_assert_eq!(holder[oslot], NO_HOLDER, "router {n}: VC held twice");
-                    holder[oslot] = slot as u8;
-                    held[out] |= 1 << vc;
-                    // The parent's per-candidate test, verbatim.
-                    let has_credit = out == LOCAL || router.credits[oslot] > 0;
-                    if has_credit {
-                        sa_credit[out] |= bit;
-                    }
-                    if !buf.q.is_empty() {
-                        sa_ready[out] |= bit;
-                        if has_credit {
-                            candidates[out] |= bit;
-                        }
-                    }
-                }
-                debug_assert_eq!(router.va_req, va_req, "va_req[{n}]");
-                debug_assert_eq!(router.sa_ready, sa_ready, "sa_ready[{n}]");
-                debug_assert_eq!(router.sa_credit, sa_credit, "sa_credit[{n}]");
-                debug_assert_eq!(router.holder[..], holder[..PORTS * num_vcs], "holder[{n}]");
-                for out in 0..PORTS {
-                    debug_assert_eq!(
-                        router.sa_ready[out] & router.sa_credit[out],
-                        candidates[out],
-                        "switch candidates of router {n} output {out}"
-                    );
-                    // A downstream VC is owned while an input slot
-                    // holds it or while it drains, and free otherwise.
-                    let draining = router.out_draining[out];
-                    debug_assert_eq!(held[out] & draining, 0, "router {n}: held VC draining");
-                    debug_assert_eq!(
-                        router.out_free[out],
-                        all_vcs(num_vcs) & !held[out] & !draining,
-                        "out_free[{n}][{out}]"
-                    );
-                    for vc in 0..num_vcs {
-                        debug_assert!(
-                            draining & (1 << vc) == 0
-                                || (P::DRAIN_BEFORE_REUSE
-                                    && out != LOCAL
-                                    && router.credits[out * num_vcs + vc] < cap),
-                            "router {n} output {out} vc {vc} draining with all credits back"
-                        );
-                    }
                 }
             }
         }
@@ -1236,26 +933,23 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     fn enqueue(&mut self, packet: Packet) {
         let node = packet.src.index();
         self.probe.on_generated(&packet);
-        {
-            let Self {
-                policy,
+        let Self {
+            policy,
+            packets,
+            sources,
+            nic_work,
+            ..
+        } = self;
+        let pref = packets.insert(packet);
+        policy.on_enqueue(
+            node,
+            pref,
+            &mut PolicyCtx {
                 packets,
                 sources,
-                woken,
-                ..
-            } = self;
-            let pref = packets.insert(packet);
-            policy.on_enqueue(
-                node,
-                pref,
-                &mut PolicyCtx {
-                    packets,
-                    sources,
-                    woken,
-                },
-            );
-        }
-        self.apply_woken();
+                nic_work,
+            },
+        );
     }
 
     fn step(&mut self, out: &mut Vec<Packet>) {
@@ -1269,7 +963,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
                 policy,
                 packets,
                 sources,
-                woken,
+                nic_work,
                 ..
             } = self;
             policy.pre_inject(
@@ -1277,22 +971,22 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
                 &mut PolicyCtx {
                     packets,
                     sources,
-                    woken,
+                    nic_work,
                 },
             );
         }
-        self.apply_woken();
         clock.lap(&mut self.probe, Phase::PreInject);
-        if self.pool.is_some() {
-            self.step_shards_parallel(now);
-        } else {
-            self.step_shards_serial(now);
-        }
-        // The shards timed their own phases; restart the lap so the
-        // barrier is not charged for them.
-        let mut clock = PhaseClock::start::<Pr>();
-        self.barrier(now, out);
-        clock.lap(&mut self.probe, Phase::Barrier);
+        self.sample_occupancy(now);
+        self.deliver_arrivals(now);
+        clock.lap(&mut self.probe, Phase::DeliverArrivals);
+        self.apply_credits(now);
+        clock.lap(&mut self.probe, Phase::ApplyCredits);
+        self.nic_inject(now);
+        clock.lap(&mut self.probe, Phase::NicInject);
+        self.vc_allocate();
+        clock.lap(&mut self.probe, Phase::VcAllocate);
+        self.switch_traverse(now, out);
+        clock.lap(&mut self.probe, Phase::SwitchTraverse);
         self.probe.on_cycle(now);
         self.cycle = now + 1;
         debug_assert_delivered_once(out, delivered_before);
@@ -1308,26 +1002,24 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     /// Everything a quiescent per-cycle run would still do is
     /// replicated exactly: the policy's per-cycle clock via
     /// [`RouterPolicy::fast_forward`], all-zero occupancy samples at
-    /// every due telemetry window (same shard/router/slot emission
-    /// order as `ShardCtx::sample_occupancy`), and the main probe's
-    /// cycle count via [`Probe::tick_many`]. With telemetry disabled
+    /// every due telemetry window (same router/slot emission order as
+    /// `VcFabric::sample_occupancy`), and the probe's cycle count via
+    /// [`Probe::tick_many`]. With telemetry disabled
     /// (`Pr::ENABLED == false`) the sample loop is statically removed
     /// and the jump is O(1).
     fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0 || !self.packets.is_empty() {
+        if cycles == 0
+            || !self.packets.is_empty()
+            || self.wires.any_active()
+            || !self.credits_in_flight.is_empty()
+        {
             return 0;
         }
-        for shard in &self.shards {
-            if shard.wires.any_active() || !shard.credits_in_flight.is_empty() {
-                return 0;
-            }
-        }
         #[cfg(debug_assertions)]
-        for (s, shard) in self.shards.iter().enumerate() {
-            debug_assert!(shard.nic_work.is_empty(), "quiescent NIC worklist");
-            debug_assert!(shard.router_work.is_empty(), "quiescent router worklist");
-            let range = self.ranges[s];
-            for n in range.lo..range.hi {
+        {
+            debug_assert!(self.nic_work.is_empty(), "quiescent NIC worklist");
+            debug_assert!(self.router_work.is_empty(), "quiescent router worklist");
+            for n in 0..self.routers.len() {
                 debug_assert!(self.nics[n].current.is_none(), "NIC streaming mid-jump");
                 debug_assert!(P::source_idle(&self.sources[n]), "source queue not idle");
                 debug_assert_eq!(self.buffered[n], 0, "buffered flits mid-jump");
@@ -1340,19 +1032,15 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         let now = self.cycle;
         self.policy.fast_forward(now, cycles);
         if Pr::ENABLED {
+            let links = self.routers.len() * PORTS;
             let num_vcs = self.params.num_vcs;
             for c in now..now + cycles {
-                for (s, shard) in self.shards.iter_mut().enumerate() {
-                    if !shard.probe.sample_due(c) {
-                        continue;
-                    }
-                    let range = self.ranges[s];
-                    for node in range.lo..range.hi {
-                        let base = node * PORTS;
-                        for slot in 0..PORTS * num_vcs {
-                            let port = slot / num_vcs;
-                            shard.probe.on_occupancy(BufKind::Vc, base + port, 0);
-                        }
+                if !self.probe.sample_due(c) {
+                    continue;
+                }
+                for link in 0..links {
+                    for _ in 0..num_vcs {
+                        self.probe.on_occupancy(BufKind::Vc, link, 0);
                     }
                 }
             }

@@ -16,7 +16,7 @@
 //! * [`telemetry`] — the zero-cost [`telemetry::Probe`] interface:
 //!   per-link/per-buffer/per-flow observability monomorphized into
 //!   the fabric, free when disabled ([`telemetry::NoopProbe`]) and
-//!   shard-mergeable when live ([`telemetry::LiveProbe`]),
+//!   collecting when live ([`telemetry::LiveProbe`]),
 //! * [`rng`] — small deterministic RNGs so every run is reproducible,
 //! * [`worklist`] — active-index bitsets that keep the per-cycle hot
 //!   loops proportional to activity,

@@ -1,42 +1,33 @@
 //! Deterministic sharded parallel stepping: the persistent worker
-//! pool, contiguous shard partitioning, and double-buffered
-//! cross-shard mailboxes.
+//! pool and contiguous shard partitioning.
 //!
-//! A cycle-accurate NoC simulation is parallelizable *within* one
-//! cycle because every cross-router interaction — flits on links,
-//! credit returns, look-ahead quanta — traverses
-//! [`DelayedWires`](crate::fabric::DelayedWires) or
-//! [`TimedFifo`](crate::fabric::TimedFifo) with at least one cycle of
-//! delay: what router A does in cycle `t` becomes visible to router B
-//! no earlier than `t + 1`. Partition the node index space into
-//! contiguous ranges (*shards*), give each shard exclusive ownership
-//! of its nodes' state, and every phase of a cycle can run on all
-//! shards concurrently; only the effects that cross a shard boundary
-//! (a flit entering another shard's wire, a credit returning to an
-//! upstream router in another shard) are deferred into per-(src, dst)
-//! [`Mailbox`] lanes and merged at the cycle barrier — in ascending
-//! global link index order, so the merged arrival order is
-//! bit-for-bit identical to the single-threaded engine.
+//! LOFT runs one phase of its cycle on several *shards* at once:
+//! contiguous node ranges from [`partition`], each handled by one
+//! [`WorkerPool`] task. That phase, data-quantum arrival, writes only
+//! the receiving shard's input ports, and every other phase is
+//! serial, so the only thing sharding changes is who runs that one
+//! loop: no event crosses a shard boundary inside it, and there is
+//! nothing to merge afterwards. The VC networks step on one thread.
 //!
 //! The [`WorkerPool`] is persistent: threads are spawned once and
-//! parked on a condvar between cycles, so the steady state performs
-//! no thread spawns and no heap allocation at the barrier (the
-//! mailbox lanes retain their capacity across cycles).
+//! parked on a condvar between dispatches, so the steady state
+//! performs no thread spawns and no heap allocation. [`SendPtr`]
+//! carries the base pointers of the per-node arrays into the pool
+//! tasks, which cut them into disjoint per-shard slices.
+//! [`pool_map`] runs independent jobs (whole simulations, for the
+//! sweep runner) on the same kind of pool.
 //!
 //! # Determinism contract
 //!
 //! Work items are claimed off an atomic cursor, so *which thread*
 //! runs a shard is nondeterministic — but shards own disjoint state
-//! and cross-shard traffic is merged in a fixed order at the barrier,
-//! so the simulation outcome never depends on the schedule. The
-//! golden determinism pins run at 1, 2, and 4 shards to hold that
-//! contract.
+//! and the parallel phase records no telemetry, so the simulation
+//! outcome never depends on the schedule. The golden determinism pins
+//! run at 1, 2, and 4 shards to hold that contract.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-use crate::checkpoint::CapVec;
 
 /// A contiguous range of node indices owned by one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,62 +85,6 @@ pub fn shard_map(ranges: &[ShardRange]) -> Vec<u32> {
         map[r.lo..r.hi].fill(s as u32);
     }
     map
-}
-
-/// Double-buffered per-destination mailbox lanes for cross-shard
-/// traffic.
-///
-/// Each shard owns one `Mailbox` per kind of cross-shard effect (wire
-/// pushes, credit returns). During the parallel phase the shard
-/// pushes into the *fill* bank; at the cycle barrier the coordinator
-/// [`Mailbox::flip`]s every mailbox and drains the *drain* bank, so
-/// the bank being merged is never the bank being written. Lanes keep
-/// their capacity across cycles (forks included) — the steady state
-/// allocates nothing.
-#[derive(Debug, Clone)]
-pub struct Mailbox<T> {
-    fill: Vec<CapVec<T>>,
-    drain: Vec<CapVec<T>>,
-}
-
-impl<T> Mailbox<T> {
-    /// A mailbox with `lanes` destination lanes per bank.
-    #[must_use]
-    pub fn new(lanes: usize) -> Self {
-        Mailbox {
-            fill: (0..lanes).map(|_| CapVec::default()).collect(),
-            drain: (0..lanes).map(|_| CapVec::default()).collect(),
-        }
-    }
-
-    /// Queues `item` for destination `lane` (parallel-phase side).
-    #[inline]
-    pub fn push(&mut self, lane: usize, item: T) {
-        self.fill[lane].push(item);
-    }
-
-    /// Swaps the fill and drain banks (barrier side). After the flip,
-    /// [`Mailbox::lane_mut`] exposes what the parallel phase pushed.
-    pub fn flip(&mut self) {
-        debug_assert!(
-            self.drain.iter().all(|l| l.is_empty()),
-            "mailbox drain bank not emptied at the previous barrier"
-        );
-        std::mem::swap(&mut self.fill, &mut self.drain);
-    }
-
-    /// The drain-bank lane for destination `lane`; the barrier merge
-    /// empties it in place (keeping its capacity).
-    pub fn lane_mut(&mut self, lane: usize) -> &mut Vec<T> {
-        &mut self.drain[lane]
-    }
-
-    /// Whether both banks are empty (between-cycles invariant for
-    /// tests).
-    #[must_use]
-    pub fn is_clear(&self) -> bool {
-        self.fill.iter().all(|l| l.is_empty()) && self.drain.iter().all(|l| l.is_empty())
-    }
 }
 
 /// A raw pointer that may be smuggled into pool tasks.
@@ -584,16 +519,5 @@ mod tests {
             sum.fetch_add(i + 1, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn mailbox_flip_exposes_pushed_items() {
-        let mut m: Mailbox<u32> = Mailbox::new(2);
-        m.push(1, 7);
-        m.push(0, 3);
-        m.flip();
-        assert_eq!(m.lane_mut(0).drain(..).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(m.lane_mut(1).drain(..).collect::<Vec<_>>(), vec![7]);
-        assert!(m.is_clear());
     }
 }

@@ -101,26 +101,6 @@ impl RunningStats {
             self.stddev() / self.mean()
         }
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A power-of-two bucketed latency histogram.
@@ -147,18 +127,6 @@ impl Histogram {
             self.buckets.resize(bucket + 1, 0);
         }
         self.buckets[bucket] += 1;
-    }
-
-    /// Adds every bucket of `other` into this histogram, as if the
-    /// two sample streams had been recorded into one. Used by the
-    /// telemetry layer to merge per-shard histograms at the barrier.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (dst, &src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
     }
 
     /// Total number of recorded samples.
@@ -409,29 +377,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..33] {
-            a.push(x);
-        }
-        for &x in &xs[33..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]

@@ -80,15 +80,6 @@ impl LiveProbe {
         vec[idx] += by;
     }
 
-    fn merge_counts(into: &mut Vec<u64>, from: &[u64]) {
-        if into.len() < from.len() {
-            into.resize(from.len(), 0);
-        }
-        for (dst, &src) in into.iter_mut().zip(from) {
-            *dst += src;
-        }
-    }
-
     /// Folds `point` into `series`, which is kept sorted by window.
     /// Deliveries arrive in near-monotonic window order (LOFT stamps
     /// ejections ahead of the current cycle, so small backward jumps
@@ -249,43 +240,6 @@ impl PacketProbe for LiveProbe {
 impl Probe for LiveProbe {
     const ENABLED: bool = true;
 
-    fn fork(&self) -> Self {
-        LiveProbe::new(self.window)
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        debug_assert_eq!(self.window, shard.window, "forks share the window");
-        self.cycles = self.cycles.max(shard.cycles);
-        Self::merge_counts(&mut self.link_flits, &shard.link_flits);
-        Self::merge_counts(&mut self.link_stalls, &shard.link_stalls);
-        Self::merge_counts(&mut self.sched_book, &shard.sched_book);
-        Self::merge_counts(&mut self.sched_deny, &shard.sched_deny);
-        Self::merge_counts(&mut self.link_resets, &shard.link_resets);
-        Self::merge_counts(&mut self.nic_stalls, &shard.nic_stalls);
-        for (kind, shard_occ) in shard.occupancy.into_iter().enumerate() {
-            let occ = &mut self.occupancy[kind];
-            if occ.len() < shard_occ.len() {
-                occ.resize(shard_occ.len(), RunningStats::new());
-            }
-            for (dst, src) in occ.iter_mut().zip(&shard_occ) {
-                dst.merge(src);
-            }
-        }
-        if self.flows.len() < shard.flows.len() {
-            self.flows.resize(shard.flows.len(), FlowAcc::default());
-        }
-        for (flow, acc) in shard.flows.into_iter().enumerate() {
-            let dst = &mut self.flows[flow];
-            dst.packets += acc.packets;
-            dst.flits += acc.flits;
-            dst.latency.merge(&acc.latency);
-            for point in acc.series {
-                Self::fold_point(&mut dst.series, point);
-            }
-        }
-        self.histogram.merge(&shard.histogram);
-    }
-
     fn sample_due(&self, cycle: u64) -> bool {
         cycle.is_multiple_of(self.window)
     }
@@ -431,30 +385,6 @@ mod tests {
         assert_eq!(report.flows[0].throughput, 0.0);
         // No flows delivered anything: vacuously fair.
         assert_eq!(report.jain, 1.0);
-    }
-
-    #[test]
-    fn absorb_merges_forks_deterministically() {
-        let mut main = LiveProbe::new(10);
-        main.on_link_flits(3, 2);
-        main.on_cycle(99);
-        let mut a = main.fork();
-        let mut b = main.fork();
-        a.on_link_flits(3, 1);
-        a.on_link_stall(0);
-        a.on_occupancy(BufKind::Vc, 2, 4);
-        b.on_link_flits(7, 5);
-        b.on_occupancy(BufKind::Vc, 2, 6);
-        main.absorb(a);
-        main.absorb(b);
-        let report = main.finish();
-        assert_eq!(report.link_flits[3], 3);
-        assert_eq!(report.link_flits[7], 5);
-        assert_eq!(report.link_stalls[0], 1);
-        let occ = report.occupancy(BufKind::Vc, 2);
-        assert_eq!(occ.count(), 2);
-        assert_eq!(occ.mean(), 5.0);
-        assert_eq!(report.cycles, 100);
     }
 
     #[test]

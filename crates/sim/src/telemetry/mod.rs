@@ -22,15 +22,12 @@
 //!
 //! # Sharding
 //!
-//! Only [`VcFabric`] forks probes: with `--threads N` each of its
-//! shards owns a [`Probe::fork`] of the main probe and only records
-//! events for its own node range, and the owner merges the forks back
-//! with [`Probe::absorb`] in ascending shard order — a fixed order,
-//! so floating-point accumulators merge deterministically and every
-//! counter is invariant across shard counts. Serial-phase events
-//! (packet generation, ejection, end-of-cycle) go straight to the
-//! main probe. LOFT's one parallel phase records no events, so LOFT
-//! keeps a single probe.
+//! Every network keeps one probe, and every event reaches it from a
+//! serial phase: the one phase that runs on several shards (LOFT's
+//! data-quantum arrival) records nothing, and the VC networks step on
+//! one thread. So the event stream, and every counter and
+//! floating-point accumulator built from it, is the same at every
+//! shard count.
 //!
 //! # Profiling
 //!
@@ -139,22 +136,6 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
     /// stepping code at compile time.
     const PROFILE: bool = false;
 
-    /// Creates the per-shard instance handed to a parallel shard.
-    /// Forks start empty but share configuration (e.g. the sampling
-    /// window) with their parent.
-    #[must_use]
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Merges a shard instance back into the owner. Callers absorb
-    /// shards in ascending shard order, so order-sensitive
-    /// accumulators stay deterministic and shard-count invariant (each
-    /// shard only records events for its own disjoint node range).
-    fn absorb(&mut self, shard: Self)
-    where
-        Self: Sized;
-
     /// Whether buffer occupancy should be sampled at `cycle`.
     /// Components ask once per cycle and emit [`Probe::on_occupancy`]
     /// for every buffer they own when it returns `true`.
@@ -248,14 +229,6 @@ impl Probe for NoopProbe {
     const ENABLED: bool = false;
 
     #[inline]
-    fn fork(&self) -> Self {
-        NoopProbe
-    }
-
-    #[inline]
-    fn absorb(&mut self, _shard: Self) {}
-
-    #[inline]
     fn tick_many(&mut self, _from: u64, _count: u64) {}
 }
 
@@ -284,8 +257,6 @@ mod tests {
         assert!(!p.sample_due(0));
         p.on_link_flits(0, 1);
         p.on_cycle(7);
-        let fork = p.fork();
-        p.absorb(fork);
         assert_eq!(p, NoopProbe);
     }
 }

@@ -24,10 +24,8 @@ pub enum Phase {
     NicInject,
     /// VC fabric: the policy's VC allocation.
     VcAllocate,
-    /// VC fabric: switch allocation and traversal.
+    /// VC fabric: switch allocation, traversal and ejection.
     SwitchTraverse,
-    /// VC fabric: cross-shard merge, injection stamps, ejections.
-    Barrier,
     /// LOFT: data-quantum arrivals and NIC injection at a slot
     /// boundary.
     DataPhase,
@@ -45,17 +43,16 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (for dense per-phase tables).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 12;
 
     /// The phases of a [`crate::fabric::VcFabric`] cycle, in order.
-    pub const VC: [Phase; 7] = [
+    pub const VC: [Phase; 6] = [
         Phase::PreInject,
         Phase::DeliverArrivals,
         Phase::ApplyCredits,
         Phase::NicInject,
         Phase::VcAllocate,
         Phase::SwitchTraverse,
-        Phase::Barrier,
     ];
 
     /// The phases of a LOFT cycle, in order.
@@ -84,7 +81,6 @@ impl Phase {
             Phase::NicInject => "nic_inject",
             Phase::VcAllocate => "vc_allocate",
             Phase::SwitchTraverse => "switch_traverse",
-            Phase::Barrier => "barrier",
             Phase::DataPhase => "data_phase",
             Phase::DataMove => "data_move",
             Phase::ResetIdleLinks => "reset_idle_links",
@@ -168,18 +164,6 @@ impl Probe for PhaseProbe {
     const ENABLED: bool = false;
     const PROFILE: bool = true;
 
-    fn fork(&self) -> Self {
-        PhaseProbe::default()
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        for i in 0..Phase::COUNT {
-            self.nanos[i] += shard.nanos[i];
-            self.calls[i] += shard.calls[i];
-        }
-        self.cycles += shard.cycles;
-    }
-
     #[inline]
     fn on_phase(&mut self, phase: Phase, nanos: u64) {
         self.nanos[phase.index()] += nanos;
@@ -213,27 +197,24 @@ mod tests {
     fn clock_is_inert_without_profile() {
         let mut clock = PhaseClock::start::<NoopProbe>();
         assert!(clock.0.is_none());
-        clock.lap(&mut NoopProbe, Phase::Barrier);
+        clock.lap(&mut NoopProbe, Phase::SwitchTraverse);
     }
 
     #[test]
-    fn laps_accumulate_and_forks_absorb() {
+    fn laps_accumulate_per_phase() {
         let mut probe = PhaseProbe::default();
         let mut clock = PhaseClock::start::<PhaseProbe>();
         clock.lap(&mut probe, Phase::VcAllocate);
         clock.lap(&mut probe, Phase::VcAllocate);
         probe.on_cycle(0);
-        let mut fork = probe.fork();
-        assert_eq!(fork, PhaseProbe::default());
-        fork.on_phase(Phase::VcAllocate, 5);
-        fork.on_phase(Phase::Barrier, 7);
         let before = probe.nanos[Phase::VcAllocate.index()];
-        probe.absorb(fork);
+        probe.on_phase(Phase::VcAllocate, 5);
+        probe.on_phase(Phase::SwitchTraverse, 7);
         assert_eq!(probe.calls[Phase::VcAllocate.index()], 3);
         assert_eq!(probe.nanos[Phase::VcAllocate.index()], before + 5);
-        assert_eq!(probe.nanos[Phase::Barrier.index()], 7);
+        assert_eq!(probe.nanos[Phase::SwitchTraverse.index()], 7);
         assert_eq!(probe.cycles, 1);
-        let json = probe.to_json_fields(&[Phase::VcAllocate, Phase::Barrier]);
+        let json = probe.to_json_fields(&[Phase::VcAllocate, Phase::SwitchTraverse]);
         assert!(json.starts_with("\"phase_ns_per_cycle\":{\"vc_allocate\":"));
         assert!(json.contains("\"phase_share\":{\"vc_allocate\":"));
     }

@@ -82,12 +82,13 @@ pub struct FlowTelemetry {
     pub series: Vec<WindowPoint>,
 }
 
-/// A finished telemetry run: every counter merged across shards,
+/// A finished telemetry run: per-link and per-node counters,
 /// occupancy summaries, per-flow series, and QoS roll-ups.
 ///
 /// Derives `PartialEq` so shard-invariance tests can compare whole
-/// documents; all floating-point fields are produced by merges in a
-/// fixed order, so equality is exact, not approximate.
+/// documents; all floating-point fields are accumulated in event
+/// order, which no shard count changes, so equality is exact, not
+/// approximate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
     /// Schema version of the JSON export

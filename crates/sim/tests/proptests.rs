@@ -147,32 +147,6 @@ fn running_stats_matches_naive() {
     }
 }
 
-/// Merging stats in any split matches computing them whole.
-#[test]
-fn running_stats_merge_associative() {
-    let mut rng = Xoshiro256::seed_from(0x5EED_0006);
-    for _ in 0..128 {
-        let len = 2 + rng.next_below(98) as usize;
-        let xs: Vec<f64> = (0..len).map(|_| (rng.next_f64() - 0.5) * 2e3).collect();
-        let cut = rng.next_below(len as u64) as usize;
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..cut] {
-            a.push(x);
-        }
-        for &x in &xs[cut..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-        assert_eq!(a.count(), whole.count());
-    }
-}
-
 /// next_below stays in range for arbitrary bounds.
 #[test]
 fn rng_next_below_in_range() {

@@ -22,8 +22,8 @@ pub struct WormholeConfig {
     pub hop_latency: u64,
     /// Cycles for a credit to return upstream.
     pub credit_delay: u64,
-    /// Shards stepped concurrently each cycle (1 = single-threaded).
-    /// Results are bit-identical at every value; see `noc_sim::par`.
+    /// Accepted and ignored: the network steps on one thread; see
+    /// `noc_sim::fabric::VcParams::threads`.
     pub threads: usize,
 }
 

@@ -45,7 +45,7 @@ impl RouterPolicy for WormholePolicy {
 
     fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, Self::Source>) {
         ctx.sources[node].push_back(pref);
-        ctx.woken.push(node);
+        ctx.nic_work.insert(node);
     }
 
     fn peek_source(source: &Self::Source) -> Option<PacketRef> {
@@ -126,8 +126,7 @@ impl<Pr: Probe> WormholeNetwork<Pr> {
         &self.cfg
     }
 
-    /// Consumes the network, returning the telemetry probe with every
-    /// shard fork merged in deterministic order.
+    /// Consumes the network, returning its telemetry probe.
     #[must_use]
     pub fn into_probe(self) -> Pr {
         self.fabric.into_probe()
@@ -325,5 +324,30 @@ mod tests {
         assert_eq!(out.len(), 10);
         let end = out.iter().map(|p| p.ejected_at.unwrap()).max().unwrap();
         assert!(end >= 40, "10 packets of 4 flits need at least 40 cycles");
+    }
+
+    /// Flits leave through the local port during switch traversal, in
+    /// ascending node order, one per node per cycle, and each NIC
+    /// stamps `injected_at` as a packet's first flit enters the router:
+    /// all-to-all traffic comes out ordered by (cycle, destination).
+    #[test]
+    fn all_to_all_ejects_in_node_order_within_a_cycle() {
+        let mut net = WormholeNetwork::new(WormholeConfig::on(Topology::mesh(4, 4)));
+        let mut seq = 0;
+        for src in 0..16u32 {
+            for dst in (0..16u32).filter(|&dst| dst != src) {
+                net.enqueue(packet(src, seq, src, dst, 0));
+                seq += 1;
+            }
+        }
+        let out = run_until_empty(&mut net, 20_000);
+        assert_eq!(out.len(), 240);
+        let key = |p: &Packet| (p.ejected_at.unwrap(), p.dst.index());
+        for pair in out.windows(2) {
+            assert!(key(&pair[0]) < key(&pair[1]), "{pair:?}");
+        }
+        for p in &out {
+            assert!(p.injected_at.unwrap() < p.ejected_at.unwrap(), "{p:?}");
+        }
     }
 }

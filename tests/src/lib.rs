@@ -11,8 +11,8 @@ use noc_traffic::{Scenario, Workload};
 use noc_wormhole::WormholeConfig;
 
 /// The three topology shapes under test, sized small enough that the
-/// full matrices stay fast but large enough for real cross-shard
-/// traffic at 4 shards.
+/// full matrices stay fast but large enough that each of 4 shards
+/// holds several nodes.
 pub fn topologies() -> [Topology; 3] {
     [
         Topology::mesh(4, 4),

@@ -18,7 +18,7 @@
 //! certifies that forking is non-destructive — a checkpoint can be
 //! forked any number of times and each fork starts from the identical
 //! frozen state. Sharded cells (2 and 4 shards) additionally cover
-//! cloning of the parallel engine's mailboxes and the worker-pool
+//! cloning of LOFT's per-shard data wheels and its worker-pool
 //! handle, which a fork must rebuild without perturbing results.
 
 use integration::{live, outcome, topologies, Small};

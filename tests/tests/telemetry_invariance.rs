@@ -1,15 +1,15 @@
-//! Telemetry shard invariance: the merged [`TelemetryReport`] must be
+//! Telemetry shard invariance: the [`TelemetryReport`] must be
 //! identical — exact floating point, not approximate — at 1, 2, and 4
 //! shards, for every network × {mesh, torus, line}.
 //!
-//! This is the telemetry counterpart of `shard_invariance.rs`: the VC
-//! fabric's shards record events for disjoint node ranges into forked
-//! probes and the owner absorbs them back in ascending shard order,
-//! and LOFT records every event into its one probe from serial
-//! phases, so every counter, occupancy accumulator, and per-flow
-//! series must land bit-identically regardless of the shard count.
-//! `TelemetryReport` derives `PartialEq` over all of it (including the
-//! Welford accumulators, whose low bits pin the exact merge order).
+//! This is the telemetry counterpart of `shard_invariance.rs`: every
+//! network records every event into its one probe from serial phases
+//! (LOFT's one sharded phase records nothing, and the VC networks
+//! ignore the shard count), so every counter, occupancy accumulator,
+//! and per-flow series must land bit-identically regardless of the
+//! shard count. `TelemetryReport` derives `PartialEq` over all of it
+//! (including the Welford accumulators, whose low bits pin the exact
+//! event order).
 
 use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
@@ -75,31 +75,72 @@ fn loft_telemetry_invariant_under_sharding() {
     check_invariant::<LoftConfig>();
 }
 
-/// NIC stalls, which no cell above reaches: a 64-deep look-ahead
-/// window at uniform 0.60 stages quanta faster than the local input
-/// ports drain, so the NICs stall on a full port.
-#[test]
-fn loft_nic_stalls_invariant_under_sharding() {
+/// Runs `cfg` on the 4×4 mesh at uniform 0.60 at 1, 2 and 4 shards:
+/// the whole report must match, and the 1-shard run must record NIC
+/// stalls. Returns that run's report.
+fn check_stalls_invariant<C: NetSpec>(cfg: impl Fn(Topology, usize) -> C) -> TelemetryReport {
     let topo = Topology::mesh(4, 4);
-    let at = |threads| {
-        let cfg = LoftConfig {
-            la_flow_window: 64,
-            ..<LoftConfig as Small>::small(topo, threads)
-        };
-        telemetry(&Scenario::uniform_on(topo, 0.60), cfg)
-    };
-    let base = at(1);
+    let scenario = Scenario::uniform_on(topo, 0.60);
+    let base = telemetry(&scenario, cfg(topo, 1));
     assert!(
         base.nic_stalls.iter().sum::<u64>() > 0,
-        "no NIC stalled — test is vacuous"
+        "{}: no NIC stalled — test is vacuous",
+        C::NAME
     );
     for threads in [2, 4] {
         assert_eq!(
-            at(threads),
+            telemetry(&scenario, cfg(topo, threads)),
             base,
-            "LOFT NIC-stall telemetry at {threads} shards diverged from 1 shard"
+            "{}: stall telemetry at {threads} shards diverged from 1 shard",
+            C::NAME
         );
     }
+    base
+}
+
+/// LOFT's NIC stalls, which no cell above reaches: a 64-deep
+/// look-ahead window stages quanta faster than the local input ports
+/// drain, so the NICs stall on a full port.
+#[test]
+fn loft_nic_stalls_invariant_under_sharding() {
+    check_stalls_invariant(|topo, threads| LoftConfig {
+        la_flow_window: 64,
+        ..<LoftConfig as Small>::small(topo, threads)
+    });
+}
+
+/// The VC fabric's NIC and link stalls, which no cell above reaches:
+/// two 2-flit VCs per port with a 4-cycle credit return leave GSF's
+/// NICs and output links waiting for credit.
+#[test]
+fn gsf_stalls_invariant_under_sharding() {
+    let base = check_stalls_invariant(|topo, threads| GsfConfig {
+        num_vcs: 2,
+        vc_capacity: 2,
+        credit_delay: 4,
+        ..<GsfConfig as Small>::small(topo, threads)
+    });
+    assert!(
+        base.link_stalls.iter().sum::<u64>() > 0,
+        "gsf: no link stalled — test is vacuous"
+    );
+}
+
+/// Plain wormhole with one VC per port, a regime no other cell
+/// reaches: a blocked worm holds its link's only VC, so every packet
+/// routed behind it stalls at the NIC or on the link.
+#[test]
+fn wormhole_single_vc_stalls_invariant_under_sharding() {
+    let base = check_stalls_invariant(|topo, threads| WormholeConfig {
+        num_vcs: 1,
+        vc_capacity: 2,
+        credit_delay: 4,
+        ..<WormholeConfig as Small>::small(topo, threads)
+    });
+    assert!(
+        base.link_stalls.iter().sum::<u64>() > 0,
+        "wormhole: no link stalled — test is vacuous"
+    );
 }
 
 /// The JSON export is a pure function of the report, so it is also
