@@ -3,19 +3,18 @@
 //!
 //! Enumerates `{loft, gsf, wormhole} × {mesh, torus, line} × traffic
 //! × load × ff-legs`, runs warmup once per base point and forks it
-//! per leg (see `noc_sim::checkpoint`), schedules whole simulations
-//! across a work-stealing pool, and streams one versioned JSON row
+//! per leg (see `noc_sim::checkpoint`), runs whole simulations on
+//! `--jobs` lanes, longest first, and streams one versioned JSON row
 //! per cell to stdout. Usage:
 //!
 //! ```text
-//! sweep [--jobs N] [--threads N] [--seed N] [--smoke] [--no-fork]
+//! sweep [--jobs N] [--seed N] [--smoke] [--no-fork]
 //!       [--selfcheck] [--alloc-budget X] [--min-cps NET=FLOOR[,...]]
 //!       [--telemetry PATH | --profile]
 //! ```
 //!
-//! * `--jobs N` — concurrent simulations (clamped so `jobs × threads`
-//!   never oversubscribes the machine).
-//! * `--threads N` — shards per simulation.
+//! * `--jobs N` — concurrent simulations, each on one thread
+//!   (clamped to the machine's cores).
 //! * `--seed N` — workload seed.
 //! * `--smoke` — the CI matrix: every network on the default mesh at
 //!   uniform 0.05 and 0.60 in short windows, plus bursty low-duty
@@ -53,14 +52,13 @@ use loft_bench::sweep::{
 };
 use loft_bench::{or_exit, SEED};
 
-const FLAGS: &str = "--jobs N, --threads N, --seed N, --smoke, --no-fork, --selfcheck, \
+const FLAGS: &str = "--jobs N, --seed N, --smoke, --no-fork, --selfcheck, \
                      --alloc-budget X, --min-cps NET=FLOOR[,NET=FLOOR...], --telemetry PATH, \
                      --profile";
 
 /// The command line, checked.
 struct Cli {
     opts: SweepOptions,
-    threads: usize,
     seed: u64,
     smoke: bool,
     selfcheck: bool,
@@ -90,7 +88,6 @@ fn floor(entry: &str) -> Result<(Net, f64), String> {
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         opts: SweepOptions::default(),
-        threads: 1,
         seed: SEED,
         smoke: false,
         selfcheck: false,
@@ -104,7 +101,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         let mut value = || args.next().ok_or(format!("{flag} takes a value"));
         match flag.as_str() {
             "--jobs" => cli.opts.jobs = number(flag, value()?)?,
-            "--threads" => cli.threads = number::<usize>(flag, value()?)?.max(1),
             "--seed" => cli.seed = number(flag, value()?)?,
             "--alloc-budget" => cli.alloc_budget = Some(number(flag, value()?)?),
             "--min-cps" => cli.floors = value()?.split(',').map(floor).collect::<Result<_, _>>()?,
@@ -177,16 +173,16 @@ fn selfcheck(rows: &[SweepRow], matrix: Vec<SweepGroup>, opts: &SweepOptions) ->
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = or_exit(parse(&args).map_err(|e| format!("{e} (accepted: {FLAGS})")));
-    cli.opts.jobs = clamp_jobs(cli.opts.jobs, cli.threads);
-    let (jobs, threads) = (cli.opts.jobs, cli.threads);
+    cli.opts.jobs = clamp_jobs(cli.opts.jobs);
+    let jobs = cli.opts.jobs;
     let matrix = if cli.smoke {
-        smoke_matrix(threads, cli.seed)
+        smoke_matrix(cli.seed)
     } else {
-        full_matrix(threads, cli.seed)
+        full_matrix(1, cli.seed)
     };
     let fork = cli.opts.fork_warmup;
     eprintln!(
-        "sweep: {} groups, jobs={jobs}, threads={threads}, forked_warmup={fork}",
+        "sweep: {} groups, jobs={jobs}, forked_warmup={fork}",
         matrix.len()
     );
 
@@ -239,5 +235,60 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn rejection(line: &str) -> String {
+        match parse(&args(line)) {
+            Ok(_) => panic!("{line:?} parsed"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let cli = parse(&[]).expect("no flags is a valid command line");
+        assert_eq!((cli.opts.jobs, cli.seed), (1, SEED));
+        assert!(cli.opts.fork_warmup && !cli.smoke && !cli.selfcheck);
+        assert_eq!(cli.opts.instrument, Instrument::Off);
+
+        let line = "--jobs 2 --seed 7 --smoke --no-fork --selfcheck \
+                    --min-cps loft=100,gsf=50 --profile";
+        let cli = parse(&args(line)).expect("a valid command line");
+        assert_eq!((cli.opts.jobs, cli.seed), (2, 7));
+        assert!(!cli.opts.fork_warmup && cli.smoke && cli.selfcheck);
+        assert_eq!(cli.floors, vec![(Net::Loft, 100.0), (Net::Gsf, 50.0)]);
+        assert_eq!(cli.opts.instrument, Instrument::Profile);
+        assert!(cli.alloc_budget.is_none() && cli.telemetry.is_none());
+
+        let cli = parse(&args("--telemetry t.json")).expect("a valid command line");
+        assert_eq!(cli.telemetry.as_deref(), Some("t.json"));
+        assert_eq!(cli.opts.instrument, Instrument::Telemetry);
+    }
+
+    /// Each bad command line is refused with its reason, before any
+    /// simulation starts; `--threads` is gone with sharded stepping.
+    #[test]
+    fn parse_rejects_bad_command_lines() {
+        assert_eq!(rejection("--threads 2"), "unknown flag \"--threads\"");
+        assert_eq!(rejection("--jobs"), "--jobs takes a value");
+        assert_eq!(
+            rejection("--jobs two"),
+            "--jobs takes a number, not \"two\""
+        );
+        assert!(rejection("--min-cps mesh=1").contains("unknown network"));
+        assert!(rejection("--min-cps loft").contains("NET=FLOOR"));
+        assert!(rejection("--telemetry t.json --profile").contains("each attach a probe"));
+        // Without the feature the budget is refused for that; with it,
+        // for the second job.
+        assert!(rejection("--alloc-budget 1 --jobs 2").starts_with("--alloc-budget needs"));
     }
 }

@@ -55,9 +55,11 @@
 //! # }
 //! ```
 
+use std::panic;
+use std::sync::Mutex;
+
 use loft::{LoftConfig, LoftNetwork};
 use noc_gsf::{GsfConfig, GsfNetwork};
-use noc_sim::par::{pool_map, WorkerPool};
 use noc_sim::telemetry::{NoopProbe, Phase, Probe};
 use noc_sim::{ConfigError, Network, RunConfig, SimReport, Simulation, Topology};
 use noc_traffic::{Scenario, Workload};
@@ -80,12 +82,9 @@ pub const TELEMETRY_WINDOW: u64 = 1_000;
 /// `allocs_per_cycle` and `sweep --alloc-budget` can fail CI when the
 /// steady state regresses into per-cycle heap traffic.
 ///
-/// The counter is **thread-aware**: a `#[global_allocator]` serves
-/// every thread in the process, so allocations made by `noc_sim::par`
-/// pool workers during sharded stepping land in the same counter as
-/// the coordinator's. The `--alloc-budget` gate therefore holds the
-/// multi-threaded engine (`--threads N`) to the same steady-state
-/// standard as the single-threaded one.
+/// The counter is **process-wide**: a `#[global_allocator]` serves
+/// every thread, so concurrent legs would count each other's
+/// allocations. That is why `sweep --alloc-budget` needs `--jobs 1`.
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -147,9 +146,8 @@ pub trait NetSpec: Sized {
     /// The network this configuration builds, carrying probe `P`.
     type Net<P: Probe + Clone>: Network + Clone;
 
-    /// The default configuration on `topo`, stepped with `threads`
-    /// shards.
-    fn on(topo: Topology, threads: usize) -> Self;
+    /// The default configuration on `topo`.
+    fn on(topo: Topology) -> Self;
 
     /// Builds the network for `scenario` with `probe` attached.
     ///
@@ -186,11 +184,8 @@ impl NetSpec for LoftConfig {
     const PHASES: &'static [Phase] = &Phase::LOFT;
     type Net<P: Probe + Clone> = LoftNetwork<P>;
 
-    fn on(topo: Topology, threads: usize) -> Self {
-        LoftConfig {
-            threads,
-            ..LoftConfig::on(topo)
-        }
+    fn on(topo: Topology) -> Self {
+        LoftConfig::on(topo)
     }
 
     fn build<P: Probe + Clone>(
@@ -214,11 +209,8 @@ impl NetSpec for GsfConfig {
     const PHASES: &'static [Phase] = &Phase::VC;
     type Net<P: Probe + Clone> = GsfNetwork<P>;
 
-    fn on(topo: Topology, threads: usize) -> Self {
-        GsfConfig {
-            threads,
-            ..GsfConfig::on(topo)
-        }
+    fn on(topo: Topology) -> Self {
+        GsfConfig::on(topo)
     }
 
     fn build<P: Probe + Clone>(
@@ -242,11 +234,8 @@ impl NetSpec for WormholeConfig {
     const PHASES: &'static [Phase] = &Phase::VC;
     type Net<P: Probe + Clone> = WormholeNetwork<P>;
 
-    fn on(topo: Topology, threads: usize) -> Self {
-        WormholeConfig {
-            threads,
-            ..WormholeConfig::on(topo)
-        }
+    fn on(topo: Topology) -> Self {
+        WormholeConfig::on(topo)
     }
 
     fn build<P: Probe + Clone>(
@@ -313,9 +302,15 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
 /// the output; `jobs <= 1` runs inline on the calling thread.
 ///
 /// Items are whole simulations: independent, single-threaded and
-/// uneven in cost, so they are claimed off the shared cursor of a
-/// [`WorkerPool`] that lives for this one call — long items pipeline
-/// with short ones, and a panicking `f` cannot poison a later call.
+/// uneven in cost. The calling thread and `jobs - 1` scoped threads
+/// claim them one at a time, in index order, off one shared iterator,
+/// so long items pipeline with short ones and a caller that sorts
+/// longest-first gets longest-first scheduling.
+///
+/// # Panics
+///
+/// A panic in `f` is resumed on the calling thread, with its payload,
+/// once every lane has stopped.
 pub fn map_jobs<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -325,10 +320,29 @@ where
     if jobs <= 1 {
         return items.into_iter().map(f).collect();
     }
-    // The mapping thread participates in the claim loop, so
-    // `jobs`-way parallelism wants `jobs - 1` workers.
-    let mut pool = WorkerPool::new(jobs - 1);
-    pool_map(&mut pool, items, f)
+    let lanes = jobs.min(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let lane = || {
+        let mut done = Vec::new();
+        loop {
+            // The lock is released before `f` runs: lanes claim items
+            // concurrently, and a panicking item cannot poison it.
+            let next = queue.lock().expect("job queue poisoned").next();
+            let Some((i, item)) = next else { break done };
+            done.push((i, f(item)));
+        }
+    };
+    let mut pairs = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..lanes).map(|_| s.spawn(lane)).collect();
+        let mut pairs = lane();
+        for handle in spawned {
+            let done = handle.join().unwrap_or_else(|p| panic::resume_unwind(p));
+            pairs.extend(done);
+        }
+        pairs
+    });
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 /// [`map_jobs`] on every available core: a 40-point figure sweep
@@ -409,9 +423,75 @@ mod tests {
         assert_eq!(map_jobs(3, vec![3u64, 1, 2], |x| x * 10), out);
     }
 
-    /// The allocation counter must observe worker-thread allocations
-    /// (a global allocator is process-wide), or the `--alloc-budget`
-    /// gate would silently exempt the parallel engine.
+    /// A panicking item panics in the caller with its own message,
+    /// whichever lane ran it: `run_sweep` reports an infeasible group
+    /// this way.
+    #[test]
+    fn map_jobs_resumes_item_panics_in_the_caller() {
+        for bad in 0..4u64 {
+            let caught = std::panic::catch_unwind(|| {
+                map_jobs(2, (0..4u64).collect(), |x| {
+                    assert!(x != bad, "item {x} failed");
+                    x
+                })
+            });
+            let payload = caught.expect_err("the panic was swallowed");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(*message, format!("item {bad} failed"));
+        }
+    }
+
+    /// Item 0 waits for items 1 and 2, and item 3 for item 4, so
+    /// whichever lane claims item 0, the caller's lane and the spawned
+    /// one each finish an item numbered above one the other finished:
+    /// the output still follows the input.
+    #[test]
+    fn map_jobs_restores_input_order_when_items_finish_out_of_order() {
+        use std::sync::mpsc::{channel, Receiver};
+        use std::time::Duration;
+
+        fn wait(rx: &Mutex<Receiver<u64>>, items: usize) {
+            let rx = rx.lock().expect("one waiter");
+            for _ in 0..items {
+                rx.recv_timeout(Duration::from_secs(30))
+                    .expect("no other lane ran the item waited for");
+            }
+        }
+        let (early_tx, early_rx) = channel();
+        let (late_tx, late_rx) = channel();
+        let (early_rx, late_rx) = (Mutex::new(early_rx), Mutex::new(late_rx));
+        let out = map_jobs(2, (0..5u64).collect(), |x| {
+            match x {
+                0 => wait(&early_rx, 2),
+                1 | 2 => early_tx.send(x).expect("item 0 waits"),
+                3 => wait(&late_rx, 1),
+                _ => late_tx.send(x).expect("item 3 waits"),
+            }
+            x * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30, 40]);
+    }
+
+    /// More lanes than items, and no items at all: every item runs
+    /// exactly once and nothing is invented.
+    #[test]
+    fn map_jobs_runs_each_item_once_whatever_the_lane_count() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        for jobs in [2, 3, 8] {
+            let calls = AtomicUsize::new(0);
+            let out = map_jobs(jobs, vec![5u64, 6, 7], |x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x + 1
+            });
+            assert_eq!(out, vec![6, 7, 8], "jobs = {jobs}");
+            assert_eq!(calls.into_inner(), 3, "jobs = {jobs}");
+            assert!(map_jobs(jobs, Vec::<u64>::new(), |x| x).is_empty());
+        }
+    }
+
+    /// The allocation counter is process-wide: it observes other
+    /// threads' allocations too (why `--alloc-budget` needs `--jobs 1`).
     #[cfg(feature = "alloc-count")]
     #[test]
     fn alloc_counter_sees_other_threads() {
@@ -428,7 +508,7 @@ mod tests {
     }
 
     fn default_cfg<C: NetSpec>() -> C {
-        C::on(Scenario::default_topology(), 1)
+        C::on(Scenario::default_topology())
     }
 
     #[test]
@@ -494,7 +574,7 @@ mod tests {
     /// Profiling only adds clock reads: a `PhaseProbe` run reports what
     /// the plain run reports, and every phase of the network's cycle
     /// was timed, at most once per cycle (every cycle, for the VC
-    /// fabric) — at two shards too.
+    /// fabric).
     #[test]
     fn phase_profile_matches_plain_run_and_covers_every_phase() {
         fn check<C: NetSpec>() {
@@ -502,34 +582,31 @@ mod tests {
             let (plain, _, plain_info) = simulation(&s, default_cfg::<C>(), NoopProbe, RUN, SEED)
                 .unwrap()
                 .run_full(|| {});
-            for threads in [1, 2] {
-                let cfg = C::on(Scenario::default_topology(), threads);
-                let probe = PhaseProbe::default();
-                let (report, network, info) = simulation(&s, cfg, probe, RUN, SEED)
-                    .unwrap()
-                    .run_full(|| {});
-                assert_eq!(plain, report, "profiling perturbed the {} run", C::NAME);
-                assert_eq!(plain_info, info);
-                let profile = C::into_probe(network);
-                assert_eq!(profile.cycles, info.end_cycle - info.skipped_cycles);
-                for phase in C::PHASES {
-                    let calls = profile.calls[phase.index()];
-                    assert!(calls > 0, "{} never timed {}", C::NAME, phase.name());
-                    assert!(
-                        calls <= profile.cycles,
-                        "{} at {threads} shards timed {} {calls} times in {} cycles",
-                        C::NAME,
-                        phase.name(),
-                        profile.cycles
-                    );
-                    // The VC fabric times every phase every cycle.
-                    if C::PHASES == Phase::VC {
-                        assert_eq!(calls, profile.cycles, "{} {}", C::NAME, phase.name());
-                    }
+            let probe = PhaseProbe::default();
+            let (report, network, info) = simulation(&s, default_cfg::<C>(), probe, RUN, SEED)
+                .unwrap()
+                .run_full(|| {});
+            assert_eq!(plain, report, "profiling perturbed the {} run", C::NAME);
+            assert_eq!(plain_info, info);
+            let profile = C::into_probe(network);
+            assert_eq!(profile.cycles, info.end_cycle - info.skipped_cycles);
+            for phase in C::PHASES {
+                let calls = profile.calls[phase.index()];
+                assert!(calls > 0, "{} never timed {}", C::NAME, phase.name());
+                assert!(
+                    calls <= profile.cycles,
+                    "{} timed {} {calls} times in {} cycles",
+                    C::NAME,
+                    phase.name(),
+                    profile.cycles
+                );
+                // The VC fabric times every phase every cycle.
+                if C::PHASES == Phase::VC {
+                    assert_eq!(calls, profile.cycles, "{} {}", C::NAME, phase.name());
                 }
-                let timed = profile.calls.iter().filter(|&&c| c > 0).count();
-                assert_eq!(timed, C::PHASES.len(), "{} timed a foreign phase", C::NAME);
             }
+            let timed = profile.calls.iter().filter(|&&c| c > 0).count();
+            assert_eq!(timed, C::PHASES.len(), "{} timed a foreign phase", C::NAME);
         }
         check::<LoftConfig>();
         check::<GsfConfig>();

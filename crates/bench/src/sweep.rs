@@ -13,10 +13,9 @@
 //!   Forked legs are bit-identical to from-scratch runs; see
 //!   `noc_sim::checkpoint` for why.
 //! * **Work stealing across cells.** Groups are whole-simulation
-//!   tasks: independent, single-threaded (unless the group itself
-//!   shards), wildly uneven in cost. They are sorted
-//!   longest-expected-first and claimed off the shared cursor of a
-//!   worker pool ([`map_jobs`], `--jobs N`), so a long GSF point
+//!   tasks: independent, single-threaded, wildly uneven in cost.
+//!   They are sorted longest-expected-first and claimed in that order
+//!   by `--jobs N` lanes ([`map_jobs`]), so a long GSF point
 //!   pipelines with many short wormhole points instead of serializing
 //!   behind them.
 //!
@@ -46,7 +45,7 @@ use noc_wormhole::WormholeConfig;
 use crate::{map_jobs, simulation, NetSpec, TELEMETRY_WINDOW};
 
 /// Version stamp on every JSON row this module emits.
-pub const SWEEP_SCHEMA_VERSION: u32 = 2;
+pub const SWEEP_SCHEMA_VERSION: u32 = 3;
 
 /// Cap on a leg's horizon doublings. A leg that comes back saturated
 /// is re-forked with a doubled measurement window, to tell true
@@ -142,8 +141,6 @@ pub struct SweepGroup {
     pub traffic: TrafficKind,
     /// Injection rate in flits/cycle/node.
     pub load: f64,
-    /// Shards per simulation (`threads` in the network configs).
-    pub threads: usize,
     /// Phase lengths; [`noc_sim::Checkpoint::with_measure`] may extend
     /// `measure` per leg during saturation probing.
     pub run: RunConfig,
@@ -204,8 +201,6 @@ pub struct SweepRow {
     pub traffic: TrafficKind,
     /// Injection rate.
     pub load: f64,
-    /// Shards per simulation.
-    pub threads: usize,
     /// Fast-forward setting of this leg.
     pub ff: bool,
     /// Whether this leg was forked from a shared warmup checkpoint.
@@ -260,7 +255,7 @@ pub struct SweepRow {
 
 impl SweepRow {
     /// The row as one JSON object (the sweep's streamed output
-    /// format, `"schema": 2`), ending in the phase fields if any.
+    /// format, `"schema": 3`), ending in the phase fields if any.
     #[must_use]
     pub fn to_json(&self, jobs: usize) -> String {
         let opt_f = |x: Option<f64>| x.map_or("null".to_string(), |v| format!("{v:.3}"));
@@ -268,7 +263,7 @@ impl SweepRow {
         format!(
             concat!(
                 "{{\"schema\": {}, \"net\": \"{}\", \"topo\": \"{}\", \"traffic\": \"{}\", ",
-                "\"load\": {}, \"threads\": {}, \"ff\": {}, \"jobs\": {}, ",
+                "\"load\": {}, \"ff\": {}, \"jobs\": {}, ",
                 "\"forked_warmup\": {}, \"seed\": {}, \"warmup\": {}, \"measure\": {}, ",
                 "\"drain\": {}, \"end_cycle\": {}, \"skipped_cycles\": {}, ",
                 "\"wall_secs\": {:.4}, \"warmup_secs\": {:.4}, \"packets_delivered\": {}, ",
@@ -281,7 +276,6 @@ impl SweepRow {
             self.topo,
             self.traffic.name(),
             self.load,
-            self.threads,
             self.ff,
             jobs,
             self.forked_warmup,
@@ -319,12 +313,11 @@ impl SweepRow {
     #[must_use]
     pub fn equivalence_key(&self) -> String {
         format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{}|{}",
+            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{}|{}",
             self.net.name(),
             self.topo,
             self.traffic.name(),
             self.load,
-            self.threads,
             self.ff,
             self.seed,
             self.warmup,
@@ -390,20 +383,16 @@ impl Default for SweepOptions {
     }
 }
 
-/// Clamps a requested job count so `jobs × threads` never
-/// oversubscribes the machine (warns on stderr when it clamps).
+/// Clamps a requested job count to the machine's cores (warns on
+/// stderr when it clamps).
 #[must_use]
-pub fn clamp_jobs(requested: usize, threads: usize) -> usize {
+pub fn clamp_jobs(requested: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let max_jobs = (cores / threads.max(1)).max(1);
-    let jobs = requested.clamp(1, max_jobs);
+    let jobs = requested.clamp(1, cores);
     if jobs < requested {
-        eprintln!(
-            "sweep: clamping --jobs {requested} to {jobs} \
-             ({cores} cores / {threads} threads per simulation)"
-        );
+        eprintln!("sweep: clamping --jobs {requested} to {jobs} ({cores} cores)");
     }
     jobs
 }
@@ -460,7 +449,7 @@ fn run_legs<C: NetSpec, P: Probe + Clone>(
 ) -> Result<Vec<SweepRow>, ConfigError> {
     let scenario = group.scenario()?;
     let sim = |run: RunConfig| {
-        let cfg = C::on(group.topo, group.threads);
+        let cfg = C::on(group.topo);
         simulation(&scenario, cfg, probe.clone(), run, group.seed)
     };
     // The shared warmup always fast-forwards: bit-identical and
@@ -515,7 +504,6 @@ fn run_legs<C: NetSpec, P: Probe + Clone>(
             topo: topo_name(group.topo),
             traffic: group.traffic,
             load: group.load,
-            threads: group.threads,
             ff,
             forked_warmup: ckpt.is_some(),
             seed: group.seed,
@@ -565,11 +553,7 @@ pub fn run_sweep(mut groups: Vec<SweepGroup>, opts: &SweepOptions) -> Vec<SweepR
 
 /// One group per network and `(topology, traffic, load, phases)`
 /// point, each with both fast-forward legs.
-fn matrix(
-    points: &[(Topology, TrafficKind, f64, RunConfig)],
-    threads: usize,
-    seed: u64,
-) -> Vec<SweepGroup> {
+fn matrix(points: &[(Topology, TrafficKind, f64, RunConfig)], seed: u64) -> Vec<SweepGroup> {
     Net::ALL
         .into_iter()
         .flat_map(|net| {
@@ -580,7 +564,6 @@ fn matrix(
                     topo,
                     traffic,
                     load,
-                    threads,
                     run,
                     ff_legs: vec![true, false],
                     seed,
@@ -594,8 +577,11 @@ fn matrix(
 /// 16×1), plus the hotspot pattern on the default mesh — two
 /// fast-forward legs each. Warmup-heavy phases so the
 /// shared-warmup fork pays even at `--jobs 1`.
+///
+/// `_threads` is accepted and ignored (every simulation steps on one
+/// thread); ROADMAP item 2 deletes it.
 #[must_use]
-pub fn full_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
+pub fn full_matrix(_threads: usize, seed: u64) -> Vec<SweepGroup> {
     let run = RunConfig {
         warmup: 6_000,
         measure: 6_000,
@@ -616,7 +602,7 @@ pub fn full_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
         0.30,
         run,
     ));
-    matrix(&points, threads, seed)
+    matrix(&points, seed)
 }
 
 /// The CI smoke matrix on the default mesh: every network at uniform
@@ -625,7 +611,7 @@ pub fn full_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
 /// window would deliver nothing, and fast-forward skips most of a long
 /// one.
 #[must_use]
-pub fn smoke_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
+pub fn smoke_matrix(seed: u64) -> Vec<SweepGroup> {
     let short = RunConfig {
         warmup: 200,
         measure: 2_000,
@@ -642,7 +628,7 @@ pub fn smoke_matrix(threads: usize, seed: u64) -> Vec<SweepGroup> {
         (mesh, TrafficKind::Uniform, 0.60, short),
         (mesh, TrafficKind::Bursty, 0.60, long),
     ];
-    matrix(&points, threads, seed)
+    matrix(&points, seed)
 }
 
 #[cfg(test)]
@@ -656,7 +642,6 @@ mod tests {
             topo,
             traffic: TrafficKind::Uniform,
             load: 0.10,
-            threads: 1,
             run: RunConfig {
                 warmup: 300,
                 measure: 600,
@@ -747,15 +732,38 @@ mod tests {
         }
     }
 
+    /// An infeasible hand-built group fails the whole sweep with the
+    /// group named, also when another `map_jobs` lane runs it.
+    #[test]
+    fn run_sweep_panics_on_an_infeasible_group_at_two_jobs() {
+        let groups = vec![
+            tiny_group(Net::Wormhole, Topology::mesh(4, 4)),
+            SweepGroup {
+                traffic: TrafficKind::Hotspot,
+                ..tiny_group(Net::Loft, Topology::mesh(8, 1))
+            },
+        ];
+        let opts = SweepOptions {
+            jobs: 2,
+            ..SweepOptions::default()
+        };
+        let payload = std::panic::catch_unwind(|| run_sweep(groups, &opts))
+            .expect_err("an infeasible group must not yield rows");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.starts_with("infeasible sweep group") && message.contains("Hotspot"),
+            "unexpected panic: {message}"
+        );
+    }
+
     #[test]
     fn clamp_jobs_never_oversubscribes() {
         let cores = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        assert_eq!(clamp_jobs(1, 1), 1);
-        assert!(clamp_jobs(1_000, 1) <= cores);
-        assert!(clamp_jobs(1_000, 4).saturating_mul(4) <= cores.max(4));
-        assert_eq!(clamp_jobs(0, 1), 1);
+        assert_eq!(clamp_jobs(1), 1);
+        assert_eq!(clamp_jobs(1_000), cores);
+        assert_eq!(clamp_jobs(0), 1);
     }
 
     #[test]
@@ -764,7 +772,7 @@ mod tests {
         let rows = run_group(&group, &SweepOptions::default()).unwrap();
         assert_eq!(rows.len(), 2);
         let json = rows[0].to_json(3);
-        assert!(json.starts_with("{\"schema\": 2, "));
+        assert!(json.starts_with("{\"schema\": 3, "));
         assert!(json.contains("\"jobs\": 3"));
         assert!(json.contains("\"forked_warmup\": true"));
         assert!(json.ends_with("}"));

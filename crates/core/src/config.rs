@@ -50,10 +50,8 @@ pub struct LoftConfig {
     pub speculative_switching: bool,
     /// Enable local status reset (Section 4.3.2).
     pub local_status_reset: bool,
-    /// Shards that deliver arriving data quanta concurrently, LOFT's
-    /// one parallel phase (1 = single-threaded); every other phase
-    /// is serial. Results are bit-identical at every value; see
-    /// `noc_sim::par`.
+    /// Accepted and ignored: the network steps on one thread; see
+    /// `noc_sim::fabric::VcParams::threads`.
     pub threads: usize,
 }
 

@@ -61,27 +61,10 @@
 //! current slot ([`LinkScheduler::advance_to`]). Links with a pending
 //! booking are touched by the data plane every slot, so they never
 //! lag; any other link catches up in at most one window of work.
-//!
-//! # Parallel stepping
-//!
-//! With [`LoftConfig::threads`] > 1 the node range is partitioned
-//! into contiguous shards (see `noc_sim::par`), each with its own
-//! data-quantum wheel, and one phase runs on all shards concurrently:
-//! data-quantum arrival (`deliver_data`), which writes only the
-//! receiving shard's input ports. Everything else is serial. In
-//! flit-reservation flow control a look-ahead flit books its slot and
-//! returns a virtual credit to the *upstream* link scheduler in the
-//! same cycle, and forwarding a quantum consumes *downstream* buffer
-//! credit, so look-ahead scheduling, data movement and local status
-//! resets reach other routers' state. NIC injection touches no other
-//! router, but it writes `injected_at` into the shared packet slab.
-//! LOFT therefore parallelizes a small part of each cycle; the
-//! VC-based networks (`VcFabric`) parallelize the whole datapath.
 
 use noc_sim::checkpoint::CapDeque;
 use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LinkTable, LOCAL, PORTS};
 use noc_sim::flit::{FlowId, NodeId, Packet};
-use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
 use noc_sim::slab::{PacketRef, PacketStore};
 use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
@@ -200,6 +183,8 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     la_outstanding: Vec<u32>,
     /// Look-ahead flits in flight to their next input port.
     la_wires: DelayedWires<LaFlit>,
+    /// Data quanta in flight to their next input port.
+    data_wires: DelayedWires<DataQuantum>,
     /// The look-ahead channel queue of every output port.
     la_queues: LookaheadQueues<LaFlit>,
     // ---- active-set worklists (see `noc_sim::worklist`) ----------
@@ -219,16 +204,6 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// alike cost nothing per cycle. Always empty with
     /// [`LoftConfig::local_status_reset`] off.
     reset_check: ActiveSet,
-    // ---- sharded data-quantum arrival (see the module docs) -------
-    /// Contiguous node ranges, one per shard.
-    ranges: Vec<ShardRange>,
-    /// Node index → owning shard index.
-    shard_of: Vec<u32>,
-    /// Data quanta in flight, one wheel per shard: shard `s`'s wheel
-    /// holds only quanta bound for its own input ports.
-    data_wires: Vec<DelayedWires<DataQuantum>>,
-    /// Persistent worker pool; present iff more than one shard.
-    pool: Option<WorkerPool>,
 }
 
 impl LoftNetwork {
@@ -279,9 +254,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             })
             .collect();
         let res_cap = cfg.reservation_store_capacity() as usize;
-        let ranges = partition(n, cfg.threads);
-        let shard_of = shard_map(&ranges);
-        let k = ranges.len();
         LoftNetwork {
             probe,
             data_ports: (0..n * PORTS)
@@ -298,17 +270,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             packets: PacketStore::new(),
             la_outstanding: vec![0; reservations_flits.len()],
             la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
+            data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
             la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len()),
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
             stage_work: ActiveSet::new(n),
             reset_check: ActiveSet::new(n * PORTS),
-            pool: (k > 1).then(|| WorkerPool::new(k - 1)),
-            ranges,
-            shard_of,
-            data_wires: (0..k)
-                .map(|_| DelayedWires::new(n * PORTS, cfg.dep_offset()))
-                .collect(),
             link_sched,
             links: LinkTable::new(&cfg.topo),
             cycle: 0,
@@ -566,44 +533,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
 
     // ---------------- data plane ------------------------------------
 
-    /// Delivers every data quantum due at `slot` into its input
-    /// port: LOFT's one parallel phase. Each shard drains its own
-    /// wheel into its own input ports, on the pool when there are
-    /// several shards and inline when there is one.
+    /// Delivers every data quantum due at `slot` into its input port.
     fn deliver_data(&mut self, slot: u64) {
-        /// Drains one shard's wheel; `ports[0]` is input port `base`.
-        fn drain(
-            wires: &mut DelayedWires<DataQuantum>,
-            ports: &mut [DataPort],
-            base: usize,
-            slot: u64,
-        ) {
-            wires.drain_due(slot, |widx, w| {
-                ports[widx - base].record_arrival(w.res_idx, w.spec, w.pref);
-            });
-        }
-        let Some(pool) = self.pool.as_mut() else {
-            drain(&mut self.data_wires[0], &mut self.data_ports, 0, slot);
-            return;
-        };
-        let wires = SendPtr::new(self.data_wires.as_mut_ptr());
-        let ports = SendPtr::new(self.data_ports.as_mut_ptr());
-        let ranges: &[ShardRange] = &self.ranges;
-        pool.run(ranges.len(), &|s| {
-            let (base, len) = (ranges[s].lo * PORTS, ranges[s].len() * PORTS);
-            // SAFETY: shard ranges are disjoint and cover `0..n`, and
-            // the pool hands each shard index to exactly one task, so
-            // no two concurrent tasks share a wheel or a port; `pool.run`
-            // returns only after every task (and worker) has left the
-            // job, so no access outlives the borrows the pointers were
-            // created from.
-            let (wires, ports) = unsafe {
-                (
-                    &mut *wires.get().add(s),
-                    std::slice::from_raw_parts_mut(ports.get().add(base), len),
-                )
-            };
-            drain(wires, ports, base, slot);
+        let ports = &mut self.data_ports;
+        self.data_wires.drain_due(slot, |widx, w| {
+            ports[widx].record_arrival(w.res_idx, w.spec, w.pref);
         });
     }
 
@@ -628,7 +562,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             }
             self.data_ports[pidx].nonspec_free -= 1;
             self.packets.get_mut(pref).injected_at.get_or_insert(at);
-            self.data_wires[self.shard_of[node] as usize].push(
+            self.data_wires.push(
                 pidx,
                 due,
                 DataQuantum {
@@ -759,7 +693,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 } else {
                     self.data_ports[ridx].nonspec_free -= 1;
                 }
-                self.data_wires[self.shard_of[ridx / PORTS] as usize].push(
+                self.data_wires.push(
                     ridx,
                     slot + self.cfg.dep_offset(),
                     DataQuantum {
@@ -790,18 +724,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     fn debug_verify_worklists(&self) {
         self.la_wires.debug_verify();
         self.la_queues.debug_verify();
-        for (sh, wires) in self.data_wires.iter().enumerate() {
-            wires.debug_verify();
-            // Shard-locality: no quantum in flight to another shard's
-            // input port.
-            let links = self.ranges[sh].lo * PORTS..self.ranges[sh].hi * PORTS;
-            for i in (0..self.link_sched.len()).filter(|i| !links.contains(i)) {
-                debug_assert!(
-                    !wires.is_active(i),
-                    "shard {sh} holds a quantum outside its range at link {i}"
-                );
-            }
-        }
+        self.data_wires.debug_verify();
         for i in 0..self.link_sched.len() {
             let sched = &self.link_sched[i];
             debug_assert!(
@@ -1026,9 +949,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
                     debug_assert!(sched.is_fresh(), "quiescent link {i} missed its reset");
                 }
             }
-            for wires in &self.data_wires {
-                debug_assert!(!wires.any_active(), "data quanta in flight");
-            }
+            debug_assert!(!self.data_wires.any_active(), "data quanta in flight");
             debug_assert!(!self.la_wires.any_active(), "look-aheads in flight");
             debug_assert!(self.la_queues.first_from(0).is_none(), "queued look-aheads");
             debug_assert!(self.stage_work.is_empty(), "staged quanta mid-jump");

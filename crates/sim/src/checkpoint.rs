@@ -2,7 +2,7 @@
 //!
 //! A [`Checkpoint`] is a simulation frozen at its warmup/measurement
 //! boundary with *everything* observable captured — the network (slab,
-//! wires, credits, schedulers, worker-pool width), the traffic source
+//! wires, credits, schedulers), the traffic source
 //! (per-flow RNG streams and their `ticked_until`/`pending` scan
 //! caches), the statistics collector, and both engine clocks. Because
 //! the engine loop is stop/resume-exact (see `EngineState::drive`),
@@ -25,10 +25,6 @@
 //!   `Clone`: the packet slab, wire/credit FIFOs, worklists, policy
 //!   state, RNGs, probes, and collectors contain no interior
 //!   mutability and no references into shared state.
-//! * The one exception, the [`WorkerPool`](crate::par::WorkerPool),
-//!   holds *no* simulation state — its `Clone` spawns a fresh pool of
-//!   the same width, and shard scheduling is outcome-invariant by the
-//!   determinism contract of [`crate::par`].
 //! * The engine loop checks the warmup boundary before doing any
 //!   cycle work, so stopping at `cycle == warmup` and resuming later
 //!   replays the exact instruction sequence of an uninterrupted run.

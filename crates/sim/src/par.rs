@@ -1,146 +1,14 @@
-//! Deterministic sharded parallel stepping: the persistent worker
-//! pool and contiguous shard partitioning.
+//! A persistent worker pool, kept only because the repository
+//! benchmark (`benchmark/src/probes.rs`) measures its dispatch cost.
 //!
-//! LOFT runs one phase of its cycle on several *shards* at once:
-//! contiguous node ranges from [`partition`], each handled by one
-//! [`WorkerPool`] task. That phase, data-quantum arrival, writes only
-//! the receiving shard's input ports, and every other phase is
-//! serial, so the only thing sharding changes is who runs that one
-//! loop: no event crosses a shard boundary inside it, and there is
-//! nothing to merge afterwards. The VC networks step on one thread.
-//!
-//! The [`WorkerPool`] is persistent: threads are spawned once and
-//! parked on a condvar between dispatches, so the steady state
-//! performs no thread spawns and no heap allocation. [`SendPtr`]
-//! carries the base pointers of the per-node arrays into the pool
-//! tasks, which cut them into disjoint per-shard slices.
-//! [`pool_map`] runs independent jobs (whole simulations, for the
-//! sweep runner) on the same kind of pool.
-//!
-//! # Determinism contract
-//!
-//! Work items are claimed off an atomic cursor, so *which thread*
-//! runs a shard is nondeterministic — but shards own disjoint state
-//! and the parallel phase records no telemetry, so the simulation
-//! outcome never depends on the schedule. The golden determinism pins
-//! run at 1, 2, and 4 shards to hold that contract.
+//! Nothing in the simulator uses it: every simulation steps on one
+//! thread, and whole simulations are the only parallelism (the
+//! sweep's and the paper binary's `loft_bench::map_jobs` lanes).
+//! ROADMAP item 2 deletes this module together with the benchmark's
+//! probe of it.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// A contiguous range of node indices owned by one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRange {
-    /// First node index (inclusive).
-    pub lo: usize,
-    /// One past the last node index (exclusive).
-    pub hi: usize,
-}
-
-impl ShardRange {
-    /// Number of nodes in the range.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// Whether the range holds no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// Whether `node` belongs to this shard.
-    #[must_use]
-    pub fn contains(&self, node: usize) -> bool {
-        self.lo <= node && node < self.hi
-    }
-}
-
-/// Splits `n` nodes into `shards` contiguous ranges whose sizes
-/// differ by at most one (larger ranges first). `shards` is clamped
-/// to `1..=n` (for `n > 0`), so every returned range is nonempty.
-#[must_use]
-pub fn partition(n: usize, shards: usize) -> Vec<ShardRange> {
-    let k = shards.clamp(1, n.max(1));
-    let base = n / k;
-    let extra = n % k;
-    let mut ranges = Vec::with_capacity(k);
-    let mut lo = 0;
-    for s in 0..k {
-        let size = base + usize::from(s < extra);
-        ranges.push(ShardRange { lo, hi: lo + size });
-        lo += size;
-    }
-    ranges
-}
-
-/// The node → shard index map for a partition from [`partition`].
-#[must_use]
-pub fn shard_map(ranges: &[ShardRange]) -> Vec<u32> {
-    let n = ranges.last().map_or(0, |r| r.hi);
-    let mut map = vec![0u32; n];
-    for (s, r) in ranges.iter().enumerate() {
-        map[r.lo..r.hi].fill(s as u32);
-    }
-    map
-}
-
-/// A raw pointer that may be smuggled into pool tasks.
-///
-/// Sharded stepping splits global per-node arrays into disjoint
-/// per-shard slices *inside* the pool closure (safe `split_at_mut`
-/// chains cannot cross the closure boundary). `SendPtr` carries the
-/// base pointer across threads; the `T: Send` bound on its `Send`/
-/// `Sync` impls keeps the compiler enforcing that the pointee itself
-/// may move between threads.
-///
-/// # Safety contract for users
-///
-/// Dereferencing (e.g. via `std::slice::from_raw_parts_mut`) is only
-/// sound if concurrent tasks touch disjoint index ranges and no
-/// access outlives the borrow the pointer was created from —
-/// [`WorkerPool::run`] returning strictly after every task (and every
-/// worker) has left the job provides the lifetime half.
-pub struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// Wraps `ptr`.
-    #[must_use]
-    pub fn new(ptr: *mut T) -> Self {
-        SendPtr(ptr)
-    }
-
-    /// The wrapped pointer.
-    #[must_use]
-    pub fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for SendPtr<T> {}
-
-impl<T> std::fmt::Debug for SendPtr<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SendPtr({:p})", self.0)
-    }
-}
-
-// SAFETY: moving/sharing the pointer value is only hazardous through
-// dereferences, whose obligations are documented on `SendPtr`; the
-// `T: Send` bound preserves the compiler's check that the pointee may
-// be accessed from another thread.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: a shared `SendPtr` only hands out copies of the pointer
-// value; every dereference carries the obligations above.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// A type-erased job: `call(data, i)` runs task `i` of the closure
 /// behind `data`.
@@ -184,9 +52,9 @@ struct PoolShared {
 
 /// How long workers (and the coordinator) spin on the lock-free
 /// epoch/finished mirrors before parking on a condvar. Back-to-back
-/// simulation cycles re-dispatch within microseconds, so a short spin
-/// usually catches the next cycle without a futex round trip; the
-/// bound keeps the waste negligible when the pool goes idle.
+/// dispatches arrive within microseconds, so a short spin usually
+/// catches the next one without a futex round trip; the bound keeps
+/// the waste negligible when the pool goes idle.
 const SPIN: u32 = 256;
 
 /// A persistent pool of worker threads executing indexed task batches
@@ -205,17 +73,6 @@ const SPIN: u32 = 256;
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Clone for WorkerPool {
-    /// A *fresh* pool of the same width. A pool holds no simulation
-    /// state — only parked threads — so snapshotting a network that
-    /// owns one (see `noc_sim::checkpoint`) just needs an equivalent
-    /// pool, not the same threads. The clone spawns its own workers;
-    /// the original's keep running undisturbed.
-    fn clone(&self) -> Self {
-        WorkerPool::new(self.workers())
-    }
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -265,12 +122,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { shared, handles }
-    }
-
-    /// Number of background worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.handles.len()
     }
 
     /// Runs `f(i)` for every `i in 0..tasks`, in parallel across the
@@ -353,7 +204,7 @@ impl WorkerPool {
     fn worker_loop(shared: &PoolShared) {
         let mut seen_epoch = 0u64;
         loop {
-            // Lock-free pre-park spin: back-to-back cycles republish
+            // Lock-free pre-park spin: back-to-back dispatches republish
             // within microseconds.
             for _ in 0..SPIN {
                 if shared.epoch_hint.load(Ordering::Acquire) != seen_epoch {
@@ -403,75 +254,9 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A write-once result slot shared across pool workers.
-///
-/// Safety rests on the pool's claim discipline: each index is handed
-/// to exactly one worker, which is the only writer of that slot, and
-/// `run` returning happens-after every task.
-struct MapSlot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: see `MapSlot` — disjoint per-index access, joined before read.
-unsafe impl<T: Send> Sync for MapSlot<T> {}
-
-/// Maps `f` over `items` on `pool`, preserving input order in the
-/// output. Items are claimed dynamically (long items pipeline with
-/// short ones); each is processed exactly once.
-pub fn pool_map<T, R, F>(pool: &mut WorkerPool, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let inputs: Vec<MapSlot<T>> = items
-        .into_iter()
-        .map(|t| MapSlot(UnsafeCell::new(Some(t))))
-        .collect();
-    let outputs: Vec<MapSlot<R>> = (0..n).map(|_| MapSlot(UnsafeCell::new(None))).collect();
-    pool.run(n, &|i| {
-        // SAFETY: the pool hands index `i` to exactly one task, so
-        // this is the only access to either slot `i` during the run.
-        let item = unsafe { &mut *inputs[i].0.get() }
-            .take()
-            .expect("item claimed twice");
-        let result = f(item);
-        // SAFETY: as above, task `i` is the only writer of slot `i`,
-        // and nothing reads the outputs before `pool.run` returns.
-        unsafe { *outputs[i].0.get() = Some(result) };
-    });
-    outputs
-        .into_iter()
-        .map(|slot| slot.0.into_inner().expect("task finished without a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_contiguously() {
-        for n in [1usize, 2, 7, 64, 65] {
-            for k in [1usize, 2, 3, 4, 7, 100] {
-                let ranges = partition(n, k);
-                assert_eq!(ranges[0].lo, 0);
-                assert_eq!(ranges.last().unwrap().hi, n);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].hi, w[1].lo);
-                    assert!(w[0].len() >= w[1].len());
-                    assert!(w[0].len() - w[1].len() <= 1);
-                }
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-                let map = shard_map(&ranges);
-                for (node, &s) in map.iter().enumerate() {
-                    assert!(ranges[s as usize].contains(node));
-                }
-            }
-        }
-    }
 
     #[test]
     fn pool_runs_every_task_exactly_once() {
@@ -495,13 +280,6 @@ mod tests {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 45);
-    }
-
-    #[test]
-    fn pool_map_preserves_order() {
-        let mut pool = WorkerPool::new(2);
-        let out = pool_map(&mut pool, (0..64u64).rev().collect(), |x| x * 2);
-        assert_eq!(out, (0..64u64).rev().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

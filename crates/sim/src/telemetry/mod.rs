@@ -20,15 +20,6 @@
 //! service rate). [`LiveProbe::finish`] freezes it into a
 //! [`TelemetryReport`] with a versioned JSON export.
 //!
-//! # Sharding
-//!
-//! Every network keeps one probe, and every event reaches it from a
-//! serial phase: the one phase that runs on several shards (LOFT's
-//! data-quantum arrival) records nothing, and the VC networks step on
-//! one thread. So the event stream, and every counter and
-//! floating-point accumulator built from it, is the same at every
-//! shard count.
-//!
 //! # Profiling
 //!
 //! Host time per network phase goes through the same trait: a probe

@@ -85,10 +85,9 @@ pub struct FlowTelemetry {
 /// A finished telemetry run: per-link and per-node counters,
 /// occupancy summaries, per-flow series, and QoS roll-ups.
 ///
-/// Derives `PartialEq` so shard-invariance tests can compare whole
+/// Derives `PartialEq` so the equivalence suites can compare whole
 /// documents; all floating-point fields are accumulated in event
-/// order, which no shard count changes, so equality is exact, not
-/// approximate.
+/// order, so equality is exact, not approximate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
     /// Schema version of the JSON export

@@ -10,9 +10,8 @@ use noc_sim::{RunConfig, RunInfo, SimReport, Simulation, Topology};
 use noc_traffic::{Scenario, Workload};
 use noc_wormhole::WormholeConfig;
 
-/// The three topology shapes under test, sized small enough that the
-/// full matrices stay fast but large enough that each of 4 shards
-/// holds several nodes.
+/// The three topology shapes under test: a mesh, a torus and a line,
+/// sized small enough that the full matrices stay fast.
 pub fn topologies() -> [Topology; 3] {
     [
         Topology::mesh(4, 4),
@@ -25,33 +24,32 @@ pub fn topologies() -> [Topology; 3] {
 /// small [`topologies`]: frames short enough that they recycle many
 /// times inside the suites' windows.
 pub trait Small: NetSpec {
-    /// The scaled-down configuration on `topo`, stepped with
-    /// `threads` shards.
-    fn small(topo: Topology, threads: usize) -> Self;
+    /// The scaled-down configuration on `topo`.
+    fn small(topo: Topology) -> Self;
 }
 
 impl Small for LoftConfig {
-    fn small(topo: Topology, threads: usize) -> Self {
+    fn small(topo: Topology) -> Self {
         LoftConfig {
             frame_size: 64,
             nonspec_buffer: 64,
-            ..<Self as NetSpec>::on(topo, threads)
+            ..<Self as NetSpec>::on(topo)
         }
     }
 }
 
 impl Small for GsfConfig {
-    fn small(topo: Topology, threads: usize) -> Self {
+    fn small(topo: Topology) -> Self {
         GsfConfig {
             frame_size: 200,
-            ..<Self as NetSpec>::on(topo, threads)
+            ..<Self as NetSpec>::on(topo)
         }
     }
 }
 
 impl Small for WormholeConfig {
-    fn small(topo: Topology, threads: usize) -> Self {
-        <Self as NetSpec>::on(topo, threads)
+    fn small(topo: Topology) -> Self {
+        <Self as NetSpec>::on(topo)
     }
 }
 

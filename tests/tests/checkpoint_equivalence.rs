@@ -3,8 +3,7 @@
 //! a forked resume must reproduce a from-scratch run bit-for-bit in
 //! the full [`SimReport`] (per-flow stats, Welford accumulators,
 //! histogram), the full [`TelemetryReport`], and the drain's exact
-//! termination cycle, for every network × {mesh, torus, line} ×
-//! {1, 2, 4} shards.
+//! termination cycle, for every network × {mesh, torus, line}.
 //!
 //! Two properties per cell, both against from-scratch oracles:
 //!
@@ -17,9 +16,7 @@
 //! Both forks come from the *same* checkpoint, so the suite also
 //! certifies that forking is non-destructive — a checkpoint can be
 //! forked any number of times and each fork starts from the identical
-//! frozen state. Sharded cells (2 and 4 shards) additionally cover
-//! cloning of LOFT's per-shard data wheels and its worker-pool
-//! handle, which a fork must rebuild without perturbing results.
+//! frozen state.
 
 use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
@@ -43,53 +40,51 @@ fn run() -> RunConfig {
 fn check_net<C: Small>() {
     for topo in topologies() {
         let scenario = Scenario::uniform_on(topo, 0.10);
-        for threads in [1, 2, 4] {
-            let ctx = format!("{}/{topo:?}/{threads} shards", C::NAME);
-            let scratch = |rc| {
-                let sim = live(&scenario, C::small(topo, threads), rc);
-                outcome::<C>(sim.run_full(|| {}))
-            };
-            let ckpt = live(&scenario, C::small(topo, threads), run()).run_to_checkpoint();
-            let fork_run = |measure| outcome::<C>(ckpt.fork().with_measure(measure).resume());
+        let ctx = format!("{}/{topo:?}", C::NAME);
+        let scratch = |rc| {
+            let sim = live(&scenario, C::small(topo), rc);
+            outcome::<C>(sim.run_full(|| {}))
+        };
+        let ckpt = live(&scenario, C::small(topo), run()).run_to_checkpoint();
+        let fork_run = |measure| outcome::<C>(ckpt.fork().with_measure(measure).resume());
 
-            let (base_report, base_telemetry, base_info) = scratch(run());
-            assert!(
-                base_report.flits_delivered > 0,
-                "{ctx}: oracle run delivered nothing — test is vacuous"
-            );
-            let (report, telemetry, info) = fork_run(run().measure);
-            assert_eq!(report, base_report, "{ctx}: forked SimReport diverged");
-            assert_eq!(
-                telemetry, base_telemetry,
-                "{ctx}: forked TelemetryReport diverged"
-            );
-            assert_eq!(
-                info.end_cycle, base_info.end_cycle,
-                "{ctx}: forked drain ended at a different cycle"
-            );
+        let (base_report, base_telemetry, base_info) = scratch(run());
+        assert!(
+            base_report.flits_delivered > 0,
+            "{ctx}: oracle run delivered nothing — test is vacuous"
+        );
+        let (report, telemetry, info) = fork_run(run().measure);
+        assert_eq!(report, base_report, "{ctx}: forked SimReport diverged");
+        assert_eq!(
+            telemetry, base_telemetry,
+            "{ctx}: forked TelemetryReport diverged"
+        );
+        assert_eq!(
+            info.end_cycle, base_info.end_cycle,
+            "{ctx}: forked drain ended at a different cycle"
+        );
 
-            // Horizon extension: the same checkpoint, forked again
-            // with a doubled measurement window, must equal a
-            // from-scratch run at the doubled horizon.
-            let doubled = RunConfig {
-                measure: run().measure * 2,
-                ..run()
-            };
-            let (long_report, long_telemetry, long_info) = scratch(doubled);
-            let (report, telemetry, info) = fork_run(doubled.measure);
-            assert_eq!(
-                report, long_report,
-                "{ctx}: doubled-horizon fork SimReport diverged"
-            );
-            assert_eq!(
-                telemetry, long_telemetry,
-                "{ctx}: doubled-horizon fork TelemetryReport diverged"
-            );
-            assert_eq!(
-                info.end_cycle, long_info.end_cycle,
-                "{ctx}: doubled-horizon fork ended at a different cycle"
-            );
-        }
+        // Horizon extension: the same checkpoint, forked again
+        // with a doubled measurement window, must equal a
+        // from-scratch run at the doubled horizon.
+        let doubled = RunConfig {
+            measure: run().measure * 2,
+            ..run()
+        };
+        let (long_report, long_telemetry, long_info) = scratch(doubled);
+        let (report, telemetry, info) = fork_run(doubled.measure);
+        assert_eq!(
+            report, long_report,
+            "{ctx}: doubled-horizon fork SimReport diverged"
+        );
+        assert_eq!(
+            telemetry, long_telemetry,
+            "{ctx}: doubled-horizon fork TelemetryReport diverged"
+        );
+        assert_eq!(
+            info.end_cycle, long_info.end_cycle,
+            "{ctx}: doubled-horizon fork ended at a different cycle"
+        );
     }
 }
 

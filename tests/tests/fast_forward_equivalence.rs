@@ -4,27 +4,23 @@
 //! histogram) *and* the full [`TelemetryReport`] (counters, occupancy
 //! accumulators, per-flow series) must be bit-identical with the fast
 //! path on or off, for every network × {mesh, torus, line} ×
-//! {uniform-low, bursty, regulated} × {1, 2, 4} shards.
+//! {uniform-low, bursty, regulated}.
 //!
-//! The ff-off single-shard run is the oracle; each ff-on run at every
-//! shard count must reproduce it exactly (the fast-forward decision
-//! is shard-global, so sharding must not change where jumps land).
-//! On the quiescence-heavy workloads the suite also asserts the fast
-//! path engaged after the first packet — an equivalence test that
-//! only skips the initial idle span is nearly vacuous. LOFT runs a
-//! second time with local status resets off, where used schedulers
-//! never return to their power-up state.
+//! The ff-off run is the oracle, and the ff-on run must reproduce it
+//! exactly. On the quiescence-heavy workloads the suite also asserts
+//! the fast path engaged after the first packet — an equivalence
+//! test that only skips the initial idle span is nearly vacuous. LOFT
+//! runs a second time with local status resets off, where used
+//! schedulers never return to their power-up state.
 //!
-//! The single-shard cells share one warmup: the cell warms up once
+//! Both runs of a cell share one warmup: the cell warms up once
 //! into a [`noc_sim::Checkpoint`] (fast-forward off, so the oracle
 //! stays skip-free end to end) and both the ff-off oracle and the
 //! ff-on leg are forks of it. Checkpoint/fork bit-identity is proved
 //! separately (`checkpoint_equivalence.rs`, and against the golden
 //! pins in `golden_determinism.rs`), so the shared warmup does not
 //! weaken the oracle — it just stops paying for the same warmup
-//! twice. The 2- and 4-shard legs still run from scratch: the shard
-//! layout is part of network construction, so a 1-shard checkpoint
-//! cannot be forked into them.
+//! twice.
 
 use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
@@ -100,17 +96,16 @@ fn traffics() -> [(&'static str, fn(Topology) -> Scenario, bool); 3] {
 }
 
 /// Runs the equivalence matrix for `cfg`'s network. Each cell warms
-/// a single-shard network up once (fast-forward off) and freezes it;
-/// the oracle and the single-shard ff-on leg fork that checkpoint,
-/// the multi-shard ff-on legs run from scratch.
-fn check_equivalence<C: Small>(cfg: fn(Topology, usize) -> C) {
+/// the network up once (fast-forward off) and freezes it; the oracle
+/// and the ff-on leg fork that checkpoint.
+fn check_equivalence<C: Small>(cfg: fn(Topology) -> C) {
     for topo in topologies() {
         for (traffic, build, must_skip) in traffics() {
             let scenario = build(topo);
             let ctx = format!("{}/{topo:?}/{traffic}", C::NAME);
             let horizon = run().warmup + run().measure;
             let first_packet = scenario.workload(SEED).next_active_cycle(0, horizon);
-            let ckpt = live(&scenario, cfg(topo, 1), run())
+            let ckpt = live(&scenario, cfg(topo), run())
                 .with_fast_forward(false)
                 .run_to_checkpoint();
             let fork_leg = |ff| outcome::<C>(ckpt.fork().with_fast_forward(ff).resume());
@@ -123,34 +118,25 @@ fn check_equivalence<C: Small>(cfg: fn(Topology, usize) -> C) {
                 base_info.skipped_cycles, 0,
                 "{ctx}: fast-forward-off run skipped cycles"
             );
-            // The single-shard ff-on leg forks the oracle's warmup.
-            for threads in [1, 2, 4] {
-                let (report, telemetry, info) = if threads == 1 {
-                    fork_leg(true)
-                } else {
-                    let sim = live(&scenario, cfg(topo, threads), run());
-                    outcome::<C>(sim.run_full(|| {}))
-                };
-                assert_eq!(
-                    report, base_report,
-                    "{ctx}: SimReport diverged at {threads} shards with fast-forward on"
+            let (report, telemetry, info) = fork_leg(true);
+            assert_eq!(
+                report, base_report,
+                "{ctx}: SimReport diverged with fast-forward on"
+            );
+            assert_eq!(
+                telemetry, base_telemetry,
+                "{ctx}: TelemetryReport diverged with fast-forward on"
+            );
+            assert_eq!(
+                info.end_cycle, base_info.end_cycle,
+                "{ctx}: drain terminated at a different cycle"
+            );
+            if must_skip {
+                assert!(
+                    info.skipped_cycles > first_packet,
+                    "{ctx}: fast path never engaged after the first packet \
+                     (cycle {first_packet}) — quiescence-heavy workload should jump"
                 );
-                assert_eq!(
-                    telemetry, base_telemetry,
-                    "{ctx}: TelemetryReport diverged at {threads} shards with fast-forward on"
-                );
-                assert_eq!(
-                    info.end_cycle, base_info.end_cycle,
-                    "{ctx}: drain terminated at a different cycle at {threads} shards"
-                );
-                if must_skip {
-                    assert!(
-                        info.skipped_cycles > first_packet,
-                        "{ctx}: fast path never engaged after the first packet \
-                         (cycle {first_packet}) at {threads} shards — \
-                         quiescence-heavy workload should jump"
-                    );
-                }
             }
         }
     }
@@ -163,9 +149,9 @@ fn loft_fast_forward_is_equivalent() {
 
 #[test]
 fn loft_without_resets_fast_forward_is_equivalent() {
-    check_equivalence(|topo, threads| LoftConfig {
+    check_equivalence(|topo| LoftConfig {
         local_status_reset: false,
-        ..Small::small(topo, threads)
+        ..Small::small(topo)
     });
 }
 

@@ -9,29 +9,24 @@
 //! If a pin moves, the change is a semantic change (and needs its own
 //! justification), not an optimization.
 //!
-//! Every pin runs at 1, 2, and 4 shards (`threads` in the configs):
-//! sharded parallel stepping must be bit-for-bit identical to the
-//! single-threaded engine, so the same pins are the oracle for the
-//! parallel path (see `noc_sim::par`). Each pin additionally runs
-//! once with quiescence fast-forward disabled — a default run
-//! uses the fast path, so the pair certifies that closed-form idle
-//! jumps and per-cycle stepping are observably the same simulation.
+//! Every pin runs twice, with quiescence fast-forward on and off: the
+//! pair certifies that closed-form idle jumps and per-cycle stepping
+//! are observably the same simulation.
 //!
 //! The probe-less runs used here build networks with the default
 //! telemetry probe (`noc_sim::telemetry::NoopProbe`), so these pins
 //! also certify that the telemetry-off configuration is bit-identical
 //! to a tree without the probe plumbing — the zero-cost half of the
-//! telemetry layer's contract (`telemetry_invariance.rs` checks the
-//! telemetry-on half).
+//! telemetry layer's contract (`loft-bench`'s
+//! `telemetry_runners_match_plain_reports` checks the telemetry-on
+//! half).
 //!
-//! The two single-shard legs (fast-forward on and off) fork one
-//! shared warmup [`noc_sim::Checkpoint`] instead of each re-running
-//! warmup, so every pin is also a checkpoint/fork oracle: a forked
-//! resume must land on the exact pinned bits, or forking perturbed
-//! the simulation. The checkpoint is captured with fast-forward off
-//! so the ff-off leg stays skip-free end to end; the multi-shard legs
-//! still run from scratch (the shard layout is part of network
-//! construction, so a 1-shard checkpoint cannot be forked into them).
+//! The two legs fork one shared warmup [`noc_sim::Checkpoint`]
+//! instead of each re-running warmup, so every pin is also a
+//! checkpoint/fork oracle: a forked resume must land on the exact
+//! pinned bits, or forking perturbed the simulation. The checkpoint
+//! is captured with fast-forward off so the ff-off leg stays
+//! skip-free end to end.
 
 use loft::LoftConfig;
 use loft_bench::{simulation, NetSpec, SEED};
@@ -40,10 +35,6 @@ use noc_sim::telemetry::NoopProbe;
 use noc_sim::RunConfig;
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
-
-/// The multi-shard counts every pin must reproduce exactly from
-/// scratch (the single-shard legs run via the shared checkpoint).
-const SCRATCH_THREADS: [usize; 2] = [2, 4];
 
 /// Asserts a report matches its pinned flit count and the exact IEEE
 /// bit pattern of its average latency.
@@ -59,33 +50,22 @@ fn check(report: &noc_sim::SimReport, flits: u64, latency_bits: u64) {
 }
 
 /// Checks one pin on the network configured by `C` (its default
-/// configuration on the scenario's topology) at every shard count.
+/// configuration on the scenario's topology).
 fn check_pin<C: NetSpec>(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
-    check_pin_with(
-        scenario,
-        run,
-        |threads| C::on(scenario.topo, threads),
-        flits,
-        latency_bits,
-    );
+    check_pin_with(scenario, run, C::on(scenario.topo), flits, latency_bits);
 }
 
-/// [`check_pin`] on the configuration `cfg(threads)` builds.
+/// [`check_pin`] on `cfg`: one warmup, forked for both the plain
+/// per-cycle leg and the quiescence-fast-forward leg — the fast path
+/// and a forked resume must both land on the pinned bits.
 fn check_pin_with<C: NetSpec>(
     scenario: &Scenario,
     run: RunConfig,
-    cfg: impl Fn(usize) -> C,
+    cfg: C,
     flits: u64,
     latency_bits: u64,
 ) {
-    for threads in SCRATCH_THREADS {
-        let r = loft_bench::run(scenario, cfg(threads), run, SEED).expect("paper scenarios fit");
-        check(&r, flits, latency_bits);
-    }
-    // Single-shard legs: one warmup, forked for both the plain
-    // per-cycle leg and the quiescence-fast-forward leg — the fast
-    // path and a forked resume must both land on the pinned bits.
-    let ckpt = simulation(scenario, cfg(1), NoopProbe, run, SEED)
+    let ckpt = simulation(scenario, cfg, NoopProbe, run, SEED)
         .expect("paper scenarios fit")
         .with_fast_forward(false)
         .run_to_checkpoint();
@@ -185,10 +165,9 @@ fn loft_data_outrunning_lookahead_is_pinned() {
     check_pin_with(
         &Scenario::uniform(0.30),
         RunConfig::short(),
-        |threads| LoftConfig {
+        LoftConfig {
             hop_latency: 1,
             la_hop_latency: 8,
-            threads,
             ..LoftConfig::default()
         },
         74_920,
