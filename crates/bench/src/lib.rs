@@ -54,6 +54,7 @@
 //! # Ok(())
 //! # }
 //! ```
+#![deny(unsafe_code)]
 
 use std::panic;
 use std::sync::Mutex;
@@ -86,6 +87,7 @@ pub const TELEMETRY_WINDOW: u64 = 1_000;
 /// every thread, so concurrent legs would count each other's
 /// allocations. That is why `sweep --alloc-budget` needs `--jobs 1`.
 #[cfg(feature = "alloc-count")]
+#[allow(unsafe_code)]
 pub mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -657,9 +659,10 @@ mod tests {
 
     /// A configuration the datapath cannot run is an error too: no
     /// VC, more input slots than an arbitration mask has bits, or
-    /// buffers that never hold a credit — and LOFT's frame, buffer,
+    /// buffers that never hold a credit — LOFT's frame, buffer,
     /// latency and look-ahead window constraints, including windows
-    /// whose reservation store would outgrow its entry index.
+    /// whose reservation store would outgrow its entry index, and a
+    /// GSF frame or frame window that holds nothing.
     #[test]
     fn bad_vc_parameters_are_errors() {
         let s = Scenario::uniform(0.05);
@@ -707,6 +710,25 @@ mod tests {
                 let err = err.expect_err("bad VC parameters accepted");
                 assert!(err.message().contains(what), "{err}");
             }
+        }
+        for (gsf, what) in [
+            (
+                GsfConfig {
+                    frame_window: 0,
+                    ..GsfConfig::default()
+                },
+                "frame window must be positive",
+            ),
+            (
+                GsfConfig {
+                    frame_size: 0,
+                    ..GsfConfig::default()
+                },
+                "frame size must be positive",
+            ),
+        ] {
+            let err = run(&s, gsf, RUN, SEED).expect_err("bad GSF frame accepted");
+            assert!(err.message().contains(what), "{err}");
         }
     }
 }

@@ -912,11 +912,8 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             self.reset_idle_links();
             clock.lap(&mut self.probe, Phase::ResetIdleLinks);
         }
-        // Skip the pass while no look-ahead is in flight.
-        if self.la_wires.any_active() {
-            self.la_deliver(now);
-            clock.lap(&mut self.probe, Phase::LaDeliver);
-        }
+        self.la_deliver(now);
+        clock.lap(&mut self.probe, Phase::LaDeliver);
         self.la_schedule(now);
         clock.lap(&mut self.probe, Phase::LaSchedule);
         self.la_launch(now);
@@ -930,10 +927,11 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
     /// quiescent — no packet in the slab — and no reset decision is
     /// due. A quiescent LOFT cycle then does exactly two things —
     /// sample occupancy when the telemetry window is due, and tick the
-    /// cycle counter — both replicated here: all-zero occupancy
-    /// samples in the exact `sample_occupancy` order, and
-    /// [`Probe::tick_many`]. Link schedulers are untouched: nothing is
-    /// pending on them, so each catches up on its next access.
+    /// cycle counter — both replicated here: `sample_occupancy` for
+    /// every skipped cycle (every buffer is idle, so each sample is
+    /// zero), and [`Probe::tick_many`]. Link schedulers are untouched:
+    /// nothing is pending on them, so each catches up on its next
+    /// access.
     ///
     /// With [`LoftConfig::local_status_reset`] on, every scheduler is
     /// back in its power-up state by then; with it off, schedulers keep
@@ -975,16 +973,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let now = self.cycle;
         if Pr::ENABLED {
             for c in now..now + cycles {
-                if !self.probe.sample_due(c) {
-                    continue;
-                }
-                for pidx in 0..self.data_ports.len() {
-                    self.probe.on_occupancy(BufKind::NonSpec, pidx, 0);
-                    self.probe.on_occupancy(BufKind::Spec, pidx, 0);
-                }
-                for node in 0..self.nics.len() {
-                    self.probe.on_occupancy(BufKind::Source, node, 0);
-                }
+                self.sample_occupancy(c);
             }
         }
         self.probe.tick_many(now, cycles);

@@ -65,9 +65,16 @@ impl GsfConfig {
     ///
     /// # Errors
     ///
-    /// Fails if the VC datapath cannot run with them (see
+    /// Fails if a frame holds no flits, if the frame window holds no
+    /// frames, or if the VC datapath cannot run with them (see
     /// [`VcParams::validate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.frame_size == 0 {
+            return Err(ConfigError::new("frame size must be positive"));
+        }
+        if self.frame_window == 0 {
+            return Err(ConfigError::new("frame window must be positive"));
+        }
         self.vc_params().validate()
     }
 

@@ -44,8 +44,10 @@
 //!   due-time wheel: hops have a fixed latency and a link carries at
 //!   most one item per time unit, so `max_delay + 1` buckets, each a
 //!   bitmask over links plus one item slot per link, hold everything
-//!   in flight. A drain touches only the bucket that fell due and
-//!   walks its set bits in deterministic ascending link order.
+//!   in flight. The owner drains once per time unit, before it pushes
+//!   in that unit, so a drain empties exactly the bucket that fell due
+//!   and walks its set bits in deterministic ascending link order; a
+//!   late drain with items in flight panics.
 //! * [`TimedFifo`] is the global in-order event queue used for credit
 //!   returns.
 //! * [`PacketStore`](crate::slab::PacketStore) owns every in-flight

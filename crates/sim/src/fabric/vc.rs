@@ -1001,12 +1001,11 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     ///
     /// Everything a quiescent per-cycle run would still do is
     /// replicated exactly: the policy's per-cycle clock via
-    /// [`RouterPolicy::fast_forward`], all-zero occupancy samples at
-    /// every due telemetry window (same router/slot emission order as
-    /// `VcFabric::sample_occupancy`), and the probe's cycle count via
-    /// [`Probe::tick_many`]. With telemetry disabled
-    /// (`Pr::ENABLED == false`) the sample loop is statically removed
-    /// and the jump is O(1).
+    /// [`RouterPolicy::fast_forward`], `sample_occupancy` for every
+    /// skipped cycle (every buffer is empty, so each sample is zero),
+    /// and the probe's cycle count via [`Probe::tick_many`]. With
+    /// telemetry disabled (`Pr::ENABLED == false`) the sample loop is
+    /// statically removed and the jump is O(1).
     fn fast_forward(&mut self, cycles: u64) -> u64 {
         if cycles == 0
             || !self.packets.is_empty()
@@ -1032,17 +1031,8 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         let now = self.cycle;
         self.policy.fast_forward(now, cycles);
         if Pr::ENABLED {
-            let links = self.routers.len() * PORTS;
-            let num_vcs = self.params.num_vcs;
             for c in now..now + cycles {
-                if !self.probe.sample_due(c) {
-                    continue;
-                }
-                for link in 0..links {
-                    for _ in 0..num_vcs {
-                        self.probe.on_occupancy(BufKind::Vc, link, 0);
-                    }
-                }
+                self.sample_occupancy(c);
             }
         }
         self.probe.tick_many(now, cycles);

@@ -9,17 +9,20 @@ use std::collections::VecDeque;
 /// slots) after the current one, and a link carries at most one item
 /// per time unit, so the in-flight state is exactly a timing wheel of
 /// `max_delay + 1` buckets, one per due time in the horizon. A bucket
-/// is a bitmask over links plus one item slot per link. A drain
-/// touches only the buckets that fell due and walks their set bits in
-/// ascending link order.
+/// is a bitmask over links plus one item slot per link.
+///
+/// The owner drains once per time unit, before it pushes in that
+/// unit, so each drain empties exactly the one bucket that fell due
+/// and walks its set bits in ascending link order. A drain while
+/// items are in flight must come one unit after the previous drain;
+/// [`DelayedWires::drain_due`] asserts it, since a late drain would
+/// strand the buckets it skipped. While the wheel is empty a drain
+/// may come at any time (after a fast-forward jump, say).
 ///
 /// Two preconditions, debug-asserted at [`DelayedWires::push`]:
 /// at most one item per `(link, due)`, and `due` within the horizon
 /// `drained + 1 ..= drained + max_delay + 1`, where `drained` is the
-/// `now` of the latest drain. A push into an *empty* wheel outside
-/// that range restarts the horizon at its `due` (there is no order to
-/// keep), so a producer with one constant delay — every fabric
-/// producer — may skip drains while nothing is in flight.
+/// `now` of the latest drain.
 #[derive(Debug, Clone)]
 pub struct DelayedWires<T> {
     /// Item slots per bucket: one per link.
@@ -77,12 +80,8 @@ impl<T> DelayedWires<T> {
     #[inline]
     pub fn push(&mut self, idx: usize, due: u64, item: T) {
         let horizon = self.buckets as u64;
-        let in_horizon = |drained: u64| drained < due && due <= drained + horizon;
-        if self.len == 0 && !in_horizon(self.drained) {
-            self.drained = due.saturating_sub(1);
-        }
         debug_assert!(
-            in_horizon(self.drained),
+            self.drained < due && due <= self.drained + horizon,
             "item due at {due} lies outside the wheel's horizon {}..={}",
             self.drained + 1,
             self.drained + horizon
@@ -98,73 +97,42 @@ impl<T> DelayedWires<T> {
         self.len += 1;
     }
 
-    /// Delivers every item due at or before `now`: ascending link
-    /// order, due order within a link, calling `sink(idx, item)` for
-    /// each.
+    /// Delivers every item due at `now`, in ascending link order,
+    /// calling `sink(idx, item)` for each.
     ///
-    /// A drain one time unit after the previous one empties a single
-    /// bucket. A late drain merges every bucket that fell due.
+    /// # Panics
+    ///
+    /// If items are in flight and `now` is not one unit after the
+    /// previous drain.
     ///
     /// The sink must not push back onto these wires mid-drain (no
     /// fabric stage does — arrivals land in buffers, not wires).
     pub fn drain_due(&mut self, now: u64, mut sink: impl FnMut(usize, T)) {
-        if now <= self.drained {
-            return;
-        }
-        let gap = now - self.drained;
-        self.drained = now;
+        let prev = std::mem::replace(&mut self.drained, now);
         if self.len == 0 {
             return;
         }
+        assert!(
+            now == prev + 1,
+            "drain at {now} with items in flight; the previous drain was at {prev}"
+        );
         let (links, words) = (self.links, self.words);
-        if gap == 1 {
-            let b = self.head;
-            self.head = self.bucket(1);
-            for w in 0..words {
-                let mut m = std::mem::take(&mut self.mask[b * words + w]);
-                while m != 0 {
-                    let idx = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let item = self.slots[b * links + idx].take();
-                    self.len -= 1;
-                    sink(idx, item.expect("masked slot holds an item"));
-                }
-            }
-            return;
-        }
-        let due = gap.min(self.buckets as u64) as usize;
+        let b = self.head;
+        self.head = self.bucket(1);
         for w in 0..words {
-            let mut any = 0;
-            for k in 0..due {
-                any |= self.mask[self.bucket(k) * words + w];
-            }
-            while any != 0 {
-                let idx = w * 64 + any.trailing_zeros() as usize;
-                let bit = any & any.wrapping_neg();
-                any &= any - 1;
-                for k in 0..due {
-                    let b = self.bucket(k);
-                    if self.mask[b * words + w] & bit != 0 {
-                        self.mask[b * words + w] &= !bit;
-                        let item = self.slots[b * links + idx].take();
-                        self.len -= 1;
-                        sink(idx, item.expect("masked slot holds an item"));
-                    }
-                }
+            let mut m = std::mem::take(&mut self.mask[b * words + w]);
+            while m != 0 {
+                let idx = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let item = self.slots[b * links + idx].take();
+                self.len -= 1;
+                sink(idx, item.expect("masked slot holds an item"));
             }
         }
-        self.head = self.bucket((gap % self.buckets as u64) as usize);
     }
 
-    /// Whether link `idx` has items in flight.
-    #[must_use]
-    pub fn is_active(&self, idx: usize) -> bool {
-        (0..self.buckets).any(|b| self.slots[b * self.links + idx].is_some())
-    }
-
-    /// Whether any link has items in flight (a counter check; lets
-    /// callers skip a whole drain pass — or a pool dispatch — when the
-    /// wires are globally empty).
+    /// Whether any link has items in flight (a counter check; the
+    /// fast-forward paths' quiescence test).
     #[must_use]
     pub fn any_active(&self) -> bool {
         self.len != 0
@@ -261,40 +229,41 @@ mod tests {
     #[test]
     fn wires_deliver_in_link_then_fifo_order() {
         let mut w: DelayedWires<u32> = DelayedWires::new(4, 2);
+        w.drain_due(9, |_, _| unreachable!("the wheel is empty"));
         w.push(2, 10, 20);
-        w.push(0, 10, 1);
         w.push(0, 11, 2);
+        w.push(0, 10, 1);
         w.push(2, 12, 21);
         let mut seen = Vec::new();
+        w.drain_due(10, |idx, v| seen.push((idx, v)));
+        assert_eq!(seen, vec![(0, 1), (2, 20)]);
         w.drain_due(11, |idx, v| seen.push((idx, v)));
-        assert_eq!(seen, vec![(0, 1), (0, 2), (2, 20)]);
-        assert!(!w.is_active(0));
-        assert!(w.is_active(2));
-        seen.clear();
+        assert_eq!(seen, vec![(0, 1), (2, 20), (0, 2)]);
+        assert!(w.any_active());
         w.drain_due(12, |idx, v| seen.push((idx, v)));
-        assert_eq!(seen, vec![(2, 21)]);
+        assert_eq!(seen, vec![(0, 1), (2, 20), (0, 2), (2, 21)]);
+        assert!(!w.any_active());
         w.debug_verify();
     }
 
     #[test]
     fn wires_hold_items_until_due() {
         let mut w: DelayedWires<&str> = DelayedWires::new(1, 1);
+        w.drain_due(3, |_, _| unreachable!("the wheel is empty"));
         w.push(0, 5, "x");
         let mut count = 0;
         w.drain_due(4, |_, _| count += 1);
         assert_eq!(count, 0);
-        assert!(w.is_active(0));
+        assert!(w.any_active());
         w.drain_due(5, |_, _| count += 1);
         assert_eq!(count, 1);
     }
 
-    /// Random push/drain sequences, late drains included, against a
-    /// naive per-link list of `(due, item)`: every drain delivers
-    /// exactly the items due at or before `now`, in ascending link
-    /// order and due order within a link. Pushes keep the documented
-    /// preconditions: delays of `1..=max_delay` from the current
-    /// cycle, at most one item per `(link, due)`, and nothing due
-    /// past `max_delay + 1` cycles after the latest drain.
+    /// Random push/drain sequences, one drain per time unit, against
+    /// a naive per-link list of `(due, item)`: every drain delivers
+    /// exactly the items due at `now`, in ascending link order. Pushes
+    /// keep the documented preconditions: delays of `1..=max_delay`
+    /// after the latest drain and at most one item per `(link, due)`.
     #[test]
     fn wires_match_a_per_link_model() {
         let mut rng = crate::rng::Xoshiro256::seed_from(0x5EED_3301);
@@ -304,25 +273,20 @@ mod tests {
             let mut w: DelayedWires<u64> = DelayedWires::new(links, max_delay);
             let mut model: Vec<Vec<(u64, u64)>> = vec![Vec::new(); links];
             let mut last_due = vec![0u64; links];
-            let mut drained = 0u64;
             let mut next_item = 0u64;
             for now in 1..300u64 {
-                // Skipping a cycle's drain makes the next one late.
-                if rng.bernoulli(0.7) {
-                    let mut seen = Vec::new();
-                    w.drain_due(now, |idx, v| seen.push((idx, v)));
-                    let mut want = Vec::new();
-                    for (idx, wire) in model.iter_mut().enumerate() {
-                        want.extend(wire.iter().filter(|e| e.0 <= now).map(|e| (idx, e.1)));
-                        wire.retain(|e| e.0 > now);
-                    }
-                    assert_eq!(seen, want, "drain at {now}");
-                    drained = now;
+                let mut seen = Vec::new();
+                w.drain_due(now, |idx, v| seen.push((idx, v)));
+                let mut want = Vec::new();
+                for (idx, wire) in model.iter_mut().enumerate() {
+                    want.extend(wire.iter().filter(|e| e.0 <= now).map(|e| (idx, e.1)));
+                    wire.retain(|e| e.0 > now);
                 }
+                assert_eq!(seen, want, "drain at {now}");
                 for _ in 0..rng.next_below(links as u64 + 1) {
                     let idx = rng.next_below(links as u64) as usize;
                     let due = now + 1 + rng.next_below(max_delay);
-                    if due <= last_due[idx] || due > drained + max_delay + 1 {
+                    if due <= last_due[idx] {
                         continue;
                     }
                     last_due[idx] = due;
@@ -330,13 +294,20 @@ mod tests {
                     model[idx].push((due, next_item));
                     next_item += 1;
                 }
-                for (idx, wire) in model.iter().enumerate() {
-                    assert_eq!(w.is_active(idx), !wire.is_empty(), "link {idx} at {now}");
-                }
                 assert_eq!(w.any_active(), model.iter().any(|wire| !wire.is_empty()));
                 w.debug_verify();
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "drain at 4 with items in flight; the previous drain was at 2")]
+    fn wires_reject_a_late_drain_with_items_in_flight() {
+        let mut w: DelayedWires<u32> = DelayedWires::new(2, 2);
+        w.drain_due(1, |_, _| {});
+        w.push(0, 3, 0);
+        w.drain_due(2, |_, _| {});
+        w.drain_due(4, |_, _| {});
     }
 
     #[test]

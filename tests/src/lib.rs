@@ -1,6 +1,7 @@
 //! Integration test crate; see the tests/ subdirectory. This library
 //! holds the fixtures the equivalence suites share, so each suite is
 //! one generic check instantiated for the three config types.
+#![forbid(unsafe_code)]
 
 use loft::LoftConfig;
 use loft_bench::{simulation, NetSpec, SEED, TELEMETRY_WINDOW};
