@@ -662,7 +662,10 @@ mod tests {
     /// buffers that never hold a credit — LOFT's frame, buffer,
     /// latency and look-ahead window constraints, including windows
     /// whose reservation store would outgrow its entry index, and a
-    /// GSF frame or frame window that holds nothing.
+    /// GSF frame or frame window that holds nothing. So is a buffer
+    /// depth, latency, delay or window above `MAX_PARAM`, which would
+    /// otherwise overflow or exhaust memory while the network is
+    /// built.
     #[test]
     fn bad_vc_parameters_are_errors() {
         let s = Scenario::uniform(0.05);
@@ -683,27 +686,38 @@ mod tests {
             (broken(|c| c.frame_window = 0), "frame window"),
             (broken(|c| c.nonspec_buffer = 128), "Theorem I"),
             (broken(|c| c.spec_buffer = 13), "speculative buffer"),
-            (broken(|c| c.hop_latency = 0), "at least one cycle"),
+            (broken(|c| c.hop_latency = 0), "1 and MAX_PARAM"),
             (broken(|c| c.la_flow_window = 0), "look-ahead flow window"),
             (broken(|c| c.frame_window = 600), "reservation store"),
             (broken(|c| c.la_flow_window = 1 << 16), "reservation store"),
+            (broken(|c| c.la_hop_latency = 60_000), "1 and MAX_PARAM"),
+            (broken(|c| c.hop_latency = u64::MAX), "1 and MAX_PARAM"),
         ] {
             let err = run(&s, loft, RUN, SEED).expect_err("bad LOFT parameters accepted");
             assert!(err.message().contains(what), "{err}");
         }
-        for (num_vcs, vc_capacity, what) in [
-            (0, 4, "at least one virtual channel"),
-            (13, 4, "do not fit a 64-bit arbitration mask"),
-            (4, 0, "at least one flit"),
+        let at_most = "must be at most 1024";
+        for (num_vcs, vc_capacity, hop_latency, credit_delay, what) in [
+            (0, 4, 3, 1, "at least one virtual channel"),
+            (13, 4, 3, 1, "do not fit a 64-bit arbitration mask"),
+            (usize::MAX, 4, 3, 1, "do not fit a 64-bit arbitration mask"),
+            (4, 0, 3, 1, "at least one flit"),
+            (4, usize::MAX, 3, 1, at_most),
+            (4, 4, u64::MAX, 1, at_most),
+            (4, 4, 3, u64::MAX, at_most),
         ] {
             let gsf = GsfConfig {
                 num_vcs,
                 vc_capacity,
+                hop_latency,
+                credit_delay,
                 ..GsfConfig::default()
             };
             let wormhole = WormholeConfig {
                 num_vcs,
                 vc_capacity,
+                hop_latency,
+                credit_delay,
                 ..WormholeConfig::default()
             };
             for err in [run(&s, gsf, RUN, SEED), run(&s, wormhole, RUN, SEED)] {
@@ -711,21 +725,16 @@ mod tests {
                 assert!(err.message().contains(what), "{err}");
             }
         }
+        let gsf = |edit: fn(&mut GsfConfig)| {
+            let mut cfg = GsfConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
         for (gsf, what) in [
-            (
-                GsfConfig {
-                    frame_window: 0,
-                    ..GsfConfig::default()
-                },
-                "frame window must be positive",
-            ),
-            (
-                GsfConfig {
-                    frame_size: 0,
-                    ..GsfConfig::default()
-                },
-                "frame size must be positive",
-            ),
+            (gsf(|c| c.frame_window = 0), "frame window must be positive"),
+            (gsf(|c| c.frame_size = 0), "frame size must be positive"),
+            (gsf(|c| c.frame_window = u32::MAX), at_most),
+            (gsf(|c| c.barrier_delay = u64::MAX), at_most),
         ] {
             let err = run(&s, gsf, RUN, SEED).expect_err("bad GSF frame accepted");
             assert!(err.message().contains(what), "{err}");

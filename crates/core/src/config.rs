@@ -1,5 +1,6 @@
 //! Configuration of the LOFT network.
 
+use noc_sim::fabric::MAX_PARAM;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
@@ -145,10 +146,11 @@ impl LoftConfig {
     /// non-empty quantum, the window is non-empty, the
     /// non-speculative buffer covers a full frame (a smaller one would
     /// reintroduce the output scheduling anomaly), the speculative
-    /// buffer is a whole number of quanta, hops on both planes take at
-    /// least one cycle, a flow may have a look-ahead in flight
-    /// (with a zero window nothing would ever launch), and the
-    /// reservation store bound fits its 16-bit entry index.
+    /// buffer is a whole number of quanta, hops on both planes take
+    /// between one and [`MAX_PARAM`] cycles, a flow may have a
+    /// look-ahead in flight (with a zero window nothing would ever
+    /// launch), and the reservation store bound fits its 16-bit entry
+    /// index.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let checks = [
             (self.flits_per_quantum > 0, "quantum must hold flits"),
@@ -166,8 +168,10 @@ impl LoftConfig {
                 "speculative buffer must be a multiple of the quantum size",
             ),
             (
-                self.hop_latency >= 1 && self.la_hop_latency >= 1,
-                "hops take at least one cycle",
+                [self.hop_latency, self.la_hop_latency]
+                    .iter()
+                    .all(|hop| (1..=MAX_PARAM).contains(hop)),
+                "hops take between 1 and MAX_PARAM cycles",
             ),
             (
                 self.la_flow_window >= 1,

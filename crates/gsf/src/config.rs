@@ -1,6 +1,6 @@
 //! Configuration of the GSF network.
 
-use noc_sim::fabric::VcParams;
+use noc_sim::fabric::{VcParams, MAX_PARAM};
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
 
@@ -66,7 +66,8 @@ impl GsfConfig {
     /// # Errors
     ///
     /// Fails if a frame holds no flits, if the frame window holds no
-    /// frames, or if the VC datapath cannot run with them (see
+    /// frames, if the frame window or the barrier delay exceeds
+    /// [`MAX_PARAM`], or if the VC datapath cannot run with them (see
     /// [`VcParams::validate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.frame_size == 0 {
@@ -74,6 +75,11 @@ impl GsfConfig {
         }
         if self.frame_window == 0 {
             return Err(ConfigError::new("frame window must be positive"));
+        }
+        if u64::from(self.frame_window).max(self.barrier_delay) > MAX_PARAM {
+            return Err(ConfigError::new(format!(
+                "frame window and barrier delay must be at most {MAX_PARAM}"
+            )));
         }
         self.vc_params().validate()
     }

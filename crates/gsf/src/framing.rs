@@ -114,8 +114,11 @@ impl Framing {
         loop {
             // A reservation smaller than one packet would deadlock the
             // flow; allow a full-quota frame to emit one packet anyway.
+            // With a one-frame window and the barrier in flight, no
+            // frame is open at all.
             let fits = st.remaining >= len as u32
                 || (st.remaining == st.reservation && st.reservation < len as u32);
+            let fits = fits && st.inject_frame < head + window;
             if fits {
                 st.remaining = st.remaining.saturating_sub(len as u32);
                 let frame = st.inject_frame;
@@ -263,10 +266,13 @@ mod tests {
 
     #[test]
     fn head_frame_closed_while_barrier_in_flight() {
-        let mut f = Framing::new(&[4], 100, 3, 10);
-        assert!(!f.recycle(0)); // barrier armed
-                                // New claims skip the closing head frame.
-        assert_eq!(f.claim(FlowId::new(0), 4), Some(1));
+        // New claims skip the closing head frame; a one-frame window
+        // has no other frame to give.
+        for (window, frame) in [(3, Some(1)), (1, None)] {
+            let mut f = Framing::new(&[4], 100, window, 10);
+            assert!(!f.recycle(0)); // barrier armed
+            assert_eq!(f.claim(FlowId::new(0), 4), frame);
+        }
     }
 
     /// The closed-form idle jump must land in the exact state the

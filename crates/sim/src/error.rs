@@ -3,11 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// An invalid configuration was supplied to a network or flow builder.
+/// An invalid configuration was supplied to a network or scenario.
 ///
-/// Returned by constructors that validate their arguments, e.g. flow
-/// sets whose reservations oversubscribe a link, or topologies with a
-/// zero dimension.
+/// Returned by checks that validate their arguments, e.g. network
+/// parameters the datapath cannot run with, or scenario reservations
+/// that oversubscribe a link.
 ///
 /// # Example
 ///

@@ -13,10 +13,9 @@ const NO_PEER: u32 = u32::MAX;
 /// fabric. Output port `p` of node `n` feeds input port `p'` of node
 /// `n'` exactly when output `p'` of `n'` feeds input `p` of `n`, so one
 /// table answers both directions: the entry of an output port is the
-/// input port it feeds ([`Topology::downstream`]), and the entry of an
-/// input port is the output port feeding it ([`Topology::upstream`]).
-/// [`Topology::try_downstream`] is the definition; the table only
-/// saves the hot paths its coordinate arithmetic.
+/// input port it feeds, and the entry of an input port is the output
+/// port feeding it. [`Topology::try_downstream`] is the definition;
+/// the table only saves the hot paths its coordinate arithmetic.
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     peer: Vec<u32>,

@@ -94,6 +94,13 @@ pub const PORTS: usize = Direction::COUNT;
 /// Index of the local port in every per-port array.
 pub const LOCAL: usize = Direction::Local as usize;
 
+/// The largest latency, delay, buffer depth or window a network
+/// configuration's `validate` accepts. Each such value sizes a per-link
+/// wheel, buffer or ring when the network is built, or is added to the
+/// current cycle, so an unbounded one would exhaust memory or overflow
+/// instead of failing the check. The paper's values are 16 or less.
+pub const MAX_PARAM: u64 = 1024;
+
 /// Debug-build check of the fabric-level stat invariant: every packet
 /// delivered during one `step` call appears in `out` exactly once.
 /// `start` is `out.len()` at the top of the step.

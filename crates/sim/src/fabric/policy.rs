@@ -1,6 +1,5 @@
 //! The policy interface of the shared VC datapath.
 
-use crate::flit::PacketId;
 use crate::slab::{PacketRef, PacketStore};
 use crate::worklist::ActiveSet;
 
@@ -62,10 +61,9 @@ pub struct PolicyCtx<'a, S> {
 /// # Hooks with and without `self`
 ///
 /// * Hooks that take `&mut self` — [`RouterPolicy::pre_inject`],
-///   [`RouterPolicy::on_enqueue`], [`RouterPolicy::on_eject_flit`],
-///   [`RouterPolicy::on_eject_packet`] — own the globally shared
-///   policy state (GSF's framing window, untagged backlog, tag
-///   counter).
+///   [`RouterPolicy::on_enqueue`], [`RouterPolicy::on_eject_flit`] —
+///   own the globally shared policy state (GSF's framing window,
+///   untagged backlog, tag counter).
 /// * The per-router hooks are associated functions with *no* `self`:
 ///   they may only touch the per-node [`RouterPolicy::Source`], the
 ///   fabric's [`RouterPolicy::Scratch`], and the router they are
@@ -152,12 +150,6 @@ pub trait RouterPolicy {
     /// and in ascending node order. Default: nothing.
     fn on_eject_flit(&mut self, flit: &VcFlit<Self::Tag>) {
         let _ = flit;
-    }
-
-    /// A packet fully ejected (its last flit just arrived). Default:
-    /// nothing.
-    fn on_eject_packet(&mut self, id: PacketId) {
-        let _ = id;
     }
 
     /// The fabric is jumping `cycles` quiescent cycles starting at

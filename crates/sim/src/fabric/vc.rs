@@ -14,7 +14,7 @@ use crate::worklist::ActiveSet;
 use super::links::LinkTable;
 use super::policy::{PolicyCtx, RouterPolicy, SwitchGrant};
 use super::wires::{DelayedWires, TimedFifo};
-use super::{debug_assert_delivered_once, LOCAL, PORTS};
+use super::{debug_assert_delivered_once, LOCAL, MAX_PARAM, PORTS};
 
 /// A flit inside the VC datapath, carrying the policy's per-flit tag.
 ///
@@ -373,13 +373,15 @@ impl VcParams {
     /// slot of a router fits one bit of a `u64` arbitration mask
     /// (`PORTS * num_vcs <= 64`), VC buffers hold at least one flit
     /// (an empty buffer never has a credit to spend, so nothing would
-    /// ever move), and a hop and a credit return each take at least
-    /// one cycle (a zero credit delay would silently run as one).
+    /// ever move), a hop and a credit return each take at least one
+    /// cycle (a zero credit delay would silently run as one), and
+    /// buffer depth, hop latency and credit delay are at most
+    /// [`MAX_PARAM`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_vcs == 0 {
             return Err(ConfigError::new("need at least one virtual channel"));
         }
-        if PORTS * self.num_vcs > 64 {
+        if self.num_vcs > 64 / PORTS {
             return Err(ConfigError::new(format!(
                 "{PORTS} ports * {} virtual channels do not fit a 64-bit arbitration mask",
                 self.num_vcs
@@ -393,6 +395,12 @@ impl VcParams {
         }
         if self.credit_delay == 0 {
             return Err(ConfigError::new("credit returns take at least one cycle"));
+        }
+        let sizes = [self.vc_capacity as u64, self.hop_latency, self.credit_delay];
+        if sizes.iter().any(|&v| v > MAX_PARAM) {
+            return Err(ConfigError::new(format!(
+                "VC capacity, hop latency and credit delay must be at most {MAX_PARAM}"
+            )));
         }
         Ok(())
     }
@@ -795,7 +803,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             .packets
             .on_piece(flit.dst.index(), flit.pref, total, now)
         {
-            self.policy.on_eject_packet(packet.id);
             self.probe.on_delivered(&packet);
             out.push(packet);
         }

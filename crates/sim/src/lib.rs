@@ -10,8 +10,6 @@
 //! * [`routing`] — deterministic dimension-order (XY) routing, a
 //!   property of the topology,
 //! * [`flit`] — packets, flits, flow identifiers,
-//! * [`flow`] — QoS flow specifications and frame-reservation
-//!   assignment (the `R_ij` of the paper),
 //! * [`stats`] — latency/throughput statistics with warmup handling,
 //! * [`telemetry`] — the zero-cost [`telemetry::Probe`] interface:
 //!   per-link/per-buffer/per-flow observability monomorphized into
@@ -54,7 +52,6 @@ pub mod engine;
 pub mod error;
 pub mod fabric;
 pub mod flit;
-pub mod flow;
 pub mod par;
 pub mod rng;
 pub mod routing;
@@ -68,7 +65,6 @@ pub use checkpoint::Checkpoint;
 pub use engine::{Network, RunConfig, RunInfo, Simulation, TrafficSource};
 pub use error::ConfigError;
 pub use flit::{FlowId, NodeId, Packet, PacketId};
-pub use flow::{FlowSet, FlowSpec};
 pub use routing::Direction;
 pub use slab::{PacketRef, PacketStore};
 pub use stats::SimReport;

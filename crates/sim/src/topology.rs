@@ -6,8 +6,8 @@
 //! mesh `n × 1` and a ring of `n` nodes the torus `n × 1`. The topology
 //! also fixes the routing (dimension-order XY, see [`crate::routing`])
 //! and resolves the flat `node × port` link index space every per-link
-//! array of the fabric uses: [`Topology::route`],
-//! [`Topology::downstream`] and [`Topology::upstream`].
+//! array of the fabric uses: [`Topology::route`] and
+//! [`Topology::try_downstream`].
 //!
 //! Coordinates follow the paper's convention: node `id = x + y * width`
 //! for an `8 × 8` mesh, so node 0 is the north-west corner and node 63
@@ -161,40 +161,17 @@ impl Topology {
     }
 
     /// The node reached through output port `out_port` of `node`, and
-    /// the input port the traffic arrives on there.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the port leads off the topology edge (a route never
-    /// does) or when `out_port` is the local port.
-    #[inline]
-    #[must_use]
-    pub fn downstream(&self, node: usize, out_port: usize) -> (usize, usize) {
-        self.try_downstream(node, out_port)
-            .expect("route leads to a neighbor")
-    }
-
-    /// [`Topology::downstream`], returning `None` at a topology edge.
+    /// the input port the traffic arrives on there; `None` at a
+    /// topology edge and for the local port. The same call answers
+    /// the upstream question: input port `p` of `node` is fed by
+    /// output port `p'` of `n'` exactly when this returns
+    /// `Some((n', p'))` for `(node, p)`.
     #[inline]
     #[must_use]
     pub fn try_downstream(&self, node: usize, out_port: usize) -> Option<(usize, usize)> {
         let dir = Direction::from_index(out_port);
         self.neighbor(NodeId::new(node as u32), dir)
             .map(|next| (next.index(), dir.opposite().index()))
-    }
-
-    /// The node feeding input port `in_port` of `node`, and the output
-    /// port it sends through (where its credits/virtual credits go).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the port faces a topology edge (an occupied input
-    /// port never does) or when `in_port` is the local port.
-    #[inline]
-    #[must_use]
-    pub fn upstream(&self, node: usize, in_port: usize) -> (usize, usize) {
-        self.try_downstream(node, in_port)
-            .expect("input port implies a neighbor")
     }
 
     /// Iterates over all nodes in id order.
@@ -303,13 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn downstream_and_upstream_are_inverse() {
+    fn downstream_is_its_own_inverse() {
         let m = Topology::mesh(4, 4);
-        // Node 5's East output feeds node 6's West input.
+        // Node 5's East output feeds node 6's West input, and node 6's
+        // West input is fed by node 5's East output.
         let east = Direction::East.index();
         let west = Direction::West.index();
-        assert_eq!(m.downstream(5, east), (6, west));
-        assert_eq!(m.upstream(6, west), (5, east));
+        assert_eq!(m.try_downstream(5, east), Some((6, west)));
+        assert_eq!(m.try_downstream(6, west), Some((5, east)));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use noc_sim::fabric::{LinkTable, PORTS};
 use noc_sim::flit::NodeId;
-use noc_sim::flow::FlowSet;
 use noc_sim::rng::Xoshiro256;
 use noc_sim::routing::Direction;
 use noc_sim::stats::RunningStats;
@@ -36,7 +35,8 @@ fn routing_reaches_destination() {
                         let lidx = src.index() * PORTS + port;
                         match topo.try_downstream(src.index(), port) {
                             Some((next, in_port)) => {
-                                assert_eq!(topo.upstream(next, in_port), (src.index(), port));
+                                let back = topo.try_downstream(next, in_port);
+                                assert_eq!(back, Some((src.index(), port)));
                                 let peer = links.peer(lidx);
                                 assert_eq!(peer, Some(next * PORTS + in_port), "{topo:?}: {lidx}");
                                 assert_eq!(links.peer(next * PORTS + in_port), Some(lidx));
@@ -86,43 +86,6 @@ fn neighbors_symmetric() {
                 if let Some(peer) = topo.neighbor(node, dir) {
                     assert_eq!(topo.neighbor(peer, dir.opposite()), Some(node));
                 }
-            }
-        }
-    }
-}
-
-/// Reservation assignment never oversubscribes any link and every
-/// flow gets a positive share.
-#[test]
-fn reservations_feasible() {
-    let mut rng = Xoshiro256::seed_from(0x5EED_0004);
-    for _ in 0..128 {
-        let topo = Topology::mesh(8, 8);
-        let mut fs = FlowSet::new(topo);
-        let pairs = 1 + rng.next_below(19) as usize;
-        let mut any = false;
-        for _ in 0..pairs {
-            let a = rng.next_below(64) as u32;
-            let b = rng.next_below(64) as u32;
-            let w = 1 + rng.next_below(19);
-            if a != b {
-                fs.add(NodeId::new(a), NodeId::new(b), w as f64);
-                any = true;
-            }
-        }
-        if !any {
-            continue;
-        }
-        let capacity = 64 + rng.next_below(4032) as u32;
-        match fs.assign_reservations(capacity) {
-            Ok(r) => {
-                assert!(r.iter().all(|&x| x > 0));
-                fs.check_reservations(&r, capacity).unwrap();
-            }
-            Err(e) => {
-                // Only legitimate failure: a weight too small for the
-                // frame granularity.
-                assert!(e.message().contains("zero"), "{}", e);
             }
         }
     }

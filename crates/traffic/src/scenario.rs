@@ -11,9 +11,10 @@
 use crate::process::InjectionProcess;
 use crate::workload::{DestRule, Workload};
 use noc_sim::flit::{FlowId, NodeId};
-use noc_sim::flow::FlowSet;
+use noc_sim::routing::Direction;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
+use std::ops::AddAssign;
 
 /// One flow of a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,29 +66,46 @@ impl Scenario {
         w
     }
 
-    /// Computes per-flow reservations in frame slots for a frame of
-    /// `frame_capacity` slots.
+    /// Computes per-flow reservations `R_ij` in frame slots for a
+    /// frame of `frame_capacity` slots; a flow keeps its reservation
+    /// on every link of its path (Section 5.1).
     ///
     /// * Flows with an explicit [`ScenarioFlow::share`] get
     ///   `floor(share × capacity)`; when every destination is fixed,
-    ///   the per-link sums must then fit the frame
-    ///   ([`FlowSet::check_reservations`]).
+    ///   the per-link sums must then fit the frame.
     /// * Otherwise, if every flow has a fixed destination, weights are
-    ///   scaled so the most contended link is exactly filled
-    ///   ([`FlowSet::assign_reservations`]).
+    ///   scaled so the most loaded link is exactly filled.
     /// * If any flow uses random destinations (uniform traffic), the
     ///   whole frame is split in proportion to weights across *all*
     ///   flows, since any link may be shared by all of them.
     ///
+    /// # Example
+    ///
+    /// ```
+    /// use noc_traffic::Scenario;
+    ///
+    /// // 63 equal flows share the hotspot's ejection link of 128
+    /// // slots: 2 each.
+    /// let r = Scenario::hotspot(0.05).reservations(128)?;
+    /// assert_eq!(r, vec![2; 63]);
+    /// # Ok::<(), noc_sim::ConfigError>(())
+    /// ```
+    ///
     /// # Errors
     ///
-    /// Returns an error if any flow would end up with a zero
-    /// reservation at this capacity, or if explicit shares
-    /// oversubscribe a link.
+    /// Returns an error if the scenario has no flows, if any flow
+    /// would get zero slots, if explicit shares oversubscribe a link,
+    /// or if, with every destination fixed, a flow is addressed to its
+    /// own source or has a weight that is not positive and finite.
     pub fn reservations(&self, frame_capacity: u32) -> Result<Vec<u32>, ConfigError> {
         if self.flows.is_empty() {
             return Err(ConfigError::new("scenario has no flows"));
         }
+        let cap = f64::from(frame_capacity);
+        let fixed = self
+            .flows
+            .iter()
+            .all(|f| matches!(f.dest, DestRule::Fixed(_)));
         if self.flows.iter().all(|f| f.share.is_some()) {
             let mut out = Vec::with_capacity(self.flows.len());
             for (i, f) in self.flows.iter().enumerate() {
@@ -97,7 +115,7 @@ impl Scenario {
                         "flow f{i} share {share} outside (0, 1]"
                     )));
                 }
-                let r = (share * frame_capacity as f64).floor() as u32;
+                let r = (share * cap).floor() as u32;
                 if r == 0 {
                     return Err(ConfigError::new(format!(
                         "flow f{i} share {share} rounds to zero slots"
@@ -105,49 +123,71 @@ impl Scenario {
                 }
                 out.push(r);
             }
-            if let Some(fs) = self.flow_set() {
-                fs.check_reservations(&out, frame_capacity)?;
+            let sums = fixed.then(|| self.link_sums(|i, _| u64::from(out[i])));
+            let sums = sums.transpose()?.unwrap_or_default();
+            if let Some(link) = sums.iter().position(|&s| s > u64::from(frame_capacity)) {
+                let port = Direction::ALL.get(link % (Direction::COUNT + 1));
+                return Err(ConfigError::new(format!(
+                    "n{} {} oversubscribed: total reservation {} exceeds frame capacity {}",
+                    link / (Direction::COUNT + 1),
+                    port.map_or("injection link".to_string(), |d| format!("output {d}")),
+                    sums[link],
+                    frame_capacity
+                )));
             }
             return Ok(out);
         }
-        let any_random = self
-            .flows
-            .iter()
-            .any(|f| matches!(f.dest, DestRule::UniformRandom { .. }));
-        if any_random {
-            let total: f64 = self.flows.iter().map(|f| f.weight).sum();
-            let mut out = Vec::with_capacity(self.flows.len());
-            for (i, f) in self.flows.iter().enumerate() {
-                let r = (f.weight / total * frame_capacity as f64).floor() as u32;
-                if r == 0 {
-                    return Err(ConfigError::new(format!(
-                        "flow f{i} weight {} too small for capacity {frame_capacity}",
-                        f.weight
-                    )));
-                }
-                out.push(r);
+        let loads = fixed.then(|| self.link_sums(|_, f| f.weight)).transpose()?;
+        let max_load = loads.map(|loads| loads.into_iter().fold(0.0_f64, f64::max));
+        let total: f64 = self.flows.iter().map(|f| f.weight).sum();
+        let mut out = Vec::with_capacity(self.flows.len());
+        for (i, f) in self.flows.iter().enumerate() {
+            let r = match max_load {
+                Some(max) => (f.weight * (cap / max)).floor(),
+                None => (f.weight / total * cap).floor(),
+            } as u32;
+            if r == 0 {
+                return Err(ConfigError::new(format!(
+                    "flow f{i} weight {} too small: its reservation would be zero \
+                     with frame capacity {frame_capacity}",
+                    f.weight
+                )));
             }
-            Ok(out)
-        } else {
-            self.flow_set()
-                .expect("all destinations fixed")
-                .assign_reservations(frame_capacity)
+            out.push(r);
         }
+        Ok(out)
     }
 
-    /// The [`FlowSet`] of this scenario, if every flow has a fixed
-    /// destination (needed for path-based reservation math).
-    pub fn flow_set(&self) -> Option<FlowSet> {
-        let mut fs = FlowSet::new(self.topo);
-        for f in &self.flows {
-            match f.dest {
-                DestRule::Fixed(d) => {
-                    fs.add(f.src, d, f.weight);
-                }
-                DestRule::UniformRandom { .. } => return None,
+    /// Sums `value(i, flow)` over every link of each flow's path, in
+    /// flow order, when every destination is fixed. Link
+    /// `node * (Direction::COUNT + 1) + port` is a router output port
+    /// (ejection included), or the injection link when `port` is
+    /// `Direction::COUNT`. Fails on a flow to its own source or with a
+    /// weight that is not positive and finite.
+    fn link_sums<T: Copy + Default + AddAssign>(
+        &self,
+        value: impl Fn(usize, &ScenarioFlow) -> T,
+    ) -> Result<Vec<T>, ConfigError> {
+        let stride = Direction::COUNT + 1;
+        let mut sums = vec![T::default(); self.topo.num_nodes() * stride];
+        for (i, f) in self.flows.iter().enumerate() {
+            let DestRule::Fixed(dst) = f.dest else {
+                unreachable!("every destination is fixed")
+            };
+            if dst == f.src || !(f.weight.is_finite() && f.weight > 0.0) {
+                return Err(ConfigError::new(format!(
+                    "flow f{i} ({} -> {dst}, weight {}) needs distinct nodes and a \
+                     positive, finite weight",
+                    f.src, f.weight
+                )));
+            }
+            let v = value(i, f);
+            sums[f.src.index() * stride + Direction::COUNT] += v;
+            for (node, dir) in self.topo.port_path(f.src, dst) {
+                sums[node.index() * stride + dir.index()] += v;
             }
         }
-        Some(fs)
+        Ok(sums)
     }
 
     /// Looks up a flow group by name.
@@ -515,7 +555,6 @@ mod tests {
         assert_eq!(s.num_flows(), 64);
         let r = s.reservations(256).unwrap();
         assert!(r.iter().all(|&x| x == 4)); // 256 / 64
-        assert!(s.flow_set().is_none());
     }
 
     #[test]
@@ -526,16 +565,6 @@ mod tests {
             assert_eq!(f.src, src);
             assert_eq!(f.dest, DestRule::UniformRandom { num_nodes: 256 });
         }
-    }
-
-    #[test]
-    fn hotspot_reservations_fill_ejection_link() {
-        let s = Scenario::hotspot(0.02);
-        let r = s.reservations(256).unwrap();
-        assert_eq!(r.len(), 63);
-        assert!(r.iter().all(|&x| x == 4)); // 256/63 floored
-        let fs = s.flow_set().unwrap();
-        fs.check_reservations(&r, 256).unwrap();
     }
 
     #[test]
@@ -586,15 +615,17 @@ mod tests {
         let s = Scenario::case_study_2(0.5);
         assert_eq!(s.num_flows(), 9);
         let r = s.reservations(256).unwrap();
-        assert!(r.iter().all(|&x| x == 28)); // 1/9 of 256, floored
-                                             // The stripped flow's path is disjoint from the grey paths.
-        let fs = s.flow_set().unwrap();
-        let stripped_links = fs.links(FlowId::new(8));
-        for g in 0..8u32 {
-            let grey_links = fs.links(FlowId::new(g));
-            for l in &stripped_links {
-                assert!(!grey_links.contains(l), "paths must be disjoint");
-            }
+        // 1/9 of 256, floored.
+        assert!(r.iter().all(|&x| x == 28));
+        // The stripped flow's path shares no link with a grey path.
+        let ports = |f: &ScenarioFlow| match f.dest {
+            DestRule::Fixed(dst) => s.topo.port_path(f.src, dst),
+            DestRule::UniformRandom { .. } => unreachable!("case study II is fixed"),
+        };
+        let stripped = ports(&s.flows[8]);
+        for grey in &s.flows[..8] {
+            assert_ne!(grey.src, s.flows[8].src);
+            assert!(ports(grey).iter().all(|p| !stripped.contains(p)));
         }
     }
 
@@ -640,13 +671,21 @@ mod tests {
             assert!(Scenario::case_study_1(0.5).reservations(cap).is_ok());
             assert!(Scenario::case_study_2(0.5).reservations(cap).is_ok());
         }
-        // Flows 0 and 48 share Output(55, South): 2 × 76 > 128.
+        // Flows 0 and 48 share node 55's South output: 2 × 76 > 128.
         let mut s = Scenario::case_study_1(0.5);
-        for f in &mut s.flows {
-            f.share = Some(0.6);
-        }
+        s.flows.iter_mut().for_each(|f| f.share = Some(0.6));
         let err = s.reservations(128).unwrap_err().to_string();
-        assert!(err.contains("oversubscribed"), "{err}");
+        assert!(err.contains("n55 output S oversubscribed"), "{err}");
+        // Flows 48 and 56 meet only at the hotspot's ejection port:
+        // 64 + 64 slots fit a 128-slot frame, 100 + 100 do not.
+        s.flows.remove(0);
+        s.flows.iter_mut().for_each(|f| f.share = Some(0.5));
+        assert_eq!(s.reservations(128).unwrap(), vec![64, 64]);
+        s.flows
+            .iter_mut()
+            .for_each(|f| f.share = Some(100.0 / 128.0));
+        let err = s.reservations(128).unwrap_err().to_string();
+        assert!(err.contains("n63 output L oversubscribed"), "{err}");
     }
 
     #[test]

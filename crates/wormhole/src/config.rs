@@ -51,21 +51,12 @@ impl WormholeConfig {
         self.vc_params().validate()
     }
 
-    /// Validates invariants shared by all constructors.
-    fn validated(self) -> Self {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-        self
-    }
-
     /// The default configuration on a custom topology.
     pub fn on(topo: Topology) -> Self {
         WormholeConfig {
             topo,
             ..Self::default()
         }
-        .validated()
     }
 }
 
