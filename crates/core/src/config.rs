@@ -235,15 +235,20 @@ mod tests {
         assert!(c.local_status_reset);
     }
 
+    /// `dep_offset` is `hop_latency / flits_per_quantum + 1` (integer
+    /// division), which is not a ceiling when `hop_latency` is a
+    /// multiple of the quantum: 4 flits of latency give 3 slots.
     #[test]
-    fn dep_offset_rounds_up() {
-        let c = LoftConfig::default();
-        assert_eq!(c.dep_offset(), 2); // (3 + 2) / 2
-        let c = LoftConfig {
-            hop_latency: 1,
-            ..LoftConfig::default()
-        };
-        assert_eq!(c.dep_offset(), 1);
+    fn dep_offset_is_hop_latency_over_quantum_plus_one() {
+        for (hop_latency, slots) in [(1, 1), (3, 2), (4, 3)] {
+            let c = LoftConfig {
+                hop_latency,
+                ..LoftConfig::default()
+            };
+            assert_eq!(c.flits_per_quantum, 2);
+            assert_eq!(c.dep_offset(), slots, "hop_latency {hop_latency}");
+        }
+        assert_eq!(LoftConfig::default().hop_latency, 3);
     }
 
     #[test]

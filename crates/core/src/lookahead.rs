@@ -77,7 +77,8 @@ impl<T> LookaheadQueues<T> {
         self.blocked[qidx]
     }
 
-    /// Entries in queue `qidx` (diagnostics only).
+    /// Entries in queue `qidx`.
+    #[cfg(test)]
     pub(crate) fn raw_len(&self, qidx: usize) -> usize {
         self.queues[qidx].len()
     }

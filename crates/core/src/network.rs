@@ -293,65 +293,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         self.probe
     }
 
-    /// One-line diagnostic snapshot of a node's injection side (for
-    /// debugging and tests).
-    pub fn debug_injection(&self, node: usize) -> String {
-        let nic = &self.nics[node];
-        let queued: usize = nic.flow_q.iter().map(|q| q.len()).sum();
-        let ridx = node * PORTS + LOCAL;
-        format!(
-            "inj n{node}: queued={} staged={} local_nonspec_free={} outstanding={:?}",
-            queued,
-            nic.staged.len(),
-            self.data_ports[ridx].nonspec_free,
-            nic.rr_flows
-                .iter()
-                .map(|&f| self.la_outstanding[f as usize])
-                .collect::<Vec<_>>()
-        )
-    }
-
-    /// One-line diagnostic snapshot of a router output link (for
-    /// debugging and tests): pending bookings, look-ahead queue
-    /// length, reset count, and the downstream buffer occupancy.
-    pub fn debug_link(&self, node: usize, port: usize) -> String {
-        let lidx = node * PORTS + port;
-        let sched = &self.link_sched[lidx];
-        let downstream = if port == LOCAL {
-            "PE".to_string()
-        } else {
-            match self.links.peer(lidx) {
-                Some(ridx) => {
-                    let p = &self.data_ports[ridx];
-                    format!(
-                        "nonspec_free={}/{} spec_free={}/{}",
-                        p.nonspec_free,
-                        self.cfg.nonspec_quanta(),
-                        p.spec_free,
-                        self.cfg.spec_quanta()
-                    )
-                }
-                None => "edge".to_string(),
-            }
-        };
-        format!(
-            "link n{node}.{port}: pending={} la_queue={} resets={} head={} {}",
-            sched.pending_len(),
-            self.la_queues.raw_len(lidx),
-            sched.resets(),
-            // Not `sched.head_frame()`: a scheduler without a pending
-            // booking may lag until its next access.
-            self.slot() / self.cfg.frame_quanta() as u64,
-            downstream
-        )
-    }
-
-    /// The slot of the last stepped cycle: the clock no scheduler is
-    /// ahead of between steps.
-    fn slot(&self) -> u64 {
-        self.cycle.saturating_sub(1) / self.cfg.flits_per_quantum as u64
-    }
-
     /// Link `lidx`'s scheduler, brought to the current cycle's slot:
     /// the one way to reach a scheduler's clock-dependent state.
     fn sched(&mut self, lidx: usize) -> &mut LinkScheduler {
@@ -725,16 +666,16 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         self.la_wires.debug_verify();
         self.la_queues.debug_verify();
         self.data_wires.debug_verify();
+        // The slot of the last stepped cycle: the clock no scheduler is
+        // ahead of between steps.
+        let slot = self.cycle.saturating_sub(1) / self.cfg.flits_per_quantum as u64;
         for i in 0..self.link_sched.len() {
             let sched = &self.link_sched[i];
-            debug_assert!(
-                sched.current_slot() <= self.slot(),
-                "link {i} ahead of the clock"
-            );
+            debug_assert!(sched.current_slot() <= slot, "link {i} ahead of the clock");
             if sched.pending_len() > 0 {
                 debug_assert_eq!(
                     sched.current_slot(),
-                    self.slot(),
+                    slot,
                     "link {i} with a pending booking missed a slot"
                 );
             }
@@ -921,64 +862,6 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         self.probe.on_cycle(now);
         self.cycle = now + 1;
         debug_assert_delivered_once(out, delivered_before);
-    }
-
-    /// Jumps `cycles` forward without stepping when the network is
-    /// quiescent — no packet in the slab — and no reset decision is
-    /// due. A quiescent LOFT cycle then does exactly two things —
-    /// sample occupancy when the telemetry window is due, and tick the
-    /// cycle counter — both replicated here: `sample_occupancy` for
-    /// every skipped cycle (every buffer is idle, so each sample is
-    /// zero), and [`Probe::tick_many`]. Link schedulers are untouched:
-    /// nothing is pending on them, so each catches up on its next
-    /// access.
-    ///
-    /// With [`LoftConfig::local_status_reset`] on, every scheduler is
-    /// back in its power-up state by then; with it off, schedulers keep
-    /// their used tables, which `advance_to` steps exactly.
-    fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0 || !self.packets.is_empty() || !self.reset_check.is_empty() {
-            return 0;
-        }
-        #[cfg(debug_assertions)]
-        {
-            if self.cfg.local_status_reset {
-                for (i, sched) in self.link_sched.iter().enumerate() {
-                    debug_assert!(sched.is_fresh(), "quiescent link {i} missed its reset");
-                }
-            }
-            debug_assert!(!self.data_wires.any_active(), "data quanta in flight");
-            debug_assert!(!self.la_wires.any_active(), "look-aheads in flight");
-            debug_assert!(self.la_queues.first_from(0).is_none(), "queued look-aheads");
-            debug_assert!(self.stage_work.is_empty(), "staged quanta mid-jump");
-            debug_assert!(self.launch_work.is_empty(), "queued source quanta");
-            debug_assert!(self.la_outstanding.iter().all(|&c| c == 0));
-            debug_assert!(self.pending_links.is_empty(), "data work mid-jump");
-            for nic in &self.nics {
-                debug_assert!(nic.staged.is_empty() && nic.queued == 0, "NIC not idle");
-            }
-            for port in &self.data_ports {
-                debug_assert_eq!(
-                    port.nonspec_free,
-                    self.cfg.nonspec_quanta() as i64,
-                    "non-spec buffer not drained"
-                );
-                debug_assert_eq!(
-                    port.spec_free,
-                    self.cfg.spec_quanta() as i64,
-                    "spec buffer not drained"
-                );
-            }
-        }
-        let now = self.cycle;
-        if Pr::ENABLED {
-            for c in now..now + cycles {
-                self.sample_occupancy(c);
-            }
-        }
-        self.probe.tick_many(now, cycles);
-        self.cycle = now + cycles;
-        cycles
     }
 
     fn in_flight(&self) -> usize {
@@ -1294,52 +1177,6 @@ mod tests {
                 .count()
                 > 0
         );
-    }
-
-    /// A quiescent jump must be indistinguishable from stepping the
-    /// idle cycles — same clock, and identical behaviour for traffic
-    /// injected after the gap — with local resets on and off (`spec=0`
-    /// leaves every used scheduler's tables in place).
-    #[test]
-    fn fast_forward_matches_idle_stepping() {
-        for cfg in [LoftConfig::default(), LoftConfig::with_spec_buffer(0)] {
-            let build = || {
-                let mut net = probed(cfg, &[16]);
-                for seq in 0..5 {
-                    net.enqueue(packet(0, seq, 0, 9, 0));
-                }
-                net
-            };
-            let (mut stepped, mut jumped) = (build(), build());
-            let (mut out_s, mut out_j) = (Vec::new(), Vec::new());
-            while stepped.in_flight() > 0 {
-                stepped.step(&mut out_s);
-            }
-            while jumped.in_flight() > 0 {
-                jumped.step(&mut out_j);
-            }
-            // Let the trailing reset checks land so both are quiescent.
-            for _ in 0..32 {
-                stepped.step(&mut out_s);
-                jumped.step(&mut out_j);
-            }
-            assert_eq!(out_s, out_j);
-            for k in [1u64, 5, 63, 64, 1_000] {
-                for _ in 0..k {
-                    stepped.step(&mut out_s);
-                }
-                assert_eq!(jumped.fast_forward(k), k, "jump declined at k={k}");
-                assert_eq!(jumped.cycle(), stepped.cycle());
-            }
-            assert_eq!(resets(&stepped), resets(&jumped));
-            // Traffic after the gap behaves identically in both worlds.
-            stepped.enqueue(packet(0, 100, 0, 9, 0));
-            jumped.enqueue(packet(0, 100, 0, 9, 0));
-            let a = drain(&mut stepped, 10_000);
-            let b = drain(&mut jumped, 10_000);
-            assert_eq!(a.len(), 1);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -145,53 +145,6 @@ impl Framing {
         *count -= 1;
     }
 
-    /// Closed-form equivalent of `cycles` consecutive idle
-    /// [`Framing::recycle`] calls at `now, now + 1, ..`: with no flit
-    /// alive in any frame, recycling follows a fixed rhythm — the
-    /// barrier arms, waits `barrier_delay`, shifts, and re-arms one
-    /// cycle later — so the number of shifts in the span is computable
-    /// in O(1). Ends in the exact state the per-cycle calls would
-    /// (head frame, recycle count, and in-flight barrier included).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if any frame still has live flits (the
-    /// closed form is only valid for a fully idle window).
-    pub fn fast_forward_idle(&mut self, now: u64, cycles: u64) {
-        debug_assert!(
-            self.frame_alive.iter().all(|&a| a == 0),
-            "idle fast-forward with live flits"
-        );
-        if cycles == 0 {
-            return;
-        }
-        let end = now + cycles;
-        let d = self.barrier_delay;
-        // A shift lands `max(d, 1)` cycles after the barrier arms
-        // (the arming cycle itself never shifts, even at delay 0),
-        // and re-arming costs one more idle cycle.
-        let period = d.max(1) + 1;
-        let first = match self.barrier_due {
-            Some(due) => due.max(now),
-            None => now + d.max(1),
-        };
-        if first >= end {
-            // No shift completes inside the span; at most the barrier
-            // arms on the first idle cycle.
-            if self.barrier_due.is_none() {
-                self.barrier_due = Some(now + d);
-            }
-            return;
-        }
-        let num = (end - 1 - first) / period + 1;
-        self.head_frame += num;
-        self.recycles += num;
-        let last = first + (num - 1) * period;
-        // After the final shift the barrier re-arms on the next cycle
-        // if the span still covers it.
-        self.barrier_due = (last + 1 < end).then(|| last + 1 + d);
-    }
-
     /// Barrier-based global frame recycling: called once per cycle.
     /// Returns `true` when the window just shifted (callers retag any
     /// untagged backlog against the fresh frame).
@@ -272,35 +225,6 @@ mod tests {
             let mut f = Framing::new(&[4], 100, window, 10);
             assert!(!f.recycle(0)); // barrier armed
             assert_eq!(f.claim(FlowId::new(0), 4), frame);
-        }
-    }
-
-    /// The closed-form idle jump must land in the exact state the
-    /// per-cycle `recycle` loop reaches, for every barrier delay,
-    /// barrier phase at the jump start, and span length.
-    #[test]
-    fn idle_fast_forward_matches_stepped_recycling() {
-        for d in [0u64, 1, 3, 10] {
-            for pre in [0u64, 1, 2, 5, 12] {
-                for k in [1u64, 2, 3, 7, 11, 50, 1_000] {
-                    let build = || Framing::new(&[4], 100, 3, d);
-                    let mut stepped = build();
-                    let mut jumped = build();
-                    // Reach an arbitrary barrier phase first.
-                    for now in 0..pre {
-                        stepped.recycle(now);
-                        jumped.recycle(now);
-                    }
-                    for now in pre..pre + k {
-                        stepped.recycle(now);
-                    }
-                    jumped.fast_forward_idle(pre, k);
-                    let ctx = format!("d={d} pre={pre} k={k}");
-                    assert_eq!(stepped.head_frame, jumped.head_frame, "head {ctx}");
-                    assert_eq!(stepped.recycles, jumped.recycles, "recycles {ctx}");
-                    assert_eq!(stepped.barrier_due, jumped.barrier_due, "barrier {ctx}");
-                }
-            }
         }
     }
 

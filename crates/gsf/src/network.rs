@@ -200,18 +200,6 @@ impl RouterPolicy for GsfPolicy {
     fn on_eject_flit(&mut self, flit: &noc_sim::fabric::VcFlit<u64>) {
         self.framing.on_flit_ejected(flit.tag);
     }
-
-    /// With the fabric quiescent the only per-cycle work left is frame
-    /// recycling, and with nothing untagged each window shift's retag
-    /// pass is a no-op — so `cycles` idle [`GsfPolicy::pre_inject`]
-    /// calls reduce to the framing window's closed-form idle jump.
-    fn fast_forward(&mut self, now: u64, cycles: u64) {
-        debug_assert!(
-            self.untagged.iter().flatten().all(|(_, q)| q.is_empty()),
-            "untagged backlog during a quiescent jump"
-        );
-        self.framing.fast_forward_idle(now, cycles);
-    }
 }
 
 /// The Globally-Synchronized Frames network.
@@ -303,10 +291,6 @@ impl<Pr: Probe> Network for GsfNetwork<Pr> {
 
     fn step(&mut self, out: &mut Vec<Packet>) {
         self.fabric.step(out);
-    }
-
-    fn fast_forward(&mut self, cycles: u64) -> u64 {
-        self.fabric.fast_forward(cycles)
     }
 
     fn in_flight(&self) -> usize {
@@ -534,25 +518,6 @@ mod tests {
         assert_eq!(flits(0, Direction::East), 4);
         assert_eq!(flits(2, Direction::Local), 4);
         assert_eq!(flits(5, Direction::East), 0);
-    }
-
-    #[test]
-    fn fast_forward_matches_idle_stepping() {
-        let mut stepped = GsfNetwork::new(GsfConfig::default(), &[100]);
-        let mut jumped = GsfNetwork::new(GsfConfig::default(), &[100]);
-        let mut out = Vec::new();
-        // Mix jump sizes so the barrier is caught in every phase.
-        for k in [1u64, 3, 17, 64, 200, 999] {
-            for _ in 0..k {
-                stepped.step(&mut out);
-            }
-            assert_eq!(jumped.fast_forward(k), k);
-            assert_eq!(jumped.cycle(), stepped.cycle());
-            assert_eq!(jumped.head_frame(), stepped.head_frame());
-            assert_eq!(jumped.recycles(), stepped.recycles());
-        }
-        assert!(out.is_empty());
-        assert!(jumped.recycles() > 10);
     }
 
     #[test]

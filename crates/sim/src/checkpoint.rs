@@ -187,83 +187,7 @@ impl<N: Network, T: TrafficSource> Checkpoint<N, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlowId, NodeId, Packet, PacketId};
-
-    /// A fixed 10-cycle pipeline network that supports quiescence
-    /// jumps (clone of the engine test double, with `Clone`).
-    #[derive(Debug, Default, Clone)]
-    struct DelayLine {
-        cycle: u64,
-        queue: Vec<Packet>,
-    }
-
-    impl Network for DelayLine {
-        fn num_nodes(&self) -> usize {
-            2
-        }
-        fn cycle(&self) -> u64 {
-            self.cycle
-        }
-        fn enqueue(&mut self, mut packet: Packet) {
-            packet.injected_at = Some(self.cycle);
-            self.queue.push(packet);
-        }
-        fn step(&mut self, out: &mut Vec<Packet>) {
-            self.cycle += 1;
-            let cycle = self.cycle;
-            let mut i = 0;
-            while i < self.queue.len() {
-                if cycle >= self.queue[i].created_at + 10 {
-                    let mut p = self.queue.swap_remove(i);
-                    p.ejected_at = Some(cycle);
-                    out.push(p);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        fn in_flight(&self) -> usize {
-            self.queue.len()
-        }
-        fn fast_forward(&mut self, cycles: u64) -> u64 {
-            assert!(self.queue.is_empty(), "jumped a busy network");
-            self.cycle += cycles;
-            cycles
-        }
-    }
-
-    /// One packet every `period` cycles on flow 0, with a closed-form
-    /// next-active scan.
-    #[derive(Debug, Clone)]
-    struct Periodic {
-        period: u64,
-        seq: u64,
-    }
-
-    impl TrafficSource for Periodic {
-        fn num_flows(&self) -> usize {
-            1
-        }
-        fn generate(&mut self, cycle: u64, out: &mut Vec<Packet>) {
-            if cycle.is_multiple_of(self.period) {
-                out.push(Packet::new(
-                    PacketId {
-                        flow: FlowId::new(0),
-                        seq: self.seq,
-                    },
-                    NodeId::new(0),
-                    NodeId::new(1),
-                    4,
-                    cycle,
-                ));
-                self.seq += 1;
-            }
-        }
-        fn next_active_cycle(&mut self, from: u64, limit: u64) -> u64 {
-            let next = from.div_ceil(self.period) * self.period;
-            next.min(limit)
-        }
-    }
+    use crate::test_doubles::{DelayLine, Periodic};
 
     fn sim(run: RunConfig, ff: bool) -> Simulation<DelayLine, Periodic> {
         Simulation::new(DelayLine::default(), Periodic { period: 20, seq: 0 }, run)

@@ -39,22 +39,21 @@ pub trait Network {
     /// queues (used to terminate the drain phase early).
     fn in_flight(&self) -> usize;
 
-    /// Attempts to advance `cycles` cycles at once while the network
-    /// is quiescent, returning how many cycles were actually jumped
-    /// (`0` declines the jump and the driver falls back to
-    /// [`Network::step`]).
-    ///
-    /// The contract is bit-identity: a successful jump must leave the
-    /// network in exactly the state `cycles` idle `step` calls would
-    /// have produced — including every time-dependent side effect
-    /// (frame-window recycling, slot-pointer advancement, telemetry
-    /// clock ticks and due occupancy samples). Implementations only
-    /// accept when they can prove quiescence (nothing in flight, no
-    /// wire/credit/worklist activity); the default declines always,
-    /// so custom networks are unaffected until they opt in.
+    /// Advances `cycles` cycles over an idle span: the engine calls
+    /// this when nothing is in flight and the traffic source is silent
+    /// until `cycle() + cycles`. The provided method steps the network
+    /// once per cycle, so every time-dependent side effect (frame
+    /// recycling, trailing credits and wires, local resets, telemetry
+    /// samples and clock ticks) happens exactly as in a plain run; with
+    /// nothing in flight, nothing can be delivered. Returns `cycles`.
     fn fast_forward(&mut self, cycles: u64) -> u64 {
-        let _ = cycles;
-        0
+        debug_assert_eq!(self.in_flight(), 0, "fast-forward over a busy network");
+        let mut delivered = Vec::new();
+        for _ in 0..cycles {
+            self.step(&mut delivered);
+        }
+        debug_assert!(delivered.is_empty(), "an idle span delivered packets");
+        cycles
     }
 }
 
@@ -125,13 +124,15 @@ impl Default for RunConfig {
 
 /// Bookkeeping about how a run executed (as opposed to what it
 /// measured — that is the [`SimReport`]). Deliberately *not* part of
-/// the report: a fast-forwarded run and a stepped run produce equal
-/// reports, and this is where the difference between them is allowed
-/// to show.
+/// the report: a run with fast-forward on and one with it off produce
+/// equal reports, and this is where the difference between them is
+/// allowed to show.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunInfo {
-    /// Idle cycles jumped by quiescence fast-forward instead of being
-    /// stepped (0 when disabled or never quiescent).
+    /// Idle cycles the engine passed over without consulting the
+    /// traffic source or the statistics, because nothing was in flight
+    /// and no packet was due (0 when disabled). The network still
+    /// steps each of them, through [`Network::fast_forward`].
     pub skipped_cycles: u64,
     /// The cycle at which the run terminated: the full
     /// warmup+measure+drain span, or earlier when the drain phase
@@ -158,7 +159,7 @@ impl<N: Network, T: TrafficSource> Simulation<N, T> {
     /// Creates a simulation. Quiescence fast-forward is enabled by
     /// default — it is bit-identical to plain stepping, so there is
     /// no observable difference beyond wall-clock time; disable it
-    /// with [`Simulation::with_fast_forward`] to measure that claim.
+    /// with [`Simulation::with_fast_forward`].
     pub fn new(network: N, traffic: T, config: RunConfig) -> Self {
         Simulation {
             network,
@@ -197,8 +198,8 @@ impl<N: Network, T: TrafficSource> Simulation<N, T> {
     ///   state;
     /// * the network is handed back, so telemetry callers can extract
     ///   the probe threaded through it (via its `into_probe`);
-    /// * a [`RunInfo`] carries the run's execution bookkeeping (cycles
-    ///   skipped by fast-forward, drain-termination cycle).
+    /// * a [`RunInfo`] carries the run's execution bookkeeping (idle
+    ///   cycles fast-forwarded, drain-termination cycle).
     ///
     /// The driver feeds packet events to the statistics collector
     /// through the [`PacketProbe`] interface — the same event stream
@@ -210,15 +211,13 @@ impl<N: Network, T: TrafficSource> Simulation<N, T> {
     /// Whenever the network reports nothing in flight, the driver
     /// asks the traffic source for its next active cycle (a scan that
     /// consumes exactly the per-cycle RNG draws plain generation
-    /// would) and offers the network the whole idle span via
-    /// [`Network::fast_forward`]. Jump targets are clamped to the
-    /// warmup/measure/drain phase boundaries, so the warmup hook
-    /// fires at the same cycle and the drain-termination check runs
-    /// against the same states as a plain run. A network may decline
-    /// (residual wire or credit activity); the driver then steps
-    /// normally and retries next cycle. Results are bit-identical
-    /// either way — only `RunInfo::skipped_cycles` and the wall clock
-    /// differ.
+    /// would) and hands the network the whole idle span via
+    /// [`Network::fast_forward`], which steps it. Jump targets are
+    /// clamped to the warmup/measure/drain phase boundaries, so the
+    /// warmup hook fires at the same cycle and the drain-termination
+    /// check runs against the same states as a plain run. Results are
+    /// bit-identical either way — only `RunInfo::skipped_cycles` and
+    /// the wall clock differ.
     pub fn run_full(self, mut after_warmup: impl FnMut()) -> (SimReport, N, RunInfo) {
         let mut state = self.into_engine_state();
         state.drive(u64::MAX, &mut after_warmup);
@@ -321,7 +320,7 @@ impl<N: Network, T: TrafficSource> EngineState<N, T> {
                 );
                 if target > self.cycle {
                     let jumped = self.network.fast_forward(target - self.cycle);
-                    debug_assert!(jumped <= target - self.cycle, "network overshot the jump");
+                    debug_assert_eq!(jumped, target - self.cycle, "network declined the span");
                     if jumped > 0 {
                         self.skipped_cycles += jumped;
                         self.cycle += jumped;
@@ -361,72 +360,8 @@ impl<N: Network, T: TrafficSource> EngineState<N, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlowId, NodeId, Packet, PacketId};
-
-    /// A trivial network: fixed 10-cycle pipeline per packet.
-    #[derive(Debug, Default)]
-    struct DelayLine {
-        cycle: u64,
-        queue: Vec<Packet>,
-    }
-
-    impl Network for DelayLine {
-        fn num_nodes(&self) -> usize {
-            2
-        }
-        fn cycle(&self) -> u64 {
-            self.cycle
-        }
-        fn enqueue(&mut self, mut packet: Packet) {
-            packet.injected_at = Some(self.cycle);
-            self.queue.push(packet);
-        }
-        fn step(&mut self, out: &mut Vec<Packet>) {
-            self.cycle += 1;
-            let cycle = self.cycle;
-            let mut i = 0;
-            while i < self.queue.len() {
-                if cycle >= self.queue[i].created_at + 10 {
-                    let mut p = self.queue.swap_remove(i);
-                    p.ejected_at = Some(cycle);
-                    out.push(p);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        fn in_flight(&self) -> usize {
-            self.queue.len()
-        }
-    }
-
-    /// One packet every `period` cycles on flow 0.
-    #[derive(Debug)]
-    struct Periodic {
-        period: u64,
-        seq: u64,
-    }
-
-    impl TrafficSource for Periodic {
-        fn num_flows(&self) -> usize {
-            1
-        }
-        fn generate(&mut self, cycle: u64, out: &mut Vec<Packet>) {
-            if cycle.is_multiple_of(self.period) {
-                out.push(Packet::new(
-                    PacketId {
-                        flow: FlowId::new(0),
-                        seq: self.seq,
-                    },
-                    NodeId::new(0),
-                    NodeId::new(1),
-                    4,
-                    cycle,
-                ));
-                self.seq += 1;
-            }
-        }
-    }
+    use crate::flit::Packet;
+    use crate::test_doubles::{DelayLine, Periodic};
 
     #[test]
     fn delay_line_latency_is_ten() {
@@ -545,67 +480,21 @@ mod tests {
         assert_eq!(info.end_cycle, 15);
     }
 
-    /// A delay line that accepts quiescence jumps, plus a periodic
-    /// source with a closed-form next-active scan: the fast-forwarded
-    /// run must reproduce the stepped run's report exactly while
-    /// actually skipping cycles.
+    /// A fast-forwarded run must reproduce the stepped run's report
+    /// exactly while actually skipping cycles.
     #[test]
     fn fast_forward_matches_stepped_run() {
-        #[derive(Debug, Default)]
-        struct FfDelayLine(DelayLine);
-        impl Network for FfDelayLine {
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn cycle(&self) -> u64 {
-                self.0.cycle()
-            }
-            fn enqueue(&mut self, packet: Packet) {
-                self.0.enqueue(packet);
-            }
-            fn step(&mut self, out: &mut Vec<Packet>) {
-                self.0.step(out);
-            }
-            fn in_flight(&self) -> usize {
-                self.0.in_flight()
-            }
-            fn fast_forward(&mut self, cycles: u64) -> u64 {
-                assert!(self.0.queue.is_empty(), "jumped a busy network");
-                self.0.cycle += cycles;
-                cycles
-            }
-        }
-
-        #[derive(Debug)]
-        struct ScanPeriodic(Periodic);
-        impl TrafficSource for ScanPeriodic {
-            fn num_flows(&self) -> usize {
-                self.0.num_flows()
-            }
-            fn generate(&mut self, cycle: u64, out: &mut Vec<Packet>) {
-                self.0.generate(cycle, out);
-            }
-            fn next_active_cycle(&mut self, from: u64, limit: u64) -> u64 {
-                let next = from.div_ceil(self.0.period) * self.0.period;
-                next.min(limit)
-            }
-        }
-
         let run = RunConfig {
             warmup: 100,
             measure: 1_000,
             drain: 100,
         };
         let make = |ff| {
-            Simulation::new(
-                FfDelayLine::default(),
-                ScanPeriodic(Periodic { period: 20, seq: 0 }),
-                run,
-            )
-            .with_fast_forward(ff)
+            Simulation::new(DelayLine::default(), Periodic { period: 20, seq: 0 }, run)
+                .with_fast_forward(ff)
         };
-        let (stepped, _, stepped_info) = make(false).run_full(|| {});
-        let (jumped, _, jumped_info) = make(true).run_full(|| {});
+        let (stepped, stepped_net, stepped_info) = make(false).run_full(|| {});
+        let (jumped, jumped_net, jumped_info) = make(true).run_full(|| {});
         assert_eq!(stepped, jumped, "fast-forward changed the report");
         assert_eq!(stepped_info.skipped_cycles, 0);
         assert!(
@@ -614,6 +503,7 @@ mod tests {
             jumped_info.skipped_cycles
         );
         assert_eq!(stepped_info.end_cycle, jumped_info.end_cycle);
+        assert_eq!(stepped_net.cycle(), jumped_net.cycle());
         assert_eq!(jumped.avg_latency(), 10.0);
     }
 

@@ -151,14 +151,4 @@ pub trait RouterPolicy {
     fn on_eject_flit(&mut self, flit: &VcFlit<Self::Tag>) {
         let _ = flit;
     }
-
-    /// The fabric is jumping `cycles` quiescent cycles starting at
-    /// `now` (see `VcFabric::fast_forward`): advance any
-    /// purely time-dependent policy state in closed form, exactly as
-    /// `cycles` idle [`RouterPolicy::pre_inject`] calls would have.
-    /// Default: nothing (stateless policies like wormhole have no
-    /// clock of their own).
-    fn fast_forward(&mut self, now: u64, cycles: u64) {
-        let _ = (now, cycles);
-    }
 }

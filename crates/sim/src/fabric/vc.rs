@@ -999,54 +999,6 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         debug_assert_delivered_once(out, delivered_before);
     }
 
-    /// Jumps `cycles` forward in O(1) datapath work when the fabric is
-    /// fully quiescent. Declines (returns 0) whenever *any* state
-    /// still evolves under per-cycle stepping: packets in the slab,
-    /// flits on wires, or credits in flight (credit returns trail the
-    /// last delivery by up to `credit_delay` cycles — normal stepping
-    /// covers that window, after which the fabric re-offers the jump).
-    ///
-    /// Everything a quiescent per-cycle run would still do is
-    /// replicated exactly: the policy's per-cycle clock via
-    /// [`RouterPolicy::fast_forward`], `sample_occupancy` for every
-    /// skipped cycle (every buffer is empty, so each sample is zero),
-    /// and the probe's cycle count via [`Probe::tick_many`]. With
-    /// telemetry disabled (`Pr::ENABLED == false`) the sample loop is
-    /// statically removed and the jump is O(1).
-    fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0
-            || !self.packets.is_empty()
-            || self.wires.any_active()
-            || !self.credits_in_flight.is_empty()
-        {
-            return 0;
-        }
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(self.nic_work.is_empty(), "quiescent NIC worklist");
-            debug_assert!(self.router_work.is_empty(), "quiescent router worklist");
-            for n in 0..self.routers.len() {
-                debug_assert!(self.nics[n].current.is_none(), "NIC streaming mid-jump");
-                debug_assert!(P::source_idle(&self.sources[n]), "source queue not idle");
-                debug_assert_eq!(self.buffered[n], 0, "buffered flits mid-jump");
-                debug_assert!(
-                    self.routers[n].inputs.iter().all(|buf| buf.q.is_empty()),
-                    "VC buffer not empty mid-jump"
-                );
-            }
-        }
-        let now = self.cycle;
-        self.policy.fast_forward(now, cycles);
-        if Pr::ENABLED {
-            for c in now..now + cycles {
-                self.sample_occupancy(c);
-            }
-        }
-        self.probe.tick_many(now, cycles);
-        self.cycle = now + cycles;
-        cycles
-    }
-
     fn in_flight(&self) -> usize {
         self.packets.len()
     }

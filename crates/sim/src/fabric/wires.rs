@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 /// items are in flight must come one unit after the previous drain;
 /// [`DelayedWires::drain_due`] asserts it, since a late drain would
 /// strand the buckets it skipped. While the wheel is empty a drain
-/// may come at any time (after a fast-forward jump, say).
+/// may come at any time.
 ///
 /// Two preconditions, debug-asserted at [`DelayedWires::push`]:
 /// at most one item per `(link, due)`, and `due` within the horizon
@@ -131,8 +131,7 @@ impl<T> DelayedWires<T> {
         }
     }
 
-    /// Whether any link has items in flight (a counter check; the
-    /// fast-forward paths' quiescence test).
+    /// Whether any link has items in flight (a counter check).
     #[must_use]
     pub fn any_active(&self) -> bool {
         self.len != 0
@@ -205,14 +204,6 @@ impl<T> TimedFifo<T> {
         } else {
             None
         }
-    }
-
-    /// Whether no events are in flight (quiescence check for the
-    /// fast-forward path).
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
     }
 }
 

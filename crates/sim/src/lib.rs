@@ -58,6 +58,8 @@ pub mod routing;
 pub mod slab;
 pub mod stats;
 pub mod telemetry;
+#[cfg(test)]
+mod test_doubles;
 pub mod topology;
 pub mod worklist;
 

@@ -279,14 +279,6 @@ impl Probe for LiveProbe {
     fn on_cycle(&mut self, cycle: u64) {
         self.cycles = self.cycles.max(cycle + 1);
     }
-
-    fn tick_many(&mut self, from: u64, count: u64) {
-        // `on_cycle` is a pure clock update, so the batch collapses to
-        // its last cycle — bit-identical to replaying every tick.
-        if count > 0 {
-            self.cycles = self.cycles.max(from + count);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -385,21 +377,6 @@ mod tests {
         assert_eq!(report.flows[0].throughput, 0.0);
         // No flows delivered anything: vacuously fair.
         assert_eq!(report.jain, 1.0);
-    }
-
-    #[test]
-    fn tick_many_matches_per_cycle_ticks() {
-        let mut batched = LiveProbe::new(10);
-        let mut stepped = LiveProbe::new(10);
-        batched.tick_many(5, 20);
-        for c in 5..25 {
-            stepped.on_cycle(c);
-        }
-        assert_eq!(batched.cycles, stepped.cycles);
-        // An empty batch is a no-op, even from a cycle beyond the
-        // probe's current clock.
-        batched.tick_many(1_000, 0);
-        assert_eq!(batched.cycles, 25);
     }
 
     #[test]

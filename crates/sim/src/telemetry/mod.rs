@@ -191,18 +191,6 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
     fn on_cycle(&mut self, cycle: u64) {
         let _ = cycle;
     }
-
-    /// Cycles `from..from + count` finished with no events — the
-    /// batched form of [`Probe::on_cycle`] used by the quiescence
-    /// fast-forward path. The default replays `on_cycle` per cycle so
-    /// every implementation stays exactly equivalent to cycle-by-cycle
-    /// stepping; probes whose `on_cycle` is a pure clock update (like
-    /// [`LiveProbe`]) override it with the O(1) closed form.
-    fn tick_many(&mut self, from: u64, count: u64) {
-        for cycle in from..from + count {
-            self.on_cycle(cycle);
-        }
-    }
 }
 
 /// The telemetry-off probe: a zero-sized type whose hooks are all the
@@ -218,9 +206,6 @@ impl PacketProbe for NoopProbe {}
 
 impl Probe for NoopProbe {
     const ENABLED: bool = false;
-
-    #[inline]
-    fn tick_many(&mut self, _from: u64, _count: u64) {}
 }
 
 #[cfg(test)]

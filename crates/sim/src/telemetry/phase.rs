@@ -127,8 +127,9 @@ pub struct PhaseProbe {
     pub nanos: [u64; Phase::COUNT],
     /// Timed calls per phase, indexed by [`Phase::index`].
     pub calls: [u64; Phase::COUNT],
-    /// Cycles stepped (fast-forwarded cycles run no phase and are not
-    /// counted).
+    /// Cycles stepped. Idle spans the engine fast-forwards are stepped
+    /// too, so this is every cycle of the run and their phases are
+    /// timed.
     pub cycles: u64,
 }
 
@@ -174,9 +175,6 @@ impl Probe for PhaseProbe {
     fn on_cycle(&mut self, _cycle: u64) {
         self.cycles += 1;
     }
-
-    #[inline]
-    fn tick_many(&mut self, _from: u64, _count: u64) {}
 }
 
 #[cfg(test)]

@@ -93,14 +93,16 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns an error if the scenario has no flows, if any flow
-    /// would get zero slots, if explicit shares oversubscribe a link,
-    /// or if, with every destination fixed, a flow is addressed to its
-    /// own source or has a weight that is not positive and finite.
+    /// Returns an error if the scenario has no flows, if a flow leaves
+    /// the topology (see [`Scenario::check_nodes`]), if any flow would
+    /// get zero slots, if explicit shares oversubscribe a link, or if,
+    /// with every destination fixed, a flow is addressed to its own
+    /// source or has a weight that is not positive and finite.
     pub fn reservations(&self, frame_capacity: u32) -> Result<Vec<u32>, ConfigError> {
         if self.flows.is_empty() {
             return Err(ConfigError::new("scenario has no flows"));
         }
+        self.check_nodes()?;
         let cap = f64::from(frame_capacity);
         let fixed = self
             .flows
@@ -156,6 +158,32 @@ impl Scenario {
             out.push(r);
         }
         Ok(out)
+    }
+
+    /// Fails unless every flow stays on [`Scenario::topo`]: its source
+    /// and fixed destination are nodes of the topology, and a uniform
+    /// destination draws from at least two and at most all of its
+    /// nodes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first flow that leaves the topology.
+    pub fn check_nodes(&self) -> Result<(), ConfigError> {
+        let n = self.topo.num_nodes();
+        for (i, f) in self.flows.iter().enumerate() {
+            let dest_ok = match f.dest {
+                DestRule::Fixed(dst) => dst.index() < n,
+                DestRule::UniformRandom { num_nodes } => (2..=n).contains(&(num_nodes as usize)),
+            };
+            if f.src.index() >= n || !dest_ok {
+                return Err(ConfigError::new(format!(
+                    "flow f{i} (source {}, destination {:?}) leaves the {n}-node topology of \
+                     scenario {}",
+                    f.src, f.dest, self.name
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Sums `value(i, flow)` over every link of each flow's path, in

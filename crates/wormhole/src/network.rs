@@ -150,10 +150,6 @@ impl<Pr: Probe> Network for WormholeNetwork<Pr> {
         self.fabric.step(out);
     }
 
-    fn fast_forward(&mut self, cycles: u64) -> u64 {
-        self.fabric.fast_forward(cycles)
-    }
-
     fn in_flight(&self) -> usize {
         self.fabric.in_flight()
     }

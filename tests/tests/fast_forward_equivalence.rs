@@ -1,5 +1,5 @@
-//! Quiescence fast-forward equivalence: skipping idle spans in
-//! closed form must be invisible in every observable — the full
+//! Quiescence fast-forward equivalence: the engine passing over idle
+//! spans must be invisible in every observable — the full
 //! [`SimReport`] (per-flow stats, Welford latency accumulators,
 //! histogram) *and* the full [`TelemetryReport`] (counters, occupancy
 //! accumulators, per-flow series) must be bit-identical with the fast
@@ -26,7 +26,8 @@ use integration::{live, outcome, topologies, Small};
 use loft::LoftConfig;
 use loft_bench::SEED;
 use noc_gsf::GsfConfig;
-use noc_sim::{RunConfig, Topology, TrafficSource};
+use noc_sim::telemetry::LiveProbe;
+use noc_sim::{FlowId, Network, Packet, PacketId, RunConfig, Topology, TrafficSource};
 use noc_traffic::{DestRule, InjectionProcess, Scenario};
 use noc_wormhole::WormholeConfig;
 
@@ -163,4 +164,83 @@ fn gsf_fast_forward_is_equivalent() {
 #[test]
 fn wormhole_fast_forward_is_equivalent() {
     check_equivalence::<WormholeConfig>(Small::small);
+}
+
+/// The engine jumps on the first cycle nothing is in flight, which is
+/// right after the last delivery: credits, wires and LOFT's reset
+/// checks may still trail it. A jump from there must land where
+/// stepping does — same clock, then the same deliveries and the same
+/// telemetry for traffic that follows the span.
+fn check_jump_after_last_delivery<C: Small>(cfg: fn(Topology) -> C) {
+    let topo = Topology::mesh(4, 4);
+    let scenario = sparse_pair_on(topo, InjectionProcess::Bernoulli { rate: 0.05 }, "pair");
+    let DestRule::Fixed(dst) = scenario.flows[0].dest else {
+        unreachable!("the pair has fixed destinations")
+    };
+    let packet = |seq, at| {
+        let id = PacketId {
+            flow: FlowId::new(0),
+            seq,
+        };
+        Packet::new(id, scenario.flows[0].src, dst, scenario.packet_len, at)
+    };
+    // A short sampling window puts occupancy samples inside the span.
+    let mut net = cfg(topo)
+        .build(&scenario, LiveProbe::new(8))
+        .expect("the pair fits the small frames");
+    let mut out = Vec::new();
+    for seq in 0..3 {
+        net.enqueue(packet(seq, 0));
+    }
+    while net.in_flight() > 0 {
+        net.step(&mut out);
+        assert!(net.cycle() < 10_000, "{}: packets never drained", C::NAME);
+    }
+    assert_eq!(out.len(), 3);
+    let finish = |mut n: C::Net<LiveProbe>| {
+        n.enqueue(packet(3, n.cycle()));
+        let mut got = Vec::new();
+        while n.in_flight() > 0 {
+            n.step(&mut got);
+        }
+        for _ in 0..64 {
+            n.step(&mut got);
+        }
+        (n.cycle(), got, C::into_probe(n).finish())
+    };
+    for k in [1u64, 2, 7, 64] {
+        let (mut jumped, mut stepped) = (net.clone(), net.clone());
+        assert_eq!(
+            jumped.fast_forward(k),
+            k,
+            "{}: jump declined (k={k})",
+            C::NAME
+        );
+        for _ in 0..k {
+            stepped.step(&mut out);
+        }
+        assert_eq!(out.len(), 3, "{}: an idle span delivered", C::NAME);
+        assert_eq!(jumped.cycle(), stepped.cycle());
+        assert_eq!(
+            finish(jumped),
+            finish(stepped),
+            "{}: jump of {k} diverged from stepping",
+            C::NAME
+        );
+    }
+}
+
+#[test]
+fn loft_jump_after_last_delivery_matches_stepping() {
+    check_jump_after_last_delivery::<LoftConfig>(Small::small);
+}
+
+#[test]
+fn gsf_jump_after_last_delivery_matches_stepping() {
+    check_jump_after_last_delivery::<GsfConfig>(Small::small);
+}
+
+#[test]
+fn wormhole_jump_after_last_delivery_matches_stepping() {
+    check_jump_after_last_delivery::<WormholeConfig>(Small::small);
 }

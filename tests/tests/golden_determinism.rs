@@ -10,8 +10,9 @@
 //! justification), not an optimization.
 //!
 //! Every pin runs twice, with quiescence fast-forward on and off: the
-//! pair certifies that closed-form idle jumps and per-cycle stepping
-//! are observably the same simulation.
+//! pair certifies that passing over idle spans (no generation or
+//! collection, the network stepped through `Network::fast_forward`)
+//! and the plain per-cycle loop are observably the same simulation.
 //!
 //! The probe-less runs used here build networks with the default
 //! telemetry probe (`noc_sim::telemetry::NoopProbe`), so these pins
