@@ -4,8 +4,8 @@
 //! Enumerates `{loft, gsf, wormhole} × {mesh, torus, line} × traffic
 //! × load × ff-legs`, runs warmup once per base point and forks it
 //! per leg (see `noc_sim::checkpoint`), runs whole simulations on
-//! `--jobs` lanes, longest first, and streams one versioned JSON row
-//! per cell to stdout. Usage:
+//! `--jobs` lanes, and prints one versioned JSON row per cell to
+//! stdout, in matrix order, once every cell has run. Usage:
 //!
 //! ```text
 //! sweep [--jobs N] [--seed N] [--smoke] [--no-fork]
@@ -36,7 +36,7 @@
 //! * `--telemetry PATH` — carry a live probe in every warmup
 //!   checkpoint, so the legs' `cycles_per_sec` measures the
 //!   telemetry-on loop, and write a JSON array with one
-//!   `{"row": .., "telemetry": ..}` entry per leg to `PATH`.
+//!   `{"row":..,"telemetry":..}` entry per leg to `PATH`.
 //! * `--profile` — carry the phase profiler instead: every row gains
 //!   `phase_ns_per_cycle` and `phase_share`, warmup included.
 //!
@@ -51,6 +51,7 @@ use loft_bench::sweep::{
     SweepRow,
 };
 use loft_bench::{or_exit, SEED};
+use noc_sim::json::{self, Value};
 
 const FLAGS: &str = "--jobs N, --seed N, --smoke, --no-fork, --selfcheck, \
                      --alloc-budget X, --min-cps NET=FLOOR[,NET=FLOOR...], --telemetry PATH, \
@@ -195,19 +196,22 @@ fn main() {
     eprintln!("sweep: {} rows in {wall:.2}s", rows.len());
 
     if let Some(path) = &cli.telemetry {
-        let docs: Vec<String> = rows
-            .iter()
-            .filter_map(|r| {
-                let doc = r.telemetry.as_ref()?;
-                Some(format!(
-                    "{{\"row\": {}, \"telemetry\": {doc}}}",
-                    r.to_json(jobs)
-                ))
-            })
-            .collect();
-        let written = std::fs::write(path, format!("[{}]", docs.join(",")));
+        let mut legs = 0;
+        let doc = json::array(|out| {
+            for row in &rows {
+                let Some(telemetry) = &row.telemetry else {
+                    continue;
+                };
+                legs += 1;
+                out.object(|leg| {
+                    leg.field("row", Value::Raw(&row.to_json(jobs)))
+                        .field("telemetry", Value::Raw(telemetry));
+                });
+            }
+        });
+        let written = std::fs::write(path, doc);
         or_exit(written.map_err(|e| format!("writing {path}: {e}")));
-        eprintln!("sweep: telemetry written: {path} ({} legs)", docs.len());
+        eprintln!("sweep: telemetry written: {path} ({legs} legs)");
     }
     let mut failed = false;
     if let Some(budget) = cli.alloc_budget {

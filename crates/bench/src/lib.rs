@@ -156,10 +156,10 @@ pub trait NetSpec: Sized {
     /// # Errors
     ///
     /// Fails if the configuration cannot run (its `validate`), if the
-    /// scenario was built for another topology or has a flow that
-    /// leaves it ([`Scenario::check_nodes`]), or if the scenario's
-    /// reservations do not fit the configured frame (see
-    /// [`Scenario::reservations`]).
+    /// scenario was built for another topology or cannot run on it
+    /// ([`Scenario::check`]: zero-flit packets, a flow that leaves it),
+    /// or if the scenario's reservations do not fit the configured
+    /// frame (see [`Scenario::reservations`]).
     fn build<P: Probe + Clone>(
         self,
         scenario: &Scenario,
@@ -170,12 +170,12 @@ pub trait NetSpec: Sized {
     fn into_probe<P: Probe + Clone>(net: Self::Net<P>) -> P;
 }
 
-/// Fails unless `scenario` was built for `topo` and every flow stays
-/// on it: its node ids and the paths its reservations were sized on
-/// hold on that topology only.
+/// Fails unless `scenario` was built for `topo` and passes
+/// [`Scenario::check`]: its node ids and the paths its reservations
+/// were sized on hold on that topology only.
 fn check_topology(scenario: &Scenario, topo: Topology) -> Result<(), ConfigError> {
     if scenario.topo == topo {
-        return scenario.check_nodes();
+        return scenario.check();
     }
     Err(ConfigError::new(format!(
         "scenario {} is built for {:?}, the network for {topo:?}",
@@ -308,8 +308,7 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
 /// Items are whole simulations: independent, single-threaded and
 /// uneven in cost. The calling thread and `jobs - 1` scoped threads
 /// claim them one at a time, in index order, off one shared iterator,
-/// so long items pipeline with short ones and a caller that sorts
-/// longest-first gets longest-first scheduling.
+/// so long items pipeline with short ones.
 ///
 /// # Panics
 ///

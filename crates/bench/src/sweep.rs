@@ -1,4 +1,4 @@
-//! Work-stealing parallel sweep over the experiment matrix.
+//! Parallel sweep over the experiment matrix.
 //!
 //! A sweep enumerates `{loft, gsf, wormhole} × topology ×
 //! traffic × load × fast-forward legs` and runs every cell, streaming
@@ -12,12 +12,11 @@
 //!   of re-warming from scratch per cell (the `--no-fork` baseline).
 //!   Forked legs are bit-identical to from-scratch runs; see
 //!   `noc_sim::checkpoint` for why.
-//! * **Work stealing across cells.** Groups are whole-simulation
-//!   tasks: independent, single-threaded, wildly uneven in cost.
-//!   They are sorted longest-expected-first and claimed in that order
-//!   by `--jobs N` lanes ([`map_jobs`]), so a long GSF point
-//!   pipelines with many short wormhole points instead of serializing
-//!   behind them.
+//! * **Whole simulations across lanes.** Groups are whole-simulation
+//!   tasks: independent, single-threaded, uneven in cost. `--jobs N`
+//!   lanes ([`map_jobs`]) claim them one at a time, in matrix order,
+//!   off one shared queue, so a long GSF point pipelines with many
+//!   short wormhole points instead of serializing behind them.
 //!
 //! The warmup checkpoint is always built with quiescence fast-forward
 //! enabled (it never changes results, only wall clock). A consequence:
@@ -37,7 +36,8 @@ use std::time::Instant;
 
 use loft::LoftConfig;
 use noc_gsf::GsfConfig;
-use noc_sim::telemetry::{LiveProbe, NoopProbe, PhaseProbe, Probe};
+use noc_sim::json::{self, Value};
+use noc_sim::telemetry::{LiveProbe, NoopProbe, Phase, PhaseProbe, Probe};
 use noc_sim::{ConfigError, RunConfig, Topology};
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
@@ -66,18 +66,16 @@ pub enum Net {
 /// What the sweep knows about one architecture.
 struct Kind {
     name: &'static str,
-    /// Relative cost per node-cycle, for longest-expected-first
-    /// ordering. Rough empirical throughput ratios; only the ordering
-    /// matters, not the absolute values.
-    weight: f64,
+    /// The phases of the network's cycle, for profiled rows.
+    phases: &'static [Phase],
     run_group: fn(&SweepGroup, &SweepOptions) -> Result<Vec<SweepRow>, ConfigError>,
 }
 
 impl Kind {
-    fn of<C: NetSpec>(weight: f64) -> Self {
+    fn of<C: NetSpec>() -> Self {
         Kind {
             name: C::NAME,
-            weight,
+            phases: C::PHASES,
             run_group: run_group_on::<C>,
         }
     }
@@ -90,9 +88,9 @@ impl Net {
     /// The one place a runtime network kind becomes a config type.
     fn kind(self) -> Kind {
         match self {
-            Net::Loft => Kind::of::<LoftConfig>(2.5),
-            Net::Gsf => Kind::of::<GsfConfig>(3.0),
-            Net::Wormhole => Kind::of::<WormholeConfig>(1.5),
+            Net::Loft => Kind::of::<LoftConfig>(),
+            Net::Gsf => Kind::of::<GsfConfig>(),
+            Net::Wormhole => Kind::of::<WormholeConfig>(),
         }
     }
 
@@ -169,16 +167,6 @@ impl SweepGroup {
             TrafficKind::Bursty => Ok(Scenario::bursty_low_duty(self.load)),
         }
     }
-
-    /// Expected relative cost, for longest-expected-first scheduling.
-    /// Load scales the per-cycle work (more flits in flight), node
-    /// count scales the fabric, and each leg re-runs measure + drain.
-    #[must_use]
-    pub fn expected_cost(&self) -> f64 {
-        let legs = self.ff_legs.len().max(1) as f64;
-        let cycles = self.run.warmup as f64 + legs * (self.run.measure + self.run.drain) as f64;
-        self.net.kind().weight * (0.2 + self.load) * self.topo.num_nodes() as f64 * cycles
-    }
 }
 
 /// Compact topology name for rows and logs (`mesh8x8`, `torus8x8`, ...).
@@ -248,102 +236,101 @@ pub struct SweepRow {
     pub allocs_per_cycle: Option<f64>,
     /// The leg's telemetry document ([`Instrument::Telemetry`]).
     pub telemetry: Option<String>,
-    /// The leg's `phase_ns_per_cycle` and `phase_share` row fields
-    /// ([`Instrument::Profile`]).
-    pub phases: Option<String>,
+    /// The leg's phase profile ([`Instrument::Profile`]), written as
+    /// the row's `phase_ns_per_cycle` and `phase_share` fields.
+    pub phases: Option<PhaseProbe>,
 }
 
 impl SweepRow {
+    /// Every field of the row, once, in output order: its JSON name,
+    /// its value, and whether it is deterministic — a simulation
+    /// result that must be bit-identical between a forked leg and a
+    /// from-scratch leg of the same cell. Wall clock, `jobs`,
+    /// `forked_warmup` and `skipped_cycles` are not (the shared warmup
+    /// always fast-forwards, so a forked `ff=false` leg keeps warmup
+    /// skips a scratch run never makes — the *results* are still
+    /// identical). The probes' output, `telemetry` and `phases`, is
+    /// not a field of this list.
+    fn fields(&self, jobs: usize) -> [(&'static str, Value<'_>, bool); 26] {
+        let opt = |x: Option<f64>, digits| x.map_or(Value::Null, |x| Value::Fixed(x, digits));
+        [
+            ("schema", SWEEP_SCHEMA_VERSION.into(), true),
+            ("net", self.net.name().into(), true),
+            ("topo", self.topo.as_str().into(), true),
+            ("traffic", self.traffic.name().into(), true),
+            ("load", self.load.into(), true),
+            ("ff", self.ff.into(), true),
+            ("jobs", jobs.into(), false),
+            ("forked_warmup", self.forked_warmup.into(), false),
+            ("seed", self.seed.into(), true),
+            ("warmup", self.warmup.into(), true),
+            ("measure", self.measure.into(), true),
+            ("drain", self.drain.into(), true),
+            ("end_cycle", self.end_cycle.into(), true),
+            ("skipped_cycles", self.skipped_cycles.into(), false),
+            ("wall_secs", Value::Fixed(self.wall_secs, 4), false),
+            ("warmup_secs", Value::Fixed(self.warmup_secs, 4), false),
+            ("packets_delivered", self.packets.into(), true),
+            ("flits_delivered", self.flits.into(), true),
+            ("avg_latency", opt(self.avg_latency, 3), true),
+            ("p50", self.p50.into(), true),
+            ("p95", self.p95.into(), true),
+            ("p99", self.p99.into(), true),
+            ("saturated", self.saturated.into(), true),
+            ("horizon_doublings", self.horizon_doublings.into(), true),
+            (
+                "cycles_per_sec",
+                Value::Fixed(self.cycles_per_sec, 1),
+                false,
+            ),
+            ("allocs_per_cycle", opt(self.allocs_per_cycle, 4), false),
+        ]
+    }
+
     /// The row as one JSON object (the sweep's streamed output
-    /// format, `"schema": 3`), ending in the phase fields if any.
+    /// format, `"schema":3`), ending in the phase fields if any.
     #[must_use]
     pub fn to_json(&self, jobs: usize) -> String {
-        let opt_f = |x: Option<f64>| x.map_or("null".to_string(), |v| format!("{v:.3}"));
-        let opt_u = |x: Option<u64>| x.map_or("null".to_string(), |v| v.to_string());
-        format!(
-            concat!(
-                "{{\"schema\": {}, \"net\": \"{}\", \"topo\": \"{}\", \"traffic\": \"{}\", ",
-                "\"load\": {}, \"ff\": {}, \"jobs\": {}, ",
-                "\"forked_warmup\": {}, \"seed\": {}, \"warmup\": {}, \"measure\": {}, ",
-                "\"drain\": {}, \"end_cycle\": {}, \"skipped_cycles\": {}, ",
-                "\"wall_secs\": {:.4}, \"warmup_secs\": {:.4}, \"packets_delivered\": {}, ",
-                "\"flits_delivered\": {}, \"avg_latency\": {}, \"p50\": {}, \"p95\": {}, ",
-                "\"p99\": {}, \"saturated\": {}, \"horizon_doublings\": {}, ",
-                "\"cycles_per_sec\": {:.1}, \"allocs_per_cycle\": {}{}}}"
-            ),
-            SWEEP_SCHEMA_VERSION,
-            self.net.name(),
-            self.topo,
-            self.traffic.name(),
-            self.load,
-            self.ff,
-            jobs,
-            self.forked_warmup,
-            self.seed,
-            self.warmup,
-            self.measure,
-            self.drain,
-            self.end_cycle,
-            self.skipped_cycles,
-            self.wall_secs,
-            self.warmup_secs,
-            self.packets,
-            self.flits,
-            opt_f(self.avg_latency),
-            opt_u(self.p50),
-            opt_u(self.p95),
-            opt_u(self.p99),
-            self.saturated,
-            self.horizon_doublings,
-            self.cycles_per_sec,
-            self.allocs_per_cycle
-                .map_or("null".to_string(), |a| format!("{a:.4}")),
-            self.phases
-                .as_ref()
-                .map_or(String::new(), |p| format!(", {p}")),
-        )
+        json::object(|row| {
+            for (name, value, _) in self.fields(jobs) {
+                row.field(name, value);
+            }
+            if let Some(probe) = &self.phases {
+                probe.write_fields(self.net.kind().phases, row);
+            }
+        })
+    }
+
+    /// The deterministic fields but `skip`, floats by their bits.
+    fn key(&self, skip: &str) -> String {
+        json::object(|key| {
+            for (name, value, deterministic) in self.fields(0) {
+                let exact = match value {
+                    Value::Float(x) | Value::Fixed(x, _) => Value::Int(x.to_bits()),
+                    value => value,
+                };
+                if deterministic && name != skip {
+                    key.field(name, exact);
+                }
+            }
+        })
     }
 
     /// The deterministic portion of the row: everything that must be
     /// bit-identical between a forked leg and a from-scratch leg of
-    /// the same cell. Excludes wall clock, `forked_warmup`, and
-    /// `skipped_cycles` (the shared warmup always fast-forwards, so a
-    /// forked `ff=false` leg keeps warmup skips a scratch run never
-    /// makes — the *results* are still identical).
+    /// the same cell. Excludes wall clock, `jobs`, `forked_warmup`,
+    /// `skipped_cycles` and the probes' output; floats count to the
+    /// last bit.
     #[must_use]
     pub fn equivalence_key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{}|{}",
-            self.net.name(),
-            self.topo,
-            self.traffic.name(),
-            self.load,
-            self.ff,
-            self.seed,
-            self.warmup,
-            self.measure,
-            self.drain,
-            self.end_cycle,
-            self.packets,
-            self.flits,
-            self.avg_latency.map(f64::to_bits),
-            self.p50,
-            self.p95,
-            self.p99,
-            self.saturated,
-            self.horizon_doublings,
-        )
+        self.key("")
     }
 
-    /// [`SweepRow::equivalence_key`] with `ff` blanked out:
-    /// fast-forward is exact, so the legs of one group agree on it.
+    /// [`SweepRow::equivalence_key`] without `ff`: fast-forward is
+    /// exact, so the legs of one group agree on the rest.
     #[must_use]
     pub fn ff_blind_key(&self) -> String {
-        SweepRow {
-            ff: true,
-            ..self.clone()
-        }
-        .equivalence_key()
+        self.key("ff")
     }
 }
 
@@ -419,9 +406,9 @@ fn run_group_on<C: NetSpec>(
             let probe = LiveProbe::new(TELEMETRY_WINDOW);
             run_legs::<C, _>(group, opts, probe, |p| (Some(p.finish().to_json()), None))
         }
-        Instrument::Profile => run_legs::<C, _>(group, opts, PhaseProbe::default(), |p| {
-            (None, Some(p.to_json_fields(C::PHASES)))
-        }),
+        Instrument::Profile => {
+            run_legs::<C, _>(group, opts, PhaseProbe::default(), |p| (None, Some(p)))
+        }
     }
 }
 
@@ -445,7 +432,7 @@ fn run_legs<C: NetSpec, P: Probe + Clone>(
     group: &SweepGroup,
     opts: &SweepOptions,
     probe: P,
-    finish: impl Fn(P) -> (Option<String>, Option<String>),
+    finish: impl Fn(P) -> (Option<String>, Option<PhaseProbe>),
 ) -> Result<Vec<SweepRow>, ConfigError> {
     let scenario = group.scenario()?;
     let sim = |run: RunConfig| {
@@ -531,9 +518,9 @@ fn run_legs<C: NetSpec, P: Probe + Clone>(
     Ok(rows)
 }
 
-/// Runs a whole matrix: sorts groups longest-expected-first, schedules
-/// them across `opts.jobs` work-stealing lanes ([`map_jobs`]), and
-/// returns the rows grouped per input group in scheduling order.
+/// Runs a whole matrix on `opts.jobs` lanes ([`map_jobs`]) and, once
+/// every group has finished, returns the rows grouped per group in
+/// matrix order.
 ///
 /// # Panics
 ///
@@ -541,8 +528,7 @@ fn run_legs<C: NetSpec, P: Probe + Clone>(
 /// matrices never are. Check hand-built groups with [`run_group`]
 /// first.
 #[must_use]
-pub fn run_sweep(mut groups: Vec<SweepGroup>, opts: &SweepOptions) -> Vec<SweepRow> {
-    groups.sort_by(|a, b| b.expected_cost().total_cmp(&a.expected_cost()));
+pub fn run_sweep(groups: Vec<SweepGroup>, opts: &SweepOptions) -> Vec<SweepRow> {
     map_jobs(opts.jobs, groups, |g| {
         run_group(&g, opts).unwrap_or_else(|e| panic!("infeasible sweep group {g:?}: {e}"))
     })
@@ -695,7 +681,7 @@ mod tests {
 
     /// Parallel scheduling must not change results or lose rows:
     /// jobs=2 produces the same row set as jobs=1 (order included —
-    /// both follow the longest-expected-first schedule).
+    /// both return matrix order).
     #[test]
     fn parallel_sweep_matches_serial() {
         let groups: Vec<SweepGroup> = Net::ALL
@@ -766,15 +752,101 @@ mod tests {
         assert_eq!(clamp_jobs(0), 1);
     }
 
+    /// Perturbs every `SweepRow` field alone: the keys are derived
+    /// from the one field list, so `equivalence_key` moves exactly for
+    /// the deterministic fields, `ff_blind_key` for those but `ff`, and
+    /// floats count to the last bit.
+    #[test]
+    fn keys_move_with_exactly_the_deterministic_fields() {
+        // Names every field: a new one does not compile until it has a
+        // case below.
+        let base = SweepRow {
+            net: Net::Loft,
+            topo: "mesh4x4".to_string(),
+            traffic: TrafficKind::Uniform,
+            load: 0.1,
+            ff: true,
+            forked_warmup: true,
+            seed: 1,
+            warmup: 2,
+            measure: 3,
+            drain: 4,
+            end_cycle: 5,
+            skipped_cycles: 6,
+            wall_secs: 7.0,
+            warmup_secs: 8.0,
+            packets: 9,
+            flits: 10,
+            avg_latency: Some(11.0),
+            p50: Some(12),
+            p95: Some(13),
+            p99: Some(14),
+            saturated: false,
+            horizon_doublings: 15,
+            cycles_per_sec: 16.0,
+            allocs_per_cycle: Some(17.0),
+            telemetry: None,
+            phases: None,
+        };
+        type Perturb = fn(&mut SweepRow);
+        let cases: [(&str, bool, Perturb); 27] = [
+            ("net", true, |r| r.net = Net::Gsf),
+            ("topo", true, |r| r.topo.push('x')),
+            ("traffic", true, |r| r.traffic = TrafficKind::Hotspot),
+            ("load", true, |r| r.load = 0.2),
+            ("ff", true, |r| r.ff = false),
+            ("forked_warmup", false, |r| r.forked_warmup = false),
+            ("seed", true, |r| r.seed += 1),
+            ("warmup", true, |r| r.warmup += 1),
+            ("measure", true, |r| r.measure += 1),
+            ("drain", true, |r| r.drain += 1),
+            ("end_cycle", true, |r| r.end_cycle += 1),
+            ("skipped_cycles", false, |r| r.skipped_cycles += 1),
+            ("wall_secs", false, |r| r.wall_secs += 1.0),
+            ("warmup_secs", false, |r| r.warmup_secs += 1.0),
+            ("packets", true, |r| r.packets += 1),
+            ("flits", true, |r| r.flits += 1),
+            ("avg_latency", true, |r| r.avg_latency = None),
+            ("p50", true, |r| r.p50 = None),
+            ("p95", true, |r| r.p95 = None),
+            ("p99", true, |r| r.p99 = None),
+            ("saturated", true, |r| r.saturated = true),
+            ("horizon_doublings", true, |r| r.horizon_doublings += 1),
+            ("cycles_per_sec", false, |r| r.cycles_per_sec += 1.0),
+            ("allocs_per_cycle", false, |r| r.allocs_per_cycle = None),
+            ("telemetry", false, |r| r.telemetry = Some("{}".to_string())),
+            ("phases", false, |r| r.phases = Some(PhaseProbe::default())),
+            // One ULP: invisible in the row's three digits, not in the key.
+            ("avg_latency + 1 ulp", true, |r| {
+                r.avg_latency = r.avg_latency.map(|x| f64::from_bits(x.to_bits() + 1));
+            }),
+        ];
+        for (field, deterministic, perturb) in cases {
+            let mut row = base.clone();
+            perturb(&mut row);
+            let moved = |key: fn(&SweepRow) -> String| key(&row) != key(&base);
+            assert_eq!(moved(SweepRow::equivalence_key), deterministic, "{field}");
+            let ff_blind = deterministic && field != "ff";
+            assert_eq!(moved(SweepRow::ff_blind_key), ff_blind, "{field}");
+        }
+        let mut ulp = base.clone();
+        ulp.avg_latency = ulp.avg_latency.map(|x| f64::from_bits(x.to_bits() + 1));
+        assert_eq!(
+            ulp.to_json(1),
+            base.to_json(1),
+            "the row rounds, the key does not"
+        );
+    }
+
     #[test]
     fn rows_render_versioned_json() {
         let group = tiny_group(Net::Wormhole, Topology::mesh(4, 4));
         let rows = run_group(&group, &SweepOptions::default()).unwrap();
         assert_eq!(rows.len(), 2);
         let json = rows[0].to_json(3);
-        assert!(json.starts_with("{\"schema\": 3, "));
-        assert!(json.contains("\"jobs\": 3"));
-        assert!(json.contains("\"forked_warmup\": true"));
+        assert!(json.starts_with("{\"schema\":3,"));
+        assert!(json.contains("\"jobs\":3"));
+        assert!(json.contains("\"forked_warmup\":true"));
         assert!(json.ends_with("}"));
     }
 }

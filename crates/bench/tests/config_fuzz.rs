@@ -120,14 +120,15 @@ fn hand_built(name: &str, flows: &[(u32, DestRule)]) -> Scenario {
 }
 
 /// Hand-built scenarios on every network: a flow that leaves the
-/// topology is a `ConfigError` from `Scenario::reservations` and from
-/// every `NetSpec::build`; self-addressed and duplicate flows either
-/// run or are errors. None may panic.
+/// topology, or zero-flit packets, is a `ConfigError` from
+/// `Scenario::reservations` and from every `NetSpec::build`;
+/// self-addressed and duplicate flows either run or are errors. None
+/// may panic.
 #[test]
 fn hand_built_scenarios_run_or_are_errors() {
     let fixed = |n| DestRule::Fixed(NodeId::new(n));
     let uniform = |num_nodes| DestRule::UniformRandom { num_nodes };
-    let off_topology = [
+    let infeasible = [
         hand_built("dest-16", &[(0, fixed(16))]),
         hand_built("dest-max", &[(0, fixed(u32::MAX))]),
         hand_built("src-16", &[(16, fixed(3))]),
@@ -136,6 +137,10 @@ fn hand_built_scenarios_run_or_are_errors() {
         hand_built("uniform-1", &[(0, uniform(1))]),
         hand_built("uniform-0", &[(0, uniform(0))]),
         hand_built("second-flow-off", &[(0, fixed(5)), (1, fixed(99))]),
+        Scenario {
+            packet_len: 0,
+            ..hand_built("zero-flit-packets", &[(0, fixed(5))])
+        },
     ];
     let mut shared = hand_built("duplicate-shares", &[(0, fixed(15)), (0, fixed(15))]);
     for f in &mut shared.flows {
@@ -153,8 +158,8 @@ fn hand_built_scenarios_run_or_are_errors() {
         shared,
         oversubscribed,
     ];
-    for s in &off_topology {
-        assert!(s.check_nodes().is_err(), "{}", s.name);
+    for s in &infeasible {
+        assert!(s.check().is_err(), "{}", s.name);
         assert!(s.reservations(256).is_err(), "{}", s.name);
     }
     fn check<C: NetSpec>(s: &Scenario, must_fail: bool) {
@@ -171,7 +176,7 @@ fn hand_built_scenarios_run_or_are_errors() {
             );
         }
     }
-    for (scenarios, must_fail) in [(&off_topology[..], true), (&on_topology[..], false)] {
+    for (scenarios, must_fail) in [(&infeasible[..], true), (&on_topology[..], false)] {
         for s in scenarios {
             // May be `Err`, must not panic.
             let _ = s.reservations(256);

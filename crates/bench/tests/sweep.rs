@@ -20,7 +20,7 @@ fn every_profiled_smoke_row_carries_the_phase_split() {
     let rows: Vec<&str> = stdout.lines().collect();
     assert_eq!(rows.len(), 18, "9 groups x 2 fast-forward legs");
     for row in rows {
-        let phase = if row.contains("\"net\": \"loft\"") {
+        let phase = if row.contains("\"net\":\"loft\"") {
             "\"la_schedule\":"
         } else {
             "\"switch_traverse\":"

@@ -11,6 +11,8 @@
 //!   property of the topology,
 //! * [`flit`] — packets, flits, flow identifiers,
 //! * [`stats`] — latency/throughput statistics with warmup handling,
+//! * [`json`] — the one JSON writer every exported document goes
+//!   through,
 //! * [`telemetry`] — the zero-cost [`telemetry::Probe`] interface:
 //!   per-link/per-buffer/per-flow observability monomorphized into
 //!   the fabric, free when disabled ([`telemetry::NoopProbe`]) and
@@ -52,6 +54,7 @@ pub mod engine;
 pub mod error;
 pub mod fabric;
 pub mod flit;
+pub mod json;
 pub mod par;
 pub mod rng;
 pub mod routing;

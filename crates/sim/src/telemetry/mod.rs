@@ -66,6 +66,14 @@ impl BufKind {
     /// Number of buffer classes (for dense per-kind tables).
     pub const COUNT: usize = 4;
 
+    /// Every buffer class, in index order.
+    pub const ALL: [BufKind; BufKind::COUNT] = [
+        BufKind::Vc,
+        BufKind::NonSpec,
+        BufKind::Spec,
+        BufKind::Source,
+    ];
+
     /// Dense index of this class, `0..COUNT`.
     #[must_use]
     pub fn index(self) -> usize {
@@ -214,16 +222,9 @@ mod tests {
 
     #[test]
     fn bufkind_indices_are_dense() {
-        let kinds = [
-            BufKind::Vc,
-            BufKind::NonSpec,
-            BufKind::Spec,
-            BufKind::Source,
-        ];
-        for (i, k) in kinds.iter().enumerate() {
+        for (i, k) in BufKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
         }
-        assert_eq!(kinds.len(), BufKind::COUNT);
     }
 
     #[test]

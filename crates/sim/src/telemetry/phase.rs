@@ -10,6 +10,7 @@
 use std::time::Instant;
 
 use super::{PacketProbe, Probe};
+use crate::json;
 
 /// A phase of one network's cycle, as timed by [`PhaseClock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,28 +135,22 @@ pub struct PhaseProbe {
 }
 
 impl PhaseProbe {
-    /// Renders `phases` as the two `sweep --profile` row fields:
-    /// `"phase_ns_per_cycle":{..},"phase_share":{..}` — mean host
-    /// nanoseconds per stepped cycle, and each phase's share of the
-    /// listed phases' total.
-    #[must_use]
-    pub fn to_json_fields(&self, phases: &[Phase]) -> String {
+    /// Writes `phases` as the two `sweep --profile` row fields,
+    /// `phase_ns_per_cycle` and `phase_share`: mean host nanoseconds
+    /// per stepped cycle, and each phase's share of the listed phases'
+    /// total.
+    pub fn write_fields(&self, phases: &[Phase], row: &mut json::Object<'_>) {
         let total: u64 = phases.iter().map(|p| self.nanos[p.index()]).sum();
-        let object = |digits: usize, scale: f64| {
-            phases
-                .iter()
-                .map(|p| {
-                    let v = self.nanos[p.index()] as f64 / scale;
-                    format!("\"{}\":{v:.digits$}", p.name())
-                })
-                .collect::<Vec<_>>()
-                .join(",")
+        let per = |scale: u64, digits: usize| {
+            move |o: &mut json::Object<'_>| {
+                for p in phases {
+                    let v = self.nanos[p.index()] as f64 / scale.max(1) as f64;
+                    o.field(p.name(), json::Value::Fixed(v, digits));
+                }
+            }
         };
-        format!(
-            "\"phase_ns_per_cycle\":{{{}}},\"phase_share\":{{{}}}",
-            object(1, self.cycles.max(1) as f64),
-            object(4, total.max(1) as f64),
-        )
+        row.object("phase_ns_per_cycle", per(self.cycles, 1))
+            .object("phase_share", per(total, 4));
     }
 }
 
@@ -212,8 +207,10 @@ mod tests {
         assert_eq!(probe.nanos[Phase::VcAllocate.index()], before + 5);
         assert_eq!(probe.nanos[Phase::SwitchTraverse.index()], 7);
         assert_eq!(probe.cycles, 1);
-        let json = probe.to_json_fields(&[Phase::VcAllocate, Phase::SwitchTraverse]);
-        assert!(json.starts_with("\"phase_ns_per_cycle\":{\"vc_allocate\":"));
+        let json = json::object(|row| {
+            probe.write_fields(&[Phase::VcAllocate, Phase::SwitchTraverse], row);
+        });
+        assert!(json.starts_with("{\"phase_ns_per_cycle\":{\"vc_allocate\":"));
         assert!(json.contains("\"phase_share\":{\"vc_allocate\":"));
     }
 }

@@ -1,6 +1,7 @@
 //! The frozen output of a telemetry run: merged counters, QoS
 //! summaries, and the versioned JSON export.
 
+use crate::json::{self, Value};
 use crate::stats::{Histogram, RunningStats};
 
 use super::BufKind;
@@ -163,151 +164,101 @@ impl TelemetryReport {
     /// top-level `telemetry_version` field.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\"telemetry_version\":{},\"cycles\":{},\"window\":{},\"ports\":{}",
-            self.version, self.cycles, self.window, self.ports
-        ));
-
-        // Links: one object per link that saw any activity.
-        out.push_str(",\"links\":[");
-        let mut first = true;
-        let links = [
-            self.link_flits.len(),
-            self.link_stalls.len(),
-            self.sched_book.len(),
-            self.sched_deny.len(),
-            self.link_resets.len(),
-        ]
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-        for link in 0..links {
-            let at = |v: &Vec<u64>| v.get(link).copied().unwrap_or(0);
-            let (flits, stalls) = (at(&self.link_flits), at(&self.link_stalls));
-            let (book, deny) = (at(&self.sched_book), at(&self.sched_deny));
-            let resets = at(&self.link_resets);
-            if flits + stalls + book + deny + resets == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"link\":{link},\"node\":{},\"port\":{},\"flits\":{flits},\
-                 \"stalls\":{stalls},\"sched_book\":{book},\"sched_deny\":{deny},\
-                 \"resets\":{resets},\"utilization\":{}}}",
-                link / self.ports.max(1),
-                link % self.ports.max(1),
-                json_f64(self.link_utilization(link)),
-            ));
-        }
-        out.push(']');
-
-        // NIC stalls, sparse by node.
-        out.push_str(",\"nics\":[");
-        let mut first = true;
-        for (node, &stalls) in self.nic_stalls.iter().enumerate() {
-            if stalls == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{{\"node\":{node},\"stalls\":{stalls}}}"));
-        }
-        out.push(']');
-
-        // Occupancy summaries, sparse by (kind, index).
-        out.push_str(",\"occupancy\":[");
-        let mut first = true;
-        let kinds = [
-            BufKind::Vc,
-            BufKind::NonSpec,
-            BufKind::Spec,
-            BufKind::Source,
+        let f6 = |x: f64| Value::Fixed(x, 6);
+        let ports = self.ports.max(1);
+        let counters = [
+            ("flits", &self.link_flits),
+            ("stalls", &self.link_stalls),
+            ("sched_book", &self.sched_book),
+            ("sched_deny", &self.sched_deny),
+            ("resets", &self.link_resets),
         ];
-        for kind in kinds {
-            for (index, s) in self.occupancy[kind.index()].iter().enumerate() {
-                if s.count() == 0 {
-                    continue;
+        let links = counters.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
+        json::object(|doc| {
+            doc.field("telemetry_version", self.version)
+                .field("cycles", self.cycles)
+                .field("window", self.window)
+                .field("ports", self.ports);
+            // Links: one object per link that saw any activity.
+            doc.array("links", |out| {
+                for link in 0..links {
+                    let at = |v: &Vec<u64>| v.get(link).copied().unwrap_or(0);
+                    if counters.iter().all(|(_, v)| at(v) == 0) {
+                        continue;
+                    }
+                    out.object(|o| {
+                        o.field("link", link)
+                            .field("node", link / ports)
+                            .field("port", link % ports);
+                        for (name, v) in counters {
+                            o.field(name, at(v));
+                        }
+                        o.field("utilization", f6(self.link_utilization(link)));
+                    });
                 }
-                if !first {
-                    out.push(',');
+            });
+            // NIC stalls, sparse by node.
+            doc.array("nics", |out| {
+                for (node, &stalls) in self.nic_stalls.iter().enumerate() {
+                    if stalls > 0 {
+                        out.object(|o| {
+                            o.field("node", node).field("stalls", stalls);
+                        });
+                    }
                 }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"kind\":\"{}\",\"index\":{index},\"samples\":{},\
-                     \"mean\":{},\"max\":{}}}",
-                    kind.name(),
-                    s.count(),
-                    json_f64(s.mean()),
-                    json_f64(s.max()),
-                ));
-            }
-        }
-        out.push(']');
-
-        // QoS roll-up.
-        out.push_str(&format!(
-            ",\"qos\":{{\"delivered_packets\":{},\"p50\":{},\"p95\":{},\
-             \"p99\":{},\"jain\":{}}}",
-            self.latency_histogram.count(),
-            self.p50,
-            self.p95,
-            self.p99,
-            json_f64(self.jain),
-        ));
-
-        // Per-flow summaries with their windowed series. Series
-        // points are compact arrays: [window, packets, flits,
-        // latency_sum].
-        out.push_str(",\"flows\":[");
-        let mut first = true;
-        for (flow, f) in self.flows.iter().enumerate() {
-            if f.packets == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"flow\":{flow},\"packets\":{},\"flits\":{},\
-                 \"throughput\":{},\"mean_latency\":{},\"min_service_rate\":{},\
-                 \"series\":[",
-                f.packets,
-                f.flits,
-                json_f64(f.throughput),
-                json_f64(f.latency.mean()),
-                json_f64(f.min_service_rate),
-            ));
-            for (i, p) in f.series.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            });
+            // Occupancy summaries, sparse by (kind, index).
+            doc.array("occupancy", |out| {
+                for kind in BufKind::ALL {
+                    for (index, s) in self.occupancy[kind.index()].iter().enumerate() {
+                        if s.count() > 0 {
+                            out.object(|o| {
+                                o.field("kind", kind.name())
+                                    .field("index", index)
+                                    .field("samples", s.count())
+                                    .field("mean", f6(s.mean()))
+                                    .field("max", f6(s.max()));
+                            });
+                        }
+                    }
                 }
-                out.push_str(&format!(
-                    "[{},{},{},{}]",
-                    p.window, p.packets, p.flits, p.latency_sum
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Formats a float for JSON: plain decimal, never NaN/inf (callers
-/// only feed finite values; a non-finite input falls back to `0`, the
-/// least-surprising valid JSON).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0".to_string()
+            });
+            doc.object("qos", |o| {
+                o.field("delivered_packets", self.latency_histogram.count())
+                    .field("p50", self.p50)
+                    .field("p95", self.p95)
+                    .field("p99", self.p99)
+                    .field("jain", f6(self.jain));
+            });
+            // Per-flow summaries with their windowed series. Series
+            // points are compact arrays: [window, packets, flits,
+            // latency_sum].
+            doc.array("flows", |out| {
+                for (flow, f) in self.flows.iter().enumerate() {
+                    if f.packets == 0 {
+                        continue;
+                    }
+                    out.object(|o| {
+                        o.field("flow", flow)
+                            .field("packets", f.packets)
+                            .field("flits", f.flits)
+                            .field("throughput", f6(f.throughput))
+                            .field("mean_latency", f6(f.latency.mean()))
+                            .field("min_service_rate", f6(f.min_service_rate));
+                        o.array("series", |series| {
+                            for p in &f.series {
+                                series.array(|a| {
+                                    a.item(p.window)
+                                        .item(p.packets)
+                                        .item(p.flits)
+                                        .item(p.latency_sum);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        })
     }
 }
 

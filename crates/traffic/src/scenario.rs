@@ -58,6 +58,10 @@ impl Scenario {
     }
 
     /// Builds the runtime workload for a seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero-flit packets, which [`Scenario::check`] refuses.
     pub fn workload(&self, seed: u64) -> Workload {
         let mut w = Workload::new(self.packet_len, seed);
         for f in &self.flows {
@@ -93,16 +97,17 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns an error if the scenario has no flows, if a flow leaves
-    /// the topology (see [`Scenario::check_nodes`]), if any flow would
-    /// get zero slots, if explicit shares oversubscribe a link, or if,
-    /// with every destination fixed, a flow is addressed to its own
-    /// source or has a weight that is not positive and finite.
+    /// Returns an error if the scenario has no flows, if it fails
+    /// [`Scenario::check`] (zero-flit packets, a flow that leaves the
+    /// topology), if any flow would get zero slots, if explicit shares
+    /// oversubscribe a link, or if, with every destination fixed, a
+    /// flow is addressed to its own source or has a weight that is not
+    /// positive and finite.
     pub fn reservations(&self, frame_capacity: u32) -> Result<Vec<u32>, ConfigError> {
         if self.flows.is_empty() {
             return Err(ConfigError::new("scenario has no flows"));
         }
-        self.check_nodes()?;
+        self.check()?;
         let cap = f64::from(frame_capacity);
         let fixed = self
             .flows
@@ -160,15 +165,23 @@ impl Scenario {
         Ok(out)
     }
 
-    /// Fails unless every flow stays on [`Scenario::topo`]: its source
-    /// and fixed destination are nodes of the topology, and a uniform
-    /// destination draws from at least two and at most all of its
-    /// nodes.
+    /// Fails unless the scenario can be built on [`Scenario::topo`]:
+    /// packets carry at least one flit, and every flow stays on the
+    /// topology — its source and fixed destination are nodes of it,
+    /// and a uniform destination draws from at least two and at most
+    /// all of its nodes.
     ///
     /// # Errors
     ///
-    /// Names the first flow that leaves the topology.
-    pub fn check_nodes(&self) -> Result<(), ConfigError> {
+    /// Names a zero packet length, or the first flow that leaves the
+    /// topology.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.packet_len == 0 {
+            return Err(ConfigError::new(format!(
+                "scenario {} has zero-flit packets",
+                self.name
+            )));
+        }
         let n = self.topo.num_nodes();
         for (i, f) in self.flows.iter().enumerate() {
             let dest_ok = match f.dest {
