@@ -117,13 +117,15 @@ impl LoftConfig {
         self.hop_latency / self.flits_per_quantum as u64 + 1
     }
 
-    /// Initial size of every input port's reservation store. An entry
-    /// lives from the send of its look-ahead flit to the forward of
-    /// its data quantum, so a port holds at most the upstream link's
-    /// in-window bookings, look-ahead flits and data quanta in flight
-    /// to it, its buffered quanta, and (for the local port) the staged
-    /// backlog — plus slack. Saturates instead of overflowing, so
-    /// [`LoftConfig::validate`] can reject absurd values.
+    /// Bound on the entries of one input port's reservation store,
+    /// which [`LoftConfig::validate`] holds to the 16-bit entry index.
+    /// An entry lives from the send of its look-ahead flit to the
+    /// forward of its data quantum, so a port holds at most the
+    /// upstream link's in-window bookings, look-ahead flits and data
+    /// quanta in flight to it, its buffered quanta, and (for the local
+    /// port) the staged backlog — plus slack. The store itself starts
+    /// empty and grows only as far as the traffic takes it. Saturates
+    /// instead of overflowing, so `validate` can reject absurd values.
     pub(crate) fn reservation_store_capacity(&self) -> u64 {
         [
             u64::from(self.frame_quanta()) * u64::from(self.frame_window),

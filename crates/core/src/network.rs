@@ -106,13 +106,6 @@ struct DataQuantum {
     pref: PacketRef,
 }
 
-#[derive(Debug, Clone)]
-struct SrcQuantum {
-    qid: u64,
-    dst: NodeId,
-    pref: PacketRef,
-}
-
 /// Per-node source NIC.
 ///
 /// The PE→router link has no contention (a single PE feeds it), so —
@@ -126,12 +119,15 @@ struct SrcQuantum {
 /// forks keep ([`CapDeque`]).
 #[derive(Debug, Clone)]
 struct SourceNic {
-    /// Quanta awaiting look-ahead launch, per flow sourced here,
-    /// parallel to `rr_flows` — the launch scan indexes both by
-    /// round-robin position, so no keyed lookup is needed.
-    flow_q: Vec<CapDeque<SrcQuantum>>,
-    /// Total quanta across all of `flow_q` (the launch worklist's
-    /// activity predicate).
+    /// Packets with quanta awaiting look-ahead launch, per flow
+    /// sourced here, parallel to `rr_flows` — the launch scan indexes
+    /// both by round-robin position, so no keyed lookup is needed.
+    flow_q: Vec<CapDeque<PacketRef>>,
+    /// Per flow, parallel to `flow_q`: quanta of its head packet whose
+    /// look-aheads have launched.
+    launched: Vec<u16>,
+    /// Quanta awaiting launch across all of `flow_q` (the launch
+    /// worklist's activity predicate).
     queued: usize,
     /// Round-robin over flows for look-ahead launch; `rr_flows[i]`
     /// owns `flow_q[i]`.
@@ -147,6 +143,7 @@ impl SourceNic {
     fn new() -> Self {
         SourceNic {
             flow_q: Vec::new(),
+            launched: Vec::new(),
             queued: 0,
             rr_flows: Vec::new(),
             rr: 0,
@@ -253,17 +250,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 LinkScheduler::new(p, reservations_flits)
             })
             .collect();
-        let res_cap = cfg.reservation_store_capacity() as usize;
         LoftNetwork {
             probe,
             data_ports: (0..n * PORTS)
-                .map(|_| {
-                    DataPort::new(
-                        cfg.nonspec_quanta() as i64,
-                        cfg.spec_quanta() as i64,
-                        res_cap,
-                    )
-                })
+                .map(|_| DataPort::new(cfg.nonspec_quanta() as i64, cfg.spec_quanta() as i64))
                 .collect(),
             rr_spec: vec![0; n * PORTS],
             nics: (0..n).map(|_| SourceNic::new()).collect(),
@@ -329,10 +319,19 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 if self.la_outstanding[fid as usize] >= self.cfg.la_flow_window {
                     continue; // the flow's look-ahead window is full
                 }
-                let nic = &mut self.nics[node];
-                let Some(SrcQuantum { qid, dst, pref }) = nic.flow_q[fi].pop_front() else {
+                let Some(&pref) = self.nics[node].flow_q[fi].front() else {
                     continue;
                 };
+                let packet = self.packets.get(pref);
+                let (dst, quanta) = (packet.dst, self.quanta_per_packet(packet.len_flits));
+                // One quantum of the flow's head packet launches; the
+                // packet leaves the backlog with its last.
+                let nic = &mut self.nics[node];
+                nic.launched[fi] += 1;
+                if u64::from(nic.launched[fi]) == quanta {
+                    nic.flow_q[fi].pop_front();
+                    nic.launched[fi] = 0;
+                }
                 nic.queued -= 1;
                 nic.rr = (nic.rr + k + 1) % len;
                 // The data quantum will leave the NIC one slot per
@@ -340,7 +339,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 // that planned slot as its upstream departure time.
                 let plan = now / q + 1 + nic.staged.len() as u64;
                 let out_port = self.cfg.topo.route(node, dst) as u8;
-                let res_idx = self.data_ports[node * PORTS + LOCAL].reserve((fid, qid), out_port);
+                let res_idx = self.data_ports[node * PORTS + LOCAL].reserve(out_port);
                 nic.staged.push_back((res_idx, pref));
                 if self.nics[node].queued == 0 {
                     self.launch_work.remove(node);
@@ -437,9 +436,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             let pidx = node * PORTS + la.in_port as usize;
             let onward = (la.out_port as usize != LOCAL).then(|| {
                 let ridx = self.links.linked(qidx);
-                let key = self.data_ports[pidx].key(la.res_idx);
                 let next_out = self.cfg.topo.route(ridx / PORTS, la.dst) as u8;
-                let idx = self.data_ports[ridx].reserve(key, next_out);
+                let idx = self.data_ports[ridx].reserve(next_out);
                 (ridx, next_out, idx)
             });
             // Input reservation table: record the booked slot.
@@ -702,9 +700,15 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             }
         }
         for node in 0..self.nics.len() {
+            // Ready quanta are ranked by booked slot alone: toward one
+            // output link no two may share one, across all input ports.
+            let mut ready_slots: [Vec<u64>; PORTS] = Default::default();
             for in_port in 0..PORTS {
                 let port = &self.data_ports[node * PORTS + in_port];
                 port.debug_verify();
+                for (out, dep, _) in port.debug_ready() {
+                    ready_slots[out].push(dep);
+                }
                 // What the link-granular `data_move` rests on: a
                 // quantum is ready only towards a link it is booked on.
                 for out in 0..PORTS {
@@ -715,12 +719,26 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     );
                 }
             }
+            for (out, slots) in ready_slots.iter_mut().enumerate() {
+                slots.sort_unstable();
+                debug_assert!(
+                    slots.windows(2).all(|w| w[0] != w[1]),
+                    "two ready quanta toward n{node}.{out} share a booked slot"
+                );
+            }
             let nic = &self.nics[node];
-            debug_assert_eq!(
-                nic.queued,
-                nic.flow_q.iter().map(|q| q.len()).sum::<usize>(),
-                "queued miscounts NIC {node}"
-            );
+            let quanta =
+                |pref: &PacketRef| self.quanta_per_packet(self.packets.get(*pref).len_flits);
+            let mut unlaunched = 0;
+            for (q, &launched) in nic.flow_q.iter().zip(&nic.launched) {
+                debug_assert!(
+                    q.front()
+                        .map_or(launched == 0, |head| u64::from(launched) < quanta(head)),
+                    "launch count past its head packet at NIC {node}"
+                );
+                unlaunched += q.iter().map(quanta).sum::<u64>() - u64::from(launched);
+            }
+            debug_assert_eq!(nic.queued as u64, unlaunched, "queued miscounts NIC {node}");
             debug_assert_eq!(
                 self.launch_work.contains(node),
                 nic.queued > 0,
@@ -808,8 +826,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         self.probe.on_generated(&packet);
         let node = packet.src.index();
         let quanta = self.quanta_per_packet(packet.len_flits);
-        let dst = packet.dst;
-        let (fid, seq) = (packet.id.flow.index() as u32, packet.id.seq);
+        let fid = packet.id.flow.index() as u32;
         let pref = self.packets.insert(packet);
         let nic = &mut self.nics[node];
         // Linear scan over the node's own flows: enqueue runs once
@@ -819,14 +836,11 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             None => {
                 nic.rr_flows.push(fid);
                 nic.flow_q.push(CapDeque::default());
+                nic.launched.push(0);
                 nic.rr_flows.len() - 1
             }
         };
-        let q = &mut nic.flow_q[fi];
-        for half in 0..quanta {
-            let qid = seq * quanta + half;
-            q.push_back(SrcQuantum { qid, dst, pref });
-        }
+        nic.flow_q[fi].push_back(pref);
         nic.queued += quanta as usize;
         self.launch_work.insert(node);
     }
@@ -1177,6 +1191,40 @@ mod tests {
                 .count()
                 > 0
         );
+    }
+
+    /// LOFT's memory follows its traffic: a fresh network holds no
+    /// reservation entries, and the source backlog keeps one handle per
+    /// packet however many quanta the packet has.
+    #[test]
+    fn footprint_follows_traffic() {
+        let mut net = LoftNetwork::new(LoftConfig::default(), &[64, 64]);
+        assert!(net.data_ports.iter().all(|p| p.store_capacity() == 0));
+        for seq in 0..25 {
+            for flow in 0..2 {
+                let mut p = packet(flow, seq, 0, 9 + flow, 0);
+                p.len_flits = 4 + flow as u16;
+                net.enqueue(p);
+            }
+        }
+        let nic = &net.nics[0];
+        let backlog: usize = nic.flow_q.iter().map(|q| q.len()).sum();
+        assert_eq!(backlog, 50, "one backlog entry per packet");
+        assert_eq!(nic.queued, 25 * 2 + 25 * 3, "quanta awaiting launch");
+        let out = drain(&mut net, 20_000);
+        assert_eq!(out.len(), 50);
+        for flow in 0..2 {
+            let seqs: Vec<u64> = out
+                .iter()
+                .filter(|p| p.id.flow == FlowId::new(flow))
+                .map(|p| p.id.seq)
+                .collect();
+            assert_eq!(
+                seqs,
+                (0..25).collect::<Vec<_>>(),
+                "flow {flow} out of order"
+            );
+        }
     }
 
     #[test]

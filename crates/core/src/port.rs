@@ -10,10 +10,11 @@
 //! # Dense slot store
 //!
 //! The table is a *slot-indexed store*, not a hash map. A quantum's
-//! entry is allocated (the lowest free slot of a fixed entry array)
-//! when its look-ahead flit is *sent* towards the port: by the NIC for
-//! the local port, and by the upstream output scheduler, right after
-//! it books the quantum onward, for a router port. The slot index
+//! entry is allocated (the lowest free slot of an entry array that
+//! starts empty and grows with the quanta in flight) when its
+//! look-ahead flit is *sent* towards the port: by the NIC for the
+//! local port, and by the upstream output scheduler, right after it
+//! books the quantum onward, for a router port. The slot index
 //! ([`ResIdx`]) then rides the records that travel anyway — the
 //! look-ahead flit, the link scheduler's pending entry, the upstream
 //! entry (`next`) and the data quantum on the wire — so every
@@ -33,13 +34,19 @@
 //! bitmasks over store slots with a cached minimum, so the speculative
 //! arbiter reads its earliest candidate in O(1) and pays a mask rescan
 //! only when the cached minimum itself forwards.
+//!
+//! # Ranking by booked slot
+//!
+//! Ready quanta are ranked by `dep_slot` alone, and that rank is
+//! unique per output link: every booked entry at any input port of a
+//! router is a pending quantum of the output link it is booked on, a
+//! link's pending slots are distinct, and `forward` completes the
+//! booking and releases the entry together. So an entry carries no
+//! quantum identity at all.
 
 use noc_sim::checkpoint::{Cap, CapVec};
 use noc_sim::fabric::PORTS;
 use noc_sim::slab::PacketRef;
-
-/// A quantum's identity: `(flow, qid)`.
-pub(crate) type QKey = (u32, u64);
 
 /// Index of a reservation entry inside one port's slot store.
 pub(crate) type ResIdx = u16;
@@ -48,8 +55,6 @@ pub(crate) type ResIdx = u16;
 /// and `dep_slot` plus the quantum's arrival state.
 #[derive(Debug, Clone, Copy)]
 struct ResEntry {
-    /// The quantum this entry belongs to.
-    key: QKey,
     /// Output port the quantum will depart through.
     out_port: u8,
     /// Whether the quantum occupies the speculative buffer.
@@ -64,158 +69,97 @@ struct ResEntry {
     pref: Option<PacketRef>,
 }
 
+// A store holds one entry per quantum in flight to its port, so this
+// is LOFT's per-quantum reservation footprint.
+const _: () = assert!(std::mem::size_of::<ResEntry>() <= 32);
+
 impl ResEntry {
-    /// Ready-set rank: `(dep_slot, flow, qid)`, unique per quantum.
-    fn rank(&self) -> (u64, u32, u64) {
-        let dep = self.dep_slot.expect("ready entries are booked");
-        (dep, self.key.0, self.key.1)
+    /// Ready-set rank: the booked departure slot, unique per output
+    /// link (see the module docs).
+    fn rank(&self) -> u64 {
+        self.dep_slot.expect("ready entries are booked")
     }
 }
 
 /// Input-port state of a data router: buffers + input reservation
-/// table. The slot store and its indexes churn every cycle at their
-/// warmup high-water size, which forks keep ([`CapVec`]).
+/// table. The slot store starts empty and grows to the most quanta the
+/// port ever holds at once; it churns every cycle at that high-water
+/// size, which forks keep ([`CapVec`]).
 #[derive(Debug, Clone)]
 pub(crate) struct DataPort {
     /// Free slots in the non-speculative buffer.
     pub nonspec_free: i64,
     /// Free slots in the speculative buffer.
     pub spec_free: i64,
-    /// The slot store. Entries are reused; `free` tracks vacancy.
+    /// The slot store. Entries are reused; `masks` tracks vacancy.
     entries: CapVec<ResEntry>,
-    /// Bitmask over `entries`: bit set = slot free.
-    free: CapVec<u64>,
-    /// Arrived quanta with a booked departure, per output port.
-    ready: [ReadySet; PORTS],
+    /// The store's bitmasks, one word per 64 slots.
+    masks: CapVec<MaskWord>,
+    /// Per output port, `(dep_slot, slot)` of the earliest ready
+    /// quantum, if any. Ranks are unique, so the minimum is
+    /// storage-order independent and deterministic.
+    ready_min: [Option<(u64, ResIdx)>; PORTS],
 }
 
-/// One output port's ready set: a bitmask over store slots with the
-/// cached minimum by `(dep_slot, flow, qid)`. Ranks are unique, so
-/// the minimum is storage-order independent and deterministic.
-#[derive(Debug, Default, Clone)]
-struct ReadySet {
-    mask: Vec<u64>,
-    /// `(rank, slot)` of the minimum entry, if any.
-    min: Option<((u64, u32, u64), ResIdx)>,
-}
-
-impl ReadySet {
-    #[inline]
-    fn insert(&mut self, slot: ResIdx, rank: (u64, u32, u64)) {
-        let (w, b) = (slot as usize / 64, slot as usize % 64);
-        debug_assert_eq!(self.mask[w] & (1 << b), 0, "ready slot indexed twice");
-        self.mask[w] |= 1 << b;
-        if self.min.is_none_or(|(m, _)| rank < m) {
-            self.min = Some((rank, slot));
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, slot: ResIdx, entries: &[ResEntry]) {
-        let (w, b) = (slot as usize / 64, slot as usize % 64);
-        debug_assert_ne!(self.mask[w] & (1 << b), 0, "removing unindexed slot");
-        self.mask[w] &= !(1 << b);
-        // The speculative arbiter almost always removes the minimum
-        // itself, so the rescan runs once per forwarded quantum
-        // rather than once per arbitration read.
-        if self.min.is_some_and(|(_, s)| s == slot) {
-            self.min = self.rescan(entries);
-        }
-    }
-
-    /// Minimum over all set bits, reading ranks from the store.
-    fn rescan(&self, entries: &[ResEntry]) -> Option<((u64, u32, u64), ResIdx)> {
-        let mut best: Option<((u64, u32, u64), ResIdx)> = None;
-        for (w, &word) in self.mask.iter().enumerate() {
-            let mut m = word;
-            while m != 0 {
-                let slot = (w * 64 + m.trailing_zeros() as usize) as ResIdx;
-                m &= m - 1;
-                let rank = entries[slot as usize].rank();
-                if best.is_none_or(|(b, _)| rank < b) {
-                    best = Some((rank, slot));
-                }
-            }
-        }
-        best
-    }
+/// 64 store slots' worth of bitmasks, kept together so a growing store
+/// adds one record rather than a word to each of six vectors.
+#[derive(Debug, Clone, Copy)]
+struct MaskWord {
+    /// Bit set = slot free.
+    free: u64,
+    /// Per output port, bit set = the slot holds an arrived quantum
+    /// with a booked departure through that port.
+    ready: [u64; PORTS],
 }
 
 impl DataPort {
-    /// A port with the given buffer depths whose slot store starts at
-    /// `capacity` entries. The store grows (amortized, rare) if the
-    /// resident-quanta bound ever exceeds the initial capacity.
-    pub fn new(nonspec: i64, spec: i64, capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        assert!(cap <= ResIdx::MAX as usize, "slot store capacity overflow");
-        let words = cap.div_ceil(64);
-        let mut free = vec![!0u64; words];
-        // Mask off the bits past `cap` so allocation never hands out
-        // a slot with no entry behind it.
-        if !cap.is_multiple_of(64) {
-            free[words - 1] = (1u64 << (cap % 64)) - 1;
-        }
+    /// A port with the given buffer depths and an empty slot store.
+    pub fn new(nonspec: i64, spec: i64) -> Self {
         DataPort {
             nonspec_free: nonspec,
             spec_free: spec,
-            entries: Cap(vec![
-                ResEntry {
-                    key: (0, 0),
-                    out_port: 0,
-                    spec: false,
-                    dep_slot: None,
-                    next: 0,
-                    pref: None,
-                };
-                cap
-            ]),
-            free: Cap(free),
-            ready: std::array::from_fn(|_| ReadySet {
-                mask: vec![0u64; words],
-                min: None,
-            }),
+            entries: Cap(Vec::new()),
+            masks: Cap(Vec::new()),
+            ready_min: [None; PORTS],
         }
     }
 
-    /// Allocates the reservation entry of quantum `key`, departing
-    /// through `out_port`, in the lowest free slot (growing the store
-    /// if full) and returns the slot. Called by whoever sends the
-    /// quantum's look-ahead flit towards this port.
-    pub fn reserve(&mut self, key: QKey, out_port: u8) -> ResIdx {
+    /// Allocates the reservation entry of a quantum departing through
+    /// `out_port` in the lowest free slot (growing the store if full)
+    /// and returns the slot. Called by whoever sends the quantum's
+    /// look-ahead flit towards this port.
+    pub fn reserve(&mut self, out_port: u8) -> ResIdx {
         let entry = ResEntry {
-            key,
             out_port,
             spec: false,
             dep_slot: None,
             next: 0,
             pref: None,
         };
-        for (w, word) in self.free.iter_mut().enumerate() {
-            if *word != 0 {
-                let b = word.trailing_zeros() as usize;
-                *word &= *word - 1;
+        for (w, word) in self.masks.iter_mut().enumerate() {
+            if word.free != 0 {
+                let b = word.free.trailing_zeros() as usize;
+                word.free &= word.free - 1;
                 let slot = w * 64 + b;
                 self.entries[slot] = entry;
                 return slot as ResIdx;
             }
         }
-        // Store full: grow by one slot (and a mask word per 64).
+        // Store full: grow by one slot. Bits past the last entry read
+        // as taken, so only this path hands them out.
         let slot = self.entries.len();
         assert!(slot < ResIdx::MAX as usize, "slot store capacity overflow");
-        self.entries.push(entry);
         if slot.is_multiple_of(64) {
-            self.free.push(0);
-            for r in &mut self.ready {
-                r.mask.push(0);
-            }
+            // Room for the next 64 entries at once: the store grows in
+            // whole mask words, so each word costs one reallocation.
+            self.entries.reserve(64);
+            self.masks.push(MaskWord {
+                free: 0,
+                ready: [0; PORTS],
+            });
         }
+        self.entries.push(entry);
         slot as ResIdx
-    }
-
-    /// The quantum behind reservation entry `idx`.
-    #[inline]
-    pub fn key(&self, idx: ResIdx) -> QKey {
-        self.entries[idx as usize].key
     }
 
     /// Records a booked departure slot on reservation entry `idx`,
@@ -242,7 +186,14 @@ impl DataPort {
     fn index_if_ready(&mut self, idx: ResIdx) {
         let e = &self.entries[idx as usize];
         if e.dep_slot.is_some() && e.pref.is_some() {
-            self.ready[e.out_port as usize].insert(idx, e.rank());
+            let (out, rank) = (e.out_port as usize, e.rank());
+            let (w, b) = (idx as usize / 64, idx as usize % 64);
+            let mask = &mut self.masks[w].ready[out];
+            debug_assert_eq!(*mask & (1 << b), 0, "ready slot indexed twice");
+            *mask |= 1 << b;
+            if self.ready_min[out].is_none_or(|(m, _)| rank < m) {
+                self.ready_min[out] = Some((rank, idx));
+            }
         }
     }
 
@@ -254,11 +205,29 @@ impl DataPort {
     }
 
     /// The ready quantum with the earliest booked slot for `out`, as
-    /// `(dep_slot, store slot)` — ties broken by `(flow, qid)`; ranks
-    /// are unique, so the minimum is storage-order independent.
+    /// `(dep_slot, store slot)`; booked slots are unique per output,
+    /// so the minimum is storage-order independent.
     #[inline]
     pub fn ready_min(&self, out: usize) -> Option<(u64, ResIdx)> {
-        self.ready[out].min.map(|((dep, _, _), slot)| (dep, slot))
+        self.ready_min[out]
+    }
+
+    /// Minimum over the ready quanta toward `out`, reading ranks from
+    /// the store.
+    fn rescan(&self, out: usize) -> Option<(u64, ResIdx)> {
+        let mut best: Option<(u64, ResIdx)> = None;
+        for (w, word) in self.masks.iter().enumerate() {
+            let mut m = word.ready[out];
+            while m != 0 {
+                let slot = (w * 64 + m.trailing_zeros() as usize) as ResIdx;
+                m &= m - 1;
+                let rank = self.entries[slot as usize].rank();
+                if best.is_none_or(|(b, _)| rank < b) {
+                    best = Some((rank, slot));
+                }
+            }
+        }
+        best
     }
 
     /// Releases reservation entry `idx` on forward/ejection: removes
@@ -272,39 +241,68 @@ impl DataPort {
         let e = self.entries[idx as usize];
         debug_assert_eq!(e.dep_slot, Some(dep), "release with a stale booking");
         let pref = e.pref.expect("forwarded quantum present");
-        self.ready[e.out_port as usize].remove(idx, &self.entries);
+        let (out, w, b) = (e.out_port as usize, idx as usize / 64, idx as usize % 64);
+        let word = &mut self.masks[w];
+        debug_assert_ne!(word.ready[out] & (1 << b), 0, "removing unindexed slot");
+        word.ready[out] &= !(1 << b);
+        word.free |= 1 << b;
         self.entries[idx as usize].pref = None;
-        self.free[idx as usize / 64] |= 1 << (idx as usize % 64);
+        // The speculative arbiter almost always forwards the minimum
+        // itself, so the rescan runs once per forwarded quantum
+        // rather than once per arbitration read.
+        if self.ready_min[out].is_some_and(|(_, s)| s == idx) {
+            self.ready_min[out] = self.rescan(out);
+        }
         (e.spec, pref, e.next)
     }
 
+    /// Entries the slot store has room for without growing.
+    #[cfg(test)]
+    pub fn store_capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
+    /// `(out_port, dep_slot, store slot)` of every ready quantum, by a
+    /// naive scan over the occupied entries (debug builds).
+    #[cfg(any(test, debug_assertions))]
+    pub fn debug_ready(&self) -> impl Iterator<Item = (usize, u64, ResIdx)> + '_ {
+        self.entries.iter().enumerate().filter_map(|(slot, e)| {
+            let free = self.masks[slot / 64].free & (1 << (slot % 64)) != 0;
+            (!free && e.dep_slot.is_some() && e.pref.is_some())
+                .then(|| (e.out_port as usize, e.rank(), slot as ResIdx))
+        })
+    }
+
     /// Full cross-check of the ready masks and their cached minima
-    /// against a naive scan over the occupied entries (debug builds).
+    /// against [`Self::debug_ready`], and of the rank's uniqueness per
+    /// output (debug builds).
     #[cfg(any(test, debug_assertions))]
     pub fn debug_verify(&self) {
         let mut ready = vec![Vec::new(); PORTS];
-        for (slot, e) in self.entries.iter().enumerate() {
-            let free = self.free[slot / 64] & (1 << (slot % 64)) != 0;
-            if !free && e.dep_slot.is_some() && e.pref.is_some() {
-                ready[e.out_port as usize].push((e.rank(), slot as ResIdx));
-            }
+        for (out, dep, slot) in self.debug_ready() {
+            ready[out].push((dep, slot));
         }
-        for (out, want) in ready.iter().enumerate() {
-            let got = self.ready[out].rescan(&self.entries);
+        for (out, want) in ready.iter_mut().enumerate() {
+            let got = self.rescan(out);
             debug_assert_eq!(
                 got,
                 want.iter().min().copied(),
                 "ready mask minimum drifted at out {out}"
             );
             debug_assert_eq!(
-                self.ready[out].min, got,
+                self.ready_min[out], got,
                 "cached minimum stale at out {out}"
             );
-            let popcount: u32 = self.ready[out].mask.iter().map(|w| w.count_ones()).sum();
+            let popcount: u32 = self.masks.iter().map(|w| w.ready[out].count_ones()).sum();
             debug_assert_eq!(
                 popcount as usize,
                 want.len(),
                 "ready mask size at out {out}"
+            );
+            want.sort_unstable();
+            debug_assert!(
+                want.windows(2).all(|w| w[0].0 != w[1].0),
+                "two ready quanta toward out {out} share a booked slot"
             );
         }
     }
@@ -332,8 +330,8 @@ mod tests {
 
     #[test]
     fn ready_requires_arrival_and_booking() {
-        let mut p = DataPort::new(4, 2, 8);
-        let idx = p.reserve((0, 7), 1);
+        let mut p = DataPort::new(4, 2);
+        let idx = p.reserve(1);
         p.record_arrival(idx, false, some_pref());
         assert!(p.ready_min(1).is_none(), "arrived but not booked");
         p.record_booking(idx, 9, 0);
@@ -346,8 +344,8 @@ mod tests {
 
     #[test]
     fn booking_before_arrival_defers_readiness() {
-        let mut p = DataPort::new(4, 2, 8);
-        let idx = p.reserve((3, 1), 4);
+        let mut p = DataPort::new(4, 2);
+        let idx = p.reserve(4);
         p.record_booking(idx, 12, 0);
         assert!(p.ready_min(4).is_none(), "booked but not arrived");
         p.record_arrival(idx, true, some_pref());
@@ -358,10 +356,10 @@ mod tests {
 
     #[test]
     fn ready_min_is_order_independent() {
-        let mut p = DataPort::new(8, 2, 8);
+        let mut p = DataPort::new(8, 2);
         let mut idxs = Vec::new();
-        for (dep, qid) in [(9u64, 1u64), (3, 2), (7, 3)] {
-            let idx = p.reserve((0, qid), 2);
+        for dep in [9u64, 3, 7] {
+            let idx = p.reserve(2);
             p.record_booking(idx, dep, 0);
             p.record_arrival(idx, false, some_pref());
             idxs.push((idx, dep));
@@ -378,8 +376,8 @@ mod tests {
     /// booking comes; the booking's onward handle survives the wait.
     #[test]
     fn data_arrives_before_its_lookahead_is_booked() {
-        let mut p = DataPort::new(4, 2, 8);
-        let idx = p.reserve((5, 0), 3);
+        let mut p = DataPort::new(4, 2);
+        let idx = p.reserve(3);
         p.record_arrival(idx, true, some_pref());
         assert!(p.arrived_at(idx));
         assert!(p.ready_min(3).is_none(), "ranked before its booking");
@@ -395,12 +393,13 @@ mod tests {
     /// Seeded random op-sequence equivalence against a naive list
     /// model: `ready_min` and `arrived_at` must agree with a full
     /// scan after every operation, with arrivals before and after
-    /// bookings, store growth, and slot reuse.
+    /// bookings, store growth, and slot reuse. Booked slots are drawn
+    /// at random but distinct among one output's live bookings, as a
+    /// link's pending slots are, so the model ranks by slot alone.
     #[test]
     fn slot_store_matches_naive_reference_under_random_ops() {
         #[derive(Clone)]
         struct Ref {
-            key: QKey,
             idx: ResIdx,
             out_port: u8,
             /// `(dep, next)` once booked.
@@ -415,36 +414,45 @@ mod tests {
             state ^= state << 17;
             state
         };
-        // Tiny initial store: the run must outgrow it repeatedly.
-        let mut p = DataPort::new(64, 64, 4);
+        // The store starts empty: the run must grow it repeatedly.
+        let mut p = DataPort::new(64, 64);
         let mut model: Vec<Ref> = Vec::new();
-        let mut next_qid = 0u64;
-        let mut next_dep = 0u64;
         for step in 0..4_000u32 {
             let pick = (rng() % 4) as usize;
             match rng() % 6 {
                 // A look-ahead sent here: open a fresh reservation.
                 0 | 1 => {
                     let out = (rng() % PORTS as u64) as u8;
-                    let key: QKey = ((rng() % 3) as u32, next_qid);
-                    next_qid += 1;
                     model.push(Ref {
-                        key,
-                        idx: p.reserve(key, out),
+                        idx: p.reserve(out),
                         out_port: out,
                         booking: None,
                         arrived: None,
                     });
                 }
                 // Booking on a random unbooked reservation, arrived
-                // or not.
+                // or not, at a slot no live booking of its output
+                // holds.
                 2 => {
-                    if let Some(r) = model.iter_mut().filter(|r| r.booking.is_none()).nth(pick) {
-                        let booking = (next_dep, (rng() % 64) as ResIdx);
-                        next_dep += 1;
-                        p.record_booking(r.idx, booking.0, booking.1);
-                        r.booking = Some(booking);
-                    }
+                    let Some(i) = (0..model.len())
+                        .filter(|&i| model[i].booking.is_none())
+                        .nth(pick)
+                    else {
+                        continue;
+                    };
+                    let out = model[i].out_port;
+                    let dep = loop {
+                        let dep = rng() % 256;
+                        let taken = model
+                            .iter()
+                            .any(|r| r.out_port == out && r.booking.is_some_and(|(d, _)| d == dep));
+                        if !taken {
+                            break dep;
+                        }
+                    };
+                    let booking = (dep, (rng() % 64) as ResIdx);
+                    p.record_booking(model[i].idx, booking.0, booking.1);
+                    model[i].booking = Some(booking);
                 }
                 // Data arrival on a random reservation, booked or not.
                 3 => {
@@ -472,43 +480,47 @@ mod tests {
                 let want = model
                     .iter()
                     .filter(|r| r.out_port as usize == out && r.arrived.is_some())
-                    .filter_map(|r| r.booking.map(|(dep, _)| ((dep, r.key), r.idx)))
-                    .min()
-                    .map(|((dep, _), idx)| (dep, idx));
+                    .filter_map(|r| r.booking.map(|(dep, _)| (dep, r.idx)))
+                    .min_by_key(|&(dep, _)| dep);
                 assert_eq!(p.ready_min(out), want, "ready_min diverged at step {step}");
             }
             for r in &model {
-                assert_eq!(p.key(r.idx), r.key);
                 assert_eq!(p.arrived_at(r.idx), r.arrived.is_some());
             }
             if step % 64 == 0 {
                 p.debug_verify();
             }
         }
-        assert!(p.entries.len() > 4, "the run should outgrow the store");
+        assert!(
+            p.entries.len() > 64,
+            "the run should grow the store past a mask word"
+        );
     }
 
     #[test]
-    fn slots_are_reused_and_store_grows_past_capacity() {
-        let mut p = DataPort::new(64, 2, 2);
-        // Fill past the initial capacity; every entry stays reachable.
+    fn store_starts_empty_and_reuses_slots_as_it_grows() {
+        let mut p = DataPort::new(64, 2);
+        assert!(p.entries.is_empty() && p.masks.is_empty());
+        // Fill past one mask word; every entry stays reachable.
         let mut idxs = Vec::new();
-        for qid in 0..70u64 {
-            let idx = p.reserve((1, qid), 0);
-            p.record_booking(idx, qid, 0);
+        for dep in 0..70u64 {
+            let idx = p.reserve(0);
+            p.record_booking(idx, dep, 0);
             p.record_arrival(idx, false, some_pref());
             idxs.push(idx);
         }
+        assert_eq!(p.entries.len(), 70);
         p.debug_verify();
         assert_eq!(p.ready_min(0), Some((0, idxs[0])));
-        for qid in 0..70u64 {
-            let (dep, idx) = p.ready_min(0).expect("entries remain");
-            assert_eq!(dep, qid, "minima leave in booked order");
-            let _ = p.release(idx, dep);
+        for dep in 0..70u64 {
+            let (got, idx) = p.ready_min(0).expect("entries remain");
+            assert_eq!(got, dep, "minima leave in booked order");
+            let _ = p.release(idx, got);
         }
         assert!(p.ready_min(0).is_none());
-        // Freed slots are allocated again, lowest first.
-        assert_eq!(p.reserve((2, 0), 0), 0);
+        // Freed slots are allocated again, lowest first, without growth.
+        assert_eq!(p.reserve(0), 0);
+        assert_eq!(p.entries.len(), 70);
         p.debug_verify();
     }
 }
