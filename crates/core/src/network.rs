@@ -38,8 +38,10 @@
 //! LOFT is a flit-reservation router, not a VC router, so it does not
 //! implement [`noc_sim::fabric::RouterPolicy`]; instead it builds
 //! directly on the fabric substrate: [`DelayedWires`] due-time wheels
-//! carry both planes' in-flight traffic, [`PacketStore`] owns
-//! in-flight packets and ejection accounting, the
+//! carry both planes' in-flight traffic, [`PacketStore`] owns the
+//! packets whose first look-ahead has launched, and their ejection
+//! accounting (a packet waits in its source queue as a
+//! [`Waiting`] record until then), the
 //! [`Topology`](noc_sim::Topology) routes and fixes the link index
 //! space, and a [`LinkTable`] answers where each link leads, for link
 //! traversal and virtual-credit returns alike. A look-ahead flit
@@ -64,7 +66,7 @@
 
 use noc_sim::checkpoint::CapDeque;
 use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LinkTable, LOCAL, PORTS};
-use noc_sim::flit::{FlowId, NodeId, Packet};
+use noc_sim::flit::{FlowId, NodeId, Packet, Waiting};
 use noc_sim::slab::{PacketRef, PacketStore};
 use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
@@ -119,13 +121,14 @@ struct DataQuantum {
 /// forks keep ([`CapDeque`]).
 #[derive(Debug, Clone)]
 struct SourceNic {
-    /// Packets with quanta awaiting look-ahead launch, per flow
+    /// Packets none of whose look-aheads has launched, per flow
     /// sourced here, parallel to `rr_flows` — the launch scan indexes
     /// both by round-robin position, so no keyed lookup is needed.
-    flow_q: Vec<CapDeque<PacketRef>>,
-    /// Per flow, parallel to `flow_q`: quanta of its head packet whose
-    /// look-aheads have launched.
-    launched: Vec<u16>,
+    flow_q: Vec<CapDeque<Waiting>>,
+    /// Per flow, parallel to `flow_q`: the packet whose look-aheads
+    /// are launching and how many have, from its first launch (when it
+    /// left `flow_q` for the slab) until its last.
+    head: Vec<Option<(PacketRef, u16)>>,
     /// Quanta awaiting launch across all of `flow_q` (the launch
     /// worklist's activity predicate).
     queued: usize,
@@ -143,7 +146,7 @@ impl SourceNic {
     fn new() -> Self {
         SourceNic {
             flow_q: Vec::new(),
-            launched: Vec::new(),
+            head: Vec::new(),
             queued: 0,
             rr_flows: Vec::new(),
             rr: 0,
@@ -171,10 +174,14 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// Round-robin pointers for speculative output arbitration.
     rr_spec: Vec<usize>,
     nics: Vec<SourceNic>,
-    /// In-flight packets (slab-owned) + ejection progress. Quanta
-    /// carry their packet's [`PacketRef`] through the data plane, so
-    /// ejection accounting needs no side map.
+    /// Packets whose first look-ahead has launched (slab-owned) +
+    /// ejection progress. Quanta carry their packet's [`PacketRef`]
+    /// through the data plane, so ejection accounting needs no side
+    /// map.
     packets: PacketStore,
+    /// Packets enqueued whose first look-ahead has not launched: the
+    /// records in the NICs' `flow_q`s.
+    waiting: usize,
     /// Look-ahead flits currently in the look-ahead plane, per flow
     /// (capped by `la_flow_window`).
     la_outstanding: Vec<u32>,
@@ -258,6 +265,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             rr_spec: vec![0; n * PORTS],
             nics: (0..n).map(|_| SourceNic::new()).collect(),
             packets: PacketStore::new(),
+            waiting: 0,
             la_outstanding: vec![0; reservations_flits.len()],
             la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
             data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
@@ -319,19 +327,26 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 if self.la_outstanding[fid as usize] >= self.cfg.la_flow_window {
                     continue; // the flow's look-ahead window is full
                 }
-                let Some(&pref) = self.nics[node].flow_q[fi].front() else {
-                    continue;
+                // One quantum of the flow's head packet launches. The
+                // packet enters the slab with its first and stops
+                // being the head with its last.
+                let (pref, launched) = match self.nics[node].head[fi] {
+                    Some(head) => head,
+                    None => {
+                        let Some(waiting) = self.nics[node].flow_q[fi].pop_front() else {
+                            continue;
+                        };
+                        self.waiting -= 1;
+                        let packet =
+                            waiting.into_packet(FlowId::new(fid), NodeId::new(node as u32));
+                        (self.packets.insert(packet), 0)
+                    }
                 };
                 let packet = self.packets.get(pref);
                 let (dst, quanta) = (packet.dst, self.quanta_per_packet(packet.len_flits));
-                // One quantum of the flow's head packet launches; the
-                // packet leaves the backlog with its last.
                 let nic = &mut self.nics[node];
-                nic.launched[fi] += 1;
-                if u64::from(nic.launched[fi]) == quanta {
-                    nic.flow_q[fi].pop_front();
-                    nic.launched[fi] = 0;
-                }
+                let launched = launched + 1;
+                nic.head[fi] = (u64::from(launched) < quanta).then_some((pref, launched));
                 nic.queued -= 1;
                 nic.rr = (nic.rr + k + 1) % len;
                 // The data quantum will leave the NIC one slot per
@@ -699,6 +714,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 );
             }
         }
+        let mut waiting = 0;
         for node in 0..self.nics.len() {
             // Ready quanta are ranked by booked slot alone: toward one
             // output link no two may share one, across all input ports.
@@ -727,18 +743,23 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 );
             }
             let nic = &self.nics[node];
-            let quanta =
-                |pref: &PacketRef| self.quanta_per_packet(self.packets.get(*pref).len_flits);
             let mut unlaunched = 0;
-            for (q, &launched) in nic.flow_q.iter().zip(&nic.launched) {
-                debug_assert!(
-                    q.front()
-                        .map_or(launched == 0, |head| u64::from(launched) < quanta(head)),
-                    "launch count past its head packet at NIC {node}"
-                );
-                unlaunched += q.iter().map(quanta).sum::<u64>() - u64::from(launched);
+            for (q, head) in nic.flow_q.iter().zip(&nic.head) {
+                if let Some((pref, launched)) = *head {
+                    let quanta = self.quanta_per_packet(self.packets.get(pref).len_flits);
+                    debug_assert!(
+                        launched > 0 && u64::from(launched) < quanta,
+                        "launch count out of its head packet at NIC {node}"
+                    );
+                    unlaunched += quanta - u64::from(launched);
+                }
+                unlaunched += q
+                    .iter()
+                    .map(|w| self.quanta_per_packet(w.len_flits))
+                    .sum::<u64>();
             }
             debug_assert_eq!(nic.queued as u64, unlaunched, "queued miscounts NIC {node}");
+            waiting += nic.flow_q.iter().map(|q| q.len()).sum::<usize>();
             debug_assert_eq!(
                 self.launch_work.contains(node),
                 nic.queued > 0,
@@ -750,6 +771,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 "stage_work out of sync at node {node}"
             );
         }
+        debug_assert_eq!(self.waiting, waiting, "waiting miscounts the source queues");
     }
 
     /// Emits one occupancy sample per FRS buffer and source NIC when
@@ -827,7 +849,6 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let node = packet.src.index();
         let quanta = self.quanta_per_packet(packet.len_flits);
         let fid = packet.id.flow.index() as u32;
-        let pref = self.packets.insert(packet);
         let nic = &mut self.nics[node];
         // Linear scan over the node's own flows: enqueue runs once
         // per packet, and a node sources only a handful of flows.
@@ -836,11 +857,12 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             None => {
                 nic.rr_flows.push(fid);
                 nic.flow_q.push(CapDeque::default());
-                nic.launched.push(0);
+                nic.head.push(None);
                 nic.rr_flows.len() - 1
             }
         };
-        nic.flow_q[fi].push_back(pref);
+        nic.flow_q[fi].push_back(Waiting::of(&packet));
+        self.waiting += 1;
         nic.queued += quanta as usize;
         self.launch_work.insert(node);
     }
@@ -879,7 +901,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
     }
 
     fn in_flight(&self) -> usize {
-        self.packets.len()
+        self.packets.len() + self.waiting
     }
 }
 
@@ -1194,8 +1216,9 @@ mod tests {
     }
 
     /// LOFT's memory follows its traffic: a fresh network holds no
-    /// reservation entries, and the source backlog keeps one handle per
-    /// packet however many quanta the packet has.
+    /// reservation entries, and the source backlog keeps one record per
+    /// packet however many quanta the packet has, with no slab slot
+    /// until the packet's first look-ahead launches.
     #[test]
     fn footprint_follows_traffic() {
         let mut net = LoftNetwork::new(LoftConfig::default(), &[64, 64]);
@@ -1211,6 +1234,8 @@ mod tests {
         let backlog: usize = nic.flow_q.iter().map(|q| q.len()).sum();
         assert_eq!(backlog, 50, "one backlog entry per packet");
         assert_eq!(nic.queued, 25 * 2 + 25 * 3, "quanta awaiting launch");
+        assert!(net.packets.is_empty(), "waiting packets hold no slab slot");
+        assert_eq!(net.in_flight(), 50);
         let out = drain(&mut net, 20_000);
         assert_eq!(out.len(), 50);
         for flow in 0..2 {

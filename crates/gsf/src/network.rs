@@ -27,8 +27,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use noc_sim::fabric::{MaskIter, PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcRouter};
-use noc_sim::flit::Packet;
-use noc_sim::slab::PacketRef;
+use noc_sim::flit::{FlowId, Packet, Waiting};
 use noc_sim::telemetry::{NoopProbe, Probe};
 use noc_sim::Network;
 
@@ -36,10 +35,12 @@ use crate::config::GsfConfig;
 use crate::framing::Framing;
 
 /// One node's frame-tagged source queue: packets awaiting streaming,
-/// min-ordered by (frame, arrival sequence) — GSF streams oldest
-/// frames first. The (frame, seq) key is unique, so the handle never
-/// takes part in an ordering decision.
-type TaggedHeap = BinaryHeap<Reverse<(u64, u64, PacketRef)>>;
+/// as (frame, arrival sequence, flow, record), min-ordered by (frame,
+/// arrival sequence) — GSF streams oldest frames first. The (frame,
+/// seq) key is unique, so the flow and the record never take part in
+/// an ordering decision. The frame window bounds what a flow can tag,
+/// so the heap is bounded too.
+type TaggedHeap = BinaryHeap<Reverse<(u64, u64, FlowId, Waiting)>>;
 
 /// VC-allocation scratch, reused every cycle.
 #[derive(Debug, Default, Clone)]
@@ -63,7 +64,7 @@ struct GsfPolicy {
     /// sorted by flow id, so the retag scan is deterministic with no
     /// per-shift sort. Drained queues stay in the list with their
     /// capacity — a flow that backs up once tends to back up again.
-    untagged: Vec<Vec<(u32, VecDeque<PacketRef>)>>,
+    untagged: Vec<Vec<(u32, VecDeque<Waiting>)>>,
     /// Arrival sequence counter for FIFO tie-breaks within a frame.
     tag_seq: u64,
 }
@@ -72,17 +73,19 @@ impl GsfPolicy {
     /// Tags a freshly enqueued or previously untagged packet with the
     /// earliest active frame that has quota, charging the flow's
     /// reservation and registering its flits as alive in that frame.
-    fn tag_packet(&mut self, pref: PacketRef, ctx: &mut PolicyCtx<'_, TaggedHeap>) -> bool {
-        let (flow, len, node) = {
-            let p = ctx.packets.get(pref);
-            (p.id.flow, p.len_flits, p.src.index())
-        };
-        let Some(frame) = self.framing.claim(flow, len) else {
+    fn tag_packet(
+        &mut self,
+        node: usize,
+        flow: FlowId,
+        waiting: Waiting,
+        ctx: &mut PolicyCtx<'_, TaggedHeap>,
+    ) -> bool {
+        let Some(frame) = self.framing.claim(flow, waiting.len_flits) else {
             return false;
         };
         let seq = self.tag_seq;
         self.tag_seq += 1;
-        ctx.sources[node].push(Reverse((frame, seq, pref)));
+        ctx.sources[node].push(Reverse((frame, seq, flow, waiting)));
         ctx.nic_work.insert(node);
         true
     }
@@ -93,8 +96,9 @@ impl GsfPolicy {
     fn retag_backlog(&mut self, ctx: &mut PolicyCtx<'_, TaggedHeap>) {
         for node in 0..self.untagged.len() {
             for fi in 0..self.untagged[node].len() {
-                while let Some(&pref) = self.untagged[node][fi].1.front() {
-                    if !self.tag_packet(pref, ctx) {
+                let flow = FlowId::new(self.untagged[node][fi].0);
+                while let Some(&waiting) = self.untagged[node][fi].1.front() {
+                    if !self.tag_packet(node, flow, waiting, ctx) {
                         break;
                     }
                     self.untagged[node][fi].1.pop_front();
@@ -120,8 +124,8 @@ impl RouterPolicy for GsfPolicy {
         }
     }
 
-    fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, TaggedHeap>) {
-        let flow = ctx.packets.get(pref).id.flow;
+    fn on_enqueue(&mut self, node: usize, packet: &Packet, ctx: &mut PolicyCtx<'_, TaggedHeap>) {
+        let flow = packet.id.flow;
         assert!(
             flow.index() < self.framing.num_flows(),
             "packet flow id outside configured reservations"
@@ -134,21 +138,18 @@ impl RouterPolicy for GsfPolicy {
         // already parked; tagging out of order would reorder the flow.
         let at = self.untagged[node].binary_search_by_key(&fid, |&(f, _)| f);
         let parked = matches!(at, Ok(i) if !self.untagged[node][i].1.is_empty());
-        if parked || !self.tag_packet(pref, ctx) {
+        let waiting = Waiting::of(packet);
+        if parked || !self.tag_packet(node, flow, waiting, ctx) {
             match at {
-                Ok(i) => self.untagged[node][i].1.push_back(pref),
-                Err(i) => self.untagged[node].insert(i, (fid, VecDeque::from([pref]))),
+                Ok(i) => self.untagged[node][i].1.push_back(waiting),
+                Err(i) => self.untagged[node].insert(i, (fid, VecDeque::from([waiting]))),
             }
         }
     }
 
-    fn peek_source(source: &TaggedHeap) -> Option<PacketRef> {
-        source.peek().map(|&Reverse((_, _, pref))| pref)
-    }
-
-    fn pop_source(source: &mut TaggedHeap) -> (PacketRef, u64) {
-        let Reverse((frame, _, pref)) = source.pop().expect("peeked source packet");
-        (pref, frame)
+    fn pop_source(source: &mut TaggedHeap) -> (FlowId, Waiting, u64) {
+        let Reverse((frame, _, flow, waiting)) = source.pop().expect("source packet");
+        (flow, waiting, frame)
     }
 
     fn source_idle(source: &TaggedHeap) -> bool {
@@ -472,6 +473,22 @@ mod tests {
         for w in ejects.windows(2) {
             assert!(w[0].1 <= w[1].1, "seq {} overtook {}", w[1].0, w[0].0);
         }
+    }
+
+    /// Tagged or not, a packet waits in its source queue as a record
+    /// and enters the fabric's slab only when its NIC starts streaming
+    /// it: one NIC streams one packet at a time.
+    #[test]
+    fn waiting_packets_stay_out_of_the_slab() {
+        let mut net = GsfNetwork::new(GsfConfig::default(), &[8]);
+        for seq in 0..100 {
+            net.enqueue(packet(0, seq, 0, 1, 0));
+        }
+        assert_eq!(net.fabric.packets().len(), 0);
+        assert_eq!(net.in_flight(), 100);
+        net.step(&mut Vec::new());
+        assert_eq!(net.fabric.packets().len(), 1);
+        assert_eq!(net.in_flight(), 100);
     }
 
     #[test]

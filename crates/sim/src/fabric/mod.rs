@@ -50,11 +50,14 @@
 //!   late drain with items in flight panics.
 //! * [`TimedFifo`] is the global in-order event queue used for credit
 //!   returns.
-//! * [`PacketStore`](crate::slab::PacketStore) owns every in-flight
-//!   packet in a generational slab — the datapaths move
-//!   [`crate::slab::PacketRef`] handles, not packet structs — and
-//!   counts each packet's ejected pieces, handing it back exactly once
+//! * [`PacketStore`](crate::slab::PacketStore) owns every packet the
+//!   network has started sending in a generational slab — the
+//!   datapaths move [`crate::slab::PacketRef`] handles, not packet
+//!   structs — and counts each packet's ejected pieces, handing it
+//!   back exactly once
 //!   ([`PacketStore::on_piece`](crate::slab::PacketStore::on_piece)).
+//!   Until then a packet waits in its source queue as a 24-byte
+//!   [`Waiting`](crate::flit::Waiting) record.
 //! * [`VcFabric`] is the complete credit-based virtual-channel
 //!   datapath (link arrivals, credits, NIC streaming with routing at
 //!   arrival, and switch traversal), parameterized by a

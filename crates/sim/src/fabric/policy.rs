@@ -1,6 +1,6 @@
 //! The policy interface of the shared VC datapath.
 
-use crate::slab::{PacketRef, PacketStore};
+use crate::flit::{FlowId, Packet, Waiting};
 use crate::worklist::ActiveSet;
 
 use super::vc::{VcFlit, VcRouter};
@@ -29,8 +29,6 @@ pub struct SwitchGrant {
 /// one source per node and hands the whole slice to the hook.
 #[derive(Debug)]
 pub struct PolicyCtx<'a, S> {
-    /// Read access to every in-flight packet (lengths, destinations).
-    pub packets: &'a PacketStore,
     /// Per-node source queues, indexed by node.
     pub sources: &'a mut [S],
     /// The NIC worklist: insert every node whose source gained
@@ -54,9 +52,12 @@ pub struct PolicyCtx<'a, S> {
 /// * **per-cycle bookkeeping** — e.g. GSF's barrier frame recycling
 ///   in [`RouterPolicy::pre_inject`].
 ///
-/// Packets are referenced by [`PacketRef`] slab handles everywhere on
-/// the datapath; resolve one through [`PolicyCtx::packets`] when flow
-/// or length information is needed.
+/// A packet waits in its source queue as a [`Waiting`] record, which
+/// carries its destination and length; the queue implies its flow and
+/// node. The fabric puts the packet in its slab when the NIC starts
+/// streaming it, and from then on flits carry a
+/// [`PacketRef`](crate::slab::PacketRef) handle to it. No policy hook
+/// reads the slab.
 ///
 /// # Hooks with and without `self`
 ///
@@ -106,18 +107,16 @@ pub trait RouterPolicy {
         let _ = (now, ctx);
     }
 
-    /// A packet entered the network at `node`: queue it at the source
-    /// (and insert `node` into `ctx.nic_work` if it is ready to
-    /// stream).
-    fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, Self::Source>);
+    /// A packet entered the network at `node`: queue its
+    /// [`Waiting`] record at the source (and insert `node` into
+    /// `ctx.nic_work` if it is ready to stream).
+    fn on_enqueue(&mut self, node: usize, packet: &Packet, ctx: &mut PolicyCtx<'_, Self::Source>);
 
-    /// The packet that would stream next from this source queue, if
-    /// any. The fabric only commits (via [`RouterPolicy::pop_source`])
-    /// once a free VC is found.
-    fn peek_source(source: &Self::Source) -> Option<PacketRef>;
-
-    /// Removes and returns the packet just peeked, with its tag.
-    fn pop_source(source: &mut Self::Source) -> (PacketRef, Self::Tag);
+    /// Removes and returns the packet that streams next from this
+    /// source queue, with its flow and tag. The fabric calls this only
+    /// when the queue is not [idle](RouterPolicy::source_idle) and a
+    /// free VC is found.
+    fn pop_source(source: &mut Self::Source) -> (FlowId, Waiting, Self::Tag);
 
     /// Whether this source queue holds nothing ready to stream (the
     /// NIC worklist predicate, together with the streaming state the

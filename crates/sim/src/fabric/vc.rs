@@ -19,8 +19,8 @@ use super::{debug_assert_delivered_once, LOCAL, MAX_PARAM, PORTS};
 /// A flit inside the VC datapath, carrying the policy's per-flit tag.
 ///
 /// Flits move a [`PacketRef`] handle, not the packet itself — the
-/// packet lives in the fabric's [`PacketStore`] slab from admission
-/// to delivery.
+/// packet lives in the fabric's [`PacketStore`] slab from the moment
+/// its NIC starts streaming it to delivery.
 #[derive(Debug, Clone, Copy)]
 pub struct VcFlit<T> {
     /// Handle of the owning packet.
@@ -453,8 +453,12 @@ pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
     nics: Vec<VcNic<P::Tag>>,
     /// Per-node source queues (policy-defined order).
     sources: Vec<P::Source>,
-    /// Every in-flight packet, from admission to its last ejected flit.
+    /// Every packet a NIC has started streaming, until its last flit
+    /// ejects.
     packets: PacketStore,
+    /// Packets enqueued whose NIC has not started streaming them: the
+    /// records in `sources`.
+    waiting: usize,
     /// Buffered input flits per router (maintains `router_work`).
     buffered: Vec<u32>,
     /// In-flight flits per (node, input port), as `(vc, flit)`,
@@ -508,6 +512,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 .collect(),
             sources: (0..n).map(|_| policy.new_source()).collect(),
             packets: PacketStore::new(),
+            waiting: 0,
             buffered: vec![0; n],
             wires: DelayedWires::new(n * PORTS, params.hop_latency),
             credits_in_flight: TimedFifo::with_capacity(credit_cap),
@@ -532,6 +537,14 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
     #[must_use]
     pub fn policy(&self) -> &P {
         &self.policy
+    }
+
+    /// The packets whose NIC has started streaming them and whose last
+    /// flit has not ejected yet. Packets still waiting in a source
+    /// queue are not here.
+    #[must_use]
+    pub fn packets(&self) -> &PacketStore {
+        &self.packets
     }
 
     /// Emits one occupancy sample per input VC buffer when the probe's
@@ -619,15 +632,16 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         while let Some(node) = self.nic_work.first_from(cursor) {
             cursor = node + 1;
             let nic = &mut self.nics[node];
-            if nic.current.is_none() && P::peek_source(&self.sources[node]).is_some() {
+            if nic.current.is_none() && !P::source_idle(&self.sources[node]) {
                 // Allocate a free local VC, round-robin; only then
-                // commit the packet.
+                // commit the packet, which enters the slab here.
                 if let Some(vc) = MaskIter::rotated(nic.free, nic.rr).next() {
-                    let (pref, tag) = P::pop_source(&mut self.sources[node]);
-                    let (dst, len) = {
-                        let p = self.packets.get(pref);
-                        (p.dst, p.len_flits)
-                    };
+                    let (flow, waiting, tag) = P::pop_source(&mut self.sources[node]);
+                    let (dst, len) = (waiting.dst, waiting.len_flits);
+                    let pref = self
+                        .packets
+                        .insert(waiting.into_packet(flow, NodeId::new(node as u32)));
+                    self.waiting -= 1;
                     nic.free &= !(1u64 << vc);
                     nic.rr = if vc + 1 == num_vcs { 0 } else { vc + 1 };
                     nic.current = Some(Streaming {
@@ -940,21 +954,13 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     fn enqueue(&mut self, packet: Packet) {
         let node = packet.src.index();
         self.probe.on_generated(&packet);
-        let Self {
-            policy,
-            packets,
-            sources,
-            nic_work,
-            ..
-        } = self;
-        let pref = packets.insert(packet);
-        policy.on_enqueue(
+        self.waiting += 1;
+        self.policy.on_enqueue(
             node,
-            pref,
+            &packet,
             &mut PolicyCtx {
-                packets,
-                sources,
-                nic_work,
+                sources: &mut self.sources,
+                nic_work: &mut self.nic_work,
             },
         );
     }
@@ -965,23 +971,13 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         let delivered_before = out.len();
         let now = self.cycle;
         let mut clock = PhaseClock::start::<Pr>();
-        {
-            let Self {
-                policy,
-                packets,
-                sources,
-                nic_work,
-                ..
-            } = self;
-            policy.pre_inject(
-                now,
-                &mut PolicyCtx {
-                    packets,
-                    sources,
-                    nic_work,
-                },
-            );
-        }
+        self.policy.pre_inject(
+            now,
+            &mut PolicyCtx {
+                sources: &mut self.sources,
+                nic_work: &mut self.nic_work,
+            },
+        );
         clock.lap(&mut self.probe, Phase::PreInject);
         self.sample_occupancy(now);
         self.deliver_arrivals(now);
@@ -1000,6 +996,6 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     }
 
     fn in_flight(&self) -> usize {
-        self.packets.len()
+        self.packets.len() + self.waiting
     }
 }

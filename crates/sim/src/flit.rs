@@ -182,9 +182,85 @@ impl Packet {
     }
 }
 
+/// A generated packet waiting in its source queue, before the network
+/// starts sending it.
+///
+/// It keeps what the network needs to send the packet and what the
+/// statistics need afterwards. The queue holding it implies the flow
+/// and the source node, and a waiting packet has no `injected_at` or
+/// `ejected_at` yet, so [`Waiting::into_packet`] rebuilds the
+/// [`Packet`] exactly. Networks put the rebuilt packet in their
+/// [`PacketStore`](crate::slab::PacketStore) only when they start
+/// sending it, so an unbounded backlog costs this record per packet
+/// and no slab slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Waiting {
+    /// Sequence number within the flow.
+    pub seq: u64,
+    /// Cycle of generation.
+    pub created_at: u64,
+    /// Destination node.
+    pub dst: NodeId,
+    /// Length in flits.
+    pub len_flits: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Waiting>() <= 24);
+
+impl Waiting {
+    /// The record of a packet that has just been generated.
+    #[must_use]
+    pub fn of(packet: &Packet) -> Self {
+        debug_assert!(
+            packet.injected_at.is_none() && packet.ejected_at.is_none(),
+            "a waiting packet has not been injected"
+        );
+        Waiting {
+            seq: packet.id.seq,
+            created_at: packet.created_at,
+            dst: packet.dst,
+            len_flits: packet.len_flits,
+        }
+    }
+
+    /// The packet again, given the flow and source node its queue
+    /// implies.
+    #[must_use]
+    pub fn into_packet(self, flow: FlowId, src: NodeId) -> Packet {
+        Packet {
+            id: PacketId {
+                flow,
+                seq: self.seq,
+            },
+            src,
+            dst: self.dst,
+            len_flits: self.len_flits,
+            created_at: self.created_at,
+            injected_at: None,
+            ejected_at: None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn waiting_record_rebuilds_its_packet() {
+        let p = Packet::new(
+            PacketId {
+                flow: FlowId::new(3),
+                seq: 41,
+            },
+            NodeId::new(7),
+            NodeId::new(12),
+            5,
+            900,
+        );
+        let w = Waiting::of(&p);
+        assert_eq!(w.into_packet(p.id.flow, p.src), p);
+    }
 
     #[test]
     fn node_and_flow_ids_display() {

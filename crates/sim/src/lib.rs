@@ -30,8 +30,8 @@
 //!   datapath (links, credits, NICs, ejection, worklists) with
 //!   pluggable [`fabric::RouterPolicy`] scheduling,
 //! * [`slab`] — the generational [`slab::PacketStore`] that owns every
-//!   in-flight packet; the datapaths move `Copy`-able
-//!   [`slab::PacketRef`] handles instead of structs.
+//!   packet a network has started sending; the datapaths move
+//!   `Copy`-able [`slab::PacketRef`] handles instead of structs.
 //!
 //! # Example
 //!

@@ -1,9 +1,12 @@
 //! Generational slab storage for in-flight packets.
 //!
-//! Every network in this workspace keeps the packets currently inside
-//! it — source queue to last ejected flit — in one [`PacketStore`] and
-//! moves [`PacketRef`] handles through its datapath instead of
-//! [`Packet`] structs. A handle is 8 bytes, `Copy`, and `Send`;
+//! Every network in this workspace keeps the packets it is sending —
+//! from the moment it starts sending one (its first flit or quantum
+//! leaves the source queue) to its last ejected flit — in one
+//! [`PacketStore`] and moves [`PacketRef`] handles through its
+//! datapath instead of [`Packet`] structs. A packet still waiting in
+//! its source queue is a [`Waiting`](crate::flit::Waiting) record
+//! there, not a slab slot. A handle is 8 bytes, `Copy`, and `Send`;
 //! resolving one is a single array index instead of a hash lookup, and
 //! a delivered packet's slot goes back on a free list, so the steady
 //! state of a saturated network performs no heap allocation per cycle
@@ -17,6 +20,7 @@
 //! once by construction, and the golden determinism pins would catch
 //! any aliasing slip as a behaviour change.
 
+use crate::checkpoint::{Cap, CapVec};
 use crate::flit::Packet;
 
 /// A `Copy` handle to a packet owned by a [`PacketStore`].
@@ -66,9 +70,10 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PacketStore {
-    slots: Vec<Slot>,
+    /// The slots; a fork keeps their capacity ([`CapVec`]).
+    slots: CapVec<Slot>,
     /// Indices of vacant slots, reused LIFO (hot slots stay hot).
-    free: Vec<u32>,
+    free: CapVec<u32>,
     live: usize,
 }
 
@@ -83,8 +88,8 @@ impl PacketStore {
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         PacketStore {
-            slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
+            slots: Cap(Vec::with_capacity(cap)),
+            free: Cap(Vec::with_capacity(cap)),
             live: 0,
         }
     }

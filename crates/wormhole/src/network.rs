@@ -17,8 +17,7 @@
 use std::collections::VecDeque;
 
 use noc_sim::fabric::{MaskIter, PolicyCtx, RouterPolicy, SwitchGrant, VcFabric, VcRouter};
-use noc_sim::flit::Packet;
-use noc_sim::slab::PacketRef;
+use noc_sim::flit::{FlowId, Packet, Waiting};
 use noc_sim::telemetry::{NoopProbe, Probe};
 use noc_sim::Network;
 
@@ -35,7 +34,7 @@ struct WormholePolicy;
 
 impl RouterPolicy for WormholePolicy {
     type Tag = ();
-    type Source = VecDeque<PacketRef>;
+    type Source = VecDeque<(FlowId, Waiting)>;
     type Scratch = ();
     const DRAIN_BEFORE_REUSE: bool = false;
 
@@ -43,18 +42,14 @@ impl RouterPolicy for WormholePolicy {
         VecDeque::new()
     }
 
-    fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, Self::Source>) {
-        ctx.sources[node].push_back(pref);
+    fn on_enqueue(&mut self, node: usize, packet: &Packet, ctx: &mut PolicyCtx<'_, Self::Source>) {
+        ctx.sources[node].push_back((packet.id.flow, Waiting::of(packet)));
         ctx.nic_work.insert(node);
     }
 
-    fn peek_source(source: &Self::Source) -> Option<PacketRef> {
-        source.front().copied()
-    }
-
-    fn pop_source(source: &mut Self::Source) -> (PacketRef, ()) {
-        let pref = source.pop_front().expect("peeked source packet");
-        (pref, ())
+    fn pop_source(source: &mut Self::Source) -> (FlowId, Waiting, ()) {
+        let (flow, waiting) = source.pop_front().expect("source packet");
+        (flow, waiting, ())
     }
 
     fn source_idle(source: &Self::Source) -> bool {
@@ -273,6 +268,22 @@ mod tests {
         net.enqueue(packet(0, 0, 0, 63, 0));
         net.enqueue(packet(0, 1, 0, 63, 0));
         assert_eq!(net.in_flight(), 2);
+    }
+
+    /// A packet waits in its source queue as a record and enters the
+    /// fabric's slab only when its NIC starts streaming it: one NIC
+    /// streams one packet at a time.
+    #[test]
+    fn waiting_packets_stay_out_of_the_slab() {
+        let mut net = WormholeNetwork::new(WormholeConfig::default());
+        for seq in 0..100 {
+            net.enqueue(packet(0, seq, 0, 63, 0));
+        }
+        assert_eq!(net.fabric.packets().len(), 0);
+        assert_eq!(net.in_flight(), 100);
+        net.step(&mut Vec::new());
+        assert_eq!(net.fabric.packets().len(), 1);
+        assert_eq!(net.in_flight(), 100);
     }
 
     #[test]

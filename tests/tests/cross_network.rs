@@ -5,7 +5,7 @@
 use loft::{LoftConfig, LoftNetwork};
 use noc_gsf::{GsfConfig, GsfNetwork};
 use noc_sim::flit::{FlowId, NodeId, Packet, PacketId};
-use noc_sim::{Network, RunConfig, Simulation, Topology};
+use noc_sim::{Network, RunConfig, Simulation, Topology, TrafficSource};
 use noc_traffic::{DestRule, Scenario};
 use noc_wormhole::{WormholeConfig, WormholeNetwork};
 
@@ -140,6 +140,75 @@ fn frs_beats_gsf_on_back_to_back_stream() {
     assert!(
         loft * 2 < gsf,
         "FRS should be at least 2x faster: LOFT {loft}, GSF {gsf}"
+    );
+}
+
+/// Every network delivers each packet as it was generated, and counts
+/// every undelivered one in `in_flight`, at a load whose oversubscribed
+/// hotspot sources grow their backlogs every cycle. Packets wait in the
+/// source queues as records and are rebuilt when the network starts
+/// sending them, so a wrong rebuild or a miscounted backlog fails here.
+#[test]
+fn delivered_packets_are_their_generated_packets() {
+    fn check<N: Network>(mut net: N, s: &Scenario, name: &str) {
+        let mut traffic = s.workload(7);
+        let mut pending = std::collections::HashMap::new();
+        let (mut fresh, mut out) = (Vec::new(), Vec::new());
+        let (mut generated, mut delivered) = (0, 0);
+        for cycle in 0..3_000 {
+            traffic.generate(cycle, &mut fresh);
+            for p in fresh.drain(..) {
+                generated += 1;
+                pending.insert(p.id, p.clone());
+                net.enqueue(p);
+            }
+            net.step(&mut out);
+            for p in out.drain(..) {
+                let g = pending
+                    .remove(&p.id)
+                    .unwrap_or_else(|| panic!("{name}: {} delivered twice or never sent", p.id));
+                assert_eq!(
+                    (p.src, p.dst, p.len_flits, p.created_at),
+                    (g.src, g.dst, g.len_flits, g.created_at),
+                    "{name}: {} changed on its way",
+                    p.id
+                );
+                let (injected, ejected) = (p.injected_at.unwrap(), p.ejected_at.unwrap());
+                assert!(
+                    p.created_at <= injected && injected <= ejected,
+                    "{name}: {p:?}"
+                );
+                delivered += 1;
+            }
+            assert_eq!(
+                net.in_flight(),
+                generated - delivered,
+                "{name}: in_flight at cycle {cycle}"
+            );
+        }
+        assert!(delivered > 0, "{name} delivered nothing");
+        assert!(
+            net.in_flight() > 1_000,
+            "{name}: the hotspot sources built no backlog"
+        );
+    }
+    let s = Scenario::hotspot(0.60);
+    let loft = LoftConfig::on(s.topo);
+    let gsf = GsfConfig::on(s.topo);
+    check(
+        LoftNetwork::new(loft, &s.reservations(loft.frame_size).expect("fits")),
+        &s,
+        "loft",
+    );
+    check(
+        GsfNetwork::new(gsf, &s.reservations(gsf.frame_size).expect("fits")),
+        &s,
+        "gsf",
+    );
+    check(
+        WormholeNetwork::new(WormholeConfig::on(s.topo)),
+        &s,
+        "wormhole",
     );
 }
 
