@@ -190,7 +190,7 @@ fn table1(args: &[String]) -> Result<(), String> {
                 "Barrier network delay",
                 format!("{} cycles", g.barrier_delay),
             ),
-            ("Source queue", format!("{} flits", g.source_queue_flits)),
+            ("Source queue", format!("{} flits", g.frame_size)),
         ],
     );
     Ok(())

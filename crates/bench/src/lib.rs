@@ -157,7 +157,7 @@ pub trait NetSpec: Sized {
     ///
     /// Fails if the configuration cannot run (its `validate`), if the
     /// scenario was built for another topology or cannot run on it
-    /// ([`Scenario::check`]: zero-flit packets, a flow that leaves it),
+    /// ([`Scenario::check`]: zero-flit packets, a malformed flow),
     /// or if the scenario's reservations do not fit the configured
     /// frame (see [`Scenario::reservations`]).
     fn build<P: Probe + Clone>(
@@ -411,6 +411,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 mod tests {
     use super::*;
     use noc_sim::telemetry::{LiveProbe, PhaseProbe};
+    use noc_traffic::Alloc;
 
     const RUN: RunConfig = RunConfig {
         warmup: 500,
@@ -622,7 +623,7 @@ mod tests {
     fn infeasible_reservations_are_errors() {
         let mut s = Scenario::hotspot(0.01);
         for flow in &mut s.flows {
-            flow.share = Some(0.01);
+            flow.alloc = Alloc::Share(0.01);
         }
         let loft = LoftConfig {
             frame_size: 16,

@@ -3,8 +3,8 @@
 //! `MAX_PARAM` + 1, MAX} on 4×4 meshes and tori. Building a network
 //! either fails with a `ConfigError` or gives one that runs 300 cycles
 //! of uniform 0.05 traffic; neither may panic. Hand-built scenarios
-//! with node ids off the topology, self-addressed and duplicate flows
-//! get the same treatment on every network.
+//! with node ids off the topology, malformed and duplicate flows get
+//! the same treatment on every network.
 
 use loft::LoftConfig;
 use loft_bench::{simulation, NetSpec, SEED};
@@ -13,7 +13,7 @@ use noc_sim::fabric::MAX_PARAM;
 use noc_sim::rng::Xoshiro256;
 use noc_sim::{NodeId, NoopProbe, RunConfig, Topology};
 use noc_traffic::scenario::ScenarioFlow;
-use noc_traffic::{DestRule, InjectionProcess, Scenario};
+use noc_traffic::{Alloc, DestRule, InjectionProcess, Scenario};
 use noc_wormhole::WormholeConfig;
 
 /// Cases per configuration type.
@@ -85,7 +85,6 @@ fn gsf_configs_build_and_run_or_are_errors() {
         barrier_delay: pick(rng, 16),
         hop_latency: pick(rng, 3),
         credit_delay: pick(rng, 3),
-        source_queue_flits: pick(rng, 2000) as u32,
         threads: pick(rng, 1) as usize,
     });
 }
@@ -112,22 +111,29 @@ fn hand_built(name: &str, flows: &[(u32, DestRule)]) -> Scenario {
             src: NodeId::new(*src),
             dest: dest.clone(),
             process: InjectionProcess::Bernoulli { rate: 0.2 },
-            weight: 1.0,
-            share: None,
+            alloc: Alloc::Weight(1.0),
         })
         .collect();
     s
 }
 
 /// Hand-built scenarios on every network: a flow that leaves the
-/// topology, or zero-flit packets, is a `ConfigError` from
-/// `Scenario::reservations` and from every `NetSpec::build`;
-/// self-addressed and duplicate flows either run or are errors. None
-/// may panic.
+/// topology or is addressed to its own source, a weight that is not
+/// positive and finite, a share outside (0, 1], weights mixed with
+/// shares, or zero-flit packets, is a `ConfigError` from
+/// `Scenario::reservations` and from every `NetSpec::build`, wormhole's
+/// included; duplicate flows either run or are errors. None may panic.
 #[test]
 fn hand_built_scenarios_run_or_are_errors() {
     let fixed = |n| DestRule::Fixed(NodeId::new(n));
     let uniform = |num_nodes| DestRule::UniformRandom { num_nodes };
+    let sized = |name, allocs: [Alloc; 2]| {
+        let mut s = hand_built(name, &[(0, fixed(15)), (3, fixed(12))]);
+        s.flows[0].alloc = allocs[0];
+        s.flows[1].alloc = allocs[1];
+        s
+    };
+    let (weight, share) = (Alloc::Weight, Alloc::Share);
     let infeasible = [
         hand_built("dest-16", &[(0, fixed(16))]),
         hand_built("dest-max", &[(0, fixed(u32::MAX))]),
@@ -137,6 +143,13 @@ fn hand_built_scenarios_run_or_are_errors() {
         hand_built("uniform-1", &[(0, uniform(1))]),
         hand_built("uniform-0", &[(0, uniform(0))]),
         hand_built("second-flow-off", &[(0, fixed(5)), (1, fixed(99))]),
+        hand_built("self", &[(5, fixed(5))]),
+        sized("nan-weight", [weight(1.0), weight(f64::NAN)]),
+        sized("zero-weight", [weight(0.0), weight(1.0)]),
+        sized("negative-weight", [weight(1.0), weight(-1.0)]),
+        sized("zero-share", [share(0.5), share(0.0)]),
+        sized("share-1.5", [share(1.5), share(0.5)]),
+        sized("mixed", [weight(1.0), share(0.5)]),
         Scenario {
             packet_len: 0,
             ..hand_built("zero-flit-packets", &[(0, fixed(5))])
@@ -144,14 +157,13 @@ fn hand_built_scenarios_run_or_are_errors() {
     ];
     let mut shared = hand_built("duplicate-shares", &[(0, fixed(15)), (0, fixed(15))]);
     for f in &mut shared.flows {
-        f.share = Some(0.5);
+        f.alloc = Alloc::Share(0.5);
     }
     let mut oversubscribed = shared.clone();
     for f in &mut oversubscribed.flows {
-        f.share = Some(0.75);
+        f.alloc = Alloc::Share(0.75);
     }
     let on_topology = [
-        hand_built("self", &[(5, fixed(5))]),
         hand_built("duplicate", &[(0, fixed(15)), (0, fixed(15))]),
         hand_built("duplicate-uniform", &[(3, uniform(16)), (3, uniform(16))]),
         hand_built("uniform-subset", &[(9, uniform(4))]),

@@ -42,10 +42,17 @@ pub struct LoftConfig {
     pub hop_latency: u64,
     /// Cycles per hop on the look-ahead network (3-stage router).
     pub la_hop_latency: u64,
-    /// Maximum look-ahead flits a single flow may have in flight in
-    /// the look-ahead network (its virtual-channel window). Bounds
-    /// per-flow pile-up at contended schedulers and provides source
-    /// throttling.
+    /// Bounds two things:
+    /// * the look-ahead flits a single flow may have in flight in the
+    ///   look-ahead network (its virtual-channel window), which bounds
+    ///   per-flow pile-up at contended schedulers and throttles the
+    ///   source;
+    /// * the data quanta a node may have staged for injection into its
+    ///   router: while that many wait, none of the node's flows
+    ///   launches a look-ahead flit.
+    ///
+    /// With one flow per node, as under uniform traffic, both bound
+    /// the same flow.
     pub la_flow_window: u32,
     /// Enable speculative flit switching (Section 4.3.1).
     pub speculative_switching: bool,

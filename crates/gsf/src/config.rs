@@ -8,8 +8,9 @@ use noc_sim::ConfigError;
 ///
 /// Defaults follow Table 1 of the LOFT paper (which in turn uses the
 /// parameters suggested by the GSF and PVC papers): 6 VCs of 5 flits,
-/// frame size 2000 flits, frame window 6, 16-cycle barrier delay, and
-/// a 2000-flit source queue per node.
+/// frame size 2000 flits, frame window 6 and a 16-cycle barrier delay.
+/// GSF also needs a frame-sized source queue per node; the simulator's
+/// queues are unbounded, so overload shows up as latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GsfConfig {
     /// Topology to build; fixes the routing (dimension-order XY).
@@ -30,10 +31,6 @@ pub struct GsfConfig {
     pub hop_latency: u64,
     /// Cycles for a credit to return upstream.
     pub credit_delay: u64,
-    /// Nominal source-queue capacity in flits (GSF needs it as large
-    /// as a frame). Only used by the storage model; the simulator
-    /// queues are unbounded so overload shows up as latency.
-    pub source_queue_flits: u32,
     /// Accepted and ignored: the network steps on one thread; see
     /// `noc_sim::fabric::VcParams::threads`.
     pub threads: usize,
@@ -106,7 +103,6 @@ impl Default for GsfConfig {
             barrier_delay: 16,
             hop_latency: 3,
             credit_delay: 3,
-            source_queue_flits: 2000,
             threads: 1,
         }
     }
@@ -124,7 +120,6 @@ mod tests {
         assert_eq!(c.frame_size, 2000);
         assert_eq!(c.frame_window, 6);
         assert_eq!(c.barrier_delay, 16);
-        assert_eq!(c.source_queue_flits, 2000);
     }
 
     #[test]

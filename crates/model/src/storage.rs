@@ -49,7 +49,7 @@ impl GsfStorage {
 
 /// Computes GSF's per-router storage from its configuration.
 pub fn gsf_router_bits(cfg: &GsfConfig) -> GsfStorage {
-    let source_queue = cfg.source_queue_flits as u64 * DATA_FLIT_BITS;
+    let source_queue = cfg.frame_size as u64 * DATA_FLIT_BITS;
     let vc_buffers = NET_PORTS * cfg.num_vcs as u64 * cfg.vc_capacity as u64 * DATA_FLIT_BITS;
     // Per-flow injection state at the source: inject frame pointer
     // (window-relative) + remaining quota; plus the head-frame

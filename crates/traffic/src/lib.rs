@@ -38,5 +38,5 @@ pub mod scenario;
 pub mod workload;
 
 pub use process::InjectionProcess;
-pub use scenario::Scenario;
+pub use scenario::{Alloc, Scenario};
 pub use workload::{DestRule, Workload};

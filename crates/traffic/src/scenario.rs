@@ -1,12 +1,12 @@
 //! Ready-made workload scenarios from the paper's evaluation
 //! (Section 6), plus a few classic synthetic patterns.
 //!
-//! A [`Scenario`] bundles the flow endpoints, relative QoS weights,
-//! injection processes, and named flow groups (for Figure 10-style
-//! per-group statistics). It can instantiate a [`Workload`] for any
-//! seed and compute reservations for any frame capacity, so the same
-//! scenario drives both GSF (frame of 2000 flits) and LOFT (frame of
-//! 256 flits).
+//! A [`Scenario`] bundles the flow endpoints, QoS allocations
+//! (relative weights or frame shares), injection processes, and named
+//! flow groups (for Figure 10-style per-group statistics). It can
+//! instantiate a [`Workload`] for any seed and compute reservations
+//! for any frame capacity, so the same scenario drives both GSF (frame
+//! of 2000 flits) and LOFT (frame of 256 flits).
 
 use crate::process::InjectionProcess;
 use crate::workload::{DestRule, Workload};
@@ -14,7 +14,20 @@ use noc_sim::flit::{FlowId, NodeId};
 use noc_sim::routing::Direction;
 use noc_sim::topology::Topology;
 use noc_sim::ConfigError;
-use std::ops::AddAssign;
+
+/// Links per node: the router's output ports, then the source's
+/// injection link.
+const LINKS_PER_NODE: usize = Direction::COUNT + 1;
+
+/// How a flow's reservation is sized (see [`Scenario::reservations`]);
+/// every flow of a scenario is sized the same way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Alloc {
+    /// A relative weight, positive and finite.
+    Weight(f64),
+    /// An explicit share of the frame in (0, 1], as in Case Study I.
+    Share(f64),
+}
 
 /// One flow of a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,13 +38,8 @@ pub struct ScenarioFlow {
     pub dest: DestRule,
     /// Injection process.
     pub process: InjectionProcess,
-    /// Relative weight used when scaling reservations to the most
-    /// contended link.
-    pub weight: f64,
-    /// Explicit share of the frame (0..1], overriding weight-based
-    /// scaling — used by Case Study I, where each flow is allocated
-    /// exactly 1/4 of the link bandwidth.
-    pub share: Option<f64>,
+    /// How the flow's reservation is sized.
+    pub alloc: Alloc,
 }
 
 /// A named, reusable experiment workload.
@@ -72,16 +80,19 @@ impl Scenario {
 
     /// Computes per-flow reservations `R_ij` in frame slots for a
     /// frame of `frame_capacity` slots; a flow keeps its reservation
-    /// on every link of its path (Section 5.1).
+    /// on every link it can use (Section 5.1).
     ///
-    /// * Flows with an explicit [`ScenarioFlow::share`] get
-    ///   `floor(share × capacity)`; when every destination is fixed,
-    ///   the per-link sums must then fit the frame.
-    /// * Otherwise, if every flow has a fixed destination, weights are
-    ///   scaled so the most loaded link is exactly filled.
-    /// * If any flow uses random destinations (uniform traffic), the
-    ///   whole frame is split in proportion to weights across *all*
-    ///   flows, since any link may be shared by all of them.
+    /// * An [`Alloc::Share`] gets `floor(share × capacity)`.
+    /// * A [`Alloc::Weight`], when every flow has a fixed destination,
+    ///   is scaled so the most loaded link is exactly filled.
+    /// * Otherwise (uniform traffic) the whole frame is split in
+    ///   proportion to weights across *all* flows, since any link may
+    ///   be shared by all of them.
+    ///
+    /// Every link's reservations must then fit the frame. A link is a
+    /// source's injection link or a router output port, ejection
+    /// included; a random destination may load every router output
+    /// port.
     ///
     /// # Example
     ///
@@ -98,83 +109,76 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns an error if the scenario has no flows, if it fails
-    /// [`Scenario::check`] (zero-flit packets, a flow that leaves the
-    /// topology), if any flow would get zero slots, if explicit shares
-    /// oversubscribe a link, or if, with every destination fixed, a
-    /// flow is addressed to its own source or has a weight that is not
-    /// positive and finite.
+    /// [`Scenario::check`], if any flow would get zero slots, or if a
+    /// link's reservations exceed the frame (the error names the link).
     pub fn reservations(&self, frame_capacity: u32) -> Result<Vec<u32>, ConfigError> {
         if self.flows.is_empty() {
             return Err(ConfigError::new("scenario has no flows"));
         }
         self.check()?;
         let cap = f64::from(frame_capacity);
+        let links = self.topo.num_nodes() * LINKS_PER_NODE;
         let fixed = self
             .flows
             .iter()
             .all(|f| matches!(f.dest, DestRule::Fixed(_)));
-        if self.flows.iter().all(|f| f.share.is_some()) {
-            let mut out = Vec::with_capacity(self.flows.len());
-            for (i, f) in self.flows.iter().enumerate() {
-                let share = f.share.expect("checked above");
-                if !(0.0..=1.0).contains(&share) {
-                    return Err(ConfigError::new(format!(
-                        "flow f{i} share {share} outside (0, 1]"
-                    )));
+        let weight = |f: &ScenarioFlow| match f.alloc {
+            Alloc::Weight(w) => Some(w),
+            Alloc::Share(_) => None,
+        };
+        let max_load = fixed.then(|| {
+            let mut loads = vec![0.0_f64; links];
+            for f in &self.flows {
+                if let Some(w) = weight(f) {
+                    self.each_link(f, |link| loads[link] += w);
                 }
-                let r = (share * cap).floor() as u32;
-                if r == 0 {
-                    return Err(ConfigError::new(format!(
-                        "flow f{i} share {share} rounds to zero slots"
-                    )));
-                }
-                out.push(r);
             }
-            let sums = fixed.then(|| self.link_sums(|i, _| u64::from(out[i])));
-            let sums = sums.transpose()?.unwrap_or_default();
-            if let Some(link) = sums.iter().position(|&s| s > u64::from(frame_capacity)) {
-                let port = Direction::ALL.get(link % (Direction::COUNT + 1));
-                return Err(ConfigError::new(format!(
-                    "n{} {} oversubscribed: total reservation {} exceeds frame capacity {}",
-                    link / (Direction::COUNT + 1),
-                    port.map_or("injection link".to_string(), |d| format!("output {d}")),
-                    sums[link],
-                    frame_capacity
-                )));
-            }
-            return Ok(out);
-        }
-        let loads = fixed.then(|| self.link_sums(|_, f| f.weight)).transpose()?;
-        let max_load = loads.map(|loads| loads.into_iter().fold(0.0_f64, f64::max));
-        let total: f64 = self.flows.iter().map(|f| f.weight).sum();
+            loads.into_iter().fold(0.0_f64, f64::max)
+        });
+        let total: f64 = self.flows.iter().filter_map(weight).sum();
         let mut out = Vec::with_capacity(self.flows.len());
         for (i, f) in self.flows.iter().enumerate() {
-            let r = match max_load {
-                Some(max) => (f.weight * (cap / max)).floor(),
-                None => (f.weight / total * cap).floor(),
+            let r = match (f.alloc, max_load) {
+                (Alloc::Share(share), _) => (share * cap).floor(),
+                (Alloc::Weight(w), Some(max)) => (w * (cap / max)).floor(),
+                (Alloc::Weight(w), None) => (w / total * cap).floor(),
             } as u32;
             if r == 0 {
                 return Err(ConfigError::new(format!(
-                    "flow f{i} weight {} too small: its reservation would be zero \
-                     with frame capacity {frame_capacity}",
-                    f.weight
+                    "flow f{i} {:?} rounds to zero slots of a frame of {frame_capacity}",
+                    f.alloc
                 )));
             }
             out.push(r);
         }
+        let mut sums = vec![0_u64; links];
+        for (f, &r) in self.flows.iter().zip(&out) {
+            self.each_link(f, |link| sums[link] += u64::from(r));
+        }
+        if let Some(link) = sums.iter().position(|&s| s > u64::from(frame_capacity)) {
+            let port = Direction::ALL.get(link % LINKS_PER_NODE);
+            return Err(ConfigError::new(format!(
+                "n{} {} oversubscribed: total reservation {} exceeds frame capacity {}",
+                link / LINKS_PER_NODE,
+                port.map_or("injection link".to_string(), |d| format!("output {d}")),
+                sums[link],
+                frame_capacity
+            )));
+        }
         Ok(out)
     }
 
-    /// Fails unless the scenario can be built on [`Scenario::topo`]:
-    /// packets carry at least one flit, and every flow stays on the
-    /// topology — its source and fixed destination are nodes of it,
-    /// and a uniform destination draws from at least two and at most
-    /// all of its nodes.
+    /// Fails unless the scenario can be built on [`Scenario::topo`]
+    /// and every flow can be given a reservation.
     ///
     /// # Errors
     ///
     /// Names a zero packet length, or the first flow that leaves the
-    /// topology.
+    /// topology (its source or fixed destination is not a node of it,
+    /// or a uniform destination draws from fewer than two or more than
+    /// all of its nodes), is addressed to its own source, has a weight
+    /// that is not positive and finite or a share outside (0, 1], or
+    /// is not sized the same way as the first flow.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.packet_len == 0 {
             return Err(ConfigError::new(format!(
@@ -195,40 +199,46 @@ impl Scenario {
                     f.src, f.dest, self.name
                 )));
             }
+            let alloc_ok = match (f.alloc, self.flows[0].alloc) {
+                (Alloc::Weight(w), Alloc::Weight(_)) => w.is_finite() && w > 0.0,
+                (Alloc::Share(share), Alloc::Share(_)) => share > 0.0 && share <= 1.0,
+                _ => false,
+            };
+            if f.dest == DestRule::Fixed(f.src) || !alloc_ok {
+                return Err(ConfigError::new(format!(
+                    "flow f{i} (source {}, destination {:?}, {:?}) needs distinct nodes and, \
+                     like flow f0, a positive, finite weight or a share in (0, 1]",
+                    f.src, f.dest, f.alloc
+                )));
+            }
         }
         Ok(())
     }
 
-    /// Sums `value(i, flow)` over every link of each flow's path, in
-    /// flow order, when every destination is fixed. Link
-    /// `node * (Direction::COUNT + 1) + port` is a router output port
+    /// Visits every link `flow` can load: its source's injection link,
+    /// then the router output ports of a fixed destination's path, or
+    /// every router output port for a random destination. Link
+    /// `node * LINKS_PER_NODE + port` is a router output port
     /// (ejection included), or the injection link when `port` is
-    /// `Direction::COUNT`. Fails on a flow to its own source or with a
-    /// weight that is not positive and finite.
-    fn link_sums<T: Copy + Default + AddAssign>(
-        &self,
-        value: impl Fn(usize, &ScenarioFlow) -> T,
-    ) -> Result<Vec<T>, ConfigError> {
-        let stride = Direction::COUNT + 1;
-        let mut sums = vec![T::default(); self.topo.num_nodes() * stride];
-        for (i, f) in self.flows.iter().enumerate() {
-            let DestRule::Fixed(dst) = f.dest else {
-                unreachable!("every destination is fixed")
-            };
-            if dst == f.src || !(f.weight.is_finite() && f.weight > 0.0) {
-                return Err(ConfigError::new(format!(
-                    "flow f{i} ({} -> {dst}, weight {}) needs distinct nodes and a \
-                     positive, finite weight",
-                    f.src, f.weight
-                )));
+    /// `Direction::COUNT`.
+    fn each_link(&self, flow: &ScenarioFlow, mut visit: impl FnMut(usize)) {
+        visit(flow.src.index() * LINKS_PER_NODE + Direction::COUNT);
+        match flow.dest {
+            DestRule::Fixed(dst) => {
+                for (node, dir) in self.topo.port_path(flow.src, dst) {
+                    visit(node.index() * LINKS_PER_NODE + dir.index());
+                }
             }
-            let v = value(i, f);
-            sums[f.src.index() * stride + Direction::COUNT] += v;
-            for (node, dir) in self.topo.port_path(f.src, dst) {
-                sums[node.index() * stride + dir.index()] += v;
+            DestRule::UniformRandom { .. } => {
+                for node in self.topo.nodes() {
+                    for dir in Direction::ALL {
+                        if dir == Direction::Local || self.topo.neighbor(node, dir).is_some() {
+                            visit(node.index() * LINKS_PER_NODE + dir.index());
+                        }
+                    }
+                }
             }
         }
-        Ok(sums)
     }
 
     /// Looks up a flow group by name.
@@ -278,8 +288,7 @@ impl Scenario {
                 src,
                 dest: DestRule::UniformRandom { num_nodes },
                 process: InjectionProcess::Bernoulli { rate },
-                weight: 1.0,
-                share: None,
+                alloc: Alloc::Weight(1.0),
             })
             .collect();
         Scenario {
@@ -307,8 +316,7 @@ impl Scenario {
                 src,
                 dest: DestRule::Fixed(hotspot),
                 process: InjectionProcess::Bernoulli { rate },
-                weight: weight_of(src),
-                share: None,
+                alloc: Alloc::Weight(weight_of(src)),
             })
             .collect();
         Self::on_default_mesh(format!("{name}(rate={rate})"), flows)
@@ -381,8 +389,7 @@ impl Scenario {
             src: NodeId::new(src),
             dest: DestRule::Fixed(hotspot),
             process,
-            weight: 1.0,
-            share: Some(0.25),
+            alloc: Alloc::Share(0.25),
         };
         let flows = vec![
             mk(0, InjectionProcess::Regulated { rate: 0.2 }),
@@ -431,16 +438,14 @@ impl Scenario {
                 src: topo.node(0, y),
                 dest: DestRule::Fixed(center),
                 process: InjectionProcess::Bernoulli { rate },
-                weight: 1.0,
-                share: Some(1.0 / 9.0),
+                alloc: Alloc::Share(1.0 / 9.0),
             });
         }
         flows.push(ScenarioFlow {
             src: topo.node(6, 4),
             dest: DestRule::Fixed(topo.node(7, 4)),
             process: InjectionProcess::Bernoulli { rate },
-            weight: 1.0,
-            share: Some(1.0 / 9.0),
+            alloc: Alloc::Share(1.0 / 9.0),
         });
         let grey: Vec<FlowId> = (0..8).map(FlowId::new).collect();
         Scenario {
@@ -499,8 +504,7 @@ impl Scenario {
                 src: topo.node(sx, sy),
                 dest: DestRule::Fixed(topo.node(dx, dy)),
                 process: process.clone(),
-                weight: 1.0,
-                share: None,
+                alloc: Alloc::Weight(1.0),
             })
             .collect();
         Self::on_default_mesh(format!("bursty-low-duty(on={rate_on})"), flows)
@@ -519,8 +523,7 @@ impl Scenario {
                 src: topo.node(0, y),
                 dest: DestRule::Fixed(topo.node(7, y)),
                 process: InjectionProcess::Regulated { rate },
-                weight: 1.0,
-                share: None,
+                alloc: Alloc::Weight(1.0),
             })
             .collect();
         Self::on_default_mesh(format!("regulated(rate={rate})"), flows)
@@ -540,8 +543,7 @@ impl Scenario {
                     src,
                     dest: DestRule::Fixed(topo.node(y, x)),
                     process: InjectionProcess::Bernoulli { rate },
-                    weight: 1.0,
-                    share: None,
+                    alloc: Alloc::Weight(1.0),
                 })
             })
             .collect();
@@ -558,8 +560,7 @@ impl Scenario {
                 src,
                 dest: DestRule::Fixed(NodeId::new(!(src.index() as u32) & (n - 1))),
                 process: InjectionProcess::Bernoulli { rate },
-                weight: 1.0,
-                share: None,
+                alloc: Alloc::Weight(1.0),
             })
             .collect();
         Self::on_default_mesh(format!("bit-complement(rate={rate})"), flows)
@@ -577,8 +578,7 @@ impl Scenario {
                     src,
                     dest: DestRule::Fixed(topo.node((x + 1) % 8, y)),
                     process: InjectionProcess::Bernoulli { rate },
-                    weight: 1.0,
-                    share: None,
+                    alloc: Alloc::Weight(1.0),
                 }
             })
             .collect();
@@ -714,17 +714,17 @@ mod tests {
         }
         // Flows 0 and 48 share node 55's South output: 2 × 76 > 128.
         let mut s = Scenario::case_study_1(0.5);
-        s.flows.iter_mut().for_each(|f| f.share = Some(0.6));
+        s.flows.iter_mut().for_each(|f| f.alloc = Alloc::Share(0.6));
         let err = s.reservations(128).unwrap_err().to_string();
         assert!(err.contains("n55 output S oversubscribed"), "{err}");
         // Flows 48 and 56 meet only at the hotspot's ejection port:
         // 64 + 64 slots fit a 128-slot frame, 100 + 100 do not.
         s.flows.remove(0);
-        s.flows.iter_mut().for_each(|f| f.share = Some(0.5));
+        s.flows.iter_mut().for_each(|f| f.alloc = Alloc::Share(0.5));
         assert_eq!(s.reservations(128).unwrap(), vec![64, 64]);
         s.flows
             .iter_mut()
-            .for_each(|f| f.share = Some(100.0 / 128.0));
+            .for_each(|f| f.alloc = Alloc::Share(100.0 / 128.0));
         let err = s.reservations(128).unwrap_err().to_string();
         assert!(err.contains("n63 output L oversubscribed"), "{err}");
     }
@@ -732,7 +732,7 @@ mod tests {
     #[test]
     fn reservation_share_out_of_range_rejected() {
         let mut s = Scenario::case_study_1(0.5);
-        s.flows[0].share = Some(1.5);
+        s.flows[0].alloc = Alloc::Share(1.5);
         assert!(s.reservations(256).is_err());
     }
 

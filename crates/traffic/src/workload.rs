@@ -15,9 +15,9 @@ pub enum DestRule {
     /// Every packet goes to the same node (all paper experiments
     /// except uniform traffic).
     Fixed(NodeId),
-    /// Each packet picks a destination uniformly at random among all
-    /// nodes except the source (the paper's *uniform* pattern, where
-    /// "each source is treated as a separate flow").
+    /// Each packet picks a destination uniformly at random among nodes
+    /// `0..num_nodes` except the source (the paper's *uniform*
+    /// pattern, where "each source is treated as a separate flow").
     UniformRandom {
         /// Total number of nodes to draw from.
         num_nodes: u32,
@@ -135,9 +135,11 @@ impl TrafficSource for Workload {
                 let dst = match flow.dest {
                     DestRule::Fixed(d) => d,
                     DestRule::UniformRandom { num_nodes } => {
-                        // Draw among the other nodes.
-                        let r = flow.rng.next_below(num_nodes as u64 - 1) as u32;
+                        // Draw among the other nodes of the set; a
+                        // source outside it draws from all of them.
                         let src = flow.src.index() as u32;
+                        let others = num_nodes - u32::from(src < num_nodes);
+                        let r = flow.rng.next_below(u64::from(others)) as u32;
                         NodeId::new(if r >= src { r + 1 } else { r })
                     }
                 };
@@ -191,38 +193,44 @@ impl TrafficSource for Workload {
 mod tests {
     use super::*;
 
-    #[test]
-    fn uniform_random_never_targets_self() {
-        let mut w = Workload::new(4, 7);
+    /// Destinations of the 2 000 packets a flow at `src` sends, one a
+    /// cycle, drawing from `num_nodes` nodes.
+    fn uniform_dests(src: u32, num_nodes: u32, seed: u64) -> Vec<usize> {
+        let mut w = Workload::new(4, seed);
         w.add_flow(
-            NodeId::new(5),
-            DestRule::UniformRandom { num_nodes: 16 },
-            InjectionProcess::Regulated { rate: 4.0 },
-        );
-        let mut out = Vec::new();
-        for cycle in 0..1_000 {
-            w.generate(cycle, &mut out);
-        }
-        assert!(!out.is_empty());
-        assert!(out.iter().all(|p| p.dst != p.src));
-        assert!(out.iter().all(|p| p.dst.index() < 16));
-    }
-
-    #[test]
-    fn uniform_random_covers_all_destinations() {
-        let mut w = Workload::new(4, 3);
-        w.add_flow(
-            NodeId::new(0),
-            DestRule::UniformRandom { num_nodes: 8 },
+            NodeId::new(src),
+            DestRule::UniformRandom { num_nodes },
             InjectionProcess::Regulated { rate: 4.0 },
         );
         let mut out = Vec::new();
         for cycle in 0..2_000 {
             w.generate(cycle, &mut out);
         }
+        out.iter().map(|p| p.dst.index()).collect()
+    }
+
+    #[test]
+    fn uniform_random_never_targets_self() {
+        let dests = uniform_dests(5, 16, 7);
+        assert!(!dests.is_empty());
+        assert!(dests.iter().all(|&d| d != 5 && d < 16));
+    }
+
+    /// A source outside the draw set reaches every node of it evenly.
+    #[test]
+    fn uniform_random_from_outside_the_set_covers_it_evenly() {
+        let mut seen = [0_u32; 4];
+        for d in uniform_dests(9, 4, 11) {
+            seen[d] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 400), "{seen:?}");
+    }
+
+    #[test]
+    fn uniform_random_covers_all_destinations() {
         let mut seen = [false; 8];
-        for p in &out {
-            seen[p.dst.index()] = true;
+        for d in uniform_dests(0, 8, 3) {
+            seen[d] = true;
         }
         assert!(!seen[0]); // never self
         assert!(seen[1..].iter().all(|&s| s));

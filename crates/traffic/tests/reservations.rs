@@ -1,5 +1,6 @@
-//! `Scenario::reservations` with fixed destinations: weights scale to
-//! the most loaded link, and malformed flows are errors.
+//! `Scenario::reservations`: with fixed destinations weights scale to
+//! the most loaded link, every link's reservations must fit the frame,
+//! and malformed flows are errors.
 
 use std::collections::HashMap;
 
@@ -7,7 +8,7 @@ use noc_sim::flit::NodeId;
 use noc_sim::rng::Xoshiro256;
 use noc_sim::topology::Topology;
 use noc_traffic::scenario::ScenarioFlow;
-use noc_traffic::{DestRule, Scenario};
+use noc_traffic::{Alloc, DestRule, Scenario};
 
 /// A scenario of fixed-destination flows `(src, dst, weight)` on the
 /// 8×8 mesh.
@@ -16,7 +17,7 @@ fn mesh8(flows: &[(u32, u32, f64)]) -> Scenario {
     let flow = |&(src, dst, weight): &(u32, u32, f64)| ScenarioFlow {
         src: NodeId::new(src),
         dest: DestRule::Fixed(NodeId::new(dst)),
-        weight,
+        alloc: Alloc::Weight(weight),
         ..s.flows[0].clone()
     };
     s.flows = flows.iter().map(flow).collect();
@@ -54,8 +55,10 @@ fn flows_sharing_only_a_router_link_split_it_by_load() {
 }
 
 /// What a fixed-destination flow cannot be: addressed to its own
-/// source, or weighted by anything but a positive finite number —
-/// with weights or explicit shares alike.
+/// source, or weighted by anything but a positive finite number. With
+/// explicit shares no weight is left, so only the self-addressed flow
+/// stays an error. A share among weights is an error too, not a flow
+/// silently sized by weight.
 #[test]
 fn malformed_flows_are_errors() {
     for (dst, weight) in [
@@ -68,9 +71,33 @@ fn malformed_flows_are_errors() {
         let mut s = mesh8(&[(0, 63, 1.0), (5, dst, weight)]);
         let err = s.reservations(128).unwrap_err();
         assert!(err.message().contains("distinct nodes"), "{err}");
-        s.flows.iter_mut().for_each(|f| f.share = Some(0.25));
-        assert!(s.reservations(128).is_err());
+        s.flows
+            .iter_mut()
+            .for_each(|f| f.alloc = Alloc::Share(0.25));
+        assert_eq!(s.reservations(128).is_err(), dst == 5, "{weight}");
     }
+    let mut s = mesh8(&[(0, 63, 1.0), (56, 63, 1.0)]);
+    s.flows[1].alloc = Alloc::Share(0.25);
+    let err = s.reservations(128).unwrap_err();
+    assert!(err.message().contains("like flow f0"), "{err}");
+}
+
+/// Random destinations may load every router output port, so their
+/// shares are checked there too: 64 halves of a frame do not fit node
+/// 0's East output.
+#[test]
+fn uniform_shares_that_oversubscribe_a_router_port_are_errors() {
+    let mut s = Scenario::uniform(0.1);
+    s.flows.iter_mut().for_each(|f| f.alloc = Alloc::Share(0.5));
+    let err = s.reservations(256).unwrap_err();
+    assert!(
+        err.message().contains("n0 output E oversubscribed"),
+        "{err}"
+    );
+    s.flows
+        .iter_mut()
+        .for_each(|f| f.alloc = Alloc::Share(1.0 / 64.0));
+    assert_eq!(s.reservations(256).unwrap(), vec![4; 64]);
 }
 
 #[test]

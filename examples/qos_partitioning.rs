@@ -3,9 +3,9 @@
 //!
 //! A *premium* tenant (top half of the mesh) and a *best-effort*
 //! tenant (bottom half) both stream to a shared memory-controller
-//! node. LOFT's per-link frame reservations turn the 3:1 weights into
-//! a 3:1 throughput split, with tight per-flow fairness inside each
-//! tenant.
+//! node. LOFT's frame reservations, which a flow holds on every link
+//! of its path, turn the 3:1 weights into a 3:1 throughput split, with
+//! tight per-flow fairness inside each tenant.
 //!
 //! ```text
 //! cargo run --release -p loft-examples --bin qos_partitioning
@@ -16,40 +16,38 @@ use noc_sim::flit::FlowId;
 use noc_sim::flit::NodeId;
 use noc_sim::{RunConfig, Simulation};
 use noc_traffic::scenario::ScenarioFlow;
-use noc_traffic::{DestRule, InjectionProcess, Scenario};
+use noc_traffic::{Alloc, DestRule, InjectionProcess, Scenario};
 
 fn main() {
     let topo = Scenario::default_topology();
     let controller = NodeId::new(63);
 
-    // Build a custom scenario: same hotspot, two weight classes.
+    // Build a custom scenario: same hotspot, two weight classes. Every
+    // destination is fixed, so the weights scale to the most loaded
+    // link, the controller's ejection port: each premium flow reserves
+    // three times the frame slots of a best-effort flow.
     let mut flows = Vec::new();
+    let (mut premium_ids, mut best_effort_ids) = (Vec::new(), Vec::new());
     for src in topo.nodes() {
         if src == controller {
             continue;
         }
         let (_, y) = topo.coords(src);
-        let premium = y < 4;
+        let id = FlowId::new(flows.len() as u32);
+        let weight = if y < 4 {
+            premium_ids.push(id);
+            3.0
+        } else {
+            best_effort_ids.push(id);
+            1.0
+        };
         flows.push(ScenarioFlow {
             src,
             dest: DestRule::Fixed(controller),
             process: InjectionProcess::Bernoulli { rate: 0.05 },
-            weight: if premium { 3.0 } else { 1.0 },
-            share: None,
+            alloc: Alloc::Weight(weight),
         });
     }
-    let premium_ids: Vec<FlowId> = flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.weight > 1.0)
-        .map(|(i, _)| FlowId::new(i as u32))
-        .collect();
-    let best_effort_ids: Vec<FlowId> = flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.weight == 1.0)
-        .map(|(i, _)| FlowId::new(i as u32))
-        .collect();
     let scenario = Scenario {
         name: "qos-partitioning".into(),
         topo,
