@@ -565,7 +565,7 @@ fn matrix(points: &[(Topology, TrafficKind, f64, RunConfig)], seed: u64) -> Vec<
 /// shared-warmup fork pays even at `--jobs 1`.
 ///
 /// `_threads` is accepted and ignored (every simulation steps on one
-/// thread); ROADMAP item 2 deletes it.
+/// thread); ROADMAP item 5(c) deletes it.
 #[must_use]
 pub fn full_matrix(_threads: usize, seed: u64) -> Vec<SweepGroup> {
     let run = RunConfig {

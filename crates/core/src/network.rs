@@ -185,6 +185,10 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// Look-ahead flits currently in the look-ahead plane, per flow
     /// (capped by `la_flow_window`).
     la_outstanding: Vec<u32>,
+    /// The source node of each flow, recorded at its first `enqueue`
+    /// (`u32::MAX` before): the node a freed look-ahead window slot
+    /// wakes.
+    flow_src: Vec<u32>,
     /// Look-ahead flits in flight to their next input port.
     la_wires: DelayedWires<LaFlit>,
     /// Data quanta in flight to their next input port.
@@ -197,7 +201,13 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// the only links the data plane visits — every slot, which keeps
     /// their schedulers at the clock.
     pending_links: ActiveSet,
-    /// Nodes with queued source quanta awaiting look-ahead launch.
+    /// Every node that can launch a look-ahead: one with a staging
+    /// backlog below `la_flow_window` and a queued quantum of a flow
+    /// whose look-ahead window has room. A visit that launches nothing
+    /// or fills the backlog removes the node; `enqueue`, a staged
+    /// quantum leaving in `nic_inject` and an ejection booking that
+    /// frees a window slot of one of its flows put it back. Every
+    /// member has `queued > 0`.
     launch_work: ActiveSet,
     /// Nodes with staged quanta awaiting injection.
     stage_work: ActiveSet,
@@ -267,6 +277,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             packets: PacketStore::new(),
             waiting: 0,
             la_outstanding: vec![0; reservations_flits.len()],
+            flow_src: vec![u32::MAX; reservations_flits.len()],
             la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
             data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
             la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len()),
@@ -314,17 +325,22 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     fn la_launch(&mut self, now: u64) {
         let la_hop = self.cfg.la_hop_latency;
         let q = self.cfg.flits_per_quantum as u64;
+        let window = self.cfg.la_flow_window;
         let mut cursor = 0;
         while let Some(node) = self.launch_work.first_from(cursor) {
             cursor = node + 1;
-            if self.nics[node].staged.len() >= self.cfg.la_flow_window as usize {
-                continue; // data staging backlog: hold the look-aheads
+            // Data staging backlog at the window: hold the look-aheads
+            // until `nic_inject` streams a staged quantum out.
+            if self.nics[node].staged.len() >= window as usize {
+                self.launch_work.remove(node);
+                continue;
             }
+            let mut launched_any = false;
             let len = self.nics[node].rr_flows.len();
             for k in 0..len {
                 let fi = (self.nics[node].rr + k) % len;
                 let fid = self.nics[node].rr_flows[fi];
-                if self.la_outstanding[fid as usize] >= self.cfg.la_flow_window {
+                if self.la_outstanding[fid as usize] >= window {
                     continue; // the flow's look-ahead window is full
                 }
                 // One quantum of the flow's head packet launches. The
@@ -356,9 +372,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 let out_port = self.cfg.topo.route(node, dst) as u8;
                 let res_idx = self.data_ports[node * PORTS + LOCAL].reserve(out_port);
                 nic.staged.push_back((res_idx, pref));
-                if self.nics[node].queued == 0 {
+                if nic.queued == 0 || nic.staged.len() >= window as usize {
                     self.launch_work.remove(node);
                 }
+                launched_any = true;
                 self.la_outstanding[fid as usize] += 1;
                 self.stage_work.insert(node);
                 self.la_wires.push(
@@ -374,6 +391,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     },
                 );
                 break;
+            }
+            // Every flow with a quantum queued has a full look-ahead
+            // window: hold the node until an ejection booking frees a
+            // slot.
+            if !launched_any {
+                self.launch_work.remove(node);
             }
         }
     }
@@ -466,9 +489,11 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 self.sched(up).return_credit(slot);
             }
             // Ejection booked: the look-ahead flit is consumed
-            // and the flow's look-ahead window slot frees up.
+            // and the flow's look-ahead window slot frees up, which
+            // may let its source launch again.
             let Some((ridx, next_out, res_idx)) = onward else {
                 self.la_outstanding[la.flow.index()] -= 1;
+                self.wake_launch(self.flow_src[la.flow.index()] as usize);
                 continue;
             };
             self.la_wires.push(
@@ -514,6 +539,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             if nic.staged.is_empty() {
                 self.stage_work.remove(node);
             }
+            // The staging backlog fell below the window.
+            self.wake_launch(node);
             self.data_ports[pidx].nonspec_free -= 1;
             self.packets.get_mut(pref).injected_at.get_or_insert(at);
             self.data_wires.push(
@@ -660,6 +687,15 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
     }
 
+    /// Puts `node` back on `launch_work` if it has a quantum queued:
+    /// its staging backlog shrank or a flow of it freed a look-ahead
+    /// window slot.
+    fn wake_launch(&mut self, node: usize) {
+        if self.nics[node].queued > 0 {
+            self.launch_work.insert(node);
+        }
+    }
+
     fn eject(&mut self, node: usize, pref: PacketRef, slot: u64, out: &mut Vec<Packet>) {
         let total = self.quanta_per_packet(self.packets.get(pref).len_flits) as u16;
         let q = self.cfg.flits_per_quantum as u64;
@@ -760,10 +796,17 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             }
             debug_assert_eq!(nic.queued as u64, unlaunched, "queued miscounts NIC {node}");
             waiting += nic.flow_q.iter().map(|q| q.len()).sum::<usize>();
-            debug_assert_eq!(
-                self.launch_work.contains(node),
-                nic.queued > 0,
-                "launch_work out of sync at node {node}"
+            let window = self.cfg.la_flow_window;
+            let can_launch = nic.staged.len() < window as usize
+                && (0..nic.rr_flows.len()).any(|fi| {
+                    self.la_outstanding[nic.rr_flows[fi] as usize] < window
+                        && (nic.head[fi].is_some() || !nic.flow_q[fi].is_empty())
+                });
+            let member = self.launch_work.contains(node);
+            debug_assert!(member || !can_launch, "launch_work misses node {node}");
+            debug_assert!(
+                nic.queued > 0 || !member,
+                "launch_work holds idle node {node}"
             );
             debug_assert_eq!(
                 self.stage_work.contains(node),
@@ -849,6 +892,12 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let node = packet.src.index();
         let quanta = self.quanta_per_packet(packet.len_flits);
         let fid = packet.id.flow.index() as u32;
+        let src = &mut self.flow_src[fid as usize];
+        assert!(
+            *src == u32::MAX || *src == node as u32,
+            "flow {fid} sourced at two nodes"
+        );
+        *src = node as u32;
         let nic = &mut self.nics[node];
         // Linear scan over the node's own flows: enqueue runs once
         // per packet, and a node sources only a handful of flows.
@@ -1262,5 +1311,31 @@ mod tests {
         let out = drain(&mut net, 5_000);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len_flits, 5);
+    }
+
+    /// On a saturated tree toward one node the sources' look-ahead
+    /// windows and staging backlogs fill: `launch_work` holds fewer
+    /// nodes than have quanta queued, and the blocked ones still launch
+    /// everything once woken.
+    #[test]
+    fn blocked_launchers_leave_the_worklist() {
+        let mut net = LoftNetwork::new(LoftConfig::small(), &[4; 15]);
+        for seq in 0..20 {
+            for src in 0..15 {
+                net.enqueue(packet(src, seq, src, 15, 0));
+            }
+        }
+        let mut out = Vec::new();
+        for _ in 0..500 {
+            net.step(&mut out);
+        }
+        let queued = net.nics.iter().filter(|nic| nic.queued > 0).count();
+        assert!(
+            net.launch_work.len() < queued,
+            "{} listed launchers, {queued} with quanta queued",
+            net.launch_work.len()
+        );
+        out.extend(drain(&mut net, 100_000));
+        assert_eq!(out.len(), 300);
     }
 }

@@ -118,9 +118,9 @@ pub trait RouterPolicy {
     /// free VC is found.
     fn pop_source(source: &mut Self::Source) -> (FlowId, Waiting, Self::Tag);
 
-    /// Whether this source queue holds nothing ready to stream (the
-    /// NIC worklist predicate, together with the streaming state the
-    /// fabric tracks itself).
+    /// Whether this source queue holds nothing ready to stream (part
+    /// of the NIC worklist predicate, with the streaming state, credits
+    /// and free VCs the fabric tracks itself).
     fn source_idle(source: &Self::Source) -> bool;
 
     /// Virtual-channel allocation for one output port: hand free

@@ -236,6 +236,19 @@ impl<T> VcRouter<T> {
         self.va_req[out] |= 1u64 << slot;
     }
 
+    /// Whether output `out` keeps its router on the worklist: it has a
+    /// switch candidate, a VC request with a free VC to grant it, or,
+    /// when `stalls` are counted, a flit that waits for credit (whose
+    /// stall a visit records).
+    #[inline]
+    fn keeps_busy(&self, out: usize, stalls: bool) -> bool {
+        // Non-short-circuit `&` / `|`: no branch to mispredict.
+        let ready = self.sa_ready[out];
+        (ready & self.sa_credit[out] != 0)
+            | ((self.va_req[out] != 0) & (self.out_free[out] != 0))
+            | (stalls & (ready != 0))
+    }
+
     /// The slots requesting a VC at output `out`, in ascending slot
     /// order.
     #[inline]
@@ -359,7 +372,7 @@ pub struct VcParams {
     /// cycle's credit phase at the earliest).
     pub credit_delay: u64,
     /// Accepted and ignored: the VC fabric steps on one thread. Kept
-    /// only so configs that set it still compile; ROADMAP item 2
+    /// only so configs that set it still compile; ROADMAP item 5(c)
     /// deletes it with every other `threads` field.
     pub threads: usize,
 }
@@ -436,7 +449,8 @@ impl VcParams {
 /// asks is a per-output mask on [`VcRouter`] kept exact at the events
 /// that change it, so an output with no request, no free VC or no
 /// credit costs a load and a compare however many flits wait behind
-/// it.
+/// it; and a router or NIC that can move nothing leaves its worklist
+/// until the event that unblocks it, so a blocked one costs nothing.
 ///
 /// All iteration is in ascending node/link index order with live
 /// worklist semantics, bit-identical to the full scans it replaced.
@@ -459,17 +473,27 @@ pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
     /// Packets enqueued whose NIC has not started streaming them: the
     /// records in `sources`.
     waiting: usize,
-    /// Buffered input flits per router (maintains `router_work`).
-    buffered: Vec<u32>,
     /// In-flight flits per (node, input port), as `(vc, flit)`,
     /// indexed `node * PORTS + port`.
     wires: DelayedWires<(usize, VcFlit<P::Tag>)>,
     /// Credit returns `(node, port, vc)`; `port == LOCAL` means the
     /// NIC credit pool of `node`.
     credits_in_flight: TimedFifo<(usize, usize, usize)>,
-    /// NICs with a packet streaming or queued.
+    /// Every NIC that can move: one streaming a packet with credit on
+    /// its VC, or an idle one with a free local VC and a packet queued
+    /// (and, while the probe counts stalls, every NIC streaming a
+    /// packet). A visit that finds it blocked removes it; a local
+    /// credit that ends a VC's wait for credit or drains it, and
+    /// `on_enqueue` and `pre_inject`, put it back. Every member has a
+    /// packet streaming or queued.
     nic_work: ActiveSet,
-    /// Routers with at least one buffered input flit.
+    /// Every router that can move: one with a switch candidate or a VC
+    /// request at an output with a free VC (and, while the probe counts
+    /// stalls, every router with a switch-ready flit). Its
+    /// `switch_traverse` visit removes a router that can grant nothing;
+    /// a flit accepted from a link or the NIC, a credit that re-enables
+    /// a switch-ready slot and a drained VC at an output with requests
+    /// put it back. Every member holds a buffered flit.
     router_work: ActiveSet,
     /// Policy VC-allocation scratch, reused every cycle.
     scratch: P::Scratch,
@@ -513,7 +537,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             sources: (0..n).map(|_| policy.new_source()).collect(),
             packets: PacketStore::new(),
             waiting: 0,
-            buffered: vec![0; n],
             wires: DelayedWires::new(n * PORTS, params.hop_latency),
             credits_in_flight: TimedFifo::with_capacity(credit_cap),
             nic_work: ActiveSet::new(n),
@@ -569,7 +592,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let Self {
             wires,
             routers,
-            buffered,
             router_work,
             params,
             ..
@@ -590,7 +612,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 "strict VC separation forbids mixing packets in one VC"
             );
             router.accept(slot, flit, node, &params.topo);
-            buffered[node] += 1;
             router_work.insert(node);
         });
     }
@@ -603,17 +624,27 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             if port == LOCAL {
                 let nic = &mut self.nics[node];
                 nic.credits[vc] += 1;
+                // A first credit may unblock the streaming packet, and
+                // a drained VC a queued one.
+                let mut wake = nic.credits[vc] == 1;
                 if P::DRAIN_BEFORE_REUSE && nic.draining & vbit != 0 && nic.credits[vc] == cap {
                     nic.draining &= !vbit;
                     nic.free |= vbit;
+                    wake = true;
+                }
+                if wake && (nic.current.is_some() || !P::source_idle(&self.sources[node])) {
+                    self.nic_work.insert(node);
                 }
             } else {
                 let r = &mut self.routers[node];
                 let oslot = port * num_vcs + vc;
                 r.credits[oslot] += 1;
+                let mut wake = false;
                 if r.credits[oslot] == 1 && r.holder[oslot] != NO_HOLDER {
                     // The holder's flits can move again.
-                    r.sa_credit[port] |= 1u64 << r.holder[oslot];
+                    let bit = 1u64 << r.holder[oslot];
+                    r.sa_credit[port] |= bit;
+                    wake = r.sa_ready[port] & bit != 0;
                 }
                 if P::DRAIN_BEFORE_REUSE
                     && r.out_draining[port] & vbit != 0
@@ -621,6 +652,10 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 {
                     r.out_draining[port] &= !vbit;
                     r.out_free[port] |= vbit;
+                    wake |= r.va_req[port] != 0;
+                }
+                if wake {
+                    self.router_work.insert(node);
                 }
             }
         }
@@ -679,7 +714,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                         nic.current = None;
                     }
                     self.routers[node].accept(LOCAL * num_vcs + vc, flit, node, &self.params.topo);
-                    self.buffered[node] += 1;
                     self.router_work.insert(node);
                 } else {
                     // A packet is mid-stream but the local VC has no
@@ -687,14 +721,21 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     self.probe.on_nic_stall(node);
                 }
             }
-            if nic.current.is_none() && P::source_idle(&self.sources[node]) {
+            // Blocked until a credit returns or a packet is queued;
+            // while stalls are counted, a streaming NIC stays to count
+            // its own.
+            let blocked = match &nic.current {
+                Some(cur) => nic.credits[cur.vc] == 0 && !Pr::ENABLED,
+                None => nic.free == 0 || P::source_idle(&self.sources[node]),
+            };
+            if blocked {
                 self.nic_work.remove(node);
             }
         }
     }
 
-    /// VC allocation at every router with buffered flits, in
-    /// ascending node order.
+    /// VC allocation at every router on the worklist, in ascending
+    /// node order.
     fn vc_allocate(&mut self) {
         let num_vcs = self.params.num_vcs;
         let mut cursor = 0;
@@ -723,11 +764,15 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let mut cursor = 0;
         while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
+            // Whether the router can grant anything next cycle, output
+            // by output once this visit is done with it.
+            let mut busy = false;
             for out_port in 0..PORTS {
                 let router = &mut self.routers[node];
                 // No input VC has a flit for this output: nothing to
                 // arbitrate.
                 if router.sa_ready[out_port] == 0 {
+                    busy |= router.keeps_busy(out_port, Pr::ENABLED);
                     continue;
                 }
                 if router.sa_ready[out_port] & router.sa_credit[out_port] == 0 {
@@ -735,6 +780,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     // of their downstream VCs is out of credit: the
                     // link idles under load.
                     self.probe.on_link_stall(node * PORTS + out_port);
+                    busy |= router.keeps_busy(out_port, Pr::ENABLED);
                     continue;
                 }
                 let SwitchGrant {
@@ -749,10 +795,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     .q
                     .pop_front()
                     .expect("winner has a flit");
-                self.buffered[node] -= 1;
-                if self.buffered[node] == 0 {
-                    self.router_work.remove(node);
-                }
                 let bit = 1u64 << slot;
                 let oslot = out_port * num_vcs + ov;
                 if out_port != LOCAL {
@@ -777,10 +819,13 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     buf.route = None;
                     buf.out_vc = None;
                     // Whatever is queued behind the tail is the head
-                    // of the next packet, now at the front.
+                    // of the next packet, now at the front. Its VC
+                    // request may be at an output this loop has passed,
+                    // whose free VCs no longer change in this visit.
                     if let Some(next) = buf.q.front() {
                         let out = self.params.topo.route(node, next.dst);
                         router.route_front(slot, out);
+                        busy |= router.out_free[out] != 0;
                     }
                 } else if router.inputs[slot].q.is_empty() {
                     // Mid-packet with nothing buffered: the slot keeps
@@ -788,6 +833,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     // until the next flit arrives.
                     router.sa_ready[out_port] &= !bit;
                 }
+                busy |= router.keeps_busy(out_port, Pr::ENABLED);
                 // Return the freed input-slot credit upstream.
                 let (up, up_port) = if in_port == LOCAL {
                     (node, LOCAL)
@@ -804,6 +850,9 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     self.wires
                         .push(widx, now + self.params.hop_latency, (ov, flit));
                 }
+            }
+            if !busy {
+                self.router_work.remove(node);
             }
         }
     }
@@ -823,13 +872,14 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
     }
 
     /// Full-scan cross-check of every worklist and mask invariant
-    /// (debug builds only): the active sets must contain exactly the
-    /// indices a naive scan would find work at, every arbitration mask
-    /// must equal what a scan of the raw router state (`inputs`,
-    /// `credits`, VC ownership) yields — so the policies arbitrate
-    /// over exactly the requests, candidates and free VCs an
-    /// all-slots, all-VCs scan with per-candidate credit tests would
-    /// hand them.
+    /// (debug builds only): every arbitration mask must equal what a
+    /// scan of the raw router state (`inputs`, `credits`, VC
+    /// ownership) yields — so the policies arbitrate over exactly the
+    /// requests, candidates and free VCs an all-slots, all-VCs scan
+    /// with per-candidate credit tests would hand them — and the
+    /// active sets must contain every index that can move by those
+    /// recomputed masks, and only indices with something buffered or
+    /// queued.
     #[cfg(debug_assertions)]
     fn debug_verify_worklists(&self) {
         let num_vcs = self.params.num_vcs;
@@ -837,8 +887,6 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         self.wires.debug_verify();
         for n in 0..self.routers.len() {
             let nic = &self.nics[n];
-            let active = nic.current.is_some() || !P::source_idle(&self.sources[n]);
-            debug_assert_eq!(self.nic_work.contains(n), active, "nic_work[{n}]");
             // A local VC is owned while a packet streams into it
             // and, under drain-before-reuse, until the credits of
             // the last packet streamed into it are all back.
@@ -865,11 +913,16 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     "nic[{n}] vc {vc} draining with all credits back"
                 );
             }
+            let occupied = nic.current.is_some() || !P::source_idle(&self.sources[n]);
+            let can_move = match &nic.current {
+                Some(cur) => nic.credits[cur.vc] > 0 || Pr::ENABLED,
+                None => occupied && nic.free != 0,
+            };
+            let member = self.nic_work.contains(n);
+            debug_assert!(member || !can_move, "nic_work misses NIC {n}");
+            debug_assert!(occupied || !member, "nic_work holds idle NIC {n}");
 
             let router = &self.routers[n];
-            let count: u32 = router.inputs.iter().map(|buf| buf.q.len() as u32).sum();
-            debug_assert_eq!(self.buffered[n], count, "buffered[{n}]");
-            debug_assert_eq!(self.router_work.contains(n), count > 0, "router_work[{n}]");
             let mut va_req = [0u64; PORTS];
             let mut sa_ready = [0u64; PORTS];
             let mut sa_credit = [0u64; PORTS];
@@ -913,6 +966,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             debug_assert_eq!(router.sa_ready, sa_ready, "sa_ready[{n}]");
             debug_assert_eq!(router.sa_credit, sa_credit, "sa_credit[{n}]");
             debug_assert_eq!(router.holder[..], holder[..PORTS * num_vcs], "holder[{n}]");
+            let mut can_move = false;
             for out in 0..PORTS {
                 debug_assert_eq!(
                     router.sa_ready[out] & router.sa_credit[out],
@@ -923,11 +977,11 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 // holds it or while it drains, and free otherwise.
                 let draining = router.out_draining[out];
                 debug_assert_eq!(held[out] & draining, 0, "router {n}: held VC draining");
-                debug_assert_eq!(
-                    router.out_free[out],
-                    all_vcs(num_vcs) & !held[out] & !draining,
-                    "out_free[{n}][{out}]"
-                );
+                let free = all_vcs(num_vcs) & !held[out] & !draining;
+                debug_assert_eq!(router.out_free[out], free, "out_free[{n}][{out}]");
+                can_move |= candidates[out] != 0
+                    || (va_req[out] != 0 && free != 0)
+                    || (Pr::ENABLED && sa_ready[out] != 0);
                 for vc in 0..num_vcs {
                     debug_assert!(
                         draining & (1 << vc) == 0
@@ -938,6 +992,10 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     );
                 }
             }
+            let member = self.router_work.contains(n);
+            let occupied = router.inputs.iter().any(|buf| !buf.q.is_empty());
+            debug_assert!(member || !can_move, "router_work misses router {n}");
+            debug_assert!(occupied || !member, "router_work holds empty router {n}");
         }
     }
 }
@@ -997,5 +1055,129 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
 
     fn in_flight(&self) -> usize {
         self.packets.len() + self.waiting
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flit::{FlowId, PacketId, Waiting};
+
+    /// A minimal policy: FIFO sources, each VC request takes the lowest
+    /// free VC, and the first switch candidate from the round-robin
+    /// pointer wins.
+    #[derive(Debug, Clone)]
+    struct Fifo;
+
+    impl RouterPolicy for Fifo {
+        type Tag = ();
+        type Source = VecDeque<(FlowId, Waiting)>;
+        type Scratch = ();
+        const DRAIN_BEFORE_REUSE: bool = false;
+
+        fn new_source(&self) -> Self::Source {
+            VecDeque::new()
+        }
+
+        fn on_enqueue(
+            &mut self,
+            node: usize,
+            packet: &Packet,
+            ctx: &mut PolicyCtx<'_, Self::Source>,
+        ) {
+            ctx.sources[node].push_back((packet.id.flow, Waiting::of(packet)));
+            ctx.nic_work.insert(node);
+        }
+
+        fn pop_source(source: &mut Self::Source) -> (FlowId, Waiting, ()) {
+            let (flow, waiting) = source.pop_front().expect("source packet");
+            (flow, waiting, ())
+        }
+
+        fn source_idle(source: &Self::Source) -> bool {
+            source.is_empty()
+        }
+
+        fn vc_allocate((): &mut (), router: &mut VcRouter<()>, out: usize, num_vcs: usize) {
+            let free = MaskIter::rotated(router.out_free[out], 0);
+            for (slot, vc) in router.va_requests(out).zip(free) {
+                router.grant_vc(slot, out, vc, num_vcs);
+            }
+        }
+
+        fn pick_winner(router: &VcRouter<()>, out_port: usize, num_vcs: usize) -> SwitchGrant {
+            let slot = router
+                .sa_candidates(out_port, router.rr_sa[out_port])
+                .next()
+                .expect("called with a candidate");
+            SwitchGrant {
+                in_port: slot / num_vcs,
+                in_vc: slot % num_vcs,
+                out_vc: router.inputs[slot].out_vc.expect("candidate has a VC"),
+                slot,
+            }
+        }
+    }
+
+    /// On a saturated tree toward one node most routers hold flits they
+    /// cannot forward and most NICs a packet they cannot stream: the
+    /// worklists hold fewer of them than are occupied, and the blocked
+    /// ones still deliver everything once woken.
+    #[test]
+    fn blocked_routers_and_nics_leave_their_worklists() {
+        let params = VcParams {
+            topo: Topology::mesh(4, 4),
+            num_vcs: 2,
+            vc_capacity: 4,
+            hop_latency: 3,
+            credit_delay: 3,
+            threads: 1,
+        };
+        let mut fabric = VcFabric::new(params, Fifo);
+        let hotspot = 15u32;
+        let mut seq = 0;
+        for src in 0..hotspot {
+            for _ in 0..20 {
+                let id = PacketId {
+                    flow: FlowId::new(src),
+                    seq,
+                };
+                fabric.enqueue(Packet::new(
+                    id,
+                    NodeId::new(src),
+                    NodeId::new(hotspot),
+                    4,
+                    0,
+                ));
+                seq += 1;
+            }
+        }
+        let mut out = Vec::new();
+        for _ in 0..300 {
+            fabric.step(&mut out);
+        }
+        let holding = fabric
+            .routers
+            .iter()
+            .filter(|r| r.inputs.iter().any(|buf| !buf.q.is_empty()))
+            .count();
+        let streaming = (0..fabric.nics.len())
+            .filter(|&n| fabric.nics[n].current.is_some() || !fabric.sources[n].is_empty())
+            .count();
+        assert!(
+            fabric.router_work.len() < holding,
+            "{} listed routers, {holding} holding flits",
+            fabric.router_work.len()
+        );
+        assert!(
+            fabric.nic_work.len() < streaming,
+            "{} listed NICs, {streaming} with packets",
+            fabric.nic_work.len()
+        );
+        while fabric.in_flight() > 0 {
+            fabric.step(&mut out);
+            assert!(fabric.cycle() < 20_000, "the hotspot tree did not drain");
+        }
+        assert_eq!(out.len(), seq as usize);
     }
 }

@@ -5,7 +5,7 @@
 //! Nothing in the simulator uses it: every simulation steps on one
 //! thread, and whole simulations are the only parallelism (the
 //! sweep's and the paper binary's `loft_bench::map_jobs` lanes).
-//! ROADMAP item 2(c) deletes this module together with the
+//! ROADMAP item 5(c) deletes this module together with the
 //! benchmark's probe of it.
 
 /// Runs indexed task batches on the calling thread. The worker count

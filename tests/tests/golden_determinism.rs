@@ -197,3 +197,16 @@ fn gsf_hotspot_is_pinned() {
         0x4092_7A46_B27C_978C,
     );
 }
+
+/// The saturated tree toward the hotspot on wormhole: the one VC
+/// network whose blocked-router path the other pins leave uncovered.
+#[test]
+fn wormhole_hotspot_is_pinned() {
+    // avg_latency = 374.73282442748103
+    check_pin::<WormholeConfig>(
+        &Scenario::hotspot(0.02),
+        RunConfig::short(),
+        5_000,
+        0x4077_6BB9_A61B_5BDB,
+    );
+}

@@ -4,7 +4,7 @@
 //! configs through them, and its `par.shard2_speedup` probe fails if
 //! `threads: 2` changes a report. These tests pin that no value of
 //! the field changes anything a run produces; they go with the fields
-//! (ROADMAP item 2).
+//! (ROADMAP item 5(c)).
 //!
 //! Each check compares the full report, the full telemetry and the run
 //! bookkeeping with the default of `threads: 1`. The Welford latency
