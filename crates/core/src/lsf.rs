@@ -15,6 +15,33 @@
 //!   eliminate the *output scheduling anomaly* (Theorem I), and
 //! * **local status reset** (Section 4.3.2).
 //!
+//! # Refused flows sleep until something can let them book
+//!
+//! A refused [`LinkScheduler::schedule`] always leaves its flow at the
+//! last window frame, `head + WF − 1`, and from there a retry changes
+//! nothing and fails the same way until the scheduler changes in a
+//! way that can help that flow. The refusal stamps the flow *blocked*
+//! with the scheduler's wake generation, and a stamped flow is
+//! refused at once; the generation moves on (a *wake*) at exactly the
+//! events that can help, named after the three ways the last frame
+//! refuses:
+//!
+//! * **quota spent** (`C = 0`): only a frame crossing or a local
+//!   reset, which wake every flow anyway;
+//! * **Condition (1)**: `skipped` of the last frame cannot grow (a
+//!   flow yields only frames before its last) and bookings only lower
+//!   credits, so only a [`LinkScheduler::return_credit`] at or before
+//!   `Prior` that makes Condition (1) hold;
+//! * **slot search** (Algorithm 2): only a credit return reaching
+//!   into the last frame, or a [`LinkScheduler::complete`] that frees
+//!   one of its busy slots.
+//!
+//! The rule assumes what the network does: a refused flow retries the
+//! same request (a look-ahead queue re-offers the flow's oldest flit,
+//! with the same `earliest`). Both calls report whether they woke the
+//! scheduler, so the network can put the link's parked look-ahead
+//! queue back to work (`crate::lookahead`).
+//!
 //! Time is measured in *quantum slots*: one slot carries one data
 //! quantum (`flits_per_quantum` flits) on the link. Slots are
 //! absolute `u64`s; the table window covers
@@ -70,6 +97,7 @@ impl LsfParams {
 
 /// Per-flow LSF state: allocated reservation `R` (flits), remaining
 /// reservation `C` (flits), and the (absolute) injection frame `IF`.
+/// A network holds one per flow per link, so it is kept at 32 bytes.
 #[derive(Debug, Clone, Copy)]
 struct FlowLsf {
     r_flits: u32,
@@ -82,8 +110,14 @@ struct FlowLsf {
     /// Reset epoch this entry was last normalized against (see
     /// [`LinkScheduler::normalize_flow`]): entries from an older
     /// epoch are stale and reread as power-up state.
-    epoch: u64,
+    epoch: u32,
+    /// Wake generation of the flow's last refusal: equal to the
+    /// scheduler's current one while the flow is blocked (see the
+    /// module docs). 0 never matches.
+    blocked: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FlowLsf>() <= 32);
 
 /// A quantum scheduled on the link, waiting for its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,14 +187,20 @@ pub struct LinkScheduler {
     /// the set drains and refills (which at steady state is every
     /// few slots on every active link).
     pending: Vec<(u64, PendingQuantum)>,
-    /// Set whenever state changed in a way that could unblock a
-    /// previously failed scheduling attempt.
-    dirty: bool,
+    /// Wake generation, starting at 1: a flow stamped with it is
+    /// blocked (see the module docs).
+    wake_gen: u32,
+    /// Some flow blocked at the current generation failed
+    /// Condition (1) at the last frame.
+    cond1_waiters: bool,
+    /// Some flow blocked at the current generation failed the slot
+    /// search of the last frame.
+    slot_waiters: bool,
     /// Bumped on every local reset; per-flow entries carry the epoch
     /// they were last written under, making reset O(window) instead
     /// of O(flows) — the network has thousands of flows but only a
     /// handful are live on any one link.
-    reset_epoch: u64,
+    reset_epoch: u32,
     /// `true` while the scheduler is in its power-up/reset state —
     /// resetting again would be a no-op.
     fresh: bool,
@@ -206,10 +246,13 @@ impl LinkScheduler {
                     frame: 0,
                     last_slot: 0,
                     epoch: 0,
+                    blocked: 0,
                 })
                 .collect(),
             pending: Vec::new(),
-            dirty: true,
+            wake_gen: 1,
+            cond1_waiters: false,
+            slot_waiters: false,
             reset_epoch: 0,
             fresh: true,
             pristine: true,
@@ -238,11 +281,40 @@ impl LinkScheduler {
         self.resets
     }
 
-    /// Whether the scheduler changed since the last failed scheduling
-    /// attempt; clears the flag. Callers use this to avoid re-running
-    /// Algorithm 1 for stalled look-ahead flits when nothing changed.
-    pub fn take_dirty(&mut self) -> bool {
-        std::mem::replace(&mut self.dirty, false)
+    /// Whether `flow` is blocked: refused since the last wake, so that
+    /// [`LinkScheduler::schedule`] refuses it again at once (see the
+    /// module docs).
+    #[inline]
+    pub fn is_blocked(&self, flow: FlowId) -> bool {
+        self.flows[flow.index()].blocked == self.wake_gen
+    }
+
+    /// Wakes every flow: each one's next attempt runs Algorithm 1 in
+    /// full. Crossings, resets and the helping credit returns and
+    /// completions do this themselves; checks call it on a clone to
+    /// re-run a refused attempt.
+    pub fn wake_all(&mut self) {
+        self.cond1_waiters = false;
+        self.slot_waiters = false;
+        if self.wake_gen == u32::MAX {
+            self.clear_stamps();
+        }
+        self.wake_gen += 1;
+    }
+
+    /// The generation wraps around: clears every stamp so that none
+    /// of them can match a reused generation.
+    #[cold]
+    fn clear_stamps(&mut self) {
+        for st in &mut self.flows {
+            st.blocked = 0;
+        }
+        self.wake_gen = 0;
+    }
+
+    /// The last frame of the window, where refused flows wait.
+    fn last_frame(&self) -> u64 {
+        self.head + self.params.frame_window as u64 - 1
     }
 
     fn ring(&self, slot: u64) -> usize {
@@ -369,7 +441,7 @@ impl LinkScheduler {
             };
             debug_assert_eq!(self.frame_busy[fresh], 0, "future frame has busy slots");
             self.skipped[fresh] = 0;
-            self.dirty = true;
+            self.wake_all();
         }
     }
 
@@ -385,7 +457,7 @@ impl LinkScheduler {
 
     /// `k` [`LinkScheduler::advance_slot`] calls over clean tables
     /// as pure pointer arithmetic — `cp`, its ring index, the head
-    /// frame, and the frame-crossing `dirty` mark. Flow entries stay
+    /// frame, and one wake for any number of crossings. Flow entries stay
     /// untouched (they catch up lazily in `normalize_flow`, exactly as
     /// under stepped advances).
     fn jump(&mut self, k: u64) {
@@ -401,7 +473,7 @@ impl LinkScheduler {
             self.head += crossed;
             self.head_ring =
                 ((self.head_ring as u64 + crossed) % self.params.frame_window as u64) as usize;
-            self.dirty = true;
+            self.wake_all();
         }
     }
 
@@ -581,14 +653,16 @@ impl LinkScheduler {
     /// On success the slot is marked busy, the credit suffix is
     /// consumed, the pending entry is recorded, and `C_ij` is charged
     /// one quantum. On failure (`None`) the flow's reservations in
-    /// the current window are exhausted; the caller should retry
-    /// after the scheduler becomes dirty again (head-frame advance,
-    /// credit return, slot completion, or reset).
+    /// the current window are exhausted and the flow is blocked: it is
+    /// refused at once until a wake (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if `flow` was not registered at construction.
     pub fn schedule(&mut self, flow: FlowId, earliest: u64, entry: PendingQuantum) -> Option<u64> {
+        if self.is_blocked(flow) {
+            return None;
+        }
         let head = self.head_frame();
         let window = self.params.frame_window as u64;
         let q = self.params.flits_per_quantum;
@@ -602,7 +676,8 @@ impl LinkScheduler {
         let earliest = earliest.max(self.flows[flow.index()].last_slot + 1);
         loop {
             let st = self.flows[flow.index()];
-            if st.c_flits > 0 && self.condition1(st.frame) {
+            let open = st.c_flits > 0 && self.condition1(st.frame);
+            if open {
                 if let Some(slot) = self.try_find(st.frame, earliest) {
                     let idx = self.ring(slot);
                     self.set_busy(idx);
@@ -631,7 +706,14 @@ impl LinkScheduler {
                 st.frame += 1;
                 st.c_flits = st.r_flits;
             } else {
-                self.dirty = false;
+                // Refused at the last frame: sleep until a wake that
+                // can help (quota spent needs none beyond a crossing).
+                st.blocked = self.wake_gen;
+                if open {
+                    self.slot_waiters = true;
+                } else if st.c_flits > 0 {
+                    self.cond1_waiters = true;
+                }
                 return None;
             }
         }
@@ -666,10 +748,12 @@ impl LinkScheduler {
 
     /// Returns one unit of virtual credit from `slot` onward: the
     /// downstream scheduler committed to freeing the buffer at
-    /// `slot`.
-    pub fn return_credit(&mut self, slot: u64) {
+    /// `slot`. Returns whether this woke the scheduler: the raised
+    /// credit reaches a blocked flow's slot search, or it makes
+    /// Condition (1) hold for the last frame where one failed.
+    pub fn return_credit(&mut self, slot: u64) -> bool {
         if self.params.sink {
-            return;
+            return false;
         }
         self.pristine = false;
         let start = slot.max(self.cp);
@@ -677,37 +761,54 @@ impl LinkScheduler {
             self.cbase += 1;
         } else if start < self.cp + self.params.window_quanta() {
             self.add_delta(start, start / self.params.frame_quanta as u64, 1);
+        } else {
+            // A return beyond the window is dropped, exactly like the
+            // paper's bounded table: the slot is not representable yet.
+            return false;
         }
-        // A return beyond the window is dropped, exactly like the
-        // paper's bounded table: the slot is not representable yet.
-        self.dirty = true;
+        if !(self.slot_waiters || self.cond1_waiters) {
+            return false;
+        }
+        let last = self.last_frame();
+        let fq = self.params.frame_quanta as u64;
+        let woke = (self.slot_waiters && start < (last + 1) * fq)
+            || (self.cond1_waiters && start < last * fq && self.condition1(last));
+        if woke {
+            self.wake_all();
+        }
+        woke
     }
 
     /// Marks the pending quantum at `slot` as forwarded: clears its
     /// busy flag (freeing the slot for rescheduling — this is how
     /// speculative switching reclaims bandwidth) and removes the
-    /// pending entry.
+    /// pending entry. Returns whether this woke the scheduler: the
+    /// freed slot lies in the last frame, where a slot search failed.
     ///
     /// # Panics
     ///
     /// Panics if no quantum is pending at `slot`.
-    pub fn complete(&mut self, slot: u64) -> PendingQuantum {
+    pub fn complete(&mut self, slot: u64) -> bool {
         let at = self
             .pending
             .binary_search_by_key(&slot, |&(s, _)| s)
             .expect("completing a slot with no pending quantum");
-        let (_, entry) = self.pending.remove(at);
-        if slot >= self.cp && slot < self.cp + self.params.window_quanta() {
-            let idx = self.ring(slot);
-            if self.is_busy(idx) {
-                self.clear_busy(idx);
-                let fq = self.params.frame_quanta as u64;
-                let wf = self.params.frame_window as u64;
-                self.frame_busy[((slot / fq) % wf) as usize] -= 1;
-            }
+        self.pending.remove(at);
+        if slot < self.cp || slot >= self.cp + self.params.window_quanta() {
+            return false;
         }
-        self.dirty = true;
-        entry
+        let idx = self.ring(slot);
+        if !self.is_busy(idx) {
+            return false;
+        }
+        self.clear_busy(idx);
+        let frame = slot / self.params.frame_quanta as u64;
+        self.frame_busy[(frame % self.params.frame_window as u64) as usize] -= 1;
+        let woke = self.slot_waiters && frame == self.last_frame();
+        if woke {
+            self.wake_all();
+        }
+        woke
     }
 
     /// Whether a local status reset is allowed from the scheduler's
@@ -735,11 +836,26 @@ impl LinkScheduler {
         self.skipped.fill(0);
         // Flow entries refresh lazily: bumping the epoch invalidates
         // all of them at once (see `normalize_flow`).
-        self.reset_epoch += 1;
+        self.reset_epoch = self.reset_epoch.wrapping_add(1);
+        if self.reset_epoch == 0 {
+            self.refresh_flows();
+        }
         self.resets += 1;
-        self.dirty = true;
+        self.wake_all();
         self.fresh = true;
         self.pristine = true;
+    }
+
+    /// The reset epoch wrapped around, so an entry 2^32 resets old
+    /// would read as current: refreshes every entry now instead.
+    #[cold]
+    fn refresh_flows(&mut self) {
+        let head = self.head;
+        for st in &mut self.flows {
+            st.epoch = 0;
+            st.frame = head;
+            st.c_flits = st.r_flits;
+        }
     }
 
     /// Whether the scheduler is already in its power-up/reset state
@@ -931,8 +1047,7 @@ mod tests {
         let slot = s.schedule(FlowId::new(0), 0, entry(0)).unwrap();
         assert!(s.busy_at(slot));
         assert_eq!(s.first_pending().unwrap().0, slot);
-        let e = s.complete(slot);
-        assert_eq!(e.res_idx, 0);
+        assert!(!s.complete(slot), "no flow was waiting");
         assert!(!s.busy_at(slot));
         assert!(s.can_reset());
         // The freed slot can be re-booked by another flow (bandwidth
@@ -986,29 +1101,129 @@ mod tests {
         assert!(s.busy_at(slot));
     }
 
-    #[test]
-    fn credit_return_unclogs_stalled_flow_dirty_flag() {
-        let mut s = LinkScheduler::new(paper_params(), &[1]);
-        assert!(s.schedule(FlowId::new(0), 0, entry(0)).is_some());
-        // The un-returned credit makes Condition (1) fail for every
-        // later frame, so the flow stalls after one quantum.
-        let mut scheduled = 1;
-        while s.schedule(FlowId::new(0), 0, entry(scheduled)).is_some() {
-            scheduled += 1;
-            assert!(scheduled < 64, "runaway scheduling");
+    /// Books `flow` until it is refused, returning the booked slots.
+    fn book_until_refused(s: &mut LinkScheduler, flow: u32) -> Vec<u64> {
+        let mut slots = Vec::new();
+        while let Some(slot) = s.schedule(FlowId::new(flow), 0, entry(slots.len() as u16)) {
+            slots.push(slot);
+            assert!(slots.len() < 64, "runaway scheduling");
         }
-        assert!(!s.take_dirty());
-        // Downstream commits to a departure: credit returns, the
-        // scheduler turns dirty, and the retry succeeds.
-        s.return_credit(2);
-        assert!(s.take_dirty());
-        assert!(s.schedule(FlowId::new(0), 0, entry(scheduled)).is_some());
+        assert!(s.is_blocked(FlowId::new(flow)));
+        slots
+    }
+
+    /// A flow that spent its quota in every frame of the window sleeps
+    /// through credit returns and completions: only a frame crossing
+    /// or a local reset gives it a fresh reservation.
+    #[test]
+    fn spent_quota_wakes_only_at_a_crossing_or_reset() {
+        let params = LsfParams {
+            buffer_quanta: 64,
+            ..paper_params()
+        };
+        let mut s = LinkScheduler::new(params, &[1]);
+        let flow = FlowId::new(0);
+        // R = 1: one quantum in each of the four frames.
+        let slots = book_until_refused(&mut s, 0);
+        assert_eq!(slots, vec![1, 4, 8, 12]);
+        let mut reset = s.clone();
+        for &slot in &slots {
+            assert!(!s.return_credit(slot + 1), "a return woke a spent flow");
+        }
+        for &slot in &slots[..3] {
+            assert!(!s.complete(slot), "a completion woke a spent flow");
+        }
+        assert!(s.is_blocked(flow));
+        assert_eq!(s.schedule(flow, 0, entry(9)), None);
+        for _ in 0..4 {
+            assert!(s.is_blocked(flow), "woke before the crossing");
+            s.advance_slot();
+        }
+        assert!(!s.is_blocked(flow));
+        assert_eq!(s.schedule(flow, 0, entry(9)), Some(16));
+        for &slot in &slots {
+            reset.complete(slot);
+        }
+        assert!(reset.is_blocked(flow));
+        reset.local_reset();
+        assert!(!reset.is_blocked(flow));
+        assert_eq!(reset.schedule(flow, 0, entry(9)), Some(13));
+    }
+
+    /// A flow refused by Condition (1) at the last frame wakes on the
+    /// credit return that makes the condition hold — not on one after
+    /// `Prior`, not on one that leaves it short, and not on a
+    /// completion.
+    #[test]
+    fn condition1_refusal_wakes_on_the_return_that_satisfies_it() {
+        // The Section 4.2 example: two bookings leave credit(Prior) =
+        // 2 < F = 4 for every later frame.
+        let mut s = LinkScheduler::new(paper_params(), &[2]);
+        let flow = FlowId::new(0);
+        assert_eq!(book_until_refused(&mut s, 0), vec![1, 2]);
+        assert_eq!(s.injection_frame(flow), 3);
+        // Prior of the last frame is slot 11: a return at 12 only
+        // raises credits inside that frame.
+        assert!(!s.return_credit(12));
+        assert!(!s.complete(1));
+        assert!(!s.return_credit(3), "credit(11) = 3 < 4 still fails");
+        assert!(s.is_blocked(flow));
+        assert!(s.return_credit(4), "credit(11) = 4 satisfies Condition (1)");
+        assert!(!s.is_blocked(flow));
+        assert_eq!(s.schedule(flow, 0, entry(2)), Some(12));
+    }
+
+    /// A flow refused in the slot search of the last frame wakes on a
+    /// completion that frees a slot of that frame, not of another.
+    #[test]
+    fn slot_search_refusal_wakes_on_a_completion_in_the_last_frame() {
+        // An ejection link (no credits) with a two-frame window.
+        let params = LsfParams {
+            frame_window: 2,
+            sink: true,
+            ..paper_params()
+        };
+        let mut s = LinkScheduler::new(params, &[4, 4]);
+        let (filler, waiter) = (FlowId::new(0), FlowId::new(1));
+        assert_eq!(book_until_refused(&mut s, 0), vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(s.schedule(waiter, 0, entry(0)), None);
+        assert!(s.is_blocked(waiter) && s.is_blocked(filler));
+        assert!(!s.complete(2), "slot 2 lies in the head frame");
+        assert!(!s.return_credit(5), "a sink has no credits");
+        assert!(s.is_blocked(waiter));
+        assert!(s.complete(5));
+        assert!(!s.is_blocked(waiter) && !s.is_blocked(filler));
+        assert_eq!(s.schedule(waiter, 0, entry(0)), Some(5));
+    }
+
+    /// The 32-bit wake generation and reset epoch wrap around without
+    /// a stale entry reading as current.
+    #[test]
+    fn wake_generation_and_reset_epoch_wrap_around() {
+        let mut s = LinkScheduler::new(paper_params(), &[2]);
+        let flow = FlowId::new(0);
+        s.wake_gen = u32::MAX;
+        book_until_refused(&mut s, 0);
+        s.wake_all();
+        assert_eq!(s.wake_gen, 1);
+        assert!(!s.is_blocked(flow), "a stamp survived the wrap-around");
+        // The flow's entry was written at epoch 0 with one quantum of
+        // its reservation left; 2^32 − 1 resets later, the next one
+        // wraps to epoch 0 again.
+        let mut s = LinkScheduler::new(paper_params(), &[2]);
+        let slot = s.schedule(flow, 0, entry(0)).unwrap();
+        s.complete(slot);
+        assert_eq!(s.remaining_reservation(flow), 1);
+        s.reset_epoch = u32::MAX;
+        s.local_reset();
+        assert_eq!(s.reset_epoch, 0);
+        assert_eq!(s.remaining_reservation(flow), 2);
     }
 
     /// A scheduler with nothing pending brought `k` slots ahead by
     /// `advance_to` must be indistinguishable from one advanced `k`
     /// times — same clock, head frame, `skipped` counters, credits and
-    /// dirty flag, and the same slot granted to the next booking. Only
+    /// blocked flows, and the same slot granted to the next booking. Only
     /// the first starting state is pristine, only the last is not
     /// fresh.
     #[test]
@@ -1056,7 +1271,14 @@ mod tests {
                     assert_eq!(stepped.head_frame(), jumped.head_frame(), "{at}");
                     assert_eq!(stepped.skipped, jumped.skipped, "{at}");
                     assert_eq!(stepped.min_credit(), jumped.min_credit(), "{at}");
-                    assert_eq!(stepped.take_dirty(), jumped.take_dirty(), "{at}");
+                    for flow in [0, 1] {
+                        let flow_id = FlowId::new(flow);
+                        assert_eq!(
+                            stepped.is_blocked(flow_id),
+                            jumped.is_blocked(flow_id),
+                            "{at} flow={flow}"
+                        );
+                    }
                     for flow in [0, 1] {
                         assert_eq!(
                             stepped.schedule(FlowId::new(flow), 0, entry(0)),

@@ -48,7 +48,8 @@
 //! carries the output port its sender routed it to, so arrival does
 //! not route again. The look-ahead channel is LOFT's own:
 //! `crate::lookahead::LookaheadQueues`, one arrival-ordered FIFO per
-//! output port with per-flow fair bypass.
+//! output port with per-flow fair bypass, whose queues park while
+//! every flow in them is blocked at the port's scheduler.
 //!
 //! # Timing model
 //!
@@ -193,7 +194,12 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     la_wires: DelayedWires<LaFlit>,
     /// Data quanta in flight to their next input port.
     data_wires: DelayedWires<DataQuantum>,
-    /// The look-ahead channel queue of every output port.
+    /// The look-ahead channel queue of every output port. A queue
+    /// whose pass booked nothing parks (leaves the worklist) until its
+    /// scheduler wakes: a frame crossing (every link at once), a local
+    /// reset, a credit return or completion that
+    /// [`LinkScheduler::return_credit`] / [`LinkScheduler::complete`]
+    /// report as a wake, or a flit of a flow that is not blocked there.
     la_queues: LookaheadQueues<LaFlit>,
     // ---- active-set worklists (see `noc_sim::worklist`) ----------
     /// Links with a pending booking (`pending_len() > 0`): a quantum
@@ -280,7 +286,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             flow_src: vec![u32::MAX; reservations_flits.len()],
             la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
             data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
-            la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len()),
+            la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len(), Pr::ENABLED),
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
             stage_work: ActiveSet::new(n),
@@ -414,11 +420,17 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         let Self {
             la_wires,
             la_queues,
+            link_sched,
             ..
         } = self;
         la_wires.drain_due(now, |widx, la| {
-            let node = widx / PORTS;
-            la_queues.push(node * PORTS + la.out_port as usize, la.flow.index(), la);
+            let qidx = widx / PORTS * PORTS + la.out_port as usize;
+            let flow = la.flow;
+            // Only a frame crossing moves a stamp with the clock, and a
+            // crossing wakes every parked queue: the scheduler of a
+            // parked queue, though perhaps a few slots behind, holds
+            // current stamps without being brought to the clock.
+            la_queues.push(qidx, flow.index(), la, || link_sched[qidx].is_blocked(flow));
         });
     }
 
@@ -428,7 +440,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// block the queue — later flits of *other* flows may bypass it
     /// (the virtual channels of the paper's look-ahead router), while
     /// per-flow order is preserved: [`LookaheadQueues::book_first`]
-    /// offers each flow's oldest flit once, oldest first.
+    /// offers each flow's oldest flit once, oldest first. Parked
+    /// queues are not visited: they would book nothing.
     fn la_schedule(&mut self, now: u64) {
         let la_hop = self.cfg.la_hop_latency;
         let dep_off = self.cfg.dep_offset();
@@ -436,19 +449,26 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         while let Some(qidx) = self.la_queues.first_from(cursor) {
             cursor = qidx + 1;
             let node = qidx / PORTS;
-            let dirty = self.sched(qidx).take_dirty();
-            if self.la_queues.is_blocked(qidx) && !dirty {
+            // Listed only while a probe counts its denial.
+            if Pr::ENABLED && self.la_queues.is_parked(qidx) {
                 self.probe.on_sched_deny(qidx);
                 continue;
             }
+            // Every link crosses frames at the same slot, which is
+            // what lets `step` wake every queue at once.
+            let head = self.sched(qidx).head_frame();
+            debug_assert_eq!(
+                head,
+                now / self.cfg.frame_size as u64,
+                "link {qidx} off the global frame"
+            );
             let booked = {
                 let Self {
                     la_queues,
                     link_sched,
                     ..
                 } = self;
-                // Already at the clock: `take_dirty` went through
-                // `sched` this cycle.
+                // Already at the clock: `sched` ran above.
                 la_queues.book_first(qidx, |la| {
                     link_sched[qidx].schedule(
                         la.flow,
@@ -486,7 +506,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             // actual-space flow control instead of a scheduler.
             if la.in_port as usize != LOCAL {
                 let up = self.links.linked(pidx);
-                self.sched(up).return_credit(slot);
+                if self.sched(up).return_credit(slot) {
+                    self.la_queues.wake(up);
+                }
             }
             // Ejection booked: the look-ahead flit is consumed
             // and the flow's look-ahead window slot frees up, which
@@ -643,8 +665,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         // holding place.
         let reset = self.cfg.local_status_reset;
         let sched = self.sched(lidx);
-        sched.complete(dep);
-        if sched.can_reset() {
+        let woke = sched.complete(dep);
+        let idle = sched.can_reset();
+        if woke {
+            self.la_queues.wake(lidx);
+        }
+        if idle {
             self.pending_links.remove(lidx);
             if reset {
                 self.reset_check.insert(lidx);
@@ -718,6 +744,40 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         // The slot of the last stepped cycle: the clock no scheduler is
         // ahead of between steps.
         let slot = self.cycle.saturating_sub(1) / self.cfg.flits_per_quantum as u64;
+        // A parked queue holds only flows blocked at its link, which
+        // has not crossed a frame since (a crossing wakes them all)...
+        let frame = slot / self.cfg.frame_quanta() as u64;
+        let mut parked = Vec::new();
+        for (qidx, flow) in self.la_queues.debug_parked_entries() {
+            let sched = &self.link_sched[qidx];
+            debug_assert_eq!(
+                sched.head_frame(),
+                frame,
+                "parked queue {qidx} missed a crossing"
+            );
+            debug_assert!(
+                sched.is_blocked(FlowId::new(flow as u32)),
+                "parked queue {qidx} holds flow {flow}, which is not blocked there"
+            );
+            parked.push(qidx);
+        }
+        // ... and, on one of them per cycle in rotation, a pass on a
+        // copy of its scheduler with every flow woken books nothing.
+        parked.dedup();
+        if !parked.is_empty() {
+            let qidx = parked[self.cycle as usize % parked.len()];
+            let mut sched = self.link_sched[qidx].clone();
+            sched.advance_to(slot);
+            sched.wake_all();
+            for (flow, la) in self.la_queues.debug_offers(qidx) {
+                let entry = PendingQuantum {
+                    in_port: la.in_port,
+                    res_idx: la.res_idx,
+                };
+                let booked = sched.schedule(la.flow, la.dep_slot + self.cfg.dep_offset(), entry);
+                debug_assert_eq!(booked, None, "parked queue {qidx} could book flow {flow}");
+            }
+        }
         for i in 0..self.link_sched.len() {
             let sched = &self.link_sched[i];
             debug_assert!(sched.current_slot() <= slot, "link {i} ahead of the clock");
@@ -871,6 +931,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 .is_none_or(|ridx| self.data_ports[ridx].nonspec_free == nonspec_cap);
             if downstream_empty {
                 self.sched(lidx).local_reset();
+                self.la_queues.wake(lidx);
                 self.probe.on_link_reset(lidx);
             }
         }
@@ -926,6 +987,11 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let q = self.cfg.flits_per_quantum as u64;
         if now.is_multiple_of(q) {
             let slot = now / q;
+            // Every scheduler crosses into frame `slot / F` now, and a
+            // crossing wakes every flow.
+            if now.is_multiple_of(self.cfg.frame_size as u64) {
+                self.la_queues.wake_all();
+            }
             self.deliver_data(slot);
             self.nic_inject(slot);
             clock.lap(&mut self.probe, Phase::DataPhase);
@@ -1334,6 +1400,31 @@ mod tests {
             net.launch_work.len() < queued,
             "{} listed launchers, {queued} with quanta queued",
             net.launch_work.len()
+        );
+        out.extend(drain(&mut net, 100_000));
+        assert_eq!(out.len(), 300);
+    }
+
+    /// On the same saturated tree most look-ahead queues hold only
+    /// flows their link refuses: those park, so `la_queues` lists fewer
+    /// queues than hold flits, and every parked flit still books once
+    /// its link wakes.
+    #[test]
+    fn refused_lookahead_queues_leave_the_worklist() {
+        let mut net = LoftNetwork::new(LoftConfig::small(), &[4; 15]);
+        for seq in 0..20 {
+            for src in 0..15 {
+                net.enqueue(packet(src, seq, src, 15, 0));
+            }
+        }
+        let mut out = Vec::new();
+        for _ in 0..500 {
+            net.step(&mut out);
+        }
+        let (listed, non_empty) = net.la_queues.occupancy();
+        assert!(
+            listed < non_empty,
+            "{listed} listed look-ahead queues, {non_empty} non-empty"
         );
         out.extend(drain(&mut net, 100_000));
         assert_eq!(out.len(), 300);

@@ -1,7 +1,9 @@
 //! Randomized invariant tests of the LSF link scheduler — chiefly
 //! Theorem I of the paper: with a frame-sized buffer and
 //! Condition (1), virtual credits never go negative, no matter how
-//! adversarial the scheduling/return interleaving is.
+//! adversarial the scheduling/return interleaving is — and the
+//! exactness of the wake rule: a flow the scheduler holds blocked
+//! would be refused anyway.
 //!
 //! Cases are drawn from the workspace's deterministic RNG so the
 //! suite needs no external crates and failures replay exactly.
@@ -55,6 +57,7 @@ fn assert_lazy_agrees(eager: &LinkScheduler, lazy: &LinkScheduler, flows: usize)
             lazy.remaining_reservation(flow)
         );
         assert_eq!(eager.injection_frame(flow), lazy.injection_frame(flow));
+        assert_eq!(eager.is_blocked(flow), lazy.is_blocked(flow));
     }
 }
 
@@ -220,4 +223,101 @@ fn sink_books_every_window_slot() {
         // slot, and with r ≥ 8 it books at least one frame's worth.
         assert!(slots.len() >= (r.min(8) as usize));
     }
+}
+
+/// The wake rule never keeps a flow asleep that could book: after
+/// every action of a random `schedule` / `complete` / `return_credit`
+/// / advance / reset sequence, each flow the scheduler reports blocked
+/// is refused by a full Algorithm 1 attempt on a copy with every flow
+/// woken. Each flow retries one request (its earliest slot) until it
+/// books, as a look-ahead queue retries a flow's oldest flit.
+#[test]
+fn blocked_flows_would_be_refused() {
+    let mut rng = Xoshiro256::seed_from(0x15F_0004);
+    let mut checked = 0;
+    for case in 0..96 {
+        let frame_quanta = 3 + rng.next_below(6) as u32;
+        let flits_per_quantum = 1 + rng.next_below(2) as u32;
+        let params = LsfParams {
+            frame_quanta,
+            frame_window: 1 + rng.next_below(4) as u32,
+            flits_per_quantum,
+            buffer_quanta: frame_quanta + rng.next_below(frame_quanta as u64) as u32,
+            sink: case % 5 == 0,
+        };
+        let window = params.window_quanta();
+        // Reservations may oversubscribe the frame, so that credits
+        // also run out inside the last frame and slot searches fail.
+        let flows = 1 + rng.next_below(8) as usize;
+        let reservations: Vec<u32> = (0..flows)
+            .map(|_| 1 + rng.next_below((frame_quanta * flits_per_quantum) as u64) as u32)
+            .collect();
+        let mut s = LinkScheduler::new(params, &reservations);
+        let mut request: Vec<Option<u64>> = vec![None; flows];
+        let mut outstanding: Vec<u64> = Vec::new();
+        let entry = PendingQuantum {
+            in_port: 0,
+            res_idx: 0,
+        };
+        for _ in 0..400 {
+            let cp = s.current_slot();
+            match rng.next_below(6) {
+                0 | 1 => {
+                    let i = rng.next_below(flows as u64) as usize;
+                    let earliest = *request[i]
+                        .get_or_insert(cp + rng.next_below(window + frame_quanta as u64));
+                    if let Some(slot) = s.schedule(FlowId::new(i as u32), earliest, entry) {
+                        request[i] = None;
+                        outstanding.push(slot);
+                    }
+                }
+                2 => {
+                    if !outstanding.is_empty() {
+                        let i = rng.next_below(outstanding.len() as u64) as usize;
+                        let arrival = outstanding.swap_remove(i);
+                        s.return_credit(arrival + 1 + rng.next_below(12));
+                    }
+                }
+                3 => {
+                    // Pending quanta must not fall a window behind.
+                    let k = if s.pending_len() > 0 {
+                        1
+                    } else {
+                        1 + rng.next_below(2 * window)
+                    };
+                    s.advance_to(cp + k);
+                }
+                4 => {
+                    if let Some((slot, _)) = s.first_pending() {
+                        s.complete(slot);
+                    }
+                }
+                _ => {
+                    if s.can_reset() && !s.is_fresh() {
+                        s.local_reset();
+                        outstanding.clear();
+                    }
+                }
+            }
+            for (i, earliest) in request.iter().enumerate() {
+                let flow = FlowId::new(i as u32);
+                if !s.is_blocked(flow) {
+                    continue;
+                }
+                let earliest = earliest.expect("a blocked flow has a refused request");
+                let mut woken = s.clone();
+                woken.wake_all();
+                assert_eq!(
+                    woken.schedule(flow, earliest, entry),
+                    None,
+                    "case {case}: flow {i} slept through a change that lets it book"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked > 5_000,
+        "only {checked} blocked flows checked — test is vacuous"
+    );
 }

@@ -238,15 +238,17 @@ impl<T> VcRouter<T> {
 
     /// Whether output `out` keeps its router on the worklist: it has a
     /// switch candidate, a VC request with a free VC to grant it, or,
-    /// when `stalls` are counted, a flit that waits for credit (whose
-    /// stall a visit records).
+    /// when `stalls` are counted, a flit that waits for credit or a VC
+    /// request that waits for a VC (whose stall or wait a visit
+    /// records).
     #[inline]
     fn keeps_busy(&self, out: usize, stalls: bool) -> bool {
         // Non-short-circuit `&` / `|`: no branch to mispredict.
         let ready = self.sa_ready[out];
+        let req = self.va_req[out];
         (ready & self.sa_credit[out] != 0)
-            | ((self.va_req[out] != 0) & (self.out_free[out] != 0))
-            | (stalls & (ready != 0))
+            | ((req != 0) & (self.out_free[out] != 0))
+            | (stalls & (ready | req != 0))
     }
 
     /// The slots requesting a VC at output `out`, in ascending slot
@@ -745,10 +747,15 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             // Allocation needs a request and a free VC. Gathering the
             // outputs that have both without branching makes a router
             // where nothing can be granted — every router of a
-            // saturated tree, most cycles — one predictable skip.
+            // saturated tree, most cycles — one predictable skip. A
+            // request with every VC held is a wait the probe counts.
             let mut open = 0u32;
             for out in 0..PORTS {
-                open |= u32::from(router.va_req[out] != 0 && router.out_free[out] != 0) << out;
+                let (req, free) = (router.va_req[out] != 0, router.out_free[out] != 0);
+                open |= u32::from(req && free) << out;
+                if Pr::ENABLED && req && !free {
+                    self.probe.on_vc_wait(node * PORTS + out);
+                }
             }
             while open != 0 {
                 let out = open.trailing_zeros() as usize;
@@ -981,7 +988,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 debug_assert_eq!(router.out_free[out], free, "out_free[{n}][{out}]");
                 can_move |= candidates[out] != 0
                     || (va_req[out] != 0 && free != 0)
-                    || (Pr::ENABLED && sa_ready[out] != 0);
+                    || (Pr::ENABLED && (sa_ready[out] | va_req[out]) != 0);
                 for vc in 0..num_vcs {
                     debug_assert!(
                         draining & (1 << vc) == 0

@@ -40,6 +40,7 @@ pub struct LiveProbe {
     sched_book: Vec<u64>,
     sched_deny: Vec<u64>,
     link_resets: Vec<u64>,
+    vc_waits: Vec<u64>,
     nic_stalls: Vec<u64>,
     occupancy: Vec<Vec<RunningStats>>,
     flows: Vec<FlowAcc>,
@@ -60,6 +61,7 @@ impl LiveProbe {
             sched_book: Vec::new(),
             sched_deny: Vec::new(),
             link_resets: Vec::new(),
+            vc_waits: Vec::new(),
             nic_stalls: Vec::new(),
             occupancy: vec![Vec::new(); BufKind::COUNT],
             flows: Vec::new(),
@@ -119,6 +121,7 @@ impl LiveProbe {
             self.sched_book.len(),
             self.sched_deny.len(),
             self.link_resets.len(),
+            self.vc_waits.len(),
         ]
         .into_iter()
         .max()
@@ -129,6 +132,7 @@ impl LiveProbe {
             &mut self.sched_book,
             &mut self.sched_deny,
             &mut self.link_resets,
+            &mut self.vc_waits,
         ] {
             v.resize(links, 0);
         }
@@ -187,6 +191,7 @@ impl LiveProbe {
             sched_book: self.sched_book,
             sched_deny: self.sched_deny,
             link_resets: self.link_resets,
+            vc_waits: self.vc_waits,
             nic_stalls: self.nic_stalls,
             occupancy: self.occupancy,
             flows,
@@ -254,6 +259,10 @@ impl Probe for LiveProbe {
 
     fn on_nic_stall(&mut self, node: usize) {
         Self::bump(&mut self.nic_stalls, node, 1);
+    }
+
+    fn on_vc_wait(&mut self, link: usize) {
+        Self::bump(&mut self.vc_waits, link, 1);
     }
 
     fn on_sched_book(&mut self, link: usize) {

@@ -163,6 +163,13 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
         let _ = node;
     }
 
+    /// A head flit waited this cycle for a VC of output `link`, every
+    /// one of which is held (VC allocation found requests but nothing
+    /// to grant).
+    fn on_vc_wait(&mut self, link: usize) {
+        let _ = link;
+    }
+
     /// A link scheduler booked a reservation on `link` (LOFT's LSF
     /// accepting a lookahead).
     fn on_sched_book(&mut self, link: usize) {

@@ -10,7 +10,7 @@ use super::BufKind;
 /// [`TelemetryReport::to_json`]. Bump on any breaking change to field
 /// names or semantics; consumers check `telemetry_version` before
 /// parsing anything else.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Jain's fairness index over per-flow service rates:
 /// `J = (Σx)² / (n · Σx²)`, in `(0, 1]`, where `1` is perfectly fair
@@ -112,6 +112,9 @@ pub struct TelemetryReport {
     pub sched_deny: Vec<u64>,
     /// Idle-link status resets per link (LOFT).
     pub link_resets: Vec<u64>,
+    /// Cycles a head flit waited in VC allocation for a VC of each
+    /// link, all of them held (the VC networks).
+    pub vc_waits: Vec<u64>,
     /// Cycles each node's source NIC was blocked from injecting.
     pub nic_stalls: Vec<u64>,
     /// Occupancy summaries, `occupancy[kind.index()][index]`; entries
@@ -172,6 +175,7 @@ impl TelemetryReport {
             ("sched_book", &self.sched_book),
             ("sched_deny", &self.sched_deny),
             ("resets", &self.link_resets),
+            ("vc_waits", &self.vc_waits),
         ];
         let links = counters.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
         json::object(|doc| {
@@ -315,6 +319,7 @@ mod tests {
             sched_book: Vec::new(),
             sched_deny: Vec::new(),
             link_resets: Vec::new(),
+            vc_waits: vec![0, 0, 0, 2],
             nic_stalls: vec![0, 0, 3],
             occupancy: vec![Vec::new(); BufKind::COUNT],
             flows: vec![FlowTelemetry::default()],
@@ -325,10 +330,12 @@ mod tests {
             jain: 1.0,
         };
         let json = report.to_json();
-        assert!(json.starts_with("{\"telemetry_version\":1,"));
-        // Sparse: only link 1 and node 2 appear.
+        assert!(json.starts_with("{\"telemetry_version\":2,"));
+        // Sparse: only links 1 and 3 and node 2 appear.
         assert!(json.contains("\"link\":1"));
         assert!(!json.contains("\"link\":0"));
+        assert!(!json.contains("\"link\":2"));
+        assert!(json.contains("\"resets\":0,\"vc_waits\":2,"));
         assert!(json.contains("\"node\":2,\"stalls\":3"));
         // Zero-packet flows are elided.
         assert!(json.contains("\"flows\":[]"));

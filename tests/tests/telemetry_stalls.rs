@@ -4,7 +4,8 @@
 //! the 4×4 mesh at uniform 0.60, and the test fails if its counters
 //! stay at zero. The VC networks also get a pinned count on the
 //! blocked tree of an 8×8 hotspot, where almost every router and NIC
-//! waits for credit.
+//! waits for credit, and GSF's VC-allocation waits and LOFT's
+//! scheduler bookings and denials are pinned on the same tree.
 
 use integration::{live, outcome, Small};
 use loft::LoftConfig;
@@ -82,9 +83,25 @@ fn wormhole_single_vc_records_nic_and_link_stalls() {
     );
 }
 
-/// Runs `cfg` on the 8×8 mesh at `hotspot(0.02)` with a live probe
-/// and checks that the probe left the report alone and counted exactly
-/// the pinned link and NIC stalls. A blocked router or NIC leaves its
+/// Runs `cfg` on the 8×8 mesh at `hotspot(0.02)` with a live probe,
+/// checks that the probe left the report alone, and returns the
+/// telemetry.
+fn hotspot_telemetry<C: NetSpec>(cfg: impl Fn(Topology) -> C) -> TelemetryReport {
+    let scenario = Scenario::hotspot(0.02);
+    let run = RunConfig::short();
+    let plain = plain_run(&scenario, cfg(scenario.topo), run, SEED).expect("hotspot fits");
+    let (report, telemetry, _) =
+        outcome::<C>(live(&scenario, cfg(scenario.topo), run).run_full(|| {}));
+    assert_eq!(report, plain, "{}: the probe perturbed the run", C::NAME);
+    telemetry
+}
+
+fn sum(counts: &[u64]) -> u64 {
+    counts.iter().sum()
+}
+
+/// Checks that `cfg` counted exactly the pinned link and NIC stalls on
+/// the `hotspot(0.02)` tree. A blocked router or NIC leaves its
 /// worklist only when telemetry is off, so these sums pin that the
 /// probe still hears every stall.
 fn check_hotspot_stalls<C: NetSpec>(
@@ -92,17 +109,9 @@ fn check_hotspot_stalls<C: NetSpec>(
     link_stalls: u64,
     nic_stalls: u64,
 ) {
-    let scenario = Scenario::hotspot(0.02);
-    let run = RunConfig::short();
-    let plain = plain_run(&scenario, cfg(scenario.topo), run, SEED).expect("hotspot fits");
-    let (report, telemetry, _) =
-        outcome::<C>(live(&scenario, cfg(scenario.topo), run).run_full(|| {}));
-    assert_eq!(report, plain, "{}: the probe perturbed the run", C::NAME);
+    let telemetry = hotspot_telemetry(cfg);
     assert_eq!(
-        (
-            telemetry.link_stalls.iter().sum::<u64>(),
-            telemetry.nic_stalls.iter().sum::<u64>()
-        ),
+        (sum(&telemetry.link_stalls), sum(&telemetry.nic_stalls)),
         (link_stalls, nic_stalls),
         "{}: (link, NIC) stalls drifted",
         C::NAME
@@ -128,4 +137,41 @@ fn gsf_hotspot_stalls_are_pinned() {
 #[test]
 fn wormhole_hotspot_stalls_are_pinned() {
     check_hotspot_stalls(WormholeConfig::on, 148_553, 139_218);
+}
+
+/// GSF's default configuration blocks only in VC allocation, where a
+/// router with nothing to grant leaves its worklist while telemetry is
+/// off: this sum pins that a probe still hears every VC wait.
+#[test]
+fn gsf_hotspot_vc_waits_are_pinned() {
+    let telemetry = hotspot_telemetry(GsfConfig::on);
+    assert_eq!(
+        (
+            sum(&telemetry.vc_waits),
+            sum(&telemetry.link_stalls),
+            sum(&telemetry.nic_stalls),
+        ),
+        (354_058, 0, 0),
+        "gsf: (VC wait, link stall, NIC stall) counts drifted"
+    );
+}
+
+/// LOFT's look-ahead counters on the same tree, where most look-ahead
+/// queues are refused most cycles: a queue whose flows are all blocked
+/// at its link parks off the worklist only when telemetry is off, so
+/// these sums pin that a probe still hears one denial per such queue
+/// per cycle, and that parking changed no booking, stall or reset.
+#[test]
+fn loft_hotspot_scheduler_counts_are_pinned() {
+    let telemetry = hotspot_telemetry(LoftConfig::on);
+    assert_eq!(
+        (
+            sum(&telemetry.sched_book),
+            sum(&telemetry.sched_deny),
+            sum(&telemetry.link_stalls),
+            sum(&telemetry.link_resets),
+        ),
+        (45_064, 514_047, 1_552, 1_698),
+        "loft: (book, deny, link stall, reset) counts drifted"
+    );
 }
