@@ -39,12 +39,8 @@ pub(crate) struct LookaheadQueues<T> {
     /// Non-empty queues whose last pass booked nothing and that no
     /// wake or unblocked arrival has reached since.
     parked: ActiveSet,
-    /// Queues to visit: the non-empty unparked ones, and the parked
-    /// ones too while `list_parked`.
+    /// Queues to visit: the non-empty unparked ones.
     work: ActiveSet,
-    /// Keep parked queues on `work`: a probe that counts denials
-    /// counts one per parked queue per cycle.
-    list_parked: bool,
     /// Per flow: the id of the last pass that offered it an entry.
     offered: Vec<u64>,
     /// Id of the latest pass (0 = none yet).
@@ -53,14 +49,12 @@ pub(crate) struct LookaheadQueues<T> {
 
 impl<T> LookaheadQueues<T> {
     /// Empty queues for `num_queues` output ports, carrying flows
-    /// `0..num_flows`; `list_parked` keeps parked queues on the
-    /// worklist.
-    pub(crate) fn new(num_queues: usize, num_flows: usize, list_parked: bool) -> Self {
+    /// `0..num_flows`.
+    pub(crate) fn new(num_queues: usize, num_flows: usize) -> Self {
         LookaheadQueues {
             queues: (0..num_queues).map(|_| Cap(Vec::new())).collect(),
             parked: ActiveSet::new(num_queues),
             work: ActiveSet::new(num_queues),
-            list_parked,
             offered: vec![0; num_flows],
             pass: 0,
         }
@@ -113,7 +107,7 @@ impl<T> LookaheadQueues<T> {
     }
 
     /// Whether queue `qidx` is parked.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn is_parked(&self, qidx: usize) -> bool {
         self.parked.contains(qidx)
     }
@@ -157,9 +151,7 @@ impl<T> LookaheadQueues<T> {
         });
         let Some((i, r)) = booked else {
             self.parked.insert(qidx);
-            if !self.list_parked {
-                self.work.remove(qidx);
-            }
+            self.work.remove(qidx);
             return None;
         };
         let (_, item) = q.remove(i);
@@ -196,7 +188,7 @@ impl<T> LookaheadQueues<T> {
 
     /// Full-scan cross-check (debug builds): the parked queues are
     /// non-empty, and the worklist holds exactly the other non-empty
-    /// queues (and the parked ones while `list_parked`).
+    /// queues.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn debug_verify(&self) {
         for (i, q) in self.queues.iter().enumerate() {
@@ -204,7 +196,7 @@ impl<T> LookaheadQueues<T> {
             debug_assert!(!parked || !q.is_empty(), "empty queue {i} parked");
             debug_assert_eq!(
                 self.work.contains(i),
-                !q.is_empty() && (self.list_parked || !parked),
+                !q.is_empty() && !parked,
                 "look-ahead worklist out of sync at queue {i}"
             );
         }
@@ -225,7 +217,7 @@ mod tests {
 
     #[test]
     fn books_front_when_possible() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3);
         push(&mut q, 0, 1, (1, 10));
         push(&mut q, 0, 2, (2, 20));
         let (item, slot) = q.book_first(0, |f| Some(f.1 * 2)).expect("front books");
@@ -237,7 +229,7 @@ mod tests {
 
     #[test]
     fn blocked_flow_is_bypassed_by_other_flows_only() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 3, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 3);
         push(&mut q, 0, 1, (1, 10)); // flow 1: cannot book
         push(&mut q, 0, 1, (1, 11)); // flow 1 again: must not even be tried
         push(&mut q, 0, 2, (2, 20)); // flow 2: books
@@ -257,7 +249,7 @@ mod tests {
 
     #[test]
     fn booked_flow_rejoins_scan_at_its_next_entry() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 3, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(1, 3);
         push(&mut q, 0, 1, (1, 10));
         push(&mut q, 0, 2, (2, 20));
         push(&mut q, 0, 1, (1, 11));
@@ -276,7 +268,7 @@ mod tests {
 
     #[test]
     fn total_failure_parks_until_wake_or_unblocked_push() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3);
         push(&mut q, 0, 0, (0, 1));
         assert!(q.book_first(0, |_| None::<()>).is_none());
         assert!(q.is_parked(0));
@@ -297,29 +289,9 @@ mod tests {
         q.debug_verify();
     }
 
-    /// Only a push into a parked queue asks whether the flow is
-    /// blocked; listed parked queues stay on the worklist.
-    #[test]
-    fn listed_parked_queues_stay_on_the_worklist() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3, true);
-        q.push(1, 0, (0, 1), || unreachable!("asked for an unparked queue"));
-        assert!(q.book_first(1, |_| None::<()>).is_none());
-        assert!(q.is_parked(1));
-        assert_eq!(q.first_from(0), Some(1));
-        let mut asked = false;
-        q.push(1, 0, (0, 2), || {
-            asked = true;
-            true
-        });
-        assert!(asked && q.is_parked(1));
-        q.wake_all();
-        assert!(!q.is_parked(1));
-        q.debug_verify();
-    }
-
     #[test]
     fn pass_marks_are_shared_by_queues_but_fresh_each_pass() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 2, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 2);
         push(&mut q, 0, 0, (0, 10));
         push(&mut q, 0, 0, (0, 11));
         push(&mut q, 1, 0, (0, 20));
@@ -352,7 +324,7 @@ mod tests {
 
     #[test]
     fn clone_is_an_independent_fork() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(2, 3);
         push(&mut q, 0, 1, (1, 10));
         push(&mut q, 0, 2, (2, 20));
         push(&mut q, 1, 0, (0, 30));
@@ -385,7 +357,6 @@ mod tests {
         queues: Vec<Vec<Flit>>,
         parked: Vec<bool>,
         refused: Vec<Vec<usize>>,
-        list_parked: bool,
     }
 
     impl Model {
@@ -426,11 +397,9 @@ mod tests {
             self.refused[qidx].clear();
         }
 
-        /// The queues a scan visits: non-empty and not parked, or
-        /// parked but listed.
+        /// The queues a scan visits: non-empty and not parked.
         fn first_from(&self, from: usize) -> Option<usize> {
-            (from..self.queues.len())
-                .find(|&i| !self.queues[i].is_empty() && (self.list_parked || !self.parked[i]))
+            (from..self.queues.len()).find(|&i| !self.queues[i].is_empty() && !self.parked[i])
         }
     }
 
@@ -442,14 +411,11 @@ mod tests {
             let mut rng = Xoshiro256::seed_from(seed);
             let num_queues = 3 + rng.next_below(3) as usize;
             let num_flows = 5 + rng.next_below(6) as usize;
-            let list_parked = seed % 2 == 1;
-            let mut q: LookaheadQueues<Flit> =
-                LookaheadQueues::new(num_queues, num_flows, list_parked);
+            let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(num_queues, num_flows);
             let mut model = Model {
                 queues: vec![Vec::new(); num_queues],
                 parked: vec![false; num_queues],
                 refused: vec![Vec::new(); num_queues],
-                list_parked,
             };
             // Per-seed push, wake and accept rates: short and long
             // queues, rarely and often parked.
@@ -476,14 +442,10 @@ mod tests {
                         model.wake(qidx);
                     }
                 } else {
-                    // Book on the next visited queue, as a scan would;
-                    // a listed parked queue is denied without a pass.
+                    // Book on the next visited queue, as a scan would.
                     let Some(qidx) = model.first_from(qidx).or_else(|| model.first_from(0)) else {
                         continue;
                     };
-                    if model.parked[qidx] {
-                        continue;
-                    }
                     let accept: Vec<bool> =
                         (0..num_flows).map(|_| rng.bernoulli(accept_p)).collect();
                     let mut offered = Vec::new();
@@ -525,7 +487,7 @@ mod tests {
 
     #[test]
     fn draining_empties_the_worklist() {
-        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(3, 3, false);
+        let mut q: LookaheadQueues<Flit> = LookaheadQueues::new(3, 3);
         push(&mut q, 2, 0, (0, 1));
         assert_eq!(q.first_from(0), Some(2));
         let _ = q.book_first(2, |_| Some(()));

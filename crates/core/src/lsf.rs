@@ -1291,6 +1291,84 @@ mod tests {
         }
     }
 
+    /// A local reset where the scheduler stands, followed by the next
+    /// access's `advance_to`, leaves what a reset at the clock leaves:
+    /// the network resets an idle link without first stepping it. Each
+    /// starting state is idle (nothing pending) and was touched:
+    /// bookings forwarded, reservations spent and yielded, a late
+    /// credit return.
+    #[test]
+    fn reset_in_place_matches_reset_at_the_clock() {
+        let preps: [fn(&mut LinkScheduler); 3] = [
+            |s| {
+                for res_idx in 0..3 {
+                    let slot = s.schedule(FlowId::new(res_idx % 2), 0, entry(res_idx as u16));
+                    s.complete(slot.expect("books"));
+                }
+            },
+            |s| {
+                let beyond = s.current_slot() + 1_000;
+                assert_eq!(s.schedule(FlowId::new(0), beyond, entry(9)), None);
+                let slot = s.schedule(FlowId::new(1), 0, entry(9)).unwrap();
+                s.complete(slot);
+            },
+            |s| {
+                let slot = s.schedule(FlowId::new(1), 0, entry(9)).unwrap();
+                s.complete(slot);
+                s.return_credit(slot + 3);
+            },
+        ];
+        let window = paper_params().window_quanta();
+        for (case, prep) in preps.iter().enumerate() {
+            for pre in [0u64, 3, 5] {
+                for k in [0u64, 1, 3, 4, 9, 16, 100] {
+                    let at = format!("case={case} pre={pre} k={k}");
+                    let mut start = LinkScheduler::new(paper_params(), &[2, 3]);
+                    start.advance_to(pre);
+                    prep(&mut start);
+                    assert!(start.can_reset() && !start.is_pristine(), "{at}");
+                    let target = start.current_slot() + k;
+                    let mut in_place = start.clone();
+                    in_place.local_reset();
+                    in_place.advance_to(target);
+                    let mut at_clock = start;
+                    at_clock.advance_to(target);
+                    at_clock.local_reset();
+                    for s in [&in_place, &at_clock] {
+                        assert!(s.is_pristine() && s.is_fresh(), "{at}");
+                    }
+                    assert_eq!(in_place.current_slot(), at_clock.current_slot(), "{at}");
+                    assert_eq!(in_place.head_frame(), at_clock.head_frame(), "{at}");
+                    assert_eq!(in_place.resets(), at_clock.resets(), "{at}");
+                    for slot in target..target + window {
+                        assert_eq!(
+                            in_place.credit_at(slot),
+                            at_clock.credit_at(slot),
+                            "{at} slot={slot}"
+                        );
+                        assert_eq!(
+                            in_place.busy_at(slot),
+                            at_clock.busy_at(slot),
+                            "{at} slot={slot}"
+                        );
+                    }
+                    for flow in (0..2).map(FlowId::new) {
+                        assert_eq!(
+                            in_place.remaining_reservation(flow),
+                            at_clock.remaining_reservation(flow),
+                            "{at} {flow:?}"
+                        );
+                        assert_eq!(
+                            in_place.injection_frame(flow),
+                            at_clock.injection_frame(flow),
+                            "{at} {flow:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Theorem I as an executable check: with buffer = F and
     /// Condition (1), credits never go negative no matter how late
     /// the downstream returns them.

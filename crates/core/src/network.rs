@@ -63,13 +63,16 @@
 //! `LoftNetwork::sched`, which first brings the scheduler to the
 //! current slot ([`LinkScheduler::advance_to`]). Links with a pending
 //! booking are touched by the data plane every slot, so they never
-//! lag; any other link catches up in at most one window of work.
+//! lag; any other link catches up in at most one window of work. The
+//! one exception is a local reset, which overwrites every table and
+//! leaves the scheduler pristine, so it resets where it stands and
+//! its next access jumps to the clock.
 
 use noc_sim::checkpoint::CapDeque;
 use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LinkTable, LOCAL, PORTS};
 use noc_sim::flit::{FlowId, NodeId, Packet, Waiting};
 use noc_sim::slab::{PacketRef, PacketStore};
-use noc_sim::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
+use noc_sim::telemetry::{BlockKind, BufKind, Causes, NoopProbe, Phase, PhaseClock, Probe};
 use noc_sim::{ActiveSet, Network};
 
 use crate::config::LoftConfig;
@@ -286,7 +289,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             flow_src: vec![u32::MAX; reservations_flits.len()],
             la_wires: DelayedWires::new(n * PORTS, cfg.la_hop_latency),
             data_wires: DelayedWires::new(n * PORTS, cfg.dep_offset()),
-            la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len(), Pr::ENABLED),
+            la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len()),
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
             stage_work: ActiveSet::new(n),
@@ -449,11 +452,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         while let Some(qidx) = self.la_queues.first_from(cursor) {
             cursor = qidx + 1;
             let node = qidx / PORTS;
-            // Listed only while a probe counts its denial.
-            if Pr::ENABLED && self.la_queues.is_parked(qidx) {
-                self.probe.on_sched_deny(qidx);
-                continue;
-            }
+            self.probe.on_visit(BlockKind::Lookahead, qidx, now);
             // Every link crosses frames at the same slot, which is
             // what lets `step` wake every queue at once.
             let head = self.sched(qidx).head_frame();
@@ -481,7 +480,10 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 })
             };
             let Some((la, slot)) = booked else {
+                // Parked: denied every cycle until its next visit.
                 self.probe.on_sched_deny(qidx);
+                self.probe
+                    .on_block(BlockKind::Lookahead, qidx, Causes::default(), now);
                 continue;
             };
             self.probe.on_sched_book(qidx);
@@ -930,7 +932,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 .peer(lidx)
                 .is_none_or(|ridx| self.data_ports[ridx].nonspec_free == nonspec_cap);
             if downstream_empty {
-                self.sched(lidx).local_reset();
+                // Reset where it stands: the next access jumps a
+                // pristine scheduler to the clock.
+                self.link_sched[lidx].local_reset();
                 self.la_queues.wake(lidx);
                 self.probe.on_link_reset(lidx);
             }
@@ -1379,18 +1383,26 @@ mod tests {
         assert_eq!(out[0].len_flits, 5);
     }
 
+    /// The small 4×4 network with the other 15 nodes each queueing 20
+    /// packets (300 in all) for node 15: a tree saturated toward one
+    /// node.
+    fn hotspot_tree<Pr: Probe>(probe: Pr) -> LoftNetwork<Pr> {
+        let mut net = LoftNetwork::with_probe(LoftConfig::small(), &[4; 15], probe);
+        for seq in 0..20 {
+            for src in 0..15 {
+                net.enqueue(packet(src, seq, src, 15, 0));
+            }
+        }
+        net
+    }
+
     /// On a saturated tree toward one node the sources' look-ahead
     /// windows and staging backlogs fill: `launch_work` holds fewer
     /// nodes than have quanta queued, and the blocked ones still launch
     /// everything once woken.
     #[test]
     fn blocked_launchers_leave_the_worklist() {
-        let mut net = LoftNetwork::new(LoftConfig::small(), &[4; 15]);
-        for seq in 0..20 {
-            for src in 0..15 {
-                net.enqueue(packet(src, seq, src, 15, 0));
-            }
-        }
+        let mut net = hotspot_tree(NoopProbe);
         let mut out = Vec::new();
         for _ in 0..500 {
             net.step(&mut out);
@@ -1411,12 +1423,7 @@ mod tests {
     /// its link wakes.
     #[test]
     fn refused_lookahead_queues_leave_the_worklist() {
-        let mut net = LoftNetwork::new(LoftConfig::small(), &[4; 15]);
-        for seq in 0..20 {
-            for src in 0..15 {
-                net.enqueue(packet(src, seq, src, 15, 0));
-            }
-        }
+        let mut net = hotspot_tree(NoopProbe);
         let mut out = Vec::new();
         for _ in 0..500 {
             net.step(&mut out);
@@ -1428,5 +1435,29 @@ mod tests {
         );
         out.extend(drain(&mut net, 100_000));
         assert_eq!(out.len(), 300);
+    }
+
+    /// The same tree under a live probe lists the same look-ahead
+    /// queues on every cycle, and its settled spans count denials: the
+    /// probe changes no schedule.
+    #[test]
+    fn refused_lookahead_queues_leave_the_worklist_under_a_live_probe() {
+        let mut plain = hotspot_tree(NoopProbe);
+        let mut live = hotspot_tree(LiveProbe::new(16));
+        let (mut out, mut live_out) = (Vec::new(), Vec::new());
+        while plain.in_flight() > 0 {
+            plain.step(&mut out);
+            live.step(&mut live_out);
+            assert_eq!(
+                live.la_queues.occupancy(),
+                plain.la_queues.occupancy(),
+                "cycle {}: (listed, non-empty) look-ahead queues",
+                plain.cycle()
+            );
+            assert!(plain.cycle() < 100_000, "the hotspot tree did not drain");
+        }
+        assert_eq!((out.len(), live_out.len()), (300, 300));
+        let report = live.into_probe().finish();
+        assert!(report.sched_deny.iter().sum::<u64>() > 0, "no denial");
     }
 }

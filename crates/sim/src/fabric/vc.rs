@@ -7,7 +7,7 @@ use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::flit::{FlitKind, NodeId, Packet};
 use crate::slab::{PacketRef, PacketStore};
-use crate::telemetry::{BufKind, NoopProbe, Phase, PhaseClock, Probe};
+use crate::telemetry::{BlockKind, BufKind, Causes, NoopProbe, Phase, PhaseClock, Probe};
 use crate::topology::Topology;
 use crate::worklist::ActiveSet;
 
@@ -237,18 +237,24 @@ impl<T> VcRouter<T> {
     }
 
     /// Whether output `out` keeps its router on the worklist: it has a
-    /// switch candidate, a VC request with a free VC to grant it, or,
-    /// when `stalls` are counted, a flit that waits for credit or a VC
-    /// request that waits for a VC (whose stall or wait a visit
-    /// records).
+    /// switch candidate, or a VC request with a free VC to grant it.
     #[inline]
-    fn keeps_busy(&self, out: usize, stalls: bool) -> bool {
+    fn keeps_busy(&self, out: usize) -> bool {
         // Non-short-circuit `&` / `|`: no branch to mispredict.
-        let ready = self.sa_ready[out];
-        let req = self.va_req[out];
-        (ready & self.sa_credit[out] != 0)
-            | ((req != 0) & (self.out_free[out] != 0))
-            | (stalls & (ready | req != 0))
+        (self.sa_ready[out] & self.sa_credit[out] != 0)
+            | ((self.va_req[out] != 0) & (self.out_free[out] != 0))
+    }
+
+    /// What a router that can grant nothing waits for: each output
+    /// with a switch-ready flit waits for credit, and each one with a
+    /// VC request waits for a VC. Empty if the router holds no flit.
+    fn block_causes(&self) -> Causes {
+        let mut causes = Causes::default();
+        for out in 0..PORTS {
+            causes.credit |= u8::from(self.sa_ready[out] != 0) << out;
+            causes.vc |= u8::from(self.va_req[out] != 0) << out;
+        }
+        causes
     }
 
     /// The slots requesting a VC at output `out`, in ascending slot
@@ -482,16 +488,14 @@ pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
     /// NIC credit pool of `node`.
     credits_in_flight: TimedFifo<(usize, usize, usize)>,
     /// Every NIC that can move: one streaming a packet with credit on
-    /// its VC, or an idle one with a free local VC and a packet queued
-    /// (and, while the probe counts stalls, every NIC streaming a
-    /// packet). A visit that finds it blocked removes it; a local
+    /// its VC, or an idle one with a free local VC and a packet queued.
+    /// A visit that finds it blocked removes it; a local
     /// credit that ends a VC's wait for credit or drains it, and
     /// `on_enqueue` and `pre_inject`, put it back. Every member has a
     /// packet streaming or queued.
     nic_work: ActiveSet,
     /// Every router that can move: one with a switch candidate or a VC
-    /// request at an output with a free VC (and, while the probe counts
-    /// stalls, every router with a switch-ready flit). Its
+    /// request at an output with a free VC. Its
     /// `switch_traverse` visit removes a router that can grant nothing;
     /// a flit accepted from a link or the NIC, a credit that re-enables
     /// a switch-ready slot and a drained VC at an output with requests
@@ -668,6 +672,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
         let mut cursor = 0;
         while let Some(node) = self.nic_work.first_from(cursor) {
             cursor = node + 1;
+            self.probe.on_visit(BlockKind::Nic, node, now);
             let nic = &mut self.nics[node];
             if nic.current.is_none() && !P::source_idle(&self.sources[node]) {
                 // Allocate a free local VC, round-robin; only then
@@ -723,26 +728,30 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     self.probe.on_nic_stall(node);
                 }
             }
-            // Blocked until a credit returns or a packet is queued;
-            // while stalls are counted, a streaming NIC stays to count
-            // its own.
+            // Blocked until a credit returns or a packet is queued.
             let blocked = match &nic.current {
-                Some(cur) => nic.credits[cur.vc] == 0 && !Pr::ENABLED,
+                Some(cur) => nic.credits[cur.vc] == 0,
                 None => nic.free == 0 || P::source_idle(&self.sources[node]),
             };
             if blocked {
                 self.nic_work.remove(node);
+                // A streaming NIC stalls every cycle it waits for credit.
+                if nic.current.is_some() {
+                    self.probe
+                        .on_block(BlockKind::Nic, node, Causes::default(), now);
+                }
             }
         }
     }
 
     /// VC allocation at every router on the worklist, in ascending
     /// node order.
-    fn vc_allocate(&mut self) {
+    fn vc_allocate(&mut self, now: u64) {
         let num_vcs = self.params.num_vcs;
         let mut cursor = 0;
         while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
+            self.probe.on_visit(BlockKind::Router, node, now);
             let router = &mut self.routers[node];
             // Allocation needs a request and a free VC. Gathering the
             // outputs that have both without branching makes a router
@@ -779,7 +788,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 // No input VC has a flit for this output: nothing to
                 // arbitrate.
                 if router.sa_ready[out_port] == 0 {
-                    busy |= router.keeps_busy(out_port, Pr::ENABLED);
+                    busy |= router.keeps_busy(out_port);
                     continue;
                 }
                 if router.sa_ready[out_port] & router.sa_credit[out_port] == 0 {
@@ -787,7 +796,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     // of their downstream VCs is out of credit: the
                     // link idles under load.
                     self.probe.on_link_stall(node * PORTS + out_port);
-                    busy |= router.keeps_busy(out_port, Pr::ENABLED);
+                    busy |= router.keeps_busy(out_port);
                     continue;
                 }
                 let SwitchGrant {
@@ -840,7 +849,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                     // until the next flit arrives.
                     router.sa_ready[out_port] &= !bit;
                 }
-                busy |= router.keeps_busy(out_port, Pr::ENABLED);
+                busy |= router.keeps_busy(out_port);
                 // Return the freed input-slot credit upstream.
                 let (up, up_port) = if in_port == LOCAL {
                     (node, LOCAL)
@@ -860,6 +869,10 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             }
             if !busy {
                 self.router_work.remove(node);
+                let causes = self.routers[node].block_causes();
+                if causes != Causes::default() {
+                    self.probe.on_block(BlockKind::Router, node, causes, now);
+                }
             }
         }
     }
@@ -922,7 +935,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
             }
             let occupied = nic.current.is_some() || !P::source_idle(&self.sources[n]);
             let can_move = match &nic.current {
-                Some(cur) => nic.credits[cur.vc] > 0 || Pr::ENABLED,
+                Some(cur) => nic.credits[cur.vc] > 0,
                 None => occupied && nic.free != 0,
             };
             let member = self.nic_work.contains(n);
@@ -986,9 +999,7 @@ impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
                 debug_assert_eq!(held[out] & draining, 0, "router {n}: held VC draining");
                 let free = all_vcs(num_vcs) & !held[out] & !draining;
                 debug_assert_eq!(router.out_free[out], free, "out_free[{n}][{out}]");
-                can_move |= candidates[out] != 0
-                    || (va_req[out] != 0 && free != 0)
-                    || (Pr::ENABLED && (sa_ready[out] | va_req[out]) != 0);
+                can_move |= candidates[out] != 0 || (va_req[out] != 0 && free != 0);
                 for vc in 0..num_vcs {
                     debug_assert!(
                         draining & (1 << vc) == 0
@@ -1051,7 +1062,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         clock.lap(&mut self.probe, Phase::ApplyCredits);
         self.nic_inject(now);
         clock.lap(&mut self.probe, Phase::NicInject);
-        self.vc_allocate();
+        self.vc_allocate(now);
         clock.lap(&mut self.probe, Phase::VcAllocate);
         self.switch_traverse(now, out);
         clock.lap(&mut self.probe, Phase::SwitchTraverse);
@@ -1069,6 +1080,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
 mod tests {
     use super::*;
     use crate::flit::{FlowId, PacketId, Waiting};
+    use crate::telemetry::LiveProbe;
 
     /// A minimal policy: FIFO sources, each VC request takes the lowest
     /// free VC, and the first switch candidate from the round-robin
@@ -1126,12 +1138,10 @@ mod tests {
         }
     }
 
-    /// On a saturated tree toward one node most routers hold flits they
-    /// cannot forward and most NICs a packet they cannot stream: the
-    /// worklists hold fewer of them than are occupied, and the blocked
-    /// ones still deliver everything once woken.
-    #[test]
-    fn blocked_routers_and_nics_leave_their_worklists() {
+    /// A 4×4 mesh whose other 15 NICs each queue 20 packets for node
+    /// 15: a tree saturated toward one node. Returns the fabric and the
+    /// number of packets.
+    fn hotspot_tree<Pr: Probe>(probe: Pr) -> (VcFabric<Fifo, Pr>, usize) {
         let params = VcParams {
             topo: Topology::mesh(4, 4),
             num_vcs: 2,
@@ -1140,7 +1150,7 @@ mod tests {
             credit_delay: 3,
             threads: 1,
         };
-        let mut fabric = VcFabric::new(params, Fifo);
+        let mut fabric = VcFabric::with_probe(params, Fifo, probe);
         let hotspot = 15u32;
         let mut seq = 0;
         for src in 0..hotspot {
@@ -1159,6 +1169,21 @@ mod tests {
                 seq += 1;
             }
         }
+        (fabric, seq as usize)
+    }
+
+    /// `(listed routers, listed NICs)`.
+    fn listed<Pr: Probe>(fabric: &VcFabric<Fifo, Pr>) -> (usize, usize) {
+        (fabric.router_work.len(), fabric.nic_work.len())
+    }
+
+    /// On a saturated tree toward one node most routers hold flits they
+    /// cannot forward and most NICs a packet they cannot stream: the
+    /// worklists hold fewer of them than are occupied, and the blocked
+    /// ones still deliver everything once woken.
+    #[test]
+    fn blocked_routers_and_nics_leave_their_worklists() {
+        let (mut fabric, packets) = hotspot_tree(NoopProbe);
         let mut out = Vec::new();
         for _ in 0..300 {
             fabric.step(&mut out);
@@ -1171,20 +1196,44 @@ mod tests {
         let streaming = (0..fabric.nics.len())
             .filter(|&n| fabric.nics[n].current.is_some() || !fabric.sources[n].is_empty())
             .count();
+        let (routers, nics) = listed(&fabric);
         assert!(
-            fabric.router_work.len() < holding,
-            "{} listed routers, {holding} holding flits",
-            fabric.router_work.len()
+            routers < holding,
+            "{routers} listed routers, {holding} holding flits"
         );
         assert!(
-            fabric.nic_work.len() < streaming,
-            "{} listed NICs, {streaming} with packets",
-            fabric.nic_work.len()
+            nics < streaming,
+            "{nics} listed NICs, {streaming} with packets"
         );
         while fabric.in_flight() > 0 {
             fabric.step(&mut out);
             assert!(fabric.cycle() < 20_000, "the hotspot tree did not drain");
         }
-        assert_eq!(out.len(), seq as usize);
+        assert_eq!(out.len(), packets);
+    }
+
+    /// The same tree under a live probe lists the same routers and NICs
+    /// on every cycle, and its settled spans count stalls: the probe
+    /// changes no schedule.
+    #[test]
+    fn blocked_routers_and_nics_leave_their_worklists_under_a_live_probe() {
+        let (mut plain, packets) = hotspot_tree(NoopProbe);
+        let (mut live, _) = hotspot_tree(LiveProbe::new(16));
+        let (mut out, mut live_out) = (Vec::new(), Vec::new());
+        while plain.in_flight() > 0 {
+            plain.step(&mut out);
+            live.step(&mut live_out);
+            assert_eq!(
+                listed(&live),
+                listed(&plain),
+                "cycle {}: listed (routers, NICs)",
+                plain.cycle()
+            );
+            assert!(plain.cycle() < 20_000, "the hotspot tree did not drain");
+        }
+        assert_eq!((out.len(), live_out.len()), (packets, packets));
+        let report = live.into_probe().finish();
+        assert!(report.link_stalls.iter().sum::<u64>() > 0, "no link stall");
+        assert!(report.nic_stalls.iter().sum::<u64>() > 0, "no NIC stall");
     }
 }

@@ -9,7 +9,7 @@ use crate::stats::{Histogram, RunningStats};
 use super::report::{
     jain_index, FlowTelemetry, TelemetryReport, WindowPoint, TELEMETRY_SCHEMA_VERSION,
 };
-use super::{BufKind, PacketProbe, Probe};
+use super::{BlockKind, BufKind, Causes, PacketProbe, Probe};
 
 /// Per-flow accumulation while the run is live.
 #[derive(Debug, Clone, Default)]
@@ -20,10 +20,23 @@ struct FlowAcc {
     series: Vec<WindowPoint>,
 }
 
+/// A blocked span still open: the cycle of the visit that blocked the
+/// item, and what it waits for.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    since: u64,
+    causes: Causes,
+}
+
 /// The live telemetry probe: subscribes to every [`Probe`] event and
 /// accumulates per-link counters, occupancy statistics, and per-flow
 /// windowed series. [`LiveProbe::finish`] freezes the accumulation
 /// into a [`TelemetryReport`].
+///
+/// A work item that leaves its worklist blocked opens a span
+/// ([`Probe::on_block`]) that its next visit, or `finish`, settles:
+/// the cycles in between add one stall, wait or denial per cause, as
+/// a visit each cycle would have counted them.
 ///
 /// All storage is dense vectors grown on demand (never a hash map),
 /// so recording an event is an index bump and the steady state
@@ -42,6 +55,8 @@ pub struct LiveProbe {
     link_resets: Vec<u64>,
     vc_waits: Vec<u64>,
     nic_stalls: Vec<u64>,
+    /// Open blocked spans per [`BlockKind`], by item index.
+    spans: [Vec<Option<Span>>; BlockKind::COUNT],
     occupancy: Vec<Vec<RunningStats>>,
     flows: Vec<FlowAcc>,
     histogram: Histogram,
@@ -63,6 +78,7 @@ impl LiveProbe {
             link_resets: Vec::new(),
             vc_waits: Vec::new(),
             nic_stalls: Vec::new(),
+            spans: Default::default(),
             occupancy: vec![Vec::new(); BufKind::COUNT],
             flows: Vec::new(),
             histogram: Histogram::new(),
@@ -80,6 +96,30 @@ impl LiveProbe {
             vec.resize(idx + 1, 0);
         }
         vec[idx] += by;
+    }
+
+    /// Adds the cycles a blocked span missed, from the visit after its
+    /// block to the one before `end`, to the counters of its causes.
+    fn settle(&mut self, kind: BlockKind, index: usize, span: Span, end: u64) {
+        let missed = end - span.since - 1;
+        if missed == 0 {
+            return;
+        }
+        match kind {
+            BlockKind::Router => {
+                for port in 0..PORTS {
+                    let link = index * PORTS + port;
+                    if span.causes.credit & (1 << port) != 0 {
+                        Self::bump(&mut self.link_stalls, link, missed);
+                    }
+                    if span.causes.vc & (1 << port) != 0 {
+                        Self::bump(&mut self.vc_waits, link, missed);
+                    }
+                }
+            }
+            BlockKind::Nic => Self::bump(&mut self.nic_stalls, index, missed),
+            BlockKind::Lookahead => Self::bump(&mut self.sched_deny, index, missed),
+        }
     }
 
     /// Folds `point` into `series`, which is kept sorted by window.
@@ -110,11 +150,20 @@ impl LiveProbe {
         }
     }
 
-    /// Freezes the accumulation into a [`TelemetryReport`]: pads the
+    /// Freezes the accumulation into a [`TelemetryReport`]: settles
+    /// the spans still open as blocked to the end of the run, pads the
     /// per-link tables to a common length, derives per-flow
     /// throughput and min service rate, and computes the QoS roll-up.
     #[must_use]
     pub fn finish(mut self) -> TelemetryReport {
+        let open = std::mem::take(&mut self.spans);
+        for (kind, spans) in BlockKind::ALL.into_iter().zip(open) {
+            for (index, span) in spans.into_iter().enumerate() {
+                if let Some(span) = span {
+                    self.settle(kind, index, span, self.cycles);
+                }
+            }
+        }
         let links = [
             self.link_flits.len(),
             self.link_stalls.len(),
@@ -277,6 +326,28 @@ impl Probe for LiveProbe {
         Self::bump(&mut self.link_resets, link, 1);
     }
 
+    fn on_block(&mut self, kind: BlockKind, index: usize, causes: Causes, cycle: u64) {
+        let spans = &mut self.spans[kind.index()];
+        if spans.len() <= index {
+            spans.resize(index + 1, None);
+        }
+        debug_assert!(spans[index].is_none(), "{kind:?} {index} blocked twice");
+        spans[index] = Some(Span {
+            since: cycle,
+            causes,
+        });
+    }
+
+    #[inline]
+    fn on_visit(&mut self, kind: BlockKind, index: usize, cycle: u64) {
+        if let Some(span) = self.spans[kind.index()]
+            .get_mut(index)
+            .and_then(Option::take)
+        {
+            self.settle(kind, index, span, cycle);
+        }
+    }
+
     fn on_occupancy(&mut self, kind: BufKind, index: usize, occupied: u32) {
         let table = &mut self.occupancy[kind.index()];
         if table.len() <= index {
@@ -386,6 +457,68 @@ mod tests {
         assert_eq!(report.flows[0].throughput, 0.0);
         // No flows delivered anything: vacuously fair.
         assert_eq!(report.jain, 1.0);
+    }
+
+    /// Router 2 blocked at cycle 10 with output 1 waiting for credit
+    /// and outputs 3 and 4 for a VC.
+    fn blocked_router(probe: &mut LiveProbe) {
+        let causes = Causes {
+            credit: 1 << 1,
+            vc: 1 << 3 | 1 << 4,
+        };
+        probe.on_block(BlockKind::Router, 2, causes, 10);
+    }
+
+    #[test]
+    fn a_visit_settles_the_cycles_its_span_missed_per_cause() {
+        let mut probe = LiveProbe::new(10);
+        blocked_router(&mut probe);
+        probe.on_block(BlockKind::Nic, 1, Causes::default(), 4);
+        probe.on_block(BlockKind::Lookahead, 7, Causes::default(), 5);
+        // Visited again in cycle 14: it missed cycles 11, 12 and 13.
+        probe.on_visit(BlockKind::Router, 2, 14);
+        probe.on_visit(BlockKind::Nic, 1, 5);
+        probe.on_visit(BlockKind::Lookahead, 7, 8);
+        // Spans are closed: later visits add nothing.
+        probe.on_visit(BlockKind::Router, 2, 20);
+        probe.on_visit(BlockKind::Lookahead, 7, 20);
+        probe.on_visit(BlockKind::Nic, 9, 20);
+        probe.on_cycle(99);
+        let report = probe.finish();
+        assert_eq!(report.link_stalls[2 * PORTS + 1], 3);
+        assert_eq!(report.vc_waits[2 * PORTS + 3], 3);
+        assert_eq!(report.vc_waits[2 * PORTS + 4], 3);
+        assert_eq!(report.link_stalls.iter().sum::<u64>(), 3);
+        assert_eq!(report.vc_waits.iter().sum::<u64>(), 6);
+        // The NIC was visited the cycle after its block: nothing missed.
+        assert_eq!(report.nic_stalls.iter().sum::<u64>(), 0);
+        assert_eq!(report.sched_deny[7], 2);
+    }
+
+    #[test]
+    fn finish_settles_open_spans_to_the_end_of_the_run() {
+        let mut probe = LiveProbe::new(10);
+        blocked_router(&mut probe);
+        probe.on_block(BlockKind::Nic, 1, Causes::default(), 12);
+        // The run stepped cycles 0..=29.
+        probe.on_cycle(29);
+        let report = probe.finish();
+        assert_eq!(report.link_stalls[2 * PORTS + 1], 19);
+        assert_eq!(report.vc_waits[2 * PORTS + 4], 19);
+        assert_eq!(report.nic_stalls[1], 17);
+    }
+
+    #[test]
+    fn a_fork_carries_its_open_spans() {
+        let mut probe = LiveProbe::new(10);
+        blocked_router(&mut probe);
+        let mut fork = probe.clone();
+        probe.on_visit(BlockKind::Router, 2, 12);
+        fork.on_visit(BlockKind::Router, 2, 20);
+        let (report, forked) = (probe.finish(), fork.finish());
+        assert_eq!(report.link_stalls[2 * PORTS + 1], 1);
+        assert_eq!(forked.link_stalls[2 * PORTS + 1], 9);
+        assert_eq!(forked.vc_waits[2 * PORTS + 3], 9);
     }
 
     #[test]

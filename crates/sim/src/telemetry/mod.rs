@@ -92,6 +92,45 @@ impl BufKind {
     }
 }
 
+/// The work items that leave a worklist while blocked (see
+/// [`Probe::on_block`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum BlockKind {
+    /// A VC router (indexed by node): each of its blocked cycles is a
+    /// link stall or a VC wait at every output its [`Causes`] name.
+    Router,
+    /// A VC source NIC (indexed by node) whose streaming packet has no
+    /// credit: each blocked cycle is a NIC stall.
+    Nic,
+    /// A LOFT look-ahead queue (indexed by its output link) whose pass
+    /// booked nothing: each blocked cycle is a scheduler denial.
+    Lookahead,
+}
+
+impl BlockKind {
+    /// Number of kinds (for dense per-kind tables).
+    pub const COUNT: usize = 3;
+
+    /// Every kind, in index order.
+    pub const ALL: [BlockKind; BlockKind::COUNT] =
+        [BlockKind::Router, BlockKind::Nic, BlockKind::Lookahead];
+
+    /// Dense index of this kind, `0..COUNT`.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// What a blocked VC router waits for, one bit per output port.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Causes {
+    /// Outputs whose switch-ready flits all wait for credit.
+    pub credit: u8,
+    /// Outputs whose VC requests all wait for a held VC.
+    pub vc: u8,
+}
+
 /// Packet-level telemetry events, shared by every consumer of the
 /// simulation's output: the statistics collector behind [`SimReport`]
 /// implements exactly this trait, and every full [`Probe`] extends
@@ -152,22 +191,43 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
 
     /// An output link with traffic ready to go could not forward this
     /// cycle (switch allocation failed, or LOFT's buffer-space check
-    /// denied the move).
+    /// denied the move). Reported for visited routers only: a blocked
+    /// router's stalls arrive settled, through [`Probe::on_block`].
     fn on_link_stall(&mut self, link: usize) {
         let _ = link;
     }
 
     /// A source NIC with a packet to inject was blocked this cycle
-    /// (no credit, or no free central-buffer slot).
+    /// (no credit, or no free central-buffer slot). Reported for
+    /// visited NICs only: a blocked VC NIC's stalls arrive settled,
+    /// through [`Probe::on_block`].
     fn on_nic_stall(&mut self, node: usize) {
         let _ = node;
     }
 
     /// A head flit waited this cycle for a VC of output `link`, every
     /// one of which is held (VC allocation found requests but nothing
-    /// to grant).
+    /// to grant). Reported for visited routers only: a blocked
+    /// router's waits arrive settled, through [`Probe::on_block`].
     fn on_vc_wait(&mut self, link: usize) {
         let _ = link;
+    }
+
+    /// The `kind` item at `index` left its worklist blocked at the end
+    /// of its visit in `cycle`, waiting for `causes` (a router's; empty
+    /// for the other kinds). Until it is visited again, every cycle it
+    /// misses is one stall, wait or denial per cause — a backlogged
+    /// period whose count is its length — which the probe settles at
+    /// that visit ([`Probe::on_visit`]) or at the end of the run.
+    fn on_block(&mut self, kind: BlockKind, index: usize, causes: Causes, cycle: u64) {
+        let _ = (kind, index, causes, cycle);
+    }
+
+    /// The `kind` item at `index` is visited in `cycle`: it is on its
+    /// worklist, so any blocked span it had ends here, and this visit
+    /// reports its own stalls.
+    fn on_visit(&mut self, kind: BlockKind, index: usize, cycle: u64) {
+        let _ = (kind, index, cycle);
     }
 
     /// A link scheduler booked a reservation on `link` (LOFT's LSF
@@ -177,7 +237,9 @@ pub trait Probe: PacketProbe + std::fmt::Debug + Send {
     }
 
     /// A link scheduler had lookahead work queued for `link` but
-    /// could not book it this pass.
+    /// could not book it this pass. Reported for visited queues only:
+    /// a parked queue's denials arrive settled, through
+    /// [`Probe::on_block`].
     fn on_sched_deny(&mut self, link: usize) {
         let _ = link;
     }
@@ -230,6 +292,13 @@ mod tests {
     #[test]
     fn bufkind_indices_are_dense() {
         for (i, k) in BufKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i);
+        }
+    }
+
+    #[test]
+    fn blockkind_indices_are_dense() {
+        for (i, k) in BlockKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
         }
     }

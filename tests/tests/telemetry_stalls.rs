@@ -102,8 +102,9 @@ fn sum(counts: &[u64]) -> u64 {
 
 /// Checks that `cfg` counted exactly the pinned link and NIC stalls on
 /// the `hotspot(0.02)` tree. A blocked router or NIC leaves its
-/// worklist only when telemetry is off, so these sums pin that the
-/// probe still hears every stall.
+/// worklist, and the probe settles the stalls of its blocked span at
+/// its next visit, so these sums pin that the probe still hears every
+/// stall.
 fn check_hotspot_stalls<C: NetSpec>(
     cfg: impl Fn(Topology) -> C,
     link_stalls: u64,
@@ -140,8 +141,9 @@ fn wormhole_hotspot_stalls_are_pinned() {
 }
 
 /// GSF's default configuration blocks only in VC allocation, where a
-/// router with nothing to grant leaves its worklist while telemetry is
-/// off: this sum pins that a probe still hears every VC wait.
+/// router with nothing to grant leaves its worklist and the probe
+/// settles its VC waits at its next visit: this sum pins that a probe
+/// still hears every VC wait.
 #[test]
 fn gsf_hotspot_vc_waits_are_pinned() {
     let telemetry = hotspot_telemetry(GsfConfig::on);
@@ -158,9 +160,10 @@ fn gsf_hotspot_vc_waits_are_pinned() {
 
 /// LOFT's look-ahead counters on the same tree, where most look-ahead
 /// queues are refused most cycles: a queue whose flows are all blocked
-/// at its link parks off the worklist only when telemetry is off, so
-/// these sums pin that a probe still hears one denial per such queue
-/// per cycle, and that parking changed no booking, stall or reset.
+/// at its link parks off the worklist, and the probe settles its
+/// denials at its next visit, so these sums pin that a probe still
+/// hears one denial per such queue per cycle, and that parking changed
+/// no booking, stall or reset.
 #[test]
 fn loft_hotspot_scheduler_counts_are_pinned() {
     let telemetry = hotspot_telemetry(LoftConfig::on);
