@@ -100,6 +100,7 @@ impl LiveProbe {
 
     /// Adds the cycles a blocked span missed, from the visit after its
     /// block to the one before `end`, to the counters of its causes.
+    #[cold]
     fn settle(&mut self, kind: BlockKind, index: usize, span: Span, end: u64) {
         let missed = end - span.since - 1;
         if missed == 0 {
@@ -340,10 +341,9 @@ impl Probe for LiveProbe {
 
     #[inline]
     fn on_visit(&mut self, kind: BlockKind, index: usize, cycle: u64) {
-        if let Some(span) = self.spans[kind.index()]
-            .get_mut(index)
-            .and_then(Option::take)
-        {
+        // Read before writing: most visits find no open span.
+        if let Some(&Some(span)) = self.spans[kind.index()].get(index) {
+            self.spans[kind.index()][index] = None;
             self.settle(kind, index, span, cycle);
         }
     }
