@@ -2,8 +2,8 @@
 //! rows.
 //!
 //! Enumerates `{loft, gsf, wormhole} × {mesh, torus, line} × traffic
-//! × load × ff-legs`, runs warmup once per base point and forks it
-//! per leg (see `noc_sim::checkpoint`), runs whole simulations on
+//! × load`, runs warmup once per cell and forks it per horizon
+//! doubling (see `noc_sim::checkpoint`), runs whole simulations on
 //! `--jobs` lanes, and prints one versioned JSON row per cell to
 //! stdout, in matrix order, once every cell has run. Usage:
 //!
@@ -22,9 +22,8 @@
 //! * `--no-fork` — re-warm every leg from scratch (the baseline the
 //!   forked path is measured against).
 //! * `--selfcheck` — run the matrix both forked and re-warmed and
-//!   fail unless every row pair is bit-identical (modulo wall clock
-//!   and warmup-skip accounting), and unless the `ff=true` and
-//!   `ff=false` legs of every group agree on everything but `ff`.
+//!   fail unless every row pair is bit-identical but for wall clock,
+//!   skipped cycles included.
 //! * `--alloc-budget X` — fail if any leg's `allocs_per_cycle` exceeds
 //!   `X`: the gate that keeps the steady state allocation-free. Needs
 //!   the `alloc-count` feature and `--jobs 1` (the counter is
@@ -36,7 +35,7 @@
 //! * `--telemetry PATH` — carry a live probe in every warmup
 //!   checkpoint, so the legs' `cycles_per_sec` measures the
 //!   telemetry-on loop, and write a JSON array with one
-//!   `{"row":..,"telemetry":..}` entry per leg to `PATH`.
+//!   `{"row":..,"telemetry":..}` entry per row to `PATH`.
 //! * `--profile` — carry the phase profiler instead: every row gains
 //!   `phase_ns_per_cycle` and `phase_share`, warmup included.
 //!
@@ -139,9 +138,8 @@ fn gate(ok: bool, what: &str) -> bool {
 }
 
 /// Re-runs the matrix the other way (forked ↔ re-warmed) and demands
-/// bit-identical results for every cell; then demands that the two
-/// fast-forward legs of every group agree on everything but `ff`.
-/// Returns whether either check failed.
+/// bit-identical results for every cell. Returns whether the check
+/// failed.
 fn selfcheck(rows: &[SweepRow], matrix: Vec<SweepGroup>, opts: &SweepOptions) -> bool {
     let fork_warmup = !opts.fork_warmup;
     let other = run_sweep(
@@ -161,11 +159,6 @@ fn selfcheck(rows: &[SweepRow], matrix: Vec<SweepGroup>, opts: &SweepOptions) ->
     check(rows.len().to_string(), other.len().to_string());
     for (a, b) in rows.iter().zip(&other) {
         check(a.equivalence_key(), b.equivalence_key());
-    }
-    // Every built-in group runs an ff=true and an ff=false leg, so
-    // its two rows are adjacent.
-    for legs in rows.chunks_exact(2) {
-        check(legs[0].ff_blind_key(), legs[1].ff_blind_key());
     }
     let what = format!("selfcheck against fork_warmup={fork_warmup}: {mismatches} mismatches");
     gate(mismatches == 0, &what)

@@ -1,30 +1,25 @@
 //! Parallel sweep over the experiment matrix.
 //!
-//! A sweep enumerates `{loft, gsf, wormhole} × topology ×
-//! traffic × load × fast-forward legs` and runs every cell, streaming
-//! one versioned JSON row per cell. Two things make it fast:
+//! A sweep enumerates `{loft, gsf, wormhole} × topology × traffic ×
+//! load` and runs every cell once, streaming one versioned JSON row
+//! per cell. Two things make it fast:
 //!
-//! * **Warmup sharing.** All legs of a base point — the fast-forward
-//!   on/off pair, and any horizon extensions from adaptive saturation
-//!   probing — differ only *after* the warmup boundary. Each
+//! * **Warmup sharing.** A cell's horizon extensions from adaptive
+//!   saturation probing differ only *after* the warmup boundary. Each
 //!   [`SweepGroup`] therefore runs warmup once into a
-//!   [`noc_sim::Checkpoint`] and forks it per leg, instead
-//!   of re-warming from scratch per cell (the `--no-fork` baseline).
-//!   Forked legs are bit-identical to from-scratch runs; see
-//!   `noc_sim::checkpoint` for why.
+//!   [`noc_sim::Checkpoint`] and forks it per horizon, instead of
+//!   re-warming from scratch (the `--no-fork` baseline). Forked legs
+//!   are bit-identical to from-scratch runs, skipped cycles included;
+//!   see `noc_sim::checkpoint` for why.
 //! * **Whole simulations across lanes.** Groups are whole-simulation
 //!   tasks: independent, single-threaded, uneven in cost. `--jobs N`
 //!   lanes ([`map_jobs`]) claim them one at a time, in matrix order,
 //!   off one shared queue, so a long GSF point pipelines with many
 //!   short wormhole points instead of serializing behind them.
 //!
-//! The warmup checkpoint is always built with quiescence fast-forward
-//! enabled (it never changes results, only wall clock). A consequence:
-//! the `ff=false` leg of a forked group still carries the warmup
-//! phase's skipped cycles in its `skipped_cycles` field, whereas a
-//! from-scratch `ff=false` run reports zero. That field (and wall
-//! clock) is excluded from [`SweepRow::equivalence_key`], which is
-//! what `--selfcheck` compares between the forked and re-warm paths.
+//! Every leg runs with the engine's default quiescence fast-forward,
+//! so [`SweepRow::equivalence_key`], which `--selfcheck` compares
+//! between the forked and re-warm paths, covers `skipped_cycles` too.
 //!
 //! Every leg also records what CI gates on: simulated cycles per
 //! second and heap allocations per cycle (`alloc-count` feature) of
@@ -68,7 +63,7 @@ struct Kind {
     name: &'static str,
     /// The phases of the network's cycle, for profiled rows.
     phases: &'static [Phase],
-    run_group: fn(&SweepGroup, &SweepOptions) -> Result<Vec<SweepRow>, ConfigError>,
+    run_group: fn(&SweepGroup, &SweepOptions) -> Result<SweepRow, ConfigError>,
 }
 
 impl Kind {
@@ -127,8 +122,8 @@ impl TrafficKind {
     }
 }
 
-/// One base point of the matrix: a (network, topology, traffic, load,
-/// seed) tuple whose legs share a warmup prefix.
+/// One cell of the matrix: a (network, topology, traffic, load, seed)
+/// tuple whose horizon doublings share a warmup prefix.
 #[derive(Debug, Clone)]
 pub struct SweepGroup {
     /// Network architecture.
@@ -140,10 +135,8 @@ pub struct SweepGroup {
     /// Injection rate in flits/cycle/node.
     pub load: f64,
     /// Phase lengths; [`noc_sim::Checkpoint::with_measure`] may extend
-    /// `measure` per leg during saturation probing.
+    /// `measure` during saturation probing.
     pub run: RunConfig,
-    /// Fast-forward legs to run from the shared warmup (one row each).
-    pub ff_legs: Vec<bool>,
     /// Workload seed.
     pub seed: u64,
 }
@@ -178,7 +171,7 @@ pub fn topo_name(topo: Topology) -> String {
     }
 }
 
-/// One result row of the sweep (one leg of one group).
+/// One result row of the sweep (the final leg of one group).
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Network architecture.
@@ -189,7 +182,8 @@ pub struct SweepRow {
     pub traffic: TrafficKind,
     /// Injection rate.
     pub load: f64,
-    /// Fast-forward setting of this leg.
+    /// Whether quiescence fast-forward was on: always `true`, since
+    /// every leg runs with the engine default.
     pub ff: bool,
     /// Whether this leg was forked from a shared warmup checkpoint.
     pub forked_warmup: bool,
@@ -203,9 +197,7 @@ pub struct SweepRow {
     pub drain: u64,
     /// Cycle the run actually ended at.
     pub end_cycle: u64,
-    /// Cycles skipped by quiescence fast-forward. Forked legs include
-    /// warmup-phase skips even when `ff` is false (the shared warmup
-    /// always fast-forwards).
+    /// Cycles skipped by quiescence fast-forward, warmup included.
     pub skipped_cycles: u64,
     /// Wall-clock seconds of this leg (fork + resume, or full run).
     pub wall_secs: f64,
@@ -245,12 +237,9 @@ impl SweepRow {
     /// Every field of the row, once, in output order: its JSON name,
     /// its value, and whether it is deterministic — a simulation
     /// result that must be bit-identical between a forked leg and a
-    /// from-scratch leg of the same cell. Wall clock, `jobs`,
-    /// `forked_warmup` and `skipped_cycles` are not (the shared warmup
-    /// always fast-forwards, so a forked `ff=false` leg keeps warmup
-    /// skips a scratch run never makes — the *results* are still
-    /// identical). The probes' output, `telemetry` and `phases`, is
-    /// not a field of this list.
+    /// from-scratch leg of the same cell. Wall clock, `jobs` and
+    /// `forked_warmup` are not. The probes' output, `telemetry` and
+    /// `phases`, is not a field of this list.
     fn fields(&self, jobs: usize) -> [(&'static str, Value<'_>, bool); 26] {
         let opt = |x: Option<f64>, digits| x.map_or(Value::Null, |x| Value::Fixed(x, digits));
         [
@@ -267,7 +256,7 @@ impl SweepRow {
             ("measure", self.measure.into(), true),
             ("drain", self.drain.into(), true),
             ("end_cycle", self.end_cycle.into(), true),
-            ("skipped_cycles", self.skipped_cycles.into(), false),
+            ("skipped_cycles", self.skipped_cycles.into(), true),
             ("wall_secs", Value::Fixed(self.wall_secs, 4), false),
             ("warmup_secs", Value::Fixed(self.warmup_secs, 4), false),
             ("packets_delivered", self.packets.into(), true),
@@ -301,36 +290,23 @@ impl SweepRow {
         })
     }
 
-    /// The deterministic fields but `skip`, floats by their bits.
-    fn key(&self, skip: &str) -> String {
+    /// The deterministic portion of the row: everything that must be
+    /// bit-identical between a forked leg and a from-scratch leg of
+    /// the same cell. Excludes wall clock, `jobs`, `forked_warmup` and
+    /// the probes' output; floats count to the last bit.
+    #[must_use]
+    pub fn equivalence_key(&self) -> String {
         json::object(|key| {
             for (name, value, deterministic) in self.fields(0) {
                 let exact = match value {
                     Value::Float(x) | Value::Fixed(x, _) => Value::Int(x.to_bits()),
                     value => value,
                 };
-                if deterministic && name != skip {
+                if deterministic {
                     key.field(name, exact);
                 }
             }
         })
-    }
-
-    /// The deterministic portion of the row: everything that must be
-    /// bit-identical between a forked leg and a from-scratch leg of
-    /// the same cell. Excludes wall clock, `jobs`, `forked_warmup`,
-    /// `skipped_cycles` and the probes' output; floats count to the
-    /// last bit.
-    #[must_use]
-    pub fn equivalence_key(&self) -> String {
-        self.key("")
-    }
-
-    /// [`SweepRow::equivalence_key`] without `ff`: fast-forward is
-    /// exact, so the legs of one group agree on the rest.
-    #[must_use]
-    pub fn ff_blind_key(&self) -> String {
-        self.key("ff")
     }
 }
 
@@ -384,14 +360,14 @@ pub fn clamp_jobs(requested: usize) -> usize {
     jobs
 }
 
-/// Runs every leg of one group, sharing its warmup when
+/// Runs one group, its horizon doublings sharing its warmup when
 /// `opts.fork_warmup` is set.
 ///
 /// # Errors
 ///
 /// Fails if the group's scenario does not exist on its topology or
 /// does not fit the network's frame.
-pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Result<Vec<SweepRow>, ConfigError> {
+pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Result<SweepRow, ConfigError> {
     (group.net.kind().run_group)(group, opts)
 }
 
@@ -399,7 +375,7 @@ pub fn run_group(group: &SweepGroup, opts: &SweepOptions) -> Result<Vec<SweepRow
 fn run_group_on<C: NetSpec>(
     group: &SweepGroup,
     opts: &SweepOptions,
-) -> Result<Vec<SweepRow>, ConfigError> {
+) -> Result<SweepRow, ConfigError> {
     match opts.instrument {
         Instrument::Off => run_legs::<C, _>(group, opts, NoopProbe, |_| (None, None)),
         Instrument::Telemetry => {
@@ -426,21 +402,19 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64, Option<u64>) {
     (out, secs, allocs().zip(before).map(|(after, b)| after - b))
 }
 
-/// [`run_group_on`] with `probe` attached; `finish` turns a leg's
-/// probe into its row's `telemetry` and `phases`.
+/// [`run_group_on`] with `probe` attached; `finish` turns the final
+/// leg's probe into its row's `telemetry` and `phases`.
 fn run_legs<C: NetSpec, P: Probe + Clone>(
     group: &SweepGroup,
     opts: &SweepOptions,
     probe: P,
     finish: impl Fn(P) -> (Option<String>, Option<PhaseProbe>),
-) -> Result<Vec<SweepRow>, ConfigError> {
+) -> Result<SweepRow, ConfigError> {
     let scenario = group.scenario()?;
     let sim = |run: RunConfig| {
         let cfg = C::on(group.topo);
         simulation(&scenario, cfg, probe.clone(), run, group.seed)
     };
-    // The shared warmup always fast-forwards: bit-identical and
-    // fastest (see the module docs for the skip accounting).
     let t0 = Instant::now();
     let ckpt = if opts.fork_warmup {
         Some(sim(group.run)?.run_to_checkpoint())
@@ -448,79 +422,75 @@ fn run_legs<C: NetSpec, P: Probe + Clone>(
         None
     };
     let warmup_secs = ckpt.as_ref().map_or(0.0, |_| t0.elapsed().as_secs_f64());
-    let mut rows = Vec::with_capacity(group.ff_legs.len());
-    for &ff in &group.ff_legs {
-        let t0 = Instant::now();
-        let run_leg = |measure: u64| -> Result<_, ConfigError> {
-            Ok(match &ckpt {
-                // Neither the clock nor the allocation count covers the
-                // fork: it is setup (a deep copy), not steady state.
-                Some(c) => {
-                    let leg = c.fork().with_fast_forward(ff).with_measure(measure);
-                    timed(|| leg.resume())
-                }
-                // The `--no-fork` baseline: re-warm from scratch.
-                None => {
-                    let sim = sim(RunConfig {
-                        measure,
-                        ..group.run
-                    })?;
-                    timed(|| sim.with_fast_forward(ff).run_full(|| {}))
-                }
-            })
-        };
-        let (mut measure, mut doublings) = (group.run.measure, 0);
-        let ((report, network, info), secs, allocs) = loop {
-            let (leg, secs, allocs) = run_leg(measure)?;
-            let saturated = leg.0.total_latency.count() == 0 && leg.0.flits_delivered > 0;
-            if !saturated || doublings == MAX_DOUBLINGS {
-                break (leg, secs, allocs);
+    let t0 = Instant::now();
+    let run_leg = |measure: u64| -> Result<_, ConfigError> {
+        Ok(match &ckpt {
+            // Neither the clock nor the allocation count covers the
+            // fork: it is setup (a deep copy), not steady state.
+            Some(c) => {
+                let leg = c.fork().with_measure(measure);
+                timed(|| leg.resume())
             }
-            doublings += 1;
-            measure *= 2;
-        };
-        let wall_secs = t0.elapsed().as_secs_f64();
-        // Serialized outside every timed and counted span: the export
-        // is one-shot output formatting, not the steady-state loop.
-        let (telemetry, phases) = finish(C::into_probe(network));
-        let packets: u64 = report.flows.iter().map(|f| f.packets_delivered).sum();
-        let measured = report.total_latency.count() > 0;
-        let q = |q: f64| measured.then(|| report.latency_histogram.quantile_upper_bound(q));
-        rows.push(SweepRow {
-            net: group.net,
-            topo: topo_name(group.topo),
-            traffic: group.traffic,
-            load: group.load,
-            ff,
-            forked_warmup: ckpt.is_some(),
-            seed: group.seed,
-            warmup: group.run.warmup,
-            measure,
-            drain: group.run.drain,
-            end_cycle: info.end_cycle,
-            skipped_cycles: info.skipped_cycles,
-            wall_secs,
-            warmup_secs,
-            packets,
-            flits: report.flits_delivered,
-            avg_latency: measured.then(|| report.avg_latency()),
-            p50: q(0.50),
-            p95: q(0.95),
-            p99: q(0.99),
-            saturated: !measured && packets > 0,
-            horizon_doublings: doublings,
-            cycles_per_sec: (info.end_cycle - group.run.warmup) as f64 / secs,
-            allocs_per_cycle: allocs.map(|a| a as f64 / measure as f64),
-            telemetry,
-            phases,
-        });
-    }
-    Ok(rows)
+            // The `--no-fork` baseline: re-warm from scratch.
+            None => {
+                let sim = sim(RunConfig {
+                    measure,
+                    ..group.run
+                })?;
+                timed(|| sim.run_full(|| {}))
+            }
+        })
+    };
+    let (mut measure, mut doublings) = (group.run.measure, 0);
+    let ((report, network, info), secs, allocs) = loop {
+        let (leg, secs, allocs) = run_leg(measure)?;
+        let saturated = leg.0.total_latency.count() == 0 && leg.0.flits_delivered > 0;
+        if !saturated || doublings == MAX_DOUBLINGS {
+            break (leg, secs, allocs);
+        }
+        doublings += 1;
+        measure *= 2;
+    };
+    let wall_secs = t0.elapsed().as_secs_f64();
+    // Serialized outside every timed and counted span: the export
+    // is one-shot output formatting, not the steady-state loop.
+    let (telemetry, phases) = finish(C::into_probe(network));
+    let packets: u64 = report.flows.iter().map(|f| f.packets_delivered).sum();
+    let measured = report.total_latency.count() > 0;
+    let q = |q: f64| measured.then(|| report.latency_histogram.quantile_upper_bound(q));
+    Ok(SweepRow {
+        net: group.net,
+        topo: topo_name(group.topo),
+        traffic: group.traffic,
+        load: group.load,
+        ff: true,
+        forked_warmup: ckpt.is_some(),
+        seed: group.seed,
+        warmup: group.run.warmup,
+        measure,
+        drain: group.run.drain,
+        end_cycle: info.end_cycle,
+        skipped_cycles: info.skipped_cycles,
+        wall_secs,
+        warmup_secs,
+        packets,
+        flits: report.flits_delivered,
+        avg_latency: measured.then(|| report.avg_latency()),
+        p50: q(0.50),
+        p95: q(0.95),
+        p99: q(0.99),
+        saturated: !measured && packets > 0,
+        horizon_doublings: doublings,
+        cycles_per_sec: (info.end_cycle - group.run.warmup) as f64 / secs,
+        allocs_per_cycle: allocs.map(|a| a as f64 / measure as f64),
+        telemetry,
+        phases,
+    })
 }
 
 /// Runs a whole matrix on `opts.jobs` lanes ([`map_jobs`]) and, once
-/// every group has finished, returns the rows grouped per group in
-/// matrix order.
+/// every group has finished, returns one row per group in matrix
+/// order.
 ///
 /// # Panics
 ///
@@ -532,13 +502,10 @@ pub fn run_sweep(groups: Vec<SweepGroup>, opts: &SweepOptions) -> Vec<SweepRow> 
     map_jobs(opts.jobs, groups, |g| {
         run_group(&g, opts).unwrap_or_else(|e| panic!("infeasible sweep group {g:?}: {e}"))
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// One group per network and `(topology, traffic, load, phases)`
-/// point, each with both fast-forward legs.
+/// point.
 fn matrix(points: &[(Topology, TrafficKind, f64, RunConfig)], seed: u64) -> Vec<SweepGroup> {
     Net::ALL
         .into_iter()
@@ -551,7 +518,6 @@ fn matrix(points: &[(Topology, TrafficKind, f64, RunConfig)], seed: u64) -> Vec<
                     traffic,
                     load,
                     run,
-                    ff_legs: vec![true, false],
                     seed,
                 })
         })
@@ -560,9 +526,8 @@ fn matrix(points: &[(Topology, TrafficKind, f64, RunConfig)], seed: u64) -> Vec<
 
 /// The full default matrix: every network on uniform traffic at three
 /// loads on the 8×8 mesh, the 8×8 torus and a 16-node line (the mesh
-/// 16×1), plus the hotspot pattern on the default mesh — two
-/// fast-forward legs each. Warmup-heavy phases so the
-/// shared-warmup fork pays even at `--jobs 1`.
+/// 16×1), plus the hotspot pattern on the default mesh. Warmup-heavy
+/// phases so the shared-warmup fork pays even at `--jobs 1`.
 ///
 /// `_threads` is accepted and ignored (every simulation steps on one
 /// thread); ROADMAP item 5(c) deletes it.
@@ -633,25 +598,38 @@ mod tests {
                 measure: 600,
                 drain: 400,
             },
-            ff_legs: vec![true, false],
             seed: SEED,
         }
     }
 
-    /// The heart of the sweep's correctness claim: a forked leg must
-    /// be bit-identical (modulo warmup skip accounting) to the same
-    /// leg run from scratch, for every network on every topology —
-    /// and, fast-forward being exact, to the group's other ff leg.
+    /// The heart of the sweep's correctness claim: a forked row must
+    /// be bit-identical, skipped cycles included, to the same row run
+    /// from scratch, for every network on every topology, and on
+    /// bursty traffic that fast-forward skips through in warmup and
+    /// measurement alike.
     #[test]
     fn forked_rows_match_scratch_rows() {
+        let bursty = |net| SweepGroup {
+            traffic: TrafficKind::Bursty,
+            load: 0.60,
+            run: RunConfig {
+                warmup: 1_000,
+                measure: 3_000,
+                drain: 1_000,
+            },
+            ..tiny_group(net, Scenario::default_topology())
+        };
         let topos = [
             Topology::mesh(4, 4),
             Topology::torus(4, 4),
             Topology::mesh(8, 1),
         ];
         for net in Net::ALL {
-            for topo in topos {
-                let group = tiny_group(net, topo);
+            let groups = topos
+                .map(|topo| tiny_group(net, topo))
+                .into_iter()
+                .chain([bursty(net)]);
+            for group in groups {
                 let forked = run_group(&group, &SweepOptions::default()).unwrap();
                 let scratch = run_group(
                     &group,
@@ -661,20 +639,19 @@ mod tests {
                     },
                 )
                 .unwrap();
-                assert_eq!(forked.len(), scratch.len());
-                for (f, s) in forked.iter().zip(&scratch) {
-                    assert!(f.forked_warmup && !s.forked_warmup);
-                    assert_eq!(
-                        f.equivalence_key(),
-                        s.equivalence_key(),
-                        "{} on {} (ff={}) drifted between forked and scratch",
-                        net.name(),
-                        topo_name(topo),
-                        f.ff
-                    );
-                    assert!(f.flits > 0, "leg delivered nothing");
+                assert!(forked.forked_warmup && !scratch.forked_warmup);
+                assert_eq!(
+                    forked.equivalence_key(),
+                    scratch.equivalence_key(),
+                    "{} on {} {} drifted between forked and scratch",
+                    net.name(),
+                    forked.topo,
+                    forked.traffic.name()
+                );
+                assert!(forked.flits > 0, "row delivered nothing");
+                if group.traffic == TrafficKind::Bursty {
+                    assert!(forked.skipped_cycles > 0, "{} skipped nothing", net.name());
                 }
-                assert_eq!(forked[0].ff_blind_key(), forked[1].ff_blind_key());
             }
         }
     }
@@ -752,10 +729,10 @@ mod tests {
         assert_eq!(clamp_jobs(0), 1);
     }
 
-    /// Perturbs every `SweepRow` field alone: the keys are derived
-    /// from the one field list, so `equivalence_key` moves exactly for
-    /// the deterministic fields, `ff_blind_key` for those but `ff`, and
-    /// floats count to the last bit.
+    /// Perturbs every `SweepRow` field alone: the key is derived from
+    /// the one field list, so `equivalence_key` moves exactly for the
+    /// deterministic fields, `skipped_cycles` included, and floats
+    /// count to the last bit.
     #[test]
     fn keys_move_with_exactly_the_deterministic_fields() {
         // Names every field: a new one does not compile until it has a
@@ -801,7 +778,7 @@ mod tests {
             ("measure", true, |r| r.measure += 1),
             ("drain", true, |r| r.drain += 1),
             ("end_cycle", true, |r| r.end_cycle += 1),
-            ("skipped_cycles", false, |r| r.skipped_cycles += 1),
+            ("skipped_cycles", true, |r| r.skipped_cycles += 1),
             ("wall_secs", false, |r| r.wall_secs += 1.0),
             ("warmup_secs", false, |r| r.warmup_secs += 1.0),
             ("packets", true, |r| r.packets += 1),
@@ -824,10 +801,8 @@ mod tests {
         for (field, deterministic, perturb) in cases {
             let mut row = base.clone();
             perturb(&mut row);
-            let moved = |key: fn(&SweepRow) -> String| key(&row) != key(&base);
-            assert_eq!(moved(SweepRow::equivalence_key), deterministic, "{field}");
-            let ff_blind = deterministic && field != "ff";
-            assert_eq!(moved(SweepRow::ff_blind_key), ff_blind, "{field}");
+            let moved = row.equivalence_key() != base.equivalence_key();
+            assert_eq!(moved, deterministic, "{field}");
         }
         let mut ulp = base.clone();
         ulp.avg_latency = ulp.avg_latency.map(|x| f64::from_bits(x.to_bits() + 1));
@@ -841,9 +816,8 @@ mod tests {
     #[test]
     fn rows_render_versioned_json() {
         let group = tiny_group(Net::Wormhole, Topology::mesh(4, 4));
-        let rows = run_group(&group, &SweepOptions::default()).unwrap();
-        assert_eq!(rows.len(), 2);
-        let json = rows[0].to_json(3);
+        let row = run_group(&group, &SweepOptions::default()).unwrap();
+        let json = row.to_json(3);
         assert!(json.starts_with("{\"schema\":3,"));
         assert!(json.contains("\"jobs\":3"));
         assert!(json.contains("\"forked_warmup\":true"));

@@ -18,7 +18,7 @@ fn every_profiled_smoke_row_carries_the_phase_split() {
     assert!(out.status.success(), "sweep --smoke --profile: {stderr}");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 rows");
     let rows: Vec<&str> = stdout.lines().collect();
-    assert_eq!(rows.len(), 18, "9 groups x 2 fast-forward legs");
+    assert_eq!(rows.len(), 9, "one row per group");
     for row in rows {
         let phase = if row.contains("\"net\":\"loft\"") {
             "\"la_schedule\":"

@@ -58,8 +58,8 @@ pub struct LoftConfig {
     pub speculative_switching: bool,
     /// Enable local status reset (Section 4.3.2).
     pub local_status_reset: bool,
-    /// Accepted and ignored: the network steps on one thread; see
-    /// `noc_sim::fabric::VcParams::threads`.
+    /// Accepted and ignored: the network steps on one thread (DESIGN.md
+    /// *Parallelism*).
     pub threads: usize,
 }
 

@@ -23,7 +23,8 @@
 //! refuses it again until a wake, so the queue leaves the worklist
 //! until the network reports one — a frame crossing, a local reset,
 //! or a credit return or completion that the scheduler says woke it —
-//! or a flit of a flow that is not blocked arrives.
+//! or a flit of a flow that is not blocked arrives. A queue is parked
+//! exactly when it has entries and is off the worklist.
 
 use noc_sim::checkpoint::{Cap, CapVec};
 use noc_sim::ActiveSet;
@@ -36,10 +37,9 @@ use noc_sim::ActiveSet;
 pub(crate) struct LookaheadQueues<T> {
     /// `(flow, flit)` entries per queue, oldest first.
     queues: Vec<CapVec<(usize, T)>>,
-    /// Non-empty queues whose last pass booked nothing and that no
-    /// wake or unblocked arrival has reached since.
-    parked: ActiveSet,
-    /// Queues to visit: the non-empty unparked ones.
+    /// Queues to visit: the non-empty ones but those whose last pass
+    /// booked nothing and that no wake or unblocked arrival has
+    /// reached since (the parked ones).
     work: ActiveSet,
     /// Per flow: the id of the last pass that offered it an entry.
     offered: Vec<u64>,
@@ -53,7 +53,6 @@ impl<T> LookaheadQueues<T> {
     pub(crate) fn new(num_queues: usize, num_flows: usize) -> Self {
         LookaheadQueues {
             queues: (0..num_queues).map(|_| Cap(Vec::new())).collect(),
-            parked: ActiveSet::new(num_queues),
             work: ActiveSet::new(num_queues),
             offered: vec![0; num_flows],
             pass: 0,
@@ -71,20 +70,17 @@ impl<T> LookaheadQueues<T> {
         item: T,
         blocked: impl FnOnce() -> bool,
     ) {
-        self.queues[qidx].push((flow, item));
-        if !self.parked.contains(qidx) {
+        if !self.is_parked(qidx) || !blocked() {
             self.work.insert(qidx);
-        } else if !blocked() {
-            self.wake(qidx);
         }
+        self.queues[qidx].push((flow, item));
     }
 
     /// Puts parked queue `qidx` back to work (a no-op on any other):
     /// its link scheduler woke.
     #[inline]
     pub(crate) fn wake(&mut self, qidx: usize) {
-        if self.parked.contains(qidx) {
-            self.parked.remove(qidx);
+        if !self.queues[qidx].is_empty() {
             self.work.insert(qidx);
         }
     }
@@ -92,9 +88,7 @@ impl<T> LookaheadQueues<T> {
     /// Puts every parked queue back to work: a frame crossing woke
     /// every link scheduler.
     pub(crate) fn wake_all(&mut self) {
-        let mut cursor = 0;
-        while let Some(qidx) = self.parked.first_from(cursor) {
-            cursor = qidx + 1;
+        for qidx in 0..self.queues.len() {
             self.wake(qidx);
         }
     }
@@ -106,10 +100,11 @@ impl<T> LookaheadQueues<T> {
         self.work.first_from(from)
     }
 
-    /// Whether queue `qidx` is parked.
-    #[cfg(test)]
-    pub(crate) fn is_parked(&self, qidx: usize) -> bool {
-        self.parked.contains(qidx)
+    /// Whether queue `qidx` is parked: it has entries, but is off the
+    /// worklist.
+    #[inline]
+    fn is_parked(&self, qidx: usize) -> bool {
+        !self.queues[qidx].is_empty() && !self.work.contains(qidx)
     }
 
     /// Entries in queue `qidx`.
@@ -130,14 +125,14 @@ impl<T> LookaheadQueues<T> {
     /// succeeds.
     ///
     /// On success the entry is removed and `(entry, booking)` is
-    /// returned. On failure the queue is parked and `None` is
-    /// returned.
+    /// returned. On failure the queue is parked (taken off the
+    /// worklist) and `None` is returned.
     pub(crate) fn book_first<R>(
         &mut self,
         qidx: usize,
         mut try_book: impl FnMut(&T) -> Option<R>,
     ) -> Option<(T, R)> {
-        debug_assert!(self.work.contains(qidx) && !self.parked.contains(qidx));
+        debug_assert!(self.work.contains(qidx));
         self.pass += 1;
         let pass = self.pass;
         let offered = &mut self.offered;
@@ -150,7 +145,6 @@ impl<T> LookaheadQueues<T> {
             try_book(item).map(|r| (i, r))
         });
         let Some((i, r)) = booked else {
-            self.parked.insert(qidx);
             self.work.remove(qidx);
             return None;
         };
@@ -182,22 +176,18 @@ impl<T> LookaheadQueues<T> {
         self.queues
             .iter()
             .enumerate()
-            .filter(|&(i, _)| self.parked.contains(i))
+            .filter(|&(i, _)| self.is_parked(i))
             .flat_map(|(i, q)| q.iter().map(move |&(flow, _)| (i, flow)))
     }
 
-    /// Full-scan cross-check (debug builds): the parked queues are
-    /// non-empty, and the worklist holds exactly the other non-empty
-    /// queues.
+    /// Full-scan cross-check (debug builds): the worklist holds no
+    /// empty queue.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn debug_verify(&self) {
         for (i, q) in self.queues.iter().enumerate() {
-            let parked = self.parked.contains(i);
-            debug_assert!(!parked || !q.is_empty(), "empty queue {i} parked");
-            debug_assert_eq!(
-                self.work.contains(i),
-                !q.is_empty() && !parked,
-                "look-ahead worklist out of sync at queue {i}"
+            debug_assert!(
+                !self.work.contains(i) || !q.is_empty(),
+                "empty look-ahead queue {i} on the worklist"
             );
         }
     }

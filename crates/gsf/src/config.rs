@@ -31,8 +31,8 @@ pub struct GsfConfig {
     pub hop_latency: u64,
     /// Cycles for a credit to return upstream.
     pub credit_delay: u64,
-    /// Accepted and ignored: the network steps on one thread; see
-    /// `noc_sim::fabric::VcParams::threads`.
+    /// Accepted and ignored: the network steps on one thread (DESIGN.md
+    /// *Parallelism*).
     pub threads: usize,
 }
 
@@ -53,7 +53,6 @@ impl GsfConfig {
             vc_capacity: self.vc_capacity,
             hop_latency: self.hop_latency,
             credit_delay: self.credit_delay,
-            threads: self.threads,
         }
     }
 

@@ -14,10 +14,10 @@
 //! That turns the expensive part of an experiment matrix — warmup —
 //! into a shared prefix: one warmup per (network, topology, traffic,
 //! load, seed) base point, then a cheap fork per measurement variant
-//! (fast-forward on/off legs, horizon extensions for saturation
-//! probing via [`Checkpoint::with_measure`], repeated timing
-//! iterations). The golden-determinism and equivalence suites and the
-//! `sweep` runner in `loft-bench` are all built on this.
+//! (horizon extensions for saturation probing via
+//! [`Checkpoint::with_measure`], repeated timing iterations). The
+//! golden-determinism and equivalence suites and the `sweep` runner
+//! in `loft-bench` are all built on this.
 //!
 //! # Why forks are bit-identical
 //!

@@ -379,10 +379,6 @@ pub struct VcParams {
     /// freed in one cycle's switch traversal is applied by the next
     /// cycle's credit phase at the earliest).
     pub credit_delay: u64,
-    /// Accepted and ignored: the VC fabric steps on one thread. Kept
-    /// only so configs that set it still compile; ROADMAP item 5(c)
-    /// deletes it with every other `threads` field.
-    pub threads: usize,
 }
 
 impl VcParams {
@@ -1148,7 +1144,6 @@ mod tests {
             vc_capacity: 4,
             hop_latency: 3,
             credit_delay: 3,
-            threads: 1,
         };
         let mut fabric = VcFabric::with_probe(params, Fifo, probe);
         let hotspot = 15u32;

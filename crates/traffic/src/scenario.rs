@@ -83,11 +83,9 @@ impl Scenario {
     /// on every link it can use (Section 5.1).
     ///
     /// * An [`Alloc::Share`] gets `floor(share × capacity)`.
-    /// * A [`Alloc::Weight`], when every flow has a fixed destination,
-    ///   is scaled so the most loaded link is exactly filled.
-    /// * Otherwise (uniform traffic) the whole frame is split in
-    ///   proportion to weights across *all* flows, since any link may
-    ///   be shared by all of them.
+    /// * An [`Alloc::Weight`] `w` gets `floor(w × capacity / max_load)`,
+    ///   where a link's load is the summed weight of the flows that can
+    ///   use it: the most loaded link is exactly filled.
     ///
     /// Every link's reservations must then fit the frame. A link is a
     /// source's injection link or a router output port, ejection
@@ -118,30 +116,18 @@ impl Scenario {
         self.check()?;
         let cap = f64::from(frame_capacity);
         let links = self.topo.num_nodes() * LINKS_PER_NODE;
-        let fixed = self
-            .flows
-            .iter()
-            .all(|f| matches!(f.dest, DestRule::Fixed(_)));
-        let weight = |f: &ScenarioFlow| match f.alloc {
-            Alloc::Weight(w) => Some(w),
-            Alloc::Share(_) => None,
-        };
-        let max_load = fixed.then(|| {
-            let mut loads = vec![0.0_f64; links];
-            for f in &self.flows {
-                if let Some(w) = weight(f) {
-                    self.each_link(f, |link| loads[link] += w);
-                }
+        let mut loads = vec![0.0_f64; links];
+        for f in &self.flows {
+            if let Alloc::Weight(w) = f.alloc {
+                self.each_link(f, |link| loads[link] += w);
             }
-            loads.into_iter().fold(0.0_f64, f64::max)
-        });
-        let total: f64 = self.flows.iter().filter_map(weight).sum();
+        }
+        let max_load = loads.into_iter().fold(0.0_f64, f64::max);
         let mut out = Vec::with_capacity(self.flows.len());
         for (i, f) in self.flows.iter().enumerate() {
-            let r = match (f.alloc, max_load) {
-                (Alloc::Share(share), _) => (share * cap).floor(),
-                (Alloc::Weight(w), Some(max)) => (w * (cap / max)).floor(),
-                (Alloc::Weight(w), None) => (w / total * cap).floor(),
+            let r = match f.alloc {
+                Alloc::Share(share) => (share * cap).floor(),
+                Alloc::Weight(w) => (w * (cap / max_load)).floor(),
             } as u32;
             if r == 0 {
                 return Err(ConfigError::new(format!(

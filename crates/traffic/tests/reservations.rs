@@ -1,6 +1,6 @@
-//! `Scenario::reservations`: with fixed destinations weights scale to
-//! the most loaded link, every link's reservations must fit the frame,
-//! and malformed flows are errors.
+//! `Scenario::reservations`: weights scale to the most loaded link,
+//! every link's reservations must fit the frame, and malformed flows
+//! are errors.
 
 use std::collections::HashMap;
 
@@ -98,6 +98,69 @@ fn uniform_shares_that_oversubscribe_a_router_port_are_errors() {
         .iter_mut()
         .for_each(|f| f.alloc = Alloc::Share(1.0 / 64.0));
     assert_eq!(s.reservations(256).unwrap(), vec![4; 64]);
+}
+
+/// `r` run-length encoded: `4x3 5` is `[4, 4, 4, 5]`.
+fn runs(r: &[u32]) -> String {
+    let mut out = Vec::new();
+    for chunk in r.chunk_by(|a, b| a == b) {
+        out.push(match chunk.len() {
+            1 => chunk[0].to_string(),
+            n => format!("{}x{n}", chunk[0]),
+        });
+    }
+    out.join(" ")
+}
+
+/// The reservations of every built-in scenario at LOFT's frame of 256
+/// slots and GSF's of 2 000. Uniform flows load every router output
+/// port, so one weight formula sizes them and fixed-destination flows
+/// alike; on the odd 3×3 mesh too.
+#[test]
+fn built_in_scenarios_keep_their_reservations() {
+    let pins = [
+        (Scenario::uniform(0.1), "4x64", "31x64"),
+        (
+            Scenario::uniform_on(Topology::torus(8, 8), 0.1),
+            "4x64",
+            "31x64",
+        ),
+        (
+            Scenario::uniform_on(Topology::mesh(16, 1), 0.1),
+            "16x16",
+            "125x16",
+        ),
+        (
+            Scenario::uniform_on(Topology::mesh(3, 3), 0.1),
+            "28x9",
+            "222x9",
+        ),
+        (Scenario::hotspot(0.05), "4x63", "31x63"),
+        (
+            Scenario::hotspot_differentiated4(0.05),
+            "5x4 4x4 5x4 4x4 5x4 4x4 5x4 4x8 2x4 4x4 2x4 4x4 2x4 4x4 2x3",
+            "43x4 32x4 43x4 32x4 43x4 32x4 43x4 32x8 16x4 32x4 16x4 32x4 16x4 32x4 16x3",
+        ),
+        (
+            Scenario::hotspot_differentiated2(0.05),
+            "6x32 2x31",
+            "47x32 15x31",
+        ),
+        (Scenario::case_study_1(0.5), "64x3", "500x3"),
+        (Scenario::case_study_2(0.1), "28x9", "222x9"),
+        (Scenario::bursty_hotspot(0.5, 20.0, 100.0), "4x63", "31x63"),
+        (Scenario::bursty_low_duty(0.6), "256x4", "2000x4"),
+        (Scenario::regulated(0.1), "256x8", "2000x8"),
+        (Scenario::transpose(0.1), "36x56", "285x56"),
+        (Scenario::bit_complement(0.1), "64x64", "500x64"),
+        (Scenario::nearest_neighbor(0.1), "256x64", "2000x64"),
+    ];
+    for (s, loft, gsf) in pins {
+        for (frame, want) in [(256, loft), (2_000, gsf)] {
+            let got = s.reservations(frame).map(|r| runs(&r));
+            assert_eq!(got.as_deref(), Ok(want), "{} at {frame}", s.name);
+        }
+    }
 }
 
 #[test]

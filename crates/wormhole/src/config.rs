@@ -22,8 +22,8 @@ pub struct WormholeConfig {
     pub hop_latency: u64,
     /// Cycles for a credit to return upstream.
     pub credit_delay: u64,
-    /// Accepted and ignored: the network steps on one thread; see
-    /// `noc_sim::fabric::VcParams::threads`.
+    /// Accepted and ignored: the network steps on one thread (DESIGN.md
+    /// *Parallelism*).
     pub threads: usize,
 }
 
@@ -36,7 +36,6 @@ impl WormholeConfig {
             vc_capacity: self.vc_capacity,
             hop_latency: self.hop_latency,
             credit_delay: self.credit_delay,
-            threads: self.threads,
         }
     }
 
