@@ -201,8 +201,7 @@ pub struct LinkScheduler {
     /// of O(flows) — the network has thousands of flows but only a
     /// handful are live on any one link.
     reset_epoch: u32,
-    /// `true` while the scheduler is in its power-up/reset state —
-    /// resetting again would be a no-op.
+    /// `true` while no booking has happened since power-up/reset.
     fresh: bool,
     /// `true` while nothing at all has touched the scheduler since
     /// power-up/reset: stricter than `fresh`, which survives a failed
@@ -858,9 +857,10 @@ impl LinkScheduler {
         }
     }
 
-    /// Whether the scheduler is already in its power-up/reset state
-    /// (no booking has happened since the last reset), making another
-    /// reset a no-op.
+    /// Whether no booking has happened since power-up or the last
+    /// reset. The network resets a link only in a forward that follows
+    /// a booking, so this only lets its debug audit tell a link that
+    /// reset from one whose reset was missed.
     pub fn is_fresh(&self) -> bool {
         self.fresh
     }

@@ -32,6 +32,9 @@
 //! status reset** (Section 4.3.2): every credit and reservation
 //! returns to its power-up value, so idle regions of the network
 //! recycle frames at full speed regardless of congestion elsewhere.
+//! Only a forward can make that condition true — by completing the
+//! link's last booking or by draining its downstream buffer — so the
+//! forward that does resets the link on the spot.
 //!
 //! # Fabric layering
 //!
@@ -65,8 +68,9 @@
 //! booking are touched by the data plane every slot, so they never
 //! lag; any other link catches up in at most one window of work. The
 //! one exception is a local reset, which overwrites every table and
-//! leaves the scheduler pristine, so it resets where it stands and
-//! its next access jumps to the clock.
+//! leaves the scheduler pristine, so it resets where it stands (a link
+//! reset for a drained downstream buffer may lag the clock) and its
+//! next access jumps to the clock.
 
 use noc_sim::checkpoint::CapDeque;
 use noc_sim::fabric::{debug_assert_delivered_once, DelayedWires, LinkTable, LOCAL, PORTS};
@@ -220,13 +224,6 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     launch_work: ActiveSet,
     /// Nodes with staged quanta awaiting injection.
     stage_work: ActiveSet,
-    /// Links to re-examine for a local status reset: a reset becomes
-    /// possible only when a link's last pending quantum forwards or
-    /// its downstream non-speculative buffer drains back to capacity,
-    /// so only those events queue a check — idle and saturated links
-    /// alike cost nothing per cycle. Always empty with
-    /// [`LoftConfig::local_status_reset`] off.
-    reset_check: ActiveSet,
 }
 
 impl LoftNetwork {
@@ -293,7 +290,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             pending_links: ActiveSet::new(n * PORTS),
             launch_work: ActiveSet::new(n),
             stage_work: ActiveSet::new(n),
-            reset_check: ActiveSet::new(n * PORTS),
             link_sched,
             links: LinkTable::new(&cfg.topo),
             cycle: 0,
@@ -631,6 +627,14 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         best
     }
 
+    /// Forwards the chosen quantum over link `node * PORTS + out_port`
+    /// unless its target buffer is full. A forward is the only event
+    /// that can make a link eligible for a local reset: it may complete
+    /// the link's last booking, or drain its input port back to
+    /// capacity, which is the downstream buffer of the link feeding
+    /// that port. Once the quantum is in its target buffer, the link
+    /// and, if its buffer drained, the feeding link get a
+    /// [`Self::try_reset`].
     fn forward(
         &mut self,
         node: usize,
@@ -665,7 +669,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         self.probe.on_link_flits(lidx, self.cfg.flits_per_quantum);
         // Commit: clear the booking and remove the quantum from its
         // holding place.
-        let reset = self.cfg.local_status_reset;
         let sched = self.sched(lidx);
         let woke = sched.complete(dep);
         let idle = sched.can_reset();
@@ -674,26 +677,17 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
         if idle {
             self.pending_links.remove(lidx);
-            if reset {
-                self.reset_check.insert(lidx);
-            }
         }
         let pidx = node * PORTS + in_port as usize;
         let port = &mut self.data_ports[pidx];
         let (arr_spec, arr_pref, next_idx) = port.release(res_idx, dep);
-        if arr_spec {
+        let drained = if arr_spec {
             port.spec_free += 1;
+            false
         } else {
             port.nonspec_free += 1;
-            // The buffer the upstream scheduler's reset waits on just
-            // gained a slot: if it is full again, queue the check.
-            if reset
-                && port.nonspec_free == self.cfg.nonspec_quanta() as i64
-                && in_port as usize != LOCAL
-            {
-                self.reset_check.insert(self.links.linked(pidx));
-            }
-        }
+            port.nonspec_free == self.cfg.nonspec_quanta() as i64 && in_port as usize != LOCAL
+        };
         match target {
             None => self.eject(node, arr_pref, slot, out),
             Some((ridx, spec)) => {
@@ -712,6 +706,35 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     },
                 );
             }
+        }
+        self.try_reset(lidx);
+        if drained {
+            self.try_reset(self.links.linked(pidx));
+        }
+    }
+
+    /// Local status reset of link `lidx` if it has no pending booking
+    /// and its downstream non-speculative buffer is empty. The PE sink
+    /// (the local port, which has no peer) drains at link rate; edge
+    /// ports are never used anyway.
+    fn try_reset(&mut self, lidx: usize) {
+        if !self.cfg.local_status_reset || !self.link_sched[lidx].can_reset() {
+            return;
+        }
+        let nonspec_cap = self.cfg.nonspec_quanta() as i64;
+        let downstream_empty = self
+            .links
+            .peer(lidx)
+            .is_none_or(|ridx| self.data_ports[ridx].nonspec_free == nonspec_cap);
+        if downstream_empty {
+            // Both events follow a forward on the link since its last
+            // reset, which booked it.
+            debug_assert!(!self.link_sched[lidx].is_fresh(), "link {lidx} reset twice");
+            // Reset where it stands: the next access jumps a pristine
+            // scheduler to the clock.
+            self.link_sched[lidx].local_reset();
+            self.la_queues.wake(lidx);
+            self.probe.on_link_reset(lidx);
         }
     }
 
@@ -795,22 +818,19 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 sched.pending_len() > 0,
                 "pending_links out of sync at link {i}"
             );
-            // No reset may be missed: a stale link that could reset
-            // right now must have a queued check.
+            // No reset may be missed: a link that has booked since its
+            // last reset is not idle with an empty downstream buffer.
             // The local port and edge ports have no downstream buffer.
             let downstream_empty = self.links.peer(i).is_none_or(|ridx| {
                 self.data_ports[ridx].nonspec_free == self.cfg.nonspec_quanta() as i64
             });
-            if self.cfg.local_status_reset
-                && !sched.is_fresh()
-                && sched.can_reset()
-                && downstream_empty
-            {
-                debug_assert!(
-                    self.reset_check.contains(i),
-                    "eligible reset not queued for link {i}"
-                );
-            }
+            debug_assert!(
+                !(self.cfg.local_status_reset
+                    && !sched.is_fresh()
+                    && sched.can_reset()
+                    && downstream_empty),
+                "link {i} missed its local reset"
+            );
         }
         let mut waiting = 0;
         for node in 0..self.nics.len() {
@@ -909,37 +929,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             probe.on_occupancy(BufKind::Source, node, backlog as u32);
         }
     }
-
-    /// Local status reset on every eligible idle link. Eligibility
-    /// can only *begin* at one of the events feeding `reset_check`
-    /// (last pending quantum forwarded, or downstream buffer drained
-    /// to capacity), so processing that event set each cycle resets
-    /// every link on the first cycle it qualifies — identical
-    /// behaviour to scanning every non-fresh link, without the scan.
-    fn reset_idle_links(&mut self) {
-        let nonspec_cap = self.cfg.nonspec_quanta() as i64;
-        let mut cursor = 0;
-        while let Some(lidx) = self.reset_check.first_from(cursor) {
-            cursor = lidx + 1;
-            self.reset_check.remove(lidx);
-            if self.link_sched[lidx].is_fresh() || !self.link_sched[lidx].can_reset() {
-                continue;
-            }
-            // The PE sink (the local port, which has no peer) drains at
-            // link rate; edge ports are never used anyway.
-            let downstream_empty = self
-                .links
-                .peer(lidx)
-                .is_none_or(|ridx| self.data_ports[ridx].nonspec_free == nonspec_cap);
-            if downstream_empty {
-                // Reset where it stands: the next access jumps a
-                // pristine scheduler to the clock.
-                self.link_sched[lidx].local_reset();
-                self.la_queues.wake(lidx);
-                self.probe.on_link_reset(lidx);
-            }
-        }
-    }
 }
 
 impl<Pr: Probe> Network for LoftNetwork<Pr> {
@@ -1001,12 +990,6 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
             clock.lap(&mut self.probe, Phase::DataPhase);
             self.data_move(slot, out);
             clock.lap(&mut self.probe, Phase::DataMove);
-        }
-        // Reset checks run every cycle: an idle instant between two
-        // slots is enough for a link to recycle its window.
-        if self.cfg.local_status_reset {
-            self.reset_idle_links();
-            clock.lap(&mut self.probe, Phase::ResetIdleLinks);
         }
         self.la_deliver(now);
         clock.lap(&mut self.probe, Phase::LaDeliver);
@@ -1276,6 +1259,46 @@ mod tests {
         }
         assert!(resets(&net) > 0, "no resets during idle gaps");
         assert_eq!(out.len(), 10);
+    }
+
+    /// A local reset is counted in the cycle of the forward that
+    /// enables it: the ejection link's when its last booking completes,
+    /// and each link before it later, when the forward onward drains
+    /// the buffer it feeds.
+    #[test]
+    fn links_reset_in_the_cycle_of_their_enabling_forward() {
+        let mut net = probed(LoftConfig::small(), &[16]);
+        net.enqueue(packet(0, 0, 0, 3, 0)); // 0 → 1 → 2 → 3, eastbound
+        let east = Direction::East.index();
+        let path = [east, PORTS + east, 2 * PORTS + east, 3 * PORTS + LOCAL];
+        // Per link of the path: the cycle it forwarded the packet's
+        // last flit, and the cycle it reset.
+        let (mut done_at, mut reset_at) = ([None; 4], [None; 4]);
+        let mut out = Vec::new();
+        while net.in_flight() > 0 {
+            let cycle = net.cycle();
+            assert!(cycle < 2_000, "the packet did not arrive");
+            net.step(&mut out);
+            let report = net.clone().into_probe().finish();
+            for (k, &lidx) in path.iter().enumerate() {
+                let count = |v: &[u64]| v.get(lidx).copied().unwrap_or(0);
+                if count(&report.link_flits) == 4 {
+                    done_at[k].get_or_insert(cycle);
+                }
+                match count(&report.link_resets) {
+                    0 => {}
+                    1 => _ = reset_at[k].get_or_insert(cycle),
+                    n => panic!("link {lidx} reset {n} times by cycle {cycle}"),
+                }
+            }
+        }
+        assert!(done_at.iter().all(Option::is_some), "{done_at:?}");
+        assert_eq!(reset_at[3], done_at[3], "ejection link");
+        for k in 0..3 {
+            assert!(done_at[k] < done_at[k + 1], "hop {k} forwarded late");
+            assert_eq!(reset_at[k], done_at[k + 1], "link {}", path[k]);
+        }
+        assert_eq!(resets(&net), 4, "a link off the path reset");
     }
 
     #[test]

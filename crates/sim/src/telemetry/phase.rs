@@ -30,10 +30,9 @@ pub enum Phase {
     /// LOFT: data-quantum arrivals and NIC injection at a slot
     /// boundary.
     DataPhase,
-    /// LOFT: data quanta forwarded over booked links.
+    /// LOFT: data quanta forwarded over booked links, with the local
+    /// status resets those forwards enable.
     DataMove,
-    /// LOFT: local status reset of idle links.
-    ResetIdleLinks,
     /// LOFT: look-ahead flits delivered off the wires.
     LaDeliver,
     /// LOFT: look-ahead flits booked by the link schedulers.
@@ -44,7 +43,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (for dense per-phase tables).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// The phases of a [`crate::fabric::VcFabric`] cycle, in order.
     pub const VC: [Phase; 6] = [
@@ -57,10 +56,9 @@ impl Phase {
     ];
 
     /// The phases of a LOFT cycle, in order.
-    pub const LOFT: [Phase; 6] = [
+    pub const LOFT: [Phase; 5] = [
         Phase::DataPhase,
         Phase::DataMove,
-        Phase::ResetIdleLinks,
         Phase::LaDeliver,
         Phase::LaSchedule,
         Phase::LaLaunch,
@@ -84,7 +82,6 @@ impl Phase {
             Phase::SwitchTraverse => "switch_traverse",
             Phase::DataPhase => "data_phase",
             Phase::DataMove => "data_move",
-            Phase::ResetIdleLinks => "reset_idle_links",
             Phase::LaDeliver => "la_deliver",
             Phase::LaSchedule => "la_schedule",
             Phase::LaLaunch => "la_launch",
